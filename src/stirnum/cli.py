@@ -37,6 +37,7 @@ from .identities import (
 )
 from .rationals import format_rational, parse_rational
 from .sequences import (
+    apostol_bernoulli_series,
     bernoulli_formula,
     bernoulli_oracle,
     euler_number,
@@ -338,8 +339,7 @@ def _handle_series_dump(args, argv):
         series = (exp_linear(1, order) + one).reciprocal()
         params = {"which": args.which, "order": order}
     else:
-        denom = exp_linear(1, order).scale(args.lam) - one
-        series = denom.reciprocal().shift(1)
+        series = apostol_bernoulli_series(args.lam, order)
         params = {"which": args.which, "lambda": args.lam, "order": order}
     return _series_output(argv, params, series)
 

@@ -36,6 +36,7 @@ __all__ = [
     "bernoulli_formula",
     "apostol_bernoulli_formula",
     "apostol_bernoulli_oracle",
+    "apostol_bernoulli_series",
     "euler_polynomial_formula",
     "euler_polynomial_oracle",
     "euler_number",
@@ -151,13 +152,19 @@ class Polynomial:
 
 @lru_cache(maxsize=None)
 def _geometric_stirling_sum(j: int, rho: Fraction) -> Fraction:
-    """sum_{m=1..j} (-1)**(m-1) (m-1)! S(j, m) rho**m."""
-    total = Fraction(0)
-    power = Fraction(1)
+    """sum_{m=1..j} (-1)**(m-1) (m-1)! S(j, m) rho**m.
+
+    With rho = p/q every term (-1)**(m-1) (m-1)! S(j, m) p**m q**(j-m) is an
+    integer, so the sum runs on ints and is divided by q**j once.
+    """
+    p, q = rho.numerator, rho.denominator
+    total = 0
+    weight = 1  # (-1)**(m-1) (m-1)! p**m once multiplied by p
     for m in range(1, j + 1):
-        power *= rho
-        total += (-1) ** (m - 1) * factorial(m - 1) * stirling2(j, m) * power
-    return total
+        weight *= p
+        total = total * q + weight * stirling2(j, m)
+        weight *= -m
+    return Fraction(total, q**j)
 
 
 def _half_weight(j: int) -> Fraction:
@@ -211,23 +218,27 @@ def apostol_bernoulli_formula(n: int, lam: Scalar) -> Fraction:
         raise DomainError(f"the closed form needs n >= 1, got {n}; use the oracle")
     if lam == 1:
         raise PoleError("lambda = 1 is a pole of the closed form")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction(factorial(k - 1), 1) / (lam - 1) ** k * stirling2(n, k)
-    return (-1) ** (n - 1) * n * total
+    # sum_k (k-1)! S(n, k) / (lam-1)**k is minus the alternating sum at
+    # rho = 1/(1-lam).  Called uncached: lam ranges freely here.
+    return (-1) ** n * n * _geometric_stirling_sum.__wrapped__(n, 1 / (1 - lam))
+
+
+def apostol_bernoulli_series(lam: Scalar, order: int) -> LaurentSeries:
+    """t/(lam*e**t - 1), long-divided from the source series of the given order."""
+    lam = Fraction(lam)
+    if lam == 0:
+        raise DomainError("lambda must be nonzero")
+    denom = exp_linear(1, order).scale(lam) - LaurentSeries.one(order)
+    return denom.reciprocal().shift(1)
 
 
 def apostol_bernoulli_oracle(n: int, lam: Scalar, order: Optional[int] = None) -> Fraction:
     """B_n(lam) as n! times the t**n coefficient of t/(lam*e**t - 1)."""
-    lam = Fraction(lam)
     if n < 0:
         raise DomainError(f"Apostol-Bernoulli numbers need n >= 0, got {n}")
-    if lam == 0:
-        raise DomainError("lambda must be nonzero")
     if order is None:
         order = n + 8
-    denom = exp_linear(1, order).scale(lam) - LaurentSeries.one(order)
-    return denom.reciprocal().shift(1).coeff(n) * factorial(n)
+    return apostol_bernoulli_series(lam, order).coeff(n) * factorial(n)
 
 
 # -- Euler polynomials and numbers ----------------------------------------

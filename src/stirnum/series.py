@@ -21,11 +21,17 @@ coefficient; a window holding only zeros contributes its precision as the
 best provable lower bound.  The one value exact to every order is the
 designated zero series (empty coefficient tuple, infinite precision),
 produced by scaling with 0 or multiplying by zero.
+
+Coefficients are stored as reduced ``Fraction`` values.  The two quadratic
+kernels, multiplication and reciprocal, put their inputs over a shared
+denominator and run on the integer numerators, reducing once per output
+coefficient rather than once per product term.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Tuple, Union
@@ -56,11 +62,6 @@ class LaurentSeries:
         if not coeffs:
             return ZERO
         return cls(int(offset), coeffs)
-
-    @classmethod
-    def zero(cls) -> "LaurentSeries":
-        """The exact zero series, valid to every order."""
-        return ZERO
 
     @classmethod
     def constant(cls, value: Scalar, precision: int) -> "LaurentSeries":
@@ -206,19 +207,17 @@ class LaurentSeries:
             raise PrecisionExhaustedError(
                 f"product window [{offset},{precision}) is empty"
             )
-        out = [Fraction(0)] * (precision - offset)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            ea = self.offset + i
-            if ea + other.offset >= precision:
-                break
-            for j, b in enumerate(other.coeffs):
-                e = ea + other.offset + j
-                if e >= precision:
-                    break
-                if b:
-                    out[e - offset] += a * b
+        length = precision - offset
+        a, da = _scaled(self.coeffs[:length])
+        b, db = _scaled(other.coeffs[:length])
+        den = da * db
+        out = []
+        for k in range(length):
+            # a[i] * b[k - i] over the i for which both factors are stored
+            lo = max(0, k - len(b) + 1)
+            hi = min(k + 1, len(a))
+            total = sum(map(operator.mul, a[lo:hi], reversed(b[k - hi + 1 : k - lo + 1])))
+            out.append(Fraction(total, den))
         return LaurentSeries(offset, tuple(out))
 
     def __rmul__(self, other) -> "LaurentSeries":
@@ -266,17 +265,23 @@ class LaurentSeries:
                 f"reciprocal window [{offset},{precision}) is empty; "
                 "widen the source series"
             )
-        length = precision - offset
-        unit = [self.coeff(v + j) for j in range(length)]
-        inv_lead = 1 / unit[0]
-        out = [inv_lead]
-        for n in range(1, length):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                if unit[i]:
-                    acc += unit[i] * out[n - i]
-            out.append(-acc * inv_lead)
-        return LaurentSeries(offset, tuple(out))
+        start = v - self.offset
+        unit, unit_den = _scaled(self.coeffs[start : start + precision - offset])
+        # 1/u = unit_den * (1/U) for the integer series U = unit.  The
+        # quotients r_n = nums[n] / den of 1/U share one denominator, widened
+        # whenever a new quotient does not fit over it.
+        lead = unit[0]
+        den = lead
+        nums = [1]
+        for n in range(1, len(unit)):
+            acc = sum(map(operator.mul, unit[1 : n + 1], reversed(nums)))
+            if acc % lead:
+                widen = abs(lead) // math.gcd(acc, lead)
+                nums = [x * widen for x in nums]
+                den *= widen
+                acc *= widen
+            nums.append(-acc // lead)
+        return LaurentSeries(offset, tuple(Fraction(unit_den * x, den) for x in nums))
 
     # -- presentation -----------------------------------------------------
 
@@ -298,6 +303,12 @@ class LaurentSeries:
 
 
 ZERO = LaurentSeries(0, ())
+
+
+def _scaled(coeffs) -> Tuple[list, int]:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def exp_linear(alpha: Scalar, order: int) -> LaurentSeries:

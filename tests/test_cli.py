@@ -150,6 +150,11 @@ class TestSeriesDump:
         )
         assert code == 2
 
+    def test_apostol_zero_lambda_is_domain_error(self, capsys):
+        code, out, _ = run(capsys, "series", "dump", "apostol", "--lambda", "0", "--order", "5")
+        assert code == 1
+        assert out == "error[domain]: lambda must be nonzero\n"
+
     def test_apostol_dump(self, capsys):
         code, out, _ = run(capsys, "series", "dump", "apostol", "--lambda", "2", "--order", "7")
         assert code == 0

@@ -24,6 +24,79 @@ def series(draw, min_len=1, max_len=8):
     return LaurentSeries.from_coeffs(offset, coeffs)
 
 
+# Zeros, the small fractions above, and denominators far beyond them.
+kernel_fractions = st.one_of(
+    st.just(Fraction(0)),
+    small_fractions,
+    st.builds(Fraction, st.integers(-(10**24), 10**24), st.integers(1, 10**24)),
+)
+
+
+@st.composite
+def kernel_series(draw, max_len=14):
+    """Series with negative offsets, leading and interior zeros, and
+    windows that hold only zeros."""
+    offset = draw(st.integers(min_value=-6, max_value=6))
+    leading = draw(st.integers(min_value=0, max_value=3))
+    body = draw(
+        st.one_of(
+            st.lists(kernel_fractions, min_size=1, max_size=max_len),
+            st.lists(st.just(Fraction(0)), min_size=1, max_size=4),
+        )
+    )
+    return LaurentSeries.from_coeffs(offset, [0] * leading + body)
+
+
+def reference_mul(a, b):
+    """Schoolbook product on Fraction coefficients, one Fraction per pair."""
+    if a.is_zero or b.is_zero:
+        return ZERO
+    offset = a.offset + b.offset
+    precision = min(a.precision + b._valuation_floor(), b.precision + a._valuation_floor())
+    if precision <= offset:
+        raise PrecisionExhaustedError("empty product window")
+    out = [Fraction(0)] * (precision - offset)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            e = a.offset + i + b.offset + j
+            if e < precision:
+                out[e - offset] += x * y
+    return LaurentSeries(offset, tuple(out))
+
+
+def reference_reciprocal(s):
+    """Long division on Fraction coefficients: q_n = -(sum u_i q_{n-i}) / u_0."""
+    v = None if s.is_zero else s.valuation()
+    if v is None:
+        raise ZeroSeriesError("no nonzero coefficient")
+    offset = -v
+    precision = s.precision - 2 * v - 1
+    if precision <= offset:
+        raise PrecisionExhaustedError("empty reciprocal window")
+    unit = [s.coeff(v + j) for j in range(precision - offset)]
+    out = [1 / unit[0]]
+    for n in range(1, len(unit)):
+        out.append(-sum(unit[i] * out[n - i] for i in range(1, n + 1)) / unit[0])
+    return LaurentSeries(offset, tuple(out))
+
+
+def outcome(op, *args):
+    """The series op returns, or the type of the window error it raises."""
+    try:
+        return op(*args)
+    except (PrecisionExhaustedError, ZeroSeriesError) as exc:
+        return type(exc)
+
+
+def assert_same_series(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert (got.offset, got.precision) == (want.offset, want.precision)
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
 def geometric(order):
     # 1/(1 - t) to the requested order
     return LaurentSeries.from_coeffs(0, [1] * order)
@@ -180,6 +253,32 @@ class TestReciprocal:
         s = LaurentSeries.from_coeffs(0, [0, 1])
         with pytest.raises(PrecisionExhaustedError):
             s.reciprocal()
+
+
+class TestIntegerKernel:
+    """mul and reciprocal run on integer numerators; the Fraction loops
+    they replaced are the reference."""
+
+    @settings(max_examples=300)
+    @given(kernel_series(), kernel_series())
+    def test_mul_matches_reference(self, a, b):
+        assert_same_series(outcome(LaurentSeries.__mul__, a, b), outcome(reference_mul, a, b))
+
+    @settings(max_examples=300)
+    @given(kernel_series())
+    def test_reciprocal_matches_reference(self, s):
+        assert_same_series(
+            outcome(LaurentSeries.reciprocal, s), outcome(reference_reciprocal, s)
+        )
+
+    @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2, 3)])
+    def test_order_120_anchor(self, lam):
+        # 1/(e^t - 1) is a Laurent window; (2/3)e^t - 1 has unit lead -1/3
+        denom = exp_linear(1, 120).scale(lam) - LaurentSeries.one(120)
+        inverse = denom.reciprocal()
+        assert_same_series(inverse, reference_reciprocal(denom))
+        assert_same_series(inverse * denom, reference_mul(inverse, denom))
+        assert_same_series(inverse * inverse, reference_mul(inverse, inverse))
 
 
 class TestZeroAndPow:
