@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError
 from .rationals import factorial
-from .series import LaurentSeries, exp_linear
+from .series import LaurentSeries, exp_linear, linear_combination
 from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1, stirling2
 
 __all__ = [
@@ -153,33 +153,68 @@ def _recip_general(alpha: Fraction, lam: Fraction, order: int) -> LaurentSeries:
     return (exp_linear(alpha, order).scale(lam) - LaurentSeries.one(order)).reciprocal()
 
 
-def _nth_derivative(series: LaurentSeries, n: int) -> LaurentSeries:
-    for _ in range(n):
-        series = series.derivative()
-    return series
+_BASES = {
+    "f": _recip_exp_minus_one,
+    "g": _recip_one_minus_exp_neg,
+    "h": _recip_exp_plus_one,
+    "G": _recip_general,
+}
 
 
-def _power_ladder(base: LaurentSeries, top: int) -> List[LaurentSeries]:
-    # [base**1, ..., base**top]
-    powers = [base]
-    for _ in range(1, top):
-        powers.append(powers[-1] * base)
-    return powers
+class _Ladder:
+    """Powers base**1, base**2, ... and derivatives base, base', ... of one
+    base series built at source order ``top``; each entry is computed once,
+    when first asked for.
+
+    A read at a lower source ``order`` returns the entry a build at that
+    order gives.  Every stored coefficient is exact, and once the valuation
+    is visible each step's precision moves one-for-one with the source
+    order; all four bases have a nonzero leading coefficient.  So that
+    entry is the stored one less its last ``top - order`` coefficients.
+    """
+
+    def __init__(self, base: LaurentSeries, top: int):
+        self.top = top
+        self._powers = [base]
+        self._derivatives = [base]
+
+    def _read(self, entries: List[LaurentSeries], count: int, order: int) -> List[LaurentSeries]:
+        drop = self.top - order
+        if not drop:
+            return entries[:count]
+        return [LaurentSeries(e.offset, e.coeffs[:-drop]) for e in entries[:count]]
+
+    def base(self, order: int) -> LaurentSeries:
+        return self._read(self._powers, 1, order)[0]
+
+    def powers(self, count: int, order: int) -> List[LaurentSeries]:
+        """[base**1, ..., base**count]"""
+        while len(self._powers) < count:
+            self._powers.append(self._powers[-1] * self._powers[0])
+        return self._read(self._powers, count, order)
+
+    def derivatives(self, count: int, order: int) -> List[LaurentSeries]:
+        """[base, base', ..., base^(count-1)]"""
+        while len(self._derivatives) < count:
+            self._derivatives.append(self._derivatives[-1].derivative())
+        return self._read(self._derivatives, count, order)
 
 
-def _derivative_ladder(base: LaurentSeries, top: int) -> List[LaurentSeries]:
-    # [base, base', ..., base^(top-1)]
-    ladder = [base]
-    for _ in range(1, top):
-        ladder.append(ladder[-1].derivative())
-    return ladder
+class _Ladders:
+    """The ladder of every base series one sweep reads, built at its top
+    source order the first time a check asks for it."""
 
+    def __init__(self, top: int):
+        self.top = top
+        self._store: Dict[tuple, _Ladder] = {}
 
-def _weighted_sum(terms: Sequence[LaurentSeries], weights: Sequence[Fraction]) -> LaurentSeries:
-    acc = terms[0].scale(weights[0])
-    for term, weight in zip(terms[1:], weights[1:]):
-        acc = acc + term.scale(weight)
-    return acc
+    def get(self, name: str, *params: Fraction) -> _Ladder:
+        key = (name,) + params
+        ladder = self._store.get(key)
+        if ladder is None:
+            ladder = _Ladder(_BASES[name](*params, self.top), self.top)
+            self._store[key] = ladder
+        return ladder
 
 
 # -- the eight core identities ------------------------------------------------
@@ -258,6 +293,8 @@ def verify_core_identity(
     order: Optional[int] = None,
     coeff_override: Optional[Sequence[Scalar]] = None,
     min_window: int = DEFAULT_MIN_WINDOW,
+    *,
+    _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check one of I1..I8 at index k by exact series comparison.
 
@@ -270,23 +307,20 @@ def verify_core_identity(
         raise DomainError(f"identities need k >= 1, got {k}")
     if order is None:
         order = default_order(k)
+    ladders = _Ladders(order) if _ladders is None else _ladders
     lhs_name, lhs_kind, _, rhs_name, constant = _CORE_FORMS[identity_id]
-    bases: Dict[str, LaurentSeries] = {}
-    for name in {lhs_name, rhs_name}:
-        bases[name] = (
-            _recip_exp_minus_one(order) if name == "f" else _recip_one_minus_exp_neg(order)
-        )
+    lhs_ladder, rhs_ladder = ladders.get(lhs_name), ladders.get(rhs_name)
     weights: Sequence[Fraction]
     if coeff_override is not None:
         weights = [Fraction(w) for w in coeff_override]
     else:
         weights = core_identity_coefficients(identity_id, k)
     if lhs_kind == "derivative":
-        lhs = _nth_derivative(bases[lhs_name], k)
-        rhs = _weighted_sum(_power_ladder(bases[rhs_name], k + 1), weights)
+        lhs = lhs_ladder.derivatives(k + 1, order)[k]
+        rhs = linear_combination(rhs_ladder.powers(k + 1, order), weights)
     else:
-        lhs = bases[lhs_name] ** k
-        rhs = _weighted_sum(_derivative_ladder(bases[rhs_name], k), weights)
+        lhs = lhs_ladder.base(order) ** k
+        rhs = linear_combination(rhs_ladder.derivatives(k, order), weights)
         if constant == "one":
             rhs = rhs + LaurentSeries.constant(1, rhs.precision)
         elif constant == "sign":
@@ -300,6 +334,8 @@ def verify_plus_identity(
     order: Optional[int] = None,
     coeff_override: Optional[Sequence[Scalar]] = None,
     min_window: int = DEFAULT_MIN_WINDOW,
+    *,
+    _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check P1 or P2, the derivative/power pair for h = 1/(e**t + 1)."""
     if identity_id not in PLUS_IDENTITY_IDS:
@@ -308,7 +344,7 @@ def verify_plus_identity(
         raise DomainError(f"identities need k >= 1, got {k}")
     if order is None:
         order = default_order(k)
-    h = _recip_exp_plus_one(order)
+    ladder = (_Ladders(order) if _ladders is None else _ladders).get("h")
     if coeff_override is not None:
         weights = [Fraction(w) for w in coeff_override]
     elif identity_id == "P1":
@@ -318,11 +354,11 @@ def verify_plus_identity(
     else:
         weights = [(-1) ** (k - 1) * b_coeff(k, m) for m in range(1, k + 1)]
     if identity_id == "P1":
-        lhs = _nth_derivative(h, k)
-        rhs = _weighted_sum(_power_ladder(h, k + 1), weights)
+        lhs = ladder.derivatives(k + 1, order)[k]
+        rhs = linear_combination(ladder.powers(k + 1, order), weights)
     else:
-        lhs = h**k
-        rhs = _weighted_sum(_derivative_ladder(h, k), weights)
+        lhs = ladder.base(order) ** k
+        rhs = linear_combination(ladder.derivatives(k, order), weights)
     return _compare(identity_id, k, None, None, order, lhs, rhs, min_window)
 
 
@@ -341,6 +377,8 @@ def verify_general_derivative(
     lam: Scalar,
     order: Optional[int] = None,
     min_window: int = DEFAULT_MIN_WINDOW,
+    *,
+    _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check G1: the k-th derivative of 1/(lam e**(alpha t) - 1) as a
     power sum with weights (-1)**k alpha**k (m-1)! S(k+1, m)."""
@@ -348,13 +386,13 @@ def verify_general_derivative(
     _check_general_args(k, alpha, lam)
     if order is None:
         order = default_order(k)
-    base = _recip_general(alpha, lam, order)
-    lhs = _nth_derivative(base, k)
+    ladder = (_Ladders(order) if _ladders is None else _ladders).get("G", alpha, lam)
+    lhs = ladder.derivatives(k + 1, order)[k]
     weights = [
         (-1) ** k * alpha**k * factorial(m - 1) * stirling2(k + 1, m)
         for m in range(1, k + 2)
     ]
-    rhs = _weighted_sum(_power_ladder(base, k + 1), weights)
+    rhs = linear_combination(ladder.powers(k + 1, order), weights)
     return _compare("G1", k, alpha, lam, order, lhs, rhs, min_window)
 
 
@@ -364,6 +402,8 @@ def verify_general_power(
     lam: Scalar,
     order: Optional[int] = None,
     min_window: int = DEFAULT_MIN_WINDOW,
+    *,
+    _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check G2: the k-th power of 1/(lam e**(alpha t) - 1) as a
     derivative sum with weights (-1)**(m-1) alpha**(1-m) s(k, m)/(k-1)!."""
@@ -371,14 +411,14 @@ def verify_general_power(
     _check_general_args(k, alpha, lam)
     if order is None:
         order = default_order(k)
-    base = _recip_general(alpha, lam, order)
-    lhs = base**k
+    ladder = (_Ladders(order) if _ladders is None else _ladders).get("G", alpha, lam)
+    lhs = ladder.base(order) ** k
     inv_kfac = Fraction(1, factorial(k - 1))
     weights = [
         (-1) ** (m - 1) * alpha ** (1 - m) * stirling1(k, m) * inv_kfac
         for m in range(1, k + 1)
     ]
-    rhs = _weighted_sum(_derivative_ladder(base, k), weights)
+    rhs = linear_combination(ladder.derivatives(k, order), weights)
     return _compare("G2", k, alpha, lam, order, lhs, rhs, min_window)
 
 
@@ -401,20 +441,28 @@ def run_sweep(
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     alpha_grid = sorted(Fraction(a) for a in (alphas or DEFAULT_ALPHAS))
     lambda_grid = sorted(Fraction(v) for v in (lambdas or DEFAULT_LAMBDAS))
+    # Every base and ladder is built once, at the order of the widest check.
+    ladders = _Ladders(default_order(k_max) if order is None else order)
     reports: List[VerificationReport] = []
     for target in targets:
         if target in CORE_IDENTITY_IDS:
             for k in range(1, k_max + 1):
-                reports.append(verify_core_identity(target, k, order, None, min_window))
+                reports.append(
+                    verify_core_identity(target, k, order, None, min_window, _ladders=ladders)
+                )
         elif target in PLUS_IDENTITY_IDS:
             for k in range(1, k_max + 1):
-                reports.append(verify_plus_identity(target, k, order, None, min_window))
+                reports.append(
+                    verify_plus_identity(target, k, order, None, min_window, _ladders=ladders)
+                )
         elif target in GENERAL_IDENTITY_IDS:
             check = verify_general_derivative if target == "G1" else verify_general_power
             for k in range(1, k_max + 1):
                 for alpha in alpha_grid:
                     for lam in lambda_grid:
-                        reports.append(check(k, alpha, lam, order, min_window))
+                        reports.append(
+                            check(k, alpha, lam, order, min_window, _ladders=ladders)
+                        )
         else:
             raise DomainError(f"unknown identity tag {target!r}")
     return reports

@@ -211,11 +211,14 @@ def apostol_bernoulli_formula(n: int, lam: Scalar) -> Fraction:
     """B_n(lam) for n >= 1 from the single Stirling-number sum.
 
     B_n(lam) = (-1)**(n-1) n sum_{k=1..n} (k-1)!/(lam-1)**k S(n, k).
-    The n = 0 value is not covered by this form; use the oracle.
+    The n = 0 value is not covered by this form; use the oracle.  lam
+    must be nonzero, the same domain as ``apostol_bernoulli_series``.
     """
     lam = Fraction(lam)
     if n < 1:
         raise DomainError(f"the closed form needs n >= 1, got {n}; use the oracle")
+    if lam == 0:
+        raise DomainError("lambda must be nonzero")
     if lam == 1:
         raise PoleError("lambda = 1 is a pole of the closed form")
     # sum_k (k-1)! S(n, k) / (lam-1)**k is minus the alternating sum at

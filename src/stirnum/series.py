@@ -20,12 +20,14 @@ pessimistically so that guarantee survives arbitrary compositions:
 coefficient; a window holding only zeros contributes its precision as the
 best provable lower bound.  The one value exact to every order is the
 designated zero series (empty coefficient tuple, infinite precision),
-produced by scaling with 0 or multiplying by zero.
+produced by scaling with 0, multiplying by zero, or a linear combination
+whose every weight or term is zero.
 
-Coefficients are stored as reduced ``Fraction`` values.  The two quadratic
-kernels, multiplication and reciprocal, put their inputs over a shared
-denominator and run on the integer numerators, reducing once per output
-coefficient rather than once per product term.
+Coefficients are stored as reduced ``Fraction`` values.  Three kernels put
+their inputs over a shared denominator and run on the integer numerators,
+reducing once per output coefficient rather than once per term:
+multiplication and reciprocal, the two quadratic ones, and
+``linear_combination``, which also carries addition and subtraction.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 
-__all__ = ["LaurentSeries", "ZERO", "exp_linear"]
+__all__ = ["LaurentSeries", "ZERO", "exp_linear", "linear_combination"]
 
 Scalar = Union[int, Fraction]
 
@@ -157,16 +159,7 @@ class LaurentSeries:
             return other
         if other.is_zero:
             return self
-        offset = min(self.offset, other.offset)
-        precision = min(self.precision, other.precision)
-        out = [Fraction(0)] * (precision - offset)
-        for side in (self, other):
-            for i, c in enumerate(side.coeffs):
-                e = side.offset + i
-                if e >= precision:
-                    break
-                out[e - offset] += c
-        return LaurentSeries(offset, tuple(out))
+        return linear_combination((self, other), (1, 1))
 
     def __neg__(self) -> "LaurentSeries":
         if self.is_zero:
@@ -176,7 +169,7 @@ class LaurentSeries:
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self + (-other)
+        return linear_combination((self, other), (1, -1))
 
     def scale(self, factor: Scalar) -> "LaurentSeries":
         """Multiply by an exact scalar; scaling by 0 gives the exact zero."""
@@ -309,6 +302,39 @@ def _scaled(coeffs) -> Tuple[list, int]:
     """Integer numerators of ``coeffs`` over the lcm of their denominators."""
     den = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def linear_combination(
+    terms: Sequence[LaurentSeries], weights: Sequence[Scalar]
+) -> LaurentSeries:
+    """sum(w * s for s, w in zip(terms, weights)) with the add rules.
+
+    A zero weight or the exact zero term drops out, as ``scale(0)`` gives
+    the exact zero; nothing left gives ZERO.  The window runs from the
+    least offset to the least precision of the terms that stay.  Each
+    term's numerators are put over one common denominator and each output
+    coefficient is one integer sum, reduced once.
+    """
+    kept = []
+    for term, weight in zip(terms, weights):
+        weight = Fraction(weight)
+        if weight and not term.is_zero:
+            kept.append((term, weight))
+    if not kept:
+        return ZERO
+    offset = min(term.offset for term, _ in kept)
+    precision = min(term.precision for term, _ in kept)
+    scaled = []
+    for term, weight in kept:
+        ints, den = _scaled(term.coeffs[: max(0, precision - term.offset)])
+        scaled.append((term.offset - offset, ints, weight.numerator, weight.denominator * den))
+    den = math.lcm(*[term_den for _, _, _, term_den in scaled])
+    out = [0] * (precision - offset)
+    for start, ints, num, term_den in scaled:
+        factor = num * (den // term_den)
+        for i, x in enumerate(ints, start):
+            out[i] += factor * x
+    return LaurentSeries(offset, tuple(Fraction(x, den) for x in out))
 
 
 def exp_linear(alpha: Scalar, order: int) -> LaurentSeries:

@@ -13,6 +13,7 @@ Both satisfy S(0, 0) = s(0, 0) = 1 and vanish outside 0 <= k <= n.
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
 from typing import List
@@ -149,11 +150,14 @@ def _determinant(matrix: List[List[Fraction]]) -> Fraction:
     return det
 
 
+@functools.lru_cache(maxsize=1024)
 def m_determinant(j: int, k: int, i: int) -> Fraction:
     """Determinant of the j x j bordered matrix M_j(k, i).
 
     Row r (1-based) has first column C(k, i+r-1) / (i+r-2)! and, for
-    column c >= 2, the entry S(i+c-1, i+r-1).
+    column c >= 2, the entry S(i+c-1, i+r-1).  The latest 1024 distinct
+    values are kept: every identity check at index k asks for the same
+    k determinants again.
     """
     if j < 1 or k < 1 or i < 1:
         raise DomainError(f"m_determinant needs j, k, i >= 1, got ({j}, {k}, {i})")

@@ -1,9 +1,12 @@
 """Command-line interface: formats, exit codes, and record shapes."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
+
+import pytest
 
 import stirnum.cli as cli
 from stirnum.identities import VerificationReport
@@ -155,6 +158,13 @@ class TestSeriesDump:
         assert code == 1
         assert out == "error[domain]: lambda must be nonzero\n"
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_apostol_bernoulli_zero_lambda_is_domain_error(self, capsys, n):
+        # the closed form (n >= 1) and the series (n = 0) share one domain
+        code, out, _ = run(capsys, "apostol-bernoulli", str(n), "--lambda", "0")
+        assert code == 1
+        assert out == "error[domain]: lambda must be nonzero\n"
+
     def test_apostol_dump(self, capsys):
         code, out, _ = run(capsys, "series", "dump", "apostol", "--lambda", "2", "--order", "7")
         assert code == 0
@@ -220,8 +230,23 @@ class TestVerifyCommand:
         # 1 det pair, 1 alt-sum row, 2x3x3 reduction rows
         assert len(lines) - 1 == 10 + 2 * 25 + 1 + 1 + 18
 
+    # sha256 of `verify all --k-max 6`, pinned before the sweep shared its
+    # series ladders across k: every report, window and format is fixed.
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("plain", "767bf32defa6b8c86eaacff0a74b51a7c9a2e639136e2bbbd4a59e3ef2fde039"),
+            ("json", "fe7b575ce3dda02b5e411a2fbf89452ba6c9c578c5301c64b7f5ca95c4d9114b"),
+            ("csv", "aa8404955eb0c3cc6c749fa13d289ae6a112b98742970b9431bfb5472ad49483"),
+        ],
+    )
+    def test_verify_all_output_is_pinned(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "verify", "all", "--k-max", "6", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_verification_failure_exits_three(self, capsys, monkeypatch):
-        def fake(identity_id, k, order=None, coeff_override=None, min_window=8):
+        def fake(identity_id, k, order=None, coeff_override=None, min_window=8, **_):
             return VerificationReport(
                 identity_id=identity_id,
                 k=k,
@@ -240,7 +265,7 @@ class TestVerifyCommand:
         assert "0/2 ok" in out
 
     def test_failure_row_in_csv(self, capsys, monkeypatch):
-        def fake(identity_id, k, order=None, coeff_override=None, min_window=8):
+        def fake(identity_id, k, order=None, coeff_override=None, min_window=8, **_):
             return VerificationReport(
                 identity_id, k, None, None, 12, (-1, 9), False, (2, Fraction(1), Fraction(0))
             )

@@ -4,12 +4,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stirnum.errors import DomainError, PrecisionExhaustedError
+from stirnum.errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 from stirnum.identities import (
     ALL_IDENTITY_IDS,
     CORE_IDENTITY_IDS,
     DEFAULT_MIN_WINDOW,
+    GENERAL_IDENTITY_IDS,
     PLUS_IDENTITY_IDS,
     core_identity_coefficients,
     default_order,
@@ -20,15 +23,41 @@ from stirnum.identities import (
     verify_plus_identity,
 )
 from stirnum.identities import (
-    _derivative_ladder,
+    _Ladder,
     _recip_exp_minus_one,
     _recip_general,
     _recip_one_minus_exp_neg,
-    _weighted_sum,
 )
 from stirnum.rationals import factorial
-from stirnum.series import LaurentSeries
+from stirnum.series import LaurentSeries, linear_combination
 from stirnum.stirling import b_coeff, lambda_coeff, stirling1, stirling2
+
+
+def independent_sweep(targets, k_max, order, alphas, lambdas):
+    """run_sweep's reports in its order, each from a standalone check."""
+    reports = []
+    for target in targets:
+        for k in range(1, k_max + 1):
+            if target in CORE_IDENTITY_IDS:
+                reports.append(verify_core_identity(target, k, order))
+            elif target in PLUS_IDENTITY_IDS:
+                reports.append(verify_plus_identity(target, k, order))
+            elif target in GENERAL_IDENTITY_IDS:
+                check = verify_general_derivative if target == "G1" else verify_general_power
+                for alpha in sorted(Fraction(a) for a in alphas):
+                    for lam in sorted(Fraction(v) for v in lambdas):
+                        reports.append(check(k, alpha, lam, order))
+            else:
+                raise DomainError(f"unknown identity tag {target!r}")
+    return reports
+
+
+def sweep_outcome(sweep, *args):
+    """The reports, or the type and message of the error raised."""
+    try:
+        return sweep(*args)
+    except (DomainError, PrecisionExhaustedError, ZeroSeriesError) as exc:
+        return type(exc), str(exc)
 
 
 class TestCoreIdentities:
@@ -79,8 +108,8 @@ class TestCoreIdentities:
             f = _recip_exp_minus_one(order)
             g = _recip_one_minus_exp_neg(order)
             lhs = f**k
-            ladder = _derivative_ladder(g, k)
-            rhs_printed = _weighted_sum(ladder, weights) + LaurentSeries.one(
+            ladder = _Ladder(g, order).derivatives(k, order)
+            rhs_printed = linear_combination(ladder, weights) + LaurentSeries.one(
                 order - 1
             )
             # the printed variant misses lhs by the constant 2 at t^0
@@ -242,6 +271,31 @@ class TestSweeps:
 
     def test_all_tags_covered(self):
         assert len(ALL_IDENTITY_IDS) == 12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        targets=st.lists(st.sampled_from(ALL_IDENTITY_IDS + ("I9",)), min_size=1, max_size=3),
+        k_max=st.integers(1, 7),
+        order=st.one_of(st.none(), st.integers(4, 30)),
+        alphas=st.lists(
+            st.sampled_from([0, -2, Fraction(-3, 2), Fraction(1, 2), 1, 3]),
+            min_size=1,
+            max_size=2,
+            unique=True,
+        ),
+        lambdas=st.lists(
+            st.sampled_from([0, Fraction(-5, 3), -1, Fraction(1, 2), 1, 2]),
+            min_size=1,
+            max_size=2,
+            unique=True,
+        ),
+    )
+    def test_sweep_matches_independent_checks(self, targets, k_max, order, alphas, lambdas):
+        # the sweep builds each ladder once and truncates it per k; every
+        # report, and the first error with its message, must be what one
+        # standalone check per report gives
+        args = (targets, k_max, order, alphas, lambdas)
+        assert sweep_outcome(run_sweep, *args) == sweep_outcome(independent_sweep, *args)
 
 
 class TestPrecisionGuard:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stirnum.errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 from stirnum.rationals import factorial
-from stirnum.series import ZERO, LaurentSeries, exp_linear
+from stirnum.series import ZERO, LaurentSeries, exp_linear, linear_combination
 from stirnum.stirling import stirling2
 
 small_fractions = st.fractions(
@@ -78,6 +78,30 @@ def reference_reciprocal(s):
     for n in range(1, len(unit)):
         out.append(-sum(unit[i] * out[n - i] for i in range(1, n + 1)) / unit[0])
     return LaurentSeries(offset, tuple(out))
+
+
+def reference_add(a, b):
+    """Termwise Fraction sum over [least offset, least precision)."""
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    offset = min(a.offset, b.offset)
+    precision = min(a.precision, b.precision)
+    out = [Fraction(0)] * (precision - offset)
+    for side in (a, b):
+        for i, c in enumerate(side.coeffs):
+            if side.offset + i < precision:
+                out[side.offset + i - offset] += c
+    return LaurentSeries(offset, tuple(out))
+
+
+def reference_linear_combination(terms, weights):
+    """Scale each term, then add them one Fraction at a time."""
+    acc = ZERO
+    for term, weight in zip(terms, weights):
+        acc = reference_add(acc, term.scale(weight))
+    return acc
 
 
 def outcome(op, *args):
@@ -256,8 +280,8 @@ class TestReciprocal:
 
 
 class TestIntegerKernel:
-    """mul and reciprocal run on integer numerators; the Fraction loops
-    they replaced are the reference."""
+    """mul, reciprocal and linear combinations run on integer numerators;
+    the Fraction loops they replaced are the reference."""
 
     @settings(max_examples=300)
     @given(kernel_series(), kernel_series())
@@ -270,6 +294,22 @@ class TestIntegerKernel:
         assert_same_series(
             outcome(LaurentSeries.reciprocal, s), outcome(reference_reciprocal, s)
         )
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.one_of(kernel_series(), st.just(ZERO)), max_size=6),
+        st.lists(st.one_of(st.just(0), st.integers(-3, 3), kernel_fractions), max_size=6),
+    )
+    def test_linear_combination_matches_reference(self, terms, weights):
+        assert_same_series(
+            linear_combination(terms, weights), reference_linear_combination(terms, weights)
+        )
+
+    @settings(max_examples=300)
+    @given(st.one_of(kernel_series(), st.just(ZERO)), st.one_of(kernel_series(), st.just(ZERO)))
+    def test_add_and_sub_match_reference(self, a, b):
+        assert_same_series(a + b, reference_add(a, b))
+        assert_same_series(a - b, reference_add(a, -b))
 
     @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2, 3)])
     def test_order_120_anchor(self, lam):

@@ -214,6 +214,20 @@ class TestMDeterminant:
             with pytest.raises(DomainError):
                 m_determinant(*bad)
 
+    def test_cache_is_bounded(self):
+        assert m_determinant.cache_info().maxsize == 1024
+        for k in range(1, 1101):
+            assert m_determinant(1, k, 1) == k
+        assert m_determinant.cache_info().currsize <= 1024
+
+    def test_domain_error_is_not_cached(self):
+        before = m_determinant.cache_info()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                m_determinant(0, 1, 1)
+        after = m_determinant.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
     def test_first_kind_relation(self):
         for n in range(1, 13):
             for k in range(1, n + 1):
