@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -180,6 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None, help="override the truncation order")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() shares across calls, built on the first one and
+    not at import.  argparse keeps no per-parse state on a parser."""
+    return build_parser()
 
 
 def _post_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -509,7 +517,7 @@ def _emit(out: CommandOutput, fmt: str) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         _post_validate(parser, args)

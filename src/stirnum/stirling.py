@@ -2,8 +2,10 @@
 
 The working path for both kinds is the triangular recurrence, memoized in a
 shared append-only table.  The explicit alternating sum (second kind) and
-the bordered lower-Hessenberg determinant (first kind) are kept as
-independent routes so each can cross-check the other.
+the bordered determinant M_j(k, i) (first kind) are kept as independent
+routes so each can cross-check the other.  M_j(k, i) is Hessenberg once
+its first column is moved last, so its determinant takes an O(j**2)
+integer recurrence.
 
 Conventions: S(n, k) is the second kind (set partitions of n labelled
 elements into k blocks); s(n, k) is the signed first kind, with
@@ -14,7 +16,7 @@ Both satisfy S(0, 0) = s(0, 0) = 1 and vanish outside 0 <= k <= n.
 from __future__ import annotations
 
 import functools
-import threading
+import math
 from fractions import Fraction
 from typing import List
 
@@ -41,8 +43,8 @@ class StirlingTable:
     kind "second": S(n, k) = k*S(n-1, k) + S(n-1, k-1)
     kind "first":  s(n, k) = s(n-1, k-1) - (n-1)*s(n-1, k)
 
-    Growth happens under a lock; completed rows are append-only, so reads
-    of already-built entries are safe from any thread.
+    Rows are only ever appended.  The table is not locked: grow it from
+    one thread at a time.
     """
 
     def __init__(self, kind: str):
@@ -50,7 +52,6 @@ class StirlingTable:
             raise ValueError(f"kind must be 'second' or 'first', got {kind!r}")
         self.kind = kind
         self._rows: List[List[int]] = [[1]]
-        self._lock = threading.Lock()
 
     def value(self, n: int, k: int) -> int:
         if n < 0:
@@ -62,19 +63,18 @@ class StirlingTable:
         return self._rows[n][k]
 
     def _grow(self, n: int) -> None:
-        with self._lock:
-            while len(self._rows) <= n:
-                m = len(self._rows)
-                prev = self._rows[m - 1]
-                row = [0] * (m + 1)
-                if self.kind == "second":
-                    for k in range(1, m):
-                        row[k] = k * prev[k] + prev[k - 1]
-                else:
-                    for k in range(1, m):
-                        row[k] = prev[k - 1] - (m - 1) * prev[k]
-                row[m] = 1
-                self._rows.append(row)
+        while len(self._rows) <= n:
+            m = len(self._rows)
+            prev = self._rows[m - 1]
+            row = [0] * (m + 1)
+            if self.kind == "second":
+                for k in range(1, m):
+                    row[k] = k * prev[k] + prev[k - 1]
+            else:
+                for k in range(1, m):
+                    row[k] = prev[k - 1] - (m - 1) * prev[k]
+            row[m] = 1
+            self._rows.append(row)
 
 
 _SECOND = StirlingTable("second")
@@ -127,47 +127,34 @@ def mu_coeff(k: int, m: int) -> int:
     return (-1) ** (m - 1) * factorial(m - 1) * stirling2(k + 1, m)
 
 
-def _determinant(matrix: List[List[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination, pivoting on the first
-    nonzero entry of each column (row swaps flip the sign)."""
-    size = len(matrix)
-    rows = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det *= pivot
-        inv = 1 / pivot
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
 @functools.lru_cache(maxsize=1024)
 def m_determinant(j: int, k: int, i: int) -> Fraction:
     """Determinant of the j x j bordered matrix M_j(k, i).
 
     Row r (1-based) has first column C(k, i+r-1) / (i+r-2)! and, for
-    column c >= 2, the entry S(i+c-1, i+r-1).  The latest 1024 distinct
-    values are kept: every identity check at index k asks for the same
-    k determinants again.
+    column c >= 2, the entry S(i+c-1, i+r-1), which is 0 for r > c and 1
+    for r = c.  Moving the first column last (sign (-1)**(j-1)) gives an
+    upper Hessenberg h with unit subdiagonal and h[r][c] = S(i+c, i+r-1)
+    for c < j.  Its leading minors D_0 = 1, D_c = sum_{r<=c} (-1)**(c-r)
+    h[r][c] D_{r-1} are kept as the ints E_c = (-1)**c D_c, which drops
+    the signs: E_c = -sum_{r<=c} h[r][c] E_{r-1}, and det M = (-1)**(j-1)
+    D_j = sum_{r<=j} h[r][j] E_{r-1}.  Only that last column is rational;
+    it is summed over the common denominator (i+j-2)!.
+
+    The latest 1024 distinct values are kept: every identity check at
+    index k asks for the same k determinants again.
     """
     if j < 1 or k < 1 or i < 1:
         raise DomainError(f"m_determinant needs j, k, i >= 1, got ({j}, {k}, {i})")
-    matrix = []
-    for r in range(1, j + 1):
-        row = [Fraction(binomial(k, i + r - 1), factorial(i + r - 2))]
-        for c in range(2, j + 1):
-            row.append(Fraction(stirling2(i + c - 1, i + r - 1)))
-        matrix.append(row)
-    return _determinant(matrix)
+    minors = [1]
+    for c in range(1, j):
+        minors.append(-sum(stirling2(i + c, i + r - 1) * minors[r - 1] for r in range(1, c + 1)))
+    top = i + j - 2
+    # h[r][j] = C(k, i+r-1) * (top! / (i+r-2)!) / top!
+    numerator = sum(
+        binomial(k, i + r - 1) * math.perm(top, j - r) * minors[r - 1] for r in range(1, j + 1)
+    )
+    return Fraction(numerator, factorial(top))
 
 
 def a_coeff(k: int, m: int) -> Fraction:

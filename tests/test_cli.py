@@ -343,3 +343,45 @@ class TestDeterminism:
     def test_csv_line_termination(self, capsys):
         _, out, _ = run(capsys, "stirling2", "4", "2", "--format", "csv")
         assert out == "n,k,result\n4,2,7\n"
+
+
+class TestParserReuse:
+    # One sequence of calls on the parser main() keeps: every command and
+    # format, options given and then omitted, and each exit path.
+    SEQUENCE = [
+        ["stirling2", "7", "3"],
+        ["stirling1", "7", "3", "--format", "json"],
+        ["mdet", "3", "4", "2", "--format", "csv"],
+        ["bernoulli", "6", "--method", "formula"],
+        ["bernoulli", "6"],
+        ["apostol-bernoulli", "3", "--lambda", "2", "--format", "json"],
+        ["euler-number", "8", "--format", "csv"],
+        ["euler-poly", "3", "--at", "1/2"],
+        ["euler-poly", "3"],
+        ["two-param-euler", "2", "--alpha", "2", "--lambda", "3", "--at", "1/3"],
+        ["two-param-euler", "2", "--alpha", "2", "--lambda", "3", "--format", "csv"],
+        ["series", "dump", "apostol", "--lambda=-3/2", "--order", "6"],
+        ["series", "dump", "recip-exp-plus-one", "--order", "6", "--format", "json"],
+        ["verify", "G1", "--k-max", "2", "--alpha", "2", "--lambda", "1/2", "--order", "16"],
+        ["verify", "G1", "--k-max", "1", "--format", "csv"],
+        ["verify", "reductions", "--k-max", "1", "--lambda", "3", "--format", "json"],
+        ["verify", "reductions", "--k-max", "1"],
+        ["apostol-bernoulli", "2", "--lambda", "1.5"],
+        ["series", "dump", "apostol", "--order", "6"],
+        ["--help"],
+        ["verify", "--help"],
+        ["stirling2", "-4", "2"],
+        ["stirling2", "5", "3", "--format", "plain"],
+    ]
+
+    def test_shared_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        shared = [run(capsys, *argv) for argv in self.SEQUENCE]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(capsys, *argv) for argv in self.SEQUENCE]
+        for argv, got, want in zip(self.SEQUENCE, shared, fresh):
+            assert got == want, argv
+        assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

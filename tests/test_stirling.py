@@ -2,13 +2,15 @@
 
 The oracles here avoid the recurrences entirely: set-partition counting by
 direct enumeration, polynomial expansion of log(1+x)**m and of the falling
-factorial, and the exponential generating series for the second kind.
+factorial, and the exponential generating series for the second kind.  The
+bordered determinant is checked against plain Gaussian elimination.
 """
 
-import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stirnum.errors import DomainError
 from stirnum.rationals import binomial, factorial
@@ -64,6 +66,40 @@ def falling_factorial(n: int):
         shifted = [0] + coeffs
         coeffs = [s - i * c for s, c in zip(shifted, coeffs + [0])]
     return coeffs
+
+
+def reference_determinant(matrix):
+    """Exact determinant by Gaussian elimination, pivoting on the first
+    nonzero entry of each column (row swaps flip the sign)."""
+    size = len(matrix)
+    rows = [list(row) for row in matrix]
+    det = Fraction(1)
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            det = -det
+        pivot = rows[col][col]
+        det *= pivot
+        inv = 1 / pivot
+        for r in range(col + 1, size):
+            factor = rows[r][col] * inv
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def reference_m_determinant(j, k, i):
+    """M_j(k, i) written out as a matrix: row r has C(k, i+r-1)/(i+r-2)!
+    in column 1 and S(i+c-1, i+r-1) in column c >= 2."""
+    matrix = [
+        [Fraction(binomial(k, i + r - 1), factorial(i + r - 2))]
+        + [Fraction(stirling2(i + c - 1, i + r - 1)) for c in range(2, j + 1)]
+        for r in range(1, j + 1)
+    ]
+    return reference_determinant(matrix)
 
 
 class TestSecondKind:
@@ -144,27 +180,6 @@ class TestStirlingTable:
         with pytest.raises(ValueError):
             StirlingTable("third")
 
-    def test_concurrent_growth(self):
-        table = StirlingTable("second")
-        errors = []
-
-        def worker():
-            try:
-                for n in range(0, 60):
-                    for k in (0, 1, n // 2, n):
-                        table.value(n, k)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert table.value(59, 1) == 1
-        assert table.value(59, 59) == 1
-
 
 class TestCoefficientFamilies:
     def test_lambda_anchors(self):
@@ -227,6 +242,27 @@ class TestMDeterminant:
                 m_determinant(0, 1, 1)
         after = m_determinant.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=25),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=30),
+    )
+    def test_matches_gaussian_elimination(self, j, k, i):
+        # k < i + j - 1 zeroes the lower first-column entries, k < i all of them
+        assert m_determinant(j, k, i) == reference_m_determinant(j, k, i)
+
+    def test_large_anchors(self):
+        # values of the elimination route, pinned; (25, 54, 30) is the
+        # relation shape n = 54, k = 30
+        expected = Fraction(
+            11495702725372395062602999691426117,
+            20671345584863618271607654955783754088867430400000000000,
+        )
+        assert m_determinant(25, 54, 30) == expected
+        assert reference_m_determinant(25, 54, 30) == expected
+        assert m_determinant(60, 80, 20) == 0
 
     def test_first_kind_relation(self):
         for n in range(1, 13):
