@@ -23,7 +23,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -60,6 +60,10 @@ __all__ = ["build_parser", "main"]
 _CHECK_TARGETS = ("det-relation", "alt-sum", "reductions")
 _REDUCTION_ALPHAS = (Fraction(1), Fraction(2), Fraction(-1, 2))
 _REDUCTION_LAMBDAS = (Fraction(1), Fraction(3), Fraction(1, 4))
+_LAMBDA_ONE_NOTE = (
+    "lambda = 1 is a pole of the closed form; B_n(1) = B_n is read from the "
+    "generating series t/(e^t - 1)"
+)
 
 _VERIFY_CSV_HEADER = [
     "id",
@@ -310,9 +314,13 @@ def _handle_bernoulli(args, argv):
 
 
 def _handle_apostol_bernoulli(args, argv):
-    provenance = "oracle" if args.n == 0 else "formula"
+    # The closed form covers n >= 1 and has a pole at lambda = 1, where
+    # B_n(1) = B_n is read from the generating series instead.
+    pole = args.n > 0 and args.lam == 1
+    provenance = "oracle" if args.n == 0 or pole else "formula"
     result = sequence_value("apostol_bernoulli", args.n, provenance, lam=args.lam)
-    return _scalar_output(argv, {"n": args.n, "lambda": args.lam}, result.value, result.notes)
+    notes = result.notes + ((_LAMBDA_ONE_NOTE,) if pole else ())
+    return _scalar_output(argv, {"n": args.n, "lambda": args.lam}, result.value, notes)
 
 
 def _handle_euler_number(args, argv):
@@ -352,19 +360,22 @@ def _handle_series_dump(args, argv):
     return _series_output(argv, params, series)
 
 
-def _check_row(check: str, passed: bool, **fields) -> dict:
+def _check_row(check: str, passed: bool, **fields) -> Tuple[dict, str]:
+    """A named check's record and its plain line."""
     row: dict = {"check": check}
     row.update(fields)
     row["passed"] = passed
-    return row
+    line = " ".join([check] + [f"{name}={value}" for name, value in fields.items()])
+    return row, line + (" ok" if passed else " FAIL")
 
 
-def _verify_rows(args) -> List[dict]:
+def _verify_rows(args) -> List[Tuple[dict, str]]:
+    """(record, plain line) for every report and named check, in order."""
     target = args.target
     k_max = args.k_max
     alphas = None if args.alpha is None else [args.alpha]
     lambdas = None if args.lam is None else [args.lam]
-    rows: List[dict] = []
+    rows: List[Tuple[dict, str]] = []
 
     identity_targets: Sequence[str]
     if target == "all":
@@ -375,7 +386,7 @@ def _verify_rows(args) -> List[dict]:
         identity_targets = ()
     if identity_targets:
         for report in run_sweep(identity_targets, k_max, args.order, alphas, lambdas):
-            rows.append(report.to_dict())
+            rows.append((report.to_dict(), report.describe()))
 
     if target in ("all", "det-relation"):
         for n in range(1, k_max + 1):
@@ -404,28 +415,6 @@ def _verify_rows(args) -> List[dict]:
                         )
                     )
     return rows
-
-
-def _verify_plain_line(row: dict) -> str:
-    if "identity_id" in row:
-        bits = [row["identity_id"], f"k={row['k']}"]
-        if row["alpha"] is not None:
-            bits.append(f"alpha={row['alpha']}")
-        if row["lambda"] is not None:
-            bits.append(f"lambda={row['lambda']}")
-        bits.append(f"order={row['order']}")
-        lo, hi = row["window"]
-        bits.append(f"window=[{lo},{hi})")
-        head = " ".join(bits)
-        if row["passed"]:
-            return f"{head} ok"
-        disc = row["first_discrepancy"]
-        return f"{head} FAIL at t^{disc['exponent']}: lhs={disc['lhs']} rhs={disc['rhs']}"
-    bits = [row["check"]]
-    for name in ("n", "k", "alpha", "lambda"):
-        if name in row:
-            bits.append(f"{name}={row[name]}")
-    return " ".join(bits) + (" ok" if row["passed"] else " FAIL")
 
 
 def _verify_csv_row(row: dict) -> List[str]:
@@ -466,7 +455,9 @@ def _verify_csv_row(row: dict) -> List[str]:
 
 
 def _handle_verify(args, argv):
-    rows = _verify_rows(args)
+    checked = _verify_rows(args)
+    rows = [row for row, _ in checked]
+    lines = [line for _, line in checked]
     passed = sum(1 for row in rows if row["passed"])
     all_ok = passed == len(rows)
     params: Dict[str, object] = {"target": args.target, "k_max": args.k_max}
@@ -482,7 +473,6 @@ def _handle_verify(args, argv):
         "result": {"passed": all_ok, "total": len(rows), "ok": passed, "checks": rows},
         "status": "ok",
     }
-    lines = [_verify_plain_line(row) for row in rows]
     lines.append(f"{passed}/{len(rows)} ok")
     csv_rows = [_verify_csv_row(row) for row in rows]
     return CommandOutput(record, "\n".join(lines), _VERIFY_CSV_HEADER, csv_rows, 0 if all_ok else 3)

@@ -13,10 +13,17 @@ Families and their exponential generating functions:
     euler_polynomial     2 e**(x t) / (e**t + 1)
     euler_number         2**n * E_n(1/2)
     two_param_euler      2 e**(x t) / (lam * e**(alpha t) + 1)
+
+The closed forms run on integers where the series kernel does: the
+alternating Stirling sum at rho = p/q is one integer over q**j, each Euler
+and two-parameter Euler coefficient is one integer numerator over one
+integer denominator, and ``Polynomial.evaluate`` runs Horner on integer
+numerators.  Each builds one ``Fraction`` per value it returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -62,7 +69,7 @@ class Polynomial:
 
     @classmethod
     def from_coeffs(cls, values: Iterable[Scalar]) -> "Polynomial":
-        vals = [Fraction(v) for v in values]
+        vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
         while vals and not vals[-1]:
             vals.pop()
         return cls(tuple(vals))
@@ -77,11 +84,21 @@ class Polynomial:
         return Fraction(0)
 
     def evaluate(self, point: Scalar) -> Fraction:
+        """Horner on integer numerators: with the coefficients C_i / den
+        over the lcm of their denominators and point = u/v, the value is
+        sum_i C_i u**i v**(d-i) over den * v**d, reduced once."""
+        if not self.coeffs:
+            return Fraction(0)
         point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        u, v = point.numerator, point.denominator
+        den = math.lcm(*[c.denominator for c in self.coeffs])
+        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        acc = nums[-1]
+        v_power = 1  # v**(d-i) at coefficient i
+        for c in reversed(nums[:-1]):
+            v_power *= v
+            acc = acc * u + c * v_power
+        return Fraction(acc, den * v_power)
 
     def __call__(self, point: Scalar) -> Fraction:
         return self.evaluate(point)
@@ -150,12 +167,13 @@ class Polynomial:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _geometric_stirling_sum(j: int, rho: Fraction) -> Fraction:
     """sum_{m=1..j} (-1)**(m-1) (m-1)! S(j, m) rho**m.
 
     With rho = p/q every term (-1)**(m-1) (m-1)! S(j, m) p**m q**(j-m) is an
-    integer, so the sum runs on ints and is divided by q**j once.
+    integer, so the sum runs on ints and is divided by q**j once.  The cache
+    is bounded; it holds a few rhos times every j up to ~300.
     """
     p, q = rho.numerator, rho.denominator
     total = 0
@@ -254,9 +272,11 @@ def euler_polynomial_formula(n: int) -> Polynomial:
     """
     if n < 0:
         raise DomainError(f"Euler polynomials need n >= 0, got {n}")
+    half = Fraction(1, 2)
+    sums = [_geometric_stirling_sum(n - k + 1, half) for k in range(n + 1)]
     coeffs = [
-        (-1) ** (n - k) * binomial(n, k) * _half_weight(n - k + 1)
-        for k in range(n + 1)
+        Fraction((-1) ** (n - k) * 2 * binomial(n, k) * g.numerator, g.denominator)
+        for k, g in enumerate(sums)
     ]
     return Polynomial.from_coeffs(coeffs)
 
@@ -335,10 +355,17 @@ def two_param_euler_formula(n: int, alpha: Scalar, lam: Scalar) -> Polynomial:
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
+    # With alpha = a/b and g = p/q the sum, each coefficient is the one
+    # integer ratio 2 (-a)**(n-k) C(n, k) p / (b**(n-k) q).
+    a, b = alpha.numerator, alpha.denominator
     rho = 1 / (lam + 1)
+    sums = [_geometric_stirling_sum(n - k + 1, rho) for k in range(n + 1)]
     coeffs = [
-        2 * (-alpha) ** (n - k) * binomial(n, k) * _geometric_stirling_sum(n - k + 1, rho)
-        for k in range(n + 1)
+        Fraction(
+            2 * (-a) ** (n - k) * binomial(n, k) * g.numerator,
+            b ** (n - k) * g.denominator,
+        )
+        for k, g in enumerate(sums)
     ]
     return Polynomial.from_coeffs(coeffs)
 

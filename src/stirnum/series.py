@@ -225,10 +225,19 @@ class LaurentSeries:
             if self.is_zero:
                 raise DomainError("0**0 is undefined for the exact zero series")
             return LaurentSeries.one(self.precision)
-        result = self
-        for _ in range(exponent - 1):
-            result = result * self
-        return result
+        # Square-and-multiply.  The valuation floor adds up under mul, so
+        # every partial power self**j has precision p + (j-1)*floor and a
+        # nonempty window: the result and its window are those of
+        # exponent - 1 repeated products, from fewer of them.
+        result = None
+        square = self
+        while True:
+            if exponent & 1:
+                result = square if result is None else result * square
+            exponent >>= 1
+            if not exponent:
+                return result
+            square = square * square
 
     def derivative(self) -> "LaurentSeries":
         """Termwise d/dt; the window slides to [offset-1, precision-1)."""

@@ -80,6 +80,20 @@ class TestScalarCommands:
         assert code == 0
         assert out == f"{Fraction(1) / Fraction(-5, 2)}\n"
 
+    @pytest.mark.parametrize("n, value", [(0, "1"), (1, "-1/2"), (2, "1/6"), (3, "0"), (4, "-1/30")])
+    def test_apostol_lambda_one_is_bernoulli(self, capsys, n, value):
+        # B_n(1) = B_n, read from the series at the closed form's pole.
+        code, out, _ = run(capsys, "apostol-bernoulli", str(n), "--lambda", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == value
+        assert lines[0] == run(capsys, "bernoulli", str(n))[1].strip()
+        note = "note: lambda = 1 is a pole of the closed form"
+        assert [line.startswith(note) for line in lines[1:]] == ([True] if n else [])
+        code, out, _ = run(capsys, "apostol-bernoulli", str(n), "--lambda", "1", "--format", "json")
+        record = json.loads(out)
+        assert (code, record["status"], record["result"]) == (0, "ok", value)
+
     def test_euler_number(self, capsys):
         code, out, _ = run(capsys, "euler-number", "6")
         assert code == 0
@@ -245,6 +259,21 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of `verify reductions --k-max 12`, pinned before the closed
+    # forms and Polynomial.evaluate moved to integer numerators.
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("plain", "86c05777726aa94e5545ab0af7f451eb303be71daadb9c907f188bf3ba4f4342"),
+            ("json", "0cb7aba845e66af4ff97a1bad3e20e040e1fd6838c3ec680d44db20bedc03b64"),
+            ("csv", "f01945eacbd2eb500b94fb71f286a0f5a9ade695cba945880e6b212fe227038f"),
+        ],
+    )
+    def test_verify_reductions_output_is_pinned(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "verify", "reductions", "--k-max", "12", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_verification_failure_exits_three(self, capsys, monkeypatch):
         def fake(identity_id, k, order=None, coeff_override=None, min_window=8, **_):
             return VerificationReport(
@@ -280,7 +309,7 @@ class TestVerifyCommand:
 
 class TestErrorsAndUsage:
     def test_pole_exit_code(self, capsys):
-        code, out, _ = run(capsys, "apostol-bernoulli", "3", "--lambda", "1")
+        code, out, _ = run(capsys, "two-param-euler", "3", "--alpha", "2", "--lambda=-1")
         assert code == 1
         assert out.startswith("error[pole]")
 

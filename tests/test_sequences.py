@@ -1,12 +1,17 @@
 """Number/polynomial families: closed forms against series oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stirnum.errors import DomainError, PoleError
+from stirnum.rationals import binomial
 from stirnum.sequences import (
     Polynomial,
+    _geometric_stirling_sum,
     apostol_bernoulli_formula,
     apostol_bernoulli_oracle,
     bernoulli_formula,
@@ -20,6 +25,7 @@ from stirnum.sequences import (
     two_param_euler_oracle,
     verify_two_param_reductions,
 )
+from stirnum.stirling import stirling2
 
 # Frozen reference values, independent of any code in this package.
 BERNOULLI = {
@@ -49,6 +55,49 @@ EULER_NUMBERS = {
 }
 
 
+def reference_evaluate(poly, point):
+    """Horner on Fraction values, one Fraction per step."""
+    point = Fraction(point)
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * point + c
+    return acc
+
+
+def reference_euler_polynomial_coeffs(n):
+    """The Fraction products of the closed form, one coefficient each."""
+    half = Fraction(1, 2)
+    return [
+        (-1) ** (n - k) * binomial(n, k) * 2 * _geometric_stirling_sum(n - k + 1, half)
+        for k in range(n + 1)
+    ]
+
+
+def reference_two_param_coeffs(n, alpha, lam):
+    rho = 1 / (lam + 1)
+    return [
+        2 * (-alpha) ** (n - k) * binomial(n, k) * _geometric_stirling_sum(n - k + 1, rho)
+        for k in range(n + 1)
+    ]
+
+
+def reference_geometric_sum(j, rho):
+    """sum_{m=1..j} (-1)**(m-1) (m-1)! S(j, m) rho**m, term by term."""
+    return sum(
+        (-1) ** (m - 1) * math.factorial(m - 1) * stirling2(j, m) * rho**m
+        for m in range(1, j + 1)
+    )
+
+
+# Zeros, small fractions, and denominators far beyond them.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-100, max_value=100, max_denominator=50),
+    st.builds(Fraction, st.integers(-(10**24), 10**24), st.integers(1, 10**24)),
+)
+nonzero_rationals = rationals.filter(bool)
+
+
 class TestPolynomial:
     def test_construction_trims_trailing_zeros(self):
         p = Polynomial.from_coeffs([1, 2, 0, 0])
@@ -62,6 +111,20 @@ class TestPolynomial:
         assert p.evaluate(Fraction(1, 2)) == 0
         assert p(1) == 0
         assert p(Fraction(-1, 3)) == Fraction(20, 9)
+
+    @settings(max_examples=300)
+    @given(st.lists(rationals, max_size=12), st.one_of(st.integers(-5, 5), rationals))
+    def test_evaluate_matches_fraction_horner(self, values, point):
+        poly = Polynomial.from_coeffs(values)
+        got = poly.evaluate(point)
+        assert got == reference_evaluate(poly, point)
+        assert type(got) is Fraction
+
+    def test_from_coeffs_keeps_fractions(self):
+        q = Fraction(-3, 7)
+        p = Polynomial.from_coeffs([q, 2])
+        assert p.coeffs[0] is q
+        assert type(p.coeffs[1]) is Fraction
 
     def test_arithmetic(self):
         p = Polynomial.from_coeffs([1, 1])
@@ -204,6 +267,42 @@ class TestAlternatingSum:
     def test_domain(self):
         with pytest.raises(DomainError):
             stirling_alternating_sum(0)
+
+
+class TestIntegerClosedForms:
+    """The closed forms build each coefficient as one integer ratio; the
+    Fraction products they replaced are the reference."""
+
+    @pytest.mark.parametrize("n", range(0, 41))
+    def test_euler_polynomial_matches_reference(self, n):
+        poly = euler_polynomial_formula(n)
+        assert poly == Polynomial.from_coeffs(reference_euler_polynomial_coeffs(n))
+        assert all(type(c) is Fraction for c in poly.coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), nonzero_rationals, rationals.filter(lambda lam: lam != -1))
+    def test_two_param_matches_reference(self, n, alpha, lam):
+        poly = two_param_euler_formula(n, alpha, lam)
+        assert poly == Polynomial.from_coeffs(reference_two_param_coeffs(n, alpha, lam))
+        assert all(type(c) is Fraction for c in poly.coeffs)
+
+
+class TestGeometricSumCache:
+    def test_cache_is_bounded(self):
+        bound = _geometric_stirling_sum.cache_info().maxsize
+        assert bound == 4096
+        first = Fraction(1, 10**6 + 1)
+        value = _geometric_stirling_sum(3, first)
+        # Fill the cache past its bound with keys no other test uses.
+        for m in range(2, bound + 200):
+            _geometric_stirling_sum(2, Fraction(1, 10**6 + m))
+        assert _geometric_stirling_sum.cache_info().currsize <= bound
+        misses = _geometric_stirling_sum.cache_info().misses
+        assert _geometric_stirling_sum(3, first) == value == reference_geometric_sum(3, first)
+        assert _geometric_stirling_sum.cache_info().misses == misses + 1  # it was evicted
+        for m in (2, bound // 2, bound + 199):
+            rho = Fraction(1, 10**6 + m)
+            assert _geometric_stirling_sum(2, rho) == reference_geometric_sum(2, rho)
 
 
 class TestTwoParamEuler:

@@ -104,6 +104,18 @@ def reference_linear_combination(terms, weights):
     return acc
 
 
+def reference_pow(s, k):
+    """k - 1 repeated products on the Fraction reference multiply."""
+    if k == 0:
+        if s.is_zero:
+            raise DomainError("0**0")
+        return LaurentSeries.one(s.precision)
+    result = s
+    for _ in range(k - 1):
+        result = reference_mul(result, s)
+    return result
+
+
 def outcome(op, *args):
     """The series op returns, or the type of the window error it raises."""
     try:
@@ -343,6 +355,33 @@ class TestZeroAndPow:
     def test_pow_matches_repeated_mul(self):
         s = LaurentSeries.from_coeffs(0, [1, 1, 2, Fraction(1, 2), 1])
         assert s**3 == s * s * s
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(kernel_series(), st.just(ZERO)), st.integers(min_value=0, max_value=13))
+    def test_pow_by_squaring_matches_repeated_mul(self, s, k):
+        # Offset, precision, coefficients, and the error raised, if any:
+        # squaring must reproduce the window of k - 1 repeated products.
+        def power(op):
+            try:
+                return op(s, k)
+            except (DomainError, PrecisionExhaustedError, ZeroSeriesError) as exc:
+                return type(exc)
+
+        assert_same_series(power(LaurentSeries.__pow__), power(reference_pow))
+
+    def test_pow_makes_fewer_products(self, monkeypatch):
+        calls = []
+        real_mul = LaurentSeries.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return real_mul(a, b)
+
+        monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
+        f = (exp_linear(1, 20) - LaurentSeries.one(20)).reciprocal()
+        for k in range(1, 13):
+            f**k
+        assert len(calls) == 35  # 66 by repeated multiplication
 
 
 class TestEqualOnWindow:
