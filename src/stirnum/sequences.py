@@ -17,8 +17,10 @@ Families and their exponential generating functions:
 The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler
 and two-parameter Euler coefficient is one integer numerator over one
-integer denominator, and ``Polynomial.evaluate`` runs Horner on integer
-numerators.  Each builds one ``Fraction`` per value it returns.
+integer denominator, ``Polynomial.evaluate`` runs Horner on integer
+numerators, and the even-index Euler sum and ``stirling_alternating_sum``
+are one integer over a power of two.  Each builds one ``Fraction`` per
+value it returns.
 """
 
 from __future__ import annotations
@@ -168,14 +170,15 @@ class Polynomial:
 
 
 @lru_cache(maxsize=4096)
-def _geometric_stirling_sum(j: int, rho: Fraction) -> Fraction:
-    """sum_{m=1..j} (-1)**(m-1) (m-1)! S(j, m) rho**m.
+def _geometric_stirling_sum(j: int, p: int, q: int) -> Fraction:
+    """sum_{m=1..j} (-1)**(m-1) (m-1)! S(j, m) rho**m at rho = p/q.
 
-    With rho = p/q every term (-1)**(m-1) (m-1)! S(j, m) p**m q**(j-m) is an
-    integer, so the sum runs on ints and is divided by q**j once.  The cache
-    is bounded; it holds a few rhos times every j up to ~300.
+    Every term (-1)**(m-1) (m-1)! S(j, m) p**m q**(j-m) is an integer, so
+    the sum runs on ints and is divided by q**j once.  The cache is bounded
+    and keyed on ints, which hash far faster than a ``Fraction``; callers
+    pass rho in lowest terms with q > 0.  It holds a few rhos times every
+    j up to ~300.
     """
-    p, q = rho.numerator, rho.denominator
     total = 0
     weight = 1  # (-1)**(m-1) (m-1)! p**m once multiplied by p
     for m in range(1, j + 1):
@@ -185,9 +188,21 @@ def _geometric_stirling_sum(j: int, rho: Fraction) -> Fraction:
     return Fraction(total, q**j)
 
 
-def _half_weight(j: int) -> Fraction:
-    # sum_{l=1..j} (-1)**(l-1) (l-1)!/2**(l-1) S(j, l)
-    return 2 * _geometric_stirling_sum(j, Fraction(1, 2))
+def _half_weight_sum(m: int) -> Fraction:
+    """sum_{k=0..m} w(m-k+1) (-1)**k 2**-k C(m, k), where
+    w(j) = sum_{l=1..j} (-1)**(l-1) (l-1)!/2**(l-1) S(j, l) = 2 g(j) and
+    g(j) is the alternating Stirling sum at rho = 1/2.
+
+    g(j) has a power-of-two denominator dividing 2**j, so every term is an
+    integer over 2**(m+1); the sum runs on ints and is reduced once.
+    """
+    top = 1 << (m + 1)
+    total = 0
+    for k in range(m + 1):
+        g = _geometric_stirling_sum(m - k + 1, 1, 2)
+        term = 2 * binomial(m, k) * g.numerator * (top // (g.denominator << k))
+        total += -term if k & 1 else term
+    return Fraction(total, top)
 
 
 # -- Bernoulli ------------------------------------------------------------
@@ -241,7 +256,10 @@ def apostol_bernoulli_formula(n: int, lam: Scalar) -> Fraction:
         raise PoleError("lambda = 1 is a pole of the closed form")
     # sum_k (k-1)! S(n, k) / (lam-1)**k is minus the alternating sum at
     # rho = 1/(1-lam).  Called uncached: lam ranges freely here.
-    return (-1) ** n * n * _geometric_stirling_sum.__wrapped__(n, 1 / (1 - lam))
+    rho = 1 / (1 - lam)
+    return (-1) ** n * n * _geometric_stirling_sum.__wrapped__(
+        n, rho.numerator, rho.denominator
+    )
 
 
 def apostol_bernoulli_series(lam: Scalar, order: int) -> LaurentSeries:
@@ -272,8 +290,7 @@ def euler_polynomial_formula(n: int) -> Polynomial:
     """
     if n < 0:
         raise DomainError(f"Euler polynomials need n >= 0, got {n}")
-    half = Fraction(1, 2)
-    sums = [_geometric_stirling_sum(n - k + 1, half) for k in range(n + 1)]
+    sums = [_geometric_stirling_sum(n - k + 1, 1, 2) for k in range(n + 1)]
     coeffs = [
         Fraction((-1) ** (n - k) * 2 * binomial(n, k) * g.numerator, g.denominator)
         for k, g in enumerate(sums)
@@ -295,10 +312,7 @@ def euler_polynomial_oracle(n: int, x: Scalar, order: Optional[int] = None) -> F
 def _euler_even_direct(n: int) -> Fraction:
     # E_n for even n = 4**(n/2) sum_{k=0..n} w(n-k+1) (-1)**k 2**-k C(n, k)
     # with w the alternating half-power Stirling weight.
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += _half_weight(n - k + 1) * Fraction((-1) ** k, 2**k) * binomial(n, k)
-    return Fraction(4) ** (n // 2) * total
+    return 4 ** (n // 2) * _half_weight_sum(n)
 
 
 def euler_number(n: int) -> Fraction:
@@ -329,10 +343,7 @@ def stirling_alternating_sum(n: int) -> Fraction:
     """
     if n < 1:
         raise DomainError(f"the alternating sum needs n >= 1, got {n}")
-    total = Fraction(0)
-    for k in range(2 * n):
-        total += _half_weight(2 * n - k) * Fraction((-1) ** k, 2**k) * binomial(2 * n - 1, k)
-    return total
+    return _half_weight_sum(2 * n - 1)
 
 
 # -- Two-parameter Euler ---------------------------------------------------
@@ -359,7 +370,8 @@ def two_param_euler_formula(n: int, alpha: Scalar, lam: Scalar) -> Polynomial:
     # integer ratio 2 (-a)**(n-k) C(n, k) p / (b**(n-k) q).
     a, b = alpha.numerator, alpha.denominator
     rho = 1 / (lam + 1)
-    sums = [_geometric_stirling_sum(n - k + 1, rho) for k in range(n + 1)]
+    p, q = rho.numerator, rho.denominator
+    sums = [_geometric_stirling_sum(n - k + 1, p, q) for k in range(n + 1)]
     coeffs = [
         Fraction(
             2 * (-a) ** (n - k) * binomial(n, k) * g.numerator,
@@ -399,20 +411,40 @@ def verify_two_param_reductions(n: int, alpha: Scalar, lam: Scalar) -> bool:
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
-    if two_param_euler_formula(n, 1, 1) != euler_polynomial_formula(n):
+    # Both sides are reduced, so comparing (numerator, denominator) pairs
+    # is the same test as Fraction equality, at a fraction of the cost.
+    if _pairs(two_param_euler_formula(n, 1, 1)) != _pairs(euler_polynomial_formula(n)):
         return False
     full = two_param_euler_formula(n, alpha, lam)
     unit_alpha = two_param_euler_formula(n, 1, lam)
-    rescaled = Polynomial.from_coeffs(
-        [unit_alpha.coeff(k) * alpha ** (n - k) for k in range(n + 1)]
-    )
-    if full != rescaled:
+    # unit_alpha is trimmed and alpha**(n-k) != 0 keeps its last
+    # coefficient nonzero, so this list needs no trimming.
+    a, b = alpha.numerator, alpha.denominator
+    rescaled = [
+        _reduced(c.numerator * a ** (n - k), c.denominator * b ** (n - k))
+        for k, c in enumerate(unit_alpha.coeffs)
+    ]
+    if _pairs(full) != rescaled:
         return False
     for x in (Fraction(1), Fraction(-1, 3), Fraction(5, 2)):
         pivot = two_param_euler_formula(n, alpha / x, lam).evaluate(1)
-        if full.evaluate(x) != x**n * pivot:
+        value = full.evaluate(x)
+        expected = _reduced(
+            x.numerator**n * pivot.numerator, x.denominator**n * pivot.denominator
+        )
+        if (value.numerator, value.denominator) != expected:
             return False
     return True
+
+
+def _pairs(poly: Polynomial) -> list:
+    return [(c.numerator, c.denominator) for c in poly.coeffs]
+
+
+def _reduced(num: int, den: int) -> Tuple[int, int]:
+    """num/den in lowest terms as a pair, for den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 # -- Uniform access ---------------------------------------------------------

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stirnum import sequences
 from stirnum.errors import DomainError, PoleError
 from stirnum.rationals import binomial
 from stirnum.sequences import (
     Polynomial,
+    _euler_even_direct,
     _geometric_stirling_sum,
     apostol_bernoulli_formula,
     apostol_bernoulli_oracle,
@@ -66,9 +68,8 @@ def reference_evaluate(poly, point):
 
 def reference_euler_polynomial_coeffs(n):
     """The Fraction products of the closed form, one coefficient each."""
-    half = Fraction(1, 2)
     return [
-        (-1) ** (n - k) * binomial(n, k) * 2 * _geometric_stirling_sum(n - k + 1, half)
+        (-1) ** (n - k) * binomial(n, k) * 2 * _geometric_stirling_sum(n - k + 1, 1, 2)
         for k in range(n + 1)
     ]
 
@@ -76,9 +77,33 @@ def reference_euler_polynomial_coeffs(n):
 def reference_two_param_coeffs(n, alpha, lam):
     rho = 1 / (lam + 1)
     return [
-        2 * (-alpha) ** (n - k) * binomial(n, k) * _geometric_stirling_sum(n - k + 1, rho)
+        2
+        * (-alpha) ** (n - k)
+        * binomial(n, k)
+        * _geometric_stirling_sum(n - k + 1, rho.numerator, rho.denominator)
         for k in range(n + 1)
     ]
+
+
+def reference_half_weight(j):
+    return 2 * _geometric_stirling_sum(j, 1, 2)
+
+
+def reference_euler_even_direct(n):
+    """The single-sum even-index form, one Fraction product per term."""
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += reference_half_weight(n - k + 1) * Fraction((-1) ** k, 2**k) * binomial(n, k)
+    return Fraction(4) ** (n // 2) * total
+
+
+def reference_alternating_sum(n):
+    total = Fraction(0)
+    for k in range(2 * n):
+        total += (
+            reference_half_weight(2 * n - k) * Fraction((-1) ** k, 2**k) * binomial(2 * n - 1, k)
+        )
+    return total
 
 
 def reference_geometric_sum(j, rho):
@@ -268,6 +293,18 @@ class TestAlternatingSum:
         with pytest.raises(DomainError):
             stirling_alternating_sum(0)
 
+    def test_integer_sums_match_fraction_loops(self):
+        # Both sums run through one integer helper, at m = n for even n
+        # and at m = 2n - 1, so together these cover every m <= 300.
+        for n in range(0, 301, 2):
+            value = _euler_even_direct(n)
+            assert value == reference_euler_even_direct(n)
+            assert type(value) is Fraction
+        for n in range(1, 151):
+            value = stirling_alternating_sum(n)
+            assert value == reference_alternating_sum(n) == 0
+            assert type(value) is Fraction
+
 
 class TestIntegerClosedForms:
     """The closed forms build each coefficient as one integer ratio; the
@@ -292,17 +329,17 @@ class TestGeometricSumCache:
         bound = _geometric_stirling_sum.cache_info().maxsize
         assert bound == 4096
         first = Fraction(1, 10**6 + 1)
-        value = _geometric_stirling_sum(3, first)
+        value = _geometric_stirling_sum(3, 1, 10**6 + 1)
         # Fill the cache past its bound with keys no other test uses.
         for m in range(2, bound + 200):
-            _geometric_stirling_sum(2, Fraction(1, 10**6 + m))
+            _geometric_stirling_sum(2, 1, 10**6 + m)
         assert _geometric_stirling_sum.cache_info().currsize <= bound
         misses = _geometric_stirling_sum.cache_info().misses
-        assert _geometric_stirling_sum(3, first) == value == reference_geometric_sum(3, first)
+        assert _geometric_stirling_sum(3, 1, 10**6 + 1) == value == reference_geometric_sum(3, first)
         assert _geometric_stirling_sum.cache_info().misses == misses + 1  # it was evicted
         for m in (2, bound // 2, bound + 199):
             rho = Fraction(1, 10**6 + m)
-            assert _geometric_stirling_sum(2, rho) == reference_geometric_sum(2, rho)
+            assert _geometric_stirling_sum(2, 1, 10**6 + m) == reference_geometric_sum(2, rho)
 
 
 class TestTwoParamEuler:
@@ -334,6 +371,29 @@ class TestTwoParamEuler:
         for n in range(0, 9):
             assert verify_two_param_reductions(n, Fraction(2), Fraction(3))
             assert verify_two_param_reductions(n, Fraction(-1, 2), Fraction(1, 4))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (Fraction(1), Fraction(1)),  # E_n(x; 1, 1) against E_n(x)
+            (Fraction(2), Fraction(3)),  # the full polynomial
+            (Fraction(1), Fraction(3)),  # the alpha = 1 side of the rescale
+            (Fraction(4, 5), Fraction(3)),  # the pivot at x = 5/2
+        ],
+    )
+    def test_reductions_detect_each_mismatch(self, monkeypatch, bad):
+        real = sequences.two_param_euler_formula
+
+        def perturbed(n, alpha, lam):
+            poly = real(n, alpha, lam)
+            if (Fraction(alpha), Fraction(lam)) != bad:
+                return poly
+            coeffs = list(poly.coeffs)
+            coeffs[1] += Fraction(1, 7)
+            return Polynomial.from_coeffs(coeffs)
+
+        monkeypatch.setattr(sequences, "two_param_euler_formula", perturbed)
+        assert not verify_two_param_reductions(4, Fraction(2), Fraction(3))
 
     def test_pole(self):
         with pytest.raises(PoleError):

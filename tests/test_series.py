@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stirnum import series as series_module
 from stirnum.errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 from stirnum.rationals import factorial
 from stirnum.series import ZERO, LaurentSeries, exp_linear, linear_combination
@@ -331,6 +333,77 @@ class TestIntegerKernel:
         assert_same_series(inverse, reference_reciprocal(denom))
         assert_same_series(inverse * denom, reference_mul(inverse, denom))
         assert_same_series(inverse * inverse, reference_mul(inverse, inverse))
+
+
+def egf_kernels():
+    """Run every product and reciprocal on the factorial-scaled kernels."""
+    return mock.patch.object(series_module, "_EGF_MIN_LENGTH", 1)
+
+
+class TestEgfKernel:
+    """The factorial-scaled kernels long windows use, against the same
+    Fraction references as the lcm kernels."""
+
+    @settings(max_examples=100)
+    @given(kernel_series(), kernel_series())
+    def test_mul_matches_reference(self, a, b):
+        with egf_kernels():
+            got = outcome(LaurentSeries.__mul__, a, b)
+        assert_same_series(got, outcome(reference_mul, a, b))
+
+    @settings(max_examples=100)
+    @given(kernel_series())
+    def test_reciprocal_matches_reference(self, s):
+        with egf_kernels():
+            got = outcome(LaurentSeries.reciprocal, s)
+        assert_same_series(got, outcome(reference_reciprocal, s))
+
+    @pytest.mark.parametrize(
+        "alpha, lam, sign",
+        [
+            (Fraction(1), Fraction(1), -1),  # 1/(e^t - 1), a Laurent window
+            (Fraction(1), Fraction(1), 1),  # 1/(e^t + 1)
+            (Fraction(-3, 2), Fraction(2, 3), 1),  # 1/((2/3) e^(-3t/2) + 1)
+        ],
+    )
+    def test_order_300_reciprocal_anchor(self, alpha, lam, sign):
+        denom = linear_combination(
+            (exp_linear(alpha, 300), LaurentSeries.one(300)), (lam, sign)
+        )
+        assert_same_series(denom.reciprocal(), reference_reciprocal(denom))
+
+    def test_order_300_product_anchors(self):
+        inverse = (exp_linear(1, 300) + LaurentSeries.one(300)).reciprocal()
+        shift = exp_linear(Fraction(-2, 3), 300)
+        assert_same_series(shift * inverse, reference_mul(shift, inverse))
+        assert_same_series(inverse * inverse, reference_mul(inverse, inverse))
+
+    def test_window_length_selects_kernel(self, monkeypatch):
+        ran = []
+        for name in ("_lcm_product", "_egf_product", "_lcm_reciprocal", "_egf_reciprocal"):
+
+            def spy(*args, _name=name, _real=getattr(series_module, name)):
+                ran.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(series_module, name, spy)
+
+        def kernels(length):
+            ran.clear()
+            base = exp_linear(Fraction(1, 2), length + 1) + LaurentSeries.one(length + 1)
+            inverse = base.reciprocal()  # window length `length`
+            assert len(inverse.coeffs) == length
+            assert len((inverse * inverse).coeffs) == length
+            return ran[:]
+
+        # Identity sweeps read orders up to 34.
+        for length in range(1, 35):
+            assert kernels(length) == ["_lcm_reciprocal", "_lcm_product"]
+        split = series_module._EGF_MIN_LENGTH
+        assert 34 < split
+        assert kernels(split - 1) == ["_lcm_reciprocal", "_lcm_product"]
+        for length in (split, split + 1, 2 * split):
+            assert kernels(length) == ["_egf_reciprocal", "_egf_product"]
 
 
 class TestZeroAndPow:
