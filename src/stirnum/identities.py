@@ -178,26 +178,27 @@ class _Ladder:
         self._powers = [base]
         self._derivatives = [base]
 
-    def _read(self, entries: List[LaurentSeries], count: int, order: int) -> List[LaurentSeries]:
-        drop = self.top - order
-        if not drop:
-            return entries[:count]
-        return [LaurentSeries(e.offset, e.coeffs[:-drop]) for e in entries[:count]]
+    def _read(self, entry: LaurentSeries, order: int) -> LaurentSeries:
+        return entry.truncated(entry.precision - (self.top - order))
 
     def base(self, order: int) -> LaurentSeries:
-        return self._read(self._powers, 1, order)[0]
+        return self._read(self._powers[0], order)
 
     def powers(self, count: int, order: int) -> List[LaurentSeries]:
         """[base**1, ..., base**count]"""
         while len(self._powers) < count:
             self._powers.append(self._powers[-1] * self._powers[0])
-        return self._read(self._powers, count, order)
+        return [self._read(entry, order) for entry in self._powers[:count]]
+
+    def derivative(self, k: int, order: int) -> LaurentSeries:
+        """base^(k)"""
+        while len(self._derivatives) <= k:
+            self._derivatives.append(self._derivatives[-1].derivative())
+        return self._read(self._derivatives[k], order)
 
     def derivatives(self, count: int, order: int) -> List[LaurentSeries]:
         """[base, base', ..., base^(count-1)]"""
-        while len(self._derivatives) < count:
-            self._derivatives.append(self._derivatives[-1].derivative())
-        return self._read(self._derivatives, count, order)
+        return [self.derivative(k, order) for k in range(count)]
 
 
 class _Ladders:
@@ -269,12 +270,8 @@ def _compare(
             f"{identity_id} k={k}: window [{lo},{hi}) holds {max(overlap, 0)} shared "
             f"coefficients, need {min_window}; raise the order"
         )
-    first_discrepancy = None
-    for e in range(lo, hi):
-        left, right = lhs.coeff(e), rhs.coeff(e)
-        if left != right:
-            first_discrepancy = (e, left, right)
-            break
+    e = lhs.first_difference(rhs, lo, hi)
+    first_discrepancy = None if e is None else (e, lhs.coeff(e), rhs.coeff(e))
     return VerificationReport(
         identity_id=identity_id,
         k=k,
@@ -316,7 +313,7 @@ def verify_core_identity(
     else:
         weights = core_identity_coefficients(identity_id, k)
     if lhs_kind == "derivative":
-        lhs = lhs_ladder.derivatives(k + 1, order)[k]
+        lhs = lhs_ladder.derivative(k, order)
         rhs = linear_combination(rhs_ladder.powers(k + 1, order), weights)
     else:
         lhs = lhs_ladder.base(order) ** k
@@ -354,7 +351,7 @@ def verify_plus_identity(
     else:
         weights = [(-1) ** (k - 1) * b_coeff(k, m) for m in range(1, k + 1)]
     if identity_id == "P1":
-        lhs = ladder.derivatives(k + 1, order)[k]
+        lhs = ladder.derivative(k, order)
         rhs = linear_combination(ladder.powers(k + 1, order), weights)
     else:
         lhs = ladder.base(order) ** k
@@ -387,7 +384,7 @@ def verify_general_derivative(
     if order is None:
         order = default_order(k)
     ladder = (_Ladders(order) if _ladders is None else _ladders).get("G", alpha, lam)
-    lhs = ladder.derivatives(k + 1, order)[k]
+    lhs = ladder.derivative(k, order)
     weights = [
         (-1) ** k * alpha**k * factorial(m - 1) * stirling2(k + 1, m)
         for m in range(1, k + 2)

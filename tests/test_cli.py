@@ -22,6 +22,37 @@ def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+# sha256 of `series dump NAME --order N --format F` (apostol at
+# --lambda=-3/2), pinned before LaurentSeries moved to integer numerators
+# over one denominator.  Order 120 runs the factorial-scaled kernels.
+SERIES_DUMP_DIGESTS = {
+    "recip-exp-minus-one": {
+        ("40", "plain"): "de1a1940dfcbb1eb5b58e290d0f7d68933f7d8bc156e792e5817f7c5dc557ebb",
+        ("40", "json"): "222bcbbd87aaff2845a1a3942f97c54191716ed18c445cde34108a8a8a3d2d09",
+        ("40", "csv"): "7903963ee34dc47035b870205465f628aba9778d2e88f5ad4a162ba0ce5a1e1c",
+        ("120", "plain"): "7a01457903038fdc63545dc832573ffb88c309e87a9c8d63f9064c425026f767",
+        ("120", "json"): "6963268a27fd17ffe5f4cffb09792441eb2a57110c3c07ac367f845e1436fa2d",
+        ("120", "csv"): "a107a95913271654f99ac2e41cc90f23b9d35c24152683428cc0b373279a801c",
+    },
+    "recip-exp-plus-one": {
+        ("40", "plain"): "0c791d4833b761ed14190975c605fd4e743737d99196b1b0180c33488ca5b8a2",
+        ("40", "json"): "4422a8c5e3aa6e353fb52a7b9a340e4d0dd7ff00f3cc738a6e4dbab38e7281f4",
+        ("40", "csv"): "52e7b4b5420a5d68299d9d98a1adf240dded771ee26d89b48e70d421d43a2eb2",
+        ("120", "plain"): "275a5a1db456c4ae1805f6131501e47ac55a0a6ae5ee04e4fef96c8b3607497b",
+        ("120", "json"): "23239ac4a4350ff8ee7f065f5aadbc98d86fe3d7435d35137ae2ea04bbdec022",
+        ("120", "csv"): "470b6d9a0e9405c71717e620b2c46380c8a9ed71dfe55a78dc77e8bff656c161",
+    },
+    "apostol": {
+        ("40", "plain"): "d69d74f71e19f7abdf764a3f7f9e3574811915e4c7d8c79769a7d851ba0591ef",
+        ("40", "json"): "444a433f6cf48bcd130571ad5b3ab8298c153d8623e926a51db4b6eba5645809",
+        ("40", "csv"): "c7a63d6955d1a27323e66f2e5d373f513732d771bad329d35ada64eaef862ed1",
+        ("120", "plain"): "9486acffe8e567199ef697c9b18ee4a8b787809677077a4a8a3d9a834510435c",
+        ("120", "json"): "b840f0c857b6da236eef9377c30b24923b7bd4d7a3dfb63d1378b1dce0057fb8",
+        ("120", "csv"): "9b60a80e7eaa6530e670446dfa3898f329431be4e472ab6b6df7b3f1474b6378",
+    },
+}
+
+
 class TestScalarCommands:
     def test_stirling2_plain(self, capsys):
         code, out, _ = run(capsys, "stirling2", "5", "3")
@@ -271,6 +302,38 @@ class TestVerifyCommand:
     )
     def test_verify_reductions_output_is_pinned(self, capsys, fmt, digest):
         code, out, _ = run(capsys, "verify", "reductions", "--k-max", "12", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, order, fmt, digest",
+        [
+            (name, order, fmt, digest)
+            for name, table in SERIES_DUMP_DIGESTS.items()
+            for (order, fmt), digest in table.items()
+        ],
+    )
+    def test_series_dump_output_is_pinned(self, capsys, name, order, fmt, digest):
+        argv = ["series", "dump", name, "--order", order, "--format", fmt]
+        if name == "apostol":
+            argv.append("--lambda=-3/2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+    # sha256 of two long-order scalar commands, pinned with
+    # SERIES_DUMP_DIGESTS: `bernoulli 400` reads an order-404 reciprocal
+    # on the factorial-scaled kernel, `euler-number 280` the closed forms.
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("bernoulli 400", "de79820c18545d39964843969b60fef6983265f57a6971b123080a418aaff6a6"),
+            ("euler-number 280", "f7b900e9cee82a48361db29a09fc94e812b675e82e1030837c406b98571c5c77"),
+        ],
+    )
+    def test_long_order_output_is_pinned(self, capsys, command, digest):
+        code, out, _ = run(capsys, *command.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

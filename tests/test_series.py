@@ -98,12 +98,37 @@ def reference_add(a, b):
     return LaurentSeries(offset, tuple(out))
 
 
+def reference_scale(s, factor):
+    """One Fraction product per coefficient; 0 gives the exact zero."""
+    if s.is_zero or not factor:
+        return ZERO
+    return LaurentSeries(s.offset, tuple(c * factor for c in s.coeffs))
+
+
 def reference_linear_combination(terms, weights):
     """Scale each term, then add them one Fraction at a time."""
     acc = ZERO
     for term, weight in zip(terms, weights):
-        acc = reference_add(acc, term.scale(weight))
+        acc = reference_add(acc, reference_scale(term, Fraction(weight)))
     return acc
+
+
+def reference_derivative(s):
+    """Termwise d/dt on Fraction coefficients."""
+    if s.is_zero:
+        return s
+    return LaurentSeries(s.offset - 1, tuple((s.offset + i) * c for i, c in enumerate(s.coeffs)))
+
+
+def reference_exp_linear(alpha, order):
+    """exp(alpha*t) by the Fraction recurrence term * alpha / (n + 1)."""
+    alpha = Fraction(alpha)
+    coeffs = []
+    term = Fraction(1)
+    for n in range(order):
+        coeffs.append(term)
+        term = term * alpha / (n + 1)
+    return LaurentSeries.from_coeffs(0, coeffs)
 
 
 def reference_pow(s, k):
@@ -126,13 +151,25 @@ def outcome(op, *args):
         return type(exc)
 
 
+def assert_canonical(s):
+    """Integer numerators over one denominator, den > 0 and
+    gcd(den, *nums) == 1; the exact zero stores nothing over 1."""
+    assert type(s.nums) is tuple and all(type(x) is int for x in s.nums)
+    assert type(s.den) is int and s.den > 0
+    assert math.gcd(s.den, *s.nums) == 1
+
+
 def assert_same_series(got, want):
+    """Same window and coefficients as the reference, in canonical form,
+    and equal and hashing equal to the reference's Fraction-built value."""
     if isinstance(want, type):
         assert got is want
         return
+    assert_canonical(got)
     assert (got.offset, got.precision) == (want.offset, want.precision)
     assert got.coeffs == want.coeffs
     assert all(type(c) is Fraction for c in got.coeffs)
+    assert got == want and hash(got) == hash(want)
 
 
 def geometric(order):
@@ -173,6 +210,18 @@ class TestConstruction:
         assert exp_linear(0, 5) == LaurentSeries.one(5)
         with pytest.raises(DomainError):
             exp_linear(1, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.just(Fraction(0)),
+            small_fractions,
+            st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+        ),
+        st.integers(min_value=1, max_value=300),
+    )
+    def test_exp_linear_matches_fraction_recurrence(self, alpha, order):
+        assert_same_series(exp_linear(alpha, order), reference_exp_linear(alpha, order))
 
 
 class TestCoeff:
@@ -325,6 +374,13 @@ class TestIntegerKernel:
         assert_same_series(a + b, reference_add(a, b))
         assert_same_series(a - b, reference_add(a, -b))
 
+    def test_order_300_linear_combination_anchor(self):
+        shifted, one = exp_linear(Fraction(3, 7), 300), LaurentSeries.one(300)
+        assert_same_series(
+            shifted.scale(Fraction(-5, 3)) - one,
+            reference_linear_combination((shifted, one), (Fraction(-5, 3), -1)),
+        )
+
     @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2, 3)])
     def test_order_120_anchor(self, lam):
         # 1/(e^t - 1) is a Laurent window; (2/3)e^t - 1 has unit lead -1/3
@@ -404,6 +460,107 @@ class TestEgfKernel:
         assert kernels(split - 1) == ["_lcm_reciprocal", "_lcm_product"]
         for length in (split, split + 1, 2 * split):
             assert kernels(length) == ["_egf_reciprocal", "_egf_product"]
+
+
+@st.composite
+def comparison_cases(draw):
+    """Two series and a window [lo, hi) below both precisions.  The second
+    series is often equal to the first on the window over another
+    denominator, or differs from it in one coefficient; lo may start below
+    either offset."""
+    a = draw(st.one_of(kernel_series(), st.just(ZERO)))
+    kind = draw(st.sampled_from(("other", "truncated", "tweaked", "zeros")))
+    if kind == "other" or a.is_zero:
+        b = draw(st.one_of(kernel_series(), st.just(ZERO)))
+    elif kind == "truncated":
+        b = a.truncated(draw(st.integers(a.offset + 1, a.precision)))
+    elif kind == "tweaked":
+        coeffs = list(a.coeffs)
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(kernel_fractions)
+        b = LaurentSeries(a.offset, tuple(coeffs))
+    else:
+        b = LaurentSeries.from_coeffs(draw(st.integers(-6, 6)), [0] * draw(st.integers(1, 5)))
+    if draw(st.booleans()):
+        a, b = b, a
+    top = min(a.precision, b.precision)
+    if top == math.inf:
+        top = 8
+    lo = draw(st.integers(min(a.offset, b.offset) - 3, top - 1))
+    return a, b, lo, draw(st.integers(lo + 1, top))
+
+
+class TestRepresentation:
+    """Integer numerators over one canonical denominator: each result is
+    canonical, equal to the Fraction reference and immutable."""
+
+    def test_construction_is_canonical(self):
+        s = LaurentSeries.from_coeffs(1, [Fraction(2, 3), 0, Fraction(5, 6), 4])
+        assert (s.offset, s.nums, s.den) == (1, (4, 0, 5, 24), 6)
+        assert (ZERO.nums, ZERO.den) == ((), 1)
+        for value in (
+            LaurentSeries.constant(Fraction(-6, 4), 3),
+            LaurentSeries.monomial(0, -2, 3),
+            LaurentSeries.from_coeffs(0, [Fraction(4, 6)] * 3),
+        ):
+            assert_canonical(value)
+            assert value == LaurentSeries(value.offset, value.coeffs)
+
+    @settings(max_examples=200)
+    @given(st.one_of(kernel_series(), st.just(ZERO)), st.integers(-3, 3))
+    def test_unary_ops_match_reference(self, s, exponent):
+        assert_same_series(-s, reference_scale(s, Fraction(-1)))
+        assert_same_series(s.derivative(), reference_derivative(s))
+        shifted = s if s.is_zero else LaurentSeries(s.offset + exponent, s.coeffs)
+        assert_same_series(s.shift(exponent), shifted)
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(kernel_series(), st.just(ZERO)),
+        st.one_of(st.integers(-3, 3), kernel_fractions),
+    )
+    def test_scale_matches_reference(self, s, factor):
+        assert_same_series(s.scale(factor), reference_scale(s, Fraction(factor)))
+
+    @settings(max_examples=200)
+    @given(kernel_series(), st.data())
+    def test_truncated_matches_reference(self, s, data):
+        precision = data.draw(st.integers(s.offset + 1, s.precision))
+        want = LaurentSeries(s.offset, s.coeffs[: precision - s.offset])
+        assert_same_series(s.truncated(precision), want)
+
+    def test_truncated_window_rules(self):
+        s = exp_linear(1, 5)
+        assert s.truncated(5) is s
+        assert ZERO.truncated(3) is ZERO
+        for precision in (-1, 0, 6):
+            with pytest.raises(PrecisionExhaustedError):
+                s.truncated(precision)
+
+    @settings(max_examples=400)
+    @given(comparison_cases())
+    def test_integer_comparison_agrees_with_fraction_equality(self, case):
+        a, b, lo, hi = case
+        want = next((e for e in range(lo, hi) if a.coeff(e) != b.coeff(e)), None)
+        assert a.first_difference(b, lo, hi) == want
+        if all(s.is_zero or (s.offset <= lo and hi <= s.precision) for s in (a, b)):
+            assert a.equal_on_window(b, lo, hi) == (want is None)
+        else:
+            with pytest.raises(PrecisionExhaustedError):
+                a.equal_on_window(b, lo, hi)
+
+    def test_attributes_cannot_be_set(self):
+        s = exp_linear(Fraction(1, 3), 4)
+        for name, value in (("offset", 1), ("nums", (1,)), ("den", 2), ("coeffs", ()), ("x", 0)):
+            with pytest.raises(AttributeError):
+                setattr(s, name, value)
+        with pytest.raises(AttributeError):
+            del s.den
+        assert s == exp_linear(Fraction(1, 3), 4)
+
+    def test_coeffs_are_built_once(self):
+        s = exp_linear(Fraction(1, 3), 6)
+        assert s.coeffs is s.coeffs
+        assert s.coeffs == tuple(s.coeff(e) for e in range(6))
 
 
 class TestZeroAndPow:
