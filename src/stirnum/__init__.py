@@ -49,7 +49,7 @@ from .sequences import (
     two_param_euler_oracle,
     verify_two_param_reductions,
 )
-from .series import ZERO, LaurentSeries, exp_linear
+from .series import ZERO, LaurentSeries, exp_linear, recip_exp_linear
 from .stirling import (
     StirlingTable,
     a_coeff,
@@ -84,6 +84,7 @@ __all__ = [
     "LaurentSeries",
     "ZERO",
     "exp_linear",
+    "recip_exp_linear",
     # stirling
     "StirlingTable",
     "a_coeff",

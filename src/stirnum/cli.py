@@ -47,7 +47,7 @@ from .sequences import (
     stirling_alternating_sum,
     verify_two_param_reductions,
 )
-from .series import LaurentSeries, exp_linear
+from .series import LaurentSeries, recip_exp_linear
 from .stirling import (
     m_determinant,
     stirling1,
@@ -347,16 +347,13 @@ def _handle_two_param_euler(args, argv):
 
 def _handle_series_dump(args, argv):
     order = args.order
-    one = LaurentSeries.one(order)
-    if args.which == "recip-exp-minus-one":
-        series = (exp_linear(1, order) - one).reciprocal()
-        params = {"which": args.which, "order": order}
-    elif args.which == "recip-exp-plus-one":
-        series = (exp_linear(1, order) + one).reciprocal()
-        params = {"which": args.which, "order": order}
-    else:
+    if args.which == "apostol":
         series = apostol_bernoulli_series(args.lam, order)
         params = {"which": args.which, "lambda": args.lam, "order": order}
+    else:
+        c = -1 if args.which == "recip-exp-minus-one" else 1
+        series = recip_exp_linear(1, 1, c, order)
+        params = {"which": args.which, "order": order}
     return _series_output(argv, params, series)
 
 

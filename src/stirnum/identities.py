@@ -26,6 +26,16 @@ The additive constant on I8 is (-1)**k, not 1: substituting t -> -t into
 I7 swaps g with -f and f^(m-1) with (-1)**m g^(m-1), which multiplies the
 whole of I7 by (-1)**k, constant included.  With the constant fixed at +1
 the two sides differ by 2 in the t**0 coefficient for every odd k.
+
+One spec table drives all twelve tags.  A row names the left base, the
+left kind (the k-th derivative, compared with a weighted sum of the powers
+of the right base, or the k-th power, compared with a weighted sum of its
+derivatives), the weight of term m, the right base and the additive
+constant.  Every base is 1/(lam e**(alpha t) + c), built by
+``series.recip_exp_linear``: f = (1, 1, -1), g = (-1, -1, 1),
+h = (1, 1, 1) and G = (alpha, lam, -1).  One private verifier builds both
+sides from a row; each public ``verify_*`` function checks its tag or
+converts its parameters and calls it.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError
 from .rationals import factorial
-from .series import LaurentSeries, exp_linear, linear_combination
+from .series import LaurentSeries, linear_combination, recip_exp_linear
 from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1, stirling2
 
 __all__ = [
@@ -130,109 +140,96 @@ class VerificationReport:
         return f"{head} FAIL at t^{e}: lhs={lhs} rhs={rhs}"
 
 
-# -- base series -------------------------------------------------------------
-
-
-def _recip_exp_minus_one(order: int) -> LaurentSeries:
-    # f = 1/(e**t - 1), a simple pole at 0
-    return (exp_linear(1, order) - LaurentSeries.one(order)).reciprocal()
-
-
-def _recip_one_minus_exp_neg(order: int) -> LaurentSeries:
-    # g = 1/(1 - e**(-t)) = 1 + f
-    return (LaurentSeries.one(order) - exp_linear(-1, order)).reciprocal()
-
-
-def _recip_exp_plus_one(order: int) -> LaurentSeries:
-    # h = 1/(e**t + 1), regular at 0 with value 1/2
-    return (exp_linear(1, order) + LaurentSeries.one(order)).reciprocal()
-
-
-def _recip_general(alpha: Fraction, lam: Fraction, order: int) -> LaurentSeries:
-    # G = 1/(lam * e**(alpha t) - 1); Laurent at lam = 1, regular otherwise
-    return (exp_linear(alpha, order).scale(lam) - LaurentSeries.one(order)).reciprocal()
-
-
-_BASES = {
-    "f": _recip_exp_minus_one,
-    "g": _recip_one_minus_exp_neg,
-    "h": _recip_exp_plus_one,
-    "G": _recip_general,
-}
+# -- ladders -----------------------------------------------------------------
 
 
 class _Ladder:
     """Powers base**1, base**2, ... and derivatives base, base', ... of one
-    base series built at source order ``top``; each entry is computed once,
-    when first asked for.
+    base series; each entry is computed once, when first asked for."""
 
-    A read at a lower source ``order`` returns the entry a build at that
-    order gives.  Every stored coefficient is exact, and once the valuation
-    is visible each step's precision moves one-for-one with the source
-    order; all four bases have a nonzero leading coefficient.  So that
-    entry is the stored one less its last ``top - order`` coefficients.
-    """
-
-    def __init__(self, base: LaurentSeries, top: int):
-        self.top = top
+    def __init__(self, base: LaurentSeries):
+        self.base = base
         self._powers = [base]
         self._derivatives = [base]
 
-    def _read(self, entry: LaurentSeries, order: int) -> LaurentSeries:
-        return entry.truncated(entry.precision - (self.top - order))
-
-    def base(self, order: int) -> LaurentSeries:
-        return self._read(self._powers[0], order)
-
-    def powers(self, count: int, order: int) -> List[LaurentSeries]:
+    def powers(self, count: int) -> List[LaurentSeries]:
         """[base**1, ..., base**count]"""
         while len(self._powers) < count:
-            self._powers.append(self._powers[-1] * self._powers[0])
-        return [self._read(entry, order) for entry in self._powers[:count]]
+            self._powers.append(self._powers[-1] * self.base)
+        return self._powers[:count]
 
-    def derivative(self, k: int, order: int) -> LaurentSeries:
-        """base^(k)"""
-        while len(self._derivatives) <= k:
-            self._derivatives.append(self._derivatives[-1].derivative())
-        return self._read(self._derivatives[k], order)
-
-    def derivatives(self, count: int, order: int) -> List[LaurentSeries]:
+    def derivatives(self, count: int) -> List[LaurentSeries]:
         """[base, base', ..., base^(count-1)]"""
-        return [self.derivative(k, order) for k in range(count)]
+        while len(self._derivatives) < count:
+            self._derivatives.append(self._derivatives[-1].derivative())
+        return self._derivatives[:count]
 
 
 class _Ladders:
-    """The ladder of every base series one sweep reads, built at its top
-    source order the first time a check asks for it."""
+    """The ladder of every base 1/(lam e**(alpha t) + c) one sweep reads,
+    keyed on (alpha, lam, c) and built at the top source order the first
+    time a check asks for it.
+
+    A check at a lower source ``order`` gets what a build at that order
+    gives from the stored entries less their last ``top - order``
+    coefficients: every stored coefficient is exact, and once the valuation
+    is visible each step's precision moves one-for-one with the source
+    order (every base has a nonzero leading coefficient).  A linear
+    combination of entries moves the same way, so each side is truncated
+    once, after it is combined.
+    """
 
     def __init__(self, top: int):
         self.top = top
         self._store: Dict[tuple, _Ladder] = {}
 
-    def get(self, name: str, *params: Fraction) -> _Ladder:
-        key = (name,) + params
+    def get(self, key: tuple) -> _Ladder:
         ladder = self._store.get(key)
         if ladder is None:
-            ladder = _Ladder(_BASES[name](*params, self.top), self.top)
+            ladder = _Ladder(recip_exp_linear(*key, self.top))
             self._store[key] = ladder
         return ladder
 
 
-# -- the eight core identities ------------------------------------------------
+# -- the spec table -----------------------------------------------------------
 
-# id: (lhs base, lhs kind, coefficient family, rhs base, additive constant)
-# lhs kind "derivative" means the k-th derivative against a power ladder;
-# "power" means the k-th power against a derivative ladder.
-_CORE_FORMS: Dict[str, Tuple[str, str, str, str, str]] = {
-    "I1": ("f", "derivative", "lambda", "f", "none"),
-    "I2": ("g", "derivative", "mu", "g", "none"),
-    "I3": ("g", "derivative", "lambda", "f", "none"),
-    "I4": ("f", "derivative", "mu", "g", "none"),
-    "I5": ("g", "power", "a", "g", "none"),
-    "I6": ("f", "power", "b", "f", "none"),
-    "I7": ("g", "power", "a", "f", "one"),
-    "I8": ("f", "power", "b", "g", "sign"),
+# Bases as the (alpha, lam, c) of 1/(lam e**(alpha t) + c).  None stands for
+# G, whose (alpha, lam, -1) are the parameters of the check.
+_f, _g, _h = (1, 1, -1), (-1, -1, 1), (1, 1, 1)
+
+
+def _g1_weight(k: int, m: int, alpha: Fraction) -> Fraction:
+    return (-1) ** k * alpha**k * factorial(m - 1) * stirling2(k + 1, m)
+
+
+def _g2_weight(k: int, m: int, alpha: Fraction) -> Fraction:
+    return (-1) ** (m - 1) * alpha ** (1 - m) * Fraction(stirling1(k, m), factorial(k - 1))
+
+
+# id: (lhs base, lhs kind, weight of term m, rhs base, additive constant).
+# Kind "derivative" sets lhs = base^(k) against the powers rhs**1..rhs**(k+1);
+# "power" sets lhs = base**k against the derivatives rhs^(0)..rhs^(k-1).
+# A weight is a function of (k, m, alpha); a constant, of k.
+_SPECS: Dict[str, tuple] = {
+    "I1": (_f, "derivative", lambda k, m, a: lambda_coeff(k, m), _f, None),
+    "I2": (_g, "derivative", lambda k, m, a: mu_coeff(k, m), _g, None),
+    "I3": (_g, "derivative", lambda k, m, a: lambda_coeff(k, m), _f, None),
+    "I4": (_f, "derivative", lambda k, m, a: mu_coeff(k, m), _g, None),
+    "I5": (_g, "power", lambda k, m, a: a_coeff(k, m), _g, None),
+    "I6": (_f, "power", lambda k, m, a: b_coeff(k, m), _f, None),
+    "I7": (_g, "power", lambda k, m, a: a_coeff(k, m), _f, lambda k: 1),
+    "I8": (_f, "power", lambda k, m, a: b_coeff(k, m), _g, lambda k: (-1) ** k),
+    "P1": (_h, "derivative", lambda k, m, a: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None),
+    "P2": (_h, "power", lambda k, m, a: (-1) ** (k - 1) * b_coeff(k, m), _h, None),
+    "G1": (None, "derivative", _g1_weight, None, None),
+    "G2": (None, "power", _g2_weight, None, None),
 }
+
+
+def _weights(identity_id: str, k: int, alpha: Optional[Fraction]) -> List[Fraction]:
+    _, kind, weight, _, _ = _SPECS[identity_id]
+    count = k + 1 if kind == "derivative" else k
+    return [Fraction(weight(k, m, alpha)) for m in range(1, count + 1)]
 
 
 def core_identity_coefficients(identity_id: str, k: int) -> List[Fraction]:
@@ -242,14 +239,7 @@ def core_identity_coefficients(identity_id: str, k: int) -> List[Fraction]:
         raise DomainError(f"unknown core identity {identity_id!r}")
     if k < 1:
         raise DomainError(f"identities need k >= 1, got {k}")
-    family = _CORE_FORMS[identity_id][2]
-    if family == "lambda":
-        return [Fraction(lambda_coeff(k, m)) for m in range(1, k + 2)]
-    if family == "mu":
-        return [Fraction(mu_coeff(k, m)) for m in range(1, k + 2)]
-    if family == "a":
-        return [a_coeff(k, m) for m in range(1, k + 1)]
-    return [b_coeff(k, m) for m in range(1, k + 1)]
+    return _weights(identity_id, k, None)
 
 
 def _compare(
@@ -284,6 +274,57 @@ def _compare(
     )
 
 
+def _verify(
+    identity_id: str,
+    k: int,
+    alpha: Optional[Fraction],
+    lam: Optional[Fraction],
+    order: Optional[int],
+    coeff_override: Optional[Sequence[Scalar]],
+    min_window: int,
+    ladders: Optional[_Ladders],
+) -> VerificationReport:
+    """Build both sides of one identity from its spec row and compare them.
+
+    alpha and lam are None for the tags on the fixed bases f, g and h.
+    """
+    if k < 1:
+        raise DomainError(f"identities need k >= 1, got {k}")
+    if alpha == 0:
+        raise DomainError("alpha must be nonzero")
+    if lam == 0:
+        raise DomainError("lambda must be nonzero")
+    if order is None:
+        order = default_order(k)
+    if ladders is None:
+        ladders = _Ladders(order)
+    lhs_base, kind, _, rhs_base, constant = _SPECS[identity_id]
+    lhs_ladder = ladders.get(lhs_base or (alpha, lam, -1))
+    rhs_ladder = ladders.get(rhs_base or (alpha, lam, -1))
+    if coeff_override is not None:
+        weights = [Fraction(w) for w in coeff_override]
+    elif identity_id in CORE_IDENTITY_IDS:
+        weights = core_identity_coefficients(identity_id, k)
+    else:
+        weights = _weights(identity_id, k, alpha)
+    # Each side drops the last top - order coefficients once (see _Ladders).
+    # The power is taken of the truncated base: that costs fewer products
+    # of coefficients than truncating the power.
+    trim = ladders.top - order
+    if kind == "derivative":
+        lhs = lhs_ladder.derivatives(k + 1)[k]
+        lhs = lhs.truncated(lhs.precision - trim)
+        rhs = linear_combination(rhs_ladder.powers(k + 1), weights)
+    else:
+        base = lhs_ladder.base
+        lhs = base.truncated(base.precision - trim) ** k
+        rhs = linear_combination(rhs_ladder.derivatives(k), weights)
+    if constant is not None:
+        rhs = rhs + LaurentSeries.constant(constant(k), rhs.precision)
+    rhs = rhs.truncated(rhs.precision - trim)
+    return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min_window)
+
+
 def verify_core_identity(
     identity_id: str,
     k: int,
@@ -300,29 +341,7 @@ def verify_core_identity(
     """
     if identity_id not in CORE_IDENTITY_IDS:
         raise DomainError(f"unknown core identity {identity_id!r}")
-    if k < 1:
-        raise DomainError(f"identities need k >= 1, got {k}")
-    if order is None:
-        order = default_order(k)
-    ladders = _Ladders(order) if _ladders is None else _ladders
-    lhs_name, lhs_kind, _, rhs_name, constant = _CORE_FORMS[identity_id]
-    lhs_ladder, rhs_ladder = ladders.get(lhs_name), ladders.get(rhs_name)
-    weights: Sequence[Fraction]
-    if coeff_override is not None:
-        weights = [Fraction(w) for w in coeff_override]
-    else:
-        weights = core_identity_coefficients(identity_id, k)
-    if lhs_kind == "derivative":
-        lhs = lhs_ladder.derivative(k, order)
-        rhs = linear_combination(rhs_ladder.powers(k + 1, order), weights)
-    else:
-        lhs = lhs_ladder.base(order) ** k
-        rhs = linear_combination(rhs_ladder.derivatives(k, order), weights)
-        if constant == "one":
-            rhs = rhs + LaurentSeries.constant(1, rhs.precision)
-        elif constant == "sign":
-            rhs = rhs + LaurentSeries.constant((-1) ** k, rhs.precision)
-    return _compare(identity_id, k, None, None, order, lhs, rhs, min_window)
+    return _verify(identity_id, k, None, None, order, coeff_override, min_window, _ladders)
 
 
 def verify_plus_identity(
@@ -337,35 +356,7 @@ def verify_plus_identity(
     """Check P1 or P2, the derivative/power pair for h = 1/(e**t + 1)."""
     if identity_id not in PLUS_IDENTITY_IDS:
         raise DomainError(f"unknown plus identity {identity_id!r}")
-    if k < 1:
-        raise DomainError(f"identities need k >= 1, got {k}")
-    if order is None:
-        order = default_order(k)
-    ladder = (_Ladders(order) if _ladders is None else _ladders).get("h")
-    if coeff_override is not None:
-        weights = [Fraction(w) for w in coeff_override]
-    elif identity_id == "P1":
-        weights = [
-            (-1) ** (m - 1) * Fraction(lambda_coeff(k, m)) for m in range(1, k + 2)
-        ]
-    else:
-        weights = [(-1) ** (k - 1) * b_coeff(k, m) for m in range(1, k + 1)]
-    if identity_id == "P1":
-        lhs = ladder.derivative(k, order)
-        rhs = linear_combination(ladder.powers(k + 1, order), weights)
-    else:
-        lhs = ladder.base(order) ** k
-        rhs = linear_combination(ladder.derivatives(k, order), weights)
-    return _compare(identity_id, k, None, None, order, lhs, rhs, min_window)
-
-
-def _check_general_args(k: int, alpha: Fraction, lam: Fraction) -> None:
-    if k < 1:
-        raise DomainError(f"identities need k >= 1, got {k}")
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
-    if lam == 0:
-        raise DomainError("lambda must be nonzero")
+    return _verify(identity_id, k, None, None, order, coeff_override, min_window, _ladders)
 
 
 def verify_general_derivative(
@@ -379,18 +370,7 @@ def verify_general_derivative(
 ) -> VerificationReport:
     """Check G1: the k-th derivative of 1/(lam e**(alpha t) - 1) as a
     power sum with weights (-1)**k alpha**k (m-1)! S(k+1, m)."""
-    alpha, lam = Fraction(alpha), Fraction(lam)
-    _check_general_args(k, alpha, lam)
-    if order is None:
-        order = default_order(k)
-    ladder = (_Ladders(order) if _ladders is None else _ladders).get("G", alpha, lam)
-    lhs = ladder.derivative(k, order)
-    weights = [
-        (-1) ** k * alpha**k * factorial(m - 1) * stirling2(k + 1, m)
-        for m in range(1, k + 2)
-    ]
-    rhs = linear_combination(ladder.powers(k + 1, order), weights)
-    return _compare("G1", k, alpha, lam, order, lhs, rhs, min_window)
+    return _verify("G1", k, Fraction(alpha), Fraction(lam), order, None, min_window, _ladders)
 
 
 def verify_general_power(
@@ -404,19 +384,7 @@ def verify_general_power(
 ) -> VerificationReport:
     """Check G2: the k-th power of 1/(lam e**(alpha t) - 1) as a
     derivative sum with weights (-1)**(m-1) alpha**(1-m) s(k, m)/(k-1)!."""
-    alpha, lam = Fraction(alpha), Fraction(lam)
-    _check_general_args(k, alpha, lam)
-    if order is None:
-        order = default_order(k)
-    ladder = (_Ladders(order) if _ladders is None else _ladders).get("G", alpha, lam)
-    lhs = ladder.base(order) ** k
-    inv_kfac = Fraction(1, factorial(k - 1))
-    weights = [
-        (-1) ** (m - 1) * alpha ** (1 - m) * stirling1(k, m) * inv_kfac
-        for m in range(1, k + 1)
-    ]
-    rhs = linear_combination(ladder.derivatives(k, order), weights)
-    return _compare("G2", k, alpha, lam, order, lhs, rhs, min_window)
+    return _verify("G2", k, Fraction(alpha), Fraction(lam), order, None, min_window, _ladders)
 
 
 def run_sweep(
@@ -442,24 +410,16 @@ def run_sweep(
     ladders = _Ladders(default_order(k_max) if order is None else order)
     reports: List[VerificationReport] = []
     for target in targets:
-        if target in CORE_IDENTITY_IDS:
-            for k in range(1, k_max + 1):
-                reports.append(
-                    verify_core_identity(target, k, order, None, min_window, _ladders=ladders)
-                )
-        elif target in PLUS_IDENTITY_IDS:
-            for k in range(1, k_max + 1):
-                reports.append(
-                    verify_plus_identity(target, k, order, None, min_window, _ladders=ladders)
-                )
-        elif target in GENERAL_IDENTITY_IDS:
+        if target in GENERAL_IDENTITY_IDS:
             check = verify_general_derivative if target == "G1" else verify_general_power
             for k in range(1, k_max + 1):
                 for alpha in alpha_grid:
                     for lam in lambda_grid:
-                        reports.append(
-                            check(k, alpha, lam, order, min_window, _ladders=ladders)
-                        )
+                        reports.append(check(k, alpha, lam, order, min_window, _ladders=ladders))
+        elif target in _SPECS:
+            check = verify_core_identity if target in CORE_IDENTITY_IDS else verify_plus_identity
+            for k in range(1, k_max + 1):
+                reports.append(check(target, k, order, None, min_window, _ladders=ladders))
         else:
             raise DomainError(f"unknown identity tag {target!r}")
     return reports

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 from .errors import ConsistencyError, DomainError, PoleError
 from .rationals import binomial, factorial
-from .series import LaurentSeries, exp_linear
+from .series import LaurentSeries, exp_linear, recip_exp_linear
 from .stirling import stirling2
 
 __all__ = [
@@ -213,8 +213,7 @@ def bernoulli_oracle(n: int) -> Fraction:
     if n < 0:
         raise DomainError(f"Bernoulli numbers need n >= 0, got {n}")
     order = n + 4
-    base = (exp_linear(1, order) - LaurentSeries.one(order)).reciprocal()
-    return base.shift(1).coeff(n) * factorial(n)
+    return recip_exp_linear(1, 1, -1, order).shift(1).coeff(n) * factorial(n)
 
 
 def bernoulli_formula(k: int) -> Fraction:
@@ -267,8 +266,7 @@ def apostol_bernoulli_series(lam: Scalar, order: int) -> LaurentSeries:
     lam = Fraction(lam)
     if lam == 0:
         raise DomainError("lambda must be nonzero")
-    denom = exp_linear(1, order).scale(lam) - LaurentSeries.one(order)
-    return denom.reciprocal().shift(1)
+    return recip_exp_linear(1, lam, -1, order).shift(1)
 
 
 def apostol_bernoulli_oracle(n: int, lam: Scalar, order: Optional[int] = None) -> Fraction:
@@ -304,8 +302,7 @@ def euler_polynomial_oracle(n: int, x: Scalar, order: Optional[int] = None) -> F
         raise DomainError(f"Euler polynomials need n >= 0, got {n}")
     if order is None:
         order = n + 8
-    denom = exp_linear(1, order) + LaurentSeries.one(order)
-    series = (exp_linear(Fraction(x), order) * denom.reciprocal()).scale(2)
+    series = (exp_linear(Fraction(x), order) * recip_exp_linear(1, 1, 1, order)).scale(2)
     return series.coeff(n) * factorial(n)
 
 
@@ -393,8 +390,7 @@ def two_param_euler_oracle(
     _check_two_param(alpha, lam)
     if order is None:
         order = n + 8
-    denom = exp_linear(alpha, order).scale(lam) + LaurentSeries.one(order)
-    series = (exp_linear(Fraction(x), order) * denom.reciprocal()).scale(2)
+    series = (exp_linear(Fraction(x), order) * recip_exp_linear(alpha, lam, 1, order)).scale(2)
     return series.coeff(n) * factorial(n)
 
 

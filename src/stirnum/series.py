@@ -53,7 +53,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 
-__all__ = ["LaurentSeries", "ZERO", "exp_linear", "linear_combination"]
+__all__ = ["LaurentSeries", "ZERO", "exp_linear", "linear_combination", "recip_exp_linear"]
 
 Scalar = Union[int, Fraction]
 
@@ -631,3 +631,13 @@ def exp_linear(alpha: Scalar, order: int) -> LaurentSeries:
         power *= a
         nums[n] *= power
     return _canonical(0, nums, den)
+
+
+def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> LaurentSeries:
+    """1/(lam*e**(alpha t) + c), long-divided from the source series of the
+    given order.
+
+    Every reciprocal base of the package is built here: 1/(e**t - 1) is
+    (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1) is (1, 1, 1).
+    """
+    return (exp_linear(alpha, order).scale(lam) + LaurentSeries.constant(c, order)).reciprocal()

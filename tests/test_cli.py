@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, and record shapes."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,9 +8,23 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stirnum.cli as cli
 from stirnum.identities import VerificationReport
+from stirnum.rationals import format_rational
+from stirnum.sequences import (
+    apostol_bernoulli_formula,
+    apostol_bernoulli_oracle,
+    apostol_bernoulli_series,
+    bernoulli_oracle,
+    euler_polynomial_formula,
+    euler_polynomial_oracle,
+    two_param_euler_formula,
+    two_param_euler_oracle,
+)
+from stirnum.series import recip_exp_linear
 
 
 def run(capsys, *argv):
@@ -396,6 +411,33 @@ class TestErrorsAndUsage:
         assert code == 1
         assert out.startswith("error[precision]")
 
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "G1", "--alpha=0"], "alpha must be nonzero"),
+            (["verify", "G2", "--lambda=0"], "lambda must be nonzero"),
+        ],
+    )
+    def test_general_identity_domain_errors(self, capsys, argv, message, fmt):
+        argv = argv + ["--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        if fmt == "plain":
+            assert out == f"error[domain]: {message}\n"
+        elif fmt == "json":
+            assert json.loads(out) == {
+                "command": argv,
+                "status": "error",
+                "error_kind": "domain",
+                "message": message,
+            }
+        else:
+            assert parse_csv(out) == [
+                ["status", "error_kind", "message"],
+                ["error", "domain", message],
+            ]
+
     def test_bad_rational_is_usage_error(self, capsys):
         code, _, err = run(capsys, "apostol-bernoulli", "2", "--lambda", "1.5")
         assert code == 2
@@ -477,3 +519,79 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+
+def json_result(*argv):
+    """The JSON ``result`` of a command that must succeed."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(list(argv) + ["--format", "json"])
+    assert code == 0, argv
+    return json.loads(buffer.getvalue())["result"]
+
+
+def option(name, value):
+    return f"--{name}={format_rational(value)}"
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+class TestDifferential:
+    """Each command whose generating series is built by recip_exp_linear
+    against the library value it prints."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        which=st.sampled_from(["recip-exp-minus-one", "recip-exp-plus-one", "apostol"]),
+        order=st.integers(3, 40),
+        lam=small_rationals.filter(bool),
+    )
+    def test_series_dump(self, which, order, lam):
+        if which == "apostol":
+            argv = ["series", "dump", which, option("lambda", lam)]
+            series = apostol_bernoulli_series(lam, order)
+        else:
+            argv = ["series", "dump", which]
+            series = recip_exp_linear(1, 1, -1 if which == "recip-exp-minus-one" else 1, order)
+        result = json_result(*argv, "--order", str(order))
+        assert result == {
+            "offset": series.offset,
+            "precision": series.precision,
+            "coefficients": [[e, format_rational(c)] for e, c in series.coefficients()],
+        }
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(0, 40))
+    def test_bernoulli_oracle(self, n):
+        result = json_result("bernoulli", str(n), "--method", "oracle")
+        assert result == format_rational(bernoulli_oracle(n))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 16), lam=small_rationals.filter(bool))
+    def test_apostol_bernoulli(self, n, lam):
+        result = json_result("apostol-bernoulli", str(n), option("lambda", lam))
+        assert result == format_rational(apostol_bernoulli_oracle(n, lam))
+        if n >= 1 and lam != 1:
+            assert result == format_rational(apostol_bernoulli_formula(n, lam))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 16), x=small_rationals)
+    def test_euler_poly_at(self, n, x):
+        result = json_result("euler-poly", str(n), option("at", x))
+        assert result == format_rational(euler_polynomial_formula(n).evaluate(x))
+        assert result == format_rational(euler_polynomial_oracle(n, x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        x=small_rationals,
+        alpha=small_rationals.filter(bool),
+        lam=small_rationals.filter(lambda v: v != -1),
+    )
+    def test_two_param_euler_at(self, n, x, alpha, lam):
+        params = [option("alpha", alpha), option("lambda", lam), option("at", x)]
+        result = json_result("two-param-euler", str(n), *params)
+        assert result == format_rational(two_param_euler_formula(n, alpha, lam).evaluate(x))
+        assert result == format_rational(two_param_euler_oracle(n, x, alpha, lam))

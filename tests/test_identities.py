@@ -22,14 +22,9 @@ from stirnum.identities import (
     verify_general_power,
     verify_plus_identity,
 )
-from stirnum.identities import (
-    _Ladder,
-    _recip_exp_minus_one,
-    _recip_general,
-    _recip_one_minus_exp_neg,
-)
+from stirnum.identities import _SPECS, _Ladder
 from stirnum.rationals import factorial
-from stirnum.series import LaurentSeries, linear_combination
+from stirnum.series import LaurentSeries, linear_combination, recip_exp_linear
 from stirnum.stirling import b_coeff, lambda_coeff, stirling1, stirling2
 
 
@@ -90,8 +85,8 @@ class TestCoreIdentities:
             assert core_identity_coefficients("I2", k) == core_identity_coefficients("I4", k)
         for k in range(1, 9):
             order = default_order(k)
-            f = _recip_exp_minus_one(order)
-            g = _recip_one_minus_exp_neg(order)
+            f = recip_exp_linear(1, 1, -1, order)
+            g = recip_exp_linear(-1, -1, 1, order)
             diff = g - f
             assert diff.coeff(0) == 1
             assert all(c == 0 for e, c in diff.coefficients() if e != 0)
@@ -105,10 +100,10 @@ class TestCoreIdentities:
             # rebuild the right-hand side with the constant forced to +1;
             # for odd k it must miss the left-hand side by exactly 2 at t^0
             order = default_order(k)
-            f = _recip_exp_minus_one(order)
-            g = _recip_one_minus_exp_neg(order)
+            f = recip_exp_linear(1, 1, -1, order)
+            g = recip_exp_linear(-1, -1, 1, order)
             lhs = f**k
-            ladder = _Ladder(g, order).derivatives(k, order)
+            ladder = _Ladder(g).derivatives(k)
             rhs_printed = linear_combination(ladder, weights) + LaurentSeries.one(
                 order - 1
             )
@@ -127,7 +122,7 @@ class TestPlusIdentities:
 
     def test_base_series_value(self):
         h = (  # 1/(e^t + 1) starts at 1/2 - t/4
-            _recip_general(Fraction(1), Fraction(-1), 10).scale(-1)
+            recip_exp_linear(Fraction(1), Fraction(-1), -1, 10).scale(-1)
         )
         assert h.coeff(0) == Fraction(1, 2)
         assert h.coeff(1) == Fraction(-1, 4)
@@ -157,7 +152,9 @@ class TestGeneralIdentities:
         # the specialization is coefficient-level, not just pass/fail: the
         # base series agree and the derivative-sum weights collapse to lambda
         order = default_order(4)
-        assert _recip_general(Fraction(1), Fraction(1), order) == _recip_exp_minus_one(order)
+        assert recip_exp_linear(Fraction(1), Fraction(1), -1, order) == recip_exp_linear(
+            1, 1, -1, order
+        )
         for k in range(1, 7):
             for m in range(1, k + 2):
                 assert (-1) ** k * factorial(m - 1) * stirling2(k + 1, m) == lambda_coeff(k, m)
@@ -271,6 +268,8 @@ class TestSweeps:
 
     def test_all_tags_covered(self):
         assert len(ALL_IDENTITY_IDS) == 12
+        # one spec row per tag, and no row without a tag
+        assert tuple(_SPECS) == ALL_IDENTITY_IDS
 
     @settings(max_examples=200, deadline=None)
     @given(

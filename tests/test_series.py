@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stirnum import series as series_module
 from stirnum.errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 from stirnum.rationals import factorial
-from stirnum.series import ZERO, LaurentSeries, exp_linear, linear_combination
+from stirnum.series import ZERO, LaurentSeries, exp_linear, linear_combination, recip_exp_linear
 from stirnum.stirling import stirling2
 
 small_fractions = st.fractions(
@@ -340,6 +340,36 @@ class TestReciprocal:
         s = LaurentSeries.from_coeffs(0, [0, 1])
         with pytest.raises(PrecisionExhaustedError):
             s.reciprocal()
+
+
+# (alpha, lam, c) of 1/(lam e^(alpha t) + c), and the denominator each
+# caller built for itself before recip_exp_linear.
+EXPLICIT_DENOMINATORS = {
+    "f": ((1, 1, -1), lambda n: exp_linear(1, n) - LaurentSeries.one(n)),
+    "g": ((-1, -1, 1), lambda n: LaurentSeries.one(n) - exp_linear(-1, n)),
+    "h and Euler": ((1, 1, 1), lambda n: exp_linear(1, n) + LaurentSeries.one(n)),
+    "G at lambda 1": (
+        (Fraction(-3, 2), Fraction(1), -1),
+        lambda n: exp_linear(Fraction(-3, 2), n).scale(1) - LaurentSeries.one(n),
+    ),
+    "Apostol": (
+        (1, Fraction(-3, 2), -1),
+        lambda n: exp_linear(1, n).scale(Fraction(-3, 2)) - LaurentSeries.one(n),
+    ),
+    "two-parameter Euler": (
+        (Fraction(2, 3), Fraction(-5, 2), 1),
+        lambda n: exp_linear(Fraction(2, 3), n).scale(Fraction(-5, 2)) + LaurentSeries.one(n),
+    ),
+}
+
+
+class TestRecipExpLinear:
+    # Order 120 runs the factorial-scaled kernels, 12 and 40 the lcm ones.
+    @pytest.mark.parametrize("order", [12, 40, 120])
+    @pytest.mark.parametrize("name", list(EXPLICIT_DENOMINATORS))
+    def test_matches_explicit_construction(self, name, order):
+        params, denominator = EXPLICIT_DENOMINATORS[name]
+        assert_same_series(recip_exp_linear(*params, order), denominator(order).reciprocal())
 
 
 class TestIntegerKernel:
