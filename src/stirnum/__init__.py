@@ -34,12 +34,16 @@ from .identities import (
 from .rationals import Rational, binomial, factorial, format_rational, parse_rational
 from .sequences import (
     FAMILIES,
+    REDUCTION_ALPHAS,
+    REDUCTION_LAMBDAS,
     Polynomial,
     SequenceValue,
+    alternating_sum_checks,
     apostol_bernoulli_formula,
     apostol_bernoulli_oracle,
     bernoulli_formula,
     bernoulli_oracle,
+    determinant_relation_checks,
     euler_number,
     euler_polynomial_formula,
     euler_polynomial_oracle,
@@ -47,6 +51,7 @@ from .sequences import (
     stirling_alternating_sum,
     two_param_euler_formula,
     two_param_euler_oracle,
+    two_param_reduction_sweep,
     verify_two_param_reductions,
 )
 from .series import ZERO, LaurentSeries, exp_linear, recip_exp_linear
@@ -99,11 +104,15 @@ __all__ = [
     # sequences
     "FAMILIES",
     "Polynomial",
+    "REDUCTION_ALPHAS",
+    "REDUCTION_LAMBDAS",
     "SequenceValue",
+    "alternating_sum_checks",
     "apostol_bernoulli_formula",
     "apostol_bernoulli_oracle",
     "bernoulli_formula",
     "bernoulli_oracle",
+    "determinant_relation_checks",
     "euler_number",
     "euler_polynomial_formula",
     "euler_polynomial_oracle",
@@ -111,6 +120,7 @@ __all__ = [
     "stirling_alternating_sum",
     "two_param_euler_formula",
     "two_param_euler_oracle",
+    "two_param_reduction_sweep",
     "verify_two_param_reductions",
     # identities
     "ALL_IDENTITY_IDS",

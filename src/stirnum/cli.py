@@ -38,28 +38,22 @@ from .identities import (
 )
 from .rationals import format_rational, parse_rational
 from .sequences import (
+    alternating_sum_checks,
     apostol_bernoulli_series,
     bernoulli_formula,
     bernoulli_oracle,
+    determinant_relation_checks,
     euler_number,
     euler_polynomial_formula,
     sequence_value,
-    stirling_alternating_sum,
-    verify_two_param_reductions,
+    two_param_reduction_sweep,
 )
 from .series import LaurentSeries, recip_exp_linear
-from .stirling import (
-    m_determinant,
-    stirling1,
-    stirling2,
-    verify_first_kind_determinant_relation,
-)
+from .stirling import m_determinant, stirling1, stirling2
 
 __all__ = ["build_parser", "main"]
 
 _CHECK_TARGETS = ("det-relation", "alt-sum", "reductions")
-_REDUCTION_ALPHAS = (Fraction(1), Fraction(2), Fraction(-1, 2))
-_REDUCTION_LAMBDAS = (Fraction(1), Fraction(3), Fraction(1, 4))
 _LAMBDA_ONE_NOTE = (
     "lambda = 1 is a pole of the closed form; B_n(1) = B_n is read from the "
     "generating series t/(e^t - 1)"
@@ -386,31 +380,15 @@ def _verify_rows(args) -> List[Tuple[dict, str]]:
             rows.append((report.to_dict(), report.describe()))
 
     if target in ("all", "det-relation"):
-        for n in range(1, k_max + 1):
-            for k in range(1, n + 1):
-                rows.append(
-                    _check_row(
-                        "det-relation", verify_first_kind_determinant_relation(n, k), n=n, k=k
-                    )
-                )
+        for n, k, passed in determinant_relation_checks(k_max):
+            rows.append(_check_row("det-relation", passed, n=n, k=k))
     if target in ("all", "alt-sum"):
-        for n in range(1, k_max + 1):
-            rows.append(_check_row("alt-sum", stirling_alternating_sum(n) == 0, n=n))
+        for n, passed in alternating_sum_checks(k_max):
+            rows.append(_check_row("alt-sum", passed, n=n))
     if target in ("all", "reductions"):
-        alpha_grid = sorted(alphas or _REDUCTION_ALPHAS)
-        lambda_grid = sorted(lambdas or _REDUCTION_LAMBDAS)
-        for n in range(0, k_max + 1):
-            for alpha in alpha_grid:
-                for lam in lambda_grid:
-                    rows.append(
-                        _check_row(
-                            "reductions",
-                            verify_two_param_reductions(n, alpha, lam),
-                            n=n,
-                            alpha=format_rational(alpha),
-                            **{"lambda": format_rational(lam)},
-                        )
-                    )
+        for n, alpha, lam, passed in two_param_reduction_sweep(k_max, alphas, lambdas):
+            point = {"alpha": format_rational(alpha), "lambda": format_rational(lam)}
+            rows.append(_check_row("reductions", passed, n=n, **point))
     return rows
 
 

@@ -320,7 +320,11 @@ def _verify(
         lhs = base.truncated(base.precision - trim) ** k
         rhs = linear_combination(rhs_ladder.derivatives(k), weights)
     if constant is not None:
-        rhs = rhs + LaurentSeries.constant(constant(k), rhs.precision)
+        # A nonzero weighted sum is known no further than its base; the
+        # exact zero is known to every order, so the base's precision
+        # bounds the constant and the sum stays finite.
+        precision = min(rhs.precision, rhs_ladder.base.precision)
+        rhs = rhs + LaurentSeries.constant(constant(k), precision)
     rhs = rhs.truncated(rhs.precision - trim)
     return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min_window)
 

@@ -21,6 +21,10 @@ integer denominator, ``Polynomial.evaluate`` runs Horner on integer
 numerators, and the even-index Euler sum and ``stirling_alternating_sum``
 are one integer over a power of two.  Each builds one ``Fraction`` per
 value it returns.
+
+The named checks of ``verify`` run here too: the two-parameter reductions
+over an (alpha, lambda) grid, the first-kind determinant relation and the
+vanishing alternating sum, each returning plain rows.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConsistencyError, DomainError, PoleError
 from .rationals import binomial, factorial
 from .series import LaurentSeries, exp_linear, recip_exp_linear
-from .stirling import stirling2
+from .stirling import stirling2, verify_first_kind_determinant_relation
 
 __all__ = [
     "Polynomial",
@@ -53,6 +57,11 @@ __all__ = [
     "two_param_euler_formula",
     "two_param_euler_oracle",
     "verify_two_param_reductions",
+    "REDUCTION_ALPHAS",
+    "REDUCTION_LAMBDAS",
+    "two_param_reduction_sweep",
+    "determinant_relation_checks",
+    "alternating_sum_checks",
 ]
 
 Scalar = Union[int, Fraction]
@@ -394,25 +403,81 @@ def two_param_euler_oracle(
     return series.coeff(n) * factorial(n)
 
 
+REDUCTION_ALPHAS = (Fraction(1), Fraction(2), Fraction(-1, 2))
+REDUCTION_LAMBDAS = (Fraction(1), Fraction(3), Fraction(1, 4))
+# Nonzero sample nodes of the pointwise reduction.  At x = 1 it reads
+# E_n(1; alpha, lam) == E_n(1; alpha, lam), so that node checks nothing.
+_REDUCTION_NODES = (Fraction(-1, 3), Fraction(5, 2))
+
+
 def verify_two_param_reductions(n: int, alpha: Scalar, lam: Scalar) -> bool:
     """Check the reduction identities of the two-parameter family at (n, alpha, lam).
 
     Exact polynomial identities:
         E_n(x; 1, 1) == E_n(x)
         E_n(x; alpha, lam) == alpha**n E_n(x/alpha; 1, lam)  (coefficientwise)
-    Pointwise, at nonzero sample nodes x:
+    Pointwise, at the nonzero sample nodes x = -1/3 and 5/2:
         E_n(x; alpha, lam) == x**n E_n(1; alpha/x, lam)
+
+    It runs the per-n routine of ``two_param_reduction_sweep`` on the
+    one-point grid.
     """
     alpha, lam = Fraction(alpha), Fraction(lam)
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
+    return _reductions_at(n, [alpha], [lam])[0]
+
+
+def two_param_reduction_sweep(
+    k_max: int,
+    alphas: Optional[Sequence[Scalar]] = None,
+    lambdas: Optional[Sequence[Scalar]] = None,
+) -> List[Tuple[int, Fraction, Fraction, bool]]:
+    """(n, alpha, lam, passed) of ``verify_two_param_reductions`` for
+    n = 0..k_max over the grid of alphas x lambdas (defaults
+    REDUCTION_ALPHAS / REDUCTION_LAMBDAS), n ascending, then (alpha, lam)
+    ascending.
+
+    Each n builds E_n(x) and E_n(x; 1, 1) once and E_n(x; 1, lam) once per
+    lambda, rather than once per grid point.  The grid is checked before
+    any n, point by point in order, so a bad point raises the error the
+    first call of ``verify_two_param_reductions`` on it would.
+    """
+    alpha_grid = sorted(Fraction(a) for a in (alphas or REDUCTION_ALPHAS))
+    lambda_grid = sorted(Fraction(v) for v in (lambdas or REDUCTION_LAMBDAS))
+    points = [(alpha, lam) for alpha in alpha_grid for lam in lambda_grid]
+    for alpha, lam in points:
+        _check_two_param(alpha, lam)
+    return [
+        (n, alpha, lam, passed)
+        for n in range(k_max + 1)
+        for (alpha, lam), passed in zip(points, _reductions_at(n, alpha_grid, lambda_grid))
+    ]
+
+
+def _reductions_at(
+    n: int, alphas: Sequence[Fraction], lambdas: Sequence[Fraction]
+) -> List[bool]:
+    """Whether the reductions hold at index n, for each (alpha, lam) of
+    alphas x lambdas in that order.  A failed E_n(x; 1, 1) == E_n(x)
+    fails every point."""
     # Both sides are reduced, so comparing (numerator, denominator) pairs
     # is the same test as Fraction equality, at a fraction of the cost.
     if _pairs(two_param_euler_formula(n, 1, 1)) != _pairs(euler_polynomial_formula(n)):
-        return False
+        return [False] * (len(alphas) * len(lambdas))
+    unit_alphas = [two_param_euler_formula(n, 1, lam) for lam in lambdas]
+    return [
+        _reduces(n, alpha, lam, unit_alpha)
+        for alpha in alphas
+        for lam, unit_alpha in zip(lambdas, unit_alphas)
+    ]
+
+
+def _reduces(n: int, alpha: Fraction, lam: Fraction, unit_alpha: Polynomial) -> bool:
+    """The rescale and pointwise reductions at one point, given
+    unit_alpha = E_n(x; 1, lam)."""
     full = two_param_euler_formula(n, alpha, lam)
-    unit_alpha = two_param_euler_formula(n, 1, lam)
     # unit_alpha is trimmed and alpha**(n-k) != 0 keeps its last
     # coefficient nonzero, so this list needs no trimming.
     a, b = alpha.numerator, alpha.denominator
@@ -422,7 +487,7 @@ def verify_two_param_reductions(n: int, alpha: Scalar, lam: Scalar) -> bool:
     ]
     if _pairs(full) != rescaled:
         return False
-    for x in (Fraction(1), Fraction(-1, 3), Fraction(5, 2)):
+    for x in _REDUCTION_NODES:
         pivot = two_param_euler_formula(n, alpha / x, lam).evaluate(1)
         value = full.evaluate(x)
         expected = _reduced(
@@ -441,6 +506,22 @@ def _reduced(num: int, den: int) -> Tuple[int, int]:
     """num/den in lowest terms as a pair, for den > 0."""
     g = math.gcd(num, den)
     return num // g, den // g
+
+
+def determinant_relation_checks(k_max: int) -> List[Tuple[int, int, bool]]:
+    """(n, k, passed) of ``verify_first_kind_determinant_relation`` for
+    1 <= k <= n <= k_max, n ascending, then k."""
+    return [
+        (n, k, verify_first_kind_determinant_relation(n, k))
+        for n in range(1, k_max + 1)
+        for k in range(1, n + 1)
+    ]
+
+
+def alternating_sum_checks(k_max: int) -> List[Tuple[int, bool]]:
+    """(n, passed) for n = 1..k_max, passed when ``stirling_alternating_sum(n)``
+    vanishes."""
+    return [(n, stirling_alternating_sum(n) == 0) for n in range(1, k_max + 1)]
 
 
 # -- Uniform access ---------------------------------------------------------

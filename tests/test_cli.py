@@ -13,18 +13,20 @@ from hypothesis import strategies as st
 
 import stirnum.cli as cli
 from stirnum.identities import VerificationReport
-from stirnum.rationals import format_rational
+from stirnum.rationals import factorial, format_rational
 from stirnum.sequences import (
     apostol_bernoulli_formula,
     apostol_bernoulli_oracle,
     apostol_bernoulli_series,
     bernoulli_oracle,
+    euler_number,
     euler_polynomial_formula,
     euler_polynomial_oracle,
     two_param_euler_formula,
     two_param_euler_oracle,
 )
 from stirnum.series import recip_exp_linear
+from stirnum.stirling import m_determinant, stirling1, stirling2, stirling2_explicit
 
 
 def run(capsys, *argv):
@@ -539,8 +541,39 @@ small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 class TestDifferential:
-    """Each command whose generating series is built by recip_exp_linear
-    against the library value it prints."""
+    """Each command against the library value it prints, and against an
+    independent route where the library has one."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 30), k=st.integers(0, 30))
+    def test_stirling2(self, n, k):
+        result = json_result("stirling2", str(n), str(k))
+        assert result == format_rational(stirling2(n, k))
+        if 1 <= k <= n:
+            assert result == format_rational(stirling2_explicit(n, k))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 30), k=st.integers(0, 30))
+    def test_stirling1(self, n, k):
+        result = json_result("stirling1", str(n), str(k))
+        assert result == format_rational(stirling1(n, k))
+        if 1 <= k <= n:
+            # s(n, k) = (-1)**(n + k*k) (n-1)! M_{n-k+1}(n, k)
+            relation = (-1) ** (n + k * k) * factorial(n - 1) * m_determinant(n - k + 1, n, k)
+            assert result == format_rational(relation)
+
+    @settings(max_examples=30, deadline=None)
+    @given(j=st.integers(1, 12), k=st.integers(1, 20), i=st.integers(1, 12))
+    def test_mdet(self, j, k, i):
+        result = json_result("mdet", str(j), str(k), str(i))
+        assert result == format_rational(m_determinant(j, k, i))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(0, 40))
+    def test_euler_number(self, n):
+        result = json_result("euler-number", str(n))
+        assert result == format_rational(euler_number(n))
+        assert result == format_rational(2**n * euler_polynomial_oracle(n, Fraction(1, 2)))
 
     @settings(max_examples=30, deadline=None)
     @given(

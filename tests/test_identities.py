@@ -212,6 +212,18 @@ class TestFaultInjection:
         report = verify_core_identity("I2", 5, coeff_override=weights)
         assert not report.passed
 
+    @pytest.mark.parametrize("identity_id, k", [("I1", 2), ("I7", 2), ("I7", 5), ("I8", 3), ("I8", 4)])
+    def test_all_zero_weights_fail(self, identity_id, k):
+        # The weighted sum is then the exact zero; on I7 and I8 the right
+        # side is the constant alone, which the left power never equals.
+        zeros = [0] * len(core_identity_coefficients(identity_id, k))
+        report = verify_core_identity(identity_id, k, coeff_override=zeros)
+        assert not report.passed
+        lo, hi = report.window
+        assert hi - lo >= DEFAULT_MIN_WINDOW
+        e, lhs, rhs = report.first_discrepancy
+        assert e == lo and lhs != rhs
+
 
 class TestReports:
     def test_report_shape(self):

@@ -11,13 +11,17 @@ from stirnum import sequences
 from stirnum.errors import DomainError, PoleError
 from stirnum.rationals import binomial
 from stirnum.sequences import (
+    REDUCTION_ALPHAS,
+    REDUCTION_LAMBDAS,
     Polynomial,
     _euler_even_direct,
     _geometric_stirling_sum,
+    alternating_sum_checks,
     apostol_bernoulli_formula,
     apostol_bernoulli_oracle,
     bernoulli_formula,
     bernoulli_oracle,
+    determinant_relation_checks,
     euler_number,
     euler_polynomial_formula,
     euler_polynomial_oracle,
@@ -25,6 +29,7 @@ from stirnum.sequences import (
     stirling_alternating_sum,
     two_param_euler_formula,
     two_param_euler_oracle,
+    two_param_reduction_sweep,
     verify_two_param_reductions,
 )
 from stirnum.stirling import stirling2
@@ -342,6 +347,52 @@ class TestGeometricSumCache:
             assert _geometric_stirling_sum(2, 1, 10**6 + m) == reference_geometric_sum(2, rho)
 
 
+# Points (alpha, lam) whose E_4(x; alpha, lam) perturb_two_param corrupts,
+# each read by one reduction at (n, alpha, lam) = (4, 2, 3).
+REDUCTION_PERTURBATIONS = [
+    (Fraction(1), Fraction(1)),  # E_n(x; 1, 1) against E_n(x)
+    (Fraction(2), Fraction(3)),  # the full polynomial
+    (Fraction(1), Fraction(3)),  # the alpha = 1 side of the rescale
+    (Fraction(4, 5), Fraction(3)),  # the pivot at x = 5/2
+]
+
+
+def perturb_two_param(monkeypatch, n_bad, bad):
+    """Make E_{n_bad}(x; *bad) come out with 1/7 added to its x coefficient."""
+    real = sequences.two_param_euler_formula
+
+    def perturbed(n, alpha, lam):
+        poly = real(n, alpha, lam)
+        if n != n_bad or (Fraction(alpha), Fraction(lam)) != bad:
+            return poly
+        coeffs = list(poly.coeffs)
+        coeffs[1] += Fraction(1, 7)
+        return Polynomial.from_coeffs(coeffs)
+
+    monkeypatch.setattr(sequences, "two_param_euler_formula", perturbed)
+
+
+def per_point_reductions(k_max, alphas, lambdas):
+    """The reduction sweep's rows, one verify_two_param_reductions call each."""
+    return [
+        (n, alpha, lam, verify_two_param_reductions(n, alpha, lam))
+        for n in range(k_max + 1)
+        for alpha in sorted(Fraction(a) for a in alphas)
+        for lam in sorted(Fraction(v) for v in lambdas)
+    ]
+
+
+def outcome(check, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return check(*args)
+    except (DomainError, PoleError) as exc:
+        return type(exc), str(exc)
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
 class TestTwoParamEuler:
     def test_reduces_to_euler(self):
         for n in range(0, 10):
@@ -372,27 +423,9 @@ class TestTwoParamEuler:
             assert verify_two_param_reductions(n, Fraction(2), Fraction(3))
             assert verify_two_param_reductions(n, Fraction(-1, 2), Fraction(1, 4))
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            (Fraction(1), Fraction(1)),  # E_n(x; 1, 1) against E_n(x)
-            (Fraction(2), Fraction(3)),  # the full polynomial
-            (Fraction(1), Fraction(3)),  # the alpha = 1 side of the rescale
-            (Fraction(4, 5), Fraction(3)),  # the pivot at x = 5/2
-        ],
-    )
+    @pytest.mark.parametrize("bad", REDUCTION_PERTURBATIONS)
     def test_reductions_detect_each_mismatch(self, monkeypatch, bad):
-        real = sequences.two_param_euler_formula
-
-        def perturbed(n, alpha, lam):
-            poly = real(n, alpha, lam)
-            if (Fraction(alpha), Fraction(lam)) != bad:
-                return poly
-            coeffs = list(poly.coeffs)
-            coeffs[1] += Fraction(1, 7)
-            return Polynomial.from_coeffs(coeffs)
-
-        monkeypatch.setattr(sequences, "two_param_euler_formula", perturbed)
+        perturb_two_param(monkeypatch, 4, bad)
         assert not verify_two_param_reductions(4, Fraction(2), Fraction(3))
 
     def test_pole(self):
@@ -408,6 +441,65 @@ class TestTwoParamEuler:
             two_param_euler_formula(2, 0, 1)
         with pytest.raises(DomainError):
             two_param_euler_oracle(2, 1, 0, 1)
+
+
+class TestReductionSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k_max=st.integers(0, 6),
+        alphas=st.lists(small_rationals.filter(bool), min_size=1, max_size=3, unique=True),
+        lambdas=st.lists(
+            small_rationals.filter(lambda v: v != -1), min_size=1, max_size=3, unique=True
+        ),
+    )
+    def test_matches_per_point_checks(self, k_max, alphas, lambdas):
+        rows = two_param_reduction_sweep(k_max, alphas, lambdas)
+        assert rows == per_point_reductions(k_max, alphas, lambdas)
+        assert all(passed for *_, passed in rows)
+
+    def test_default_grid(self):
+        rows = two_param_reduction_sweep(3)
+        assert rows == per_point_reductions(3, REDUCTION_ALPHAS, REDUCTION_LAMBDAS)
+        assert len(rows) == 4 * 9
+
+    @pytest.mark.parametrize(
+        "alphas, lambdas",
+        [
+            ([Fraction(1)], [Fraction(-1)]),
+            ([Fraction(0)], [Fraction(3)]),
+            ([Fraction(0)], [Fraction(-1)]),
+            ([Fraction(2), Fraction(-1, 2)], [Fraction(1, 4), Fraction(-1)]),
+            ([Fraction(2), Fraction(0)], [Fraction(-1), Fraction(3)]),
+            ([Fraction(-3), Fraction(0)], [Fraction(-1), Fraction(3)]),
+            (None, [Fraction(-1)]),
+            ([Fraction(0)], None),
+        ],
+    )
+    def test_bad_grid_raises_as_per_point(self, alphas, lambdas):
+        got = outcome(two_param_reduction_sweep, 3, alphas, lambdas)
+        want = outcome(
+            per_point_reductions, 3, alphas or REDUCTION_ALPHAS, lambdas or REDUCTION_LAMBDAS
+        )
+        assert isinstance(got, tuple) and got == want
+
+    @pytest.mark.parametrize("bad", REDUCTION_PERTURBATIONS)
+    def test_detects_each_mismatch_as_per_point(self, monkeypatch, bad):
+        perturb_two_param(monkeypatch, 4, bad)
+        alphas, lambdas = [Fraction(-1, 2), Fraction(2)], [Fraction(1), Fraction(3)]
+        rows = two_param_reduction_sweep(6, alphas, lambdas)
+        assert rows == per_point_reductions(6, alphas, lambdas)
+        failed = {(n, alpha, lam) for n, alpha, lam, passed in rows if not passed}
+        assert (4, Fraction(2), Fraction(3)) in failed
+        assert all(n == 4 for n, _, _ in failed)
+        if bad == (1, 1):
+            assert len(failed) == len(alphas) * len(lambdas)
+
+    def test_named_checks(self):
+        assert determinant_relation_checks(4) == [
+            (n, k, True) for n in range(1, 5) for k in range(1, n + 1)
+        ]
+        assert alternating_sum_checks(5) == [(n, True) for n in range(1, 6)]
+        assert determinant_relation_checks(0) == alternating_sum_checks(0) == []
 
 
 class TestSequenceValueDispatch:
