@@ -21,7 +21,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,13 +38,10 @@ from .identities import (
 )
 from .rationals import format_rational, parse_rational
 from .sequences import (
+    Polynomial,
     alternating_sum_checks,
     apostol_bernoulli_series,
-    bernoulli_formula,
-    bernoulli_oracle,
     determinant_relation_checks,
-    euler_number,
-    euler_polynomial_formula,
     sequence_value,
     two_param_reduction_sweep,
 )
@@ -54,6 +51,14 @@ from .stirling import m_determinant, stirling1, stirling2
 __all__ = ["build_parser", "main"]
 
 _CHECK_TARGETS = ("det-relation", "alt-sum", "reductions")
+# Command name -> the sequence_value family it prints.
+_FAMILY_COMMANDS = {
+    "bernoulli": "bernoulli",
+    "apostol-bernoulli": "apostol_bernoulli",
+    "euler-number": "euler_number",
+    "euler-poly": "euler_polynomial",
+    "two-param-euler": "two_param_euler",
+}
 _LAMBDA_ONE_NOTE = (
     "lambda = 1 is a pole of the closed form; B_n(1) = B_n is read from the "
     "generating series t/(e^t - 1)"
@@ -89,7 +94,6 @@ class CommandOutput:
     csv_header: List[str]
     csv_rows: List[List[str]]
     exit_code: int = 0
-    notes: Sequence[str] = field(default=())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,77 +198,61 @@ def _post_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error("--lambda is required for the apostol series")
         if args.which != "apostol" and args.lam is not None:
             parser.error("--lambda applies only to the apostol series")
-        if args.order < 1:
-            parser.error("--order must be >= 1")
     if args.command == "verify" and args.k_max < 1:
         parser.error("--k-max must be >= 1")
+    if getattr(args, "order", None) is not None and args.order < 1:
+        parser.error("--order must be >= 1")
 
 
 # -- output assembly ---------------------------------------------------------
 
 
-def _jsonable_params(params: Dict[str, object]) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    for name, value in params.items():
-        if isinstance(value, Fraction):
-            out[name] = format_rational(value)
-        else:
-            out[name] = value
-    return out
+def _cell(value) -> str:
+    return format_rational(value) if isinstance(value, Fraction) else str(value)
 
 
-def _scalar_output(argv, params, value, notes=()) -> CommandOutput:
+def _ok_output(
+    argv, params, result, plain, csv_header, csv_rows, notes=(), exit_code=0
+) -> CommandOutput:
+    """The success record of every command; notes follow the result."""
+    record = {
+        "command": list(argv),
+        "parameters": {
+            name: format_rational(v) if isinstance(v, Fraction) else v
+            for name, v in params.items()
+        },
+        "result": result,
+        "status": "ok",
+    }
+    if notes:
+        record["notes"] = list(notes)
+        plain += "".join(f"\nnote: {note}" for note in notes)
+    return CommandOutput(record, plain, csv_header, csv_rows, exit_code)
+
+
+def _value_output(argv, params, value, notes=()) -> CommandOutput:
+    """A rational, or a polynomial as its coefficient table."""
+    if isinstance(value, Polynomial):
+        texts = [format_rational(c) for c in value.coeffs]
+        rows = [[str(i), text] for i, text in enumerate(texts)]
+        return _ok_output(
+            argv, params, {"coefficients": texts}, str(value), ["degree", "coefficient"], rows, notes
+        )
     text = format_rational(value)
-    record = {
-        "command": list(argv),
-        "parameters": _jsonable_params(params),
-        "result": text,
-        "status": "ok",
-    }
-    if notes:
-        record["notes"] = list(notes)
-    plain = text
-    if notes:
-        plain += "".join(f"\nnote: {note}" for note in notes)
-    header = [str(name) for name in params] + ["result"]
-    row = [
-        format_rational(v) if isinstance(v, Fraction) else str(v) for v in params.values()
-    ] + [text]
-    return CommandOutput(record, plain, header, [row], 0, notes)
-
-
-def _poly_output(argv, params, poly, notes=()) -> CommandOutput:
-    coeff_texts = [format_rational(c) for c in poly.coeffs]
-    record = {
-        "command": list(argv),
-        "parameters": _jsonable_params(params),
-        "result": {"coefficients": coeff_texts},
-        "status": "ok",
-    }
-    if notes:
-        record["notes"] = list(notes)
-    plain = str(poly)
-    if notes:
-        plain += "".join(f"\nnote: {note}" for note in notes)
-    rows = [[str(i), text] for i, text in enumerate(coeff_texts)]
-    return CommandOutput(record, plain, ["degree", "coefficient"], rows, 0, notes)
+    row = [_cell(v) for v in params.values()] + [text]
+    return _ok_output(argv, params, text, text, [*params, "result"], [row], notes)
 
 
 def _series_output(argv, params, series: LaurentSeries) -> CommandOutput:
     pairs = [(e, format_rational(c)) for e, c in series.coefficients()]
-    record = {
-        "command": list(argv),
-        "parameters": _jsonable_params(params),
-        "result": {
-            "offset": series.offset,
-            "precision": series.precision,
-            "coefficients": [[e, text] for e, text in pairs],
-        },
-        "status": "ok",
+    result = {
+        "offset": series.offset,
+        "precision": series.precision,
+        "coefficients": [[e, text] for e, text in pairs],
     }
     plain = "\n".join(f"t^{e}: {text}" for e, text in pairs)
     rows = [[str(e), text] for e, text in pairs]
-    return CommandOutput(record, plain, ["exponent", "coefficient"], rows)
+    return _ok_output(argv, params, result, plain, ["exponent", "coefficient"], rows)
 
 
 def _error_output(argv, kind: str, message: str) -> CommandOutput:
@@ -282,61 +270,41 @@ def _error_output(argv, kind: str, message: str) -> CommandOutput:
 
 
 def _handle_stirling2(args, argv):
-    return _scalar_output(argv, {"n": args.n, "k": args.k}, stirling2(args.n, args.k))
+    return _value_output(argv, {"n": args.n, "k": args.k}, stirling2(args.n, args.k))
 
 
 def _handle_stirling1(args, argv):
-    return _scalar_output(argv, {"n": args.n, "k": args.k}, stirling1(args.n, args.k))
+    return _value_output(argv, {"n": args.n, "k": args.k}, stirling1(args.n, args.k))
 
 
 def _handle_mdet(args, argv):
-    return _scalar_output(
+    return _value_output(
         argv, {"j": args.j, "k": args.k, "i": args.i}, m_determinant(args.j, args.k, args.i)
     )
 
 
-def _handle_bernoulli(args, argv):
-    if args.method == "formula":
-        if args.n < 2 or args.n % 2:
-            raise DomainError(
-                "the closed Stirling form covers even n >= 2 only; use --method oracle"
-            )
-        value = bernoulli_formula(args.n // 2)
-    else:
-        value = bernoulli_oracle(args.n)
-    return _scalar_output(argv, {"n": args.n, "method": args.method}, value)
-
-
-def _handle_apostol_bernoulli(args, argv):
-    # The closed form covers n >= 1 and has a pole at lambda = 1, where
-    # B_n(1) = B_n is read from the generating series instead.
-    pole = args.n > 0 and args.lam == 1
-    provenance = "oracle" if args.n == 0 or pole else "formula"
-    result = sequence_value("apostol_bernoulli", args.n, provenance, lam=args.lam)
-    notes = result.notes + ((_LAMBDA_ONE_NOTE,) if pole else ())
-    return _scalar_output(argv, {"n": args.n, "lambda": args.lam}, result.value, notes)
-
-
-def _handle_euler_number(args, argv):
-    return _scalar_output(argv, {"n": args.n}, euler_number(args.n))
-
-
-def _handle_euler_poly(args, argv):
-    poly = euler_polynomial_formula(args.n)
-    if args.at is None:
-        return _poly_output(argv, {"n": args.n}, poly)
-    return _scalar_output(argv, {"n": args.n, "x": args.at}, poly.evaluate(args.at))
-
-
-def _handle_two_param_euler(args, argv):
+def _handle_family(args, argv):
+    family = _FAMILY_COMMANDS[args.command]
+    # Only bernoulli has --method; every other command prints the closed form.
+    provenance = getattr(args, "method", "formula")
+    notes: Tuple[str, ...] = ()
+    if family == "apostol_bernoulli" and (args.n == 0 or args.lam == 1):
+        # The closed form covers n >= 1 and has a pole at lambda = 1,
+        # where B_n(1) = B_n is read from the generating series instead.
+        provenance = "oracle"
+        notes = (_LAMBDA_ONE_NOTE,) if args.n else ()
     result = sequence_value(
-        "two_param_euler", args.n, "formula", alpha=args.alpha, lam=args.lam, x=args.at
+        family,
+        args.n,
+        provenance,
+        lam=getattr(args, "lam", None),
+        alpha=getattr(args, "alpha", None),
+        x=getattr(args, "at", None),
     )
-    params = {"n": args.n, "alpha": args.alpha, "lambda": args.lam}
-    if args.at is not None:
-        params["x"] = args.at
-        return _scalar_output(argv, params, result.value, result.notes)
-    return _poly_output(argv, params, result.value, result.notes)
+    params = {"n": args.n, **dict(result.parameters)}
+    if "method" in args:
+        params["method"] = args.method
+    return _value_output(argv, params, result.value, result.notes + notes)
 
 
 def _handle_series_dump(args, argv):
@@ -442,26 +410,19 @@ def _handle_verify(args, argv):
         params["lambda"] = args.lam
     if args.order is not None:
         params["order"] = args.order
-    record = {
-        "command": list(argv),
-        "parameters": _jsonable_params(params),
-        "result": {"passed": all_ok, "total": len(rows), "ok": passed, "checks": rows},
-        "status": "ok",
-    }
+    result = {"passed": all_ok, "total": len(rows), "ok": passed, "checks": rows}
     lines.append(f"{passed}/{len(rows)} ok")
     csv_rows = [_verify_csv_row(row) for row in rows]
-    return CommandOutput(record, "\n".join(lines), _VERIFY_CSV_HEADER, csv_rows, 0 if all_ok else 3)
+    plain = "\n".join(lines)
+    exit_code = 0 if all_ok else 3
+    return _ok_output(argv, params, result, plain, _VERIFY_CSV_HEADER, csv_rows, exit_code=exit_code)
 
 
 _HANDLERS = {
     "stirling2": _handle_stirling2,
     "stirling1": _handle_stirling1,
     "mdet": _handle_mdet,
-    "bernoulli": _handle_bernoulli,
-    "apostol-bernoulli": _handle_apostol_bernoulli,
-    "euler-number": _handle_euler_number,
-    "euler-poly": _handle_euler_poly,
-    "two-param-euler": _handle_two_param_euler,
+    **dict.fromkeys(_FAMILY_COMMANDS, _handle_family),
     "series": _handle_series_dump,
     "verify": _handle_verify,
 }

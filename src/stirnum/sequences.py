@@ -14,6 +14,11 @@ Families and their exponential generating functions:
     euler_number         2**n * E_n(1/2)
     two_param_euler      2 e**(x t) / (lam * e**(alpha t) + 1)
 
+Each generating series is built in one place.  The Bernoulli oracle reads
+``apostol_bernoulli_series`` at lam = 1, and the Euler-polynomial oracle is
+the two-parameter oracle at alpha = lam = 1.  Each oracle truncates its
+source series at the fixed order n + 4 (Bernoulli) or n + 8 (the others).
+
 The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler
 and two-parameter Euler coefficient is one integer numerator over one
@@ -21,6 +26,9 @@ integer denominator, ``Polynomial.evaluate`` runs Horner on integer
 numerators, and the even-index Euler sum and ``stirling_alternating_sum``
 are one integer over a power of two.  Each builds one ``Fraction`` per
 value it returns.
+
+``sequence_value`` is the one entry point to all five families; the
+command line reaches every family through it.
 
 The named checks of ``verify`` run here too: the two-parameter reductions
 over an (alpha, lambda) grid, the first-kind determinant relation and the
@@ -221,8 +229,7 @@ def bernoulli_oracle(n: int) -> Fraction:
     """B_n as n! times the t**n coefficient of t/(e**t - 1), order n + 4."""
     if n < 0:
         raise DomainError(f"Bernoulli numbers need n >= 0, got {n}")
-    order = n + 4
-    return recip_exp_linear(1, 1, -1, order).shift(1).coeff(n) * factorial(n)
+    return apostol_bernoulli_series(1, n + 4).coeff(n) * factorial(n)
 
 
 def bernoulli_formula(k: int) -> Fraction:
@@ -278,13 +285,11 @@ def apostol_bernoulli_series(lam: Scalar, order: int) -> LaurentSeries:
     return recip_exp_linear(1, lam, -1, order).shift(1)
 
 
-def apostol_bernoulli_oracle(n: int, lam: Scalar, order: Optional[int] = None) -> Fraction:
-    """B_n(lam) as n! times the t**n coefficient of t/(lam*e**t - 1)."""
+def apostol_bernoulli_oracle(n: int, lam: Scalar) -> Fraction:
+    """B_n(lam) as n! times the t**n coefficient of t/(lam*e**t - 1), order n + 8."""
     if n < 0:
         raise DomainError(f"Apostol-Bernoulli numbers need n >= 0, got {n}")
-    if order is None:
-        order = n + 8
-    return apostol_bernoulli_series(lam, order).coeff(n) * factorial(n)
+    return apostol_bernoulli_series(lam, n + 8).coeff(n) * factorial(n)
 
 
 # -- Euler polynomials and numbers ----------------------------------------
@@ -305,14 +310,11 @@ def euler_polynomial_formula(n: int) -> Polynomial:
     return Polynomial.from_coeffs(coeffs)
 
 
-def euler_polynomial_oracle(n: int, x: Scalar, order: Optional[int] = None) -> Fraction:
-    """E_n(x) as n! times the t**n coefficient of 2 e**(x t)/(e**t + 1)."""
+def euler_polynomial_oracle(n: int, x: Scalar) -> Fraction:
+    """E_n(x) = E_n(x; 1, 1), read from 2 e**(x t)/(e**t + 1)."""
     if n < 0:
         raise DomainError(f"Euler polynomials need n >= 0, got {n}")
-    if order is None:
-        order = n + 8
-    series = (exp_linear(Fraction(x), order) * recip_exp_linear(1, 1, 1, order)).scale(2)
-    return series.coeff(n) * factorial(n)
+    return two_param_euler_oracle(n, x, 1, 1)
 
 
 def _euler_even_direct(n: int) -> Fraction:
@@ -388,17 +390,14 @@ def two_param_euler_formula(n: int, alpha: Scalar, lam: Scalar) -> Polynomial:
     return Polynomial.from_coeffs(coeffs)
 
 
-def two_param_euler_oracle(
-    n: int, x: Scalar, alpha: Scalar, lam: Scalar, order: Optional[int] = None
-) -> Fraction:
+def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fraction:
     """E_n(x; alpha, lam) as n! times the t**n coefficient of
-    2 e**(x t) / (lam e**(alpha t) + 1)."""
+    2 e**(x t) / (lam e**(alpha t) + 1), order n + 8."""
     alpha, lam = Fraction(alpha), Fraction(lam)
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
-    if order is None:
-        order = n + 8
+    order = n + 8
     series = (exp_linear(Fraction(x), order) * recip_exp_linear(alpha, lam, 1, order)).scale(2)
     return series.coeff(n) * factorial(n)
 
@@ -439,8 +438,8 @@ def two_param_reduction_sweep(
     REDUCTION_ALPHAS / REDUCTION_LAMBDAS), n ascending, then (alpha, lam)
     ascending.
 
-    Each n builds E_n(x) and E_n(x; 1, 1) once and E_n(x; 1, lam) once per
-    lambda, rather than once per grid point.  The grid is checked before
+    Each n builds E_n(x) once and each E_n(x; alpha, lam) it reads once,
+    whether as a grid point, a rescale's unit side or a pointwise pivot.  The grid is checked before
     any n, point by point in order, so a bad point raises the error the
     first call of ``verify_two_param_reductions`` on it would.
     """
@@ -462,33 +461,36 @@ def _reductions_at(
     """Whether the reductions hold at index n, for each (alpha, lam) of
     alphas x lambdas in that order.  A failed E_n(x; 1, 1) == E_n(x)
     fails every point."""
+    built: dict = {}
+
+    def poly(alpha: Fraction, lam: Fraction) -> Polynomial:
+        """E_n(x; alpha, lam), built once per (alpha, lam) at this n."""
+        if (alpha, lam) not in built:
+            built[alpha, lam] = two_param_euler_formula(n, alpha, lam)
+        return built[alpha, lam]
+
     # Both sides are reduced, so comparing (numerator, denominator) pairs
     # is the same test as Fraction equality, at a fraction of the cost.
-    if _pairs(two_param_euler_formula(n, 1, 1)) != _pairs(euler_polynomial_formula(n)):
+    if _pairs(poly(1, 1)) != _pairs(euler_polynomial_formula(n)):
         return [False] * (len(alphas) * len(lambdas))
-    unit_alphas = [two_param_euler_formula(n, 1, lam) for lam in lambdas]
-    return [
-        _reduces(n, alpha, lam, unit_alpha)
-        for alpha in alphas
-        for lam, unit_alpha in zip(lambdas, unit_alphas)
-    ]
+    return [_reduces(n, alpha, lam, poly) for alpha in alphas for lam in lambdas]
 
 
-def _reduces(n: int, alpha: Fraction, lam: Fraction, unit_alpha: Polynomial) -> bool:
-    """The rescale and pointwise reductions at one point, given
-    unit_alpha = E_n(x; 1, lam)."""
-    full = two_param_euler_formula(n, alpha, lam)
-    # unit_alpha is trimmed and alpha**(n-k) != 0 keeps its last
+def _reduces(n: int, alpha: Fraction, lam: Fraction, poly) -> bool:
+    """The rescale and pointwise reductions at one point, with
+    poly(alpha, lam) giving E_n(x; alpha, lam)."""
+    full = poly(alpha, lam)
+    # E_n(x; 1, lam) is trimmed and alpha**(n-k) != 0 keeps its last
     # coefficient nonzero, so this list needs no trimming.
     a, b = alpha.numerator, alpha.denominator
     rescaled = [
         _reduced(c.numerator * a ** (n - k), c.denominator * b ** (n - k))
-        for k, c in enumerate(unit_alpha.coeffs)
+        for k, c in enumerate(poly(1, lam).coeffs)
     ]
     if _pairs(full) != rescaled:
         return False
     for x in _REDUCTION_NODES:
-        pivot = two_param_euler_formula(n, alpha / x, lam).evaluate(1)
+        pivot = poly(alpha / x, lam).evaluate(1)
         value = full.evaluate(x)
         expected = _reduced(
             x.numerator**n * pivot.numerator, x.denominator**n * pivot.denominator
@@ -564,7 +566,6 @@ def sequence_value(
     lam: Optional[Scalar] = None,
     alpha: Optional[Scalar] = None,
     x: Optional[Scalar] = None,
-    order: Optional[int] = None,
 ) -> SequenceValue:
     """Compute one family member through the requested route.
 
@@ -600,15 +601,13 @@ def sequence_value(
         if provenance == "formula":
             value = apostol_bernoulli_formula(index, lam)
         else:
-            value = apostol_bernoulli_oracle(index, lam, order)
+            value = apostol_bernoulli_oracle(index, lam)
 
     elif family == "euler_number":
         if provenance == "formula":
             value = euler_number(index)
         else:
-            value = Fraction(2) ** index * euler_polynomial_oracle(
-                index, Fraction(1, 2), order
-            )
+            value = Fraction(2) ** index * euler_polynomial_oracle(index, Fraction(1, 2))
 
     elif family == "euler_polynomial":
         if provenance == "formula":
@@ -617,7 +616,7 @@ def sequence_value(
         else:
             if x is None:
                 raise DomainError("the oracle route needs an evaluation point x")
-            value = euler_polynomial_oracle(index, Fraction(x), order)
+            value = euler_polynomial_oracle(index, Fraction(x))
         if x is not None:
             params.append(("x", Fraction(x)))
 
@@ -633,7 +632,7 @@ def sequence_value(
         else:
             if x is None:
                 raise DomainError("the oracle route needs an evaluation point x")
-            value = two_param_euler_oracle(index, Fraction(x), alpha, lam, order)
+            value = two_param_euler_oracle(index, Fraction(x), alpha, lam)
         if x is not None:
             params.append(("x", Fraction(x)))
         if lam <= 0:

@@ -18,6 +18,7 @@ from stirnum.sequences import (
     apostol_bernoulli_formula,
     apostol_bernoulli_oracle,
     apostol_bernoulli_series,
+    bernoulli_formula,
     bernoulli_oracle,
     euler_number,
     euler_polynomial_formula,
@@ -69,6 +70,10 @@ SERIES_DUMP_DIGESTS = {
     },
 }
 
+BERNOULLI_FORMULA_DOMAIN = (
+    "error[domain]: the closed form covers even indices >= 2 only; use the oracle\n"
+)
+
 
 class TestScalarCommands:
     def test_stirling2_plain(self, capsys):
@@ -116,7 +121,7 @@ class TestScalarCommands:
     def test_bernoulli_formula_odd_rejected(self, capsys):
         code, out, _ = run(capsys, "bernoulli", "3", "--method", "formula")
         assert code == 1
-        assert "error[domain]" in out
+        assert out == BERNOULLI_FORMULA_DOMAIN
 
     def test_apostol(self, capsys):
         code, out, _ = run(capsys, "apostol-bernoulli", "2", "--lambda", "2")
@@ -440,6 +445,42 @@ class TestErrorsAndUsage:
                 ["error", "domain", message],
             ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bernoulli", "-1"],
+            ["bernoulli", "-2", "--method", "formula"],
+            ["apostol-bernoulli", "-1", "--lambda", "2"],
+            ["euler-number", "-3"],
+            ["euler-poly", "-1"],
+            ["euler-poly", "-2", "--at", "1/2"],
+            ["two-param-euler", "-1", "--alpha", "2", "--lambda", "3"],
+        ],
+    )
+    def test_negative_index_is_one_domain_error(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out == f"error[domain]: family index must be >= 0, got {argv[1]}\n"
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_bernoulli_formula_outside_even_indices(self, capsys, n):
+        code, out, _ = run(capsys, "bernoulli", str(n), "--method", "formula")
+        assert code == 1
+        assert out == BERNOULLI_FORMULA_DOMAIN
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "I1", "--order", "0"],
+            ["verify", "det-relation", "--k-max", "3", "--order=-2"],
+            ["series", "dump", "recip-exp-minus-one", "--order", "0"],
+        ],
+    )
+    def test_order_below_one_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --order must be >= 1\n")
+
     def test_bad_rational_is_usage_error(self, capsys):
         code, _, err = run(capsys, "apostol-bernoulli", "2", "--lambda", "1.5")
         assert code == 2
@@ -628,3 +669,28 @@ class TestDifferential:
         result = json_result("two-param-euler", str(n), *params)
         assert result == format_rational(two_param_euler_formula(n, alpha, lam).evaluate(x))
         assert result == format_rational(two_param_euler_oracle(n, x, alpha, lam))
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, 20))
+    def test_bernoulli_formula(self, k):
+        result = json_result("bernoulli", str(2 * k), "--method", "formula")
+        assert result == format_rational(bernoulli_formula(k))
+        assert result == format_rational(bernoulli_oracle(2 * k))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(0, 16))
+    def test_euler_poly(self, n):
+        result = json_result("euler-poly", str(n))
+        poly = euler_polynomial_formula(n)
+        assert result == {"coefficients": [format_rational(c) for c in poly.coeffs]}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        alpha=small_rationals.filter(bool),
+        lam=small_rationals.filter(lambda v: v != -1),
+    )
+    def test_two_param_euler(self, n, alpha, lam):
+        result = json_result("two-param-euler", str(n), option("alpha", alpha), option("lambda", lam))
+        poly = two_param_euler_formula(n, alpha, lam)
+        assert result == {"coefficients": [format_rational(c) for c in poly.coeffs]}

@@ -494,6 +494,21 @@ class TestReductionSweep:
         if bad == (1, 1):
             assert len(failed) == len(alphas) * len(lambdas)
 
+    def test_builds_each_polynomial_once_per_index(self, monkeypatch):
+        # Per n on the default grid: the 9 grid points, which hold every
+        # E_n(x; 1, lam), and 6 pivots alpha/x for each of the 3 lambdas.
+        calls = []
+        real = sequences.two_param_euler_formula
+
+        def counted(n, alpha, lam):
+            calls.append((n, Fraction(alpha), Fraction(lam)))
+            return real(n, alpha, lam)
+
+        monkeypatch.setattr(sequences, "two_param_euler_formula", counted)
+        rows = two_param_reduction_sweep(5)
+        assert all(passed for *_, passed in rows)
+        assert len(calls) == len(set(calls)) == 6 * 27
+
     def test_named_checks(self):
         assert determinant_relation_checks(4) == [
             (n, k, True) for n in range(1, 5) for k in range(1, n + 1)
