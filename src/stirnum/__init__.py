@@ -22,6 +22,9 @@ from .identities import (
     DEFAULT_MIN_WINDOW,
     GENERAL_IDENTITY_IDS,
     PLUS_IDENTITY_IDS,
+    VERIFY_CSV_HEADER,
+    VERIFY_OPTIONS,
+    CheckRow,
     VerificationReport,
     core_identity_coefficients,
     default_order,
@@ -30,6 +33,7 @@ from .identities import (
     verify_general_derivative,
     verify_general_power,
     verify_plus_identity,
+    verify_target,
 )
 from .rationals import Rational, binomial, factorial, format_rational, parse_rational
 from .sequences import (
@@ -130,6 +134,9 @@ __all__ = [
     "DEFAULT_MIN_WINDOW",
     "GENERAL_IDENTITY_IDS",
     "PLUS_IDENTITY_IDS",
+    "VERIFY_CSV_HEADER",
+    "VERIFY_OPTIONS",
+    "CheckRow",
     "VerificationReport",
     "core_identity_coefficients",
     "default_order",
@@ -138,4 +145,5 @@ __all__ = [
     "verify_general_derivative",
     "verify_general_power",
     "verify_plus_identity",
+    "verify_target",
 ]

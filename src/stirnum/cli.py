@@ -32,25 +32,14 @@ from .errors import (
     RationalParseError,
     ZeroSeriesError,
 )
-from .identities import (
-    ALL_IDENTITY_IDS,
-    run_sweep,
-)
+from .identities import VERIFY_CSV_HEADER, VERIFY_OPTIONS, verify_target
 from .rationals import format_rational, parse_rational
-from .sequences import (
-    Polynomial,
-    alternating_sum_checks,
-    apostol_bernoulli_series,
-    determinant_relation_checks,
-    sequence_value,
-    two_param_reduction_sweep,
-)
+from .sequences import Polynomial, apostol_bernoulli_series, sequence_value
 from .series import LaurentSeries, recip_exp_linear
 from .stirling import m_determinant, stirling1, stirling2
 
 __all__ = ["build_parser", "main"]
 
-_CHECK_TARGETS = ("det-relation", "alt-sum", "reductions")
 # Command name -> the sequence_value family it prints.
 _FAMILY_COMMANDS = {
     "bernoulli": "bernoulli",
@@ -64,22 +53,6 @@ _LAMBDA_ONE_NOTE = (
     "generating series t/(e^t - 1)"
 )
 
-_VERIFY_CSV_HEADER = [
-    "id",
-    "k",
-    "n",
-    "alpha",
-    "lambda",
-    "order",
-    "window_lo",
-    "window_hi",
-    "passed",
-    "discrepancy_exponent",
-    "discrepancy_lhs",
-    "discrepancy_rhs",
-]
-
-
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -91,7 +64,7 @@ def _rational(text: str) -> Fraction:
 class CommandOutput:
     record: dict
     plain: str
-    csv_header: List[str]
+    csv_header: Sequence[str]
     csv_rows: List[List[str]]
     exit_code: int = 0
 
@@ -174,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run identity verification sweeps")
     p.add_argument(
         "target",
-        choices=("all",) + ALL_IDENTITY_IDS + _CHECK_TARGETS,
+        choices=tuple(VERIFY_OPTIONS),
         help="identity tag, named check, or 'all'",
     )
     p.add_argument("--k-max", dest="k_max", type=int, default=8)
@@ -202,6 +175,16 @@ def _post_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error("--k-max must be >= 1")
     if getattr(args, "order", None) is not None and args.order < 1:
         parser.error("--order must be >= 1")
+    if args.command == "verify":
+        for name in _verify_options(args):
+            if name not in VERIFY_OPTIONS[args.target]:
+                parser.error(f"verify {args.target} does not read --{name}")
+
+
+def _verify_options(args: argparse.Namespace) -> Dict[str, object]:
+    """The verify options given, by the names VERIFY_OPTIONS uses."""
+    given = {"alpha": args.alpha, "lambda": args.lam, "order": args.order}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 # -- output assembly ---------------------------------------------------------
@@ -319,103 +302,17 @@ def _handle_series_dump(args, argv):
     return _series_output(argv, params, series)
 
 
-def _check_row(check: str, passed: bool, **fields) -> Tuple[dict, str]:
-    """A named check's record and its plain line."""
-    row: dict = {"check": check}
-    row.update(fields)
-    row["passed"] = passed
-    line = " ".join([check] + [f"{name}={value}" for name, value in fields.items()])
-    return row, line + (" ok" if passed else " FAIL")
-
-
-def _verify_rows(args) -> List[Tuple[dict, str]]:
-    """(record, plain line) for every report and named check, in order."""
-    target = args.target
-    k_max = args.k_max
-    alphas = None if args.alpha is None else [args.alpha]
-    lambdas = None if args.lam is None else [args.lam]
-    rows: List[Tuple[dict, str]] = []
-
-    identity_targets: Sequence[str]
-    if target == "all":
-        identity_targets = ALL_IDENTITY_IDS
-    elif target in ALL_IDENTITY_IDS:
-        identity_targets = (target,)
-    else:
-        identity_targets = ()
-    if identity_targets:
-        for report in run_sweep(identity_targets, k_max, args.order, alphas, lambdas):
-            rows.append((report.to_dict(), report.describe()))
-
-    if target in ("all", "det-relation"):
-        for n, k, passed in determinant_relation_checks(k_max):
-            rows.append(_check_row("det-relation", passed, n=n, k=k))
-    if target in ("all", "alt-sum"):
-        for n, passed in alternating_sum_checks(k_max):
-            rows.append(_check_row("alt-sum", passed, n=n))
-    if target in ("all", "reductions"):
-        for n, alpha, lam, passed in two_param_reduction_sweep(k_max, alphas, lambdas):
-            point = {"alpha": format_rational(alpha), "lambda": format_rational(lam)}
-            rows.append(_check_row("reductions", passed, n=n, **point))
-    return rows
-
-
-def _verify_csv_row(row: dict) -> List[str]:
-    def cell(value) -> str:
-        return "" if value is None else str(value)
-
-    if "identity_id" in row:
-        disc = row["first_discrepancy"] or {}
-        lo, hi = row["window"]
-        return [
-            row["identity_id"],
-            str(row["k"]),
-            "",
-            cell(row["alpha"]),
-            cell(row["lambda"]),
-            str(row["order"]),
-            str(lo),
-            str(hi),
-            str(row["passed"]).lower(),
-            cell(disc.get("exponent")),
-            cell(disc.get("lhs")),
-            cell(disc.get("rhs")),
-        ]
-    return [
-        row["check"],
-        cell(row.get("k")),
-        cell(row.get("n")),
-        cell(row.get("alpha")),
-        cell(row.get("lambda")),
-        "",
-        "",
-        "",
-        str(row["passed"]).lower(),
-        "",
-        "",
-        "",
-    ]
-
-
 def _handle_verify(args, argv):
-    checked = _verify_rows(args)
-    rows = [row for row, _ in checked]
-    lines = [line for _, line in checked]
-    passed = sum(1 for row in rows if row["passed"])
+    rows = verify_target(args.target, args.k_max, args.alpha, args.lam, args.order)
+    passed = sum(row.passed for row in rows)
     all_ok = passed == len(rows)
-    params: Dict[str, object] = {"target": args.target, "k_max": args.k_max}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.lam is not None:
-        params["lambda"] = args.lam
-    if args.order is not None:
-        params["order"] = args.order
-    result = {"passed": all_ok, "total": len(rows), "ok": passed, "checks": rows}
-    lines.append(f"{passed}/{len(rows)} ok")
-    csv_rows = [_verify_csv_row(row) for row in rows]
-    plain = "\n".join(lines)
+    params = {"target": args.target, "k_max": args.k_max, **_verify_options(args)}
+    checks = [row.to_dict() for row in rows]
+    result = {"passed": all_ok, "total": len(rows), "ok": passed, "checks": checks}
+    plain = "\n".join([row.describe() for row in rows] + [f"{passed}/{len(rows)} ok"])
+    csv_rows = [row.csv_cells() for row in rows]
     exit_code = 0 if all_ok else 3
-    return _ok_output(argv, params, result, plain, _VERIFY_CSV_HEADER, csv_rows, exit_code=exit_code)
+    return _ok_output(argv, params, result, plain, VERIFY_CSV_HEADER, csv_rows, exit_code=exit_code)
 
 
 _HANDLERS = {

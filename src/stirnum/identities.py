@@ -36,6 +36,12 @@ constant.  Every base is 1/(lam e**(alpha t) + c), built by
 h = (1, 1, 1) and G = (alpha, lam, -1).  One private verifier builds both
 sides from a row; each public ``verify_*`` function checks its tag or
 converts its parameters and calls it.
+
+``verify_target`` is the plan of the ``verify`` command: the sweep of
+one tag or all twelve, then the named checks of ``sequences``.  Tags give
+``VerificationReport`` rows and named checks ``CheckRow`` rows, each with
+its record, plain line and cells under ``VERIFY_CSV_HEADER``.
+``VERIFY_OPTIONS`` names the options each target reads.
 """
 
 from __future__ import annotations
@@ -45,12 +51,18 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError
-from .rationals import factorial
+from .rationals import factorial, format_rational
+from .sequences import (
+    alternating_sum_checks,
+    determinant_relation_checks,
+    two_param_reduction_sweep,
+)
 from .series import LaurentSeries, linear_combination, recip_exp_linear
 from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1, stirling2
 
 __all__ = [
     "VerificationReport",
+    "CheckRow",
     "CORE_IDENTITY_IDS",
     "PLUS_IDENTITY_IDS",
     "GENERAL_IDENTITY_IDS",
@@ -65,6 +77,9 @@ __all__ = [
     "verify_general_derivative",
     "verify_general_power",
     "run_sweep",
+    "VERIFY_OPTIONS",
+    "VERIFY_CSV_HEADER",
+    "verify_target",
 ]
 
 Scalar = Union[int, Fraction]
@@ -73,6 +88,31 @@ CORE_IDENTITY_IDS = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8")
 PLUS_IDENTITY_IDS = ("P1", "P2")
 GENERAL_IDENTITY_IDS = ("G1", "G2")
 ALL_IDENTITY_IDS = CORE_IDENTITY_IDS + PLUS_IDENTITY_IDS + GENERAL_IDENTITY_IDS
+
+# verify target -> the options it reads; the command line rejects any other.
+VERIFY_OPTIONS: Dict[str, Tuple[str, ...]] = {
+    "all": ("alpha", "lambda", "order"),
+    **dict.fromkeys(CORE_IDENTITY_IDS + PLUS_IDENTITY_IDS, ("order",)),
+    **dict.fromkeys(GENERAL_IDENTITY_IDS, ("alpha", "lambda", "order")),
+    "det-relation": (),
+    "alt-sum": (),
+    "reductions": ("alpha", "lambda"),
+}
+
+VERIFY_CSV_HEADER = (
+    "id",
+    "k",
+    "n",
+    "alpha",
+    "lambda",
+    "order",
+    "window_lo",
+    "window_hi",
+    "passed",
+    "discrepancy_exponent",
+    "discrepancy_lhs",
+    "discrepancy_rhs",
+)
 
 DEFAULT_MIN_WINDOW = 8
 
@@ -138,6 +178,38 @@ class VerificationReport:
             return f"{head} ok"
         e, lhs, rhs = self.first_discrepancy
         return f"{head} FAIL at t^{e}: lhs={lhs} rhs={rhs}"
+
+    def csv_cells(self) -> List[str]:
+        disc = self.first_discrepancy or (None, None, None)
+        head = [self.identity_id, self.k, None, self.alpha, self.lam, self.order]
+        return [_csv_cell(v) for v in head + [*self.window, self.passed, *disc]]
+
+
+@dataclass(frozen=True)
+class CheckRow:
+    """Outcome of one named check; fields holds its point, e.g. n and k,
+    in print order, with rationals as their literal text."""
+
+    check: str
+    fields: Dict[str, object]
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return {"check": self.check, **self.fields, "passed": self.passed}
+
+    def describe(self) -> str:
+        line = " ".join([self.check] + [f"{name}={value}" for name, value in self.fields.items()])
+        return line + (" ok" if self.passed else " FAIL")
+
+    def csv_cells(self) -> List[str]:
+        columns = {"id": self.check, **self.fields, "passed": self.passed}
+        return [_csv_cell(columns.get(name)) for name in VERIFY_CSV_HEADER]
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 # -- ladders -----------------------------------------------------------------
@@ -427,3 +499,34 @@ def run_sweep(
         else:
             raise DomainError(f"unknown identity tag {target!r}")
     return reports
+
+
+def verify_target(
+    target: str,
+    k_max: int,
+    alpha: Optional[Scalar] = None,
+    lam: Optional[Scalar] = None,
+    order: Optional[int] = None,
+) -> List[Union[VerificationReport, CheckRow]]:
+    """Every row of ``verify`` on one target, in order: the ``run_sweep``
+    reports of its tags (all twelve for "all"), then its det-relation,
+    alt-sum and reductions rows.  alpha and lam narrow the G1/G2 and
+    reductions grids to one value each."""
+    if target not in VERIFY_OPTIONS:
+        raise DomainError(f"unknown verify target {target!r}")
+    alphas = None if alpha is None else [alpha]
+    lambdas = None if lam is None else [lam]
+    tags = ALL_IDENTITY_IDS if target == "all" else ((target,) if target in _SPECS else ())
+    rows: List[Union[VerificationReport, CheckRow]] = []
+    rows += run_sweep(tags, k_max, order, alphas, lambdas)
+    if target in ("all", "det-relation"):
+        for n, k, passed in determinant_relation_checks(k_max):
+            rows.append(CheckRow("det-relation", {"n": n, "k": k}, passed))
+    if target in ("all", "alt-sum"):
+        for n, passed in alternating_sum_checks(k_max):
+            rows.append(CheckRow("alt-sum", {"n": n}, passed))
+    if target in ("all", "reductions"):
+        for n, a, v, passed in two_param_reduction_sweep(k_max, alphas, lambdas):
+            point = {"n": n, "alpha": format_rational(a), "lambda": format_rational(v)}
+            rows.append(CheckRow("reductions", point, passed))
+    return rows

@@ -32,7 +32,8 @@ command line reaches every family through it.
 
 The named checks of ``verify`` run here too: the two-parameter reductions
 over an (alpha, lambda) grid, the first-kind determinant relation and the
-vanishing alternating sum, each returning plain rows.
+vanishing alternating sum, each returning plain tuples that
+``identities.verify_target`` turns into rows.
 """
 
 from __future__ import annotations

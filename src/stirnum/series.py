@@ -223,22 +223,6 @@ class LaurentSeries:
         start = min(max(self.offset, lo), hi)
         return [0] * (start - lo) + list(self.nums[start - self.offset : hi - self.offset])
 
-    def equal_on_window(self, other: "LaurentSeries", lo: int, hi: int) -> bool:
-        """Exact coefficient equality over [lo, hi).
-
-        Both series must carry the full window: for a non-zero series that
-        means lo >= offset and hi <= precision, otherwise the comparison
-        would silently read unknown coefficients and
-        PrecisionExhaustedError is raised instead.
-        """
-        for side in (self, other):
-            if not side.is_zero and (lo < side.offset or hi > side.precision):
-                raise PrecisionExhaustedError(
-                    f"window [{lo},{hi}) not contained in stored window "
-                    f"[{side.offset},{side.precision})"
-                )
-        return self.first_difference(other, lo, hi) is None
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":

@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stirnum.cli as cli
-from stirnum.identities import VerificationReport
+from stirnum.identities import (
+    VERIFY_CSV_HEADER,
+    VERIFY_OPTIONS,
+    VerificationReport,
+    default_order,
+    verify_target,
+)
 from stirnum.rationals import factorial, format_rational
 from stirnum.sequences import (
     apostol_bernoulli_formula,
@@ -378,6 +384,14 @@ class TestVerifyCommand:
         assert "FAIL at t^0" in out
         assert "0/2 ok" in out
 
+    def test_failed_named_check_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "stirnum.identities.alternating_sum_checks", lambda k_max: [(1, True), (2, False)]
+        )
+        code, out, _ = run(capsys, "verify", "alt-sum", "--k-max", "2")
+        assert code == 3
+        assert out == "alt-sum n=1 ok\nalt-sum n=2 FAIL\n1/2 ok\n"
+
     def test_failure_row_in_csv(self, capsys, monkeypatch):
         def fake(identity_id, k, order=None, coeff_override=None, min_window=8, **_):
             return VerificationReport(
@@ -480,6 +494,21 @@ class TestErrorsAndUsage:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.endswith("error: --order must be >= 1\n")
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify", "alt-sum", "--k-max", "2", "--alpha", "0", "--lambda=-1"], "alpha"),
+            (["verify", "I1", "--k-max", "1", "--alpha", "0"], "alpha"),
+            (["verify", "P2", "--k-max", "1", "--lambda", "2"], "lambda"),
+            (["verify", "det-relation", "--k-max", "1", "--order", "5"], "order"),
+            (["verify", "reductions", "--k-max", "1", "--order", "3"], "order"),
+        ],
+    )
+    def test_option_the_target_does_not_read_is_usage_error(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: verify {argv[1]} does not read --{option}\n")
 
     def test_bad_rational_is_usage_error(self, capsys):
         code, _, err = run(capsys, "apostol-bernoulli", "2", "--lambda", "1.5")
@@ -694,3 +723,27 @@ class TestDifferential:
         result = json_result("two-param-euler", str(n), option("alpha", alpha), option("lambda", lam))
         poly = two_param_euler_formula(n, alpha, lam)
         assert result == {"coefficients": [format_rational(c) for c in poly.coeffs]}
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), target=st.sampled_from(sorted(VERIFY_OPTIONS)), k_max=st.integers(1, 3))
+    def test_verify(self, data, target, k_max):
+        reads = VERIFY_OPTIONS[target]
+        # Nonzero points off the reductions' pole lambda = -1.
+        point = small_rationals.filter(lambda v: v not in (0, -1))
+        alpha = data.draw(st.none() | point) if "alpha" in reads else None
+        lam = data.draw(st.none() | point) if "lambda" in reads else None
+        extra = data.draw(st.none() | st.integers(0, 4)) if "order" in reads else None
+        order = None if extra is None else default_order(k_max) + extra
+        given = {"alpha": alpha, "lambda": lam, "order": order}
+        argv = ["verify", target, "--k-max", str(k_max)]
+        argv += [option(name, v) for name, v in given.items() if v is not None]
+        rows = verify_target(target, k_max, alpha, lam, order)
+
+        assert json_result(*argv)["checks"] == [r.to_dict() for r in rows]
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert cli.main(argv + ["--format", "csv"]) == 0
+        table = parse_csv(buffer.getvalue())
+        assert table[0] == list(VERIFY_CSV_HEADER)
+        assert table[1:] == [r.csv_cells() for r in rows]
+        assert all(len(cells) == len(VERIFY_CSV_HEADER) for cells in table)

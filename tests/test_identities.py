@@ -14,6 +14,8 @@ from stirnum.identities import (
     DEFAULT_MIN_WINDOW,
     GENERAL_IDENTITY_IDS,
     PLUS_IDENTITY_IDS,
+    VERIFY_CSV_HEADER,
+    CheckRow,
     core_identity_coefficients,
     default_order,
     run_sweep,
@@ -21,6 +23,7 @@ from stirnum.identities import (
     verify_general_derivative,
     verify_general_power,
     verify_plus_identity,
+    verify_target,
 )
 from stirnum.identities import _SPECS, _Ladder
 from stirnum.rationals import factorial
@@ -252,6 +255,54 @@ class TestReports:
         assert d["passed"] is False
         assert set(d["first_discrepancy"]) == {"exponent", "lhs", "rhs"}
         json.dumps(d)
+
+    def test_csv_cells_follow_the_header(self):
+        weights = core_identity_coefficients("I1", 2)
+        weights[0] += 1
+        failed = verify_core_identity("I1", 2, coeff_override=weights)
+        assert failed.first_discrepancy == (-1, 0, 1)
+        assert failed.csv_cells() == [
+            "I1", "2", "", "", "", "14", "-3", "9", "false", "-1", "0", "1"
+        ]
+        general = verify_general_derivative(1, Fraction(-3, 2), 2)
+        assert general.csv_cells() == [
+            "G1", "1", "", "-3/2", "2", "12", "-1", "10", "true", "", "", ""
+        ]
+
+    def test_check_row_shapes(self):
+        row = CheckRow("reductions", {"n": 3, "alpha": "1/2", "lambda": "-5/3"}, False)
+        assert row.to_dict() == {
+            "check": "reductions", "n": 3, "alpha": "1/2", "lambda": "-5/3", "passed": False
+        }
+        assert row.describe() == "reductions n=3 alpha=1/2 lambda=-5/3 FAIL"
+        assert row.csv_cells() == [
+            "reductions", "", "3", "1/2", "-5/3", "", "", "", "false", "", "", ""
+        ]
+        det = CheckRow("det-relation", {"n": 4, "k": 2}, True)
+        assert det.describe() == "det-relation n=4 k=2 ok"
+        assert det.csv_cells()[:3] == ["det-relation", "2", "4"]
+        assert len(det.csv_cells()) == len(VERIFY_CSV_HEADER)
+
+
+class TestVerifyTarget:
+    def test_rows_in_plan_order(self):
+        rows = verify_target("all", 1, alpha=2, lam=Fraction(1, 2))
+        kinds = [r.check if isinstance(r, CheckRow) else r.identity_id for r in rows]
+        assert kinds == list(ALL_IDENTITY_IDS) + ["det-relation", "alt-sum"] + ["reductions"] * 2
+        assert all(r.passed for r in rows)
+
+    def test_single_tag_is_its_sweep(self):
+        assert verify_target("P2", 3, order=20) == run_sweep(["P2"], 3, 20)
+        assert verify_target("G2", 2, lam=3) == run_sweep(["G2"], 2, lambdas=[3])
+
+    def test_named_checks_count(self):
+        assert len(verify_target("det-relation", 4)) == 10
+        assert [r.fields for r in verify_target("alt-sum", 2)] == [{"n": 1}, {"n": 2}]
+        assert len(verify_target("reductions", 1, alpha=2)) == 2 * 3
+
+    def test_unknown_target_rejected(self):
+        with pytest.raises(DomainError):
+            verify_target("I9", 2)
 
 
 class TestSweeps:

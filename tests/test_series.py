@@ -572,11 +572,16 @@ class TestRepresentation:
         a, b, lo, hi = case
         want = next((e for e in range(lo, hi) if a.coeff(e) != b.coeff(e)), None)
         assert a.first_difference(b, lo, hi) == want
-        if all(s.is_zero or (s.offset <= lo and hi <= s.precision) for s in (a, b)):
-            assert a.equal_on_window(b, lo, hi) == (want is None)
-        else:
+
+    def test_first_difference_past_precision_raises(self):
+        a = LaurentSeries.from_coeffs(0, [1, 2])
+        b = LaurentSeries.from_coeffs(0, [1, 2, 3])
+        assert a.first_difference(b, -1, 2) is None
+        for lo, hi in ((0, 3), (-1, 3)):
             with pytest.raises(PrecisionExhaustedError):
-                a.equal_on_window(b, lo, hi)
+                a.first_difference(b, lo, hi)
+            with pytest.raises(PrecisionExhaustedError):
+                b.first_difference(a, lo, hi)
 
     def test_attributes_cannot_be_set(self):
         s = exp_linear(Fraction(1, 3), 4)
@@ -642,26 +647,6 @@ class TestZeroAndPow:
         for k in range(1, 13):
             f**k
         assert len(calls) == 35  # 66 by repeated multiplication
-
-
-class TestEqualOnWindow:
-    def test_basic(self):
-        e = exp_linear(1, 6)
-        affine = LaurentSeries.from_coeffs(0, [1, 1, 0, 0, 0, 0])
-        assert e.equal_on_window(affine, 0, 2)
-        assert not e.equal_on_window(affine, 0, 3)
-
-    def test_containment_enforced(self):
-        a = LaurentSeries.from_coeffs(0, [1, 2])
-        b = LaurentSeries.from_coeffs(0, [1, 2, 3])
-        with pytest.raises(PrecisionExhaustedError):
-            a.equal_on_window(b, 0, 3)
-        with pytest.raises(PrecisionExhaustedError):
-            a.equal_on_window(b, -1, 2)
-
-    def test_zero_series_window_is_unbounded(self):
-        window_zero = LaurentSeries.from_coeffs(-3, [0, 0, 0])
-        assert window_zero.equal_on_window(ZERO, -3, 0)
 
 
 class TestGeneratingFunctionBridge:
