@@ -35,7 +35,7 @@ from .identities import (
     verify_plus_identity,
     verify_target,
 )
-from .rationals import Rational, binomial, factorial, format_rational, parse_rational
+from .rationals import binomial, factorial, format_rational, parse_rational
 from .sequences import (
     FAMILIES,
     REDUCTION_ALPHAS,
@@ -84,7 +84,6 @@ __all__ = [
     "RationalParseError",
     "ZeroSeriesError",
     # rationals
-    "Rational",
     "binomial",
     "factorial",
     "format_rational",

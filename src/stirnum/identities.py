@@ -2,9 +2,9 @@
 
 Each check builds both sides of one identity as truncated Laurent series
 and compares coefficients exactly over the widest window both sides
-support.  A report never claims success on a window narrower than
-``min_window`` coefficients; it raises instead, so a pass always reflects
-a real comparison.
+support.  A report never claims success on a window narrower than the
+fixed ``DEFAULT_MIN_WINDOW`` (8) coefficients; it raises instead, so a
+pass always reflects a real comparison.
 
 Identity tags, with f = 1/(e**t - 1), g = 1/(1 - e**(-t)), h = 1/(e**t + 1),
 and G = 1/(lam * e**(alpha t) - 1):
@@ -322,15 +322,14 @@ def _compare(
     order: int,
     lhs: LaurentSeries,
     rhs: LaurentSeries,
-    min_window: int,
 ) -> VerificationReport:
     lo = min(lhs.offset, rhs.offset)
     hi = min(lhs.precision, rhs.precision)
     overlap = hi - max(lhs.offset, rhs.offset)
-    if hi <= lo or overlap < min_window:
+    if hi <= lo or overlap < DEFAULT_MIN_WINDOW:
         raise PrecisionExhaustedError(
             f"{identity_id} k={k}: window [{lo},{hi}) holds {max(overlap, 0)} shared "
-            f"coefficients, need {min_window}; raise the order"
+            f"coefficients, need {DEFAULT_MIN_WINDOW}; raise the order"
         )
     e = lhs.first_difference(rhs, lo, hi)
     first_discrepancy = None if e is None else (e, lhs.coeff(e), rhs.coeff(e))
@@ -353,7 +352,6 @@ def _verify(
     lam: Optional[Fraction],
     order: Optional[int],
     coeff_override: Optional[Sequence[Scalar]],
-    min_window: int,
     ladders: Optional[_Ladders],
 ) -> VerificationReport:
     """Build both sides of one identity from its spec row and compare them.
@@ -398,7 +396,7 @@ def _verify(
         precision = min(rhs.precision, rhs_ladder.base.precision)
         rhs = rhs + LaurentSeries.constant(constant(k), precision)
     rhs = rhs.truncated(rhs.precision - trim)
-    return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min_window)
+    return _compare(identity_id, k, alpha, lam, order, lhs, rhs)
 
 
 def verify_core_identity(
@@ -406,7 +404,6 @@ def verify_core_identity(
     k: int,
     order: Optional[int] = None,
     coeff_override: Optional[Sequence[Scalar]] = None,
-    min_window: int = DEFAULT_MIN_WINDOW,
     *,
     _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
@@ -417,7 +414,7 @@ def verify_core_identity(
     """
     if identity_id not in CORE_IDENTITY_IDS:
         raise DomainError(f"unknown core identity {identity_id!r}")
-    return _verify(identity_id, k, None, None, order, coeff_override, min_window, _ladders)
+    return _verify(identity_id, k, None, None, order, coeff_override, _ladders)
 
 
 def verify_plus_identity(
@@ -425,14 +422,13 @@ def verify_plus_identity(
     k: int,
     order: Optional[int] = None,
     coeff_override: Optional[Sequence[Scalar]] = None,
-    min_window: int = DEFAULT_MIN_WINDOW,
     *,
     _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check P1 or P2, the derivative/power pair for h = 1/(e**t + 1)."""
     if identity_id not in PLUS_IDENTITY_IDS:
         raise DomainError(f"unknown plus identity {identity_id!r}")
-    return _verify(identity_id, k, None, None, order, coeff_override, min_window, _ladders)
+    return _verify(identity_id, k, None, None, order, coeff_override, _ladders)
 
 
 def verify_general_derivative(
@@ -440,13 +436,12 @@ def verify_general_derivative(
     alpha: Scalar,
     lam: Scalar,
     order: Optional[int] = None,
-    min_window: int = DEFAULT_MIN_WINDOW,
     *,
     _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check G1: the k-th derivative of 1/(lam e**(alpha t) - 1) as a
     power sum with weights (-1)**k alpha**k (m-1)! S(k+1, m)."""
-    return _verify("G1", k, Fraction(alpha), Fraction(lam), order, None, min_window, _ladders)
+    return _verify("G1", k, Fraction(alpha), Fraction(lam), order, None, _ladders)
 
 
 def verify_general_power(
@@ -454,13 +449,12 @@ def verify_general_power(
     alpha: Scalar,
     lam: Scalar,
     order: Optional[int] = None,
-    min_window: int = DEFAULT_MIN_WINDOW,
     *,
     _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check G2: the k-th power of 1/(lam e**(alpha t) - 1) as a
     derivative sum with weights (-1)**(m-1) alpha**(1-m) s(k, m)/(k-1)!."""
-    return _verify("G2", k, Fraction(alpha), Fraction(lam), order, None, min_window, _ladders)
+    return _verify("G2", k, Fraction(alpha), Fraction(lam), order, None, _ladders)
 
 
 def run_sweep(
@@ -469,7 +463,6 @@ def run_sweep(
     order: Optional[int] = None,
     alphas: Optional[Sequence[Scalar]] = None,
     lambdas: Optional[Sequence[Scalar]] = None,
-    min_window: int = DEFAULT_MIN_WINDOW,
 ) -> List[VerificationReport]:
     """Verify the given identity tags for k = 1..k_max.
 
@@ -491,11 +484,11 @@ def run_sweep(
             for k in range(1, k_max + 1):
                 for alpha in alpha_grid:
                     for lam in lambda_grid:
-                        reports.append(check(k, alpha, lam, order, min_window, _ladders=ladders))
+                        reports.append(check(k, alpha, lam, order, _ladders=ladders))
         elif target in _SPECS:
             check = verify_core_identity if target in CORE_IDENTITY_IDS else verify_plus_identity
             for k in range(1, k_max + 1):
-                reports.append(check(target, k, order, None, min_window, _ladders=ladders))
+                reports.append(check(target, k, order, _ladders=ladders))
         else:
             raise DomainError(f"unknown identity tag {target!r}")
     return reports

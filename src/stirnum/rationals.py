@@ -16,14 +16,11 @@ from typing import Union
 from .errors import RationalParseError
 
 __all__ = [
-    "Rational",
     "factorial",
     "binomial",
     "parse_rational",
     "format_rational",
 ]
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?\Z")
 

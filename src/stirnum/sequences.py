@@ -98,11 +98,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
     def evaluate(self, point: Scalar) -> Fraction:
         """Horner on integer numerators: with the coefficients C_i / den
         over the lcm of their denominators and point = u/v, the value is
@@ -119,59 +114,6 @@ class Polynomial:
             v_power *= v
             acc = acc * u + c * v_power
         return Fraction(acc, den * v_power)
-
-    def __call__(self, point: Scalar) -> Fraction:
-        return self.evaluate(point)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.from_coeffs(
-            [self.coeff(i) + other.coeff(i) for i in range(size)]
-        )
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Polynomial.from_coeffs(out)
-
-    def __rmul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, factor: Scalar) -> "Polynomial":
-        factor = Fraction(factor)
-        if not factor:
-            return Polynomial(())
-        return Polynomial(tuple(c * factor for c in self.coeffs))
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)) by Horner evaluation over polynomials."""
-        result = Polynomial(())
-        for c in reversed(self.coeffs):
-            result = result * inner + Polynomial.from_coeffs([c])
-        return result
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -530,13 +472,16 @@ def alternating_sum_checks(k_max: int) -> List[Tuple[int, bool]]:
 # -- Uniform access ---------------------------------------------------------
 
 
-FAMILIES = (
-    "bernoulli",
-    "apostol_bernoulli",
-    "euler_number",
-    "euler_polynomial",
-    "two_param_euler",
-)
+# Family -> the keyword parameters of ``sequence_value`` it reads.
+_FAMILY_PARAMETERS = {
+    "bernoulli": (),
+    "apostol_bernoulli": ("lambda",),
+    "euler_number": (),
+    "euler_polynomial": ("x",),
+    "two_param_euler": ("alpha", "lambda", "x"),
+}
+
+FAMILIES = tuple(_FAMILY_PARAMETERS)
 
 _PROVENANCES = ("formula", "oracle")
 
@@ -572,10 +517,14 @@ def sequence_value(
 
     Polynomial families return a Polynomial from the formula route when no
     evaluation point x is given, and a rational otherwise; oracle routes
-    for polynomial families always need x.
+    for polynomial families always need x.  A parameter the family does not
+    read raises ``DomainError``.
     """
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
+    for name, value in (("lambda", lam), ("alpha", alpha), ("x", x)):
+        if value is not None and name not in _FAMILY_PARAMETERS[family]:
+            raise DomainError(f"{family} does not read the {name} parameter")
     if provenance not in _PROVENANCES:
         raise DomainError(f"provenance must be one of {_PROVENANCES}, got {provenance!r}")
     if index < 0:

@@ -281,11 +281,6 @@ class LaurentSeries:
         )
         return _canonical(offset, nums, den)
 
-    def __rmul__(self, other) -> "LaurentSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def __pow__(self, exponent: int) -> "LaurentSeries":
         if exponent < 0:
             raise DomainError("negative power: take reciprocal() explicitly")
@@ -340,24 +335,6 @@ class LaurentSeries:
         kernel = _egf_reciprocal if len(unit) >= _EGF_MIN_LENGTH else _lcm_reciprocal
         nums, den = kernel(unit, self.den)
         return _canonical(offset, nums, den)
-
-    # -- presentation -----------------------------------------------------
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in self.coefficients():
-            if not c:
-                continue
-            if e == 0:
-                parts.append(f"{c}")
-            elif e == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{e}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(t^{self.precision})"
 
 
 _set = object.__setattr__

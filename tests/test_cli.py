@@ -366,7 +366,7 @@ class TestVerifyCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_verification_failure_exits_three(self, capsys, monkeypatch):
-        def fake(identity_id, k, order=None, coeff_override=None, min_window=8, **_):
+        def fake(identity_id, k, order=None, coeff_override=None, **_):
             return VerificationReport(
                 identity_id=identity_id,
                 k=k,
@@ -393,7 +393,7 @@ class TestVerifyCommand:
         assert out == "alt-sum n=1 ok\nalt-sum n=2 FAIL\n1/2 ok\n"
 
     def test_failure_row_in_csv(self, capsys, monkeypatch):
-        def fake(identity_id, k, order=None, coeff_override=None, min_window=8, **_):
+        def fake(identity_id, k, order=None, coeff_override=None, **_):
             return VerificationReport(
                 identity_id, k, None, None, 12, (-1, 9), False, (2, Fraction(1), Fraction(0))
             )

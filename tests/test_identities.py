@@ -366,11 +366,3 @@ class TestPrecisionGuard:
             verify_core_identity("I1", 4, order=9)
         with pytest.raises(PrecisionExhaustedError):
             verify_general_power(3, 1, 1, order=8)
-
-    def test_min_window_parameter(self):
-        # the same order that fails at the default bound passes when the
-        # caller explicitly accepts a narrower comparison
-        report = verify_core_identity("I1", 4, order=9, min_window=4)
-        assert report.passed
-        lo, hi = report.window
-        assert hi - lo == 7

@@ -1,4 +1,5 @@
-"""Every `$ stirnum ...` example in README.md, run through the CLI.
+"""Every `$ stirnum ...` example in README.md, run through the CLI, and
+every `python` block of README.md, run as a script.
 
 The output shown under a command must be exactly what the command prints;
 where the shown output ends in a `...` line, it is a prefix of it.  A
@@ -15,6 +16,7 @@ import stirnum.cli as cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 _SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
+_PY_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def readme_examples():
@@ -55,3 +57,15 @@ def test_readme_example(capsys, argv, lines, code):
     else:
         assert out == "".join(f"{line}\n" for line in lines)
     assert exit_code == (0 if code is None else code)
+
+
+PY_BLOCKS = _PY_BLOCK.findall(README.read_text(encoding="utf-8"))
+
+
+def test_readme_has_python_blocks():
+    assert PY_BLOCKS
+
+
+@pytest.mark.parametrize("source", PY_BLOCKS, ids=[f"python-{i}" for i in range(len(PY_BLOCKS))])
+def test_readme_python_block(source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme"})
