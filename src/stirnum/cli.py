@@ -34,19 +34,26 @@ from .errors import (
 )
 from .identities import VERIFY_CSV_HEADER, VERIFY_OPTIONS, verify_target
 from .rationals import format_rational, parse_rational
-from .sequences import Polynomial, apostol_bernoulli_series, sequence_value
+from .sequences import FAMILIES, Polynomial, apostol_bernoulli_series, sequence_value
 from .series import LaurentSeries, recip_exp_linear
 from .stirling import m_determinant, stirling1, stirling2
 
 __all__ = ["build_parser", "main"]
 
-# Command name -> the sequence_value family it prints.
+# Command name -> (the sequence_value family it prints, help line).
 _FAMILY_COMMANDS = {
-    "bernoulli": "bernoulli",
-    "apostol-bernoulli": "apostol_bernoulli",
-    "euler-number": "euler_number",
-    "euler-poly": "euler_polynomial",
-    "two-param-euler": "two_param_euler",
+    "bernoulli": ("bernoulli", "Bernoulli number B_n"),
+    "apostol-bernoulli": ("apostol_bernoulli", "Apostol-Bernoulli number B_n(lambda)"),
+    "euler-number": ("euler_number", "Euler number E_n"),
+    "euler-poly": ("euler_polynomial", "Euler polynomial E_n(x)"),
+    "two-param-euler": ("two_param_euler", "two-parameter Euler polynomial E_n(x; alpha, lambda)"),
+}
+# sequence_value parameter -> (option, the sequence_value keyword it sets,
+# further add_argument settings).
+_PARAMETER_OPTIONS = {
+    "alpha": ("--alpha", "alpha", {"required": True}),
+    "lambda": ("--lambda", "lam", {"required": True}),
+    "x": ("--at", "x", {"default": None, "metavar": "AT", "help": "evaluate at this point"}),
 }
 _LAMBDA_ONE_NOTE = (
     "lambda = 1 is a pole of the closed form; B_n(1) = B_n is read from the "
@@ -100,35 +107,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("i", type=int)
 
-    p = sub.add_parser("bernoulli", parents=[common], help="Bernoulli number B_n")
-    p.add_argument("n", type=int)
-    p.add_argument(
-        "--method",
-        choices=("formula", "oracle"),
-        default="oracle",
-        help="closed Stirling form (even n >= 2 only) or generating series (default)",
-    )
-
-    p = sub.add_parser("apostol-bernoulli", parents=[common], help="Apostol-Bernoulli number B_n(lambda)")
-    p.add_argument("n", type=int)
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
-
-    p = sub.add_parser("euler-number", parents=[common], help="Euler number E_n")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("euler-poly", parents=[common], help="Euler polynomial E_n(x)")
-    p.add_argument("n", type=int)
-    p.add_argument("--at", type=_rational, default=None, help="evaluate at this point")
-
-    p = sub.add_parser(
-        "two-param-euler",
-        parents=[common],
-        help="two-parameter Euler polynomial E_n(x; alpha, lambda)",
-    )
-    p.add_argument("n", type=int)
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
-    p.add_argument("--at", type=_rational, default=None, help="evaluate at this point")
+    for command, (family, help_line) in _FAMILY_COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_line)
+        p.add_argument("n", type=int)
+        if command == "bernoulli":
+            p.add_argument(
+                "--method",
+                choices=("formula", "oracle"),
+                default="oracle",
+                help="closed Stirling form (even n >= 2 only) or generating series (default)",
+            )
+        for name in FAMILIES[family]:
+            option, keyword, settings = _PARAMETER_OPTIONS[name]
+            p.add_argument(option, dest=keyword, type=_rational, **settings)
 
     p_series = sub.add_parser("series", help="inspect the underlying generating series")
     series_sub = p_series.add_subparsers(dest="series_command", required=True, metavar="action")
@@ -267,7 +258,7 @@ def _handle_mdet(args, argv):
 
 
 def _handle_family(args, argv):
-    family = _FAMILY_COMMANDS[args.command]
+    family = _FAMILY_COMMANDS[args.command][0]
     # Only bernoulli has --method; every other command prints the closed form.
     provenance = getattr(args, "method", "formula")
     notes: Tuple[str, ...] = ()
@@ -276,13 +267,9 @@ def _handle_family(args, argv):
         # where B_n(1) = B_n is read from the generating series instead.
         provenance = "oracle"
         notes = (_LAMBDA_ONE_NOTE,) if args.n else ()
+    keywords = [_PARAMETER_OPTIONS[name][1] for name in FAMILIES[family]]
     result = sequence_value(
-        family,
-        args.n,
-        provenance,
-        lam=getattr(args, "lam", None),
-        alpha=getattr(args, "alpha", None),
-        x=getattr(args, "at", None),
+        family, args.n, provenance, **{keyword: getattr(args, keyword) for keyword in keywords}
     )
     params = {"n": args.n, **dict(result.parameters)}
     if "method" in args:

@@ -42,13 +42,16 @@ def binomial(n: int, k: int) -> int:
 def parse_rational(text: str) -> Fraction:
     """Parse '-?digits(/digits)?' into an exact rational.
 
-    A leading '+' is tolerated on input; the denominator must be nonzero.
+    A leading '+' is tolerated on input; the denominator must be nonzero,
+    however many zeros spell it.
     Anything else (whitespace, decimals, empty string) is rejected.
     """
     match = _RATIONAL_RE.match(text)
     if match is None:
         raise RationalParseError(f"not a rational literal: {text!r}")
-    if match.group(1) == "0":
+    denominator = match.group(1)
+    # Zero in any number of digits ("0", "000"), read without int()'s digit cap.
+    if denominator is not None and not denominator.strip("0"):
         raise RationalParseError(f"zero denominator: {text!r}")
     return Fraction(text)
 

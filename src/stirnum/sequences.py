@@ -28,7 +28,10 @@ are one integer over a power of two.  Each builds one ``Fraction`` per
 value it returns.
 
 ``sequence_value`` is the one entry point to all five families; the
-command line reaches every family through it.
+command line reaches every family through it.  One table names each
+family's parameters, in record order, and its two routes; ``FAMILIES``
+maps each family to those parameters, and both ``sequence_value`` and
+the command line read it.
 
 The named checks of ``verify`` run here too: the two-parameter reductions
 over an (alpha, lambda) grid, the first-kind determinant relation and the
@@ -472,18 +475,45 @@ def alternating_sum_checks(k_max: int) -> List[Tuple[int, bool]]:
 # -- Uniform access ---------------------------------------------------------
 
 
-# Family -> the keyword parameters of ``sequence_value`` it reads.
-_FAMILY_PARAMETERS = {
-    "bernoulli": (),
-    "apostol_bernoulli": ("lambda",),
-    "euler_number": (),
-    "euler_polynomial": ("x",),
-    "two_param_euler": ("alpha", "lambda", "x"),
+def _bernoulli_even(n: int) -> Fraction:
+    """B_n by the closed form, which covers even n >= 2."""
+    if n < 2 or n % 2:
+        raise DomainError("the closed form covers even indices >= 2 only; use the oracle")
+    return bernoulli_formula(n // 2)
+
+
+# Family -> (the parameters it reads, in record order; formula route; oracle
+# route).  A route takes the index and the parameters by name.  The lambdas
+# look the route functions up by their module names at call time, so a
+# rebinding of those names (a tracer, say) reaches every call.  A formula
+# route of a polynomial family returns the polynomial, which
+# ``sequence_value`` evaluates at x when x is given.
+_FAMILY_TABLE = {
+    "bernoulli": ((), lambda n, p: _bernoulli_even(n), lambda n, p: bernoulli_oracle(n)),
+    "apostol_bernoulli": (
+        ("lambda",),
+        lambda n, p: apostol_bernoulli_formula(n, p["lambda"]),
+        lambda n, p: apostol_bernoulli_oracle(n, p["lambda"]),
+    ),
+    "euler_number": (
+        (),
+        lambda n, p: euler_number(n),
+        lambda n, p: Fraction(2) ** n * euler_polynomial_oracle(n, Fraction(1, 2)),
+    ),
+    "euler_polynomial": (
+        ("x",),
+        lambda n, p: euler_polynomial_formula(n),
+        lambda n, p: euler_polynomial_oracle(n, p["x"]),
+    ),
+    "two_param_euler": (
+        ("alpha", "lambda", "x"),
+        lambda n, p: two_param_euler_formula(n, p["alpha"], p["lambda"]),
+        lambda n, p: two_param_euler_oracle(n, p["x"], p["alpha"], p["lambda"]),
+    ),
 }
 
-FAMILIES = tuple(_FAMILY_PARAMETERS)
-
-_PROVENANCES = ("formula", "oracle")
+# Family -> the parameters of ``sequence_value`` it reads, in record order.
+FAMILIES = {family: entry[0] for family, entry in _FAMILY_TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -515,87 +545,44 @@ def sequence_value(
 ) -> SequenceValue:
     """Compute one family member through the requested route.
 
-    Polynomial families return a Polynomial from the formula route when no
-    evaluation point x is given, and a rational otherwise; oracle routes
-    for polynomial families always need x.  A parameter the family does not
-    read raises ``DomainError``.
+    A family needs every parameter of ``FAMILIES[family]`` except x on the
+    formula route: there a polynomial family returns a Polynomial when no
+    evaluation point x is given, and a rational otherwise.  A parameter
+    the family does not read, or one it needs and is not given, raises
+    ``DomainError``.
     """
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
-    for name, value in (("lambda", lam), ("alpha", alpha), ("x", x)):
-        if value is not None and name not in _FAMILY_PARAMETERS[family]:
+    names, formula, oracle = _FAMILY_TABLE[family]
+    given = {"lambda": lam, "alpha": alpha, "x": x}
+    for name, value in given.items():
+        if value is not None and name not in names:
             raise DomainError(f"{family} does not read the {name} parameter")
-    if provenance not in _PROVENANCES:
-        raise DomainError(f"provenance must be one of {_PROVENANCES}, got {provenance!r}")
+    if provenance not in ("formula", "oracle"):
+        raise DomainError(
+            f"provenance must be one of ('formula', 'oracle'), got {provenance!r}"
+        )
     if index < 0:
         raise DomainError(f"family index must be >= 0, got {index}")
+    for name in names:
+        if given[name] is None and (name != "x" or provenance == "oracle"):
+            raise DomainError(f"{family} needs the {name} parameter")
 
-    params: list = []
-    notes: list = []
-
-    if family == "bernoulli":
-        if provenance == "formula":
-            if index < 2 or index % 2:
-                raise DomainError(
-                    "the closed form covers even indices >= 2 only; use the oracle"
-                )
-            value = bernoulli_formula(index // 2)
-        else:
-            value = bernoulli_oracle(index)
-
-    elif family == "apostol_bernoulli":
-        if lam is None:
-            raise DomainError("apostol_bernoulli needs the lambda parameter")
-        lam = Fraction(lam)
-        params.append(("lambda", lam))
-        if provenance == "formula":
-            value = apostol_bernoulli_formula(index, lam)
-        else:
-            value = apostol_bernoulli_oracle(index, lam)
-
-    elif family == "euler_number":
-        if provenance == "formula":
-            value = euler_number(index)
-        else:
-            value = Fraction(2) ** index * euler_polynomial_oracle(index, Fraction(1, 2))
-
-    elif family == "euler_polynomial":
-        if provenance == "formula":
-            poly = euler_polynomial_formula(index)
-            value = poly if x is None else poly.evaluate(Fraction(x))
-        else:
-            if x is None:
-                raise DomainError("the oracle route needs an evaluation point x")
-            value = euler_polynomial_oracle(index, Fraction(x))
-        if x is not None:
-            params.append(("x", Fraction(x)))
-
-    else:  # two_param_euler
-        if alpha is None or lam is None:
-            raise DomainError("two_param_euler needs both alpha and lambda")
-        alpha, lam = Fraction(alpha), Fraction(lam)
-        params.append(("alpha", alpha))
-        params.append(("lambda", lam))
-        if provenance == "formula":
-            poly = two_param_euler_formula(index, alpha, lam)
-            value = poly if x is None else poly.evaluate(Fraction(x))
-        else:
-            if x is None:
-                raise DomainError("the oracle route needs an evaluation point x")
-            value = two_param_euler_oracle(index, Fraction(x), alpha, lam)
-        if x is not None:
-            params.append(("x", Fraction(x)))
-        if lam <= 0:
-            notes.append(
-                f"lambda = {lam} lies outside the positive range the family is "
-                "stated for; the value is computed formally from the same expressions"
-            )
-
+    params = {name: Fraction(given[name]) for name in names if given[name] is not None}
+    value = (formula if provenance == "formula" else oracle)(index, params)
+    if isinstance(value, Polynomial) and "x" in params:
+        value = value.evaluate(params["x"])
+    notes: Tuple[str, ...] = ()
+    if family == "two_param_euler" and params["lambda"] <= 0:
+        notes = (
+            f"lambda = {params['lambda']} lies outside the positive range the family is "
+            "stated for; the value is computed formally from the same expressions",
+        )
     return SequenceValue(
         family=family,
         index=index,
-        parameters=tuple(params),
+        parameters=tuple(params.items()),
         value=value,
         provenance=provenance,
-        notes=tuple(notes),
+        notes=notes,
     )

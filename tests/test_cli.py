@@ -21,6 +21,7 @@ from stirnum.identities import (
 )
 from stirnum.rationals import factorial, format_rational
 from stirnum.sequences import (
+    FAMILIES,
     apostol_bernoulli_formula,
     apostol_bernoulli_oracle,
     apostol_bernoulli_series,
@@ -406,6 +407,24 @@ class TestVerifyCommand:
         assert rows[1][9:12] == ["2", "1", "0"]
 
 
+# Family -> an accepted invocation of its command.
+FAMILY_ARGV = {
+    "bernoulli": ["bernoulli", "2"],
+    "apostol_bernoulli": ["apostol-bernoulli", "2", "--lambda", "2"],
+    "euler_number": ["euler-number", "2"],
+    "euler_polynomial": ["euler-poly", "2"],
+    "two_param_euler": ["two-param-euler", "2", "--alpha", "2", "--lambda", "3"],
+}
+# sequence_value parameter -> the family-command option that sets it.
+PARAMETER_OPTIONS = {"alpha": "--alpha", "lambda": "--lambda", "x": "--at"}
+UNREAD_OPTIONS = [
+    (argv, option)
+    for family, argv in FAMILY_ARGV.items()
+    for name, option in PARAMETER_OPTIONS.items()
+    if name not in FAMILIES[family]
+]
+
+
 class TestErrorsAndUsage:
     def test_pole_exit_code(self, capsys):
         code, out, _ = run(capsys, "two-param-euler", "3", "--alpha", "2", "--lambda=-1")
@@ -515,6 +534,20 @@ class TestErrorsAndUsage:
         assert code == 2
         assert "usage" in err
 
+    @pytest.mark.parametrize("literal", ["1/00", "0/000", "-3/0000"])
+    def test_zero_padded_denominator_is_usage_error(self, capsys, literal):
+        code, out, err = run(capsys, "apostol-bernoulli", "2", f"--lambda={literal}")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --lambda: zero denominator: {literal!r}\n")
+
+    @pytest.mark.parametrize(
+        "argv, option", UNREAD_OPTIONS, ids=[f"{argv[0]} {option}" for argv, option in UNREAD_OPTIONS]
+    )
+    def test_option_the_family_does_not_read_is_usage_error(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv, option, "1")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {option} 1\n")
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2
@@ -531,6 +564,26 @@ class TestErrorsAndUsage:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "stirnum" in out
+
+
+# sha256 of `stirnum [COMMAND] --help` at 80 columns, pinned before the
+# family commands were built from one table.
+HELP_SHA256 = {
+    (): "797ad1c34e24a3547f208339543d0cf9e20270ca069c0f83e46861a917d170b8",
+    ("bernoulli",): "1a739ca7d4a0f0d5a469504710f15cf54fe1ca5374ad524a0bfa0471915bcbb2",
+    ("apostol-bernoulli",): "9407afc850b28df47908010268d867d4c3f5dacacdaf861a308f741604568871",
+    ("euler-number",): "9eb84f787a542d8b40329d7e52356e126a30b7e7a60b28d59bc86b89634b3317",
+    ("euler-poly",): "d76cdf24d87f0ad72475dd8f90e41ff809c672cf9c7cd83a019b4575f6a125ad",
+    ("two-param-euler",): "e5e85c16ba08b8ff6700a598afb8f7c4bc633d747d44e685761b7a3325221e1a",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256, ids=lambda command: " ".join(command) or "stirnum")
+def test_help_text_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *command, "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 class TestDeterminism:

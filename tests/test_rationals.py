@@ -65,7 +65,11 @@ class TestParseRational:
         assert parse_rational("0") == 0
 
     @pytest.mark.parametrize(
-        "text", ["", "1/0", "0/0", "1.5", "a", "1/-2", "--3", "1 /2", " 1", "1/2/3", "/2"]
+        "text",
+        [
+            "", "1/0", "0/0", "1/00", "0/000", "-3/0000", "1.5", "a", "1/-2", "--3", "1 /2",
+            " 1", "1/2/3", "/2",
+        ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(RationalParseError):

@@ -11,6 +11,7 @@ from stirnum import sequences
 from stirnum.errors import DomainError, PoleError
 from stirnum.rationals import binomial
 from stirnum.sequences import (
+    FAMILIES,
     REDUCTION_ALPHAS,
     REDUCTION_LAMBDAS,
     Polynomial,
@@ -563,23 +564,47 @@ class TestSequenceValueDispatch:
         with pytest.raises(DomainError):
             sequence_value("two_param_euler", 1, "oracle", alpha=1, lam=2)
 
+    # Parameter -> the sequence_value keyword that sets it, at an accepted value.
+    KEYWORDS = {"alpha": ("alpha", 2), "lambda": ("lam", 3), "x": ("x", 1)}
+
+    def test_families_table(self):
+        assert FAMILIES == {
+            "bernoulli": (),
+            "apostol_bernoulli": ("lambda",),
+            "euler_number": (),
+            "euler_polynomial": ("x",),
+            "two_param_euler": ("alpha", "lambda", "x"),
+        }
+        assert "euler_number" in FAMILIES and "gamma" not in FAMILIES
+        for family, names in FAMILIES.items():
+            value = sequence_value(family, 2, "oracle", **self.accepted(names))
+            assert [name for name, _ in value.parameters] == list(names)
+
+    def accepted(self, names):
+        """The sequence_value keywords that set names, at accepted values."""
+        return dict(self.KEYWORDS[name] for name in names)
+
     def test_unread_parameter_raises(self):
         with pytest.raises(DomainError, match="euler_number does not read the x parameter"):
             sequence_value("euler_number", 4, x=Fraction(1, 3))
         with pytest.raises(DomainError, match="bernoulli does not read the lambda parameter"):
             sequence_value("bernoulli", 4, "oracle", lam=2)
-        reads = {
-            "bernoulli": {},
-            "apostol_bernoulli": {"lam": 2},
-            "euler_number": {},
-            "euler_polynomial": {"x": 1},
-            "two_param_euler": {"alpha": 2, "lam": 3, "x": 1},
-        }
-        names = {"lam": "lambda", "alpha": "alpha", "x": "x"}
-        for family, params in reads.items():
+        for family, names in FAMILIES.items():
             for route in ("formula", "oracle"):
-                sequence_value(family, 2, route, **params)
-                for keyword, name in names.items():
-                    if keyword not in params:
-                        with pytest.raises(DomainError, match=f"does not read the {name} "):
-                            sequence_value(family, 2, route, **params, **{keyword: 1})
+                sequence_value(family, 2, route, **self.accepted(names))
+                for name in self.KEYWORDS.keys() - set(names):
+                    params = self.accepted([*names, name])
+                    with pytest.raises(
+                        DomainError, match=f"^{family} does not read the {name} parameter$"
+                    ):
+                        sequence_value(family, 2, route, **params)
+
+    def test_missing_parameter_raises(self):
+        for family, names in FAMILIES.items():
+            for route in ("formula", "oracle"):
+                for name in names:
+                    if (name, route) == ("x", "formula"):
+                        continue  # the formula route returns the polynomial
+                    params = self.accepted(n for n in names if n != name)
+                    with pytest.raises(DomainError, match=f"^{family} needs the {name} parameter$"):
+                        sequence_value(family, 2, route, **params)
