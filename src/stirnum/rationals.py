@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -44,7 +45,8 @@ def parse_rational(text: str) -> Fraction:
 
     A leading '+' is tolerated on input; the denominator must be nonzero,
     however many zeros spell it.
-    Anything else (whitespace, decimals, empty string) is rejected.
+    Anything else (whitespace, decimals, empty string) is rejected.  Any
+    number of digits is read exactly.
     """
     match = _RATIONAL_RE.match(text)
     if match is None:
@@ -53,7 +55,13 @@ def parse_rational(text: str) -> Fraction:
     # Zero in any number of digits ("0", "000"), read without int()'s digit cap.
     if denominator is not None and not denominator.strip("0"):
         raise RationalParseError(f"zero denominator: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        # A part past the interpreter's int/str digit cap; Decimal text
+        # converts to int without it.
+        numerator, _, denominator = text.partition("/")
+        return Fraction(int(Decimal(numerator)), int(Decimal(denominator or 1)))
 
 
 def format_rational(value: Union[int, Fraction]) -> str:
@@ -61,6 +69,15 @@ def format_rational(value: Union[int, Fraction]) -> str:
 
     The denominator is omitted exactly when the value is an integer; the
     sign, if any, sits on the numerator.  parse_rational(format_rational(q))
-    returns q for every q.
+    returns q for every q, however many digits its parts have.
     """
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        # A part past the interpreter's int/str digit cap; an exact Decimal
+        # of an int prints all of its digits without it.
+        text = str(Decimal(value.numerator))
+        if value.denominator != 1:
+            text += "/" + str(Decimal(value.denominator))
+        return text

@@ -21,11 +21,12 @@ source series at the fixed order n + 4 (Bernoulli) or n + 8 (the others).
 
 The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler
-and two-parameter Euler coefficient is one integer numerator over one
-integer denominator, ``Polynomial.evaluate`` runs Horner on integer
-numerators, and the even-index Euler sum and ``stirling_alternating_sum``
-are one integer over a power of two.  Each builds one ``Fraction`` per
-value it returns.
+and two-parameter Euler polynomial is built as the integer numerators over
+one denominator that ``Polynomial`` stores, ``Polynomial.evaluate`` runs
+Horner on those numerators, the reduction checks compare them
+cross-multiplied, and the even-index Euler sum and
+``stirling_alternating_sum`` are one integer over a power of two.  Each
+builds one ``Fraction`` per value it returns.
 
 ``sequence_value`` is the one entry point to all five families; the
 command line reaches every family through it.  One table names each
@@ -42,13 +43,14 @@ vanishing alternating sum, each returning plain tuples that
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConsistencyError, DomainError, PoleError
-from .rationals import binomial, factorial
+from .rationals import binomial, factorial, format_rational
 from .series import LaurentSeries, exp_linear, recip_exp_linear
 from .stirling import stirling2, verify_first_kind_determinant_relation
 
@@ -83,48 +85,78 @@ Scalar = Union[int, Fraction]
 class Polynomial:
     """Univariate polynomial over exact rationals; coeffs[i] multiplies x**i.
 
-    Trailing zero coefficients are trimmed on construction, so two equal
-    polynomials always compare equal structurally.  The zero polynomial has
-    an empty coefficient tuple and degree -1.
+    Stored as integer numerators over one denominator, coeffs[i] ==
+    nums[i] / den, in the canonical form den > 0, gcd(den, *nums) == 1
+    and no trailing zero numerator; construction puts (nums, den) in that
+    form.  So equal polynomials have equal (nums, den), and equality and
+    hashing compare those.  The zero polynomial is ((), 1) with degree -1.
+    ``coeffs``, the tuple of reduced Fractions, is built on first read.
     """
 
-    coeffs: Tuple[Fraction, ...]
+    nums: Tuple[int, ...]
+    den: int = 1
+    _coeffs: Optional[Tuple[Fraction, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        nums = list(self.nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(self.den, *nums)
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def from_coeffs(cls, values: Iterable[Scalar]) -> "Polynomial":
+        """The polynomial with these coefficients; the Fractions given are
+        kept as its ``coeffs``."""
         vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
         while vals and not vals[-1]:
             vals.pop()
-        return cls(tuple(vals))
+        poly = _over_lcm([c.numerator for c in vals], [c.denominator for c in vals])
+        object.__setattr__(poly, "_coeffs", tuple(vals))
+        return poly
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, built on first read."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(Fraction(x, self.den) for x in self.nums))
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def evaluate(self, point: Scalar) -> Fraction:
-        """Horner on integer numerators: with the coefficients C_i / den
-        over the lcm of their denominators and point = u/v, the value is
-        sum_i C_i u**i v**(d-i) over den * v**d, reduced once."""
-        if not self.coeffs:
-            return Fraction(0)
-        point = Fraction(point)
+        """The value at ``point``, reduced once."""
+        return Fraction(*self._value(Fraction(point)))
+
+    def _value(self, point: Fraction) -> Tuple[int, int]:
+        """Horner on the numerators: with point = u/v and degree d, the value
+        is sum_i nums[i] u**i v**(d-i) over den * v**d, unreduced."""
+        if not self.nums:
+            return 0, 1
         u, v = point.numerator, point.denominator
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        acc = nums[-1]
+        acc = self.nums[-1]
         v_power = 1  # v**(d-i) at coefficient i
-        for c in reversed(nums[:-1]):
+        for c in reversed(self.nums[:-1]):
             v_power *= v
             acc = acc * u + c * v_power
-        return Fraction(acc, den * v_power)
+        return acc, self.den * v_power
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(map(format_rational, self.coeffs)):
             if i == 0:
-                parts.append(f"{c}")
+                parts.append(c)
             elif i == 1:
                 parts.append(f"{c}*x")
             else:
@@ -249,11 +281,10 @@ def euler_polynomial_formula(n: int) -> Polynomial:
     if n < 0:
         raise DomainError(f"Euler polynomials need n >= 0, got {n}")
     sums = [_geometric_stirling_sum(n - k + 1, 1, 2) for k in range(n + 1)]
-    coeffs = [
-        Fraction((-1) ** (n - k) * 2 * binomial(n, k) * g.numerator, g.denominator)
-        for k, g in enumerate(sums)
-    ]
-    return Polynomial.from_coeffs(coeffs)
+    return _over_lcm(
+        [(-1) ** (n - k) * 2 * math.comb(n, k) * g.numerator for k, g in enumerate(sums)],
+        [g.denominator for g in sums],
+    )
 
 
 def euler_polynomial_oracle(n: int, x: Scalar) -> Fraction:
@@ -320,20 +351,18 @@ def two_param_euler_formula(n: int, alpha: Scalar, lam: Scalar) -> Polynomial:
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
-    # With alpha = a/b and g = p/q the sum, each coefficient is the one
-    # integer ratio 2 (-a)**(n-k) C(n, k) p / (b**(n-k) q).
+    # With alpha = a/b and the sum g = P/Q, coefficient k is the integer
+    # ratio 2 (-a)**(n-k) C(n, k) P / (b**(n-k) Q).  For lam = c/d,
+    # rho = 1/(lam + 1) = d/(c + d) is already in lowest terms.
     a, b = alpha.numerator, alpha.denominator
-    rho = 1 / (lam + 1)
-    p, q = rho.numerator, rho.denominator
+    p, q = lam.denominator, lam.numerator + lam.denominator
+    if q < 0:
+        p, q = -p, -q
     sums = [_geometric_stirling_sum(n - k + 1, p, q) for k in range(n + 1)]
-    coeffs = [
-        Fraction(
-            2 * (-a) ** (n - k) * binomial(n, k) * g.numerator,
-            b ** (n - k) * g.denominator,
-        )
-        for k, g in enumerate(sums)
-    ]
-    return Polynomial.from_coeffs(coeffs)
+    return _over_lcm(
+        [2 * (-a) ** (n - k) * math.comb(n, k) * g.numerator for k, g in enumerate(sums)],
+        [b ** (n - k) * g.denominator for k, g in enumerate(sums)],
+    )
 
 
 def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fraction:
@@ -411,49 +440,55 @@ def _reductions_at(
 
     def poly(alpha: Fraction, lam: Fraction) -> Polynomial:
         """E_n(x; alpha, lam), built once per (alpha, lam) at this n."""
-        if (alpha, lam) not in built:
-            built[alpha, lam] = two_param_euler_formula(n, alpha, lam)
-        return built[alpha, lam]
+        found = built.get((alpha, lam))
+        if found is None:
+            found = built[alpha, lam] = two_param_euler_formula(n, alpha, lam)
+        return found
 
-    # Both sides are reduced, so comparing (numerator, denominator) pairs
-    # is the same test as Fraction equality, at a fraction of the cost.
-    if _pairs(poly(1, 1)) != _pairs(euler_polynomial_formula(n)):
+    if poly(1, 1) != euler_polynomial_formula(n):
         return [False] * (len(alphas) * len(lambdas))
     return [_reduces(n, alpha, lam, poly) for alpha in alphas for lam in lambdas]
 
 
 def _reduces(n: int, alpha: Fraction, lam: Fraction, poly) -> bool:
     """The rescale and pointwise reductions at one point, with
-    poly(alpha, lam) giving E_n(x; alpha, lam)."""
+    poly(alpha, lam) giving E_n(x; alpha, lam).  Both compare
+    cross-multiplied integers."""
     full = poly(alpha, lam)
-    # E_n(x; 1, lam) is trimmed and alpha**(n-k) != 0 keeps its last
-    # coefficient nonzero, so this list needs no trimming.
-    a, b = alpha.numerator, alpha.denominator
-    rescaled = [
-        _reduced(c.numerator * a ** (n - k), c.denominator * b ** (n - k))
-        for k, c in enumerate(poly(1, lam).coeffs)
-    ]
-    if _pairs(full) != rescaled:
+    unit = poly(1, lam)
+    # Coefficient k: full_k / F == unit_k a**(n-k) / (U b**(n-k)) for
+    # alpha = a/b.  Both are trimmed and a != 0, so when they are equal
+    # their lengths are too.
+    if len(full.nums) != len(unit.nums):
         return False
+    a, b = alpha.numerator, alpha.denominator
+    top = n - full.degree
+    left, right = unit.den * b**top, full.den * a**top
+    for x, y in zip(reversed(full.nums), reversed(unit.nums)):
+        if x * left != y * right:
+            return False
+        left *= b
+        right *= a
     for x in _REDUCTION_NODES:
-        pivot = poly(alpha / x, lam).evaluate(1)
-        value = full.evaluate(x)
-        expected = _reduced(
-            x.numerator**n * pivot.numerator, x.denominator**n * pivot.denominator
-        )
-        if (value.numerator, value.denominator) != expected:
+        pivot_num, pivot_den = poly(alpha / x, lam)._value(Fraction(1))
+        value_num, value_den = full._value(x)
+        if value_num * x.denominator**n * pivot_den != x.numerator**n * pivot_num * value_den:
             return False
     return True
 
 
-def _pairs(poly: Polynomial) -> list:
-    return [(c.numerator, c.denominator) for c in poly.coeffs]
+def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Polynomial:
+    """The polynomial with coefficients nums[k] / dens[k], dens > 0.
 
-
-def _reduced(num: int, den: int) -> Tuple[int, int]:
-    """num/den in lowest terms as a pair, for den > 0."""
-    g = math.gcd(num, den)
-    return num // g, den // g
+    Each ratio is reduced and put over the lcm of the reduced
+    denominators, which is the canonical denominator: that keeps the
+    numerators as small as they can be and leaves no common factor to
+    divide out.
+    """
+    gcds = list(map(math.gcd, nums, dens))
+    dens = list(map(operator.floordiv, dens, gcds))
+    den = math.lcm(*dens)
+    return Polynomial([x // g * (den // d) for x, g, d in zip(nums, gcds, dens)], den)
 
 
 def determinant_relation_checks(k_max: int) -> List[Tuple[int, int, bool]]:

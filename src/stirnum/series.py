@@ -15,6 +15,7 @@ pessimistically so that guarantee survives arbitrary compositions:
     mul:        min(precision_a + val_b, precision_b + val_a)
     derivative: precision - 1
     reciprocal: precision - 2*valuation - 1   (offset becomes -valuation)
+    power k:    precision + (k-1)*valuation   (offset becomes k*offset)
 
 ``val`` is the valuation, the exponent of the first nonzero stored
 coefficient; a window holding only zeros contributes its precision as the
@@ -41,6 +42,10 @@ small for e**(a t) and its relatives: a product coefficient becomes
 sum_i binom(k, i) A_i B_{k-i} over k! da db.  The split is the output
 length ``_EGF_MIN_LENGTH``, measured where one scaling starts to beat the
 other; both give the same coefficients.
+
+A power s**k makes no products: one pass of J.C.P. Miller's recurrence
+on the stored numerators gives the unit's k-th power at every length, on
+exactly the window k - 1 repeated products would give.
 """
 
 from __future__ import annotations
@@ -288,19 +293,19 @@ class LaurentSeries:
             if self.is_zero:
                 raise DomainError("0**0 is undefined for the exact zero series")
             return LaurentSeries.one(self.precision)
-        # Square-and-multiply.  The valuation floor adds up under mul, so
-        # every partial power self**j has precision p + (j-1)*floor and a
-        # nonempty window: the result and its window are those of
-        # exponent - 1 repeated products, from fewer of them.
-        result = None
-        square = self
-        while True:
-            if exponent & 1:
-                result = square if result is None else result * square
-            exponent >>= 1
-            if not exponent:
-                return result
-            square = square * square
+        if exponent == 1 or self.is_zero:
+            return self
+        # The window is that of exponent - 1 repeated products.  The
+        # valuation floor v adds up under mul, so it runs from
+        # exponent * offset to precision + (exponent - 1) * v: the stored
+        # zeros below v, exponent times over, then the unit's power.
+        offset = exponent * self.offset
+        v = self.valuation()
+        if v is None:
+            return _new(offset, (0,) * (exponent * len(self.nums)), 1)
+        start = v - self.offset
+        nums, den = _power(self.nums[start:], self.den, exponent)
+        return _canonical(offset, [0] * (exponent * start) + nums, den)
 
     def derivative(self) -> "LaurentSeries":
         """Termwise d/dt; the window slides to [offset-1, precision-1)."""
@@ -448,7 +453,9 @@ def _times_ratio(nums, num: int, den: int) -> Tuple[list, int]:
     A reciprocal's quotients come back over its running denominator, a
     multiple of the unit's lead, and are scaled by the unit's denominator:
     1/u_0 is that denominator over the lead, so the two share most of
-    their factors.  Cancelling them first keeps every numerator smaller.
+    their factors; a power's come back over its running denominator and
+    are scaled by u_0**k.  Cancelling them first keeps every numerator
+    smaller.
     """
     g = math.gcd(num, den)
     num //= g
@@ -540,6 +547,34 @@ def _egf_reciprocal(unit, unit_den: int) -> Tuple[list, int]:
             acc *= widen
         nums.append(-acc // lead)
     return _egf_unscaled(*_times_ratio(nums, unit_den, den))
+
+
+def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
+    """u**k for the unit power series u_i = unit[i] / unit_den, k >= 1.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): w = u**k has
+    w_0 = u_0**k and n u_0 w_n = sum_{i=1..n} ((k+1) i - n) u_i w_{n-i}.
+    """
+    # u**k = u_0**k * (U/U_0)**k for the integer series U = unit.  As in
+    # _lcm_reciprocal, the coefficients r_n = nums[n] / den of (U/U_0)**k
+    # share one running denominator, widened whenever a new one does not
+    # fit over it.
+    lead = unit[0]
+    den = 1
+    nums = [1]
+    for n in range(1, len(unit)):
+        weights = range(k + 1 - n, k * n + 1, k + 1)  # (k+1) i - n, i = 1..n
+        terms = map(operator.mul, weights, unit[1 : n + 1])
+        acc = sum(map(operator.mul, terms, reversed(nums)))
+        divisor = n * lead
+        if acc % divisor:
+            widen = abs(divisor) // math.gcd(acc, divisor)
+            nums = [x * widen for x in nums]
+            den *= widen
+            acc *= widen
+        nums.append(acc // divisor)
+    lead_power = Fraction(lead, unit_den) ** k
+    return _times_ratio(nums, lead_power.numerator, den * lead_power.denominator)
 
 
 def linear_combination(

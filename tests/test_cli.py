@@ -199,6 +199,54 @@ class TestPolynomialCommands:
         assert out == "0\n"
 
 
+def decimal_text(n):
+    """Decimal text of an int of any length, in chunks of 1,000 digits that
+    each stay under the interpreter's int/str digit cap."""
+    sign, n = ("-" if n < 0 else ""), abs(n)
+    chunks = []
+    while True:
+        n, chunk = divmod(n, 10**1000)
+        chunks.append(chunk)
+        if not n:
+            break
+    return sign + str(chunks[-1]) + "".join(f"{c:01000d}" for c in reversed(chunks[:-1]))
+
+
+class TestLongNumbers:
+    """Inputs and results past the interpreter's 4,300-digit int/str cap."""
+
+    # x = 1 3...3 (1,500 digits) = (4 * 10**1499 - 1) / 3
+    X_TEXT = "1" + "3" * 1499
+    X = (4 * 10**1499 - 1) // 3
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_euler_poly_at_long_point(self, capsys, fmt):
+        # E_3(x) = x**3 - 3/2 x**2 + 1/4, about 4,500 digits over 4.
+        x = self.X
+        value = Fraction(x**3) - Fraction(3, 2) * x**2 + Fraction(1, 4)
+        text = decimal_text(value.numerator) + "/" + decimal_text(value.denominator)
+        assert len(text) > 4300
+        code, out, _ = run(capsys, "euler-poly", "3", "--at", self.X_TEXT, "--format", fmt)
+        assert code == 0
+        if fmt == "plain":
+            assert out == text + "\n"
+        elif fmt == "json":
+            record = json.loads(out)
+            assert record["parameters"]["x"] == self.X_TEXT
+            assert record["result"] == text
+        else:
+            assert parse_csv(out) == [["n", "x", "result"], ["3", self.X_TEXT, text]]
+
+    def test_long_lambda_literal(self, capsys):
+        # B_1(lam) = 1/(lam - 1) at lam = 7...7 (5,000 digits).
+        sevens = "7" * 5000
+        code, out, _ = run(capsys, "apostol-bernoulli", "1", "--lambda", sevens, "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["parameters"]["lambda"] == sevens
+        assert record["result"] == "1/" + "7" * 4999 + "6"
+
+
 class TestSeriesDump:
     def test_recip_exp_minus_one(self, capsys):
         code, out, _ = run(capsys, "series", "dump", "recip-exp-minus-one", "--order", "8")

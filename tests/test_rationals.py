@@ -94,6 +94,30 @@ class TestFormatRational:
         assert parse_rational(format_rational(q)) == q
 
 
+# 7...7 with 5,000 digits, built without reading or printing a long int.
+SEVENS = 7 * (10**5000 - 1) // 9
+
+
+class TestDigitCap:
+    """Literals and values past the interpreter's 4,300-digit int/str cap."""
+
+    def test_parse_long_literal(self):
+        assert parse_rational("1/" + "7" * 5000) == Fraction(1, SEVENS)
+        assert parse_rational("-" + "7" * 5000 + "/14") == Fraction(-SEVENS, 14)
+        assert parse_rational("+00" + "7" * 5000) == SEVENS
+
+    def test_format_long_value(self):
+        assert format_rational(SEVENS) == "7" * 5000
+        assert format_rational(Fraction(-1, SEVENS)) == "-1/" + "7" * 5000
+        assert format_rational(Fraction(SEVENS, 2)) == "7" * 5000 + "/2"
+
+    def test_round_trip(self):
+        for q in (Fraction(SEVENS, 10**4400 + 1), Fraction(-(10**4400), 3)):
+            text = format_rational(q)
+            assert CANONICAL.match(text)
+            assert parse_rational(text) == q
+
+
 class TestExactness:
     @given(rationals, rationals)
     def test_add_sub_cancel(self, a, b):

@@ -317,6 +317,44 @@ class TestIntegerClosedForms:
         assert all(type(c) is Fraction for c in poly.coeffs)
 
 
+def assert_canonical_polynomial(poly):
+    """Integer numerators over one denominator: den > 0,
+    gcd(den, *nums) == 1 and no trailing zero numerator."""
+    assert type(poly.nums) is tuple and all(type(x) is int for x in poly.nums)
+    assert type(poly.den) is int and poly.den > 0
+    assert math.gcd(poly.den, *poly.nums) == 1
+    assert not poly.nums or poly.nums[-1] != 0
+
+
+class TestCanonicalPolynomials:
+    def test_construction_is_canonical(self):
+        p = Polynomial((2, -4, 0, 0), -6)
+        assert (p.nums, p.den) == ((-1, 2), 3)
+        assert p.coeffs == (Fraction(-1, 3), Fraction(2, 3))
+        assert Polynomial((0, 0), 5) == Polynomial(()) == Polynomial.from_coeffs([])
+        assert (Polynomial(()).nums, Polynomial(()).den) == ((), 1)
+        assert hash(p) == hash(Polynomial.from_coeffs(p.coeffs))
+
+    @pytest.mark.parametrize("n", range(0, 41))
+    def test_closed_forms_on_the_reduction_grid(self, n):
+        polys = [euler_polynomial_formula(n)] + [
+            two_param_euler_formula(n, alpha, lam)
+            for alpha in REDUCTION_ALPHAS
+            for lam in REDUCTION_LAMBDAS
+        ]
+        for poly in polys:
+            assert_canonical_polynomial(poly)
+            assert Polynomial.from_coeffs(poly.coeffs) == poly
+            assert poly.degree == n
+
+    @settings(max_examples=200)
+    @given(st.lists(rationals, max_size=12))
+    def test_from_coeffs_is_canonical(self, values):
+        poly = Polynomial.from_coeffs(values)
+        assert_canonical_polynomial(poly)
+        assert Polynomial(poly.nums, poly.den) == poly
+
+
 class TestGeometricSumCache:
     def test_cache_is_bounded(self):
         bound = _geometric_stirling_sum.cache_info().maxsize

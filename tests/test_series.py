@@ -1,6 +1,8 @@
 """Truncated Laurent series: exactness, window rules, and ring structure."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -646,7 +648,44 @@ class TestZeroAndPow:
         f = (exp_linear(1, 20) - LaurentSeries.one(20)).reciprocal()
         for k in range(1, 13):
             f**k
-        assert len(calls) == 35  # 66 by repeated multiplication
+        assert len(calls) == 0  # 66 by repeated multiplication
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            LaurentSeries.from_coeffs(-2, [0, 0, 3, Fraction(1, 2), -1, 0, 5]),
+            LaurentSeries.from_coeffs(1, [0, 0, 0]),
+            ZERO,
+            (exp_linear(1, 12) - LaurentSeries.one(12)).reciprocal(),
+        ],
+        ids=["leading-zeros", "all-zero-window", "exact-zero", "f"],
+    )
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_pow_edge_cases(self, s, k):
+        # Stored zeros below the valuation, a window of zeros and the exact
+        # zero, at exponents 0 and 1 (no recurrence step) and 2 and 5.
+        def power(op):
+            try:
+                return op(s, k)
+            except DomainError as exc:
+                return type(exc)
+
+        assert_same_series(power(LaurentSeries.__pow__), power(reference_pow))
+        if k == 1:
+            assert s**1 is s
+
+    @pytest.mark.parametrize(
+        "alpha, lam, c",
+        [(1, 1, -1), (-1, -1, 1), (1, 1, 1), (Fraction(-1, 2), 3, -1)],
+        ids=["f", "g", "h", "G"],
+    )
+    @pytest.mark.parametrize("k, order", [(40, 90), (50, 110)])
+    def test_long_powers(self, alpha, lam, c, k, order):
+        # k - 1 repeated products on the integer kernels, which the
+        # multiply tests check against the Fraction reference; the
+        # Fraction products themselves take seconds per case here.
+        s = recip_exp_linear(alpha, lam, c, order)
+        assert_same_series(s**k, functools.reduce(operator.mul, [s] * k))
 
 
 class TestGeneratingFunctionBridge:
