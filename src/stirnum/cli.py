@@ -11,6 +11,15 @@ format (plain, json, or csv) and exits with:
 Rationals on the command line use the literal form -?digits(/digits)?,
 e.g. 3, -1/2, 7/3.  With option=value syntax (--lambda=-3/2) negative
 values never collide with option parsing.
+
+Each call parses its arguments once.  When the first argument names a
+command, ``main`` hands the rest straight to that command's subparser,
+which is what the top-level parser would do after scanning the whole
+argument list; anything the subparser leaves over is reported by the
+top-level parser, as a two-level parse reports it.  Every other argument
+list (empty, ``--help``, an unknown command, an option or ``--`` before
+the command) goes through the top-level parser, the only one that prints
+the top-level help and errors.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -77,6 +86,11 @@ class CommandOutput:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> Tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command -> subparser mapping."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -146,14 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_rational, default=None, help="restrict the parameter grid")
     p.add_argument("--order", type=int, default=None, help="override the truncation order")
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main() shares across calls, built on the first one and
-    not at import.  argparse keeps no per-parse state on a parser."""
-    return build_parser()
+def _parser() -> Tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
+    """The parser main() shares across calls and its command -> subparser
+    mapping, built on the first call and not at import.  argparse keeps no
+    per-parse state on a parser.  main() looks the first argument up in
+    the mapping to parse a command's arguments with its subparser alone."""
+    return _build()
 
 
 def _post_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -327,9 +343,15 @@ def _emit(out: CommandOutput, fmt: str) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _parser()
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         _post_validate(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -48,11 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError
 from .rationals import factorial, format_rational
 from .sequences import (
+    _reduction_grid,
     alternating_sum_checks,
     determinant_relation_checks,
     two_param_reduction_sweep,
@@ -275,7 +277,18 @@ def _g1_weight(k: int, m: int, alpha: Fraction) -> Fraction:
 
 
 def _g2_weight(k: int, m: int, alpha: Fraction) -> Fraction:
-    return (-1) ** (m - 1) * alpha ** (1 - m) * Fraction(stirling1(k, m), factorial(k - 1))
+    return _g2_unit_weights(k)[m - 1] * alpha ** (1 - m)
+
+
+# A sweep reads every grid point of one k before the next k.
+@lru_cache(maxsize=32)
+def _g2_unit_weights(k: int) -> Tuple[Fraction, ...]:
+    """The G2 weights at alpha = 1, (-1)**(m-1) s(k, m)/(k-1)! for
+    m = 1..k: every grid point shares them and multiplies in its own
+    alpha**(1-m)."""
+    return tuple(
+        Fraction((-1) ** (m - 1) * stirling1(k, m), factorial(k - 1)) for m in range(1, k + 1)
+    )
 
 
 # id: (lhs base, lhs kind, weight of term m, rhs base, additive constant).
@@ -504,11 +517,14 @@ def verify_target(
     """Every row of ``verify`` on one target, in order: the ``run_sweep``
     reports of its tags (all twelve for "all"), then its det-relation,
     alt-sum and reductions rows.  alpha and lam narrow the G1/G2 and
-    reductions grids to one value each."""
+    reductions grids to one value each; a target with reductions rejects
+    a bad reductions point before any check runs."""
     if target not in VERIFY_OPTIONS:
         raise DomainError(f"unknown verify target {target!r}")
     alphas = None if alpha is None else [alpha]
     lambdas = None if lam is None else [lam]
+    if target in ("all", "reductions"):
+        _reduction_grid(alphas, lambdas)
     tags = ALL_IDENTITY_IDS if target == "all" else ((target,) if target in _SPECS else ())
     rows: List[Union[VerificationReport, CheckRow]] = []
     rows += run_sweep(tags, k_max, order, alphas, lambdas)

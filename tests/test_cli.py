@@ -343,6 +343,21 @@ class TestVerifyCommand:
         assert code == 1
         assert "error[pole]" in out
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--alpha", "0"], "error[domain]: alpha must be nonzero"),
+            (["--alpha", "1", "--lambda=-1"], "error[pole]: lambda = -1 is a pole of the two-parameter family"),
+            (["--alpha", "0", "--lambda=-1"], "error[domain]: alpha must be nonzero"),
+        ],
+    )
+    def test_all_rejects_a_bad_reductions_grid_before_the_sweep(self, capsys, monkeypatch, grid, message):
+        def no_sweep(*args):
+            raise AssertionError("the tags were swept on a bad reductions grid")
+
+        monkeypatch.setattr("stirnum.identities.run_sweep", no_sweep)
+        assert run(capsys, "verify", "all", "--k-max", "12", *grid) == (1, message + "\n", "")
+
     def test_verify_all_smoke(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--k-max", "1")
         assert code == 0
@@ -654,7 +669,8 @@ class TestDeterminism:
 
 class TestParserReuse:
     # One sequence of calls on the parser main() keeps: every command and
-    # format, options given and then omitted, and each exit path.
+    # format, options given and then omitted, each exit path, argument
+    # lists that name no command, and arguments left over after a command.
     SEQUENCE = [
         ["stirling2", "7", "3"],
         ["stirling1", "7", "3", "--format", "json"],
@@ -679,16 +695,38 @@ class TestParserReuse:
         ["verify", "--help"],
         ["stirling2", "-4", "2"],
         ["stirling2", "5", "3", "--format", "plain"],
+        [],
+        ["nope"],
+        ["--format", "json", "stirling2", "5", "3"],
+        ["stirling2", "5", "3", "extra"],
+        ["series", "dump", "recip-exp-plus-one", "--order", "6", "extra"],
+        ["series"],
+        ["series", "--help"],
+        ["series", "dump", "--help"],
+        ["mdet", "--", "3", "4", "2"],
+        ["stirling2", "5", "3", "-h"],
     ]
 
     def test_shared_parser_matches_fresh_parsers(self, capsys, monkeypatch):
         shared = [run(capsys, *argv) for argv in self.SEQUENCE]
         assert cli._parser() is cli._parser()
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
-        fresh = [run(capsys, *argv) for argv in self.SEQUENCE]
-        for argv, got, want in zip(self.SEQUENCE, shared, fresh):
+        # With no command mapping, main() parses every argument list with
+        # the top-level parse_args, here on a parser built fresh per call.
+        monkeypatch.setattr(cli, "_parser", lambda: (cli.build_parser(), {}))
+        reference = [run(capsys, *argv) for argv in self.SEQUENCE]
+        for argv, got, want in zip(self.SEQUENCE, shared, reference):
             assert got == want, argv
-        assert {code for code, _, _ in fresh} == {0, 1, 2}
+        assert {code for code, _, _ in reference} == {0, 1, 2}
+
+    def test_commands_skip_the_top_level_parse(self, capsys, monkeypatch):
+        parser, commands = cli._parser()
+        assert set(commands) == set(cli._HANDLERS)
+        calls = []
+        top_level = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or top_level(argv))
+        for argv in self.SEQUENCE:
+            run(capsys, *argv)
+        assert calls == [argv for argv in self.SEQUENCE if not argv or argv[0] not in commands]
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
