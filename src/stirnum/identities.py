@@ -60,7 +60,7 @@ from .sequences import (
     two_param_reduction_sweep,
 )
 from .series import LaurentSeries, linear_combination, recip_exp_linear
-from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1, stirling2
+from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1
 
 __all__ = [
     "VerificationReport",
@@ -272,49 +272,51 @@ class _Ladders:
 _f, _g, _h = (1, 1, -1), (-1, -1, 1), (1, 1, 1)
 
 
-def _g1_weight(k: int, m: int, alpha: Fraction) -> Fraction:
-    return (-1) ** k * alpha**k * factorial(m - 1) * stirling2(k + 1, m)
-
-
-def _g2_weight(k: int, m: int, alpha: Fraction) -> Fraction:
-    return _g2_unit_weights(k)[m - 1] * alpha ** (1 - m)
-
-
-# A sweep reads every grid point of one k before the next k.
-@lru_cache(maxsize=32)
-def _g2_unit_weights(k: int) -> Tuple[Fraction, ...]:
-    """The G2 weights at alpha = 1, (-1)**(m-1) s(k, m)/(k-1)! for
-    m = 1..k: every grid point shares them and multiplies in its own
-    alpha**(1-m)."""
-    return tuple(
-        Fraction((-1) ** (m - 1) * stirling1(k, m), factorial(k - 1)) for m in range(1, k + 1)
-    )
+def _first_kind_weight(k: int, m: int) -> Fraction:
+    """(-1)**(m-1) s(k, m)/(k-1)!, the G2 weight at alpha = 1."""
+    return Fraction((-1) ** (m - 1) * stirling1(k, m), factorial(k - 1))
 
 
 # id: (lhs base, lhs kind, weight of term m, rhs base, additive constant).
 # Kind "derivative" sets lhs = base^(k) against the powers rhs**1..rhs**(k+1);
 # "power" sets lhs = base**k against the derivatives rhs^(0)..rhs^(k-1).
-# A weight is a function of (k, m, alpha); a constant, of k.
+# A weight is a function of (k, m), its value at alpha = 1; a constant, of k.
+# A G1 point scales every weight by alpha**k, so G1 reads I1's
+# lambda_{k,m}; a G2 point scales term m by alpha**(1-m).  G2 keeps its
+# own s(k, m)/(k-1)!, independent of I6's determinant weights b_{k,m-1}.
 _SPECS: Dict[str, tuple] = {
-    "I1": (_f, "derivative", lambda k, m, a: lambda_coeff(k, m), _f, None),
-    "I2": (_g, "derivative", lambda k, m, a: mu_coeff(k, m), _g, None),
-    "I3": (_g, "derivative", lambda k, m, a: lambda_coeff(k, m), _f, None),
-    "I4": (_f, "derivative", lambda k, m, a: mu_coeff(k, m), _g, None),
-    "I5": (_g, "power", lambda k, m, a: a_coeff(k, m), _g, None),
-    "I6": (_f, "power", lambda k, m, a: b_coeff(k, m), _f, None),
-    "I7": (_g, "power", lambda k, m, a: a_coeff(k, m), _f, lambda k: 1),
-    "I8": (_f, "power", lambda k, m, a: b_coeff(k, m), _g, lambda k: (-1) ** k),
-    "P1": (_h, "derivative", lambda k, m, a: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None),
-    "P2": (_h, "power", lambda k, m, a: (-1) ** (k - 1) * b_coeff(k, m), _h, None),
-    "G1": (None, "derivative", _g1_weight, None, None),
-    "G2": (None, "power", _g2_weight, None, None),
+    "I1": (_f, "derivative", lambda_coeff, _f, None),
+    "I2": (_g, "derivative", mu_coeff, _g, None),
+    "I3": (_g, "derivative", lambda_coeff, _f, None),
+    "I4": (_f, "derivative", mu_coeff, _g, None),
+    "I5": (_g, "power", a_coeff, _g, None),
+    "I6": (_f, "power", b_coeff, _f, None),
+    "I7": (_g, "power", a_coeff, _f, lambda k: 1),
+    "I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k),
+    "P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None),
+    "P2": (_h, "power", lambda k, m: (-1) ** (k - 1) * b_coeff(k, m), _h, None),
+    "G1": (None, "derivative", lambda_coeff, None, None),
+    "G2": (None, "power", _first_kind_weight, None, None),
 }
 
 
-def _weights(identity_id: str, k: int, alpha: Optional[Fraction]) -> List[Fraction]:
+# A sweep reads every grid point of one k before the next k.
+@lru_cache(maxsize=64)
+def _unit_weights(identity_id: str, k: int) -> Tuple[Fraction, ...]:
+    """The weights of the spec row at alpha = 1, for m = 1 .. (k+1 or k)."""
     _, kind, weight, _, _ = _SPECS[identity_id]
     count = k + 1 if kind == "derivative" else k
-    return [Fraction(weight(k, m, alpha)) for m in range(1, count + 1)]
+    return tuple(Fraction(weight(k, m)) for m in range(1, count + 1))
+
+
+def _weights(identity_id: str, k: int, alpha: Optional[Fraction]) -> List[Fraction]:
+    weights = _unit_weights(identity_id, k)
+    if identity_id == "G1":
+        scale = alpha**k
+        return [w * scale for w in weights]
+    if identity_id == "G2":
+        return [w * alpha ** (1 - m) for m, w in enumerate(weights, 1)]
+    return list(weights)
 
 
 def core_identity_coefficients(identity_id: str, k: int) -> List[Fraction]:

@@ -51,7 +51,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConsistencyError, DomainError, PoleError
 from .rationals import binomial, factorial, format_rational
-from .series import LaurentSeries, exp_linear, recip_exp_linear
+from .series import LaurentSeries, _normalized, exp_linear, recip_exp_linear
 from .stirling import stirling2, verify_first_kind_determinant_relation
 
 __all__ = [
@@ -103,13 +103,9 @@ class Polynomial:
         nums = list(self.nums)
         while nums and not nums[-1]:
             nums.pop()
-        g = math.gcd(self.den, *nums)
-        if self.den < 0:
-            g = -g
-        if g != 1:
-            nums = [x // g for x in nums]
+        nums, den = _normalized(nums, self.den)
         object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_coeffs(cls, values: Iterable[Scalar]) -> "Polynomial":

@@ -45,7 +45,8 @@ other; both give the same coefficients.
 
 A power s**k makes no products: one pass of J.C.P. Miller's recurrence
 on the stored numerators gives the unit's k-th power at every length, on
-exactly the window k - 1 repeated products would give.
+exactly the window k - 1 repeated products would give.  The same pass at
+k = -1 is the long division, and short-window reciprocals run on it.
 """
 
 from __future__ import annotations
@@ -318,8 +319,9 @@ class LaurentSeries:
         """Multiplicative inverse on the window [-v, precision - 2v - 1).
 
         v is the valuation.  Writing self = t**v * u with u a unit power
-        series, the inverse is t**-v * u**-1 computed by the long-division
-        recurrence q_n = -(sum_{i=1..n} u_i q_{n-i}) / u_0.
+        series, the inverse is t**-v * u**-1 by the long division
+        q_n = -(sum_{i=1..n} u_i q_{n-i}) / u_0, which is the power
+        recurrence at k = -1.
         """
         if self.is_zero:
             raise ZeroSeriesError("reciprocal of the exact zero series")
@@ -337,8 +339,10 @@ class LaurentSeries:
             )
         start = v - self.offset
         unit = self.nums[start : start + precision - offset]
-        kernel = _egf_reciprocal if len(unit) >= _EGF_MIN_LENGTH else _lcm_reciprocal
-        nums, den = kernel(unit, self.den)
+        if len(unit) >= _EGF_MIN_LENGTH:
+            nums, den = _egf_reciprocal(unit, self.den)
+        else:
+            nums, den = _power(unit, self.den, -1)
         return _canonical(offset, nums, den)
 
 
@@ -360,7 +364,14 @@ def _new(offset: int, nums: Tuple[int, ...], den: int) -> LaurentSeries:
 
 
 def _canonical(offset: int, nums: list, den: int) -> LaurentSeries:
-    """The series sum nums[i]/den t**(offset+i), put in canonical form.
+    """The series sum nums[i]/den t**(offset+i), put in canonical form."""
+    nums, den = _normalized(nums, den)
+    return _new(offset, tuple(nums), den)
+
+
+def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
+    """The canonical form of the values nums[i]/den: both divided by
+    gcd(den, *nums), signed so that den > 0.
 
     ``den`` is nonzero and may be negative.  The gcd runs from the last
     numerator down: for the exponential-type series of this package the
@@ -374,12 +385,12 @@ def _canonical(offset: int, nums: list, den: int) -> LaurentSeries:
     if g != 1:
         nums = [x // g for x in nums]
         den //= g
-    return _new(offset, tuple(nums), den)
+    return nums, den
 
 
 # Output length from which multiplication and reciprocal run on
 # factorial-scaled numerators (_egf_product, _egf_reciprocal) rather than
-# on the stored numerators (_lcm_product, _lcm_reciprocal).  Measured on
+# on the stored numerators (_lcm_product, _power at k = -1).  Measured on
 # the oracle mix of the sequence families (five reciprocals and three
 # products per order, alternating runs, 2-vCPU x86-64, Python 3.11): the
 # lcm kernels win below about order 64, the two are within run-to-run noise
@@ -450,12 +461,11 @@ def _egf_unscaled(ints, den) -> Tuple[list, int]:
 def _times_ratio(nums, num: int, den: int) -> Tuple[list, int]:
     """Numerators and denominator of nums[i] * num / den.
 
-    A reciprocal's quotients come back over its running denominator, a
-    multiple of the unit's lead, and are scaled by the unit's denominator:
-    1/u_0 is that denominator over the lead, so the two share most of
-    their factors; a power's come back over its running denominator and
-    are scaled by u_0**k.  Cancelling them first keeps every numerator
-    smaller.
+    A power's coefficients come back over its running denominator and
+    are scaled by u_0**k.  For a reciprocal that is 1/u_0, the unit's
+    denominator over its lead, and the running denominator is mostly
+    powers of the lead, so the two share most of their factors.
+    Cancelling them first keeps every numerator smaller.
     """
     g = math.gcd(num, den)
     num //= g
@@ -500,28 +510,6 @@ def _egf_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
     return _egf_unscaled(out, da * db)
 
 
-def _lcm_reciprocal(unit, unit_den: int) -> Tuple[list, int]:
-    """1/u for the unit power series u_i = unit[i] / unit_den.
-
-    The long-division recurrence q_n = -(sum_{i=1..n} u_i q_{n-i}) / u_0.
-    """
-    # 1/u = unit_den * (1/U) for the integer series U = unit.  The
-    # quotients r_n = nums[n] / den of 1/U share one denominator, widened
-    # whenever a new quotient does not fit over it.
-    lead = unit[0]
-    den = lead
-    nums = [1]
-    for n in range(1, len(unit)):
-        acc = sum(map(operator.mul, unit[1 : n + 1], reversed(nums)))
-        if acc % lead:
-            widen = abs(lead) // math.gcd(acc, lead)
-            nums = [x * widen for x in nums]
-            den *= widen
-            acc *= widen
-        nums.append(-acc // lead)
-    return _times_ratio(nums, unit_den, den)
-
-
 def _egf_reciprocal(unit, unit_den: int) -> Tuple[list, int]:
     """1/u for the unit power series u_i = unit[i] / unit_den, on
     factorial-scaled numerators.
@@ -530,8 +518,8 @@ def _egf_reciprocal(unit, unit_den: int) -> Tuple[list, int]:
     where sum_{i=0..n} C(n, i) U_i R_{n-i} = [n == 0].
     """
     unit, unit_den = _egf_scaled(unit, unit_den)
-    # As in _lcm_reciprocal, R_n = nums[n] / den over one running
-    # denominator, widened whenever a new quotient does not fit over it.
+    # As in _power, R_n = nums[n] / den over one running denominator,
+    # widened whenever a new quotient does not fit over it.
     lead = unit[0]
     den = lead
     nums = [1]
@@ -550,23 +538,29 @@ def _egf_reciprocal(unit, unit_den: int) -> Tuple[list, int]:
 
 
 def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
-    """u**k for the unit power series u_i = unit[i] / unit_den, k >= 1.
+    """u**k for the unit power series u_i = unit[i] / unit_den, k >= 1 or
+    k = -1.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): w = u**k has
     w_0 = u_0**k and n u_0 w_n = sum_{i=1..n} ((k+1) i - n) u_i w_{n-i}.
+    At k = -1 every weight is -n; dividing it out leaves the long division
+    u_0 w_n = -sum_{i=1..n} u_i w_{n-i}.
     """
-    # u**k = u_0**k * (U/U_0)**k for the integer series U = unit.  As in
-    # _lcm_reciprocal, the coefficients r_n = nums[n] / den of (U/U_0)**k
-    # share one running denominator, widened whenever a new one does not
-    # fit over it.
+    # u**k = u_0**k * (U/U_0)**k for the integer series U = unit.  The
+    # coefficients r_n = nums[n] / den of (U/U_0)**k share one running
+    # denominator, widened whenever a new one does not fit over it.
     lead = unit[0]
     den = 1
     nums = [1]
     for n in range(1, len(unit)):
-        weights = range(k + 1 - n, k * n + 1, k + 1)  # (k+1) i - n, i = 1..n
-        terms = map(operator.mul, weights, unit[1 : n + 1])
+        terms = unit[1 : n + 1]
+        if k == -1:
+            divisor = -lead
+        else:
+            weights = range(k + 1 - n, k * n + 1, k + 1)  # (k+1) i - n, i = 1..n
+            terms = map(operator.mul, weights, terms)
+            divisor = n * lead
         acc = sum(map(operator.mul, terms, reversed(nums)))
-        divisor = n * lead
         if acc % divisor:
             widen = abs(divisor) // math.gcd(acc, divisor)
             nums = [x * widen for x in nums]

@@ -25,7 +25,7 @@ from stirnum.identities import (
     verify_plus_identity,
     verify_target,
 )
-from stirnum.identities import _SPECS, _Ladder
+from stirnum.identities import _SPECS, _Ladder, _weights
 from stirnum.rationals import factorial
 from stirnum.series import LaurentSeries, linear_combination, recip_exp_linear
 from stirnum.stirling import b_coeff, lambda_coeff, stirling1, stirling2
@@ -175,6 +175,16 @@ class TestGeneralIdentities:
                     )
                     b_route = b_coeff(k, m) * alpha ** (1 - m)
                     assert s_route == b_route
+
+    def test_weights_scale_the_unit_weights(self):
+        # G1 at alpha = 1 is I1's weight list and a point scales it by
+        # alpha**k; G2 at alpha = 1 is b_{k,m-1}, reached through s(k, m)
+        alpha = Fraction(3, 2)
+        for k in range(1, 21):
+            i1 = core_identity_coefficients("I1", k)
+            assert _weights("G1", k, Fraction(1)) == i1
+            assert _weights("G1", k, alpha) == [alpha**k * w for w in i1]
+            assert _weights("G2", k, Fraction(1)) == [b_coeff(k, m) for m in range(1, k + 1)]
 
     def test_domain(self):
         with pytest.raises(DomainError):

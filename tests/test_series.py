@@ -468,10 +468,11 @@ class TestEgfKernel:
 
     def test_window_length_selects_kernel(self, monkeypatch):
         ran = []
-        for name in ("_lcm_product", "_egf_product", "_lcm_reciprocal", "_egf_reciprocal"):
+        for name in ("_lcm_product", "_egf_product", "_power", "_egf_reciprocal"):
 
             def spy(*args, _name=name, _real=getattr(series_module, name)):
-                ran.append(_name)
+                # A short reciprocal is the power kernel at exponent -1.
+                ran.append(f"_power({args[2]})" if _name == "_power" else _name)
                 return _real(*args)
 
             monkeypatch.setattr(series_module, name, spy)
@@ -486,10 +487,10 @@ class TestEgfKernel:
 
         # Identity sweeps read orders up to 34.
         for length in range(1, 35):
-            assert kernels(length) == ["_lcm_reciprocal", "_lcm_product"]
+            assert kernels(length) == ["_power(-1)", "_lcm_product"]
         split = series_module._EGF_MIN_LENGTH
         assert 34 < split
-        assert kernels(split - 1) == ["_lcm_reciprocal", "_lcm_product"]
+        assert kernels(split - 1) == ["_power(-1)", "_lcm_product"]
         for length in (split, split + 1, 2 * split):
             assert kernels(length) == ["_egf_reciprocal", "_egf_product"]
 
