@@ -548,18 +548,21 @@ def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
     """
     # u**k = u_0**k * (U/U_0)**k for the integer series U = unit.  The
     # coefficients r_n = nums[n] / den of (U/U_0)**k share one running
-    # denominator, widened whenever a new one does not fit over it.
+    # denominator, widened whenever a new one does not fit over it.  Row n
+    # holds the terms of the sum, u_1..u_n weighted unless k = -1, and the
+    # divisor.
     lead = unit[0]
+    ns = range(1, len(unit))
+    if k == -1:
+        rows = ((unit[1 : n + 1], -lead) for n in ns)
+    else:
+        rows = (
+            (map(operator.mul, range(k + 1 - n, k * n + 1, k + 1), unit[1 : n + 1]), n * lead)
+            for n in ns
+        )
     den = 1
     nums = [1]
-    for n in range(1, len(unit)):
-        terms = unit[1 : n + 1]
-        if k == -1:
-            divisor = -lead
-        else:
-            weights = range(k + 1 - n, k * n + 1, k + 1)  # (k+1) i - n, i = 1..n
-            terms = map(operator.mul, weights, terms)
-            divisor = n * lead
+    for terms, divisor in rows:
         acc = sum(map(operator.mul, terms, reversed(nums)))
         if acc % divisor:
             widen = abs(divisor) // math.gcd(acc, divisor)

@@ -161,6 +161,10 @@ class TestGeneralIdentities:
         for k in range(1, 7):
             for m in range(1, k + 2):
                 assert (-1) ** k * factorial(m - 1) * stirling2(k + 1, m) == lambda_coeff(k, m)
+            # a G1 point scales I1's weights by alpha**k
+            for alpha in (Fraction(1), Fraction(3, 2)):
+                i1 = core_identity_coefficients("I1", k)
+                assert _weights("G1", k, alpha) == [alpha**k * w for w in i1]
 
     def test_first_kind_weights_match_b_route(self):
         # the derivative-sum weights written through s(k, m) equal the ones
@@ -175,16 +179,9 @@ class TestGeneralIdentities:
                     )
                     b_route = b_coeff(k, m) * alpha ** (1 - m)
                     assert s_route == b_route
-
-    def test_weights_scale_the_unit_weights(self):
-        # G1 at alpha = 1 is I1's weight list and a point scales it by
-        # alpha**k; G2 at alpha = 1 is b_{k,m-1}, reached through s(k, m)
-        alpha = Fraction(3, 2)
-        for k in range(1, 21):
-            i1 = core_identity_coefficients("I1", k)
-            assert _weights("G1", k, Fraction(1)) == i1
-            assert _weights("G1", k, alpha) == [alpha**k * w for w in i1]
-            assert _weights("G2", k, Fraction(1)) == [b_coeff(k, m) for m in range(1, k + 1)]
+                assert _weights("G2", k, alpha) == [
+                    b_coeff(k, m) * alpha ** (1 - m) for m in range(1, k + 1)
+                ]
 
     def test_domain(self):
         with pytest.raises(DomainError):
