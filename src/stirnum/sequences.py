@@ -43,7 +43,6 @@ vanishing alternating sum, each returning plain tuples that
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +50,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConsistencyError, DomainError, PoleError
 from .rationals import binomial, factorial, format_rational
-from .series import LaurentSeries, _normalized, exp_linear, recip_exp_linear
+from .series import LaurentSeries, _normalized, _over_lcm, exp_linear, recip_exp_linear
 from .stirling import stirling2, verify_first_kind_determinant_relation
 
 __all__ = [
@@ -100,6 +99,8 @@ class Polynomial:
     )
 
     def __post_init__(self):
+        if not self.den:
+            raise DomainError("a polynomial needs a nonzero denominator")
         nums = list(self.nums)
         while nums and not nums[-1]:
             nums.pop()
@@ -114,7 +115,7 @@ class Polynomial:
         vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
         while vals and not vals[-1]:
             vals.pop()
-        poly = _over_lcm([c.numerator for c in vals], [c.denominator for c in vals])
+        poly = cls(*_over_lcm([c.numerator for c in vals], [c.denominator for c in vals]))
         object.__setattr__(poly, "_coeffs", tuple(vals))
         return poly
 
@@ -277,10 +278,8 @@ def euler_polynomial_formula(n: int) -> Polynomial:
     if n < 0:
         raise DomainError(f"Euler polynomials need n >= 0, got {n}")
     sums = [_geometric_stirling_sum(n - k + 1, 1, 2) for k in range(n + 1)]
-    return _over_lcm(
-        [(-1) ** (n - k) * 2 * math.comb(n, k) * g.numerator for k, g in enumerate(sums)],
-        [g.denominator for g in sums],
-    )
+    nums = [(-1) ** (n - k) * 2 * math.comb(n, k) * g.numerator for k, g in enumerate(sums)]
+    return Polynomial(*_over_lcm(nums, [g.denominator for g in sums]))
 
 
 def euler_polynomial_oracle(n: int, x: Scalar) -> Fraction:
@@ -355,10 +354,9 @@ def two_param_euler_formula(n: int, alpha: Scalar, lam: Scalar) -> Polynomial:
     if q < 0:
         p, q = -p, -q
     sums = [_geometric_stirling_sum(n - k + 1, p, q) for k in range(n + 1)]
-    return _over_lcm(
-        [2 * (-a) ** (n - k) * math.comb(n, k) * g.numerator for k, g in enumerate(sums)],
-        [b ** (n - k) * g.denominator for k, g in enumerate(sums)],
-    )
+    nums = [2 * (-a) ** (n - k) * math.comb(n, k) * g.numerator for k, g in enumerate(sums)]
+    dens = [b ** (n - k) * g.denominator for k, g in enumerate(sums)]
+    return Polynomial(*_over_lcm(nums, dens))
 
 
 def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fraction:
@@ -481,20 +479,6 @@ def _reduces(n: int, alpha: Fraction, lam: Fraction, poly) -> bool:
         if value_num * x.denominator**n * pivot_den != x.numerator**n * pivot_num * value_den:
             return False
     return True
-
-
-def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Polynomial:
-    """The polynomial with coefficients nums[k] / dens[k], dens > 0.
-
-    Each ratio is reduced and put over the lcm of the reduced
-    denominators, which is the canonical denominator: that keeps the
-    numerators as small as they can be and leaves no common factor to
-    divide out.
-    """
-    gcds = list(map(math.gcd, nums, dens))
-    dens = list(map(operator.floordiv, dens, gcds))
-    den = math.lcm(*dens)
-    return Polynomial([x // g * (den // d) for x, g, d in zip(nums, gcds, dens)], den)
 
 
 def determinant_relation_checks(k_max: int) -> List[Tuple[int, int, bool]]:

@@ -47,6 +47,9 @@ A power s**k makes no products: one pass of J.C.P. Miller's recurrence
 on the stored numerators gives the unit's k-th power at every length, on
 exactly the window k - 1 repeated products would give.  The same pass at
 k = -1 is the long division, and short-window reciprocals run on it.
+Long reciprocals run the same long division on factorial-scaled
+numerators, U_0 R_n = -sum_i binom(n, i) U_i R_{n-i}; one loop,
+``_recurrence``, solves both.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
@@ -74,7 +77,7 @@ class LaurentSeries:
     den: int
 
     def __init__(self, offset: int, coeffs: Sequence[Scalar]):
-        nums, den = _scaled(coeffs)
+        nums, den = _over_lcm([c.numerator for c in coeffs], [c.denominator for c in coeffs])
         _init(self, offset, tuple(nums), den)
 
     def __setattr__(self, name, value):
@@ -400,10 +403,18 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 _EGF_MIN_LENGTH = 104
 
 
-def _scaled(coeffs) -> Tuple[list, int]:
-    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
+    """The canonical form of the values nums[i]/dens[i], dens > 0.
+
+    Each ratio is reduced and put over the lcm of the reduced
+    denominators, which is the canonical denominator: that keeps the
+    numerators as small as they can be and leaves no common factor to
+    divide out.
+    """
+    gcds = list(map(math.gcd, nums, dens))
+    dens = list(map(operator.floordiv, dens, gcds))
+    den = math.lcm(*dens)
+    return [x // g * (den // d) for x, g, d in zip(nums, gcds, dens)], den
 
 
 ZERO = LaurentSeries(0, ())
@@ -472,6 +483,31 @@ def _times_ratio(nums, num: int, den: int) -> Tuple[list, int]:
     return [num * x for x in nums], den // g
 
 
+def _binomial_rows() -> Iterator[list]:
+    """The rows C(n, 0..n) of Pascal's triangle for n = 0, 1, 2, ..."""
+    row = [1]
+    while True:
+        yield row
+        row = [1, *map(operator.add, row, row[1:]), 1]
+
+
+def _recurrence(rows) -> Tuple[list, int]:
+    """r_0 = 1 and divisor_n r_n = sum_i terms_n[i] r_{n-1-i} for each row
+    (terms_n, divisor_n), the sum stopping at r_0: numerators over one
+    running denominator, widened whenever a new quotient does not fit."""
+    den = 1
+    nums = [1]
+    for terms, divisor in rows:
+        acc = sum(map(operator.mul, terms, reversed(nums)))
+        if acc % divisor:
+            widen = abs(divisor) // math.gcd(acc, divisor)
+            nums = [x * widen for x in nums]
+            den *= widen
+            acc *= widen
+        nums.append(acc // divisor)
+    return nums, den
+
+
 def _lcm_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
     """The first ``length`` coefficients of a*b: numerators over da * db."""
     out = []
@@ -492,21 +528,11 @@ def _egf_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
     a, da = _egf_scaled(a, da)
     b, db = _egf_scaled(b, db)
     out = []
-    row = [1]  # C(k, 0..k)
-    for k in range(length):
-        if k:
-            row = [1, *map(operator.add, row, row[1:]), 1]
+    for k, row in zip(range(length), _binomial_rows()):
         lo = max(0, k - len(b) + 1)
         hi = min(k + 1, len(a))
-        out.append(
-            sum(
-                map(
-                    operator.mul,
-                    map(operator.mul, row[lo:hi], a[lo:hi]),
-                    reversed(b[k - hi + 1 : k - lo + 1]),
-                )
-            )
-        )
+        terms = map(operator.mul, row[lo:hi], a[lo:hi])
+        out.append(sum(map(operator.mul, terms, reversed(b[k - hi + 1 : k - lo + 1]))))
     return _egf_unscaled(out, da * db)
 
 
@@ -515,26 +541,17 @@ def _egf_reciprocal(unit, unit_den: int) -> Tuple[list, int]:
     factorial-scaled numerators.
 
     With u_i = U_i / (i! d), 1/u = d * sum R_n t**n / n!
-    where sum_{i=0..n} C(n, i) U_i R_{n-i} = [n == 0].
+    where sum_{i=0..n} C(n, i) U_i R_{n-i} = [n == 0]: the long division
+    U_0 R_n = -sum_{i=1..n} C(n, i) U_i R_{n-i}, run for U_0 R_n.
     """
     unit, unit_den = _egf_scaled(unit, unit_den)
-    # As in _power, R_n = nums[n] / den over one running denominator,
-    # widened whenever a new quotient does not fit over it.
-    lead = unit[0]
-    den = lead
-    nums = [1]
-    row = [1]  # C(n, 0..n)
-    for n in range(1, len(unit)):
-        row = [1, *map(operator.add, row, row[1:]), 1]
-        terms = map(operator.mul, row[1:], unit[1 : n + 1])
-        acc = sum(map(operator.mul, terms, reversed(nums)))
-        if acc % lead:
-            widen = abs(lead) // math.gcd(acc, lead)
-            nums = [x * widen for x in nums]
-            den *= widen
-            acc *= widen
-        nums.append(-acc // lead)
-    return _egf_unscaled(*_times_ratio(nums, unit_den, den))
+    lead, tail = unit[0], unit[1:]
+    rows = (
+        (map(operator.mul, row[1:], tail), -lead)
+        for row in islice(_binomial_rows(), 1, len(unit))
+    )
+    nums, den = _recurrence(rows)
+    return _egf_unscaled(*_times_ratio(nums, unit_den, den * lead))
 
 
 def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
@@ -546,30 +563,17 @@ def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
     At k = -1 every weight is -n; dividing it out leaves the long division
     u_0 w_n = -sum_{i=1..n} u_i w_{n-i}.
     """
-    # u**k = u_0**k * (U/U_0)**k for the integer series U = unit.  The
-    # coefficients r_n = nums[n] / den of (U/U_0)**k share one running
-    # denominator, widened whenever a new one does not fit over it.  Row n
-    # holds the terms of the sum, u_1..u_n weighted unless k = -1, and the
-    # divisor.
-    lead = unit[0]
-    ns = range(1, len(unit))
+    # u**k = u_0**k * (U/U_0)**k for the integer series U = unit; row n of
+    # (U/U_0)**k holds u_1..u_n, weighted unless k = -1, and the divisor.
+    lead, tail = unit[0], unit[1:]
     if k == -1:
-        rows = ((unit[1 : n + 1], -lead) for n in ns)
+        rows = repeat((tail, -lead), len(tail))
     else:
         rows = (
-            (map(operator.mul, range(k + 1 - n, k * n + 1, k + 1), unit[1 : n + 1]), n * lead)
-            for n in ns
+            (map(operator.mul, range(k + 1 - n, k * n + 1, k + 1), tail), n * lead)
+            for n in range(1, len(unit))
         )
-    den = 1
-    nums = [1]
-    for terms, divisor in rows:
-        acc = sum(map(operator.mul, terms, reversed(nums)))
-        if acc % divisor:
-            widen = abs(divisor) // math.gcd(acc, divisor)
-            nums = [x * widen for x in nums]
-            den *= widen
-            acc *= widen
-        nums.append(acc // divisor)
+    nums, den = _recurrence(rows)
     lead_power = Fraction(lead, unit_den) ** k
     return _times_ratio(nums, lead_power.numerator, den * lead_power.denominator)
 
@@ -579,12 +583,15 @@ def linear_combination(
 ) -> LaurentSeries:
     """sum(w * s for s, w in zip(terms, weights)) with the add rules.
 
-    A zero weight or the exact zero term drops out, as ``scale(0)`` gives
-    the exact zero; nothing left gives ZERO.  The window runs from the
-    least offset to the least precision of the terms that stay.  Each
-    term's numerators are put over one common denominator, summed as
-    integers and normalized once.
+    ``terms`` and ``weights`` have the same length.  A zero weight or the
+    exact zero term drops out, as ``scale(0)`` gives the exact zero;
+    nothing left gives ZERO.  The window runs from the least offset to the
+    least precision of the terms that stay.  Each term's numerators are
+    put over one common denominator, summed as integers and normalized
+    once.
     """
+    if len(terms) != len(weights):
+        raise DomainError(f"{len(terms)} terms but {len(weights)} weights")
     kept = []
     for term, weight in zip(terms, weights):
         weight = Fraction(weight)

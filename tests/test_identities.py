@@ -27,7 +27,7 @@ from stirnum.identities import (
 )
 from stirnum.identities import _SPECS, _Ladder, _weights
 from stirnum.rationals import factorial
-from stirnum.series import LaurentSeries, linear_combination, recip_exp_linear
+from stirnum.series import _EGF_MIN_LENGTH, LaurentSeries, linear_combination, recip_exp_linear
 from stirnum.stirling import b_coeff, lambda_coeff, stirling1, stirling2
 
 
@@ -222,6 +222,18 @@ class TestFaultInjection:
         report = verify_core_identity("I2", 5, coeff_override=weights)
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "verify, identity_id", [(verify_core_identity, "I1"), (verify_plus_identity, "P1")]
+    )
+    def test_override_of_wrong_length_rejected(self, verify, identity_id):
+        # Summed pairwise, an extra weight would drop out and a missing
+        # one would read as zero.
+        weights = _weights(identity_id, 3, None)
+        assert verify(identity_id, 3, coeff_override=weights).passed
+        for wrong in (weights + [999], weights[:-1]):
+            with pytest.raises(DomainError):
+                verify(identity_id, 3, coeff_override=wrong)
+
     @pytest.mark.parametrize("identity_id, k", [("I1", 2), ("I7", 2), ("I7", 5), ("I8", 3), ("I8", 4)])
     def test_all_zero_weights_fail(self, identity_id, k):
         # The weighted sum is then the exact zero; on I7 and I8 the right
@@ -340,6 +352,14 @@ class TestSweeps:
         assert len(ALL_IDENTITY_IDS) == 12
         # one spec row per tag, and no row without a tag
         assert tuple(_SPECS) == ALL_IDENTITY_IDS
+
+    def test_sweep_past_the_kernel_split(self):
+        # At k = 48 the ladders start at order 106; their reciprocals and
+        # products stay past the split, on the factorial-scaled kernels.
+        assert default_order(48) - 2 >= _EGF_MIN_LENGTH
+        reports = run_sweep(["I3", "I8", "P2", "G2"], 48, alphas=[Fraction(-3, 2)], lambdas=[2])
+        assert len(reports) == 4 * 48
+        assert all(report.passed for report in reports)
 
     @settings(max_examples=200, deadline=None)
     @given(

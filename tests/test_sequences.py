@@ -335,6 +335,12 @@ class TestCanonicalPolynomials:
         assert (Polynomial(()).nums, Polynomial(()).den) == ((), 1)
         assert hash(p) == hash(Polynomial.from_coeffs(p.coeffs))
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(DomainError):
+            Polynomial((1, 2), 0)
+        with pytest.raises(DomainError):
+            Polynomial((0, 0), 0)
+
     @pytest.mark.parametrize("n", range(0, 41))
     def test_closed_forms_on_the_reduction_grid(self, n):
         polys = [euler_polynomial_formula(n)] + [

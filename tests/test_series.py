@@ -396,9 +396,21 @@ class TestIntegerKernel:
         st.lists(st.one_of(st.just(0), st.integers(-3, 3), kernel_fractions), max_size=6),
     )
     def test_linear_combination_matches_reference(self, terms, weights):
+        n = min(len(terms), len(weights))
         assert_same_series(
-            linear_combination(terms, weights), reference_linear_combination(terms, weights)
+            linear_combination(terms[:n], weights[:n]),
+            reference_linear_combination(terms, weights),
         )
+        if len(terms) != len(weights):
+            with pytest.raises(DomainError):
+                linear_combination(terms, weights)
+
+    def test_linear_combination_needs_one_weight_per_term(self):
+        a, b = exp_linear(1, 5), LaurentSeries.one(5)
+        with pytest.raises(DomainError):
+            linear_combination([a, b], [1])
+        with pytest.raises(DomainError):
+            linear_combination([a], [1, 2])
 
     @settings(max_examples=300)
     @given(st.one_of(kernel_series(), st.just(ZERO)), st.one_of(kernel_series(), st.just(ZERO)))
