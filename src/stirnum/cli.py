@@ -19,7 +19,8 @@ argument list; anything the subparser leaves over is reported by the
 top-level parser, as a two-level parse reports it.  Every other argument
 list (empty, ``--help``, an unknown command, an option or ``--`` before
 the command) goes through the top-level parser, the only one that prints
-the top-level help and errors.
+the top-level help and errors.  Any other usage error, the checks made
+after parsing included, prints the usage line of the command it names.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ from .stirling import m_determinant, stirling1, stirling2
 
 __all__ = ["build_parser", "main"]
 
+# Command name -> (the library value it prints, its integer arguments, help
+# line).  Each row looks its function up in this module when called, so a
+# rebinding of the module name reaches the command.
+_VALUE_COMMANDS = {
+    "stirling2": (lambda *a: stirling2(*a), ("n", "k"), "Stirling number S(n, k), second kind"),
+    "stirling1": (lambda *a: stirling1(*a), ("n", "k"), "signed Stirling number s(n, k), first kind"),
+    "mdet": (lambda *a: m_determinant(*a), ("j", "k", "i"), "bordered Hessenberg determinant M_j(k, i)"),
+}
 # Command name -> (the sequence_value family it prints, help line).
 _FAMILY_COMMANDS = {
     "bernoulli": ("bernoulli", "Bernoulli number B_n"),
@@ -108,18 +117,10 @@ def _build() -> Tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentPar
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("stirling2", parents=[common], help="Stirling number S(n, k), second kind")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-
-    p = sub.add_parser("stirling1", parents=[common], help="signed Stirling number s(n, k), first kind")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-
-    p = sub.add_parser("mdet", parents=[common], help="bordered Hessenberg determinant M_j(k, i)")
-    p.add_argument("j", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("i", type=int)
+    for command, (_, names, help_line) in _VALUE_COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_line)
+        for name in names:
+            p.add_argument(name, type=int)
 
     for command, (family, help_line) in _FAMILY_COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=help_line)
@@ -148,6 +149,7 @@ def _build() -> Tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentPar
     )
     p.add_argument("--lambda", dest="lam", type=_rational, default=None)
     p.add_argument("--order", type=int, required=True, help="truncation order of the source series")
+    p.set_defaults(parser=p)
 
     p = sub.add_parser("verify", parents=[common], help="run identity verification sweeps")
     p.add_argument(
@@ -159,6 +161,7 @@ def _build() -> Tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentPar
     p.add_argument("--alpha", type=_rational, default=None, help="restrict the parameter grid")
     p.add_argument("--lambda", dest="lam", type=_rational, default=None, help="restrict the parameter grid")
     p.add_argument("--order", type=int, default=None, help="override the truncation order")
+    p.set_defaults(parser=p)
 
     return parser, sub.choices
 
@@ -172,20 +175,22 @@ def _parser() -> Tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentPa
     return _build()
 
 
-def _post_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _post_validate(args: argparse.Namespace) -> None:
+    """The checks of series dump and verify that argparse cannot state,
+    reported through that command's parser, args.parser."""
     if args.command == "series":
         if args.which == "apostol" and args.lam is None:
-            parser.error("--lambda is required for the apostol series")
+            args.parser.error("--lambda is required for the apostol series")
         if args.which != "apostol" and args.lam is not None:
-            parser.error("--lambda applies only to the apostol series")
+            args.parser.error("--lambda applies only to the apostol series")
     if args.command == "verify" and args.k_max < 1:
-        parser.error("--k-max must be >= 1")
+        args.parser.error("--k-max must be >= 1")
     if getattr(args, "order", None) is not None and args.order < 1:
-        parser.error("--order must be >= 1")
+        args.parser.error("--order must be >= 1")
     if args.command == "verify":
         for name in _verify_options(args):
             if name not in VERIFY_OPTIONS[args.target]:
-                parser.error(f"verify {args.target} does not read --{name}")
+                args.parser.error(f"verify {args.target} does not read --{name}")
 
 
 def _verify_options(args: argparse.Namespace) -> Dict[str, object]:
@@ -259,18 +264,10 @@ def _error_output(argv, kind: str, message: str) -> CommandOutput:
 # -- handlers ----------------------------------------------------------------
 
 
-def _handle_stirling2(args, argv):
-    return _value_output(argv, {"n": args.n, "k": args.k}, stirling2(args.n, args.k))
-
-
-def _handle_stirling1(args, argv):
-    return _value_output(argv, {"n": args.n, "k": args.k}, stirling1(args.n, args.k))
-
-
-def _handle_mdet(args, argv):
-    return _value_output(
-        argv, {"j": args.j, "k": args.k, "i": args.i}, m_determinant(args.j, args.k, args.i)
-    )
+def _handle_value(args, argv):
+    function, names, _ = _VALUE_COMMANDS[args.command]
+    params = {name: getattr(args, name) for name in names}
+    return _value_output(argv, params, function(*params.values()))
 
 
 def _handle_family(args, argv):
@@ -319,9 +316,7 @@ def _handle_verify(args, argv):
 
 
 _HANDLERS = {
-    "stirling2": _handle_stirling2,
-    "stirling1": _handle_stirling1,
-    "mdet": _handle_mdet,
+    **dict.fromkeys(_VALUE_COMMANDS, _handle_value),
     **dict.fromkeys(_FAMILY_COMMANDS, _handle_family),
     "series": _handle_series_dump,
     "verify": _handle_verify,
@@ -352,7 +347,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
             if extras:
                 parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        _post_validate(parser, args)
+        _post_validate(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

@@ -54,7 +54,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import DomainError, PrecisionExhaustedError
 from .rationals import factorial, format_rational
 from .sequences import (
-    _reduction_grid,
     alternating_sum_checks,
     determinant_relation_checks,
     two_param_reduction_sweep,
@@ -519,14 +518,15 @@ def verify_target(
     """Every row of ``verify`` on one target, in order: the ``run_sweep``
     reports of its tags (all twelve for "all"), then its det-relation,
     alt-sum and reductions rows.  alpha and lam narrow the G1/G2 and
-    reductions grids to one value each; a target with reductions rejects
-    a bad reductions point before any check runs."""
+    reductions grids to one value each.  The reductions sweep runs
+    first, so a bad reductions point raises before any tag is swept."""
     if target not in VERIFY_OPTIONS:
         raise DomainError(f"unknown verify target {target!r}")
     alphas = None if alpha is None else [alpha]
     lambdas = None if lam is None else [lam]
+    reductions = []
     if target in ("all", "reductions"):
-        _reduction_grid(alphas, lambdas)
+        reductions = two_param_reduction_sweep(k_max, alphas, lambdas)
     tags = ALL_IDENTITY_IDS if target == "all" else ((target,) if target in _SPECS else ())
     rows: List[Union[VerificationReport, CheckRow]] = []
     rows += run_sweep(tags, k_max, order, alphas, lambdas)
@@ -536,8 +536,7 @@ def verify_target(
     if target in ("all", "alt-sum"):
         for n, passed in alternating_sum_checks(k_max):
             rows.append(CheckRow("alt-sum", {"n": n}, passed))
-    if target in ("all", "reductions"):
-        for n, a, v, passed in two_param_reduction_sweep(k_max, alphas, lambdas):
-            point = {"n": n, "alpha": format_rational(a), "lambda": format_rational(v)}
-            rows.append(CheckRow("reductions", point, passed))
+    for n, a, v, passed in reductions:
+        point = {"n": n, "alpha": format_rational(a), "lambda": format_rational(v)}
+        rows.append(CheckRow("reductions", point, passed))
     return rows

@@ -47,6 +47,14 @@ def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+def assert_command_usage_error(err, argv, message):
+    """err is message as the parser of the command argv names reports it:
+    that command's usage line first and its prog before the message."""
+    prog = "stirnum series dump" if argv[0] == "series" else "stirnum verify"
+    assert err.startswith(f"usage: {prog} ")
+    assert err.endswith(f"{prog}: error: {message}\n")
+
+
 # sha256 of `series dump NAME --order N --format F` (apostol at
 # --lambda=-3/2), pinned before LaurentSeries moved to integer numerators
 # over one denominator.  Order 120 runs the factorial-scaled kernels.
@@ -81,6 +89,14 @@ BERNOULLI_FORMULA_DOMAIN = (
     "error[domain]: the closed form covers even indices >= 2 only; use the oracle\n"
 )
 
+# One call of each integer command: its arguments, parameters and value.
+VALUE_COMMANDS = [
+    (["stirling2", "5", "3"], {"n": 5, "k": 3}, "25"),
+    (["stirling1", "5", "2"], {"n": 5, "k": 2}, "-50"),
+    (["mdet", "3", "4", "2"], {"j": 3, "k": 4, "i": 2}, "11/6"),
+]
+VALUE_IDS = [argv[0] for argv, _, _ in VALUE_COMMANDS]
+
 
 class TestScalarCommands:
     def test_stirling2_plain(self, capsys):
@@ -98,20 +114,32 @@ class TestScalarCommands:
         assert code == 0
         assert out == "1/2\n"
 
-    def test_stirling2_json(self, capsys):
-        code, out, _ = run(capsys, "stirling2", "5", "3", "--format", "json")
+    @pytest.mark.parametrize("argv, params, value", VALUE_COMMANDS, ids=VALUE_IDS)
+    def test_value_command_json(self, capsys, argv, params, value):
+        code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         record = json.loads(out)
-        assert record["parameters"] == {"n": 5, "k": 3}
-        assert record["result"] == "25"
+        assert record["parameters"] == params
+        assert record["result"] == value
         assert record["status"] == "ok"
-        assert record["command"][0] == "stirling2"
+        assert record["command"][0] == argv[0]
 
-    def test_stirling2_csv(self, capsys):
-        code, out, _ = run(capsys, "stirling2", "5", "3", "--format", "csv")
+    @pytest.mark.parametrize("argv, params, value", VALUE_COMMANDS, ids=VALUE_IDS)
+    def test_value_command_csv(self, capsys, argv, params, value):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
         assert code == 0
         rows = parse_csv(out)
-        assert rows == [["n", "k", "result"], ["5", "3", "25"]]
+        assert rows == [[*params, "result"], [*argv[1:], value]]
+
+    def test_value_commands_call_the_module_names(self, capsys, monkeypatch):
+        # Each command looks its function up in stirnum.cli when called, so
+        # a rebinding there (the benchmark tracer's wrappers) reaches it.
+        calls = []
+        for name in ("stirling2", "stirling1", "m_determinant"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append((name, a)) or 7)
+        for argv, _, _ in VALUE_COMMANDS:
+            assert run(capsys, *argv) == (0, "7\n", "")
+        assert calls == [("stirling2", (5, 3)), ("stirling1", (5, 2)), ("m_determinant", (3, 4, 2))]
 
     def test_bernoulli_plain(self, capsys):
         code, out, _ = run(capsys, "bernoulli", "4", "--format", "plain")
@@ -265,15 +293,16 @@ class TestSeriesDump:
         assert record["result"]["coefficients"][0] == [0, "1/2"]
 
     def test_apostol_requires_lambda(self, capsys):
-        code, out, err = run(capsys, "series", "dump", "apostol", "--order", "6")
+        argv = ["series", "dump", "apostol", "--order", "6"]
+        code, out, err = run(capsys, *argv)
         assert code == 2
-        assert "lambda" in err
+        assert_command_usage_error(err, argv, "--lambda is required for the apostol series")
 
     def test_lambda_rejected_elsewhere(self, capsys):
-        code, _, err = run(
-            capsys, "series", "dump", "recip-exp-minus-one", "--lambda", "2", "--order", "6"
-        )
+        argv = ["series", "dump", "recip-exp-minus-one", "--lambda", "2", "--order", "6"]
+        code, _, err = run(capsys, *argv)
         assert code == 2
+        assert_command_usage_error(err, argv, "--lambda applies only to the apostol series")
 
     def test_apostol_zero_lambda_is_domain_error(self, capsys):
         code, out, _ = run(capsys, "series", "dump", "apostol", "--lambda", "0", "--order", "5")
@@ -570,12 +599,15 @@ class TestErrorsAndUsage:
             ["verify", "I1", "--order", "0"],
             ["verify", "det-relation", "--k-max", "3", "--order=-2"],
             ["series", "dump", "recip-exp-minus-one", "--order", "0"],
+            ["verify", "I1", "--k-max", "0"],
         ],
     )
     def test_order_below_one_is_usage_error(self, capsys, argv):
+        # The last option given is the one below one.
+        option = [arg for arg in argv if arg.startswith("--")][-1].split("=")[0]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.endswith("error: --order must be >= 1\n")
+        assert_command_usage_error(err, argv, f"{option} must be >= 1")
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -590,7 +622,7 @@ class TestErrorsAndUsage:
     def test_option_the_target_does_not_read_is_usage_error(self, capsys, argv, option):
         code, out, err = run(capsys, *argv, "--format", "json")
         assert (code, out) == (2, "")
-        assert err.endswith(f"error: verify {argv[1]} does not read --{option}\n")
+        assert_command_usage_error(err, argv, f"verify {argv[1]} does not read --{option}")
 
     def test_bad_rational_is_usage_error(self, capsys):
         code, _, err = run(capsys, "apostol-bernoulli", "2", "--lambda", "1.5")
