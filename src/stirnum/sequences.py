@@ -408,30 +408,21 @@ def two_param_reduction_sweep(
     ascending.
 
     Each n builds E_n(x) once and each E_n(x; alpha, lam) it reads once,
-    whether as a grid point, a rescale's unit side or a pointwise pivot.  The grid is checked before
-    any n, point by point in order, so a bad point raises the error the
-    first call of ``verify_two_param_reductions`` on it would.
+    whether as a grid point, a rescale's unit side or a pointwise pivot.
+    The grid is checked before any n, point by point in order, so a bad
+    point raises the error the first call of
+    ``verify_two_param_reductions`` on it would.
     """
-    alpha_grid, lambda_grid = _reduction_grid(alphas, lambdas)
+    alpha_grid = sorted(Fraction(a) for a in (alphas or REDUCTION_ALPHAS))
+    lambda_grid = sorted(Fraction(v) for v in (lambdas or REDUCTION_LAMBDAS))
     points = [(alpha, lam) for alpha in alpha_grid for lam in lambda_grid]
+    for alpha, lam in points:
+        _check_two_param(alpha, lam)
     return [
         (n, alpha, lam, passed)
         for n in range(k_max + 1)
         for (alpha, lam), passed in zip(points, _reductions_at(n, alpha_grid, lambda_grid))
     ]
-
-
-def _reduction_grid(
-    alphas: Optional[Sequence[Scalar]], lambdas: Optional[Sequence[Scalar]]
-) -> Tuple[List[Fraction], List[Fraction]]:
-    """The sorted alpha and lambda grids of ``two_param_reduction_sweep``,
-    every point checked in order."""
-    alpha_grid = sorted(Fraction(a) for a in (alphas or REDUCTION_ALPHAS))
-    lambda_grid = sorted(Fraction(v) for v in (lambdas or REDUCTION_LAMBDAS))
-    for alpha in alpha_grid:
-        for lam in lambda_grid:
-            _check_two_param(alpha, lam)
-    return alpha_grid, lambda_grid
 
 
 def _reductions_at(

@@ -39,7 +39,10 @@ exponential-type series of this package that den is about k!, so on long
 windows the numerators grow to thousands of bits.  Long windows therefore
 use factorial-scaled (EGF) numerators, c_k = C_k / (k! den'), which stay
 small for e**(a t) and its relatives: a product coefficient becomes
-sum_i binom(k, i) A_i B_{k-i} over k! da db.  The split is the output
+sum_i binom(k, i) A_i B_{k-i} over k! da db.  The entry ``_egf_scaled``
+multiplies each stored numerator by k! and divides them all and den by
+their gcd.  The exit ``_egf_unscaled`` puts each C_k / (k! den') over the one
+denominator (L-1)! den' of a window of length L.  The split is the output
 length ``_EGF_MIN_LENGTH``, measured where one scaling starts to beat the
 other; both give the same coefficients.
 
@@ -420,42 +423,16 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
 ZERO = LaurentSeries(0, ())
 
 
-def _egf_scaled(nums, den) -> Tuple[list, int]:
-    """Integers ``ints`` and ``d`` with nums[k] / den == ints[k] / (k! * d).
-
-    ints[k] = nums[k] k! / g for g = gcd(den, nums[j] j! for all j), the
-    least ``d``.  Forming every nums[k] k! and dividing it by g costs a
-    product and a division at the size of ``den`` per coefficient.  Instead g is built
-    up as k runs, split as g = a h with a = gcd(g, k!) and m = k!/a, so
-    that nums[k] k! / g == nums[k] m / h: a and m grow by one small gcd
-    per k, h shrinks, and one division gives the quotient.  When h does
-    not divide nums[k] m, g shrinks to a gcd(h, r); the quotients already
-    taken are scaled up once, at the end, by every shrink after them.
-    """
+def _egf_scaled(nums, den) -> Tuple[Sequence[int], int]:
+    """Integers ``ints`` and the least ``d`` with
+    nums[k] / den == ints[k] / (k! * d): each nums[k] times k!, then all
+    of them and ``den`` divided by their gcd."""
     ints = []
-    shrinks = []  # (k, factor): g shrank by factor at coefficient k
-    a, h, m = 1, den, 1
+    factorial = 1
     for k, x in enumerate(nums):
-        if k:
-            d = math.gcd(h, k)
-            h //= d
-            a *= d
-            m *= k // d
-        x *= m
-        q, r = divmod(x, h)
-        if r:
-            smaller = math.gcd(h, r)
-            shrinks.append((k, h // smaller))
-            h = smaller
-            q = x // h
-        ints.append(q)
-    scale, end = 1, len(ints)
-    for start, factor in reversed([(0, 1)] + shrinks):
-        if scale != 1:
-            ints[start:end] = [q * scale for q in ints[start:end]]
-        scale *= factor
-        end = start
-    return ints, den // (a * h)
+        factorial *= k or 1
+        ints.append(x * factorial)
+    return _normalized(ints, den)
 
 
 def _egf_unscaled(ints, den) -> Tuple[list, int]:
@@ -467,20 +444,6 @@ def _egf_unscaled(ints, den) -> Tuple[list, int]:
         nums[k] = ints[k] * ratio
         ratio *= k or 1
     return nums, ratio * den
-
-
-def _times_ratio(nums, num: int, den: int) -> Tuple[list, int]:
-    """Numerators and denominator of nums[i] * num / den.
-
-    A power's coefficients come back over its running denominator and
-    are scaled by u_0**k.  For a reciprocal that is 1/u_0, the unit's
-    denominator over its lead, and the running denominator is mostly
-    powers of the lead, so the two share most of their factors.
-    Cancelling them first keeps every numerator smaller.
-    """
-    g = math.gcd(num, den)
-    num //= g
-    return [num * x for x in nums], den // g
 
 
 def _binomial_rows() -> Iterator[list]:
@@ -551,7 +514,8 @@ def _egf_reciprocal(unit, unit_den: int) -> Tuple[list, int]:
         for row in islice(_binomial_rows(), 1, len(unit))
     )
     nums, den = _recurrence(rows)
-    return _egf_unscaled(*_times_ratio(nums, unit_den, den * lead))
+    scale = Fraction(unit_den, den * lead)
+    return _egf_unscaled([x * scale.numerator for x in nums], scale.denominator)
 
 
 def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
@@ -574,8 +538,8 @@ def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
             for n in range(1, len(unit))
         )
     nums, den = _recurrence(rows)
-    lead_power = Fraction(lead, unit_den) ** k
-    return _times_ratio(nums, lead_power.numerator, den * lead_power.denominator)
+    scale = Fraction(lead, unit_den) ** k / den
+    return [x * scale.numerator for x in nums], scale.denominator
 
 
 def linear_combination(

@@ -440,6 +440,19 @@ def egf_kernels():
     return mock.patch.object(series_module, "_EGF_MIN_LENGTH", 1)
 
 
+def assert_least_egf_form(s):
+    """ints[k] / (k! d) are the coefficients of s, over the least d, and
+    the exit gives s back."""
+    ints, d = series_module._egf_scaled(s.nums, s.den)
+    assert d > 0
+    assert all(
+        Fraction(x, s.den) == Fraction(y, factorial(k) * d)
+        for k, (x, y) in enumerate(zip(s.nums, ints, strict=True))
+    )
+    assert math.gcd(d, *ints) == 1
+    assert series_module._canonical(s.offset, *series_module._egf_unscaled(ints, d)) == s
+
+
 class TestEgfKernel:
     """The factorial-scaled kernels long windows use, against the same
     Fraction references as the lcm kernels."""
@@ -477,6 +490,25 @@ class TestEgfKernel:
         shift = exp_linear(Fraction(-2, 3), 300)
         assert_same_series(shift * inverse, reference_mul(shift, inverse))
         assert_same_series(inverse * inverse, reference_mul(inverse, inverse))
+
+    @settings(max_examples=100)
+    @given(kernel_series())
+    def test_scaled_form_is_least(self, s):
+        assert_least_egf_form(s)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            exp_linear(Fraction(-3, 2), 120),
+            exp_linear(1, 300) - LaurentSeries.one(300),  # the Bernoulli base
+            linear_combination(
+                (exp_linear(Fraction(-3, 2), 300), LaurentSeries.one(300)), (Fraction(2, 3), 1)
+            ),
+        ],
+        ids=["exp(-3t/2)", "exp(t)-1", "2/3 exp(-3t/2)+1"],
+    )
+    def test_long_scaled_form_is_least(self, s):
+        assert_least_egf_form(s)
 
     def test_window_length_selects_kernel(self, monkeypatch):
         ran = []
