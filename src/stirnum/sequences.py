@@ -17,16 +17,21 @@ Families and their exponential generating functions:
 Each generating series is built in one place.  The Bernoulli oracle reads
 ``apostol_bernoulli_series`` at lam = 1, and the Euler-polynomial oracle is
 the two-parameter oracle at alpha = lam = 1.  Each oracle truncates its
-source series at the fixed order n + 4 (Bernoulli) or n + 8 (the others).
+source series at the least order whose window holds t**n: n + 3 for the
+readers of ``apostol_bernoulli_series`` (at lam = 1 the reciprocal has
+valuation 1, so the window after the shift by t is [0, order - 2)) and
+n + 2 for the two-parameter oracle (at lam != -1 the product's window is
+[0, order - 1)).
 
 The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler
 and two-parameter Euler polynomial is built as the integer numerators over
 one denominator that ``Polynomial`` stores, ``Polynomial.evaluate`` runs
 Horner on those numerators, the reduction checks compare them
-cross-multiplied, and the even-index Euler sum and
-``stirling_alternating_sum`` are one integer over a power of two.  Each
-builds one ``Fraction`` per value it returns.
+cross-multiplied, the even-index Euler sum and
+``stirling_alternating_sum`` are one integer over a power of two, and
+``bernoulli_formula`` sums integers over the lcm of a row of Pascal's
+triangle.  Each builds one ``Fraction`` per value it returns.
 
 ``sequence_value`` is the one entry point to all five families; the
 command line reaches every family through it.  One table names each
@@ -201,10 +206,10 @@ def _half_weight_sum(m: int) -> Fraction:
 
 
 def bernoulli_oracle(n: int) -> Fraction:
-    """B_n as n! times the t**n coefficient of t/(e**t - 1), order n + 4."""
+    """B_n as n! times the t**n coefficient of t/(e**t - 1), order n + 3."""
     if n < 0:
         raise DomainError(f"Bernoulli numbers need n >= 0, got {n}")
-    return apostol_bernoulli_series(1, n + 4).coeff(n) * factorial(n)
+    return apostol_bernoulli_series(1, n + 3).coeff(n) * factorial(n)
 
 
 def bernoulli_formula(k: int) -> Fraction:
@@ -216,15 +221,17 @@ def bernoulli_formula(k: int) -> Fraction:
     if k < 1:
         raise DomainError(f"the even-index closed form needs k >= 1, got {k}")
     n = 2 * k
+    # Every C(n, m) divides L = lcm(1..n+1)/(n+1), the lcm of row n of
+    # Pascal's triangle, so both sums are integers over L.
+    row_lcm = math.lcm(*range(1, n + 2)) // (n + 1)
+    shares = [row_lcm // binomial(n, m) for m in range(n + 1)]  # L / C(n, m)
     first = sum(
-        Fraction(stirling2(n + 1, m + 1) * stirling2(n, n - m), binomial(n, m))
-        for m in range(1, n)
+        stirling2(n + 1, m + 1) * stirling2(n, n - m) * shares[m] for m in range(1, n)
     )
     second = sum(
-        Fraction(stirling2(n, m) * stirling2(n + 1, n - m + 1), binomial(n, m - 1))
-        for m in range(1, n + 1)
+        stirling2(n, m) * stirling2(n + 1, n - m + 1) * shares[m - 1] for m in range(1, n + 1)
     )
-    return 1 + first - Fraction(n, n + 1) * second
+    return Fraction((n + 1) * (row_lcm + first) - n * second, (n + 1) * row_lcm)
 
 
 # -- Apostol-Bernoulli ----------------------------------------------------
@@ -261,10 +268,10 @@ def apostol_bernoulli_series(lam: Scalar, order: int) -> LaurentSeries:
 
 
 def apostol_bernoulli_oracle(n: int, lam: Scalar) -> Fraction:
-    """B_n(lam) as n! times the t**n coefficient of t/(lam*e**t - 1), order n + 8."""
+    """B_n(lam) as n! times the t**n coefficient of t/(lam*e**t - 1), order n + 3."""
     if n < 0:
         raise DomainError(f"Apostol-Bernoulli numbers need n >= 0, got {n}")
-    return apostol_bernoulli_series(lam, n + 8).coeff(n) * factorial(n)
+    return apostol_bernoulli_series(lam, n + 3).coeff(n) * factorial(n)
 
 
 # -- Euler polynomials and numbers ----------------------------------------
@@ -361,12 +368,12 @@ def two_param_euler_formula(n: int, alpha: Scalar, lam: Scalar) -> Polynomial:
 
 def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fraction:
     """E_n(x; alpha, lam) as n! times the t**n coefficient of
-    2 e**(x t) / (lam e**(alpha t) + 1), order n + 8."""
+    2 e**(x t) / (lam e**(alpha t) + 1), order n + 2."""
     alpha, lam = Fraction(alpha), Fraction(lam)
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
-    order = n + 8
+    order = n + 2
     series = (exp_linear(Fraction(x), order) * recip_exp_linear(alpha, lam, 1, order)).scale(2)
     return series.coeff(n) * factorial(n)
 

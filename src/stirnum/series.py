@@ -51,8 +51,13 @@ on the stored numerators gives the unit's k-th power at every length, on
 exactly the window k - 1 repeated products would give.  The same pass at
 k = -1 is the long division, and short-window reciprocals run on it.
 Long reciprocals run the same long division on factorial-scaled
-numerators, U_0 R_n = -sum_i binom(n, i) U_i R_{n-i}; one loop,
-``_recurrence``, solves both.
+numerators; one loop, ``_recurrence``, solves both.  The scaling there is
+shifted by the series' valuation s >= 0: unit coefficient i is scaled by
+(i+s)!, the factorial of the exponent it came from, so for 1/(e**t - 1)
+every scaled unit numerator is 1 instead of lcm(1..N)/(i+1).
+``recip_exp_linear`` builds a long 1/(lam e**(alpha t) + c) at alpha = 1
+and multiplies coefficient e by alpha**e, so no power of alpha's
+denominator rides in the scaled numerators.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import count, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
@@ -346,7 +351,7 @@ class LaurentSeries:
         start = v - self.offset
         unit = self.nums[start : start + precision - offset]
         if len(unit) >= _EGF_MIN_LENGTH:
-            nums, den = _egf_reciprocal(unit, self.den)
+            nums, den = _egf_reciprocal(unit, self.den, max(v, 0))
         else:
             nums, den = _power(unit, self.den, -1)
         return _canonical(offset, nums, den)
@@ -396,13 +401,16 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 
 # Output length from which multiplication and reciprocal run on
 # factorial-scaled numerators (_egf_product, _egf_reciprocal) rather than
-# on the stored numerators (_lcm_product, _power at k = -1).  Measured on
-# the oracle mix of the sequence families (five reciprocals and three
-# products per order, alternating runs, 2-vCPU x86-64, Python 3.11): the
-# lcm kernels win below about order 64, the two are within run-to-run noise
-# from 72 to 96, and the factorial-scaled ones win every run from 104 on
-# (1.4x at 104, 1.5x at 128, 3.3x at 288).  Identity sweeps at the default
-# orders (k_max <= 12 reads orders up to 34) stay on the lcm kernels.
+# on the stored numerators (_lcm_product, _power at k = -1), and from which
+# recip_exp_linear dilates alpha out.  Measured in alternating runs on
+# 2-vCPU x86-64 with CPython 3.11.7.  On the oracle mix of the sequence
+# families (medians of 9), the lcm kernels win below 72 and are within 2-8%
+# from 80 to 88; the factorial-scaled ones (valuation-shifted, with the
+# dilation) win from 92 on: 1.25x at 104, 1.55x at 128, 2.0x at 160.  On
+# run_sweep of I1..P2 (medians of 5), where products dominate, the lcm
+# kernels still win by 3-12% at orders 80 to 104.  So the split stays
+# between the two loads.  Identity sweeps at the default orders (k_max <= 12
+# reads orders up to 34) stay on the lcm kernels.
 _EGF_MIN_LENGTH = 104
 
 
@@ -423,16 +431,14 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
 ZERO = LaurentSeries(0, ())
 
 
-def _egf_scaled(nums, den) -> Tuple[Sequence[int], int]:
+def _egf_scaled(nums, den, shift: int = 0) -> Tuple[Sequence[int], int]:
     """Integers ``ints`` and the least ``d`` with
-    nums[k] / den == ints[k] / (k! * d): each nums[k] times k!, then all
-    of them and ``den`` divided by their gcd."""
-    ints = []
-    factorial = 1
-    for k, x in enumerate(nums):
-        factorial *= k or 1
-        ints.append(x * factorial)
-    return _normalized(ints, den)
+    nums[k] / den == ints[k] / ((k + shift)! * d): each nums[k] times
+    (k + shift)!, then all of them and ``den`` divided by their gcd."""
+    factorials = accumulate(
+        range(shift + 1, shift + len(nums)), operator.mul, initial=math.factorial(shift)
+    )
+    return _normalized(list(map(operator.mul, nums, factorials)), den)
 
 
 def _egf_unscaled(ints, den) -> Tuple[list, int]:
@@ -499,22 +505,25 @@ def _egf_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
     return _egf_unscaled(out, da * db)
 
 
-def _egf_reciprocal(unit, unit_den: int) -> Tuple[list, int]:
+def _egf_reciprocal(unit, unit_den: int, shift: int) -> Tuple[list, int]:
     """1/u for the unit power series u_i = unit[i] / unit_den, on
-    factorial-scaled numerators.
+    factorial-scaled numerators shifted by s = ``shift``: the valuation of
+    the series u was cut from, or 0 where that is negative.
 
-    With u_i = U_i / (i! d), 1/u = d * sum R_n t**n / n!
-    where sum_{i=0..n} C(n, i) U_i R_{n-i} = [n == 0]: the long division
-    U_0 R_n = -sum_{i=1..n} C(n, i) U_i R_{n-i}, run for U_0 R_n.
+    With u_i = W_i / ((i+s)! d), 1/u = sum T_n t**n / n! where
+    sum_{i=0..n} C(n+s, i+s) W_i T_{n-i} = s! d [n == 0]: the long division
+    C(n+s, s) W_0 T_n = -sum_{i=1..n} C(n+s, i+s) W_i T_{n-i}, run for
+    W_0 T_n / (s! d).  At s = 0 that is the plain factorial scaling; for
+    t u = e**t - 1 at s = 1 every W_i is 1.
     """
-    unit, unit_den = _egf_scaled(unit, unit_den)
+    unit, unit_den = _egf_scaled(unit, unit_den, shift)
     lead, tail = unit[0], unit[1:]
     rows = (
-        (map(operator.mul, row[1:], tail), -lead)
-        for row in islice(_binomial_rows(), 1, len(unit))
+        (map(operator.mul, row[shift + 1 :], tail), -row[shift] * lead)
+        for row in islice(_binomial_rows(), shift + 1, shift + len(unit))
     )
     nums, den = _recurrence(rows)
-    scale = Fraction(unit_den, den * lead)
+    scale = Fraction(math.factorial(shift) * unit_den, den * lead)
     return _egf_unscaled([x * scale.numerator for x in nums], scale.denominator)
 
 
@@ -603,5 +612,26 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
 
     Every reciprocal base of the package is built here: 1/(e**t - 1) is
     (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1) is (1, 1, 1).
+
+    For alpha = a/b other than 0 and 1 and an order past
+    ``_EGF_MIN_LENGTH``, where the factorial-scaled kernel runs, the window
+    is dilated from the one at alpha = 1: coefficient e of r(alpha t) is
+    alpha**e r_e.  The source series at alpha = 1 has the same valuation,
+    so the window is the same, and its factorial-scaled numerators carry no
+    power of b.
     """
-    return (exp_linear(alpha, order).scale(lam) + LaurentSeries.constant(c, order)).reciprocal()
+    alpha = Fraction(alpha)
+    dilate = alpha not in (0, 1) and order > _EGF_MIN_LENGTH
+    source = exp_linear(1 if dilate else alpha, order).scale(lam)
+    r = (source + LaurentSeries.constant(c, order)).reciprocal()
+    if not dilate:
+        return r
+    # With i = e - offset and top = len - 1, r_e alpha**e is
+    # nums[i] a**i b**(top-i) over den a**-offset b**(top+offset).
+    a, b = alpha.numerator, alpha.denominator
+    top = len(r.nums) - 1
+    b_powers = accumulate(repeat(b, top), operator.mul, initial=1)
+    a_powers = accumulate(repeat(a, top), operator.mul, initial=1)
+    nums = map(operator.mul, reversed(r.nums), b_powers)  # from i = top down
+    nums = map(operator.mul, reversed(list(nums)), a_powers)
+    return _canonical(r.offset, list(nums), r.den * a**-r.offset * b ** (top + r.offset))

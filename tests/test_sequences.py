@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirnum import sequences
-from stirnum.errors import DomainError, PoleError
+from stirnum.errors import DomainError, PoleError, PrecisionExhaustedError
 from stirnum.rationals import binomial
 from stirnum.sequences import (
     FAMILIES,
@@ -20,6 +20,7 @@ from stirnum.sequences import (
     alternating_sum_checks,
     apostol_bernoulli_formula,
     apostol_bernoulli_oracle,
+    apostol_bernoulli_series,
     bernoulli_formula,
     bernoulli_oracle,
     determinant_relation_checks,
@@ -33,6 +34,7 @@ from stirnum.sequences import (
     two_param_reduction_sweep,
     verify_two_param_reductions,
 )
+from stirnum.series import exp_linear, recip_exp_linear
 from stirnum.stirling import stirling2
 
 # Frozen reference values, independent of any code in this package.
@@ -473,6 +475,84 @@ class TestTwoParamEuler:
             two_param_euler_formula(2, 0, 1)
         with pytest.raises(DomainError):
             two_param_euler_oracle(2, 1, 0, 1)
+
+
+def spy_oracle_orders(monkeypatch):
+    """The orders of the reciprocals the oracles build, in call order."""
+    orders = []
+    real = sequences.recip_exp_linear
+
+    def spy(alpha, lam, c, order):
+        orders.append(order)
+        return real(alpha, lam, c, order)
+
+    monkeypatch.setattr(sequences, "recip_exp_linear", spy)
+    return orders
+
+
+# Family -> (sequence_value keywords, the indices its closed form covers).
+FAMILY_POINTS = {
+    "bernoulli": ({}, lambda n: n >= 2 and n % 2 == 0),
+    "apostol_bernoulli": ({"lam": Fraction(-5, 3)}, lambda n: n >= 1),
+    "euler_number": ({}, lambda n: True),
+    "euler_polynomial": ({"x": Fraction(-2, 3)}, lambda n: True),
+    "two_param_euler": (
+        {"alpha": Fraction(-3, 2), "lam": Fraction(2, 3), "x": Fraction(1, 3)},
+        lambda n: True,
+    ),
+}
+
+
+class TestOracleOrders:
+    """Each oracle truncates at the least order whose window holds t**n."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 280])
+    def test_bernoulli_reads_the_last_coefficient(self, monkeypatch, n):
+        # At lambda = 1 the reciprocal has valuation 1, so the window of
+        # t/(e**t - 1) is [0, order - 2): order n + 3 is the least.
+        orders = spy_oracle_orders(monkeypatch)
+        value = bernoulli_oracle(n)
+        assert orders == [n + 3]
+        assert apostol_bernoulli_oracle(n, 1) == value
+        assert orders == [n + 3, n + 3]
+        assert apostol_bernoulli_series(1, n + 3).precision == n + 1
+        with pytest.raises(PrecisionExhaustedError):
+            apostol_bernoulli_series(1, n + 2).coeff(n)
+        if n % 2 == 0 and n >= 2:
+            assert value == bernoulli_formula(n // 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 280])
+    @pytest.mark.parametrize("lam", [Fraction(2, 3), Fraction(-5, 3)])
+    def test_apostol_bernoulli_shares_the_lambda_one_order(self, monkeypatch, n, lam):
+        # At lambda != 1 the window is [1, order): n + 3 holds t**n too.
+        orders = spy_oracle_orders(monkeypatch)
+        value = apostol_bernoulli_oracle(n, lam)
+        assert orders == [n + 3]
+        assert value == (apostol_bernoulli_formula(n, lam) if n else 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 280])
+    @pytest.mark.parametrize(
+        "alpha, lam",
+        [(Fraction(1), Fraction(1)), (Fraction(-3, 2), Fraction(2, 3)), (Fraction(2), Fraction(3))],
+    )
+    def test_two_param_euler_reads_the_last_coefficient(self, monkeypatch, n, alpha, lam):
+        # At lam != -1 the reciprocal has valuation 0 and the product's
+        # window is [0, order - 1): order n + 2 is the least.
+        x = Fraction(1, 3)
+        orders = spy_oracle_orders(monkeypatch)
+        value = two_param_euler_oracle(n, x, alpha, lam)
+        assert orders == [n + 2]
+        assert value == two_param_euler_formula(n, alpha, lam).evaluate(x)
+        with pytest.raises(PrecisionExhaustedError):
+            (exp_linear(x, n + 1) * recip_exp_linear(alpha, lam, 1, n + 1)).coeff(n)
+
+    @pytest.mark.parametrize("family", list(FAMILY_POINTS))
+    def test_formula_matches_oracle_through_40(self, family):
+        params, covered = FAMILY_POINTS[family]
+        for n in range(41):
+            if covered(n):
+                formula = sequence_value(family, n, "formula", **params).value
+                assert formula == sequence_value(family, n, "oracle", **params).value, n
 
 
 class TestReductionSweep:

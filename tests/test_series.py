@@ -365,6 +365,11 @@ EXPLICIT_DENOMINATORS = {
 }
 
 
+def direct_recip_exp_linear(alpha, lam, c, order):
+    """1/(lam e^(alpha t) + c) long-divided at alpha itself, never dilated."""
+    return (exp_linear(alpha, order).scale(lam) + LaurentSeries.constant(c, order)).reciprocal()
+
+
 class TestRecipExpLinear:
     # Order 120 runs the factorial-scaled kernels, 12 and 40 the lcm ones.
     @pytest.mark.parametrize("order", [12, 40, 120])
@@ -372,6 +377,44 @@ class TestRecipExpLinear:
     def test_matches_explicit_construction(self, name, order):
         params, denominator = EXPLICIT_DENOMINATORS[name]
         assert_same_series(recip_exp_linear(*params, order), denominator(order).reciprocal())
+
+    # Order 104 is the last direct build; from 105 on alpha is dilated out.
+    @pytest.mark.parametrize("order", [104, 105, 150, 300])
+    @pytest.mark.parametrize("c", [1, -1])
+    @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2, 3), Fraction(-5, 3)])
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(-3, 2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), 2, Fraction(3, 2)]
+    )
+    def test_dilated_matches_direct(self, alpha, lam, c, order):
+        assert_same_series(
+            recip_exp_linear(alpha, lam, c, order), direct_recip_exp_linear(alpha, lam, c, order)
+        )
+
+    @pytest.mark.parametrize(
+        "alpha, order, built",
+        [(Fraction(3, 2), 104, [Fraction(3, 2)]), (Fraction(3, 2), 105, [1]), (0, 150, [0])],
+    )
+    def test_long_windows_build_at_alpha_one(self, monkeypatch, alpha, order, built):
+        alphas = []
+        real = series_module.exp_linear
+        monkeypatch.setattr(
+            series_module, "exp_linear", lambda a, n: alphas.append(a) or real(a, n)
+        )
+        recip_exp_linear(alpha, Fraction(2, 3), 1, order)
+        assert alphas == built
+
+    @pytest.mark.parametrize("order", [104, 150])
+    def test_alpha_zero_raises_as_the_direct_build(self, order):
+        # lam e^(0 t) - lam is zero on its whole window.
+        for build in (recip_exp_linear, direct_recip_exp_linear):
+            with pytest.raises(
+                ZeroSeriesError, match="^reciprocal of a series that is zero on its whole window$"
+            ):
+                build(0, Fraction(2, 3), Fraction(-2, 3), order)
+        assert_same_series(
+            recip_exp_linear(0, Fraction(2, 3), 1, order),
+            direct_recip_exp_linear(0, Fraction(2, 3), 1, order),
+        )
 
 
 class TestIntegerKernel:
@@ -440,17 +483,18 @@ def egf_kernels():
     return mock.patch.object(series_module, "_EGF_MIN_LENGTH", 1)
 
 
-def assert_least_egf_form(s):
-    """ints[k] / (k! d) are the coefficients of s, over the least d, and
-    the exit gives s back."""
-    ints, d = series_module._egf_scaled(s.nums, s.den)
+def assert_least_egf_form(s, shift=0):
+    """ints[k] / ((k + shift)! d) are the coefficients of s, over the least
+    d, and at shift 0 the exit gives s back."""
+    ints, d = series_module._egf_scaled(s.nums, s.den, shift)
     assert d > 0
     assert all(
-        Fraction(x, s.den) == Fraction(y, factorial(k) * d)
+        Fraction(x, s.den) == Fraction(y, factorial(k + shift) * d)
         for k, (x, y) in enumerate(zip(s.nums, ints, strict=True))
     )
     assert math.gcd(d, *ints) == 1
-    assert series_module._canonical(s.offset, *series_module._egf_unscaled(ints, d)) == s
+    if not shift:
+        assert series_module._canonical(s.offset, *series_module._egf_unscaled(ints, d)) == s
 
 
 class TestEgfKernel:
@@ -495,6 +539,23 @@ class TestEgfKernel:
     @given(kernel_series())
     def test_scaled_form_is_least(self, s):
         assert_least_egf_form(s)
+
+    @settings(max_examples=100)
+    @given(kernel_series(), st.integers(1, 3))
+    def test_shifted_scaled_form_is_least(self, s, shift):
+        assert_least_egf_form(s, shift)
+
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    @pytest.mark.parametrize("order", [120, 150])
+    def test_valuation_anchors(self, v, order):
+        # 1/(e^t - 1)**v: the factorial scaling shifted by v, on the
+        # default kernels (past the split) and on the forced ones.
+        denom = (exp_linear(1, order) - LaurentSeries.one(order)) ** v
+        want = reference_reciprocal(denom)
+        assert len(want.coeffs) >= series_module._EGF_MIN_LENGTH
+        assert_same_series(denom.reciprocal(), want)
+        with egf_kernels():
+            assert_same_series(denom.reciprocal(), want)
 
     @pytest.mark.parametrize(
         "s",
