@@ -55,9 +55,9 @@ numerators; one loop, ``_recurrence``, solves both.  The scaling there is
 shifted by the series' valuation s >= 0: unit coefficient i is scaled by
 (i+s)!, the factorial of the exponent it came from, so for 1/(e**t - 1)
 every scaled unit numerator is 1 instead of lcm(1..N)/(i+1).
-``recip_exp_linear`` builds a long 1/(lam e**(alpha t) + c) at alpha = 1
-and multiplies coefficient e by alpha**e, so no power of alpha's
-denominator rides in the scaled numerators.
+For alpha = a/b with b > 1, ``recip_exp_linear`` builds
+1/(lam e**(alpha t) + c) at alpha = 1 and multiplies coefficient e by
+alpha**e, so no power of b rides in the long division.
 """
 
 from __future__ import annotations
@@ -401,16 +401,16 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 
 # Output length from which multiplication and reciprocal run on
 # factorial-scaled numerators (_egf_product, _egf_reciprocal) rather than
-# on the stored numerators (_lcm_product, _power at k = -1), and from which
-# recip_exp_linear dilates alpha out.  Measured in alternating runs on
-# 2-vCPU x86-64 with CPython 3.11.7.  On the oracle mix of the sequence
-# families (medians of 9), the lcm kernels win below 72 and are within 2-8%
-# from 80 to 88; the factorial-scaled ones (valuation-shifted, with the
-# dilation) win from 92 on: 1.25x at 104, 1.55x at 128, 2.0x at 160.  On
-# run_sweep of I1..P2 (medians of 5), where products dominate, the lcm
-# kernels still win by 3-12% at orders 80 to 104.  So the split stays
-# between the two loads.  Identity sweeps at the default orders (k_max <= 12
-# reads orders up to 34) stay on the lcm kernels.
+# on the stored numerators (_lcm_product, _power at k = -1).  Measured in
+# alternating runs on 2-vCPU x86-64 with CPython 3.11.7.  On the oracle mix
+# of the sequence families (medians of 9), the lcm kernels win at 64 by 8%
+# and the two are within noise at 80; the factorial-scaled ones
+# (valuation-shifted) win 8 or 9 runs of 9 from 88 on: 1.16x at 88 to 104,
+# 1.6x at 128, 2.0x at 160.  On run_sweep of I1..P2 (medians of 5), where
+# products dominate, the lcm kernels still win by 3-12% at orders 80 to
+# 104.  So the split stays between the two loads.  Identity sweeps at the
+# default orders (k_max <= 12 reads orders up to 34) stay on the lcm
+# kernels.
 _EGF_MIN_LENGTH = 104
 
 
@@ -613,25 +613,24 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     Every reciprocal base of the package is built here: 1/(e**t - 1) is
     (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1) is (1, 1, 1).
 
-    For alpha = a/b other than 0 and 1 and an order past
-    ``_EGF_MIN_LENGTH``, where the factorial-scaled kernel runs, the window
-    is dilated from the one at alpha = 1: coefficient e of r(alpha t) is
-    alpha**e r_e.  The source series at alpha = 1 has the same valuation,
-    so the window is the same, and its factorial-scaled numerators carry no
-    power of b.
+    For alpha = a/b with b > 1 the window is dilated from the one at
+    alpha = 1: coefficient e of r(alpha t) is alpha**e r_e.  The source
+    series at alpha = 1 has the same valuation, so the window and the
+    errors are the same, and no power of b rides in the long division.
     """
     alpha = Fraction(alpha)
-    dilate = alpha not in (0, 1) and order > _EGF_MIN_LENGTH
+    dilate = alpha.denominator != 1
     source = exp_linear(1 if dilate else alpha, order).scale(lam)
     r = (source + LaurentSeries.constant(c, order)).reciprocal()
     if not dilate:
         return r
-    # With i = e - offset and top = len - 1, r_e alpha**e is
-    # nums[i] a**i b**(top-i) over den a**-offset b**(top+offset).
+    # With i = e - offset, top = len - 1 and first = alpha**offset,
+    # r_e alpha**e is nums[i] * first * a**i * b**(top-i) over den * b**top.
     a, b = alpha.numerator, alpha.denominator
+    first = alpha**r.offset
     top = len(r.nums) - 1
     b_powers = accumulate(repeat(b, top), operator.mul, initial=1)
-    a_powers = accumulate(repeat(a, top), operator.mul, initial=1)
+    a_powers = accumulate(repeat(a, top), operator.mul, initial=first.numerator)
     nums = map(operator.mul, reversed(r.nums), b_powers)  # from i = top down
     nums = map(operator.mul, reversed(list(nums)), a_powers)
-    return _canonical(r.offset, list(nums), r.den * a**-r.offset * b ** (top + r.offset))
+    return _canonical(r.offset, list(nums), r.den * first.denominator * b**top)

@@ -378,8 +378,9 @@ class TestRecipExpLinear:
         params, denominator = EXPLICIT_DENOMINATORS[name]
         assert_same_series(recip_exp_linear(*params, order), denominator(order).reciprocal())
 
-    # Order 104 is the last direct build; from 105 on alpha is dilated out.
-    @pytest.mark.parametrize("order", [104, 105, 150, 300])
+    # Orders 1 to 3 at c = -lam leave Laurent windows of length 0 to 2 at
+    # offset -1; 12 runs the lcm kernels, 104 and up the factorial-scaled ones.
+    @pytest.mark.parametrize("order", [1, 2, 3, 12, 104, 150, 300])
     @pytest.mark.parametrize("c", [1, -1])
     @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2, 3), Fraction(-5, 3)])
     @pytest.mark.parametrize(
@@ -387,14 +388,26 @@ class TestRecipExpLinear:
     )
     def test_dilated_matches_direct(self, alpha, lam, c, order):
         assert_same_series(
-            recip_exp_linear(alpha, lam, c, order), direct_recip_exp_linear(alpha, lam, c, order)
+            outcome(recip_exp_linear, alpha, lam, c, order),
+            outcome(direct_recip_exp_linear, alpha, lam, c, order),
         )
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 12])
+    @pytest.mark.parametrize("lam, c", [(1, -1), (Fraction(-5, 3), Fraction(5, 3)), (2, 1)])
+    @pytest.mark.parametrize("alpha", [Fraction(-1, 2), Fraction(3, 2)])
+    def test_short_windows_dilate_on_the_factorial_kernel(self, alpha, lam, c, order):
+        with egf_kernels():
+            assert_same_series(
+                outcome(recip_exp_linear, alpha, lam, c, order),
+                outcome(direct_recip_exp_linear, alpha, lam, c, order),
+            )
+
     @pytest.mark.parametrize(
-        "alpha, order, built",
-        [(Fraction(3, 2), 104, [Fraction(3, 2)]), (Fraction(3, 2), 105, [1]), (0, 150, [0])],
+        "alpha, built",
+        [(Fraction(3, 2), [1]), (Fraction(-1, 3), [1]), (2, [2]), (-1, [-1]), (0, [0])],
     )
-    def test_long_windows_build_at_alpha_one(self, monkeypatch, alpha, order, built):
+    @pytest.mark.parametrize("order", [12, 150])
+    def test_alpha_with_a_denominator_builds_at_alpha_one(self, monkeypatch, alpha, built, order):
         alphas = []
         real = series_module.exp_linear
         monkeypatch.setattr(
