@@ -42,13 +42,13 @@ from .errors import (
     RationalParseError,
     ZeroSeriesError,
 )
-from .identities import VERIFY_CSV_HEADER, VERIFY_OPTIONS, verify_target
+from .identities import VERIFY_OPTIONS, CheckRow, verify_target
 from .rationals import format_rational, parse_rational
 from .sequences import FAMILIES, Polynomial, apostol_bernoulli_series, sequence_value
 from .series import LaurentSeries, recip_exp_linear
 from .stirling import m_determinant, stirling1, stirling2
 
-__all__ = ["build_parser", "main"]
+__all__ = ["VERIFY_CSV_HEADER", "build_parser", "main"]
 
 # Command name -> (the library value it prints, its integer arguments, help
 # line).  Each row looks its function up in this module when called, so a
@@ -73,6 +73,20 @@ _PARAMETER_OPTIONS = {
     "lambda": ("--lambda", "lam", {"required": True}),
     "x": ("--at", "x", {"default": None, "metavar": "AT", "help": "evaluate at this point"}),
 }
+VERIFY_CSV_HEADER = (
+    "id",
+    "k",
+    "n",
+    "alpha",
+    "lambda",
+    "order",
+    "window_lo",
+    "window_hi",
+    "passed",
+    "discrepancy_exponent",
+    "discrepancy_lhs",
+    "discrepancy_rhs",
+)
 _LAMBDA_ONE_NOTE = (
     "lambda = 1 is a pole of the closed form; B_n(1) = B_n is read from the "
     "generating series t/(e^t - 1)"
@@ -90,7 +104,7 @@ class CommandOutput:
     record: dict
     plain: str
     csv_header: Sequence[str]
-    csv_rows: List[List[str]]
+    csv_rows: Sequence[Sequence[str]]
     exit_code: int = 0
 
 
@@ -202,8 +216,21 @@ def _verify_options(args: argparse.Namespace) -> Dict[str, object]:
 # -- output assembly ---------------------------------------------------------
 
 
+# Both formatters test the exact type: isinstance(value, Fraction) goes
+# through the numbers ABCs, several times slower on the ints most cells hold.
 def _cell(value) -> str:
-    return format_rational(value) if isinstance(value, Fraction) else str(value)
+    """The plain and CSV text of one value: None is empty, a bool is
+    lower case and a rational is its canonical literal."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format_rational(value) if type(value) is Fraction else str(value)
+
+
+def _json_value(value):
+    """A rational as its canonical literal; any other value as it is."""
+    return format_rational(value) if type(value) is Fraction else value
 
 
 def _ok_output(
@@ -212,10 +239,7 @@ def _ok_output(
     """The success record of every command; notes follow the result."""
     record = {
         "command": list(argv),
-        "parameters": {
-            name: format_rational(v) if isinstance(v, Fraction) else v
-            for name, v in params.items()
-        },
+        "parameters": {name: _json_value(v) for name, v in params.items()},
         "result": result,
         "status": "ok",
     }
@@ -248,6 +272,38 @@ def _series_output(argv, params, series: LaurentSeries) -> CommandOutput:
     plain = "\n".join(f"t^{e}: {text}" for e, text in pairs)
     rows = [[str(e), text] for e, text in pairs]
     return _ok_output(argv, params, result, plain, ["exponent", "coefficient"], rows)
+
+
+def _verify_row(row) -> Tuple[dict, str, List[str]]:
+    """The record, plain line and CSV cells of one verify row.  Each
+    rational in the row becomes text once; all three are laid out from it."""
+    if isinstance(row, CheckRow):
+        fields = {name: _json_value(v) for name, v in row.fields.items()}
+        record = {"check": row.check, **fields, "passed": row.passed}
+        line = " ".join([row.check] + [f"{name}={v}" for name, v in fields.items()])
+        cells = [row.check] + [_cell(record.get(name)) for name in VERIFY_CSV_HEADER[1:]]
+        fail = " FAIL"
+    else:
+        alpha, lam = _json_value(row.alpha), _json_value(row.lam)
+        lo, hi = row.window
+        e, lhs, rhs = row.first_discrepancy or (None, None, None)
+        lhs, rhs = _json_value(lhs), _json_value(rhs)
+        record = {
+            "identity_id": row.identity_id,
+            "k": row.k,
+            "alpha": alpha,
+            "lambda": lam,
+            "order": row.order,
+            "window": [lo, hi],
+            "passed": row.passed,
+            "first_discrepancy": None if e is None else {"exponent": e, "lhs": lhs, "rhs": rhs},
+        }
+        point = (f" alpha={alpha}" if alpha else "") + (f" lambda={lam}" if lam else "")
+        line = f"{row.identity_id} k={row.k}{point} order={row.order} window=[{lo},{hi})"
+        cells = [_cell(v) for v in (row.identity_id, row.k, None, alpha, lam, row.order)]
+        cells += [_cell(v) for v in (lo, hi, row.passed, e, lhs, rhs)]
+        fail = f" FAIL at t^{e}: lhs={lhs} rhs={rhs}"
+    return record, line + (" ok" if row.passed else fail), cells
 
 
 def _error_output(argv, kind: str, message: str) -> CommandOutput:
@@ -307,10 +363,9 @@ def _handle_verify(args, argv):
     passed = sum(row.passed for row in rows)
     all_ok = passed == len(rows)
     params = {"target": args.target, "k_max": args.k_max, **_verify_options(args)}
-    checks = [row.to_dict() for row in rows]
-    result = {"passed": all_ok, "total": len(rows), "ok": passed, "checks": checks}
-    plain = "\n".join([row.describe() for row in rows] + [f"{passed}/{len(rows)} ok"])
-    csv_rows = [row.csv_cells() for row in rows]
+    checks, lines, csv_rows = zip(*map(_verify_row, rows))
+    result = {"passed": all_ok, "total": len(rows), "ok": passed, "checks": list(checks)}
+    plain = "\n".join([*lines, f"{passed}/{len(rows)} ok"])
     exit_code = 0 if all_ok else 3
     return _ok_output(argv, params, result, plain, VERIFY_CSV_HEADER, csv_rows, exit_code=exit_code)
 

@@ -39,20 +39,21 @@ converts its parameters and calls it.
 
 ``verify_target`` is the plan of the ``verify`` command: the sweep of
 one tag or all twelve, then the named checks of ``sequences``.  Tags give
-``VerificationReport`` rows and named checks ``CheckRow`` rows, each with
-its record, plain line and cells under ``VERIFY_CSV_HEADER``.
-``VERIFY_OPTIONS`` names the options each target reads.
+``VerificationReport`` rows and named checks ``CheckRow`` rows.  Rows are
+plain data holding exact values; the command line renders them, so every
+output format is decided in one module.  ``VERIFY_OPTIONS`` names the
+options each target reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError
-from .rationals import factorial, format_rational
 from .sequences import (
     alternating_sum_checks,
     determinant_relation_checks,
@@ -79,7 +80,6 @@ __all__ = [
     "verify_general_power",
     "run_sweep",
     "VERIFY_OPTIONS",
-    "VERIFY_CSV_HEADER",
     "verify_target",
 ]
 
@@ -99,21 +99,6 @@ VERIFY_OPTIONS: Dict[str, Tuple[str, ...]] = {
     "alt-sum": (),
     "reductions": ("alpha", "lambda"),
 }
-
-VERIFY_CSV_HEADER = (
-    "id",
-    "k",
-    "n",
-    "alpha",
-    "lambda",
-    "order",
-    "window_lo",
-    "window_hi",
-    "passed",
-    "discrepancy_exponent",
-    "discrepancy_lhs",
-    "discrepancy_rhs",
-)
 
 DEFAULT_MIN_WINDOW = 8
 
@@ -152,65 +137,15 @@ class VerificationReport:
     passed: bool
     first_discrepancy: Optional[Tuple[int, Fraction, Fraction]]
 
-    def to_dict(self) -> dict:
-        disc = None
-        if self.first_discrepancy is not None:
-            e, lhs, rhs = self.first_discrepancy
-            disc = {"exponent": e, "lhs": str(lhs), "rhs": str(rhs)}
-        return {
-            "identity_id": self.identity_id,
-            "k": self.k,
-            "alpha": None if self.alpha is None else str(self.alpha),
-            "lambda": None if self.lam is None else str(self.lam),
-            "order": self.order,
-            "window": list(self.window),
-            "passed": self.passed,
-            "first_discrepancy": disc,
-        }
-
-    def describe(self) -> str:
-        params = f"{self.identity_id} k={self.k}"
-        if self.alpha is not None:
-            params += f" alpha={self.alpha}"
-        if self.lam is not None:
-            params += f" lambda={self.lam}"
-        head = f"{params} order={self.order} window=[{self.window[0]},{self.window[1]})"
-        if self.passed:
-            return f"{head} ok"
-        e, lhs, rhs = self.first_discrepancy
-        return f"{head} FAIL at t^{e}: lhs={lhs} rhs={rhs}"
-
-    def csv_cells(self) -> List[str]:
-        disc = self.first_discrepancy or (None, None, None)
-        head = [self.identity_id, self.k, None, self.alpha, self.lam, self.order]
-        return [_csv_cell(v) for v in head + [*self.window, self.passed, *disc]]
-
 
 @dataclass(frozen=True)
 class CheckRow:
     """Outcome of one named check; fields holds its point, e.g. n and k,
-    in print order, with rationals as their literal text."""
+    in print order, with rationals as ``Fraction`` values."""
 
     check: str
     fields: Dict[str, object]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"check": self.check, **self.fields, "passed": self.passed}
-
-    def describe(self) -> str:
-        line = " ".join([self.check] + [f"{name}={value}" for name, value in self.fields.items()])
-        return line + (" ok" if self.passed else " FAIL")
-
-    def csv_cells(self) -> List[str]:
-        columns = {"id": self.check, **self.fields, "passed": self.passed}
-        return [_csv_cell(columns.get(name)) for name in VERIFY_CSV_HEADER]
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 # -- ladders -----------------------------------------------------------------
@@ -273,7 +208,7 @@ _f, _g, _h = (1, 1, -1), (-1, -1, 1), (1, 1, 1)
 
 def _first_kind_weight(k: int, m: int) -> Fraction:
     """(-1)**(m-1) s(k, m)/(k-1)!, the G2 weight at alpha = 1."""
-    return Fraction((-1) ** (m - 1) * stirling1(k, m), factorial(k - 1))
+    return Fraction((-1) ** (m - 1) * stirling1(k, m), math.factorial(k - 1))
 
 
 # id: (lhs base, lhs kind, weight of term m, rhs base, additive constant).
@@ -537,6 +472,5 @@ def verify_target(
         for n, passed in alternating_sum_checks(k_max):
             rows.append(CheckRow("alt-sum", {"n": n}, passed))
     for n, a, v, passed in reductions:
-        point = {"n": n, "alpha": format_rational(a), "lambda": format_rational(v)}
-        rows.append(CheckRow("reductions", point, passed))
+        rows.append(CheckRow("reductions", {"n": n, "alpha": a, "lambda": v}, passed))
     return rows

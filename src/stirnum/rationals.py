@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: integers, rationals, and combinatorial helpers.
+"""Rational literals: exact parsing and canonical text.
 
 Integers are plain Python ints (arbitrary precision).  Rationals are
 ``fractions.Fraction``, which normalizes eagerly: every value is stored
@@ -8,7 +8,6 @@ equality and hashing is consistent with it.  Nothing here ever rounds.
 
 from __future__ import annotations
 
-import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -17,27 +16,11 @@ from typing import Union
 from .errors import RationalParseError
 
 __all__ = [
-    "factorial",
-    "binomial",
     "parse_rational",
     "format_rational",
 ]
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?\Z")
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0, with value 0 whenever k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -71,7 +54,8 @@ def format_rational(value: Union[int, Fraction]) -> str:
     sign, if any, sits on the numerator.  parse_rational(format_rational(q))
     returns q for every q, however many digits its parts have.
     """
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     try:
         return str(value)
     except ValueError:

@@ -2,9 +2,13 @@
 
 Every family here has a closed form built from Stirling numbers and an
 oracle that reads the same value out of a truncated generating series.
-The two routes share no code beyond the Stirling table itself, so exact
-agreement between them is a meaningful check and is enforced by the test
-suite rather than by collapsing one route into the other.
+Beyond the Stirling table, the Euler routes share two helpers, neither
+of which computes a coefficient: ``series._normalized``, which divides a
+numerator list and its denominator by their gcd for every ``Polynomial``
+the closed forms build and for the series kernel alike, and
+``_check_two_param``, the domain check of both two-parameter routes.  So
+exact agreement between the routes is a meaningful check and is enforced
+by the test suite rather than by collapsing one route into the other.
 
 Families and their exponential generating functions:
 
@@ -54,7 +58,7 @@ from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConsistencyError, DomainError, PoleError
-from .rationals import binomial, factorial, format_rational
+from .rationals import format_rational
 from .series import LaurentSeries, _normalized, _over_lcm, exp_linear, recip_exp_linear
 from .stirling import stirling2, verify_first_kind_determinant_relation
 
@@ -197,7 +201,7 @@ def _half_weight_sum(m: int) -> Fraction:
     total = 0
     for k in range(m + 1):
         g = _geometric_stirling_sum(m - k + 1, 1, 2)
-        term = 2 * binomial(m, k) * g.numerator * (top // (g.denominator << k))
+        term = 2 * math.comb(m, k) * g.numerator * (top // (g.denominator << k))
         total += -term if k & 1 else term
     return Fraction(total, top)
 
@@ -209,7 +213,7 @@ def bernoulli_oracle(n: int) -> Fraction:
     """B_n as n! times the t**n coefficient of t/(e**t - 1), order n + 3."""
     if n < 0:
         raise DomainError(f"Bernoulli numbers need n >= 0, got {n}")
-    return apostol_bernoulli_series(1, n + 3).coeff(n) * factorial(n)
+    return apostol_bernoulli_series(1, n + 3).coeff(n) * math.factorial(n)
 
 
 def bernoulli_formula(k: int) -> Fraction:
@@ -224,7 +228,7 @@ def bernoulli_formula(k: int) -> Fraction:
     # Every C(n, m) divides L = lcm(1..n+1)/(n+1), the lcm of row n of
     # Pascal's triangle, so both sums are integers over L.
     row_lcm = math.lcm(*range(1, n + 2)) // (n + 1)
-    shares = [row_lcm // binomial(n, m) for m in range(n + 1)]  # L / C(n, m)
+    shares = [row_lcm // math.comb(n, m) for m in range(n + 1)]  # L / C(n, m)
     first = sum(
         stirling2(n + 1, m + 1) * stirling2(n, n - m) * shares[m] for m in range(1, n)
     )
@@ -271,7 +275,7 @@ def apostol_bernoulli_oracle(n: int, lam: Scalar) -> Fraction:
     """B_n(lam) as n! times the t**n coefficient of t/(lam*e**t - 1), order n + 3."""
     if n < 0:
         raise DomainError(f"Apostol-Bernoulli numbers need n >= 0, got {n}")
-    return apostol_bernoulli_series(lam, n + 3).coeff(n) * factorial(n)
+    return apostol_bernoulli_series(lam, n + 3).coeff(n) * math.factorial(n)
 
 
 # -- Euler polynomials and numbers ----------------------------------------
@@ -375,7 +379,7 @@ def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fra
     _check_two_param(alpha, lam)
     order = n + 2
     series = (exp_linear(Fraction(x), order) * recip_exp_linear(alpha, lam, 1, order)).scale(2)
-    return series.coeff(n) * factorial(n)
+    return series.coeff(n) * math.factorial(n)
 
 
 REDUCTION_ALPHAS = (Fraction(1), Fraction(2), Fraction(-1, 2))
@@ -598,8 +602,8 @@ def sequence_value(
     notes: Tuple[str, ...] = ()
     if family == "two_param_euler" and params["lambda"] <= 0:
         notes = (
-            f"lambda = {params['lambda']} lies outside the positive range the family is "
-            "stated for; the value is computed formally from the same expressions",
+            f"lambda = {format_rational(params['lambda'])} lies outside the positive range "
+            "the family is stated for; the value is computed formally from the same expressions",
         )
     return SequenceValue(
         family=family,

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import List
 
 from .errors import ConsistencyError, DomainError
-from .rationals import binomial, factorial
 
 __all__ = [
     "StirlingTable",
@@ -99,8 +98,8 @@ def stirling2_explicit(n: int, k: int) -> int:
     """
     if not 1 <= k <= n:
         raise DomainError(f"explicit sum needs 1 <= k <= n, got n={n}, k={k}")
-    total = sum((-1) ** (k - l) * binomial(k, l) * l**n for l in range(1, k + 1))
-    quotient, remainder = divmod(total, factorial(k))
+    total = sum((-1) ** (k - l) * math.comb(k, l) * l**n for l in range(1, k + 1))
+    quotient, remainder = divmod(total, math.factorial(k))
     if remainder:
         raise ConsistencyError(
             f"alternating sum for S({n},{k}) not divisible by {k}!"
@@ -118,13 +117,13 @@ def _check_coeff_domain(k: int, m: int, m_max: int) -> None:
 def lambda_coeff(k: int, m: int) -> int:
     """(-1)**k (m-1)! S(k+1, m) for 1 <= m <= k+1."""
     _check_coeff_domain(k, m, k + 1)
-    return (-1) ** k * factorial(m - 1) * stirling2(k + 1, m)
+    return (-1) ** k * math.factorial(m - 1) * stirling2(k + 1, m)
 
 
 def mu_coeff(k: int, m: int) -> int:
     """(-1)**(m-1) (m-1)! S(k+1, m) for 1 <= m <= k+1."""
     _check_coeff_domain(k, m, k + 1)
-    return (-1) ** (m - 1) * factorial(m - 1) * stirling2(k + 1, m)
+    return (-1) ** (m - 1) * math.factorial(m - 1) * stirling2(k + 1, m)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -152,9 +151,9 @@ def m_determinant(j: int, k: int, i: int) -> Fraction:
     top = i + j - 2
     # h[r][j] = C(k, i+r-1) * (top! / (i+r-2)!) / top!
     numerator = sum(
-        binomial(k, i + r - 1) * math.perm(top, j - r) * minors[r - 1] for r in range(1, j + 1)
+        math.comb(k, i + r - 1) * math.perm(top, j - r) * minors[r - 1] for r in range(1, j + 1)
     )
-    return Fraction(numerator, factorial(top))
+    return Fraction(numerator, math.factorial(top))
 
 
 def a_coeff(k: int, m: int) -> Fraction:
@@ -174,5 +173,5 @@ def verify_first_kind_determinant_relation(n: int, k: int) -> bool:
     if not 1 <= k <= n:
         raise DomainError(f"relation needs 1 <= k <= n, got n={n}, k={k}")
     lhs = Fraction(stirling1(n, k))
-    rhs = (-1) ** (n + k * k) * factorial(n - 1) * m_determinant(n - k + 1, n, k)
+    rhs = (-1) ** (n + k * k) * math.factorial(n - 1) * m_determinant(n - k + 1, n, k)
     return lhs == rhs

@@ -56,9 +56,9 @@ def test_criterion_02_core_identities_sweep_with_fault_injection():
     for identity_id in CORE_IDENTITY_IDS:
         for k in range(1, 13):
             rep = verify_core_identity(identity_id, k, order=default_order(k))
-            assert rep.passed, rep.describe()
+            assert rep.passed, rep
             lo, hi = rep.window
-            assert hi - lo >= 8, rep.describe()
+            assert hi - lo >= 8, rep
             count += 1
     # at least three distinct injected faults must be detected
     detected = 0
@@ -83,7 +83,7 @@ def test_criterion_02_core_identities_sweep_with_fault_injection():
 def test_criterion_03_general_identities_full_grid():
     reports = run_sweep(["G1", "G2"], 10)
     for rep in reports:
-        assert rep.passed, rep.describe()
+        assert rep.passed, rep
     lambdas = {rep.lam for rep in reports}
     assert Fraction(1) in lambdas  # the Laurent branch
     assert any(v < 0 for v in lambdas)

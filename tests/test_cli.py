@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -13,14 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stirnum.cli as cli
+from stirnum.cli import VERIFY_CSV_HEADER
 from stirnum.identities import (
-    VERIFY_CSV_HEADER,
     VERIFY_OPTIONS,
+    CheckRow,
     VerificationReport,
+    core_identity_coefficients,
     default_order,
+    verify_core_identity,
+    verify_general_derivative,
+    verify_general_power,
     verify_target,
 )
-from stirnum.rationals import factorial, format_rational
+from stirnum.rationals import format_rational
 from stirnum.sequences import (
     FAMILIES,
     apostol_bernoulli_formula,
@@ -276,6 +282,51 @@ class TestLongNumbers:
         assert record["result"] == "1/" + "7" * 4999 + "6"
 
 
+    # alpha = 1 3...3 and lambda = -2 3...3/7, numerators of 4,401 digits.
+    ALPHA_TEXT = "1" + "3" * 4400
+    LAMBDA_TEXT = "-2" + "3" * 4400 + "/7"
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize(
+        "alpha, lam", [(ALPHA_TEXT, "2"), ("2", LAMBDA_TEXT)], ids=["long-alpha", "long-lambda"]
+    )
+    def test_verify_general_identity_at_a_long_point(self, capsys, fmt, alpha, lam):
+        argv = ["verify", "G1", "--k-max", "1", f"--alpha={alpha}", f"--lambda={lam}"]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "plain":
+            line, total = out.splitlines()
+            assert line.startswith(f"G1 k=1 alpha={alpha} lambda={lam} order=12 window=[")
+            assert line.endswith(" ok") and total == "1/1 ok"
+        elif fmt == "json":
+            record = json.loads(out)
+            assert record["parameters"]["alpha"] == alpha
+            assert record["parameters"]["lambda"] == lam
+            [check] = record["result"]["checks"]
+            assert (check["alpha"], check["lambda"], check["passed"]) == (alpha, lam, True)
+        else:
+            header, cells = parse_csv(out)
+            assert cells[:5] == ["G1", "1", "", alpha, lam]
+            assert cells[8] == "true"
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_two_param_note_at_a_long_lambda(self, capsys, fmt):
+        lam = "-" + self.ALPHA_TEXT
+        argv = ["two-param-euler", "1", "--alpha", "2", f"--lambda={lam}", "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        note = (
+            f"lambda = {lam} lies outside the positive range the family is stated "
+            "for; the value is computed formally from the same expressions"
+        )
+        if fmt == "plain":
+            assert out.endswith(f"\nnote: {note}\n")
+        else:
+            record = json.loads(out)
+            assert record["parameters"]["lambda"] == lam
+            assert record["notes"] == [note]
+
+
 class TestSeriesDump:
     def test_recip_exp_minus_one(self, capsys):
         code, out, _ = run(capsys, "series", "dump", "recip-exp-minus-one", "--order", "8")
@@ -500,6 +551,69 @@ class TestVerifyCommand:
         rows = parse_csv(out)
         assert rows[1][8] == "false"
         assert rows[1][9:12] == ["2", "1", "0"]
+
+
+class TestVerifyRows:
+    """One verify row as the command line renders it: the JSON record, the
+    plain line and the CSV cells."""
+
+    def test_report_shape(self):
+        report = verify_general_power(2, Fraction(1, 2), Fraction(-5, 3))
+        record, line, _ = cli._verify_row(report)
+        assert record["identity_id"] == "G2"
+        assert record["k"] == 2
+        assert record["alpha"] == "1/2"
+        assert record["lambda"] == "-5/3"
+        assert record["passed"] is True
+        assert record["first_discrepancy"] is None
+        json.dumps(record)  # must be serializable as-is
+        assert line == "G2 k=2 alpha=1/2 lambda=-5/3 order=14 window=[-1,12) ok"
+
+    def test_plain_line_mentions_discrepancy(self):
+        weights = core_identity_coefficients("I1", 2)
+        weights[0] += 1
+        report = verify_core_identity("I1", 2, coeff_override=weights)
+        _, line, _ = cli._verify_row(report)
+        assert line == "I1 k=2 order=14 window=[-3,9) FAIL at t^-1: lhs=0 rhs=1"
+
+    def test_failure_record_is_serializable(self):
+        weights = core_identity_coefficients("I4", 3)
+        weights[2] -= Fraction(1, 3)
+        report = verify_core_identity("I4", 3, coeff_override=weights)
+        record, _, _ = cli._verify_row(report)
+        assert record["passed"] is False
+        e, lhs, rhs = report.first_discrepancy
+        assert record["first_discrepancy"] == {
+            "exponent": e, "lhs": format_rational(lhs), "rhs": format_rational(rhs)
+        }
+        json.dumps(record)
+
+    def test_csv_cells_follow_the_header(self):
+        weights = core_identity_coefficients("I1", 2)
+        weights[0] += 1
+        failed = verify_core_identity("I1", 2, coeff_override=weights)
+        assert failed.first_discrepancy == (-1, 0, 1)
+        assert cli._verify_row(failed)[2] == [
+            "I1", "2", "", "", "", "14", "-3", "9", "false", "-1", "0", "1"
+        ]
+        general = verify_general_derivative(1, Fraction(-3, 2), 2)
+        assert cli._verify_row(general)[2] == [
+            "G1", "1", "", "-3/2", "2", "12", "-1", "10", "true", "", "", ""
+        ]
+
+    def test_check_row_shapes(self):
+        point = {"n": 3, "alpha": Fraction(1, 2), "lambda": Fraction(-5, 3)}
+        row = CheckRow("reductions", point, False)
+        record, line, cells = cli._verify_row(row)
+        assert record == {
+            "check": "reductions", "n": 3, "alpha": "1/2", "lambda": "-5/3", "passed": False
+        }
+        assert line == "reductions n=3 alpha=1/2 lambda=-5/3 FAIL"
+        assert cells == ["reductions", "", "3", "1/2", "-5/3", "", "", "", "false", "", "", ""]
+        _, line, cells = cli._verify_row(CheckRow("det-relation", {"n": 4, "k": 2}, True))
+        assert line == "det-relation n=4 k=2 ok"
+        assert cells[:3] == ["det-relation", "2", "4"]
+        assert len(cells) == len(VERIFY_CSV_HEADER)
 
 
 # Family -> an accepted invocation of its command.
@@ -809,7 +923,7 @@ class TestDifferential:
         assert result == format_rational(stirling1(n, k))
         if 1 <= k <= n:
             # s(n, k) = (-1)**(n + k*k) (n-1)! M_{n-k+1}(n, k)
-            relation = (-1) ** (n + k * k) * factorial(n - 1) * m_determinant(n - k + 1, n, k)
+            relation = (-1) ** (n + k * k) * math.factorial(n - 1) * m_determinant(n - k + 1, n, k)
             assert result == format_rational(relation)
 
     @settings(max_examples=30, deadline=None)
@@ -919,11 +1033,113 @@ class TestDifferential:
         argv += [option(name, v) for name, v in given.items() if v is not None]
         rows = verify_target(target, k_max, alpha, lam, order)
 
-        assert json_result(*argv)["checks"] == [r.to_dict() for r in rows]
+        checks = json_result(*argv)["checks"]
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             assert cli.main(argv + ["--format", "csv"]) == 0
         table = parse_csv(buffer.getvalue())
         assert table[0] == list(VERIFY_CSV_HEADER)
-        assert table[1:] == [r.csv_cells() for r in rows]
+        assert len(checks) == len(table) - 1 == len(rows)
+        for row, record, cells in zip(rows, checks, table[1:]):
+            assert row.passed and record["passed"] is True and cells[8] == "true"
+            if isinstance(row, CheckRow):
+                texts = {
+                    name: format_rational(v) if isinstance(v, Fraction) else v
+                    for name, v in row.fields.items()
+                }
+                assert list(record) == ["check", *row.fields, "passed"]
+                assert record == {"check": row.check, **texts, "passed": True}
+                columns = {"id": row.check, **texts, "passed": "true"}
+                assert cells == [str(columns.get(name, "")) for name in VERIFY_CSV_HEADER]
+            else:
+                alpha_text = None if row.alpha is None else format_rational(row.alpha)
+                lam_text = None if row.lam is None else format_rational(row.lam)
+                assert record == {
+                    "identity_id": row.identity_id,
+                    "k": row.k,
+                    "alpha": alpha_text,
+                    "lambda": lam_text,
+                    "order": row.order,
+                    "window": list(row.window),
+                    "passed": True,
+                    "first_discrepancy": None,
+                }
+                assert cells == [
+                    row.identity_id,
+                    str(row.k),
+                    "",
+                    alpha_text or "",
+                    lam_text or "",
+                    str(row.order),
+                    *map(str, row.window),
+                    "true",
+                    "",
+                    "",
+                    "",
+                ]
         assert all(len(cells) == len(VERIFY_CSV_HEADER) for cells in table)
+
+
+def long_digits(count):
+    """A positive integer literal of ``count`` digits."""
+    return st.integers(1, 9).map(lambda lead: str(lead) + "3" * (count - 1))
+
+
+_LONG = st.integers(4301, 4500).flatmap(long_digits)
+_SIGN = st.sampled_from(["", "-"])
+# Every kind of literal the rational options meet: the special points 0,
+# 1 and -1 (a pole of the two-parameter family and of the reductions),
+# small fractions, integers and fractions past the 4,300-digit int/str
+# cap, and zero denominators.
+RATIONAL_LITERALS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "+1", "-0"]),
+    small_rationals.map(format_rational),
+    st.tuples(_SIGN, _LONG).map("".join),
+    st.tuples(_SIGN, _LONG, st.integers(2, 9)).map(lambda t: f"{t[0]}{t[1]}/{t[2]}"),
+    st.tuples(_SIGN, st.integers(1, 9), _LONG).map(lambda t: f"{t[0]}{t[1]}/{t[2]}"),
+    st.tuples(_SIGN, st.integers(0, 9), st.integers(1, 3)).map(
+        lambda t: f"{t[0]}{t[1]}/{'0' * t[2]}"
+    ),
+)
+# Every option that reads a rational literal, by command; {n} is 0..3.
+LITERAL_COMMANDS = [
+    ["apostol-bernoulli", "{n}", "--lambda={lambda}"],
+    ["euler-poly", "{n}", "--at={x}"],
+    ["two-param-euler", "{n}", "--alpha={alpha}", "--lambda={lambda}"],
+    ["two-param-euler", "{n}", "--alpha={alpha}", "--lambda={lambda}", "--at={x}"],
+    ["series", "dump", "apostol", "--lambda={lambda}", "--order", "{order}"],
+    ["verify", "G1", "--k-max", "1", "--alpha={alpha}", "--lambda={lambda}"],
+    ["verify", "G2", "--k-max", "1", "--alpha={alpha}", "--lambda={lambda}"],
+    ["verify", "reductions", "--k-max", "1", "--alpha={alpha}", "--lambda={lambda}"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(LITERAL_COMMANDS),
+    literals=st.fixed_dictionaries(
+        {"alpha": RATIONAL_LITERALS, "lambda": RATIONAL_LITERALS, "x": RATIONAL_LITERALS}
+    ),
+    n=st.integers(0, 3),
+    fmt=st.sampled_from(["plain", "json"]),
+)
+def test_rational_literals_end_in_an_answer_or_a_typed_error(command, literals, n, fmt):
+    argv = [arg.format(n=n, order=n + 1, **literals) for arg in command] + ["--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        if fmt == "json":
+            assert json.loads(out)["status"] == "ok"
+    elif code == 1:
+        assert err == ""
+        if fmt == "json":
+            assert json.loads(out)["status"] == "error"
+        else:
+            assert out.startswith("error[")
+    else:
+        assert out == ""
+        assert err.startswith("usage: stirnum ") and ": error: " in err

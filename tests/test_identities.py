@@ -1,6 +1,6 @@
 """Identity verifier: positive sweeps, cross-checks, and fault injection."""
 
-import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +14,6 @@ from stirnum.identities import (
     DEFAULT_MIN_WINDOW,
     GENERAL_IDENTITY_IDS,
     PLUS_IDENTITY_IDS,
-    VERIFY_CSV_HEADER,
     CheckRow,
     core_identity_coefficients,
     default_order,
@@ -26,7 +25,6 @@ from stirnum.identities import (
     verify_target,
 )
 from stirnum.identities import _SPECS, _Ladder, _weights
-from stirnum.rationals import factorial
 from stirnum.series import _EGF_MIN_LENGTH, LaurentSeries, linear_combination, recip_exp_linear
 from stirnum.stirling import b_coeff, lambda_coeff, stirling1, stirling2
 
@@ -63,7 +61,7 @@ class TestCoreIdentities:
         for identity_id in CORE_IDENTITY_IDS:
             for k in range(1, 7):
                 report = verify_core_identity(identity_id, k)
-                assert report.passed, report.describe()
+                assert report.passed, report
 
     def test_window_is_wide_enough(self):
         for identity_id in CORE_IDENTITY_IDS:
@@ -121,7 +119,7 @@ class TestPlusIdentities:
         for identity_id in PLUS_IDENTITY_IDS:
             for k in range(1, 9):
                 report = verify_plus_identity(identity_id, k)
-                assert report.passed, report.describe()
+                assert report.passed, report
 
     def test_base_series_value(self):
         h = (  # 1/(e^t + 1) starts at 1/2 - t/4
@@ -160,7 +158,7 @@ class TestGeneralIdentities:
         )
         for k in range(1, 7):
             for m in range(1, k + 2):
-                assert (-1) ** k * factorial(m - 1) * stirling2(k + 1, m) == lambda_coeff(k, m)
+                assert (-1) ** k * math.factorial(m - 1) * stirling2(k + 1, m) == lambda_coeff(k, m)
             # a G1 point scales I1's weights by alpha**k
             for alpha in (Fraction(1), Fraction(3, 2)):
                 i1 = core_identity_coefficients("I1", k)
@@ -175,7 +173,7 @@ class TestGeneralIdentities:
                     s_route = (
                         (-1) ** (m - 1)
                         * alpha ** (1 - m)
-                        * Fraction(stirling1(k, m), factorial(k - 1))
+                        * Fraction(stirling1(k, m), math.factorial(k - 1))
                     )
                     b_route = b_coeff(k, m) * alpha ** (1 - m)
                     assert s_route == b_route
@@ -247,62 +245,6 @@ class TestFaultInjection:
         assert e == lo and lhs != rhs
 
 
-class TestReports:
-    def test_report_shape(self):
-        report = verify_general_power(2, Fraction(1, 2), Fraction(-5, 3))
-        d = report.to_dict()
-        assert d["identity_id"] == "G2"
-        assert d["k"] == 2
-        assert d["alpha"] == "1/2"
-        assert d["lambda"] == "-5/3"
-        assert d["passed"] is True
-        assert d["first_discrepancy"] is None
-        json.dumps(d)  # must be serializable as-is
-
-    def test_describe_mentions_discrepancy(self):
-        weights = core_identity_coefficients("I1", 2)
-        weights[0] += 1
-        report = verify_core_identity("I1", 2, coeff_override=weights)
-        text = report.describe()
-        assert "FAIL" in text and "t^" in text
-
-    def test_failure_report_is_serializable(self):
-        weights = core_identity_coefficients("I4", 3)
-        weights[2] -= Fraction(1, 3)
-        report = verify_core_identity("I4", 3, coeff_override=weights)
-        d = report.to_dict()
-        assert d["passed"] is False
-        assert set(d["first_discrepancy"]) == {"exponent", "lhs", "rhs"}
-        json.dumps(d)
-
-    def test_csv_cells_follow_the_header(self):
-        weights = core_identity_coefficients("I1", 2)
-        weights[0] += 1
-        failed = verify_core_identity("I1", 2, coeff_override=weights)
-        assert failed.first_discrepancy == (-1, 0, 1)
-        assert failed.csv_cells() == [
-            "I1", "2", "", "", "", "14", "-3", "9", "false", "-1", "0", "1"
-        ]
-        general = verify_general_derivative(1, Fraction(-3, 2), 2)
-        assert general.csv_cells() == [
-            "G1", "1", "", "-3/2", "2", "12", "-1", "10", "true", "", "", ""
-        ]
-
-    def test_check_row_shapes(self):
-        row = CheckRow("reductions", {"n": 3, "alpha": "1/2", "lambda": "-5/3"}, False)
-        assert row.to_dict() == {
-            "check": "reductions", "n": 3, "alpha": "1/2", "lambda": "-5/3", "passed": False
-        }
-        assert row.describe() == "reductions n=3 alpha=1/2 lambda=-5/3 FAIL"
-        assert row.csv_cells() == [
-            "reductions", "", "3", "1/2", "-5/3", "", "", "", "false", "", "", ""
-        ]
-        det = CheckRow("det-relation", {"n": 4, "k": 2}, True)
-        assert det.describe() == "det-relation n=4 k=2 ok"
-        assert det.csv_cells()[:3] == ["det-relation", "2", "4"]
-        assert len(det.csv_cells()) == len(VERIFY_CSV_HEADER)
-
-
 class TestVerifyTarget:
     def test_rows_in_plan_order(self):
         rows = verify_target("all", 1, alpha=2, lam=Fraction(1, 2))
@@ -318,6 +260,10 @@ class TestVerifyTarget:
         assert len(verify_target("det-relation", 4)) == 10
         assert [r.fields for r in verify_target("alt-sum", 2)] == [{"n": 1}, {"n": 2}]
         assert len(verify_target("reductions", 1, alpha=2)) == 2 * 3
+        # Rows hold values; the command line renders them.
+        first = verify_target("reductions", 1, alpha=2, lam=Fraction(1, 4))[0]
+        assert first.fields == {"n": 0, "alpha": Fraction(2), "lambda": Fraction(1, 4)}
+        assert all(type(v) is Fraction for v in list(first.fields.values())[1:])
 
     def test_unknown_target_rejected(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,4 @@
-"""Exact scalar layer: combinatorial helpers and rational text round-trips."""
+"""Rational literals: parsing and canonical text round-trips."""
 
 import re
 from fractions import Fraction
@@ -8,52 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stirnum.errors import RationalParseError
-from stirnum.rationals import binomial, factorial, format_rational, parse_rational
+from stirnum.rationals import format_rational, parse_rational
 
 CANONICAL = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 rationals = st.fractions(
     min_value=Fraction(-10**9), max_value=Fraction(10**9), max_denominator=10**6
 )
-
-
-class TestFactorial:
-    def test_anchors(self):
-        assert factorial(0) == 1
-        assert factorial(1) == 1
-        assert factorial(5) == 120
-        assert factorial(12) == 479001600
-
-    def test_recurrence(self):
-        for n in range(1, 40):
-            assert factorial(n) == n * factorial(n - 1)
-
-
-class TestBinomial:
-    def test_anchors(self):
-        assert binomial(4, 2) == 6
-        assert binomial(10, 0) == 1
-        assert binomial(10, 10) == 1
-        assert binomial(52, 5) == 2598960
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(3, 5) == 0
-        assert binomial(3, -1) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    def test_pascal_triangle(self):
-        for n in range(1, 30):
-            for k in range(n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-    def test_symmetry_and_factorial_form(self):
-        for n in range(0, 25):
-            for k in range(n + 1):
-                assert binomial(n, k) == binomial(n, n - k)
-                assert binomial(n, k) * factorial(k) * factorial(n - k) == factorial(n)
 
 
 class TestParseRational:

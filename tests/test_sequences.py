@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from stirnum import sequences
 from stirnum.errors import DomainError, PoleError, PrecisionExhaustedError
-from stirnum.rationals import binomial
 from stirnum.sequences import (
     FAMILIES,
     REDUCTION_ALPHAS,
@@ -77,7 +76,7 @@ def reference_evaluate(poly, point):
 def reference_euler_polynomial_coeffs(n):
     """The Fraction products of the closed form, one coefficient each."""
     return [
-        (-1) ** (n - k) * binomial(n, k) * 2 * _geometric_stirling_sum(n - k + 1, 1, 2)
+        (-1) ** (n - k) * math.comb(n, k) * 2 * _geometric_stirling_sum(n - k + 1, 1, 2)
         for k in range(n + 1)
     ]
 
@@ -87,7 +86,7 @@ def reference_two_param_coeffs(n, alpha, lam):
     return [
         2
         * (-alpha) ** (n - k)
-        * binomial(n, k)
+        * math.comb(n, k)
         * _geometric_stirling_sum(n - k + 1, rho.numerator, rho.denominator)
         for k in range(n + 1)
     ]
@@ -101,7 +100,7 @@ def reference_euler_even_direct(n):
     """The single-sum even-index form, one Fraction product per term."""
     total = Fraction(0)
     for k in range(n + 1):
-        total += reference_half_weight(n - k + 1) * Fraction((-1) ** k, 2**k) * binomial(n, k)
+        total += reference_half_weight(n - k + 1) * Fraction((-1) ** k, 2**k) * math.comb(n, k)
     return Fraction(4) ** (n // 2) * total
 
 
@@ -109,7 +108,7 @@ def reference_alternating_sum(n):
     total = Fraction(0)
     for k in range(2 * n):
         total += (
-            reference_half_weight(2 * n - k) * Fraction((-1) ** k, 2**k) * binomial(2 * n - 1, k)
+            reference_half_weight(2 * n - k) * Fraction((-1) ** k, 2**k) * math.comb(2 * n - 1, k)
         )
     return total
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from stirnum import series as series_module
 from stirnum.errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
-from stirnum.rationals import factorial
 from stirnum.series import ZERO, LaurentSeries, exp_linear, linear_combination, recip_exp_linear
 from stirnum.stirling import stirling2
 
@@ -502,7 +501,7 @@ def assert_least_egf_form(s, shift=0):
     ints, d = series_module._egf_scaled(s.nums, s.den, shift)
     assert d > 0
     assert all(
-        Fraction(x, s.den) == Fraction(y, factorial(k + shift) * d)
+        Fraction(x, s.den) == Fraction(y, math.factorial(k + shift) * d)
         for k, (x, y) in enumerate(zip(s.nums, ints, strict=True))
     )
     assert math.gcd(d, *ints) == 1
@@ -813,9 +812,9 @@ class TestGeneratingFunctionBridge:
         for k in range(1, 8):
             order = 18
             base = exp_linear(1, order) - LaurentSeries.one(order)
-            p = (base**k).scale(Fraction(1, factorial(k)))
+            p = (base**k).scale(Fraction(1, math.factorial(k)))
             for n in range(p.offset, p.precision):
-                assert p.coeff(n) == Fraction(stirling2(n, k), factorial(n))
+                assert p.coeff(n) == Fraction(stirling2(n, k), math.factorial(n))
 
 
 def assert_same_on_common_window(a, b):

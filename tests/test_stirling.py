@@ -6,6 +6,7 @@ factorial, and the exponential generating series for the second kind.  The
 bordered determinant is checked against plain Gaussian elimination.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirnum.errors import DomainError
-from stirnum.rationals import binomial, factorial
 from stirnum.series import LaurentSeries, exp_linear
 from stirnum.stirling import (
     StirlingTable,
@@ -95,7 +95,7 @@ def reference_m_determinant(j, k, i):
     """M_j(k, i) written out as a matrix: row r has C(k, i+r-1)/(i+r-2)!
     in column 1 and S(i+c-1, i+r-1) in column c >= 2."""
     matrix = [
-        [Fraction(binomial(k, i + r - 1), factorial(i + r - 2))]
+        [Fraction(math.comb(k, i + r - 1), math.factorial(i + r - 2))]
         + [Fraction(stirling2(i + c - 1, i + r - 1)) for c in range(2, j + 1)]
         for r in range(1, j + 1)
     ]
@@ -136,9 +136,9 @@ class TestSecondKind:
         for k in range(1, 11):
             order = 18
             base = exp_linear(1, order) - LaurentSeries.one(order)
-            p = (base**k).scale(Fraction(1, factorial(k)))
+            p = (base**k).scale(Fraction(1, math.factorial(k)))
             for n in range(p.offset, p.precision):
-                assert p.coeff(n) == Fraction(stirling2(n, k), factorial(n))
+                assert p.coeff(n) == Fraction(stirling2(n, k), math.factorial(n))
                 assert n <= k + 16
 
 
@@ -158,7 +158,7 @@ class TestFirstKind:
             for _ in range(m):
                 power = poly_mul(power, p)
             for n in range(min(len(power), terms)):
-                expected = Fraction(stirling1(n, m), factorial(n)) * factorial(m)
+                expected = Fraction(stirling1(n, m), math.factorial(n)) * math.factorial(m)
                 assert power[n] == expected
 
     def test_falling_factorial_expansion(self):
@@ -200,7 +200,7 @@ class TestCoefficientFamilies:
         for k in range(1, 13):
             for m in range(1, k + 2):
                 assert mu_coeff(k, m) == (-1) ** (k + m - 1) * lambda_coeff(k, m)
-                assert abs(lambda_coeff(k, m)) == factorial(m - 1) * stirling2(k + 1, m)
+                assert abs(lambda_coeff(k, m)) == math.factorial(m - 1) * stirling2(k + 1, m)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -222,7 +222,7 @@ class TestMDeterminant:
         # the 1x1 case is C(k, i)/(i-1)!
         for k in range(1, 7):
             for i in range(1, k + 1):
-                assert m_determinant(1, k, i) == Fraction(binomial(k, i), factorial(i - 1))
+                assert m_determinant(1, k, i) == Fraction(math.comb(k, i), math.factorial(i - 1))
 
     def test_domain(self):
         for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
@@ -300,7 +300,7 @@ class TestABCoefficients:
         # determinant relation
         for k in range(1, 12):
             for m in range(1, k + 1):
-                expected = Fraction((-1) ** (m - 1) * stirling1(k, m), factorial(k - 1))
+                expected = Fraction((-1) ** (m - 1) * stirling1(k, m), math.factorial(k - 1))
                 assert b_coeff(k, m) == expected
 
     def test_domain(self):
