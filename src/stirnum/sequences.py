@@ -60,7 +60,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from .errors import ConsistencyError, DomainError, PoleError
 from .rationals import format_rational
 from .series import LaurentSeries, _normalized, _over_lcm, exp_linear, recip_exp_linear
-from .stirling import stirling2, verify_first_kind_determinant_relation
+from .stirling import _SECOND, stirling2, verify_first_kind_determinant_relation
 
 __all__ = [
     "Polynomial",
@@ -178,13 +178,15 @@ def _geometric_stirling_sum(j: int, p: int, q: int) -> Fraction:
     the sum runs on ints and is divided by q**j once.  The cache is bounded
     and keyed on ints, which hash far faster than a ``Fraction``; callers
     pass rho in lowest terms with q > 0.  It holds a few rhos times every
-    j up to ~300.
+    j up to ~300.  Row j of the Stirling table is read once, not looked up
+    term by term.
     """
+    row = _SECOND.row(j)
     total = 0
     weight = 1  # (-1)**(m-1) (m-1)! p**m once multiplied by p
     for m in range(1, j + 1):
         weight *= p
-        total = total * q + weight * stirling2(j, m)
+        total = total * q + weight * row[m]
         weight *= -m
     return Fraction(total, q**j)
 

@@ -51,13 +51,19 @@ on the stored numerators gives the unit's k-th power at every length, on
 exactly the window k - 1 repeated products would give.  The same pass at
 k = -1 is the long division, and short-window reciprocals run on it.
 Long reciprocals run the same long division on factorial-scaled
-numerators; one loop, ``_recurrence``, solves both.  The scaling there is
-shifted by the series' valuation s >= 0: unit coefficient i is scaled by
-(i+s)!, the factorial of the exponent it came from, so for 1/(e**t - 1)
-every scaled unit numerator is 1 instead of lcm(1..N)/(i+1).
-For alpha = a/b with b > 1, ``recip_exp_linear`` builds
-1/(lam e**(alpha t) + c) at alpha = 1 and multiplies coefficient e by
-alpha**e, so no power of b rides in the long division.
+numerators, shifted by the series' valuation s >= 0: unit coefficient i is
+scaled by (i+s)!, the factorial of the exponent it came from.  For
+lam e**t + c the scaled unit then has a constant tail: (lam + c, lam,
+lam, ...) at s = 0, and all ones for e**t - 1 at s = 1.  On such a unit
+each binomial-weighted sum of the division is a binomial transform, which
+``_pascal_recurrence`` keeps as one anti-diagonal of its difference table
+and moves on by Pascal's rule: O(n) additions a step instead of O(n)
+products, as Brent and Harvey compute the Bernoulli and tangent numbers.
+Any other unit, such as that of e**(t/2) + 1, runs the binomial rows
+through ``_recurrence``, the loop of the power recurrence.  For alpha
+other than 0 and 1, ``recip_exp_linear`` builds 1/(lam e**(alpha t) + c)
+at alpha = 1 and multiplies coefficient e by alpha**e, so every base of
+the package takes the Pascal-rule division.
 """
 
 from __future__ import annotations
@@ -410,7 +416,11 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 # products dominate, the lcm kernels still win by 3-12% at orders 80 to
 # 104.  So the split stays between the two loads.  Identity sweeps at the
 # default orders (k_max <= 12 reads orders up to 34) stay on the lcm
-# kernels.
+# kernels.  The reciprocal alone breaks even much earlier: on the 16
+# Apostol and Euler bases at alpha = 1 (medians of 9), the Pascal-rule
+# division loses at window lengths 8 to 16 (0.82x to 0.92x), is within
+# noise at 20 to 32 and wins 9 runs of 9 from 40: 1.33x at 40, 1.5x at 64,
+# 2.2x at 104.
 _EGF_MIN_LENGTH = 104
 
 
@@ -477,6 +487,46 @@ def _recurrence(rows) -> Tuple[list, int]:
     return nums, den
 
 
+def _pascal_recurrence(lead: int, tail, shift: int) -> Tuple[list, int]:
+    """The long division of ``_egf_reciprocal`` for a unit whose tail holds
+    one value W: r_0 = 1 and C(n+s, s) lead r_n = -W sum_{j<n} C(n+s, j) r_j,
+    as numerators over one running denominator that ``_recurrence`` widens
+    the same way.
+
+    The sum is the binomial transform at N = n + s of r_0..r_{n-1}, zeros
+    after, kept as one anti-diagonal of its difference table:
+    diagonal[m] = sum_i C(m, i) r_{N-m+i} for m = 0..N.  The step from N - 1
+    to N puts a zero in front and takes running sums, so the sum is the
+    total of the diagonal at N - 1.  Once r_n is known the step is taken
+    with it folded in, which adds C(m, s) r_n to entry m: r_n as the front
+    entry at s = 0, else C(k, s-1) r_n added to entry k before the running
+    sums.  A step is O(n) additions and one product by W.
+    """
+    den = 1
+    nums = [1]
+    diagonal = [0] * shift + [1]  # N = s, holding r_0
+    for n, weight in enumerate(tail, 1):
+        acc = weight * sum(diagonal)
+        divisor = -math.comb(n + shift, shift) * lead
+        if acc % divisor:
+            widen = abs(divisor) // math.gcd(acc, divisor)
+            nums = [x * widen for x in nums]
+            diagonal = [x * widen for x in diagonal]
+            den *= widen
+            acc *= widen
+        r = acc // divisor
+        nums.append(r)
+        if shift:
+            folded = repeat(r)  # C(k, s-1) r, by s - 1 running sums
+            for _ in range(shift - 1):
+                folded = accumulate(folded, operator.add, initial=0)
+            folded = map(operator.add, diagonal, folded)
+            diagonal = list(accumulate(folded, operator.add, initial=0))
+        else:
+            diagonal = list(accumulate(diagonal, operator.add, initial=r))
+    return nums, den
+
+
 def _lcm_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
     """The first ``length`` coefficients of a*b: numerators over da * db."""
     out = []
@@ -514,15 +564,20 @@ def _egf_reciprocal(unit, unit_den: int, shift: int) -> Tuple[list, int]:
     sum_{i=0..n} C(n+s, i+s) W_i T_{n-i} = s! d [n == 0]: the long division
     C(n+s, s) W_0 T_n = -sum_{i=1..n} C(n+s, i+s) W_i T_{n-i}, run for
     W_0 T_n / (s! d).  At s = 0 that is the plain factorial scaling; for
-    t u = e**t - 1 at s = 1 every W_i is 1.
+    t u = e**t - 1 at s = 1 every W_i is 1.  A unit whose W_1, W_2, ... are
+    all equal runs on ``_pascal_recurrence``, any other on the binomial rows
+    through ``_recurrence``.
     """
     unit, unit_den = _egf_scaled(unit, unit_den, shift)
     lead, tail = unit[0], unit[1:]
-    rows = (
-        (map(operator.mul, row[shift + 1 :], tail), -row[shift] * lead)
-        for row in islice(_binomial_rows(), shift + 1, shift + len(unit))
-    )
-    nums, den = _recurrence(rows)
+    if tail[:1] * len(tail) == tail:  # W_1 = W_2 = ...
+        nums, den = _pascal_recurrence(lead, tail, shift)
+    else:
+        rows = (
+            (map(operator.mul, row[shift + 1 :], tail), -row[shift] * lead)
+            for row in islice(_binomial_rows(), shift + 1, shift + len(unit))
+        )
+        nums, den = _recurrence(rows)
     scale = Fraction(math.factorial(shift) * unit_den, den * lead)
     return _egf_unscaled([x * scale.numerator for x in nums], scale.denominator)
 
@@ -613,13 +668,16 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     Every reciprocal base of the package is built here: 1/(e**t - 1) is
     (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1) is (1, 1, 1).
 
-    For alpha = a/b with b > 1 the window is dilated from the one at
+    For alpha other than 0 and 1 the window is dilated from the one at
     alpha = 1: coefficient e of r(alpha t) is alpha**e r_e.  The source
     series at alpha = 1 has the same valuation, so the window and the
-    errors are the same, and no power of b rides in the long division.
+    errors are the same.  No power of alpha rides in the long division, and
+    the factorial-scaled unit at alpha = 1 has a constant tail, so a long
+    window takes ``_pascal_recurrence``.  At alpha = 0 the source is a
+    constant and is built as it is.
     """
     alpha = Fraction(alpha)
-    dilate = alpha.denominator != 1
+    dilate = alpha not in (0, 1)
     source = exp_linear(1 if dilate else alpha, order).scale(lam)
     r = (source + LaurentSeries.constant(c, order)).reciprocal()
     if not dilate:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 from .errors import ConsistencyError, DomainError
 
@@ -42,15 +42,15 @@ class StirlingTable:
     kind "second": S(n, k) = k*S(n-1, k) + S(n-1, k-1)
     kind "first":  s(n, k) = s(n-1, k-1) - (n-1)*s(n-1, k)
 
-    Rows are only ever appended.  The table is not locked: grow it from
-    one thread at a time.
+    Rows are only ever appended, as tuples.  The table is not locked: grow
+    it from one thread at a time.
     """
 
     def __init__(self, kind: str):
         if kind not in ("second", "first"):
             raise ValueError(f"kind must be 'second' or 'first', got {kind!r}")
         self.kind = kind
-        self._rows: List[List[int]] = [[1]]
+        self._rows: List[Tuple[int, ...]] = [(1,)]
 
     def value(self, n: int, k: int) -> int:
         if n < 0:
@@ -60,6 +60,14 @@ class StirlingTable:
         if n >= len(self._rows):
             self._grow(n)
         return self._rows[n][k]
+
+    def row(self, n: int) -> Tuple[int, ...]:
+        """The stored row n, entries k = 0..n, grown to if needed."""
+        if n < 0:
+            raise DomainError(f"Stirling numbers need n >= 0, got n={n}")
+        if n >= len(self._rows):
+            self._grow(n)
+        return self._rows[n]
 
     def _grow(self, n: int) -> None:
         while len(self._rows) <= n:
@@ -73,7 +81,7 @@ class StirlingTable:
                 for k in range(1, m):
                     row[k] = prev[k - 1] - (m - 1) * prev[k]
             row[m] = 1
-            self._rows.append(row)
+            self._rows.append(tuple(row))
 
 
 _SECOND = StirlingTable("second")

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from stirnum import series as series_module
 from stirnum.errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
+from stirnum.identities import DEFAULT_ALPHAS, DEFAULT_LAMBDAS
+from stirnum.sequences import REDUCTION_ALPHAS, REDUCTION_LAMBDAS
 from stirnum.series import ZERO, LaurentSeries, exp_linear, linear_combination, recip_exp_linear
 from stirnum.stirling import stirling2
 
@@ -403,10 +405,10 @@ class TestRecipExpLinear:
 
     @pytest.mark.parametrize(
         "alpha, built",
-        [(Fraction(3, 2), [1]), (Fraction(-1, 3), [1]), (2, [2]), (-1, [-1]), (0, [0])],
+        [(Fraction(3, 2), [1]), (Fraction(-1, 3), [1]), (2, [1]), (-1, [1]), (1, [1]), (0, [0])],
     )
     @pytest.mark.parametrize("order", [12, 150])
-    def test_alpha_with_a_denominator_builds_at_alpha_one(self, monkeypatch, alpha, built, order):
+    def test_alpha_other_than_zero_builds_at_alpha_one(self, monkeypatch, alpha, built, order):
         alphas = []
         real = series_module.exp_linear
         monkeypatch.setattr(
@@ -610,6 +612,68 @@ class TestEgfKernel:
         assert kernels(split - 1) == ["_power(-1)", "_lcm_product"]
         for length in (split, split + 1, 2 * split):
             assert kernels(length) == ["_egf_reciprocal", "_egf_product"]
+
+
+# The reciprocal bases the package builds, as (alpha, lam, c): f, g and h,
+# the G1/G2 grid, the Apostol-Bernoulli lambdas and the two-parameter Euler
+# points that the sequence-pairs benchmark draws, and the reduction grid.
+PACKAGE_BASES = (
+    [(1, 1, -1), (-1, -1, 1), (1, 1, 1)]
+    + [(alpha, lam, -1) for alpha in DEFAULT_ALPHAS for lam in DEFAULT_LAMBDAS]
+    + [(1, Fraction(lam), -1) for lam in ("1", "2", "3", "1/2", "1/3", "-1", "-2", "3/2", "2/3")]
+    + [
+        (Fraction(alpha), Fraction(lam), 1)
+        for alpha in ("1/2", "-1/2", "2", "-2", "3/2", "-3/2")
+        for lam in ("2", "1/2", "3", "1/3", "2/3", "3/2")
+    ]
+    + [(alpha, lam, 1) for alpha in REDUCTION_ALPHAS for lam in REDUCTION_LAMBDAS]
+)
+
+
+class TestPascalDivision:
+    """Long reciprocals of units with a constant factorial-scaled tail run
+    on Pascal's rule; every other unit on the binomial rows."""
+
+    @settings(max_examples=120)
+    @given(
+        st.sampled_from([1, -1, 2, -2, 3, -3, 6, -6, 35]),
+        st.one_of(st.integers(-40, -1), st.integers(1, 40), st.integers(-(10**30), 10**30)).filter(
+            bool
+        ),
+        st.integers(0, 2),
+        st.integers(1, 200),
+    )
+    def test_matches_the_binomial_rows(self, lead, weight, shift, length):
+        rows = (
+            (
+                [math.comb(n + shift, i + shift) * weight for i in range(1, n + 1)],
+                -math.comb(n + shift, shift) * lead,
+            )
+            for n in range(1, length)
+        )
+        assert series_module._pascal_recurrence(
+            lead, [weight] * (length - 1), shift
+        ) == series_module._recurrence(rows)
+
+    def test_every_package_base_takes_pascal_rule(self, monkeypatch):
+        ran = []
+        for name in ("_pascal_recurrence", "_recurrence"):
+
+            def spy(*args, _name=name, _real=getattr(series_module, name)):
+                ran.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(series_module, name, spy)
+
+        def division(build):
+            ran.clear()
+            build()
+            return ran[:]
+
+        for base in PACKAGE_BASES:
+            assert division(lambda: recip_exp_linear(*base, 150)) == ["_pascal_recurrence"], base
+        half = exp_linear(Fraction(1, 2), 151) + LaurentSeries.one(151)
+        assert division(half.reciprocal) == ["_recurrence"]
 
 
 @st.composite

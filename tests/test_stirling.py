@@ -180,6 +180,17 @@ class TestStirlingTable:
         with pytest.raises(ValueError):
             StirlingTable("third")
 
+    @pytest.mark.parametrize("kind", ["second", "first"])
+    def test_row_is_the_stored_row(self, kind):
+        table = StirlingTable(kind)
+        row = table.row(12)  # grows a fresh table
+        assert isinstance(row, tuple)
+        assert row == tuple(table.value(12, k) for k in range(13))
+        assert table.row(12) is row
+        assert table.row(0) == (1,)
+        with pytest.raises(DomainError):
+            table.row(-1)
+
 
 class TestCoefficientFamilies:
     def test_lambda_anchors(self):
