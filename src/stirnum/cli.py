@@ -253,9 +253,11 @@ def _value_output(argv, params, value, notes=()) -> CommandOutput:
     """A rational, or a polynomial as its coefficient table."""
     if isinstance(value, Polynomial):
         texts = [format_rational(c) for c in value.coeffs]
+        powers = ["", "*x", *(f"*x^{i}" for i in range(2, len(texts)))]
+        plain = " + ".join(text + power for text, power in zip(texts, powers)) or "0"
         rows = [[str(i), text] for i, text in enumerate(texts)]
         return _ok_output(
-            argv, params, {"coefficients": texts}, str(value), ["degree", "coefficient"], rows, notes
+            argv, params, {"coefficients": texts}, plain, ["degree", "coefficient"], rows, notes
         )
     text = format_rational(value)
     row = [_cell(v) for v in params.values()] + [text]

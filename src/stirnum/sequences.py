@@ -156,19 +156,6 @@ class Polynomial:
             acc = acc * u + c * v_power
         return acc, self.den * v_power
 
-    def __str__(self) -> str:
-        if not self.nums:
-            return "0"
-        parts = []
-        for i, c in enumerate(map(format_rational, self.coeffs)):
-            if i == 0:
-                parts.append(c)
-            elif i == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{i}")
-        return " + ".join(parts)
-
 
 @lru_cache(maxsize=4096)
 def _geometric_stirling_sum(j: int, p: int, q: int) -> Fraction:

@@ -33,37 +33,34 @@ normalizes its result once.  ``Fraction`` values appear only where a
 caller reads coefficients: ``coeff(e)``, and ``coeffs``, built on first
 read.
 
-Multiplication and reciprocal each have two integer scalings.  Short
-windows run on the stored numerators, c_k = C_k / den.  For the
-exponential-type series of this package that den is about k!, so on long
-windows the numerators grow to thousands of bits.  Long windows therefore
-use factorial-scaled (EGF) numerators, c_k = C_k / (k! den'), which stay
-small for e**(a t) and its relatives: a product coefficient becomes
-sum_i binom(k, i) A_i B_{k-i} over k! da db.  The entry ``_egf_scaled``
-multiplies each stored numerator by k! and divides them all and den by
-their gcd.  The exit ``_egf_unscaled`` puts each C_k / (k! den') over the one
-denominator (L-1)! den' of a window of length L.  The split is the output
-length ``_EGF_MIN_LENGTH``, measured where one scaling starts to beat the
-other; both give the same coefficients.
+Multiplication has two integer scalings.  Short windows run on the
+stored numerators, c_k = C_k / den.  For the exponential-type series of
+this package that den is about k!, so on long windows the numerators grow
+to thousands of bits.  Long windows therefore use factorial-scaled (EGF)
+numerators, c_k = C_k / (k! den'), which stay small for e**(a t) and its
+relatives: a product coefficient becomes sum_i binom(k, i) A_i B_{k-i}
+over k! da db.  The entry ``_egf_scaled`` multiplies each stored numerator
+by k! and divides them all and den by their gcd.  The exit
+``_egf_unscaled`` puts each C_k / (k! den') over the one denominator
+(L-1)! den' of a window of length L.  The split is the output length
+``_EGF_MIN_LENGTH``; both scalings give the same coefficients.
 
 A power s**k makes no products: one pass of J.C.P. Miller's recurrence
 on the stored numerators gives the unit's k-th power at every length, on
 exactly the window k - 1 repeated products would give.  The same pass at
-k = -1 is the long division, and short-window reciprocals run on it.
-Long reciprocals run the same long division on factorial-scaled
-numerators, shifted by the series' valuation s >= 0: unit coefficient i is
-scaled by (i+s)!, the factorial of the exponent it came from.  For
-lam e**t + c the scaled unit then has a constant tail: (lam + c, lam,
-lam, ...) at s = 0, and all ones for e**t - 1 at s = 1.  On such a unit
-each binomial-weighted sum of the division is a binomial transform, which
+k = -1 is the long division, which ``reciprocal`` runs at every length.
+
+Every reciprocal base of the package is 1/(lam e**(alpha t) + c), built
+by ``recip_exp_linear``.  For alpha other than 0 and 1 it builds the base
+at alpha = 1 and multiplies coefficient e by alpha**e.  From order
+``_EGF_MIN_LENGTH`` on it writes the factorial-scaled unit of lam e**t + c
+down from (lam, c) instead of building the source series: (lam + c, lam,
+lam, ...) at valuation s = 0, and (lam, lam, ...) for lam (e**t - 1) / t
+at s = 1.  On a unit with such a constant tail each binomial-weighted sum
+of the long division is a binomial transform, which
 ``_pascal_recurrence`` keeps as one anti-diagonal of its difference table
 and moves on by Pascal's rule: O(n) additions a step instead of O(n)
 products, as Brent and Harvey compute the Bernoulli and tangent numbers.
-Any other unit, such as that of e**(t/2) + 1, runs the binomial rows
-through ``_recurrence``, the loop of the power recurrence.  For alpha
-other than 0 and 1, ``recip_exp_linear`` builds 1/(lam e**(alpha t) + c)
-at alpha = 1 and multiplies coefficient e by alpha**e, so every base of
-the package takes the Pascal-rule division.
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
@@ -355,11 +352,7 @@ class LaurentSeries:
                 "widen the source series"
             )
         start = v - self.offset
-        unit = self.nums[start : start + precision - offset]
-        if len(unit) >= _EGF_MIN_LENGTH:
-            nums, den = _egf_reciprocal(unit, self.den, max(v, 0))
-        else:
-            nums, den = _power(unit, self.den, -1)
+        nums, den = _power(self.nums[start : start + precision - offset], self.den, -1)
         return _canonical(offset, nums, den)
 
 
@@ -405,22 +398,23 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
     return nums, den
 
 
-# Output length from which multiplication and reciprocal run on
-# factorial-scaled numerators (_egf_product, _egf_reciprocal) rather than
-# on the stored numerators (_lcm_product, _power at k = -1).  Measured in
-# alternating runs on 2-vCPU x86-64 with CPython 3.11.7.  On the oracle mix
-# of the sequence families (medians of 9), the lcm kernels win at 64 by 8%
-# and the two are within noise at 80; the factorial-scaled ones
-# (valuation-shifted) win 8 or 9 runs of 9 from 88 on: 1.16x at 88 to 104,
-# 1.6x at 128, 2.0x at 160.  On run_sweep of I1..P2 (medians of 5), where
-# products dominate, the lcm kernels still win by 3-12% at orders 80 to
-# 104.  So the split stays between the two loads.  Identity sweeps at the
-# default orders (k_max <= 12 reads orders up to 34) stay on the lcm
-# kernels.  The reciprocal alone breaks even much earlier: on the 16
-# Apostol and Euler bases at alpha = 1 (medians of 9), the Pascal-rule
-# division loses at window lengths 8 to 16 (0.82x to 0.92x), is within
-# noise at 20 to 32 and wins 9 runs of 9 from 40: 1.33x at 40, 1.5x at 64,
-# 2.2x at 104.
+# The split of two routes.  Products of this output length and longer run
+# on factorial-scaled numerators (_egf_product) rather than on the stored
+# numerators (_lcm_product), and recip_exp_linear writes the unit down
+# (_pascal_reciprocal) from this order on rather than long-dividing the
+# source series.  Measured in alternating runs on 2-vCPU x86-64 with
+# CPython 3.11.7.  On run_sweep of I1..P2 (medians of 5), where products
+# dominate, the lcm kernels still win by 3-12% at orders 80 to 104; the
+# oracle mix of the sequence families ran faster on the factorial-scaled
+# kernels from 88.  Identity sweeps at the default orders (k_max <= 12
+# reads orders up to 34) stay on the lcm kernels.  The direct build of
+# recip_exp_linear wins at every order (8 Apostol, Euler and
+# two-parameter bases, best of 5): 1.4x at orders 12 and 16, 1.5x at 24
+# to 64, 1.7x at 80 against the source route, and 2.3x at 104, 2.5x at
+# 150, 7.3x at 300 against Miller's division of the source.  Its split
+# stays here because on perfbench's verify-sweep the bases are the only
+# callers of reciprocal, scale and exp_linear, which that workload's
+# traced layers expect to see.
 _EGF_MIN_LENGTH = 104
 
 
@@ -441,13 +435,11 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
 ZERO = LaurentSeries(0, ())
 
 
-def _egf_scaled(nums, den, shift: int = 0) -> Tuple[Sequence[int], int]:
-    """Integers ``ints`` and the least ``d`` with
-    nums[k] / den == ints[k] / ((k + shift)! * d): each nums[k] times
-    (k + shift)!, then all of them and ``den`` divided by their gcd."""
-    factorials = accumulate(
-        range(shift + 1, shift + len(nums)), operator.mul, initial=math.factorial(shift)
-    )
+def _egf_scaled(nums, den) -> Tuple[Sequence[int], int]:
+    """Integers ``ints`` and the least ``d`` with nums[k] / den ==
+    ints[k] / (k! * d): each nums[k] times k!, then all of them and ``den``
+    divided by their gcd."""
+    factorials = accumulate(range(1, len(nums)), operator.mul, initial=1)
     return _normalized(list(map(operator.mul, nums, factorials)), den)
 
 
@@ -487,11 +479,10 @@ def _recurrence(rows) -> Tuple[list, int]:
     return nums, den
 
 
-def _pascal_recurrence(lead: int, tail, shift: int) -> Tuple[list, int]:
-    """The long division of ``_egf_reciprocal`` for a unit whose tail holds
-    one value W: r_0 = 1 and C(n+s, s) lead r_n = -W sum_{j<n} C(n+s, j) r_j,
-    as numerators over one running denominator that ``_recurrence`` widens
-    the same way.
+def _pascal_recurrence(lead: int, weight: int, shift: int, length: int) -> Tuple[list, int]:
+    """r_0 = 1 and C(n+s, s) lead r_n = -weight sum_{j<n} C(n+s, j) r_j for
+    n < ``length`` and s = ``shift`` in {0, 1}: numerators over one running
+    denominator, widened the way ``_recurrence`` widens them.
 
     The sum is the binomial transform at N = n + s of r_0..r_{n-1}, zeros
     after, kept as one anti-diagonal of its difference table:
@@ -499,13 +490,13 @@ def _pascal_recurrence(lead: int, tail, shift: int) -> Tuple[list, int]:
     to N puts a zero in front and takes running sums, so the sum is the
     total of the diagonal at N - 1.  Once r_n is known the step is taken
     with it folded in, which adds C(m, s) r_n to entry m: r_n as the front
-    entry at s = 0, else C(k, s-1) r_n added to entry k before the running
-    sums.  A step is O(n) additions and one product by W.
+    entry at s = 0, r_n added to every entry before the running sums at
+    s = 1.  A step is O(n) additions and one product by the weight.
     """
     den = 1
     nums = [1]
     diagonal = [0] * shift + [1]  # N = s, holding r_0
-    for n, weight in enumerate(tail, 1):
+    for n in range(1, length):
         acc = weight * sum(diagonal)
         divisor = -math.comb(n + shift, shift) * lead
         if acc % divisor:
@@ -517,14 +508,31 @@ def _pascal_recurrence(lead: int, tail, shift: int) -> Tuple[list, int]:
         r = acc // divisor
         nums.append(r)
         if shift:
-            folded = repeat(r)  # C(k, s-1) r, by s - 1 running sums
-            for _ in range(shift - 1):
-                folded = accumulate(folded, operator.add, initial=0)
-            folded = map(operator.add, diagonal, folded)
-            diagonal = list(accumulate(folded, operator.add, initial=0))
+            diagonal = list(accumulate(map(operator.add, diagonal, repeat(r)), initial=0))
         else:
-            diagonal = list(accumulate(diagonal, operator.add, initial=r))
+            diagonal = list(accumulate(diagonal, initial=r))
     return nums, den
+
+
+def _pascal_reciprocal(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
+    """1/(lam e**t + c), lam != 0, on the window of the reciprocal of its
+    source series of the given order, order >= 3.
+
+    The source has valuation s = [lam + c == 0].  Its unit u, the source
+    over t**s, has u_i = W_i / (i+s)! with W_0 = lead and W_i = lam for
+    i >= 1, where lead = lam + c at s = 0 and lam at s = 1: lam e**t + c
+    at s = 0, lam (e**t - 1) / t at s = 1.  With 1/u = sum T_n t**n / n!,
+    sum_i C(n+s, i+s) W_i T_{n-i} = [n == 0] gives T_0 = 1 / lead and the
+    long division of ``_pascal_recurrence`` at the ratio lam / lead for
+    T_n / T_0.
+    """
+    shift = 0 if lam + c else 1
+    lead = lam + c if shift == 0 else lam
+    ratio = lam / lead
+    nums, den = _pascal_recurrence(ratio.denominator, ratio.numerator, shift, order - 1 - shift)
+    scale = 1 / (lead * den)
+    nums, den = _egf_unscaled([x * scale.numerator for x in nums], scale.denominator)
+    return _canonical(-shift, nums, den)
 
 
 def _lcm_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
@@ -553,33 +561,6 @@ def _egf_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
         terms = map(operator.mul, row[lo:hi], a[lo:hi])
         out.append(sum(map(operator.mul, terms, reversed(b[k - hi + 1 : k - lo + 1]))))
     return _egf_unscaled(out, da * db)
-
-
-def _egf_reciprocal(unit, unit_den: int, shift: int) -> Tuple[list, int]:
-    """1/u for the unit power series u_i = unit[i] / unit_den, on
-    factorial-scaled numerators shifted by s = ``shift``: the valuation of
-    the series u was cut from, or 0 where that is negative.
-
-    With u_i = W_i / ((i+s)! d), 1/u = sum T_n t**n / n! where
-    sum_{i=0..n} C(n+s, i+s) W_i T_{n-i} = s! d [n == 0]: the long division
-    C(n+s, s) W_0 T_n = -sum_{i=1..n} C(n+s, i+s) W_i T_{n-i}, run for
-    W_0 T_n / (s! d).  At s = 0 that is the plain factorial scaling; for
-    t u = e**t - 1 at s = 1 every W_i is 1.  A unit whose W_1, W_2, ... are
-    all equal runs on ``_pascal_recurrence``, any other on the binomial rows
-    through ``_recurrence``.
-    """
-    unit, unit_den = _egf_scaled(unit, unit_den, shift)
-    lead, tail = unit[0], unit[1:]
-    if tail[:1] * len(tail) == tail:  # W_1 = W_2 = ...
-        nums, den = _pascal_recurrence(lead, tail, shift)
-    else:
-        rows = (
-            (map(operator.mul, row[shift + 1 :], tail), -row[shift] * lead)
-            for row in islice(_binomial_rows(), shift + 1, shift + len(unit))
-        )
-        nums, den = _recurrence(rows)
-    scale = Fraction(math.factorial(shift) * unit_den, den * lead)
-    return _egf_unscaled([x * scale.numerator for x in nums], scale.denominator)
 
 
 def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
@@ -662,8 +643,8 @@ def exp_linear(alpha: Scalar, order: int) -> LaurentSeries:
 
 
 def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> LaurentSeries:
-    """1/(lam*e**(alpha t) + c), long-divided from the source series of the
-    given order.
+    """1/(lam*e**(alpha t) + c) on the window the reciprocal of the source
+    series of the given order has.
 
     Every reciprocal base of the package is built here: 1/(e**t - 1) is
     (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1) is (1, 1, 1).
@@ -671,15 +652,20 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     For alpha other than 0 and 1 the window is dilated from the one at
     alpha = 1: coefficient e of r(alpha t) is alpha**e r_e.  The source
     series at alpha = 1 has the same valuation, so the window and the
-    errors are the same.  No power of alpha rides in the long division, and
-    the factorial-scaled unit at alpha = 1 has a constant tail, so a long
-    window takes ``_pascal_recurrence``.  At alpha = 0 the source is a
-    constant and is built as it is.
+    errors are the same.  Short orders, and alpha = 0 or lam = 0, where the
+    source is a constant, build the source series and take its
+    ``reciprocal``.  From order ``_EGF_MIN_LENGTH`` on, ``_pascal_reciprocal``
+    writes the factorial-scaled unit down from (lam, c) instead.
     """
-    alpha = Fraction(alpha)
+    alpha, lam = Fraction(alpha), Fraction(lam)
     dilate = alpha not in (0, 1)
-    source = exp_linear(1 if dilate else alpha, order).scale(lam)
-    r = (source + LaurentSeries.constant(c, order)).reciprocal()
+    # Orders 1 and 2 can leave an empty or all-zero window; the source
+    # build raises its error for those.
+    if alpha and lam and order >= max(_EGF_MIN_LENGTH, 3):
+        r = _pascal_reciprocal(lam, Fraction(c), order)
+    else:
+        source = exp_linear(1 if dilate else alpha, order).scale(lam)
+        r = (source + LaurentSeries.constant(c, order)).reciprocal()
     if not dilate:
         return r
     # With i = e - offset, top = len - 1 and first = alpha**offset,
@@ -692,3 +678,4 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     nums = map(operator.mul, reversed(r.nums), b_powers)  # from i = top down
     nums = map(operator.mul, reversed(list(nums)), a_powers)
     return _canonical(r.offset, list(nums), r.den * first.denominator * b**top)
+

@@ -196,10 +196,17 @@ class TestScalarCommands:
 
 
 class TestPolynomialCommands:
-    def test_euler_poly_plain(self, capsys):
-        code, out, _ = run(capsys, "euler-poly", "2")
-        assert code == 0
-        assert out == "0 + -1*x + 1*x^2\n"
+    # The plain layout of a polynomial: the constant alone, then c*x and c*x^i.
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["euler-poly", "0"], "1"),
+            (["euler-poly", "2"], "0 + -1*x + 1*x^2"),
+            (["two-param-euler", "1", "--alpha", "2", "--lambda", "3"], "-3/4 + 1/2*x"),
+        ],
+    )
+    def test_polynomial_plain_layout(self, capsys, argv, text):
+        assert run(capsys, *argv) == (0, text + "\n", "")
 
     def test_euler_poly_at(self, capsys):
         code, out, _ = run(capsys, "euler-poly", "2", "--at", "3")
@@ -1125,11 +1132,18 @@ LITERAL_COMMANDS = [
 )
 def test_rational_literals_end_in_an_answer_or_a_typed_error(command, literals, n, fmt):
     argv = [arg.format(n=n, order=n + 1, **literals) for arg in command] + ["--format", fmt]
+    assert_answer_or_typed_error(argv, fmt)
+
+
+def assert_answer_or_typed_error(argv, fmt):
+    """cli.main(argv) exits 0, 1 or 2 without a traceback: an answer, an
+    error[...] record on stdout, or a usage error on stderr alone."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
     if code == 0:
         assert err == ""
         if fmt == "json":
@@ -1143,3 +1157,70 @@ def test_rational_literals_end_in_an_answer_or_a_typed_error(command, literals, 
     else:
         assert out == ""
         assert err.startswith("usage: stirnum ") and ": error: " in err
+
+
+SMALL_LITERALS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/0", "x"]), small_rationals.map(format_rational)
+)
+# The options of each family command besides --format.
+FAMILY_OPTIONS = {
+    "bernoulli": ["--method={method}"],
+    "apostol-bernoulli": ["--lambda={lambda}"],
+    "euler-number": [],
+    "euler-poly": ["--at={x}"],
+    "two-param-euler": ["--alpha={alpha}", "--lambda={lambda}", "--at={x}"],
+}
+
+
+@st.composite
+def command_argvs(draw):
+    """An argument list from one command's grammar, each option kept or
+    left out, with at most one fault put in: a token dropped, a token that
+    is no integer, or an unknown or unread option.  Integers stay small:
+    n and k in -3..30, --k-max in 0..3 and --order in -1..40."""
+    command = draw(
+        st.sampled_from(["stirling2", "stirling1", "mdet", "series", "verify", *FAMILY_OPTIONS])
+    )
+    n = st.integers(-3, 30).map(str)
+    if command in ("stirling2", "stirling1", "mdet"):
+        args = [draw(n) for _ in range(3 if command == "mdet" else 2)]
+    elif command == "series":
+        which = ["recip-exp-minus-one", "recip-exp-plus-one", "apostol", "other"]
+        args = ["dump", draw(st.sampled_from(which)), "--order", str(draw(st.integers(-1, 40)))]
+        if draw(st.booleans()):
+            args.append(f"--lambda={draw(SMALL_LITERALS)}")
+    elif command == "verify":
+        args = [draw(st.sampled_from([*VERIFY_OPTIONS, "other"]))]
+        args += ["--k-max", str(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            args += ["--order", str(draw(st.integers(-1, 40)))]
+        for option in ("--alpha", "--lambda"):
+            if draw(st.booleans()):
+                args.append(f"{option}={draw(SMALL_LITERALS)}")
+    else:
+        values = {
+            "method": draw(st.sampled_from(["formula", "oracle", "other"])),
+            **{name: draw(SMALL_LITERALS) for name in ("alpha", "lambda", "x")},
+        }
+        args = [draw(n)]
+        for option in FAMILY_OPTIONS[command]:
+            # The required options are mostly kept, so most draws compute.
+            if draw(st.integers(0, 3)):
+                args.append(option.format(**values))
+    argv = [command, *args]
+    fault = draw(st.sampled_from(["none", "none", "drop", "no integer", "unknown"]))
+    if fault == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif fault == "no integer":
+        bad = draw(st.sampled_from(["", "x", "1.5", "1/2", "3e1", "0x1f", "--7"]))
+        argv[draw(st.integers(1, len(argv) - 1))] = bad
+    elif fault == "unknown":
+        unknown = draw(st.sampled_from(["--bogus", "--bogus=1", "-q", "--k-max=2", "--at=1"]))
+        argv.insert(draw(st.integers(0, len(argv))), unknown)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=command_argvs(), fmt=st.sampled_from(["plain", "json"]))
+def test_command_arguments_end_in_an_answer_or_a_typed_error(argv, fmt):
+    assert_answer_or_typed_error(argv + ["--format", fmt], fmt)

@@ -159,12 +159,6 @@ class TestPolynomial:
         assert type(p.coeffs[1]) is Fraction
 
 
-    def test_str(self):
-        assert str(Polynomial.from_coeffs([])) == "0"
-        assert str(Polynomial.from_coeffs([Fraction(-1, 2), 1])) == "-1/2 + 1*x"
-        assert str(Polynomial.from_coeffs([0, -1, 1])) == "0 + -1*x + 1*x^2"
-
-
 class TestBernoulli:
     def test_oracle_anchors(self):
         for n, value in BERNOULLI.items():

@@ -380,12 +380,27 @@ class TestRecipExpLinear:
         assert_same_series(recip_exp_linear(*params, order), denominator(order).reciprocal())
 
     # Orders 1 to 3 at c = -lam leave Laurent windows of length 0 to 2 at
-    # offset -1; 12 runs the lcm kernels, 104 and up the factorial-scaled ones.
-    @pytest.mark.parametrize("order", [1, 2, 3, 12, 104, 150, 300])
-    @pytest.mark.parametrize("c", [1, -1])
-    @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2, 3), Fraction(-5, 3)])
+    # offset -1; from 104 on recip_exp_linear writes the unit down and runs
+    # the Pascal-rule division, while the direct build long-divides its
+    # source series, so those orders compare two kernels.
     @pytest.mark.parametrize(
-        "alpha", [Fraction(-3, 2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), 2, Fraction(3, 2)]
+        "order, lam, c",
+        [
+            (order, lam, c)
+            for order in (1, 2, 3, 12, 104, 150, 300)
+            for lam in (Fraction(1), Fraction(2, 3), Fraction(-5, 3))
+            for c in (1, -1)
+        ]
+        + [
+            (order, lam, c)
+            for order in (104, 150, 300)
+            for lam in (Fraction(2, 3), Fraction(-5, 3))
+            for c in (0, -lam)
+        ],
+    )
+    @pytest.mark.parametrize(
+        "alpha",
+        [Fraction(-3, 2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), 1, 2, Fraction(3, 2)],
     )
     def test_dilated_matches_direct(self, alpha, lam, c, order):
         assert_same_series(
@@ -409,13 +424,23 @@ class TestRecipExpLinear:
     )
     @pytest.mark.parametrize("order", [12, 150])
     def test_alpha_other_than_zero_builds_at_alpha_one(self, monkeypatch, alpha, built, order):
-        alphas = []
+        # From the split on, every alpha but 0 writes the unit at alpha = 1
+        # down and builds no source series.
+        calls = []
         real = series_module.exp_linear
         monkeypatch.setattr(
-            series_module, "exp_linear", lambda a, n: alphas.append(a) or real(a, n)
+            series_module, "exp_linear", lambda a, n: calls.append(a) or real(a, n)
+        )
+        direct = series_module._pascal_reciprocal
+        monkeypatch.setattr(
+            series_module,
+            "_pascal_reciprocal",
+            lambda *args: calls.append("_pascal_reciprocal") or direct(*args),
         )
         recip_exp_linear(alpha, Fraction(2, 3), 1, order)
-        assert alphas == built
+        if order >= series_module._EGF_MIN_LENGTH and alpha:
+            built = ["_pascal_reciprocal"]
+        assert calls == built
 
     @pytest.mark.parametrize("order", [104, 150])
     def test_alpha_zero_raises_as_the_direct_build(self, order):
@@ -497,18 +522,17 @@ def egf_kernels():
     return mock.patch.object(series_module, "_EGF_MIN_LENGTH", 1)
 
 
-def assert_least_egf_form(s, shift=0):
-    """ints[k] / ((k + shift)! d) are the coefficients of s, over the least
-    d, and at shift 0 the exit gives s back."""
-    ints, d = series_module._egf_scaled(s.nums, s.den, shift)
+def assert_least_egf_form(s):
+    """ints[k] / (k! d) are the coefficients of s, over the least d, and
+    the exit gives s back."""
+    ints, d = series_module._egf_scaled(s.nums, s.den)
     assert d > 0
     assert all(
-        Fraction(x, s.den) == Fraction(y, math.factorial(k + shift) * d)
+        Fraction(x, s.den) == Fraction(y, math.factorial(k) * d)
         for k, (x, y) in enumerate(zip(s.nums, ints, strict=True))
     )
     assert math.gcd(d, *ints) == 1
-    if not shift:
-        assert series_module._canonical(s.offset, *series_module._egf_unscaled(ints, d)) == s
+    assert series_module._canonical(s.offset, *series_module._egf_unscaled(ints, d)) == s
 
 
 class TestEgfKernel:
@@ -554,16 +578,11 @@ class TestEgfKernel:
     def test_scaled_form_is_least(self, s):
         assert_least_egf_form(s)
 
-    @settings(max_examples=100)
-    @given(kernel_series(), st.integers(1, 3))
-    def test_shifted_scaled_form_is_least(self, s, shift):
-        assert_least_egf_form(s, shift)
-
     @pytest.mark.parametrize("v", [1, 2, 3])
     @pytest.mark.parametrize("order", [120, 150])
     def test_valuation_anchors(self, v, order):
-        # 1/(e^t - 1)**v: the factorial scaling shifted by v, on the
-        # default kernels (past the split) and on the forced ones.
+        # 1/(e^t - 1)**v past the split, with the default split and with
+        # the factorial-scaled kernels forced.
         denom = (exp_linear(1, order) - LaurentSeries.one(order)) ** v
         want = reference_reciprocal(denom)
         assert len(want.coeffs) >= series_module._EGF_MIN_LENGTH
@@ -587,10 +606,10 @@ class TestEgfKernel:
 
     def test_window_length_selects_kernel(self, monkeypatch):
         ran = []
-        for name in ("_lcm_product", "_egf_product", "_power", "_egf_reciprocal"):
+        for name in ("_lcm_product", "_egf_product", "_power"):
 
             def spy(*args, _name=name, _real=getattr(series_module, name)):
-                # A short reciprocal is the power kernel at exponent -1.
+                # A reciprocal is the power kernel at exponent -1.
                 ran.append(f"_power({args[2]})" if _name == "_power" else _name)
                 return _real(*args)
 
@@ -611,7 +630,7 @@ class TestEgfKernel:
         assert 34 < split
         assert kernels(split - 1) == ["_power(-1)", "_lcm_product"]
         for length in (split, split + 1, 2 * split):
-            assert kernels(length) == ["_egf_reciprocal", "_egf_product"]
+            assert kernels(length) == ["_power(-1)", "_egf_product"]
 
 
 # The reciprocal bases the package builds, as (alpha, lam, c): f, g and h,
@@ -631,8 +650,8 @@ PACKAGE_BASES = (
 
 
 class TestPascalDivision:
-    """Long reciprocals of units with a constant factorial-scaled tail run
-    on Pascal's rule; every other unit on the binomial rows."""
+    """Long reciprocals of the package's bases run on Pascal's rule; every
+    other reciprocal on Miller's division."""
 
     @settings(max_examples=120)
     @given(
@@ -640,7 +659,7 @@ class TestPascalDivision:
         st.one_of(st.integers(-40, -1), st.integers(1, 40), st.integers(-(10**30), 10**30)).filter(
             bool
         ),
-        st.integers(0, 2),
+        st.integers(0, 1),
         st.integers(1, 200),
     )
     def test_matches_the_binomial_rows(self, lead, weight, shift, length):
@@ -652,7 +671,7 @@ class TestPascalDivision:
             for n in range(1, length)
         )
         assert series_module._pascal_recurrence(
-            lead, [weight] * (length - 1), shift
+            lead, weight, shift, length
         ) == series_module._recurrence(rows)
 
     def test_every_package_base_takes_pascal_rule(self, monkeypatch):
