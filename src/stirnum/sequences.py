@@ -24,8 +24,10 @@ the two-parameter oracle at alpha = lam = 1.  Each oracle truncates its
 source series at the least order whose window holds t**n: n + 3 for the
 readers of ``apostol_bernoulli_series`` (at lam = 1 the reciprocal has
 valuation 1, so the window after the shift by t is [0, order - 2)) and
-n + 2 for the two-parameter oracle (at lam != -1 the product's window is
-[0, order - 1)).
+n + 2 for the two-parameter oracle (at lam != -1 the reciprocal's window
+is [0, order - 1)).  The two-parameter oracle reads coefficient n of its
+product, from order ``series._EGF_MIN_LENGTH`` on, as one dot product of
+the two factors' numerators rather than multiplying the product out.
 
 The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler
@@ -52,6 +54,7 @@ vanishing alternating sum, each returning plain tuples that
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -59,7 +62,14 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConsistencyError, DomainError, PoleError
 from .rationals import format_rational
-from .series import LaurentSeries, _normalized, _over_lcm, exp_linear, recip_exp_linear
+from .series import (
+    _EGF_MIN_LENGTH,
+    LaurentSeries,
+    _normalized,
+    _over_lcm,
+    exp_linear,
+    recip_exp_linear,
+)
 from .stirling import _SECOND, stirling2, verify_first_kind_determinant_relation
 
 __all__ = [
@@ -361,14 +371,23 @@ def two_param_euler_formula(n: int, alpha: Scalar, lam: Scalar) -> Polynomial:
 
 def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fraction:
     """E_n(x; alpha, lam) as n! times the t**n coefficient of
-    2 e**(x t) / (lam e**(alpha t) + 1), order n + 2."""
+    2 e**(x t) / (lam e**(alpha t) + 1), order n + 2.
+
+    At lam != -1 both factors' windows start at 0, so the coefficient is
+    sum_{i<=n} e_i r_{n-i}.  Below order ``_EGF_MIN_LENGTH`` it is read out
+    of the multiplied-out product; from that order on it is one dot
+    product of the two numerator lists over e.den * r.den.
+    """
     alpha, lam = Fraction(alpha), Fraction(lam)
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
     order = n + 2
-    series = (exp_linear(Fraction(x), order) * recip_exp_linear(alpha, lam, 1, order)).scale(2)
-    return series.coeff(n) * math.factorial(n)
+    e, r = exp_linear(Fraction(x), order), recip_exp_linear(alpha, lam, 1, order)
+    if order < _EGF_MIN_LENGTH:
+        return (e * r).scale(2).coeff(n) * math.factorial(n)
+    dot = sum(map(operator.mul, e.nums[: n + 1], reversed(r.nums[: n + 1])))
+    return Fraction(2 * math.factorial(n) * dot, e.den * r.den)
 
 
 REDUCTION_ALPHAS = (Fraction(1), Fraction(2), Fraction(-1, 2))

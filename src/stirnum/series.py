@@ -33,17 +33,11 @@ normalizes its result once.  ``Fraction`` values appear only where a
 caller reads coefficients: ``coeff(e)``, and ``coeffs``, built on first
 read.
 
-Multiplication has two integer scalings.  Short windows run on the
-stored numerators, c_k = C_k / den.  For the exponential-type series of
-this package that den is about k!, so on long windows the numerators grow
-to thousands of bits.  Long windows therefore use factorial-scaled (EGF)
-numerators, c_k = C_k / (k! den'), which stay small for e**(a t) and its
-relatives: a product coefficient becomes sum_i binom(k, i) A_i B_{k-i}
-over k! da db.  The entry ``_egf_scaled`` multiplies each stored numerator
-by k! and divides them all and den by their gcd.  The exit
-``_egf_unscaled`` puts each C_k / (k! den') over the one denominator
-(L-1)! den' of a window of length L.  The split is the output length
-``_EGF_MIN_LENGTH``; both scalings give the same coefficients.
+Multiplication runs on the stored numerators at every length: product
+coefficient k is sum_i A_i B_{k-i} over da db, normalized once.  The
+Euler oracles, which need one coefficient of the longest products of the
+package, read it as a single dot product from order ``_EGF_MIN_LENGTH``
+on instead of multiplying the product out.
 
 A power s**k makes no products: one pass of J.C.P. Miller's recurrence
 on the stored numerators gives the unit's k-th power at every length, on
@@ -56,11 +50,13 @@ at alpha = 1 and multiplies coefficient e by alpha**e.  From order
 ``_EGF_MIN_LENGTH`` on it writes the factorial-scaled unit of lam e**t + c
 down from (lam, c) instead of building the source series: (lam + c, lam,
 lam, ...) at valuation s = 0, and (lam, lam, ...) for lam (e**t - 1) / t
-at s = 1.  On a unit with such a constant tail each binomial-weighted sum
-of the long division is a binomial transform, which
-``_pascal_recurrence`` keeps as one anti-diagonal of its difference table
-and moves on by Pascal's rule: O(n) additions a step instead of O(n)
-products, as Brent and Harvey compute the Bernoulli and tangent numbers.
+at s = 1, where coefficient i of the unit is W_i / (i+s)!.  On a unit
+with such a constant tail each binomial-weighted sum of the long division
+is a binomial transform, which ``_pascal_recurrence`` keeps as one
+anti-diagonal of its difference table and moves on by Pascal's rule: O(n)
+additions a step instead of O(n) products, as Brent and Harvey compute
+the Bernoulli and tangent numbers.  The exit ``_egf_unscaled`` puts the
+factorial-scaled quotient back over one denominator.
 """
 
 from __future__ import annotations
@@ -295,8 +291,7 @@ class LaurentSeries:
                 f"product window [{offset},{precision}) is empty"
             )
         length = precision - offset
-        kernel = _egf_product if length >= _EGF_MIN_LENGTH else _lcm_product
-        nums, den = kernel(
+        nums, den = _lcm_product(
             self.nums[:length], self.den, other.nums[:length], other.den, length
         )
         return _canonical(offset, nums, den)
@@ -398,23 +393,19 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
     return nums, den
 
 
-# The split of two routes.  Products of this output length and longer run
-# on factorial-scaled numerators (_egf_product) rather than on the stored
-# numerators (_lcm_product), and recip_exp_linear writes the unit down
-# (_pascal_reciprocal) from this order on rather than long-dividing the
-# source series.  Measured in alternating runs on 2-vCPU x86-64 with
-# CPython 3.11.7.  On run_sweep of I1..P2 (medians of 5), where products
-# dominate, the lcm kernels still win by 3-12% at orders 80 to 104; the
-# oracle mix of the sequence families ran faster on the factorial-scaled
-# kernels from 88.  Identity sweeps at the default orders (k_max <= 12
-# reads orders up to 34) stay on the lcm kernels.  The direct build of
-# recip_exp_linear wins at every order (8 Apostol, Euler and
-# two-parameter bases, best of 5): 1.4x at orders 12 and 16, 1.5x at 24
-# to 64, 1.7x at 80 against the source route, and 2.3x at 104, 2.5x at
-# 150, 7.3x at 300 against Miller's division of the source.  Its split
-# stays here because on perfbench's verify-sweep the bases are the only
-# callers of reciprocal, scale and exp_linear, which that workload's
-# traced layers expect to see.
+# The split of two shortcuts, each taken from this order on.
+# recip_exp_linear writes the unit down (_pascal_reciprocal) rather than
+# long-dividing the source series, and two_param_euler_oracle reads its one
+# coefficient as a dot product: one of the n + 1 that multiplying out the
+# product takes.  The direct build of recip_exp_linear wins at every order
+# in alternating runs on 2-vCPU x86-64 with CPython 3.11.7 (8 Apostol,
+# Euler and two-parameter bases, best of 5): 1.4x at orders 12 and 16,
+# 1.5x at 24 to 64, 1.7x at 80 against the source route, and 2.3x at 104,
+# 2.5x at 150, 7.3x at 300 against Miller's division of the source.  The
+# split stays because perfbench's traced layers expect to see these calls:
+# on verify-sweep the bases are the only callers of reciprocal, scale and
+# exp_linear, and on sequence-pairs the oracles are the only callers of
+# mul.  Lowering it waits on retargeting those layers (ROADMAP item 7).
 _EGF_MIN_LENGTH = 104
 
 
@@ -435,14 +426,6 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
 ZERO = LaurentSeries(0, ())
 
 
-def _egf_scaled(nums, den) -> Tuple[Sequence[int], int]:
-    """Integers ``ints`` and the least ``d`` with nums[k] / den ==
-    ints[k] / (k! * d): each nums[k] times k!, then all of them and ``den``
-    divided by their gcd."""
-    factorials = accumulate(range(1, len(nums)), operator.mul, initial=1)
-    return _normalized(list(map(operator.mul, nums, factorials)), den)
-
-
 def _egf_unscaled(ints, den) -> Tuple[list, int]:
     """Numerators over one denominator of the values ints[k] / (k! * den)."""
     # With F = (L-1)!, ints[k] / (k! den) == ints[k] * (F / k!) / (F den).
@@ -452,14 +435,6 @@ def _egf_unscaled(ints, den) -> Tuple[list, int]:
         nums[k] = ints[k] * ratio
         ratio *= k or 1
     return nums, ratio * den
-
-
-def _binomial_rows() -> Iterator[list]:
-    """The rows C(n, 0..n) of Pascal's triangle for n = 0, 1, 2, ..."""
-    row = [1]
-    while True:
-        yield row
-        row = [1, *map(operator.add, row, row[1:]), 1]
 
 
 def _recurrence(rows) -> Tuple[list, int]:
@@ -544,23 +519,6 @@ def _lcm_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
         hi = min(k + 1, len(a))
         out.append(sum(map(operator.mul, a[lo:hi], reversed(b[k - hi + 1 : k - lo + 1]))))
     return out, da * db
-
-
-def _egf_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
-    """The first ``length`` coefficients of a*b, on factorial-scaled numerators.
-
-    With a_i = A_i / (i! da) and b_j = B_j / (j! db), coefficient k is
-    sum_i C(k, i) A_i B_{k-i} over k! da db.
-    """
-    a, da = _egf_scaled(a, da)
-    b, db = _egf_scaled(b, db)
-    out = []
-    for k, row in zip(range(length), _binomial_rows()):
-        lo = max(0, k - len(b) + 1)
-        hi = min(k + 1, len(a))
-        terms = map(operator.mul, row[lo:hi], a[lo:hi])
-        out.append(sum(map(operator.mul, terms, reversed(b[k - hi + 1 : k - lo + 1]))))
-    return _egf_unscaled(out, da * db)
 
 
 def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:

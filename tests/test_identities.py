@@ -300,8 +300,9 @@ class TestSweeps:
         assert tuple(_SPECS) == ALL_IDENTITY_IDS
 
     def test_sweep_past_the_kernel_split(self):
-        # At k = 48 the ladders start at order 106; their reciprocals and
-        # products stay past the split, on the factorial-scaled kernels.
+        # At k = 48 the ladders start at order 106, past the split: their
+        # bases are written down and long-divided by Pascal's rule, and
+        # their products run on the one product kernel.
         assert default_order(48) - 2 >= _EGF_MIN_LENGTH
         reports = run_sweep(["I3", "I8", "P2", "G2"], 48, alphas=[Fraction(-3, 2)], lambdas=[2])
         assert len(reports) == 4 * 48

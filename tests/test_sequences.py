@@ -33,7 +33,7 @@ from stirnum.sequences import (
     two_param_reduction_sweep,
     verify_two_param_reductions,
 )
-from stirnum.series import exp_linear, recip_exp_linear
+from stirnum.series import _EGF_MIN_LENGTH, LaurentSeries, exp_linear, recip_exp_linear
 from stirnum.stirling import stirling2
 
 # Frozen reference values, independent of any code in this package.
@@ -523,19 +523,30 @@ class TestOracleOrders:
         assert orders == [n + 3]
         assert value == (apostol_bernoulli_formula(n, lam) if n else 0)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 280])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 101, 102, 280])
     @pytest.mark.parametrize(
         "alpha, lam",
         [(Fraction(1), Fraction(1)), (Fraction(-3, 2), Fraction(2, 3)), (Fraction(2), Fraction(3))],
     )
     def test_two_param_euler_reads_the_last_coefficient(self, monkeypatch, n, alpha, lam):
         # At lam != -1 the reciprocal has valuation 0 and the product's
-        # window is [0, order - 1): order n + 2 is the least.
+        # window is [0, order - 1): order n + 2 is the least.  Below the
+        # split the oracle multiplies the product out; from it on it reads
+        # coefficient n alone.
         x = Fraction(1, 3)
         orders = spy_oracle_orders(monkeypatch)
+        products = []
+        real_mul = LaurentSeries.__mul__
+        monkeypatch.setattr(
+            LaurentSeries, "__mul__", lambda a, b: products.append(b) or real_mul(a, b)
+        )
         value = two_param_euler_oracle(n, x, alpha, lam)
         assert orders == [n + 2]
+        assert len(products) == (1 if n + 2 < _EGF_MIN_LENGTH else 0)
         assert value == two_param_euler_formula(n, alpha, lam).evaluate(x)
+        if n in (102, 280):
+            product = exp_linear(x, n + 2) * recip_exp_linear(alpha, lam, 1, n + 2)
+            assert value == product.scale(2).coeff(n) * math.factorial(n)
         with pytest.raises(PrecisionExhaustedError):
             (exp_linear(x, n + 1) * recip_exp_linear(alpha, lam, 1, n + 1)).coeff(n)
 

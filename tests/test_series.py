@@ -518,40 +518,19 @@ class TestIntegerKernel:
 
 
 def egf_kernels():
-    """Run every product and reciprocal on the factorial-scaled kernels."""
+    """Let recip_exp_linear write the unit down at every order."""
     return mock.patch.object(series_module, "_EGF_MIN_LENGTH", 1)
 
 
-def assert_least_egf_form(s):
-    """ints[k] / (k! d) are the coefficients of s, over the least d, and
-    the exit gives s back."""
-    ints, d = series_module._egf_scaled(s.nums, s.den)
-    assert d > 0
-    assert all(
-        Fraction(x, s.den) == Fraction(y, math.factorial(k) * d)
-        for k, (x, y) in enumerate(zip(s.nums, ints, strict=True))
-    )
-    assert math.gcd(d, *ints) == 1
-    assert series_module._canonical(s.offset, *series_module._egf_unscaled(ints, d)) == s
+def assert_unscaled_round_trip(s):
+    """The exit gives s back from ints[k] / (k! den) == nums[k] / den."""
+    ints = [x * math.factorial(k) for k, x in enumerate(s.nums)]
+    assert series_module._canonical(s.offset, *series_module._egf_unscaled(ints, s.den)) == s
 
 
 class TestEgfKernel:
-    """The factorial-scaled kernels long windows use, against the same
-    Fraction references as the lcm kernels."""
-
-    @settings(max_examples=100)
-    @given(kernel_series(), kernel_series())
-    def test_mul_matches_reference(self, a, b):
-        with egf_kernels():
-            got = outcome(LaurentSeries.__mul__, a, b)
-        assert_same_series(got, outcome(reference_mul, a, b))
-
-    @settings(max_examples=100)
-    @given(kernel_series())
-    def test_reciprocal_matches_reference(self, s):
-        with egf_kernels():
-            got = outcome(LaurentSeries.reciprocal, s)
-        assert_same_series(got, outcome(reference_reciprocal, s))
+    """Long windows against the same Fraction references as short ones,
+    and the factorial-scaled exit of the Pascal-rule division."""
 
     @pytest.mark.parametrize(
         "alpha, lam, sign",
@@ -575,20 +554,17 @@ class TestEgfKernel:
 
     @settings(max_examples=100)
     @given(kernel_series())
-    def test_scaled_form_is_least(self, s):
-        assert_least_egf_form(s)
+    def test_unscaled_exit_round_trips(self, s):
+        assert_unscaled_round_trip(s)
 
     @pytest.mark.parametrize("v", [1, 2, 3])
     @pytest.mark.parametrize("order", [120, 150])
     def test_valuation_anchors(self, v, order):
-        # 1/(e^t - 1)**v past the split, with the default split and with
-        # the factorial-scaled kernels forced.
+        # 1/(e^t - 1)**v past the split.
         denom = (exp_linear(1, order) - LaurentSeries.one(order)) ** v
         want = reference_reciprocal(denom)
         assert len(want.coeffs) >= series_module._EGF_MIN_LENGTH
         assert_same_series(denom.reciprocal(), want)
-        with egf_kernels():
-            assert_same_series(denom.reciprocal(), want)
 
     @pytest.mark.parametrize(
         "s",
@@ -601,12 +577,12 @@ class TestEgfKernel:
         ],
         ids=["exp(-3t/2)", "exp(t)-1", "2/3 exp(-3t/2)+1"],
     )
-    def test_long_scaled_form_is_least(self, s):
-        assert_least_egf_form(s)
+    def test_long_unscaled_exit_round_trips(self, s):
+        assert_unscaled_round_trip(s)
 
     def test_window_length_selects_kernel(self, monkeypatch):
         ran = []
-        for name in ("_lcm_product", "_egf_product", "_power"):
+        for name in ("_lcm_product", "_power"):
 
             def spy(*args, _name=name, _real=getattr(series_module, name)):
                 # A reciprocal is the power kernel at exponent -1.
@@ -623,14 +599,10 @@ class TestEgfKernel:
             assert len((inverse * inverse).coeffs) == length
             return ran[:]
 
-        # Identity sweeps read orders up to 34.
-        for length in range(1, 35):
-            assert kernels(length) == ["_power(-1)", "_lcm_product"]
+        # One product kernel at every length, across the split.
         split = series_module._EGF_MIN_LENGTH
-        assert 34 < split
-        assert kernels(split - 1) == ["_power(-1)", "_lcm_product"]
-        for length in (split, split + 1, 2 * split):
-            assert kernels(length) == ["_power(-1)", "_egf_product"]
+        for length in [*range(1, 35), split - 1, split, split + 1, 2 * split]:
+            assert kernels(length) == ["_power(-1)", "_lcm_product"]
 
 
 # The reciprocal bases the package builds, as (alpha, lam, c): f, g and h,
