@@ -33,7 +33,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -276,21 +276,24 @@ def _series_output(argv, params, series: LaurentSeries) -> CommandOutput:
     return _ok_output(argv, params, result, plain, ["exponent", "coefficient"], rows)
 
 
-def _verify_row(row) -> Tuple[dict, str, List[str]]:
-    """The record, plain line and CSV cells of one verify row.  Each
-    rational in the row becomes text once; all three are laid out from it."""
+def _verify_row(row, fmt: str):
+    """One verify row in the format asked for: its JSON record, plain line
+    or CSV cells.  Each rational in the row becomes text once."""
     if isinstance(row, CheckRow):
         fields = {name: _json_value(v) for name, v in row.fields.items()}
-        record = {"check": row.check, **fields, "passed": row.passed}
+        if fmt == "json":
+            return {"check": row.check, **fields, "passed": row.passed}
+        if fmt == "csv":
+            fields["passed"] = row.passed
+            return [row.check] + [_cell(fields.get(name)) for name in VERIFY_CSV_HEADER[1:]]
         line = " ".join([row.check] + [f"{name}={v}" for name, v in fields.items()])
-        cells = [row.check] + [_cell(record.get(name)) for name in VERIFY_CSV_HEADER[1:]]
-        fail = " FAIL"
-    else:
-        alpha, lam = _json_value(row.alpha), _json_value(row.lam)
-        lo, hi = row.window
-        e, lhs, rhs = row.first_discrepancy or (None, None, None)
-        lhs, rhs = _json_value(lhs), _json_value(rhs)
-        record = {
+        return line + (" ok" if row.passed else " FAIL")
+    alpha, lam = _json_value(row.alpha), _json_value(row.lam)
+    lo, hi = row.window
+    e, lhs, rhs = row.first_discrepancy or (None, None, None)
+    lhs, rhs = _json_value(lhs), _json_value(rhs)
+    if fmt == "json":
+        return {
             "identity_id": row.identity_id,
             "k": row.k,
             "alpha": alpha,
@@ -300,12 +303,13 @@ def _verify_row(row) -> Tuple[dict, str, List[str]]:
             "passed": row.passed,
             "first_discrepancy": None if e is None else {"exponent": e, "lhs": lhs, "rhs": rhs},
         }
-        point = (f" alpha={alpha}" if alpha else "") + (f" lambda={lam}" if lam else "")
-        line = f"{row.identity_id} k={row.k}{point} order={row.order} window=[{lo},{hi})"
-        cells = [_cell(v) for v in (row.identity_id, row.k, None, alpha, lam, row.order)]
-        cells += [_cell(v) for v in (lo, hi, row.passed, e, lhs, rhs)]
-        fail = f" FAIL at t^{e}: lhs={lhs} rhs={rhs}"
-    return record, line + (" ok" if row.passed else fail), cells
+    if fmt == "csv":
+        return [_cell(v) for v in (row.identity_id, row.k, None, alpha, lam, row.order)] + [
+            _cell(v) for v in (lo, hi, row.passed, e, lhs, rhs)
+        ]
+    point = (f" alpha={alpha}" if alpha else "") + (f" lambda={lam}" if lam else "")
+    line = f"{row.identity_id} k={row.k}{point} order={row.order} window=[{lo},{hi})"
+    return line + (" ok" if row.passed else f" FAIL at t^{e}: lhs={lhs} rhs={rhs}")
 
 
 def _error_output(argv, kind: str, message: str) -> CommandOutput:
@@ -365,9 +369,12 @@ def _handle_verify(args, argv):
     passed = sum(row.passed for row in rows)
     all_ok = passed == len(rows)
     params = {"target": args.target, "k_max": args.k_max, **_verify_options(args)}
-    checks, lines, csv_rows = zip(*map(_verify_row, rows))
-    result = {"passed": all_ok, "total": len(rows), "ok": passed, "checks": list(checks)}
-    plain = "\n".join([*lines, f"{passed}/{len(rows)} ok"])
+    # Only the format that is printed is built; the other two stay empty.
+    rendered = [_verify_row(row, args.format) for row in rows]
+    checks = rendered if args.format == "json" else []
+    result = {"passed": all_ok, "total": len(rows), "ok": passed, "checks": checks}
+    plain = "\n".join([*rendered, f"{passed}/{len(rows)} ok"]) if args.format == "plain" else ""
+    csv_rows = rendered if args.format == "csv" else []
     exit_code = 0 if all_ok else 3
     return _ok_output(argv, params, result, plain, VERIFY_CSV_HEADER, csv_rows, exit_code=exit_code)
 

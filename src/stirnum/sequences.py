@@ -28,6 +28,12 @@ n + 2 for the two-parameter oracle (at lam != -1 the reciprocal's window
 is [0, order - 1)).  The two-parameter oracle reads coefficient n of its
 product, from order ``series._EGF_MIN_LENGTH`` on, as one dot product of
 the two factors' numerators rather than multiplying the product out.
+Every oracle takes its reciprocal base from ``series.recip_exp_linear``,
+which builds the base of each (lam, 1) or (lam, -1) once per process at
+the longest order asked for and gives every shorter order by truncating
+it, so a run of oracles over n builds each base about once, not once per
+n.  The value read is the same either way: the stored coefficients are
+exact.
 
 The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler
@@ -177,6 +183,14 @@ def _geometric_stirling_sum(j: int, p: int, q: int) -> Fraction:
     pass rho in lowest terms with q > 0.  It holds a few rhos times every
     j up to ~300.  Row j of the Stirling table is read once, not looked up
     term by term.
+
+    The cache holds 4,096 entries.  The value at (j, p, q) has the
+    denominator q**j and a numerator of at most j * log2(j * max(|p|, q))
+    bits, since the sum of (m-1)! S(j, m) is at most j**j.  At j <= 300
+    and the rhos of the package a value has under 2,600 bits and 450 bytes,
+    so with the cache's own links about 2.5 MB in all.  A long literal p
+    or q (a two-parameter lambda) is held j times over in that value, and
+    once in the key.
     """
     row = _SECOND.row(j)
     total = 0

@@ -57,6 +57,16 @@ anti-diagonal of its difference table and moves on by Pascal's rule: O(n)
 additions a step instead of O(n) products, as Brent and Harvey compute
 the Bernoulli and tangent numbers.  The exit ``_egf_unscaled`` puts the
 factorial-scaled quotient back over one denominator.
+
+Each base at alpha = 1 is built once per process.  ``recip_exp_linear``
+keeps it in the store ``_BASES``, keyed on (lam, c), at the longest order
+asked for so far.  A request at a shorter order truncates the entry to
+the precision order - 2s - 1, s = [lam + c == 0], which is the canonical
+form a build at that order gives; a longer request builds again and
+replaces the entry.  ``_BASE_STORE_BITS`` bounds the store at 4 MiB of
+charged numerator bits, about 4.5 MB at worst, and the least recently
+used entries leave first.  The store is not locked: call
+``recip_exp_linear`` from one thread at a time.
 """
 
 from __future__ import annotations
@@ -405,7 +415,10 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 # split stays because perfbench's traced layers expect to see these calls:
 # on verify-sweep the bases are the only callers of reciprocal, scale and
 # exp_linear, and on sequence-pairs the oracles are the only callers of
-# mul.  Lowering it waits on retargeting those layers (ROADMAP item 7).
+# mul.  With the store of bases a (lam, c) is built again only when it is
+# asked for at a longer order than before, but below this order each such
+# build is still the direct one, so the traced layers keep their calls.
+# Lowering it waits on retargeting those layers (ROADMAP item 7).
 _EGF_MIN_LENGTH = 104
 
 
@@ -600,6 +613,75 @@ def exp_linear(alpha: Scalar, order: int) -> LaurentSeries:
     return _canonical(0, nums, den)
 
 
+def _source_reciprocal(alpha: Fraction, lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
+    """1/(lam e**(alpha t) + c) as the reciprocal of its source series."""
+    source = exp_linear(alpha, order).scale(lam)
+    return (source + LaurentSeries.constant(c, order)).reciprocal()
+
+
+def _stored_bits(r: LaurentSeries) -> int:
+    """About the memory r takes in ``_BaseStore``, in bits: the bits of its
+    numerators and denominator, 320 more a coefficient (the 40 bytes of a
+    small int and its tuple slot) and 8,192 for the key, the series and
+    the slots that hold them."""
+    return sum(map(int.bit_length, r.nums)) + r.den.bit_length() + 320 * len(r.nums) + 8192
+
+
+class _BaseStore:
+    """The reciprocals 1/(lam e**t + c) at alpha = 1 that
+    ``recip_exp_linear`` has built, one per key (lam, c), each at the
+    longest order asked for so far.
+
+    A request at an order the entry covers is the entry truncated to the
+    precision order - 2s - 1, s = [lam + c == 0]: every stored coefficient
+    is exact and the canonical form is unique, so the read equals a fresh
+    build.  A longer request builds and replaces the entry.  Entries are
+    charged ``_stored_bits``; the least recently used leave first once
+    the total passes ``budget``, and an entry charged more than ``budget``
+    is never kept.
+
+    The store is not locked: use it from one thread at a time.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.bits = 0
+        # (lam, c) -> (reciprocal, its order, its charge), least recent first
+        self._entries: dict = {}
+
+    def reciprocal(self, lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
+        """1/(lam e**t + c) for lam != 0 and order >= 3."""
+        entries = self._entries
+        entry = entries.pop((lam, c), None)
+        if entry is not None and entry[1] >= order:
+            entries[lam, c] = entry
+            r = entry[0]
+            return r.truncated(order + 2 * r.offset - 1)
+        if entry is not None:
+            self.bits -= entry[2]
+        if order < _EGF_MIN_LENGTH:
+            r = _source_reciprocal(Fraction(1), lam, c, order)
+        else:
+            r = _pascal_reciprocal(lam, c, order)
+        bits = _stored_bits(r)
+        if bits <= self.budget:
+            while self.bits + bits > self.budget:
+                self.bits -= entries.pop(next(iter(entries)))[2]
+            entries[lam, c] = (r, order, bits)
+            self.bits += bits
+        return r
+
+
+# The budget of _BASES in charged bits, 4 MiB.  Each entry is charged at
+# least 8,192 bits, so the store holds at most 4,096 entries.  A CPython
+# int of b bits takes at most 32 + 4b/30 bytes, so the entries take at
+# most 16/15 of their charge, about 4.5 MB, keys of literals over 8,192
+# bits apart.
+# sequence-pairs keeps its 16 bases in under a sixth of the budget.
+_BASE_STORE_BITS = 1 << 25
+_BASES = _BaseStore(_BASE_STORE_BITS)
+
+
 def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> LaurentSeries:
     """1/(lam*e**(alpha t) + c) on the window the reciprocal of the source
     series of the given order has.
@@ -610,20 +692,27 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     For alpha other than 0 and 1 the window is dilated from the one at
     alpha = 1: coefficient e of r(alpha t) is alpha**e r_e.  The source
     series at alpha = 1 has the same valuation, so the window and the
-    errors are the same.  Short orders, and alpha = 0 or lam = 0, where the
-    source is a constant, build the source series and take its
-    ``reciprocal``.  From order ``_EGF_MIN_LENGTH`` on, ``_pascal_reciprocal``
-    writes the factorial-scaled unit down from (lam, c) instead.
+    errors are the same.
+
+    The base at alpha = 1 comes from the process-wide store ``_BASES``,
+    keyed on (lam, c): a shorter order truncates the stored entry, and a
+    longer one is built and replaces it, below order ``_EGF_MIN_LENGTH``
+    as the ``reciprocal`` of the source series and from that order on by
+    ``_pascal_reciprocal``, which writes the factorial-scaled unit down
+    from (lam, c).  The store holds at most ``_BASE_STORE_BITS`` charged
+    bits, about 4.5 MB at worst, and drops the least recently used entries
+    first; it is not locked, so call this from one thread at a time.
+    Orders 1 and 2, which can leave an empty or all-zero window, and
+    alpha = 0 or lam = 0, where the source is a constant, never touch the
+    store: they build the source series and take its ``reciprocal``, which
+    raises the errors.
     """
-    alpha, lam = Fraction(alpha), Fraction(lam)
+    alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
     dilate = alpha not in (0, 1)
-    # Orders 1 and 2 can leave an empty or all-zero window; the source
-    # build raises its error for those.
-    if alpha and lam and order >= max(_EGF_MIN_LENGTH, 3):
-        r = _pascal_reciprocal(lam, Fraction(c), order)
+    if alpha and lam and order >= 3:
+        r = _BASES.reciprocal(lam, c, order)
     else:
-        source = exp_linear(1 if dilate else alpha, order).scale(lam)
-        r = (source + LaurentSeries.constant(c, order)).reciprocal()
+        r = _source_reciprocal(Fraction(1) if dilate else alpha, lam, c, order)
     if not dilate:
         return r
     # With i = e - offset, top = len - 1 and first = alpha**offset,

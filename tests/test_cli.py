@@ -566,7 +566,7 @@ class TestVerifyRows:
 
     def test_report_shape(self):
         report = verify_general_power(2, Fraction(1, 2), Fraction(-5, 3))
-        record, line, _ = cli._verify_row(report)
+        record, line = cli._verify_row(report, "json"), cli._verify_row(report, "plain")
         assert record["identity_id"] == "G2"
         assert record["k"] == 2
         assert record["alpha"] == "1/2"
@@ -580,14 +580,14 @@ class TestVerifyRows:
         weights = core_identity_coefficients("I1", 2)
         weights[0] += 1
         report = verify_core_identity("I1", 2, coeff_override=weights)
-        _, line, _ = cli._verify_row(report)
+        line = cli._verify_row(report, "plain")
         assert line == "I1 k=2 order=14 window=[-3,9) FAIL at t^-1: lhs=0 rhs=1"
 
     def test_failure_record_is_serializable(self):
         weights = core_identity_coefficients("I4", 3)
         weights[2] -= Fraction(1, 3)
         report = verify_core_identity("I4", 3, coeff_override=weights)
-        record, _, _ = cli._verify_row(report)
+        record = cli._verify_row(report, "json")
         assert record["passed"] is False
         e, lhs, rhs = report.first_discrepancy
         assert record["first_discrepancy"] == {
@@ -600,24 +600,25 @@ class TestVerifyRows:
         weights[0] += 1
         failed = verify_core_identity("I1", 2, coeff_override=weights)
         assert failed.first_discrepancy == (-1, 0, 1)
-        assert cli._verify_row(failed)[2] == [
+        assert cli._verify_row(failed, "csv") == [
             "I1", "2", "", "", "", "14", "-3", "9", "false", "-1", "0", "1"
         ]
         general = verify_general_derivative(1, Fraction(-3, 2), 2)
-        assert cli._verify_row(general)[2] == [
+        assert cli._verify_row(general, "csv") == [
             "G1", "1", "", "-3/2", "2", "12", "-1", "10", "true", "", "", ""
         ]
 
     def test_check_row_shapes(self):
         point = {"n": 3, "alpha": Fraction(1, 2), "lambda": Fraction(-5, 3)}
         row = CheckRow("reductions", point, False)
-        record, line, cells = cli._verify_row(row)
+        record, line, cells = (cli._verify_row(row, fmt) for fmt in ("json", "plain", "csv"))
         assert record == {
             "check": "reductions", "n": 3, "alpha": "1/2", "lambda": "-5/3", "passed": False
         }
         assert line == "reductions n=3 alpha=1/2 lambda=-5/3 FAIL"
         assert cells == ["reductions", "", "3", "1/2", "-5/3", "", "", "", "false", "", "", ""]
-        _, line, cells = cli._verify_row(CheckRow("det-relation", {"n": 4, "k": 2}, True))
+        row = CheckRow("det-relation", {"n": 4, "k": 2}, True)
+        line, cells = cli._verify_row(row, "plain"), cli._verify_row(row, "csv")
         assert line == "det-relation n=4 k=2 ok"
         assert cells[:3] == ["det-relation", "2", "4"]
         assert len(cells) == len(VERIFY_CSV_HEADER)

@@ -371,6 +371,25 @@ def direct_recip_exp_linear(alpha, lam, c, order):
     return (exp_linear(alpha, order).scale(lam) + LaurentSeries.constant(c, order)).reciprocal()
 
 
+def cold_store():
+    """A store of bases that keeps nothing, so that every recip_exp_linear
+    call builds its base."""
+    return series_module._BaseStore(0)
+
+
+@pytest.fixture
+def empty_base_store(monkeypatch):
+    """recip_exp_linear on an empty store that stays empty: each call runs
+    the build path its order names, whatever earlier tests stored."""
+    monkeypatch.setattr(series_module, "_BASES", cold_store())
+
+
+def fresh_build(alpha, lam, c, order):
+    """recip_exp_linear(alpha, lam, c, order) built on an empty store."""
+    with mock.patch.object(series_module, "_BASES", cold_store()):
+        return outcome(recip_exp_linear, alpha, lam, c, order)
+
+
 class TestRecipExpLinear:
     # Order 120 runs the factorial-scaled kernels, 12 and 40 the lcm ones.
     @pytest.mark.parametrize("order", [12, 40, 120])
@@ -402,6 +421,7 @@ class TestRecipExpLinear:
         "alpha",
         [Fraction(-3, 2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), 1, 2, Fraction(3, 2)],
     )
+    @pytest.mark.usefixtures("empty_base_store")
     def test_dilated_matches_direct(self, alpha, lam, c, order):
         assert_same_series(
             outcome(recip_exp_linear, alpha, lam, c, order),
@@ -411,6 +431,7 @@ class TestRecipExpLinear:
     @pytest.mark.parametrize("order", [1, 2, 3, 12])
     @pytest.mark.parametrize("lam, c", [(1, -1), (Fraction(-5, 3), Fraction(5, 3)), (2, 1)])
     @pytest.mark.parametrize("alpha", [Fraction(-1, 2), Fraction(3, 2)])
+    @pytest.mark.usefixtures("empty_base_store")
     def test_short_windows_dilate_on_the_factorial_kernel(self, alpha, lam, c, order):
         with egf_kernels():
             assert_same_series(
@@ -423,6 +444,7 @@ class TestRecipExpLinear:
         [(Fraction(3, 2), [1]), (Fraction(-1, 3), [1]), (2, [1]), (-1, [1]), (1, [1]), (0, [0])],
     )
     @pytest.mark.parametrize("order", [12, 150])
+    @pytest.mark.usefixtures("empty_base_store")
     def test_alpha_other_than_zero_builds_at_alpha_one(self, monkeypatch, alpha, built, order):
         # From the split on, every alpha but 0 writes the unit at alpha = 1
         # down and builds no source series.
@@ -646,6 +668,7 @@ class TestPascalDivision:
             lead, weight, shift, length
         ) == series_module._recurrence(rows)
 
+    @pytest.mark.usefixtures("empty_base_store")
     def test_every_package_base_takes_pascal_rule(self, monkeypatch):
         ran = []
         for name in ("_pascal_recurrence", "_recurrence"):
@@ -665,6 +688,114 @@ class TestPascalDivision:
             assert division(lambda: recip_exp_linear(*base, 150)) == ["_pascal_recurrence"], base
         half = exp_linear(Fraction(1, 2), 151) + LaurentSeries.one(151)
         assert division(half.reciprocal) == ["_recurrence"]
+
+
+def window_error(op, *args):
+    """The type and message of the window error op raises, or None."""
+    try:
+        op(*args)
+    except (PrecisionExhaustedError, ZeroSeriesError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestBaseStore:
+    """recip_exp_linear keeps the alpha = 1 base of each (lam, c) at the
+    longest order asked for and reads every shorter order off it; each read
+    equals a build on an empty store."""
+
+    # Both sides of the split and its edges, and the orders the package reads.
+    ORDERS = (3, 4, 5, 12, 34, 40, 102, 103, 104, 105, 150, 283, 299, 300)
+
+    @pytest.fixture
+    def store(self, monkeypatch):
+        store = series_module._BaseStore(series_module._BASE_STORE_BITS)
+        monkeypatch.setattr(series_module, "_BASES", store)
+        return store
+
+    @pytest.mark.parametrize("base", PACKAGE_BASES, ids=str)
+    def test_reads_below_an_order_300_build_equal_fresh_builds(self, store, base):
+        recip_exp_linear(*base, 300)
+        for order in self.ORDERS:
+            assert recip_exp_linear(*base, order) == fresh_build(*base, order), order
+        assert store._entries[base[1], base[2]][1] == 300
+
+    @pytest.mark.parametrize("base", [(1, 1, -1), (-1, -1, 1), (1, 1, 1)])
+    def test_every_order_below_300_of_f_g_and_h(self, store, base):
+        recip_exp_linear(*base, 300)
+        for order in range(3, 301):
+            read = recip_exp_linear(*base, order)
+            assert_canonical(read)
+            assert read == fresh_build(*base, order), order
+        assert list(store._entries) == [(base[1], base[2])]
+
+    def test_a_longer_request_replaces_the_entry(self, store):
+        alpha, lam, c = Fraction(-3, 2), Fraction(2, 3), 1
+        short = recip_exp_linear(alpha, lam, c, 40)
+        assert store._entries[lam, c][1] == 40
+        long = recip_exp_linear(alpha, lam, c, 120)
+        assert list(store._entries) == [(lam, c)]
+        entry, order, bits = store._entries[lam, c]
+        assert order == 120 and store.bits == bits == series_module._stored_bits(entry)
+        assert short == fresh_build(alpha, lam, c, 40) == recip_exp_linear(alpha, lam, c, 40)
+        assert long == fresh_build(alpha, lam, c, 120)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(PACKAGE_BASES), st.integers(3, 160)), min_size=1, max_size=8
+        ),
+        st.sampled_from([0, 1 << 16, 1 << 18, series_module._BASE_STORE_BITS]),
+    )
+    def test_any_sequence_of_requests_reads_fresh_builds(self, requests, budget):
+        store = series_module._BaseStore(budget)
+        for base, order in requests:
+            with mock.patch.object(series_module, "_BASES", store):
+                read = recip_exp_linear(*base, order)
+            assert read == fresh_build(*base, order)
+            assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
+
+    def test_the_least_recently_used_entry_leaves_first(self):
+        bases = [(1, lam, -1) for lam in (1, 2, 3)]
+        sizes = [series_module._stored_bits(fresh_build(*base, 60)) for base in bases]
+        store = series_module._BaseStore(sum(sizes) - 1)
+        with mock.patch.object(series_module, "_BASES", store):
+            recip_exp_linear(*bases[0], 60)
+            recip_exp_linear(*bases[1], 60)
+            recip_exp_linear(*bases[0], 30)  # a read makes it the most recent
+            recip_exp_linear(*bases[2], 60)
+        assert list(store._entries) == [(1, -1), (3, -1)]
+        assert store.bits == sizes[0] + sizes[2] <= store.budget
+
+    def test_an_entry_over_the_budget_is_not_kept(self):
+        kept = series_module._stored_bits(fresh_build(1, 1, 1, 40))
+        store = series_module._BaseStore(kept)
+        with mock.patch.object(series_module, "_BASES", store):
+            recip_exp_linear(1, 1, 1, 40)
+            assert list(store._entries) == [(1, 1)] and store.bits == kept
+            assert recip_exp_linear(1, 1, 1, 120) == fresh_build(1, 1, 1, 120)
+        assert store._entries == {} and store.bits == 0
+
+    @pytest.mark.parametrize(
+        "alpha, lam, c, order",
+        [
+            (alpha, lam, c, order)
+            for alpha in (1, Fraction(-3, 2))
+            for lam, c in ((1, -1), (Fraction(2, 3), Fraction(-2, 3)), (Fraction(2, 3), 1))
+            for order in (1, 2)
+        ]
+        + [(0, Fraction(2, 3), c, order) for c in (Fraction(-2, 3), 1) for order in (12, 150)]
+        + [(alpha, 0, c, 12) for alpha in (1, 2) for c in (0, 1)],
+    )
+    def test_short_orders_and_constant_sources_bypass_the_store(self, store, alpha, lam, c, order):
+        assert window_error(recip_exp_linear, alpha, lam, c, order) == window_error(
+            direct_recip_exp_linear, alpha, lam, c, order
+        )
+        assert_same_series(
+            outcome(recip_exp_linear, alpha, lam, c, order),
+            outcome(direct_recip_exp_linear, alpha, lam, c, order),
+        )
+        assert store._entries == {} and store.bits == 0
 
 
 @st.composite
