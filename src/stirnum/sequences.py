@@ -28,12 +28,14 @@ n + 2 for the two-parameter oracle (at lam != -1 the reciprocal's window
 is [0, order - 1)).  The two-parameter oracle reads coefficient n of its
 product, from order ``series._EGF_MIN_LENGTH`` on, as one dot product of
 the two factors' numerators rather than multiplying the product out.
-Every oracle takes its reciprocal base from ``series.recip_exp_linear``,
-which builds the base of each (lam, 1) or (lam, -1) once per process at
-the longest order asked for and gives every shorter order by truncating
-it, so a run of oracles over n builds each base about once, not once per
-n.  The value read is the same either way: the stored coefficients are
-exact.
+Every oracle takes its reciprocal base from ``series.recip_exp_linear``.
+Below order ``series._EGF_MIN_LENGTH`` it builds the base of each (lam, 1)
+or (lam, -1) once per process at the longest order asked for and gives
+every shorter order by truncating it, so a run of oracles over small n
+builds each base about once, not once per n.  From that order on each
+oracle writes its base down afresh by Pascal's rule, so its cost does not
+depend on the calls before it.  The value read is the same either way:
+the stored coefficients are exact.
 
 The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler

@@ -58,14 +58,17 @@ additions a step instead of O(n) products, as Brent and Harvey compute
 the Bernoulli and tangent numbers.  The exit ``_egf_unscaled`` puts the
 factorial-scaled quotient back over one denominator.
 
-Each base at alpha = 1 is built once per process.  ``recip_exp_linear``
-keeps it in the store ``_BASES``, keyed on (lam, c), at the longest order
-asked for so far.  A request at a shorter order truncates the entry to
-the precision order - 2s - 1, s = [lam + c == 0], which is the canonical
-form a build at that order gives; a longer request builds again and
-replaces the entry.  ``_BASE_STORE_BITS`` bounds the store at 4 MiB of
-charged numerator bits, about 4.5 MB at worst, and the least recently
-used entries leave first.  The store is not locked: call
+Below ``_EGF_MIN_LENGTH`` each base at alpha = 1 is built once per
+process.  ``recip_exp_linear`` keeps it in the store ``_BASES``, keyed on
+(lam, c), at the longest order below the split asked for so far.  A
+request at a shorter order truncates the entry to the precision
+order - 2s - 1, s = [lam + c == 0], which is the canonical form a build at
+that order gives; a longer request builds again and replaces the entry.
+From the split on every request writes its base down by Pascal's rule,
+so the cost of a long request depends on its own order alone and not on
+which requests came before it.  ``_BASE_STORE_BITS`` bounds the store at
+4 MiB of charged numerator bits, about 4.5 MB at worst, and the least
+recently used entries leave first.  The store is not locked: call
 ``recip_exp_linear`` from one thread at a time.
 """
 
@@ -415,9 +418,10 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 # split stays because perfbench's traced layers expect to see these calls:
 # on verify-sweep the bases are the only callers of reciprocal, scale and
 # exp_linear, and on sequence-pairs the oracles are the only callers of
-# mul.  With the store of bases a (lam, c) is built again only when it is
-# asked for at a longer order than before, but below this order each such
-# build is still the direct one, so the traced layers keep their calls.
+# mul.  The split is also where the store of bases ends: below it a
+# (lam, c) is built again only when it is asked for at a longer order than
+# before, and each such build is still the direct one, so the traced layers
+# keep their calls; from it on every request is written down afresh.
 # Lowering it waits on retargeting those layers (ROADMAP item 7).
 _EGF_MIN_LENGTH = 104
 
@@ -629,8 +633,8 @@ def _stored_bits(r: LaurentSeries) -> int:
 
 class _BaseStore:
     """The reciprocals 1/(lam e**t + c) at alpha = 1 that
-    ``recip_exp_linear`` has built, one per key (lam, c), each at the
-    longest order asked for so far.
+    ``recip_exp_linear`` has built below ``_EGF_MIN_LENGTH``, one per key
+    (lam, c), each at the longest such order asked for so far.
 
     A request at an order the entry covers is the entry truncated to the
     precision order - 2s - 1, s = [lam + c == 0]: every stored coefficient
@@ -650,7 +654,7 @@ class _BaseStore:
         self._entries: dict = {}
 
     def reciprocal(self, lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
-        """1/(lam e**t + c) for lam != 0 and order >= 3."""
+        """1/(lam e**t + c) for lam != 0 and 3 <= order < ``_EGF_MIN_LENGTH``."""
         entries = self._entries
         entry = entries.pop((lam, c), None)
         if entry is not None and entry[1] >= order:
@@ -659,10 +663,7 @@ class _BaseStore:
             return r.truncated(order + 2 * r.offset - 1)
         if entry is not None:
             self.bits -= entry[2]
-        if order < _EGF_MIN_LENGTH:
-            r = _source_reciprocal(Fraction(1), lam, c, order)
-        else:
-            r = _pascal_reciprocal(lam, c, order)
+        r = _source_reciprocal(Fraction(1), lam, c, order)
         bits = _stored_bits(r)
         if bits <= self.budget:
             while self.bits + bits > self.budget:
@@ -677,7 +678,8 @@ class _BaseStore:
 # int of b bits takes at most 32 + 4b/30 bytes, so the entries take at
 # most 16/15 of their charge, about 4.5 MB, keys of literals over 8,192
 # bits apart.
-# sequence-pairs keeps its 16 bases in under a sixth of the budget.
+# sequence-pairs keeps its 16 bases, none longer than order 103, in under
+# a thirtieth of the budget.
 _BASE_STORE_BITS = 1 << 25
 _BASES = _BaseStore(_BASE_STORE_BITS)
 
@@ -694,25 +696,28 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     series at alpha = 1 has the same valuation, so the window and the
     errors are the same.
 
-    The base at alpha = 1 comes from the process-wide store ``_BASES``,
-    keyed on (lam, c): a shorter order truncates the stored entry, and a
-    longer one is built and replaces it, below order ``_EGF_MIN_LENGTH``
-    as the ``reciprocal`` of the source series and from that order on by
-    ``_pascal_reciprocal``, which writes the factorial-scaled unit down
-    from (lam, c).  The store holds at most ``_BASE_STORE_BITS`` charged
-    bits, about 4.5 MB at worst, and drops the least recently used entries
-    first; it is not locked, so call this from one thread at a time.
-    Orders 1 and 2, which can leave an empty or all-zero window, and
-    alpha = 0 or lam = 0, where the source is a constant, never touch the
-    store: they build the source series and take its ``reciprocal``, which
-    raises the errors.
+    Below order ``_EGF_MIN_LENGTH`` the base at alpha = 1 comes from the
+    process-wide store ``_BASES``, keyed on (lam, c): a shorter order
+    truncates the stored entry, and a longer one is built as the
+    ``reciprocal`` of the source series and replaces it.  The store holds
+    at most ``_BASE_STORE_BITS`` charged bits, about 4.5 MB at worst, and
+    drops the least recently used entries first; it is not locked, so
+    call this from one thread at a time.  From that order on the base is
+    not stored: each request runs ``_pascal_reciprocal``, which writes the
+    factorial-scaled unit down from (lam, c), so a long request costs the
+    same whatever was asked for before it.  Orders 1 and 2, which can
+    leave an empty or all-zero window, and alpha = 0 or lam = 0, where the
+    source is a constant, never touch the store: they build the source
+    series and take its ``reciprocal``, which raises the errors.
     """
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
     dilate = alpha not in (0, 1)
-    if alpha and lam and order >= 3:
+    if not (alpha and lam and order >= 3):
+        r = _source_reciprocal(Fraction(1) if dilate else alpha, lam, c, order)
+    elif order < _EGF_MIN_LENGTH:
         r = _BASES.reciprocal(lam, c, order)
     else:
-        r = _source_reciprocal(Fraction(1) if dilate else alpha, lam, c, order)
+        r = _pascal_reciprocal(lam, c, order)
     if not dilate:
         return r
     # With i = e - offset, top = len - 1 and first = alpha**offset,

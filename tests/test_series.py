@@ -701,8 +701,9 @@ def window_error(op, *args):
 
 class TestBaseStore:
     """recip_exp_linear keeps the alpha = 1 base of each (lam, c) at the
-    longest order asked for and reads every shorter order off it; each read
-    equals a build on an empty store."""
+    longest order below the split asked for and reads every shorter order
+    off it; from the split on it builds every request and stores nothing.
+    Each read equals a build on an empty store."""
 
     # Both sides of the split and its edges, and the orders the package reads.
     ORDERS = (3, 4, 5, 12, 34, 40, 102, 103, 104, 105, 150, 283, 299, 300)
@@ -714,31 +715,49 @@ class TestBaseStore:
         return store
 
     @pytest.mark.parametrize("base", PACKAGE_BASES, ids=str)
-    def test_reads_below_an_order_300_build_equal_fresh_builds(self, store, base):
-        recip_exp_linear(*base, 300)
+    def test_reads_below_the_longest_stored_build_equal_fresh_builds(self, store, base):
+        split = series_module._EGF_MIN_LENGTH
+        recip_exp_linear(*base, split - 1)
         for order in self.ORDERS:
             assert recip_exp_linear(*base, order) == fresh_build(*base, order), order
-        assert store._entries[base[1], base[2]][1] == 300
+        assert store._entries[base[1], base[2]][1] == split - 1
 
     @pytest.mark.parametrize("base", [(1, 1, -1), (-1, -1, 1), (1, 1, 1)])
-    def test_every_order_below_300_of_f_g_and_h(self, store, base):
+    def test_every_order_to_300_of_f_g_and_h(self, store, base):
         recip_exp_linear(*base, 300)
         for order in range(3, 301):
             read = recip_exp_linear(*base, order)
             assert_canonical(read)
             assert read == fresh_build(*base, order), order
         assert list(store._entries) == [(base[1], base[2])]
+        assert store._entries[base[1], base[2]][1] == series_module._EGF_MIN_LENGTH - 1
 
     def test_a_longer_request_replaces_the_entry(self, store):
         alpha, lam, c = Fraction(-3, 2), Fraction(2, 3), 1
         short = recip_exp_linear(alpha, lam, c, 40)
         assert store._entries[lam, c][1] == 40
-        long = recip_exp_linear(alpha, lam, c, 120)
+        long = recip_exp_linear(alpha, lam, c, 90)
         assert list(store._entries) == [(lam, c)]
         entry, order, bits = store._entries[lam, c]
-        assert order == 120 and store.bits == bits == series_module._stored_bits(entry)
+        assert order == 90 and store.bits == bits == series_module._stored_bits(entry)
         assert short == fresh_build(alpha, lam, c, 40) == recip_exp_linear(alpha, lam, c, 40)
-        assert long == fresh_build(alpha, lam, c, 120)
+        assert long == fresh_build(alpha, lam, c, 90)
+
+    @pytest.mark.parametrize("order", [104, 105, 150, 300])
+    def test_requests_from_the_split_on_are_built_and_not_stored(self, monkeypatch, store, order):
+        base = (Fraction(-3, 2), Fraction(2, 3), 1)
+        recip_exp_linear(*base, 40)
+        kept = dict(store._entries), store.bits
+        expected = fresh_build(*base, order)
+        built = []
+        real = series_module._pascal_reciprocal
+        monkeypatch.setattr(
+            series_module, "_pascal_reciprocal", lambda *args: built.append(args) or real(*args)
+        )
+        for _ in range(2):
+            assert recip_exp_linear(*base, order) == expected
+        assert len(built) == 2
+        assert (store._entries, store.bits) == kept
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -773,7 +792,7 @@ class TestBaseStore:
         with mock.patch.object(series_module, "_BASES", store):
             recip_exp_linear(1, 1, 1, 40)
             assert list(store._entries) == [(1, 1)] and store.bits == kept
-            assert recip_exp_linear(1, 1, 1, 120) == fresh_build(1, 1, 1, 120)
+            assert recip_exp_linear(1, 1, 1, 90) == fresh_build(1, 1, 1, 90)
         assert store._entries == {} and store.bits == 0
 
     @pytest.mark.parametrize(
