@@ -41,8 +41,9 @@ converts its parameters and calls it.
 one tag or all twelve, then the named checks of ``sequences``.  Tags give
 ``VerificationReport`` rows and named checks ``CheckRow`` rows.  Rows are
 plain data holding exact values; the command line renders them, so every
-output format is decided in one module.  ``VERIFY_OPTIONS`` names the
-options each target reads.
+output format is decided in one module.  One check table gives each named
+check's options, row fields and sweep; ``VERIFY_OPTIONS``, the options each
+target reads, is built from it and the spec table.
 """
 
 from __future__ import annotations
@@ -89,16 +90,6 @@ CORE_IDENTITY_IDS = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8")
 PLUS_IDENTITY_IDS = ("P1", "P2")
 GENERAL_IDENTITY_IDS = ("G1", "G2")
 ALL_IDENTITY_IDS = CORE_IDENTITY_IDS + PLUS_IDENTITY_IDS + GENERAL_IDENTITY_IDS
-
-# verify target -> the options it reads; the command line rejects any other.
-VERIFY_OPTIONS: Dict[str, Tuple[str, ...]] = {
-    "all": ("alpha", "lambda", "order"),
-    **dict.fromkeys(CORE_IDENTITY_IDS + PLUS_IDENTITY_IDS, ("order",)),
-    **dict.fromkeys(GENERAL_IDENTITY_IDS, ("alpha", "lambda", "order")),
-    "det-relation": (),
-    "alt-sum": (),
-    "reductions": ("alpha", "lambda"),
-}
 
 DEFAULT_MIN_WINDOW = 8
 
@@ -231,6 +222,22 @@ _SPECS: Dict[str, tuple] = {
     "P2": (_h, "power", lambda k, m: (-1) ** (k - 1) * b_coeff(k, m), _h, None),
     "G1": (None, "derivative", lambda_coeff, None, None),
     "G2": (None, "power", _first_kind_weight, None, None),
+}
+
+# Named check: (options it reads, row field names, sweep).  A sweep takes
+# (k_max, alphas, lambdas), looks its function up by module name when called,
+# so a rebinding of that name reaches it, and returns (*fields, passed) tuples.
+_NAMED_CHECKS: Dict[str, tuple] = {
+    "det-relation": ((), ("n", "k"), lambda k_max, *grid: determinant_relation_checks(k_max)),
+    "alt-sum": ((), ("n",), lambda k_max, *grid: alternating_sum_checks(k_max)),
+    "reductions": (("alpha", "lambda"), ("n", "alpha", "lambda"), lambda *a: two_param_reduction_sweep(*a)),
+}
+
+# verify target -> the options it reads; the command line rejects any other.
+VERIFY_OPTIONS: Dict[str, Tuple[str, ...]] = {
+    "all": ("alpha", "lambda", "order"),
+    **{tag: ("order",) if base else ("alpha", "lambda", "order") for tag, (base, *_) in _SPECS.items()},
+    **{name: check[0] for name, check in _NAMED_CHECKS.items()},
 }
 
 
@@ -454,26 +461,22 @@ def verify_target(
     order: Optional[int] = None,
 ) -> List[Union[VerificationReport, CheckRow]]:
     """Every row of ``verify`` on one target, in order: the ``run_sweep``
-    reports of its tags (all twelve for "all"), then its det-relation,
-    alt-sum and reductions rows.  alpha and lam narrow the G1/G2 and
-    reductions grids to one value each.  The reductions sweep runs
-    first, so a bad reductions point raises before any tag is swept."""
+    reports of its tags (all twelve for "all"), then its named checks' rows
+    in table order.  alpha and lam narrow the G1/G2 and reductions grids to
+    one value each; an option the target does not read raises.  The named
+    checks run first, so a bad reductions point raises before any tag is swept."""
     if target not in VERIFY_OPTIONS:
         raise DomainError(f"unknown verify target {target!r}")
+    for name, value in {"alpha": alpha, "lambda": lam, "order": order}.items():
+        if value is not None and name not in VERIFY_OPTIONS[target]:
+            raise DomainError(f"verify {target} does not read the {name} option")
     alphas = None if alpha is None else [alpha]
     lambdas = None if lam is None else [lam]
-    reductions = []
-    if target in ("all", "reductions"):
-        reductions = two_param_reduction_sweep(k_max, alphas, lambdas)
-    tags = ALL_IDENTITY_IDS if target == "all" else ((target,) if target in _SPECS else ())
-    rows: List[Union[VerificationReport, CheckRow]] = []
-    rows += run_sweep(tags, k_max, order, alphas, lambdas)
-    if target in ("all", "det-relation"):
-        for n, k, passed in determinant_relation_checks(k_max):
-            rows.append(CheckRow("det-relation", {"n": n, "k": k}, passed))
-    if target in ("all", "alt-sum"):
-        for n, passed in alternating_sum_checks(k_max):
-            rows.append(CheckRow("alt-sum", {"n": n}, passed))
-    for n, a, v, passed in reductions:
-        rows.append(CheckRow("reductions", {"n": n, "alpha": a, "lambda": v}, passed))
-    return rows
+    named = [
+        CheckRow(name, dict(zip(fields, result)), result[-1])
+        for name, (_, fields, sweep) in _NAMED_CHECKS.items()
+        if target in ("all", name)
+        for result in sweep(k_max, alphas, lambdas)
+    ]
+    tags = [tag for tag in _SPECS if target in ("all", tag)]
+    return [*run_sweep(tags, k_max, order, alphas, lambdas), *named]

@@ -55,8 +55,8 @@ the command line read it.
 
 The named checks of ``verify`` run here too: the two-parameter reductions
 over an (alpha, lambda) grid, the first-kind determinant relation and the
-vanishing alternating sum, each returning plain tuples that
-``identities.verify_target`` turns into rows.
+vanishing alternating sum, each returning (*fields, passed) tuples that
+the check table of ``identities`` turns into ``verify`` rows.
 """
 
 from __future__ import annotations

@@ -422,7 +422,7 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 # (lam, c) is built again only when it is asked for at a longer order than
 # before, and each such build is still the direct one, so the traced layers
 # keep their calls; from it on every request is written down afresh.
-# Lowering it waits on retargeting those layers (ROADMAP item 7).
+# Lowering it waits on retargeting those layers (ROADMAP items 6 and 9).
 _EGF_MIN_LENGTH = 104
 
 

@@ -14,6 +14,7 @@ from stirnum.identities import (
     DEFAULT_MIN_WINDOW,
     GENERAL_IDENTITY_IDS,
     PLUS_IDENTITY_IDS,
+    VERIFY_OPTIONS,
     CheckRow,
     core_identity_coefficients,
     default_order,
@@ -24,7 +25,7 @@ from stirnum.identities import (
     verify_plus_identity,
     verify_target,
 )
-from stirnum.identities import _SPECS, _Ladder, _weights
+from stirnum.identities import _NAMED_CHECKS, _SPECS, _Ladder, _weights
 from stirnum.series import _EGF_MIN_LENGTH, LaurentSeries, linear_combination, recip_exp_linear
 from stirnum.stirling import b_coeff, lambda_coeff, stirling1, stirling2
 
@@ -268,6 +269,35 @@ class TestVerifyTarget:
     def test_unknown_target_rejected(self):
         with pytest.raises(DomainError):
             verify_target("I9", 2)
+
+    def test_all_is_every_other_target_in_table_order(self):
+        targets = [target for target in VERIFY_OPTIONS if target != "all"]
+        assert targets == [*_SPECS, *_NAMED_CHECKS]
+        rows = []
+        for target in targets:
+            reads = VERIFY_OPTIONS[target]
+            alpha = 2 if "alpha" in reads else None
+            lam = Fraction(1, 2) if "lambda" in reads else None
+            rows += verify_target(target, 2, alpha, lam)
+        assert verify_target("all", 2, alpha=2, lam=Fraction(1, 2)) == rows
+
+    def test_options_of_each_tag(self):
+        for tag in GENERAL_IDENTITY_IDS:
+            assert VERIFY_OPTIONS[tag] == ("alpha", "lambda", "order")
+        for tag in CORE_IDENTITY_IDS + PLUS_IDENTITY_IDS:
+            assert VERIFY_OPTIONS[tag] == ("order",)
+
+    @pytest.mark.parametrize(
+        "target, option, given",
+        [
+            ("I1", "alpha", {"alpha": 2}),
+            ("det-relation", "order", {"order": 5}),
+            ("reductions", "order", {"order": 5}),
+        ],
+    )
+    def test_option_the_target_does_not_read_rejected(self, target, option, given):
+        with pytest.raises(DomainError, match=f"^verify {target} does not read the {option} option$"):
+            verify_target(target, 2, **given)
 
 
 class TestSweeps:
