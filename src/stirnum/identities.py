@@ -37,6 +37,19 @@ h = (1, 1, 1) and G = (alpha, lam, -1).  One private verifier builds both
 sides from a row; each public ``verify_*`` function checks its tag or
 converts its parameters and calls it.
 
+The verifier reads both sides off the ladders of their bases: the powers
+and the derivatives of one base series.  The ladders live in one
+process-wide store, ``_LADDERS``, keyed on (alpha, lam, c), each at the
+longest source order asked for so far; a check at a lower order truncates
+what it combines from them, which is what a build at its own order gives.
+So a process that checks many targets builds each ladder once, not once
+per call.  ``_LADDER_STORE_BITS`` bounds the store at 4 MiB of charged
+bits, about 4.5 MB at worst; the least recently used ladders leave first,
+and a ladder is charged again as it grows.  ``run_sweep`` holds every
+ladder it reads until it returns, so a sweep past the bound still builds
+each ladder once.  Orders 1 and 2 never touch the store, and the store is
+not locked: verify from one thread at a time.
+
 ``verify_target`` is the plan of the ``verify`` command: the sweep of
 one tag or all twelve, then the named checks of ``sequences``.  Tags give
 ``VerificationReport`` rows and named checks ``CheckRow`` rows.  Rows are
@@ -49,6 +62,7 @@ target reads, is built from it and the spec table.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,7 +74,7 @@ from .sequences import (
     determinant_relation_checks,
     two_param_reduction_sweep,
 )
-from .series import LaurentSeries, linear_combination, recip_exp_linear
+from .series import LaurentSeries, _stored_bits, _Store, linear_combination, recip_exp_linear
 from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1
 
 __all__ = [
@@ -144,30 +158,44 @@ class CheckRow:
 
 class _Ladder:
     """Powers base**1, base**2, ... and derivatives base, base', ... of one
-    base series; each entry is computed once, when first asked for."""
+    base series built at source order ``top``; each entry is computed once,
+    when first asked for.  ``bits`` is the ``_stored_bits`` of its distinct
+    entries; a ladder built by a store is charged there for each entry it
+    adds."""
 
-    def __init__(self, base: LaurentSeries):
+    def __init__(self, base: LaurentSeries, top: int, store: Optional[_Store] = None, key=None):
         self.base = base
+        self.top = top
+        self.bits = _stored_bits(base)
+        self._store = store
+        self._key = key
         self._powers = [base]
         self._derivatives = [base]
+
+    def _add(self, entries: List[LaurentSeries], entry: LaurentSeries) -> None:
+        entries.append(entry)
+        bits = _stored_bits(entry)
+        self.bits += bits
+        if self._store is not None:
+            self._store.charge(self._key, self, bits)
 
     def powers(self, count: int) -> List[LaurentSeries]:
         """[base**1, ..., base**count]"""
         while len(self._powers) < count:
-            self._powers.append(self._powers[-1] * self.base)
+            self._add(self._powers, self._powers[-1] * self.base)
         return self._powers[:count]
 
     def derivatives(self, count: int) -> List[LaurentSeries]:
         """[base, base', ..., base^(count-1)]"""
         while len(self._derivatives) < count:
-            self._derivatives.append(self._derivatives[-1].derivative())
+            self._add(self._derivatives, self._derivatives[-1].derivative())
         return self._derivatives[:count]
 
 
-class _Ladders:
-    """The ladder of every base 1/(lam e**(alpha t) + c) one sweep reads,
-    keyed on (alpha, lam, c) and built at the top source order the first
-    time a check asks for it.
+class _Ladders(_Store):
+    """The ladder of every base 1/(lam e**(alpha t) + c) that checks read,
+    one per key (alpha, lam, c), at the longest top source order asked for
+    so far.  A longer request builds again and replaces the entry.
 
     A check at a lower source ``order`` gets what a build at that order
     gives from the stored entries less their last ``top - order``
@@ -175,19 +203,42 @@ class _Ladders:
     is visible each step's precision moves one-for-one with the source
     order (every base has a nonzero leading coefficient).  A linear
     combination of entries moves the same way, so each side is truncated
-    once, after it is combined.
+    once, after it is combined, by its own ladder's ``top - order``.
+    Orders 1 and 2, where the valuation can be out of the window, get a
+    ladder that is not stored, so they raise what a fresh build raises.
+
+    The budget bounds the ladders the store keeps alive.  A ladder it has
+    dropped but a caller still holds, as ``run_sweep`` holds each ladder it
+    reads until it returns, is found again by key and kept again if it
+    fits, so no sweep builds a ladder twice however far it passes the
+    budget.
     """
 
-    def __init__(self, top: int):
-        self.top = top
-        self._store: Dict[tuple, _Ladder] = {}
+    def __init__(self, budget: int):
+        super().__init__(budget)
+        self._live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def get(self, key: tuple) -> _Ladder:
-        ladder = self._store.get(key)
+    def ladder(self, key: tuple, order: int) -> _Ladder:
+        """The ladder of the base ``key`` built at ``order`` or longer."""
+        if order < 3:
+            return _Ladder(recip_exp_linear(*key, order), order)
+        ladder = self.read(key, order)
         if ladder is None:
-            ladder = _Ladder(recip_exp_linear(*key, self.top))
-            self._store[key] = ladder
+            ladder = self._live.get(key)
+            if ladder is None or ladder.top < order:
+                ladder = _Ladder(recip_exp_linear(*key, order), order, self, key)
+                self._live[key] = ladder
+            self.keep(key, ladder, ladder.top, ladder.bits)
         return ladder
+
+
+# The budget of _LADDERS in charged bits, 4 MiB.  Every ladder series is
+# charged at least 8,192 bits, so the store holds at most 4,096 series.  A
+# CPython int of b bits takes at most 32 + 4b/30 bytes, so the entries take
+# at most 16/15 of their charge, about 4.5 MB, keys of literals over 8,192
+# bits apart.
+_LADDER_STORE_BITS = 1 << 25
+_LADDERS = _Ladders(_LADDER_STORE_BITS)
 
 
 # -- the spec table -----------------------------------------------------------
@@ -311,7 +362,6 @@ def _verify(
     lam: Optional[Fraction],
     order: Optional[int],
     coeff_override: Optional[Sequence[Scalar]],
-    ladders: Optional[_Ladders],
 ) -> VerificationReport:
     """Build both sides of one identity from its spec row and compare them.
 
@@ -325,36 +375,35 @@ def _verify(
         raise DomainError("lambda must be nonzero")
     if order is None:
         order = default_order(k)
-    if ladders is None:
-        ladders = _Ladders(order)
     lhs_base, kind, _, rhs_base, constant = _SPECS[identity_id]
-    lhs_ladder = ladders.get(lhs_base or (alpha, lam, -1))
-    rhs_ladder = ladders.get(rhs_base or (alpha, lam, -1))
+    lhs_ladder = _LADDERS.ladder(lhs_base or (alpha, lam, -1), order)
+    rhs_ladder = _LADDERS.ladder(rhs_base or (alpha, lam, -1), order)
     if coeff_override is not None:
         weights = [Fraction(w) for w in coeff_override]
     elif identity_id in CORE_IDENTITY_IDS:
         weights = core_identity_coefficients(identity_id, k)
     else:
         weights = _weights(identity_id, k, alpha)
-    # Each side drops the last top - order coefficients once (see _Ladders).
-    # The power is taken of the truncated base: that costs fewer products
-    # of coefficients than truncating the power.
-    trim = ladders.top - order
+    # Each side drops the last top - order coefficients of its own ladder
+    # once (see _Ladders).  The power is taken of the truncated base: that
+    # costs fewer products of coefficients than truncating the power.
+    lhs_trim = lhs_ladder.top - order
+    rhs_trim = rhs_ladder.top - order
     if kind == "derivative":
         lhs = lhs_ladder.derivatives(k + 1)[k]
-        lhs = lhs.truncated(lhs.precision - trim)
+        lhs = lhs.truncated(lhs.precision - lhs_trim)
         rhs = linear_combination(rhs_ladder.powers(k + 1), weights)
     else:
         base = lhs_ladder.base
-        lhs = base.truncated(base.precision - trim) ** k
+        lhs = base.truncated(base.precision - lhs_trim) ** k
         rhs = linear_combination(rhs_ladder.derivatives(k), weights)
+    rhs = rhs.truncated(rhs.precision - rhs_trim)
     if constant is not None:
         # A nonzero weighted sum is known no further than its base; the
-        # exact zero is known to every order, so the base's precision
-        # bounds the constant and the sum stays finite.
-        precision = min(rhs.precision, rhs_ladder.base.precision)
+        # exact zero is known to every order, so the base's precision at
+        # this order bounds the constant and the sum stays finite.
+        precision = min(rhs.precision, rhs_ladder.base.precision - rhs_trim)
         rhs = rhs + LaurentSeries.constant(constant(k), precision)
-    rhs = rhs.truncated(rhs.precision - trim)
     return _compare(identity_id, k, alpha, lam, order, lhs, rhs)
 
 
@@ -363,8 +412,6 @@ def verify_core_identity(
     k: int,
     order: Optional[int] = None,
     coeff_override: Optional[Sequence[Scalar]] = None,
-    *,
-    _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check one of I1..I8 at index k by exact series comparison.
 
@@ -373,7 +420,7 @@ def verify_core_identity(
     """
     if identity_id not in CORE_IDENTITY_IDS:
         raise DomainError(f"unknown core identity {identity_id!r}")
-    return _verify(identity_id, k, None, None, order, coeff_override, _ladders)
+    return _verify(identity_id, k, None, None, order, coeff_override)
 
 
 def verify_plus_identity(
@@ -381,13 +428,11 @@ def verify_plus_identity(
     k: int,
     order: Optional[int] = None,
     coeff_override: Optional[Sequence[Scalar]] = None,
-    *,
-    _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check P1 or P2, the derivative/power pair for h = 1/(e**t + 1)."""
     if identity_id not in PLUS_IDENTITY_IDS:
         raise DomainError(f"unknown plus identity {identity_id!r}")
-    return _verify(identity_id, k, None, None, order, coeff_override, _ladders)
+    return _verify(identity_id, k, None, None, order, coeff_override)
 
 
 def verify_general_derivative(
@@ -395,12 +440,10 @@ def verify_general_derivative(
     alpha: Scalar,
     lam: Scalar,
     order: Optional[int] = None,
-    *,
-    _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check G1: the k-th derivative of 1/(lam e**(alpha t) - 1) as a
     power sum with weights (-1)**k alpha**k (m-1)! S(k+1, m)."""
-    return _verify("G1", k, Fraction(alpha), Fraction(lam), order, None, _ladders)
+    return _verify("G1", k, Fraction(alpha), Fraction(lam), order, None)
 
 
 def verify_general_power(
@@ -408,12 +451,10 @@ def verify_general_power(
     alpha: Scalar,
     lam: Scalar,
     order: Optional[int] = None,
-    *,
-    _ladders: Optional[_Ladders] = None,
 ) -> VerificationReport:
     """Check G2: the k-th power of 1/(lam e**(alpha t) - 1) as a
     derivative sum with weights (-1)**(m-1) alpha**(1-m) s(k, m)/(k-1)!."""
-    return _verify("G2", k, Fraction(alpha), Fraction(lam), order, None, _ladders)
+    return _verify("G2", k, Fraction(alpha), Fraction(lam), order, None)
 
 
 def run_sweep(
@@ -434,8 +475,17 @@ def run_sweep(
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     alpha_grid = sorted(Fraction(a) for a in (alphas or DEFAULT_ALPHAS))
     lambda_grid = sorted(Fraction(v) for v in (lambdas or DEFAULT_LAMBDAS))
-    # Every base and ladder is built once, at the order of the widest check.
-    ladders = _Ladders(default_order(k_max) if order is None else order)
+    # Each ladder is built at the order of the widest check, which the
+    # narrower ones read, and held until the sweep returns.  A point with
+    # alpha or lambda 0 reads none, and orders below 3 read none stored.
+    top = default_order(k_max) if order is None else order
+    grid = [(alpha, lam, -1) for alpha in alpha_grid for lam in lambda_grid if alpha and lam]
+    keys = [
+        key
+        for lhs_base, _, _, rhs_base, _ in filter(None, map(_SPECS.get, targets))
+        for key in ({lhs_base, rhs_base} if lhs_base else grid)
+    ]
+    held = [_LADDERS.ladder(key, top) for key in keys] if top >= 3 else []
     reports: List[VerificationReport] = []
     for target in targets:
         if target in GENERAL_IDENTITY_IDS:
@@ -443,13 +493,14 @@ def run_sweep(
             for k in range(1, k_max + 1):
                 for alpha in alpha_grid:
                     for lam in lambda_grid:
-                        reports.append(check(k, alpha, lam, order, _ladders=ladders))
+                        reports.append(check(k, alpha, lam, order))
         elif target in _SPECS:
             check = verify_core_identity if target in CORE_IDENTITY_IDS else verify_plus_identity
             for k in range(1, k_max + 1):
-                reports.append(check(target, k, order, _ladders=ladders))
+                reports.append(check(target, k, order))
         else:
             raise DomainError(f"unknown identity tag {target!r}")
+    del held
     return reports
 
 

@@ -6,9 +6,11 @@ Beyond the Stirling table, the Euler routes share two helpers, neither
 of which computes a coefficient: ``series._normalized``, which divides a
 numerator list and its denominator by their gcd for every ``Polynomial``
 the closed forms build and for the series kernel alike, and
-``_check_two_param``, the domain check of both two-parameter routes.  So
-exact agreement between the routes is a meaningful check and is enforced
-by the test suite rather than by collapsing one route into the other.
+``_check_two_param``, the domain check of both two-parameter routes; a
+test records the functions each route runs and holds them to that list.
+So exact agreement between the routes is a meaningful check and is
+enforced by the test suite rather than by collapsing one route into the
+other.
 
 Families and their exponential generating functions:
 

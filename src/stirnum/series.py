@@ -69,7 +69,8 @@ so the cost of a long request depends on its own order alone and not on
 which requests came before it.  ``_BASE_STORE_BITS`` bounds the store at
 4 MiB of charged numerator bits, about 4.5 MB at worst, and the least
 recently used entries leave first.  The store is not locked: call
-``recip_exp_linear`` from one thread at a time.
+``recip_exp_linear`` from one thread at a time.  Its eviction and
+accounting, ``_Store``, also keep the identity ladders of ``identities``.
 """
 
 from __future__ import annotations
@@ -624,14 +625,63 @@ def _source_reciprocal(alpha: Fraction, lam: Fraction, c: Fraction, order: int) 
 
 
 def _stored_bits(r: LaurentSeries) -> int:
-    """About the memory r takes in ``_BaseStore``, in bits: the bits of its
+    """About the memory r takes in a ``_Store``, in bits: the bits of its
     numerators and denominator, 320 more a coefficient (the 40 bytes of a
     small int and its tuple slot) and 8,192 for the key, the series and
     the slots that hold them."""
     return sum(map(int.bit_length, r.nums)) + r.den.bit_length() + 320 * len(r.nums) + 8192
 
 
-class _BaseStore:
+class _Store:
+    """Values built at an order, one per key, each at the longest order
+    asked for so far.
+
+    Entries are charged bits, ``_stored_bits`` of the series they hold;
+    the least recently used leave first once the total passes ``budget``,
+    and an entry charged more than ``budget`` is never kept.  The store is
+    not locked: use it from one thread at a time.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.bits = 0
+        # key -> (value, its order, its charge), least recent first
+        self._entries: dict = {}
+
+    def read(self, key, order: int):
+        """The value under key, made the most recent, if it was built at
+        order or longer; else None, and a shorter entry is dropped."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return None
+        if entry[1] >= order:
+            self._entries[key] = entry
+            return entry[0]
+        self.bits -= entry[2]
+        return None
+
+    def keep(self, key, value, order: int, bits: int) -> None:
+        """Store value, built at order and charged bits, under a key that
+        ``read`` has just missed, if bits fit in the budget."""
+        entries = self._entries
+        if bits <= self.budget:
+            while self.bits + bits > self.budget:
+                self.bits -= entries.pop(next(iter(entries)))[2]
+            entries[key] = (value, order, bits)
+            self.bits += bits
+
+    def charge(self, key, value, bits: int) -> None:
+        """Charge bits more to the entry of value, which has grown; it is
+        dropped if that takes it over the budget.  A value the store no
+        longer holds is not charged."""
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] is value:
+            del self._entries[key]
+            self.bits -= entry[2]
+            self.keep(key, value, entry[1], entry[2] + bits)
+
+
+class _BaseStore(_Store):
     """The reciprocals 1/(lam e**t + c) at alpha = 1 that
     ``recip_exp_linear`` has built below ``_EGF_MIN_LENGTH``, one per key
     (lam, c), each at the longest such order asked for so far.
@@ -639,38 +689,16 @@ class _BaseStore:
     A request at an order the entry covers is the entry truncated to the
     precision order - 2s - 1, s = [lam + c == 0]: every stored coefficient
     is exact and the canonical form is unique, so the read equals a fresh
-    build.  A longer request builds and replaces the entry.  Entries are
-    charged ``_stored_bits``; the least recently used leave first once
-    the total passes ``budget``, and an entry charged more than ``budget``
-    is never kept.
-
-    The store is not locked: use it from one thread at a time.
+    build.  A longer request builds and replaces the entry.
     """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.bits = 0
-        # (lam, c) -> (reciprocal, its order, its charge), least recent first
-        self._entries: dict = {}
 
     def reciprocal(self, lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
         """1/(lam e**t + c) for lam != 0 and 3 <= order < ``_EGF_MIN_LENGTH``."""
-        entries = self._entries
-        entry = entries.pop((lam, c), None)
-        if entry is not None and entry[1] >= order:
-            entries[lam, c] = entry
-            r = entry[0]
-            return r.truncated(order + 2 * r.offset - 1)
-        if entry is not None:
-            self.bits -= entry[2]
-        r = _source_reciprocal(Fraction(1), lam, c, order)
-        bits = _stored_bits(r)
-        if bits <= self.budget:
-            while self.bits + bits > self.budget:
-                self.bits -= entries.pop(next(iter(entries)))[2]
-            entries[lam, c] = (r, order, bits)
-            self.bits += bits
-        return r
+        r = self.read((lam, c), order)
+        if r is None:
+            r = _source_reciprocal(Fraction(1), lam, c, order)
+            self.keep((lam, c), r, order, _stored_bits(r))
+        return r.truncated(order + 2 * r.offset - 1)
 
 
 # The budget of _BASES in charged bits, 4 MiB.  Each entry is charged at

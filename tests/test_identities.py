@@ -1,12 +1,15 @@
 """Identity verifier: positive sweeps, cross-checks, and fault injection."""
 
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stirnum import identities as identities_module
 from stirnum.errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 from stirnum.identities import (
     ALL_IDENTITY_IDS,
@@ -25,12 +28,19 @@ from stirnum.identities import (
     verify_plus_identity,
     verify_target,
 )
-from stirnum.identities import _NAMED_CHECKS, _SPECS, _Ladder, _weights
+from stirnum.identities import (
+    _LADDER_STORE_BITS,
+    _NAMED_CHECKS,
+    _SPECS,
+    _Ladder,
+    _Ladders,
+    _weights,
+)
 from stirnum.series import _EGF_MIN_LENGTH, LaurentSeries, linear_combination, recip_exp_linear
 from stirnum.stirling import b_coeff, lambda_coeff, stirling1, stirling2
 
 
-def independent_sweep(targets, k_max, order, alphas, lambdas):
+def standalone_checks(targets, k_max, order, alphas, lambdas):
     """run_sweep's reports in its order, each from a standalone check."""
     reports = []
     for target in targets:
@@ -47,6 +57,26 @@ def independent_sweep(targets, k_max, order, alphas, lambdas):
             else:
                 raise DomainError(f"unknown identity tag {target!r}")
     return reports
+
+
+def cold_ladders():
+    """A store of ladders that keeps nothing, so that every check builds
+    the ladders it reads."""
+    return _Ladders(0)
+
+
+@pytest.fixture
+def empty_ladder_store(monkeypatch):
+    """Checks on an empty store that stays empty: each builds its ladders,
+    whatever earlier tests stored."""
+    monkeypatch.setattr(identities_module, "_LADDERS", cold_ladders())
+
+
+def independent_sweep(targets, k_max, order, alphas, lambdas):
+    """standalone_checks on a cold store, so that no check reads a ladder
+    that run_sweep or an earlier check built."""
+    with mock.patch.object(identities_module, "_LADDERS", cold_ladders()):
+        return standalone_checks(targets, k_max, order, alphas, lambdas)
 
 
 def sweep_outcome(sweep, *args):
@@ -105,7 +135,7 @@ class TestCoreIdentities:
             f = recip_exp_linear(1, 1, -1, order)
             g = recip_exp_linear(-1, -1, 1, order)
             lhs = f**k
-            ladder = _Ladder(g).derivatives(k)
+            ladder = _Ladder(g, order).derivatives(k)
             rhs_printed = linear_combination(ladder, weights) + LaurentSeries.one(
                 order - 1
             )
@@ -342,7 +372,7 @@ class TestSweeps:
     @given(
         targets=st.lists(st.sampled_from(ALL_IDENTITY_IDS + ("I9",)), min_size=1, max_size=3),
         k_max=st.integers(1, 7),
-        order=st.one_of(st.none(), st.integers(4, 30)),
+        order=st.one_of(st.none(), st.integers(1, 30)),
         alphas=st.lists(
             st.sampled_from([0, -2, Fraction(-3, 2), Fraction(1, 2), 1, 3]),
             min_size=1,
@@ -357,9 +387,10 @@ class TestSweeps:
         ),
     )
     def test_sweep_matches_independent_checks(self, targets, k_max, order, alphas, lambdas):
-        # the sweep builds each ladder once and truncates it per k; every
-        # report, and the first error with its message, must be what one
-        # standalone check per report gives
+        # the sweep builds each ladder once, or reads it from the store,
+        # and truncates it per k; every report, and the first error with
+        # its message, must be what one standalone check per report gives
+        # on a cold store
         args = (targets, k_max, order, alphas, lambdas)
         assert sweep_outcome(run_sweep, *args) == sweep_outcome(independent_sweep, *args)
 
@@ -370,3 +401,148 @@ class TestPrecisionGuard:
             verify_core_identity("I1", 4, order=9)
         with pytest.raises(PrecisionExhaustedError):
             verify_general_power(3, 1, 1, order=8)
+
+
+# The fixed bases as store keys, (alpha, lam, c) of 1/(lam e**(alpha t) + c).
+F_KEY, G_KEY, H_KEY = (1, 1, -1), (-1, -1, 1), (1, 1, 1)
+
+
+class TestLadderStore:
+    """Checks keep the ladders they read in the process-wide store
+    ``_LADDERS`` and read every lower order off them; whatever the store
+    holds, each outcome is what a cold store gives."""
+
+    ALPHAS = [Fraction(-3, 2), 2]
+    LAMBDAS = [Fraction(2, 3), 1]
+
+    @pytest.fixture
+    def store(self, monkeypatch):
+        store = _Ladders(_LADDER_STORE_BITS)
+        monkeypatch.setattr(identities_module, "_LADDERS", store)
+        return store
+
+    @pytest.mark.parametrize("tag", ALL_IDENTITY_IDS)
+    def test_every_order_after_an_order_106_build_reads_a_cold_outcome(self, store, tag):
+        assert all(report.passed for report in run_sweep([tag], 4, 106, self.ALPHAS, self.LAMBDAS))
+        built = {key: entry[1] for key, entry in store._entries.items()}
+        assert set(built.values()) == {106}
+        for order in [*range(1, 41), None]:
+            args = ([tag], 4, order, self.ALPHAS, self.LAMBDAS)
+            expected = sweep_outcome(independent_sweep, *args)
+            assert sweep_outcome(standalone_checks, *args) == expected, order
+            assert sweep_outcome(run_sweep, *args) == expected, order
+        # every order read the order-106 ladders; orders 1 and 2 left them as they were
+        assert {key: entry[1] for key, entry in store._entries.items()} == built
+
+    @pytest.mark.parametrize("order, error", [(1, ZeroSeriesError), (2, PrecisionExhaustedError)])
+    def test_orders_1_and_2_never_touch_the_store(self, store, order, error):
+        run_sweep(["I1"], 12)
+        kept = dict(store._entries), store.bits
+        with pytest.raises(error) as raised:
+            run_sweep(["I1"], 2, order)
+        assert sweep_outcome(independent_sweep, ["I1"], 2, order, [1], [1]) == (error, str(raised.value))
+        assert (store._entries, store.bits) == kept
+
+    @pytest.mark.parametrize("tag", ["I7", "I8"])
+    def test_the_constant_of_a_zero_sum_is_known_to_the_check_order(self, store, tag):
+        # With every weight 0 the weighted sum is the exact zero, so only
+        # the base bounds the constant: the base as a build at the check's
+        # order has it, not as the order-106 ladder holds it.
+        run_sweep([tag], 4, 106)
+        for order in (3, 4, 12, 40):
+            args = (tag, 3, order, [0, 0, 0])
+            with mock.patch.object(identities_module, "_LADDERS", cold_ladders()):
+                expected = sweep_outcome(verify_core_identity, *args)
+            assert sweep_outcome(verify_core_identity, *args) == expected, order
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(ALL_IDENTITY_IDS), min_size=1, max_size=3),
+                st.integers(1, 6),
+                st.one_of(st.none(), st.integers(1, 30)),
+                st.lists(st.sampled_from([0, Fraction(-3, 2), 1, 2]), min_size=1, max_size=2, unique=True),
+                st.lists(st.sampled_from([0, Fraction(-5, 3), Fraction(2, 3), 1]), min_size=1, max_size=2, unique=True),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([0, 1 << 17, _LADDER_STORE_BITS]),
+    )
+    def test_any_sequence_of_requests_reads_cold_outcomes(self, requests, budget):
+        store = _Ladders(budget)
+        charge = store.charge
+
+        def checked_charge(*args):
+            charge(*args)
+            assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
+
+        store.charge = checked_charge
+        for args in requests:
+            with mock.patch.object(identities_module, "_LADDERS", store):
+                read = sweep_outcome(run_sweep, *args)
+            assert read == sweep_outcome(independent_sweep, *args)
+            assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
+            assert all(ladder.bits == bits for ladder, _, bits in store._entries.values())
+
+    @staticmethod
+    def charges(checks):
+        """The charge each check's one ladder has after it runs alone."""
+        sizes = []
+        for tag in checks:
+            check = verify_core_identity if tag in CORE_IDENTITY_IDS else verify_plus_identity
+            store = _Ladders(_LADDER_STORE_BITS)
+            with mock.patch.object(identities_module, "_LADDERS", store):
+                check(tag, 3)
+            [(_, _, bits)] = store._entries.values()
+            sizes.append(bits)
+        return sizes
+
+    def test_the_least_recently_used_ladder_leaves_first(self):
+        # I1 reads only f, I2 only g and P1 only h.
+        sizes = self.charges(["I1", "I2", "P1"])
+        store = _Ladders(sum(sizes) - 1)
+        with mock.patch.object(identities_module, "_LADDERS", store):
+            verify_core_identity("I1", 3)
+            verify_core_identity("I2", 3)
+            verify_core_identity("I1", 2)  # a read makes it the most recent
+            verify_plus_identity("P1", 3)
+        assert list(store._entries) == [F_KEY, H_KEY]
+        assert store.bits == sizes[0] + sizes[2] <= store.budget
+
+    def test_a_ladder_that_grows_over_the_budget_is_not_kept(self):
+        [kept] = self.charges(["I1"])
+        store = _Ladders(kept)
+        with mock.patch.object(identities_module, "_LADDERS", store):
+            verify_core_identity("I1", 3)
+            assert list(store._entries) == [F_KEY] and store.bits == kept
+            report = verify_core_identity("I1", 6, default_order(3))
+        assert store._entries == {} and store.bits == 0
+        assert report == independent_sweep(["I1"], 6, default_order(3), [1], [1])[-1]
+
+    def test_a_longer_request_replaces_the_ladder(self, store):
+        verify_general_derivative(2, Fraction(-3, 2), Fraction(2, 3))
+        key = (Fraction(-3, 2), Fraction(2, 3), -1)
+        assert store._entries[key][1] == default_order(2)
+        verify_general_derivative(5, Fraction(-3, 2), Fraction(2, 3))
+        ladder, top, bits = store._entries[key]
+        assert list(store._entries) == [key]
+        assert top == ladder.top == default_order(5) and store.bits == bits == ladder.bits
+
+    @pytest.mark.usefixtures("empty_ladder_store")
+    @pytest.mark.parametrize(
+        "targets, keys",
+        [(["I1", "I8"], [F_KEY, G_KEY]), (["G1", "G2"], list(itertools.product(ALPHAS, LAMBDAS, [-1])))],
+    )
+    def test_a_sweep_past_the_budget_builds_each_ladder_once(self, monkeypatch, targets, keys):
+        # The sweep holds what it reads, so a store that keeps nothing
+        # still gives every check the ladder built at the widest order.
+        built = []
+        real = identities_module.recip_exp_linear
+        monkeypatch.setattr(
+            identities_module, "recip_exp_linear", lambda *args: built.append(args) or real(*args)
+        )
+        reports = run_sweep(targets, 6, alphas=self.ALPHAS, lambdas=self.LAMBDAS)
+        assert all(report.passed for report in reports)
+        assert sorted(built) == sorted((*key, default_order(6)) for key in keys)

@@ -1,13 +1,18 @@
 """Number/polynomial families: closed forms against series oracles."""
 
+import itertools
 import math
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirnum import sequences
+from stirnum import series as series_module
 from stirnum.errors import DomainError, PoleError, PrecisionExhaustedError
 from stirnum.sequences import (
     FAMILIES,
@@ -736,3 +741,69 @@ class TestSequenceValueDispatch:
                     params = self.accepted(n for n in names if n != name)
                     with pytest.raises(DomainError, match=f"^{family} needs the {name} parameter$"):
                         sequence_value(family, 2, route, **params)
+
+
+def route_calls(route, n, params):
+    """The code objects of the stirnum functions that route(n, params) runs,
+    a polynomial's evaluation at x included.  The route runs on an empty
+    store of bases and an empty ``_geometric_stirling_sum`` cache, so that
+    no function hides behind a hit."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("stirnum"):
+            codes.add(frame.f_code)
+
+    cold_sum = lru_cache(maxsize=None)(sequences._geometric_stirling_sum.__wrapped__)
+    with mock.patch.object(series_module, "_BASES", series_module._BaseStore(0)), mock.patch.object(
+        sequences, "_geometric_stirling_sum", cold_sum
+    ):
+        before = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            value = route(n, params)
+            if isinstance(value, Polynomial):
+                value.evaluate(params["x"])
+        except PoleError:
+            pass  # apostol_bernoulli's formula does not cover lambda = 1
+        finally:
+            sys.setprofile(before)
+    return codes
+
+
+def code_name(code):
+    return f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}:{code.co_firstlineno}"
+
+
+class TestRouteIndependence:
+    """The formula and oracle routes of a family share no function that
+    computes a value: the two sets of functions they run meet only in
+    ``series._normalized``, which puts a numerator list over its gcd, the
+    domain check ``_check_two_param`` and the dispatch lambdas of
+    ``_FAMILY_TABLE``."""
+
+    # Below and above the order split, where the oracles change kernels.
+    INDICES = (12, 110)
+    POINTS = {"alpha": (1, Fraction(-3, 2)), "lambda": (1, Fraction(2, 3)), "x": (Fraction(1, 3),)}
+
+    def allowed(self):
+        codes = {series_module._normalized.__code__, sequences._check_two_param.__code__}
+        for _, formula, oracle in sequences._FAMILY_TABLE.values():
+            codes |= {formula.__code__, oracle.__code__}
+        return codes
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_the_routes_meet_only_in_the_allowed_helpers(self, family):
+        names, formula, oracle = sequences._FAMILY_TABLE[family]
+        shared = set()
+        for n in self.INDICES:
+            for point in itertools.product(*(self.POINTS[name] for name in names)):
+                params = {name: Fraction(value) for name, value in zip(names, point)}
+                both = route_calls(formula, n, params) & route_calls(oracle, n, params)
+                assert both <= self.allowed(), sorted(map(code_name, both - self.allowed()))
+                shared |= both
+        # The audit sees the helpers it allows: every Euler family shares _normalized.
+        if family.startswith(("euler", "two_param")):
+            assert series_module._normalized.__code__ in shared
+        if family == "two_param_euler":
+            assert sequences._check_two_param.__code__ in shared
