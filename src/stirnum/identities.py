@@ -40,8 +40,10 @@ converts its parameters and calls it.
 The verifier reads both sides off the ladders of their bases: the powers
 and the derivatives of one base series.  The ladders live in one
 process-wide store, ``_LADDERS``, keyed on (alpha, lam, c), each at the
-longest source order asked for so far; a check at a lower order truncates
-what it combines from them, which is what a build at its own order gives.
+longest source order asked for so far.  A check at a lower order reads
+them below its own cut only, which is what a build at its own order gives:
+it combines the weighted sum below the cut and compares a stored
+derivative in place up to it.
 So a process that checks many targets builds each ladder once, not once
 per call.  ``_LADDER_STORE_BITS`` bounds the store at 4 MiB of charged
 bits, about 4.5 MB at worst; the least recently used ladders leave first,
@@ -74,7 +76,7 @@ from .sequences import (
     determinant_relation_checks,
     two_param_reduction_sweep,
 )
-from .series import LaurentSeries, _stored_bits, _Store, linear_combination, recip_exp_linear
+from .series import LaurentSeries, _cut, _stored_bits, _Store, linear_combination, recip_exp_linear
 from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1
 
 __all__ = [
@@ -202,8 +204,11 @@ class _Ladders(_Store):
     coefficients: every stored coefficient is exact, and once the valuation
     is visible each step's precision moves one-for-one with the source
     order (every base has a nonzero leading coefficient).  A linear
-    combination of entries moves the same way, so each side is truncated
-    once, after it is combined, by its own ladder's ``top - order``.
+    combination of entries moves the same way, so each side leaves out its
+    own ladder's last ``top - order`` coefficients and builds nothing past
+    them: the weighted sum is combined below that cut only, a derivative is
+    compared in place below it, and a power is taken of the base truncated
+    there.
     Orders 1 and 2, where the valuation can be out of the window, get a
     ladder that is not stored, so they raise what a fresh build raises.
 
@@ -332,9 +337,12 @@ def _compare(
     order: int,
     lhs: LaurentSeries,
     rhs: LaurentSeries,
+    hi: int,
 ) -> VerificationReport:
+    """Compare the two sides on [least offset, hi); ``hi`` is at most
+    either side's precision, and below it a side holds the exact values of
+    a build at ``order``."""
     lo = min(lhs.offset, rhs.offset)
-    hi = min(lhs.precision, rhs.precision)
     overlap = hi - max(lhs.offset, rhs.offset)
     if hi <= lo or overlap < DEFAULT_MIN_WINDOW:
         raise PrecisionExhaustedError(
@@ -384,27 +392,33 @@ def _verify(
         weights = core_identity_coefficients(identity_id, k)
     else:
         weights = _weights(identity_id, k, alpha)
-    # Each side drops the last top - order coefficients of its own ladder
-    # once (see _Ladders).  The power is taken of the truncated base: that
-    # costs fewer products of coefficients than truncating the power.
+    # Each side leaves out the last top - order coefficients of its own
+    # ladder (see _Ladders).  The weighted sum is combined below that cut
+    # only, and a stored derivative is compared in place below it.  The
+    # power is taken of the truncated base: that costs fewer products of
+    # coefficients than truncating the power.
     lhs_trim = lhs_ladder.top - order
     rhs_trim = rhs_ladder.top - order
     if kind == "derivative":
         lhs = lhs_ladder.derivatives(k + 1)[k]
-        lhs = lhs.truncated(lhs.precision - lhs_trim)
-        rhs = linear_combination(rhs_ladder.powers(k + 1), weights)
+        lhs_hi = _cut(lhs.offset, lhs.precision, lhs.precision - lhs_trim)
+        rhs = linear_combination(rhs_ladder.powers(k + 1), weights, trim=rhs_trim)
     else:
         base = lhs_ladder.base
         lhs = base.truncated(base.precision - lhs_trim) ** k
-        rhs = linear_combination(rhs_ladder.derivatives(k), weights)
-    rhs = rhs.truncated(rhs.precision - rhs_trim)
+        lhs_hi = lhs.precision
+        rhs = linear_combination(rhs_ladder.derivatives(k), weights, trim=rhs_trim)
+    rhs_hi = rhs.precision
     if constant is not None:
         # A nonzero weighted sum is known no further than its base; the
         # exact zero is known to every order, so the base's precision at
-        # this order bounds the constant and the sum stays finite.
-        precision = min(rhs.precision, rhs_ladder.base.precision - rhs_trim)
-        rhs = rhs + LaurentSeries.constant(constant(k), precision)
-    return _compare(identity_id, k, alpha, lam, order, lhs, rhs)
+        # this order bounds the constant and the sum stays finite.  Below
+        # precision 1 the constant lies past the window, so the window
+        # holds the sum alone and the comparison judges its width.
+        rhs_hi = min(rhs_hi, rhs_ladder.base.precision - rhs_trim)
+        if rhs_hi >= 1:
+            rhs = rhs + LaurentSeries.constant(constant(k), rhs_hi)
+    return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min(lhs_hi, rhs_hi))
 
 
 def verify_core_identity(

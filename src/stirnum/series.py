@@ -218,12 +218,8 @@ class LaurentSeries:
         """
         if self.is_zero or precision == self.precision:
             return self
-        if not self.offset < precision < self.precision:
-            raise PrecisionExhaustedError(
-                f"cannot truncate window [{self.offset},{self.precision}) "
-                f"to O(t^{precision})"
-            )
-        return _canonical(self.offset, self.nums[: precision - self.offset], self.den)
+        end = _cut(self.offset, self.precision, precision)
+        return _canonical(self.offset, self.nums[: end - self.offset], self.den)
 
     def first_difference(self, other: "LaurentSeries", lo: int, hi: int) -> Optional[int]:
         """The least exponent in [lo, hi) where the two coefficients differ,
@@ -380,6 +376,16 @@ def _new(offset: int, nums: Tuple[int, ...], den: int) -> LaurentSeries:
     series = object.__new__(LaurentSeries)
     _init(series, offset, nums, den)
     return series
+
+
+def _cut(offset: int, end: int, precision: int) -> int:
+    """``precision``, where truncating the window [offset, end) to
+    O(t**precision) leaves a nonempty window, as ``truncated`` needs."""
+    if not offset < precision <= end:
+        raise PrecisionExhaustedError(
+            f"cannot truncate window [{offset},{end}) to O(t^{precision})"
+        )
+    return precision
 
 
 def _canonical(offset: int, nums: list, den: int) -> LaurentSeries:
@@ -564,28 +570,32 @@ def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
 
 
 def linear_combination(
-    terms: Sequence[LaurentSeries], weights: Sequence[Scalar]
+    terms: Sequence[LaurentSeries], weights: Sequence[Scalar], *, trim: int = 0
 ) -> LaurentSeries:
-    """sum(w * s for s, w in zip(terms, weights)) with the add rules.
+    """sum(w * s for s, w in zip(terms, weights)) with the add rules, less
+    the last ``trim`` coefficients of its window.
 
     ``terms`` and ``weights`` have the same length.  A zero weight or the
     exact zero term drops out, as ``scale(0)`` gives the exact zero;
-    nothing left gives ZERO.  The window runs from the least offset to the
-    least precision of the terms that stay.  Each term's numerators are
-    put over one common denominator, summed as integers and normalized
-    once.
+    nothing left gives ZERO, whatever ``trim``.  The window runs from the
+    least offset to the least precision of the terms that stay, less
+    ``trim``; the result is the untrimmed sum's ``truncated(precision -
+    trim)``, error included.  Each term's numerators below that cut are put
+    over one common denominator, summed as integers and normalized once.
     """
     if len(terms) != len(weights):
         raise DomainError(f"{len(terms)} terms but {len(weights)} weights")
     kept = []
     for term, weight in zip(terms, weights):
-        weight = Fraction(weight)
+        if not isinstance(weight, (int, Fraction)):
+            weight = Fraction(weight)
         if weight and not term.is_zero:
             kept.append((term, weight))
     if not kept:
         return ZERO
     offset = min(term.offset for term, _ in kept)
     precision = min(term.precision for term, _ in kept)
+    precision = _cut(offset, precision, precision - trim)
     den = math.lcm(*[weight.denominator * term.den for term, weight in kept])
     out = [0] * (precision - offset)
     for term, weight in kept:

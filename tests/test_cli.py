@@ -668,6 +668,12 @@ class TestErrorsAndUsage:
         assert code == 1
         assert out.startswith("error[precision]")
 
+    @pytest.mark.parametrize("tag", ["I7", "I8"])
+    def test_a_constant_past_the_window_gives_the_window_error(self, capsys, tag):
+        code, out, _ = run(capsys, "verify", tag, "--k-max", "1", "--order", "3")
+        assert code == 1
+        assert out == f"error[precision]: {tag} k=1: window [-1,0) holds 1 shared coefficients, need 8; raise the order\n"
+
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
     @pytest.mark.parametrize(
         "argv, message",

@@ -455,6 +455,55 @@ class TestLadderStore:
                 expected = sweep_outcome(verify_core_identity, *args)
             assert sweep_outcome(verify_core_identity, *args) == expected, order
 
+    @pytest.mark.parametrize("tag", ["I7", "I8"])
+    def test_the_constant_past_the_window_leaves_the_window_error(self, store, tag):
+        # Below order 10 no k = 1 window holds 8 coefficients.  At order 3
+        # the constant has precision 0, past the window, and the check
+        # raises I5's or I6's window error under its own tag.
+        paired = {"I7": "I5", "I8": "I6"}[tag]
+        expected = [sweep_outcome(independent_sweep, [tag], 1, order, [1], [1]) for order in range(1, 10)]
+        assert [error for error, _ in expected] == [ZeroSeriesError] + [PrecisionExhaustedError] * 8
+        for order, (_, message) in enumerate(expected[2:], 3):
+            assert message == sweep_outcome(independent_sweep, [paired], 1, order, [1], [1])[1].replace(paired, tag)
+        for warm in (None, 106):
+            if warm is not None:
+                run_sweep(["I5", "I6", tag], 4, warm)
+            assert [sweep_outcome(run_sweep, [tag], 1, order) for order in range(1, 10)] == expected
+
+    @pytest.mark.parametrize("tag", ["I7", "I8"])
+    def test_a_window_below_the_constant_compares_the_sum(self, store, tag):
+        # At k = 20 and order 22 both sides are known below t**0 only:
+        # the window holds the weighted sum, 20 coefficients of it.
+        report = verify_core_identity(tag, 20, 22)
+        assert report.passed and report.window == (-20, 0)
+        weights = core_identity_coefficients(tag, 20)
+        corrupted = [*weights[:-1], weights[-1] + 1]
+        assert verify_core_identity(tag, 20, 22, corrupted).first_discrepancy[0] == -20
+
+    @pytest.mark.parametrize("warm", [["I1"], ["I2"], ["I1", "I2", "P1"]])
+    @pytest.mark.parametrize("tag", ["I1", "I2", "I3", "I4", "P1"])
+    def test_a_corrupted_weight_reads_the_cold_discrepancy(self, store, warm, tag):
+        # Ladders at order 106 of some bases and none of others give each
+        # side its own cut: a warm check reports the window, exponent and
+        # both coefficients of a cold one.
+        run_sweep(warm, 1, 106)
+        warmed = set(store._entries)
+        check = verify_core_identity if tag in CORE_IDENTITY_IDS else verify_plus_identity
+        for order in (10, 20, 34):
+            for k in range(1, 9):
+                weights = _weights(tag, k, None)
+                # one of the last 8 weights: its power starts inside even
+                # the narrowest window, so the corruption shows
+                m = len(weights) - 1 - (k + order) % min(len(weights), 8)
+                corrupted = [*weights[:m], weights[m] + 1, *weights[m + 1 :]]
+                args = (tag, k, order, corrupted)
+                with mock.patch.object(identities_module, "_LADDERS", cold_ladders()):
+                    expected = sweep_outcome(check, *args)
+                assert sweep_outcome(check, *args) == expected, (order, k)
+                assert isinstance(expected, tuple) or not expected.passed
+        # the warm ladders were read, not built again at a check's order
+        assert {store._entries[key][1] for key in warmed} == {106}
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(

@@ -154,6 +154,15 @@ def outcome(op, *args):
         return type(exc)
 
 
+def result_or_error(op, *args):
+    """The series op returns, or the type and message of the window error
+    it raises."""
+    try:
+        return op(*args)
+    except (PrecisionExhaustedError, ZeroSeriesError) as exc:
+        return type(exc), str(exc)
+
+
 def assert_canonical(s):
     """Integer numerators over one denominator, den > 0 and
     gcd(den, *nums) == 1; the exact zero stores nothing over 1."""
@@ -508,6 +517,42 @@ class TestIntegerKernel:
         if len(terms) != len(weights):
             with pytest.raises(DomainError):
                 linear_combination(terms, weights)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(kernel_series(), st.just(ZERO)),
+                st.one_of(st.just(0), st.integers(-3, 3), kernel_fractions, st.sampled_from([0.0, 0.5, -2.0])),
+            ),
+            max_size=6,
+        ),
+        st.integers(0, 24),
+    )
+    def test_trim_gives_the_truncated_combination(self, pairs, trim):
+        # Offsets run from -6 to 6 and windows up to 17 long, so trim runs
+        # from none of the window to past all of it.
+        terms = [term for term, _ in pairs]
+        weights = [weight for _, weight in pairs]
+        full = linear_combination(terms, weights)
+        want = result_or_error(full.truncated, full.precision - trim)
+        got = result_or_error(lambda: linear_combination(terms, weights, trim=trim))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_series(got, want)
+
+    @pytest.mark.parametrize("trim", [0, 1, 4, 5, 9])
+    def test_trim_keeps_a_nonempty_window(self, trim):
+        # The sum's window is [-1, 4): trimming 5 or more leaves none.
+        terms, weights = [LaurentSeries.from_coeffs(-1, [1, 2, 3, 4, 5]), exp_linear(2, 6)], [Fraction(1, 2), 3]
+        if trim < 5:
+            want = linear_combination(terms, weights).truncated(4 - trim)
+            assert_same_series(linear_combination(terms, weights, trim=trim), want)
+        else:
+            message = rf"cannot truncate window \[-1,4\) to O\(t\^{4 - trim}\)"
+            with pytest.raises(PrecisionExhaustedError, match=message):
+                linear_combination(terms, weights, trim=trim)
 
     def test_linear_combination_needs_one_weight_per_term(self):
         a, b = exp_linear(1, 5), LaurentSeries.one(5)
