@@ -38,19 +38,16 @@ sides from a row; each public ``verify_*`` function checks its tag or
 converts its parameters and calls it.
 
 The verifier reads both sides off the ladders of their bases: the powers
-and the derivatives of one base series.  The ladders live in one
-process-wide store, ``_LADDERS``, keyed on (alpha, lam, c), each at the
-longest source order asked for so far.  A check at a lower order reads
-them below its own cut only, which is what a build at its own order gives:
-it combines the weighted sum below the cut and compares a stored
-derivative in place up to it.
-So a process that checks many targets builds each ladder once, not once
-per call.  ``_LADDER_STORE_BITS`` bounds the store at 4 MiB of charged
-bits, about 4.5 MB at worst; the least recently used ladders leave first,
-and a ladder is charged again as it grows.  ``run_sweep`` holds every
-ladder it reads until it returns, so a sweep past the bound still builds
-each ladder once.  Orders 1 and 2 never touch the store, and the store is
-not locked: verify from one thread at a time.
+and the derivatives of one base series, kept in the one bounded store of
+bases, ``series._LADDERS`` (4 MiB of charged bits, about 4.5 MB at
+worst), which the oracles of ``sequences`` share.  A check at a lower
+order than a stored ladder's reads it below its own cut only, which is
+what a build at its own order gives: it combines the weighted sum below
+the cut and compares a stored derivative in place up to it.  So a process
+that checks many targets builds each ladder about once, not once per
+call.  ``run_sweep`` holds every ladder it reads until it returns, so a
+sweep past the bound still builds each ladder once.  Orders 1 and 2
+never touch the store.
 
 ``verify_target`` is the plan of the ``verify`` command: the sweep of
 one tag or all twelve, then the named checks of ``sequences``.  Tags give
@@ -64,19 +61,19 @@ target reads, is built from it and the spec table.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from . import series
 from .errors import DomainError, PrecisionExhaustedError
 from .sequences import (
     alternating_sum_checks,
     determinant_relation_checks,
     two_param_reduction_sweep,
 )
-from .series import LaurentSeries, _cut, _stored_bits, _Store, linear_combination, recip_exp_linear
+from .series import LaurentSeries, _cut, linear_combination
 from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1
 
 __all__ = [
@@ -153,97 +150,6 @@ class CheckRow:
     check: str
     fields: Dict[str, object]
     passed: bool
-
-
-# -- ladders -----------------------------------------------------------------
-
-
-class _Ladder:
-    """Powers base**1, base**2, ... and derivatives base, base', ... of one
-    base series built at source order ``top``; each entry is computed once,
-    when first asked for.  ``bits`` is the ``_stored_bits`` of its distinct
-    entries; a ladder built by a store is charged there for each entry it
-    adds."""
-
-    def __init__(self, base: LaurentSeries, top: int, store: Optional[_Store] = None, key=None):
-        self.base = base
-        self.top = top
-        self.bits = _stored_bits(base)
-        self._store = store
-        self._key = key
-        self._powers = [base]
-        self._derivatives = [base]
-
-    def _add(self, entries: List[LaurentSeries], entry: LaurentSeries) -> None:
-        entries.append(entry)
-        bits = _stored_bits(entry)
-        self.bits += bits
-        if self._store is not None:
-            self._store.charge(self._key, self, bits)
-
-    def powers(self, count: int) -> List[LaurentSeries]:
-        """[base**1, ..., base**count]"""
-        while len(self._powers) < count:
-            self._add(self._powers, self._powers[-1] * self.base)
-        return self._powers[:count]
-
-    def derivatives(self, count: int) -> List[LaurentSeries]:
-        """[base, base', ..., base^(count-1)]"""
-        while len(self._derivatives) < count:
-            self._add(self._derivatives, self._derivatives[-1].derivative())
-        return self._derivatives[:count]
-
-
-class _Ladders(_Store):
-    """The ladder of every base 1/(lam e**(alpha t) + c) that checks read,
-    one per key (alpha, lam, c), at the longest top source order asked for
-    so far.  A longer request builds again and replaces the entry.
-
-    A check at a lower source ``order`` gets what a build at that order
-    gives from the stored entries less their last ``top - order``
-    coefficients: every stored coefficient is exact, and once the valuation
-    is visible each step's precision moves one-for-one with the source
-    order (every base has a nonzero leading coefficient).  A linear
-    combination of entries moves the same way, so each side leaves out its
-    own ladder's last ``top - order`` coefficients and builds nothing past
-    them: the weighted sum is combined below that cut only, a derivative is
-    compared in place below it, and a power is taken of the base truncated
-    there.
-    Orders 1 and 2, where the valuation can be out of the window, get a
-    ladder that is not stored, so they raise what a fresh build raises.
-
-    The budget bounds the ladders the store keeps alive.  A ladder it has
-    dropped but a caller still holds, as ``run_sweep`` holds each ladder it
-    reads until it returns, is found again by key and kept again if it
-    fits, so no sweep builds a ladder twice however far it passes the
-    budget.
-    """
-
-    def __init__(self, budget: int):
-        super().__init__(budget)
-        self._live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-    def ladder(self, key: tuple, order: int) -> _Ladder:
-        """The ladder of the base ``key`` built at ``order`` or longer."""
-        if order < 3:
-            return _Ladder(recip_exp_linear(*key, order), order)
-        ladder = self.read(key, order)
-        if ladder is None:
-            ladder = self._live.get(key)
-            if ladder is None or ladder.top < order:
-                ladder = _Ladder(recip_exp_linear(*key, order), order, self, key)
-                self._live[key] = ladder
-            self.keep(key, ladder, ladder.top, ladder.bits)
-        return ladder
-
-
-# The budget of _LADDERS in charged bits, 4 MiB.  Every ladder series is
-# charged at least 8,192 bits, so the store holds at most 4,096 series.  A
-# CPython int of b bits takes at most 32 + 4b/30 bytes, so the entries take
-# at most 16/15 of their charge, about 4.5 MB, keys of literals over 8,192
-# bits apart.
-_LADDER_STORE_BITS = 1 << 25
-_LADDERS = _Ladders(_LADDER_STORE_BITS)
 
 
 # -- the spec table -----------------------------------------------------------
@@ -384,8 +290,8 @@ def _verify(
     if order is None:
         order = default_order(k)
     lhs_base, kind, _, rhs_base, constant = _SPECS[identity_id]
-    lhs_ladder = _LADDERS.ladder(lhs_base or (alpha, lam, -1), order)
-    rhs_ladder = _LADDERS.ladder(rhs_base or (alpha, lam, -1), order)
+    lhs_ladder = series._LADDERS.ladder(lhs_base or (alpha, lam, -1), order)
+    rhs_ladder = series._LADDERS.ladder(rhs_base or (alpha, lam, -1), order)
     if coeff_override is not None:
         weights = [Fraction(w) for w in coeff_override]
     elif identity_id in CORE_IDENTITY_IDS:
@@ -393,10 +299,11 @@ def _verify(
     else:
         weights = _weights(identity_id, k, alpha)
     # Each side leaves out the last top - order coefficients of its own
-    # ladder (see _Ladders).  The weighted sum is combined below that cut
-    # only, and a stored derivative is compared in place below it.  The
-    # power is taken of the truncated base: that costs fewer products of
-    # coefficients than truncating the power.
+    # ladder (see series._Ladders); a linear combination of entries moves
+    # one-for-one with the order too.  The weighted sum is combined below
+    # that cut only, and a stored derivative is compared in place below it.
+    # The power is taken of the truncated base: that costs fewer products
+    # of coefficients than truncating the power.
     lhs_trim = lhs_ladder.top - order
     rhs_trim = rhs_ladder.top - order
     if kind == "derivative":
@@ -481,14 +388,14 @@ def run_sweep(
     """Verify the given identity tags for k = 1..k_max.
 
     General identities run over the cartesian grid of alphas x lambdas
-    (defaults DEFAULT_ALPHAS / DEFAULT_LAMBDAS).  Report order is
-    deterministic: targets as given, k ascending, then (alpha, lambda)
-    ascending.
+    (DEFAULT_ALPHAS / DEFAULT_LAMBDAS for None; an empty grid has no
+    points).  Report order is deterministic: targets as given, k
+    ascending, then (alpha, lambda) ascending.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    alpha_grid = sorted(Fraction(a) for a in (alphas or DEFAULT_ALPHAS))
-    lambda_grid = sorted(Fraction(v) for v in (lambdas or DEFAULT_LAMBDAS))
+    alpha_grid = sorted(Fraction(a) for a in (DEFAULT_ALPHAS if alphas is None else alphas))
+    lambda_grid = sorted(Fraction(v) for v in (DEFAULT_LAMBDAS if lambdas is None else lambdas))
     # Each ladder is built at the order of the widest check, which the
     # narrower ones read, and held until the sweep returns.  A point with
     # alpha or lambda 0 reads none, and orders below 3 read none stored.
@@ -499,7 +406,7 @@ def run_sweep(
         for lhs_base, _, _, rhs_base, _ in filter(None, map(_SPECS.get, targets))
         for key in ({lhs_base, rhs_base} if lhs_base else grid)
     ]
-    held = [_LADDERS.ladder(key, top) for key in keys] if top >= 3 else []
+    held = [series._LADDERS.ladder(key, top) for key in keys] if top >= 3 else []
     reports: List[VerificationReport] = []
     for target in targets:
         if target in GENERAL_IDENTITY_IDS:

@@ -31,9 +31,11 @@ is [0, order - 1)).  The two-parameter oracle reads coefficient n of its
 product, from order ``series._EGF_MIN_LENGTH`` on, as one dot product of
 the two factors' numerators rather than multiplying the product out.
 Every oracle takes its reciprocal base from ``series.recip_exp_linear``.
-Below order ``series._EGF_MIN_LENGTH`` it builds the base of each (lam, 1)
-or (lam, -1) once per process at the longest order asked for and gives
-every shorter order by truncating it, so a run of oracles over small n
+Below order ``series._EGF_MIN_LENGTH`` it reads the base of each (lam, 1)
+or (lam, -1) from the one bounded store of bases, ``series._LADDERS``
+(4 MiB of charged bits, about 4.5 MB at worst), which the identity checks
+share: the base is built once per process at the longest order asked for
+and every shorter order truncates it, so a run of oracles over small n
 builds each base about once, not once per n.  From that order on each
 oracle writes its base down afresh by Pascal's rule, so its cost does not
 depend on the calls before it.  The value read is the same either way:
@@ -441,8 +443,8 @@ def two_param_reduction_sweep(
 ) -> List[Tuple[int, Fraction, Fraction, bool]]:
     """(n, alpha, lam, passed) of ``verify_two_param_reductions`` for
     n = 0..k_max over the grid of alphas x lambdas (defaults
-    REDUCTION_ALPHAS / REDUCTION_LAMBDAS), n ascending, then (alpha, lam)
-    ascending.
+    REDUCTION_ALPHAS / REDUCTION_LAMBDAS for None; an empty grid has no
+    points), n ascending, then (alpha, lam) ascending.
 
     Each n builds E_n(x) once and each E_n(x; alpha, lam) it reads once,
     whether as a grid point, a rescale's unit side or a pointwise pivot.
@@ -450,11 +452,13 @@ def two_param_reduction_sweep(
     point raises the error the first call of
     ``verify_two_param_reductions`` on it would.
     """
-    alpha_grid = sorted(Fraction(a) for a in (alphas or REDUCTION_ALPHAS))
-    lambda_grid = sorted(Fraction(v) for v in (lambdas or REDUCTION_LAMBDAS))
+    alpha_grid = sorted(Fraction(a) for a in (REDUCTION_ALPHAS if alphas is None else alphas))
+    lambda_grid = sorted(Fraction(v) for v in (REDUCTION_LAMBDAS if lambdas is None else lambdas))
     points = [(alpha, lam) for alpha in alpha_grid for lam in lambda_grid]
     for alpha, lam in points:
         _check_two_param(alpha, lam)
+    if not points:
+        return []
     return [
         (n, alpha, lam, passed)
         for n in range(k_max + 1)

@@ -58,25 +58,27 @@ additions a step instead of O(n) products, as Brent and Harvey compute
 the Bernoulli and tangent numbers.  The exit ``_egf_unscaled`` puts the
 factorial-scaled quotient back over one denominator.
 
-Below ``_EGF_MIN_LENGTH`` each base at alpha = 1 is built once per
-process.  ``recip_exp_linear`` keeps it in the store ``_BASES``, keyed on
-(lam, c), at the longest order below the split asked for so far.  A
-request at a shorter order truncates the entry to the precision
-order - 2s - 1, s = [lam + c == 0], which is the canonical form a build at
-that order gives; a longer request builds again and replaces the entry.
-From the split on every request writes its base down by Pascal's rule,
-so the cost of a long request depends on its own order alone and not on
-which requests came before it.  ``_BASE_STORE_BITS`` bounds the store at
-4 MiB of charged numerator bits, about 4.5 MB at worst, and the least
-recently used entries leave first.  The store is not locked: call
-``recip_exp_linear`` from one thread at a time.  Its eviction and
-accounting, ``_Store``, also keep the identity ladders of ``identities``.
+One bounded store, ``_LADDERS``, keeps the ladders of the bases: the
+powers and derivatives of 1/(lam e**(alpha t) + c), one per key
+(alpha, lam, c), each at the longest order asked for so far.  The
+identity checks read their ladders there, and ``recip_exp_linear`` its
+base at alpha = 1 below ``_EGF_MIN_LENGTH``, keyed on (1, lam, c), so f,
+h and G at alpha = 1 share one entry with the oracles.  A shorter request
+truncates the entry, which is what a fresh build at that order gives;
+a longer one builds again and replaces it, dropping the powers and
+derivatives built on it.  From the split on ``recip_exp_linear`` writes
+every base down by Pascal's rule, so the cost of a long request depends
+on its own order alone.  The store is bounded at 4 MiB of charged
+numerator bits, about 4.5 MB at worst, and the least recently used
+ladders leave first.  It is not locked: use the package from one thread
+at a time.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import weakref
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
@@ -425,10 +427,11 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 # split stays because perfbench's traced layers expect to see these calls:
 # on verify-sweep the bases are the only callers of reciprocal, scale and
 # exp_linear, and on sequence-pairs the oracles are the only callers of
-# mul.  The split is also where the store of bases ends: below it a
-# (lam, c) is built again only when it is asked for at a longer order than
-# before, and each such build is still the direct one, so the traced layers
-# keep their calls; from it on every request is written down afresh.
+# mul.  The split is also where recip_exp_linear stops reading the store of
+# ladders: below it a (lam, c) is built again only when it is asked for at
+# a longer order than before, and each such build is still the direct one,
+# so the traced layers keep their calls; from it on every request is
+# written down afresh.
 # Lowering it waits on retargeting those layers (ROADMAP items 6 and 9).
 _EGF_MIN_LENGTH = 104
 
@@ -635,91 +638,124 @@ def _source_reciprocal(alpha: Fraction, lam: Fraction, c: Fraction, order: int) 
 
 
 def _stored_bits(r: LaurentSeries) -> int:
-    """About the memory r takes in a ``_Store``, in bits: the bits of its
+    """About the memory r takes in ``_LADDERS``, in bits: the bits of its
     numerators and denominator, 320 more a coefficient (the 40 bytes of a
     small int and its tuple slot) and 8,192 for the key, the series and
     the slots that hold them."""
     return sum(map(int.bit_length, r.nums)) + r.den.bit_length() + 320 * len(r.nums) + 8192
 
 
-class _Store:
-    """Values built at an order, one per key, each at the longest order
-    asked for so far.
+class _Ladder:
+    """Powers base**1, base**2, ... and derivatives base, base', ... of one
+    base series built at source order ``top``; each entry is computed once,
+    when first asked for.  ``bits`` is the ``_stored_bits`` of its distinct
+    entries; a ladder built by a store is charged there as it grows."""
 
-    Entries are charged bits, ``_stored_bits`` of the series they hold;
-    the least recently used leave first once the total passes ``budget``,
-    and an entry charged more than ``budget`` is never kept.  The store is
-    not locked: use it from one thread at a time.
+    def __init__(self, base: LaurentSeries, top: int, store: Optional["_Ladders"] = None, key=None):
+        self.base = base
+        self.top = top
+        self.bits = _stored_bits(base)
+        self._store = store
+        self._key = key
+        self._powers = [base]
+        self._derivatives = [base]
+
+    def _add(self, entries: list, entry: LaurentSeries) -> None:
+        entries.append(entry)
+        self.bits += _stored_bits(entry)
+        if self._store is not None:
+            self._store.charge(self._key, self)
+
+    def powers(self, count: int) -> list:
+        """[base**1, ..., base**count]"""
+        while len(self._powers) < count:
+            self._add(self._powers, self._powers[-1] * self.base)
+        return self._powers[:count]
+
+    def derivatives(self, count: int) -> list:
+        """[base, base', ..., base^(count-1)]"""
+        while len(self._derivatives) < count:
+            self._add(self._derivatives, self._derivatives[-1].derivative())
+        return self._derivatives[:count]
+
+
+class _Ladders:
+    """The ladder of every base 1/(lam e**(alpha t) + c) read below
+    ``_EGF_MIN_LENGTH`` by ``recip_exp_linear`` or at any order by the
+    identity checks, one per key (alpha, lam, c), at the longest top source
+    order asked for so far.  A longer request builds again and replaces the
+    entry, dropping the powers and derivatives built on it.
+
+    A read at a lower source ``order`` gives what a build at that order
+    gives from the stored entries less their last ``top - order``
+    coefficients: every stored coefficient is exact, and once the valuation
+    is visible each step's precision moves one-for-one with the source
+    order (every base has a nonzero leading coefficient).  Orders 1 and 2,
+    where the valuation can be out of the window, get a ladder that is not
+    stored, so they raise what a fresh build raises.
+
+    Each ladder is charged the ``_stored_bits`` of its entries, and charged
+    again as it grows; the least recently used leave first once the total
+    passes ``budget``, and a ladder charged more than ``budget`` is not
+    kept.  A ladder the store has dropped but a caller still holds, as
+    ``run_sweep`` holds each ladder it reads until it returns, is found
+    again by key and kept again if it fits, so no sweep builds a ladder
+    twice however far it passes the budget.  The store is not locked: use
+    it from one thread at a time.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.bits = 0
-        # key -> (value, its order, its charge), least recent first
+        # key -> (ladder, its top, its charge), least recent first
         self._entries: dict = {}
+        self._live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def read(self, key, order: int):
-        """The value under key, made the most recent, if it was built at
-        order or longer; else None, and a shorter entry is dropped."""
+    def ladder(self, key: tuple, order: int) -> _Ladder:
+        """The ladder of the base ``key`` built at ``order`` or longer."""
+        if order < 3:
+            return _Ladder(recip_exp_linear(*key, order), order)
         entry = self._entries.pop(key, None)
-        if entry is None:
-            return None
-        if entry[1] >= order:
-            self._entries[key] = entry
-            return entry[0]
-        self.bits -= entry[2]
-        return None
+        if entry is not None:
+            self.bits -= entry[2]
+        ladder = entry[0] if entry else self._live.get(key)
+        if ladder is None or ladder.top < order:
+            if key[0] == 1 and order < _EGF_MIN_LENGTH:
+                base = _source_reciprocal(*key, order)  # the base recip_exp_linear reads
+            else:
+                base = recip_exp_linear(*key, order)
+            ladder = self._live[key] = _Ladder(base, order, self, key)
+        self.keep(key, ladder)
+        return ladder
 
-    def keep(self, key, value, order: int, bits: int) -> None:
-        """Store value, built at order and charged bits, under a key that
-        ``read`` has just missed, if bits fit in the budget."""
+    def keep(self, key: tuple, ladder: _Ladder) -> None:
+        """Store ladder, charged its bits, under a key that holds no entry,
+        if its bits fit in the budget."""
         entries = self._entries
-        if bits <= self.budget:
-            while self.bits + bits > self.budget:
+        if ladder.bits <= self.budget:
+            while self.bits + ladder.bits > self.budget:
                 self.bits -= entries.pop(next(iter(entries)))[2]
-            entries[key] = (value, order, bits)
-            self.bits += bits
+            entries[key] = (ladder, ladder.top, ladder.bits)
+            self.bits += ladder.bits
 
-    def charge(self, key, value, bits: int) -> None:
-        """Charge bits more to the entry of value, which has grown; it is
-        dropped if that takes it over the budget.  A value the store no
+    def charge(self, key: tuple, ladder: _Ladder) -> None:
+        """Charge the entry of ladder, which has grown, its new bits; it is
+        dropped if that takes it over the budget.  A ladder the store no
         longer holds is not charged."""
         entry = self._entries.get(key)
-        if entry is not None and entry[0] is value:
+        if entry is not None and entry[0] is ladder:
             del self._entries[key]
             self.bits -= entry[2]
-            self.keep(key, value, entry[1], entry[2] + bits)
+            self.keep(key, ladder)
 
 
-class _BaseStore(_Store):
-    """The reciprocals 1/(lam e**t + c) at alpha = 1 that
-    ``recip_exp_linear`` has built below ``_EGF_MIN_LENGTH``, one per key
-    (lam, c), each at the longest such order asked for so far.
-
-    A request at an order the entry covers is the entry truncated to the
-    precision order - 2s - 1, s = [lam + c == 0]: every stored coefficient
-    is exact and the canonical form is unique, so the read equals a fresh
-    build.  A longer request builds and replaces the entry.
-    """
-
-    def reciprocal(self, lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
-        """1/(lam e**t + c) for lam != 0 and 3 <= order < ``_EGF_MIN_LENGTH``."""
-        r = self.read((lam, c), order)
-        if r is None:
-            r = _source_reciprocal(Fraction(1), lam, c, order)
-            self.keep((lam, c), r, order, _stored_bits(r))
-        return r.truncated(order + 2 * r.offset - 1)
-
-
-# The budget of _BASES in charged bits, 4 MiB.  Each entry is charged at
-# least 8,192 bits, so the store holds at most 4,096 entries.  A CPython
-# int of b bits takes at most 32 + 4b/30 bytes, so the entries take at
-# most 16/15 of their charge, about 4.5 MB, keys of literals over 8,192
-# bits apart.
-# sequence-pairs keeps its 16 bases, none longer than order 103, in under
-# a thirtieth of the budget.
-_BASE_STORE_BITS = 1 << 25
-_BASES = _BaseStore(_BASE_STORE_BITS)
+# The budget of _LADDERS in charged bits, 4 MiB.  Every stored series is
+# charged at least 8,192 bits, so the store holds at most 4,096 series.  A
+# CPython int of b bits takes at most 32 + 4b/30 bytes, so the entries take
+# at most 16/15 of their charge, about 4.5 MB, keys of literals over 8,192
+# bits apart.  sequence-pairs keeps its 16 bases, none longer than order
+# 103, in under a thirtieth of it.
+_LADDERS = _Ladders(1 << 25)
 
 
 def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> LaurentSeries:
@@ -734,26 +770,24 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     series at alpha = 1 has the same valuation, so the window and the
     errors are the same.
 
-    Below order ``_EGF_MIN_LENGTH`` the base at alpha = 1 comes from the
-    process-wide store ``_BASES``, keyed on (lam, c): a shorter order
-    truncates the stored entry, and a longer one is built as the
-    ``reciprocal`` of the source series and replaces it.  The store holds
-    at most ``_BASE_STORE_BITS`` charged bits, about 4.5 MB at worst, and
-    drops the least recently used entries first; it is not locked, so
-    call this from one thread at a time.  From that order on the base is
-    not stored: each request runs ``_pascal_reciprocal``, which writes the
-    factorial-scaled unit down from (lam, c), so a long request costs the
-    same whatever was asked for before it.  Orders 1 and 2, which can
-    leave an empty or all-zero window, and alpha = 0 or lam = 0, where the
-    source is a constant, never touch the store: they build the source
-    series and take its ``reciprocal``, which raises the errors.
+    Below order ``_EGF_MIN_LENGTH`` the base at alpha = 1 is the base of
+    the ladder ``_LADDERS`` keeps under (1, lam, c), truncated to this
+    order: a longer request builds the source series' ``reciprocal`` and
+    replaces the ladder.  From that order on the base is not stored: each
+    request runs ``_pascal_reciprocal``, which writes the factorial-scaled
+    unit down from (lam, c), so a long request costs the same whatever was
+    asked for before it.  Orders 1 and 2, which can leave an empty or
+    all-zero window, and alpha = 0 or lam = 0, where the source is a
+    constant, never touch the store: they build the source series and take
+    its ``reciprocal``, which raises the errors.
     """
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
     dilate = alpha not in (0, 1)
     if not (alpha and lam and order >= 3):
         r = _source_reciprocal(Fraction(1) if dilate else alpha, lam, c, order)
     elif order < _EGF_MIN_LENGTH:
-        r = _BASES.reciprocal(lam, c, order)
+        r = _LADDERS.ladder((1, lam, c), order).base
+        r = r.truncated(order + 2 * r.offset - 1)
     else:
         r = _pascal_reciprocal(lam, c, order)
     if not dilate:

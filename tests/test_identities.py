@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirnum import identities as identities_module
+from stirnum import series as series_module
 from stirnum.errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 from stirnum.identities import (
     ALL_IDENTITY_IDS,
@@ -28,15 +29,16 @@ from stirnum.identities import (
     verify_plus_identity,
     verify_target,
 )
-from stirnum.identities import (
-    _LADDER_STORE_BITS,
-    _NAMED_CHECKS,
-    _SPECS,
+from stirnum.identities import _NAMED_CHECKS, _SPECS, _weights
+from stirnum.sequences import apostol_bernoulli_oracle, bernoulli_oracle
+from stirnum.series import (
+    _EGF_MIN_LENGTH,
+    LaurentSeries,
     _Ladder,
     _Ladders,
-    _weights,
+    linear_combination,
+    recip_exp_linear,
 )
-from stirnum.series import _EGF_MIN_LENGTH, LaurentSeries, linear_combination, recip_exp_linear
 from stirnum.stirling import b_coeff, lambda_coeff, stirling1, stirling2
 
 
@@ -59,23 +61,10 @@ def standalone_checks(targets, k_max, order, alphas, lambdas):
     return reports
 
 
-def cold_ladders():
-    """A store of ladders that keeps nothing, so that every check builds
-    the ladders it reads."""
-    return _Ladders(0)
-
-
-@pytest.fixture
-def empty_ladder_store(monkeypatch):
-    """Checks on an empty store that stays empty: each builds its ladders,
-    whatever earlier tests stored."""
-    monkeypatch.setattr(identities_module, "_LADDERS", cold_ladders())
-
-
-def independent_sweep(targets, k_max, order, alphas, lambdas):
+def independent_sweep(cold_store, targets, k_max, order, alphas, lambdas):
     """standalone_checks on a cold store, so that no check reads a ladder
     that run_sweep or an earlier check built."""
-    with mock.patch.object(identities_module, "_LADDERS", cold_ladders()):
+    with cold_store():
         return standalone_checks(targets, k_max, order, alphas, lambdas)
 
 
@@ -346,6 +335,13 @@ class TestSweeps:
             (Fraction(1), Fraction(2)),
         ]
 
+    @pytest.mark.parametrize("alphas, lambdas", [([], None), (None, []), ([], [])])
+    def test_an_empty_grid_sweeps_no_points(self, alphas, lambdas):
+        # Only None selects the default grid; the fixed-base tags still run.
+        assert run_sweep(["G1", "G2"], 2, alphas=alphas, lambdas=lambdas) == []
+        reports = run_sweep(["I1", "G1"], 2, alphas=alphas, lambdas=lambdas)
+        assert [(r.identity_id, r.k) for r in reports] == [("I1", 1), ("I1", 2)]
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(DomainError):
             run_sweep(["I9"], 2)
@@ -386,13 +382,13 @@ class TestSweeps:
             unique=True,
         ),
     )
-    def test_sweep_matches_independent_checks(self, targets, k_max, order, alphas, lambdas):
+    def test_sweep_matches_independent_checks(self, cold_store, targets, k_max, order, alphas, lambdas):
         # the sweep builds each ladder once, or reads it from the store,
         # and truncates it per k; every report, and the first error with
         # its message, must be what one standalone check per report gives
         # on a cold store
         args = (targets, k_max, order, alphas, lambdas)
-        assert sweep_outcome(run_sweep, *args) == sweep_outcome(independent_sweep, *args)
+        assert sweep_outcome(run_sweep, *args) == sweep_outcome(independent_sweep, cold_store, *args)
 
 
 class TestPrecisionGuard:
@@ -405,6 +401,8 @@ class TestPrecisionGuard:
 
 # The fixed bases as store keys, (alpha, lam, c) of 1/(lam e**(alpha t) + c).
 F_KEY, G_KEY, H_KEY = (1, 1, -1), (-1, -1, 1), (1, 1, 1)
+# The bound of the one store of bases and ladders, 4 MiB of charged bits.
+STORE_BITS = series_module._LADDERS.budget
 
 
 class TestLadderStore:
@@ -417,54 +415,58 @@ class TestLadderStore:
 
     @pytest.fixture
     def store(self, monkeypatch):
-        store = _Ladders(_LADDER_STORE_BITS)
-        monkeypatch.setattr(identities_module, "_LADDERS", store)
+        store = _Ladders(STORE_BITS)
+        monkeypatch.setattr(series_module, "_LADDERS", store)
         return store
 
     @pytest.mark.parametrize("tag", ALL_IDENTITY_IDS)
-    def test_every_order_after_an_order_106_build_reads_a_cold_outcome(self, store, tag):
+    def test_every_order_after_an_order_106_build_reads_a_cold_outcome(self, store, cold_store, tag):
         assert all(report.passed for report in run_sweep([tag], 4, 106, self.ALPHAS, self.LAMBDAS))
         built = {key: entry[1] for key, entry in store._entries.items()}
         assert set(built.values()) == {106}
         for order in [*range(1, 41), None]:
             args = ([tag], 4, order, self.ALPHAS, self.LAMBDAS)
-            expected = sweep_outcome(independent_sweep, *args)
+            expected = sweep_outcome(independent_sweep, cold_store, *args)
             assert sweep_outcome(standalone_checks, *args) == expected, order
             assert sweep_outcome(run_sweep, *args) == expected, order
         # every order read the order-106 ladders; orders 1 and 2 left them as they were
         assert {key: entry[1] for key, entry in store._entries.items()} == built
 
     @pytest.mark.parametrize("order, error", [(1, ZeroSeriesError), (2, PrecisionExhaustedError)])
-    def test_orders_1_and_2_never_touch_the_store(self, store, order, error):
+    def test_orders_1_and_2_never_touch_the_store(self, store, cold_store, order, error):
         run_sweep(["I1"], 12)
         kept = dict(store._entries), store.bits
         with pytest.raises(error) as raised:
             run_sweep(["I1"], 2, order)
-        assert sweep_outcome(independent_sweep, ["I1"], 2, order, [1], [1]) == (error, str(raised.value))
+        expected = sweep_outcome(independent_sweep, cold_store, ["I1"], 2, order, [1], [1])
+        assert expected == (error, str(raised.value))
         assert (store._entries, store.bits) == kept
 
     @pytest.mark.parametrize("tag", ["I7", "I8"])
-    def test_the_constant_of_a_zero_sum_is_known_to_the_check_order(self, store, tag):
+    def test_the_constant_of_a_zero_sum_is_known_to_the_check_order(self, store, cold_store, tag):
         # With every weight 0 the weighted sum is the exact zero, so only
         # the base bounds the constant: the base as a build at the check's
         # order has it, not as the order-106 ladder holds it.
         run_sweep([tag], 4, 106)
         for order in (3, 4, 12, 40):
             args = (tag, 3, order, [0, 0, 0])
-            with mock.patch.object(identities_module, "_LADDERS", cold_ladders()):
+            with cold_store():
                 expected = sweep_outcome(verify_core_identity, *args)
             assert sweep_outcome(verify_core_identity, *args) == expected, order
 
     @pytest.mark.parametrize("tag", ["I7", "I8"])
-    def test_the_constant_past_the_window_leaves_the_window_error(self, store, tag):
+    def test_the_constant_past_the_window_leaves_the_window_error(self, store, cold_store, tag):
         # Below order 10 no k = 1 window holds 8 coefficients.  At order 3
         # the constant has precision 0, past the window, and the check
         # raises I5's or I6's window error under its own tag.
         paired = {"I7": "I5", "I8": "I6"}[tag]
-        expected = [sweep_outcome(independent_sweep, [tag], 1, order, [1], [1]) for order in range(1, 10)]
+        def cold(target, order):
+            return sweep_outcome(independent_sweep, cold_store, [target], 1, order, [1], [1])
+
+        expected = [cold(tag, order) for order in range(1, 10)]
         assert [error for error, _ in expected] == [ZeroSeriesError] + [PrecisionExhaustedError] * 8
         for order, (_, message) in enumerate(expected[2:], 3):
-            assert message == sweep_outcome(independent_sweep, [paired], 1, order, [1], [1])[1].replace(paired, tag)
+            assert message == cold(paired, order)[1].replace(paired, tag)
         for warm in (None, 106):
             if warm is not None:
                 run_sweep(["I5", "I6", tag], 4, warm)
@@ -482,7 +484,7 @@ class TestLadderStore:
 
     @pytest.mark.parametrize("warm", [["I1"], ["I2"], ["I1", "I2", "P1"]])
     @pytest.mark.parametrize("tag", ["I1", "I2", "I3", "I4", "P1"])
-    def test_a_corrupted_weight_reads_the_cold_discrepancy(self, store, warm, tag):
+    def test_a_corrupted_weight_reads_the_cold_discrepancy(self, store, cold_store, warm, tag):
         # Ladders at order 106 of some bases and none of others give each
         # side its own cut: a warm check reports the window, exponent and
         # both coefficients of a cold one.
@@ -497,101 +499,170 @@ class TestLadderStore:
                 m = len(weights) - 1 - (k + order) % min(len(weights), 8)
                 corrupted = [*weights[:m], weights[m] + 1, *weights[m + 1 :]]
                 args = (tag, k, order, corrupted)
-                with mock.patch.object(identities_module, "_LADDERS", cold_ladders()):
+                with cold_store():
                     expected = sweep_outcome(check, *args)
                 assert sweep_outcome(check, *args) == expected, (order, k)
                 assert isinstance(expected, tuple) or not expected.passed
         # the warm ladders were read, not built again at a check's order
         assert {store._entries[key][1] for key in warmed} == {106}
 
+    # Bases recip_exp_linear reads: f, g, h and G on the grid the sweeps
+    # below draw, whose keys the checks' ladders share.
+    BASES = [G_KEY, H_KEY] + [
+        (alpha, lam, -1) for alpha in (Fraction(-3, 2), 1, 2) for lam in (Fraction(-5, 3), Fraction(2, 3), 1)
+    ]
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                st.lists(st.sampled_from(ALL_IDENTITY_IDS), min_size=1, max_size=3),
-                st.integers(1, 6),
-                st.one_of(st.none(), st.integers(1, 30)),
-                st.lists(st.sampled_from([0, Fraction(-3, 2), 1, 2]), min_size=1, max_size=2, unique=True),
-                st.lists(st.sampled_from([0, Fraction(-5, 3), Fraction(2, 3), 1]), min_size=1, max_size=2, unique=True),
+            st.one_of(
+                st.tuples(
+                    st.just(run_sweep),
+                    st.lists(st.sampled_from(ALL_IDENTITY_IDS), min_size=1, max_size=3),
+                    st.integers(1, 6),
+                    st.one_of(st.none(), st.integers(1, 30)),
+                    st.lists(st.sampled_from([0, Fraction(-3, 2), 1, 2]), min_size=1, max_size=2, unique=True),
+                    st.lists(st.sampled_from([0, Fraction(-5, 3), Fraction(2, 3), 1]), min_size=1, max_size=2, unique=True),
+                ),
+                st.builds(
+                    lambda base, order: (recip_exp_linear, *base, order),
+                    st.sampled_from(BASES),
+                    st.integers(3, 110),
+                ),
             ),
             min_size=1,
-            max_size=4,
+            max_size=6,
         ),
-        st.sampled_from([0, 1 << 17, _LADDER_STORE_BITS]),
+        st.sampled_from([0, 1 << 17, STORE_BITS]),
     )
-    def test_any_sequence_of_requests_reads_cold_outcomes(self, requests, budget):
+    def test_any_sequence_of_requests_reads_cold_outcomes(self, cold_store, requests, budget):
+        # Sweeps and base requests share the store; each reads what it
+        # reads on a cold store, and the charges add up after every change.
         store = _Ladders(budget)
-        charge = store.charge
+        for name in ("keep", "charge"):
 
-        def checked_charge(*args):
-            charge(*args)
-            assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
+            def checked(*args, _real=getattr(store, name)):
+                _real(*args)
+                assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
 
-        store.charge = checked_charge
-        for args in requests:
-            with mock.patch.object(identities_module, "_LADDERS", store):
-                read = sweep_outcome(run_sweep, *args)
-            assert read == sweep_outcome(independent_sweep, *args)
+            setattr(store, name, checked)
+        cold = {run_sweep: standalone_checks, recip_exp_linear: recip_exp_linear}
+        for call, *args in requests:
+            with mock.patch.object(series_module, "_LADDERS", store):
+                read = sweep_outcome(call, *args)
+            with cold_store():
+                assert read == sweep_outcome(cold[call], *args)
             assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
             assert all(ladder.bits == bits for ladder, _, bits in store._entries.values())
 
     @staticmethod
     def charges(checks):
-        """The charge each check's one ladder has after it runs alone."""
+        """The charge of the one ladder each check keeps when it runs alone."""
         sizes = []
-        for tag in checks:
-            check = verify_core_identity if tag in CORE_IDENTITY_IDS else verify_plus_identity
-            store = _Ladders(_LADDER_STORE_BITS)
-            with mock.patch.object(identities_module, "_LADDERS", store):
-                check(tag, 3)
+        for check in checks:
+            store = _Ladders(STORE_BITS)
+            with mock.patch.object(series_module, "_LADDERS", store):
+                check()
             [(_, _, bits)] = store._entries.values()
             sizes.append(bits)
         return sizes
 
     def test_the_least_recently_used_ladder_leaves_first(self):
-        # I1 reads only f, I2 only g and P1 only h.
-        sizes = self.charges(["I1", "I2", "P1"])
+        # I1 reads only f, G1 at alpha = 1 only 1/(2 e**t - 1) and P1 only
+        # h: none dilates a base, so each keeps one ladder.
+        checks = [
+            lambda: verify_core_identity("I1", 3),
+            lambda: verify_general_derivative(3, 1, 2),
+            lambda: verify_plus_identity("P1", 3),
+        ]
+        sizes = self.charges(checks)
         store = _Ladders(sum(sizes) - 1)
-        with mock.patch.object(identities_module, "_LADDERS", store):
-            verify_core_identity("I1", 3)
-            verify_core_identity("I2", 3)
+        with mock.patch.object(series_module, "_LADDERS", store):
+            checks[0]()
+            checks[1]()
             verify_core_identity("I1", 2)  # a read makes it the most recent
-            verify_plus_identity("P1", 3)
+            checks[2]()
         assert list(store._entries) == [F_KEY, H_KEY]
         assert store.bits == sizes[0] + sizes[2] <= store.budget
 
-    def test_a_ladder_that_grows_over_the_budget_is_not_kept(self):
-        [kept] = self.charges(["I1"])
+    def test_a_ladder_that_grows_over_the_budget_is_not_kept(self, cold_store):
+        [kept] = self.charges([lambda: verify_core_identity("I1", 3)])
         store = _Ladders(kept)
-        with mock.patch.object(identities_module, "_LADDERS", store):
+        with mock.patch.object(series_module, "_LADDERS", store):
             verify_core_identity("I1", 3)
             assert list(store._entries) == [F_KEY] and store.bits == kept
             report = verify_core_identity("I1", 6, default_order(3))
         assert store._entries == {} and store.bits == 0
-        assert report == independent_sweep(["I1"], 6, default_order(3), [1], [1])[-1]
+        assert report == independent_sweep(cold_store, ["I1"], 6, default_order(3), [1], [1])[-1]
 
     def test_a_longer_request_replaces_the_ladder(self, store):
-        verify_general_derivative(2, Fraction(-3, 2), Fraction(2, 3))
-        key = (Fraction(-3, 2), Fraction(2, 3), -1)
-        assert store._entries[key][1] == default_order(2)
-        verify_general_derivative(5, Fraction(-3, 2), Fraction(2, 3))
-        ladder, top, bits = store._entries[key]
-        assert list(store._entries) == [key]
-        assert top == ladder.top == default_order(5) and store.bits == bits == ladder.bits
+        # A G ladder at alpha != 1 dilates the base that recip_exp_linear
+        # keeps under (1, lam, -1), so a check keeps both ladders.
+        alpha, lam = Fraction(-3, 2), Fraction(2, 3)
+        keys = [(1, lam, -1), (alpha, lam, -1)]
+        verify_general_derivative(2, alpha, lam)
+        assert [store._entries[key][1] for key in keys] == [default_order(2)] * 2
+        verify_general_derivative(5, alpha, lam)
+        assert list(store._entries) == keys
+        for ladder, top, bits in store._entries.values():
+            assert top == ladder.top == default_order(5) and bits == ladder.bits
+        assert store.bits == sum(bits for _, _, bits in store._entries.values())
 
-    @pytest.mark.usefixtures("empty_ladder_store")
     @pytest.mark.parametrize(
         "targets, keys",
         [(["I1", "I8"], [F_KEY, G_KEY]), (["G1", "G2"], list(itertools.product(ALPHAS, LAMBDAS, [-1])))],
     )
-    def test_a_sweep_past_the_budget_builds_each_ladder_once(self, monkeypatch, targets, keys):
+    def test_a_sweep_past_the_budget_builds_each_ladder_once(self, monkeypatch, cold_store, targets, keys):
         # The sweep holds what it reads, so a store that keeps nothing
         # still gives every check the ladder built at the widest order.
+        # Each ladder at alpha != 1 reads its base off a ladder at
+        # alpha = 1 that nothing holds, so that one is built per reader.
         built = []
-        real = identities_module.recip_exp_linear
-        monkeypatch.setattr(
-            identities_module, "recip_exp_linear", lambda *args: built.append(args) or real(*args)
-        )
-        reports = run_sweep(targets, 6, alphas=self.ALPHAS, lambdas=self.LAMBDAS)
+
+        class Spy(_Ladder):
+            def __init__(self, base, top, store=None, key=None):
+                built.append((key, top))
+                super().__init__(base, top, store, key)
+
+        monkeypatch.setattr(series_module, "_Ladder", Spy)
+        with cold_store():
+            reports = run_sweep(targets, 6, alphas=self.ALPHAS, lambdas=self.LAMBDAS)
         assert all(report.passed for report in reports)
-        assert sorted(built) == sorted((*key, default_order(6)) for key in keys)
+        read = [*keys, *((1, lam, c) for alpha, lam, c in keys if alpha != 1)]
+        assert sorted(built) == sorted((key, default_order(6)) for key in read)
+
+    def test_oracles_read_the_ladder_of_a_sweep(self, monkeypatch, store, cold_store):
+        # The sweep keeps f = 1/(e**t - 1) at order 34 under (1, 1, -1),
+        # the key bernoulli_oracle(n) reads at order n + 3.
+        run_sweep(["I1"], 12)
+        with cold_store():
+            expected = [bernoulli_oracle(n) for n in range(32)]
+        built = []
+        real = series_module._source_reciprocal
+        monkeypatch.setattr(
+            series_module, "_source_reciprocal", lambda *args: built.append(args) or real(*args)
+        )
+        assert [bernoulli_oracle(n) for n in range(32)] == expected
+        assert built == []
+        assert list(store._entries) == [F_KEY] and store._entries[F_KEY][1] == default_order(12)
+
+    def test_a_longer_base_request_replaces_a_ladder_of_the_checks(self, store, cold_store):
+        # G1 at alpha = 1 and lambda = 2 keeps its ladder under (1, 2, -1),
+        # the key of apostol_bernoulli_oracle(n, 2), which asks for order
+        # n + 3: at n = 60 it replaces the ladder and drops its powers.
+        verify_general_derivative(4, 1, 2)
+        key = (1, 2, -1)
+        ladder, top, _ = store._entries[key]
+        assert top == default_order(4) and len(ladder.powers(5)) == 5
+        value = apostol_bernoulli_oracle(60, 2)
+        with cold_store():
+            assert value == apostol_bernoulli_oracle(60, 2)
+        replaced, top, _ = store._entries[key]
+        assert replaced is not ladder and top == 63 and replaced._powers == [replaced.base]
+        for order in (None, 3, 12, 40, 63, 70):
+            for k in range(1, 7):
+                for check in (verify_general_derivative, verify_general_power):
+                    args = (k, 1, 2, order)
+                    with cold_store():
+                        expected = sweep_outcome(check, *args)
+                    assert sweep_outcome(check, *args) == expected, (check, order, k)

@@ -583,6 +583,11 @@ class TestReductionSweep:
         assert rows == per_point_reductions(3, REDUCTION_ALPHAS, REDUCTION_LAMBDAS)
         assert len(rows) == 4 * 9
 
+    @pytest.mark.parametrize("alphas, lambdas", [([], None), (None, []), ([], [])])
+    def test_an_empty_grid_sweeps_no_points(self, alphas, lambdas):
+        # Only None selects the default grid.
+        assert two_param_reduction_sweep(3, alphas, lambdas) == []
+
     @pytest.mark.parametrize(
         "alphas, lambdas",
         [
@@ -743,7 +748,7 @@ class TestSequenceValueDispatch:
                         sequence_value(family, 2, route, **params)
 
 
-def route_calls(route, n, params):
+def route_calls(cold_store, route, n, params):
     """The code objects of the stirnum functions that route(n, params) runs,
     a polynomial's evaluation at x included.  The route runs on an empty
     store of bases and an empty ``_geometric_stirling_sum`` cache, so that
@@ -755,9 +760,7 @@ def route_calls(route, n, params):
             codes.add(frame.f_code)
 
     cold_sum = lru_cache(maxsize=None)(sequences._geometric_stirling_sum.__wrapped__)
-    with mock.patch.object(series_module, "_BASES", series_module._BaseStore(0)), mock.patch.object(
-        sequences, "_geometric_stirling_sum", cold_sum
-    ):
+    with cold_store(), mock.patch.object(sequences, "_geometric_stirling_sum", cold_sum):
         before = sys.getprofile()
         sys.setprofile(profile)
         try:
@@ -793,13 +796,14 @@ class TestRouteIndependence:
         return codes
 
     @pytest.mark.parametrize("family", list(FAMILIES))
-    def test_the_routes_meet_only_in_the_allowed_helpers(self, family):
+    def test_the_routes_meet_only_in_the_allowed_helpers(self, cold_store, family):
         names, formula, oracle = sequences._FAMILY_TABLE[family]
         shared = set()
         for n in self.INDICES:
             for point in itertools.product(*(self.POINTS[name] for name in names)):
                 params = {name: Fraction(value) for name, value in zip(names, point)}
-                both = route_calls(formula, n, params) & route_calls(oracle, n, params)
+                both = route_calls(cold_store, formula, n, params)
+                both &= route_calls(cold_store, oracle, n, params)
                 assert both <= self.allowed(), sorted(map(code_name, both - self.allowed()))
                 shared |= both
         # The audit sees the helpers it allows: every Euler family shares _normalized.

@@ -380,22 +380,9 @@ def direct_recip_exp_linear(alpha, lam, c, order):
     return (exp_linear(alpha, order).scale(lam) + LaurentSeries.constant(c, order)).reciprocal()
 
 
-def cold_store():
-    """A store of bases that keeps nothing, so that every recip_exp_linear
-    call builds its base."""
-    return series_module._BaseStore(0)
-
-
-@pytest.fixture
-def empty_base_store(monkeypatch):
-    """recip_exp_linear on an empty store that stays empty: each call runs
-    the build path its order names, whatever earlier tests stored."""
-    monkeypatch.setattr(series_module, "_BASES", cold_store())
-
-
-def fresh_build(alpha, lam, c, order):
+def fresh_build(cold_store, alpha, lam, c, order):
     """recip_exp_linear(alpha, lam, c, order) built on an empty store."""
-    with mock.patch.object(series_module, "_BASES", cold_store()):
+    with cold_store():
         return outcome(recip_exp_linear, alpha, lam, c, order)
 
 
@@ -430,19 +417,18 @@ class TestRecipExpLinear:
         "alpha",
         [Fraction(-3, 2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), 1, 2, Fraction(3, 2)],
     )
-    @pytest.mark.usefixtures("empty_base_store")
-    def test_dilated_matches_direct(self, alpha, lam, c, order):
-        assert_same_series(
-            outcome(recip_exp_linear, alpha, lam, c, order),
-            outcome(direct_recip_exp_linear, alpha, lam, c, order),
-        )
+    def test_dilated_matches_direct(self, cold_store, alpha, lam, c, order):
+        with cold_store():
+            assert_same_series(
+                outcome(recip_exp_linear, alpha, lam, c, order),
+                outcome(direct_recip_exp_linear, alpha, lam, c, order),
+            )
 
     @pytest.mark.parametrize("order", [1, 2, 3, 12])
     @pytest.mark.parametrize("lam, c", [(1, -1), (Fraction(-5, 3), Fraction(5, 3)), (2, 1)])
     @pytest.mark.parametrize("alpha", [Fraction(-1, 2), Fraction(3, 2)])
-    @pytest.mark.usefixtures("empty_base_store")
-    def test_short_windows_dilate_on_the_factorial_kernel(self, alpha, lam, c, order):
-        with egf_kernels():
+    def test_short_windows_dilate_on_the_factorial_kernel(self, cold_store, alpha, lam, c, order):
+        with cold_store(), egf_kernels():
             assert_same_series(
                 outcome(recip_exp_linear, alpha, lam, c, order),
                 outcome(direct_recip_exp_linear, alpha, lam, c, order),
@@ -453,8 +439,7 @@ class TestRecipExpLinear:
         [(Fraction(3, 2), [1]), (Fraction(-1, 3), [1]), (2, [1]), (-1, [1]), (1, [1]), (0, [0])],
     )
     @pytest.mark.parametrize("order", [12, 150])
-    @pytest.mark.usefixtures("empty_base_store")
-    def test_alpha_other_than_zero_builds_at_alpha_one(self, monkeypatch, alpha, built, order):
+    def test_alpha_other_than_zero_builds_at_alpha_one(self, monkeypatch, cold_store, alpha, built, order):
         # From the split on, every alpha but 0 writes the unit at alpha = 1
         # down and builds no source series.
         calls = []
@@ -468,7 +453,8 @@ class TestRecipExpLinear:
             "_pascal_reciprocal",
             lambda *args: calls.append("_pascal_reciprocal") or direct(*args),
         )
-        recip_exp_linear(alpha, Fraction(2, 3), 1, order)
+        with cold_store():
+            recip_exp_linear(alpha, Fraction(2, 3), 1, order)
         if order >= series_module._EGF_MIN_LENGTH and alpha:
             built = ["_pascal_reciprocal"]
         assert calls == built
@@ -713,8 +699,7 @@ class TestPascalDivision:
             lead, weight, shift, length
         ) == series_module._recurrence(rows)
 
-    @pytest.mark.usefixtures("empty_base_store")
-    def test_every_package_base_takes_pascal_rule(self, monkeypatch):
+    def test_every_package_base_takes_pascal_rule(self, monkeypatch, cold_store):
         ran = []
         for name in ("_pascal_recurrence", "_recurrence"):
 
@@ -729,8 +714,9 @@ class TestPascalDivision:
             build()
             return ran[:]
 
-        for base in PACKAGE_BASES:
-            assert division(lambda: recip_exp_linear(*base, 150)) == ["_pascal_recurrence"], base
+        with cold_store():
+            for base in PACKAGE_BASES:
+                assert division(lambda: recip_exp_linear(*base, 150)) == ["_pascal_recurrence"], base
         half = exp_linear(Fraction(1, 2), 151) + LaurentSeries.one(151)
         assert division(half.reciprocal) == ["_recurrence"]
 
@@ -744,56 +730,63 @@ def window_error(op, *args):
     return None
 
 
+# The bound of the one store of bases and ladders, 4 MiB of charged bits.
+STORE_BITS = series_module._LADDERS.budget
+
+
 class TestBaseStore:
-    """recip_exp_linear keeps the alpha = 1 base of each (lam, c) at the
-    longest order below the split asked for and reads every shorter order
-    off it; from the split on it builds every request and stores nothing.
-    Each read equals a build on an empty store."""
+    """recip_exp_linear keeps the alpha = 1 base of each (lam, c) as the
+    base of the ladder under (1, lam, c), at the longest order below the
+    split asked for, and reads every shorter order off it; from the split
+    on it builds every request and stores nothing.  Each read equals a
+    build on an empty store."""
 
     # Both sides of the split and its edges, and the orders the package reads.
     ORDERS = (3, 4, 5, 12, 34, 40, 102, 103, 104, 105, 150, 283, 299, 300)
 
     @pytest.fixture
     def store(self, monkeypatch):
-        store = series_module._BaseStore(series_module._BASE_STORE_BITS)
-        monkeypatch.setattr(series_module, "_BASES", store)
+        store = series_module._Ladders(STORE_BITS)
+        monkeypatch.setattr(series_module, "_LADDERS", store)
         return store
 
     @pytest.mark.parametrize("base", PACKAGE_BASES, ids=str)
-    def test_reads_below_the_longest_stored_build_equal_fresh_builds(self, store, base):
+    def test_reads_below_the_longest_stored_build_equal_fresh_builds(self, store, cold_store, base):
         split = series_module._EGF_MIN_LENGTH
         recip_exp_linear(*base, split - 1)
         for order in self.ORDERS:
-            assert recip_exp_linear(*base, order) == fresh_build(*base, order), order
-        assert store._entries[base[1], base[2]][1] == split - 1
+            assert recip_exp_linear(*base, order) == fresh_build(cold_store, *base, order), order
+        assert list(store._entries) == [(1, base[1], base[2])]
+        assert store._entries[1, base[1], base[2]][1] == split - 1
 
     @pytest.mark.parametrize("base", [(1, 1, -1), (-1, -1, 1), (1, 1, 1)])
-    def test_every_order_to_300_of_f_g_and_h(self, store, base):
+    def test_every_order_to_300_of_f_g_and_h(self, store, cold_store, base):
         recip_exp_linear(*base, 300)
         for order in range(3, 301):
             read = recip_exp_linear(*base, order)
             assert_canonical(read)
-            assert read == fresh_build(*base, order), order
-        assert list(store._entries) == [(base[1], base[2])]
-        assert store._entries[base[1], base[2]][1] == series_module._EGF_MIN_LENGTH - 1
+            assert read == fresh_build(cold_store, *base, order), order
+        assert list(store._entries) == [(1, base[1], base[2])]
+        assert store._entries[1, base[1], base[2]][1] == series_module._EGF_MIN_LENGTH - 1
 
-    def test_a_longer_request_replaces_the_entry(self, store):
+    def test_a_longer_request_replaces_the_entry(self, store, cold_store):
         alpha, lam, c = Fraction(-3, 2), Fraction(2, 3), 1
         short = recip_exp_linear(alpha, lam, c, 40)
-        assert store._entries[lam, c][1] == 40
+        assert store._entries[1, lam, c][1] == 40
         long = recip_exp_linear(alpha, lam, c, 90)
-        assert list(store._entries) == [(lam, c)]
-        entry, order, bits = store._entries[lam, c]
-        assert order == 90 and store.bits == bits == series_module._stored_bits(entry)
-        assert short == fresh_build(alpha, lam, c, 40) == recip_exp_linear(alpha, lam, c, 40)
-        assert long == fresh_build(alpha, lam, c, 90)
+        assert list(store._entries) == [(1, lam, c)]
+        ladder, order, bits = store._entries[1, lam, c]
+        assert order == ladder.top == 90
+        assert store.bits == bits == ladder.bits == series_module._stored_bits(ladder.base)
+        assert short == fresh_build(cold_store, alpha, lam, c, 40) == recip_exp_linear(alpha, lam, c, 40)
+        assert long == fresh_build(cold_store, alpha, lam, c, 90)
 
     @pytest.mark.parametrize("order", [104, 105, 150, 300])
-    def test_requests_from_the_split_on_are_built_and_not_stored(self, monkeypatch, store, order):
+    def test_requests_from_the_split_on_are_built_and_not_stored(self, monkeypatch, store, cold_store, order):
         base = (Fraction(-3, 2), Fraction(2, 3), 1)
         recip_exp_linear(*base, 40)
         kept = dict(store._entries), store.bits
-        expected = fresh_build(*base, order)
+        expected = fresh_build(cold_store, *base, order)
         built = []
         real = series_module._pascal_reciprocal
         monkeypatch.setattr(
@@ -809,35 +802,35 @@ class TestBaseStore:
         st.lists(
             st.tuples(st.sampled_from(PACKAGE_BASES), st.integers(3, 160)), min_size=1, max_size=8
         ),
-        st.sampled_from([0, 1 << 16, 1 << 18, series_module._BASE_STORE_BITS]),
+        st.sampled_from([0, 1 << 16, 1 << 18, STORE_BITS]),
     )
-    def test_any_sequence_of_requests_reads_fresh_builds(self, requests, budget):
-        store = series_module._BaseStore(budget)
+    def test_any_sequence_of_requests_reads_fresh_builds(self, cold_store, requests, budget):
+        store = series_module._Ladders(budget)
         for base, order in requests:
-            with mock.patch.object(series_module, "_BASES", store):
+            with mock.patch.object(series_module, "_LADDERS", store):
                 read = recip_exp_linear(*base, order)
-            assert read == fresh_build(*base, order)
+            assert read == fresh_build(cold_store, *base, order)
             assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
 
-    def test_the_least_recently_used_entry_leaves_first(self):
+    def test_the_least_recently_used_entry_leaves_first(self, cold_store):
         bases = [(1, lam, -1) for lam in (1, 2, 3)]
-        sizes = [series_module._stored_bits(fresh_build(*base, 60)) for base in bases]
-        store = series_module._BaseStore(sum(sizes) - 1)
-        with mock.patch.object(series_module, "_BASES", store):
+        sizes = [series_module._stored_bits(fresh_build(cold_store, *base, 60)) for base in bases]
+        store = series_module._Ladders(sum(sizes) - 1)
+        with mock.patch.object(series_module, "_LADDERS", store):
             recip_exp_linear(*bases[0], 60)
             recip_exp_linear(*bases[1], 60)
             recip_exp_linear(*bases[0], 30)  # a read makes it the most recent
             recip_exp_linear(*bases[2], 60)
-        assert list(store._entries) == [(1, -1), (3, -1)]
+        assert list(store._entries) == [(1, 1, -1), (1, 3, -1)]
         assert store.bits == sizes[0] + sizes[2] <= store.budget
 
-    def test_an_entry_over_the_budget_is_not_kept(self):
-        kept = series_module._stored_bits(fresh_build(1, 1, 1, 40))
-        store = series_module._BaseStore(kept)
-        with mock.patch.object(series_module, "_BASES", store):
+    def test_an_entry_over_the_budget_is_not_kept(self, cold_store):
+        kept = series_module._stored_bits(fresh_build(cold_store, 1, 1, 1, 40))
+        store = series_module._Ladders(kept)
+        with mock.patch.object(series_module, "_LADDERS", store):
             recip_exp_linear(1, 1, 1, 40)
-            assert list(store._entries) == [(1, 1)] and store.bits == kept
-            assert recip_exp_linear(1, 1, 1, 90) == fresh_build(1, 1, 1, 90)
+            assert list(store._entries) == [(1, 1, 1)] and store.bits == kept
+            assert recip_exp_linear(1, 1, 1, 90) == fresh_build(cold_store, 1, 1, 1, 90)
         assert store._entries == {} and store.bits == 0
 
     @pytest.mark.parametrize(
