@@ -37,17 +37,13 @@ h = (1, 1, 1) and G = (alpha, lam, -1).  One private verifier builds both
 sides from a row; each public ``verify_*`` function checks its tag or
 converts its parameters and calls it.
 
-The verifier reads both sides off the ladders of their bases: the powers
-and the derivatives of one base series, kept in the one bounded store of
-bases, ``series._LADDERS`` (4 MiB of charged bits, about 4.5 MB at
-worst), which the oracles of ``sequences`` share.  A check at a lower
-order than a stored ladder's reads it below its own cut only, which is
-what a build at its own order gives: it combines the weighted sum below
-the cut and compares a stored derivative in place up to it.  So a process
-that checks many targets builds each ladder about once, not once per
-call.  ``run_sweep`` holds every ladder it reads until it returns, so a
-sweep past the bound still builds each ladder once.  Orders 1 and 2
-never touch the store.
+The verifier reads both sides off the ladders of their bases, the powers
+and the derivatives of one base series, in the store of bases that
+``series`` describes.  A check at a lower order than a stored ladder's
+reads it below its own cut only: it combines the weighted sum below the
+cut and compares a stored derivative in place up to it.  ``run_sweep``
+holds every ladder it reads until it returns, so a sweep past the store's
+bound still builds each ladder once.
 
 ``verify_target`` is the plan of the ``verify`` command: the sweep of
 one tag or all twelve, then the named checks of ``sequences``.  Tags give

@@ -30,16 +30,9 @@ n + 2 for the two-parameter oracle (at lam != -1 the reciprocal's window
 is [0, order - 1)).  The two-parameter oracle reads coefficient n of its
 product, from order ``series._EGF_MIN_LENGTH`` on, as one dot product of
 the two factors' numerators rather than multiplying the product out.
-Every oracle takes its reciprocal base from ``series.recip_exp_linear``.
-Below order ``series._EGF_MIN_LENGTH`` it reads the base of each (lam, 1)
-or (lam, -1) from the one bounded store of bases, ``series._LADDERS``
-(4 MiB of charged bits, about 4.5 MB at worst), which the identity checks
-share: the base is built once per process at the longest order asked for
-and every shorter order truncates it, so a run of oracles over small n
-builds each base about once, not once per n.  From that order on each
-oracle writes its base down afresh by Pascal's rule, so its cost does not
-depend on the calls before it.  The value read is the same either way:
-the stored coefficients are exact.
+Every oracle takes its reciprocal base from ``series.recip_exp_linear``,
+which below order ``series._EGF_MIN_LENGTH`` reads it off the store of
+bases that ``series`` describes.
 
 The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler

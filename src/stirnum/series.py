@@ -44,15 +44,16 @@ on the stored numerators gives the unit's k-th power at every length, on
 exactly the window k - 1 repeated products would give.  The same pass at
 k = -1 is the long division, which ``reciprocal`` runs at every length.
 
-Every reciprocal base of the package is 1/(lam e**(alpha t) + c), built
-by ``recip_exp_linear``.  For alpha other than 0 and 1 it builds the base
-at alpha = 1 and multiplies coefficient e by alpha**e.  From order
-``_EGF_MIN_LENGTH`` on it writes the factorial-scaled unit of lam e**t + c
-down from (lam, c) instead of building the source series: (lam + c, lam,
-lam, ...) at valuation s = 0, and (lam, lam, ...) for lam (e**t - 1) / t
-at s = 1, where coefficient i of the unit is W_i / (i+s)!.  On a unit
-with such a constant tail each binomial-weighted sum of the long division
-is a binomial transform, which ``_pascal_recurrence`` keeps as one
+Every reciprocal base of the package is 1/(lam e**(alpha t) + c).  For
+alpha other than 0 and 1 it is the base at alpha = 1 dilated, t -> alpha
+t: ``_dilated`` multiplies coefficient e by alpha**e.  Below order
+``_EGF_MIN_LENGTH`` the base at alpha = 1 is the reciprocal of its source
+series.  From that order on it is written down from (lam, c): the
+factorial-scaled unit of lam e**t + c is (lam + c, lam, lam, ...) at
+valuation s = 0, and (lam, lam, ...) for lam (e**t - 1) / t at s = 1,
+where coefficient i of the unit is W_i / (i+s)!.  On a unit with such a
+constant tail each binomial-weighted sum of the long division is a
+binomial transform, which ``_pascal_recurrence`` keeps as one
 anti-diagonal of its difference table and moves on by Pascal's rule: O(n)
 additions a step instead of O(n) products, as Brent and Harvey compute
 the Bernoulli and tangent numbers.  The exit ``_egf_unscaled`` puts the
@@ -60,18 +61,38 @@ factorial-scaled quotient back over one denominator.
 
 One bounded store, ``_LADDERS``, keeps the ladders of the bases: the
 powers and derivatives of 1/(lam e**(alpha t) + c), one per key
-(alpha, lam, c), each at the longest order asked for so far.  The
-identity checks read their ladders there, and ``recip_exp_linear`` its
-base at alpha = 1 below ``_EGF_MIN_LENGTH``, keyed on (1, lam, c), so f,
-h and G at alpha = 1 share one entry with the oracles.  A shorter request
-truncates the entry, which is what a fresh build at that order gives;
-a longer one builds again and replaces it, dropping the powers and
-derivatives built on it.  From the split on ``recip_exp_linear`` writes
-every base down by Pascal's rule, so the cost of a long request depends
-on its own order alone.  The store is bounded at 4 MiB of charged
-numerator bits, about 4.5 MB at worst, and the least recently used
-ladders leave first.  It is not locked: use the package from one thread
-at a time.
+(alpha, lam, c), each at the longest source order asked for so far.  The
+store alone builds the bases it keeps, as above, and every other caller
+only reads them.  The identity checks read their ladders there, and
+``recip_exp_linear`` reads its base at alpha = 1 there below
+``_EGF_MIN_LENGTH``, keyed on (1, lam, c), so f, h and G at alpha = 1
+share one entry with the oracles.  From the split on ``recip_exp_linear``
+writes every base down by Pascal's rule and stores nothing, so the cost of
+a long request depends on its own order alone.  Orders 1 and 2, where the
+valuation can lie outside the window, and alpha = 0 or lam = 0, where the
+source is a constant, never touch the store: they take the reciprocal of
+the source series, which raises the errors.
+
+A read at a lower source order gives what a build at that order gives:
+the stored entries less their last top - order coefficients.  Every
+stored coefficient is exact, and once the valuation is visible each
+step's precision moves one-for-one with the source order (every base has
+a nonzero leading coefficient).  A longer request builds again and
+replaces the entry, dropping the powers and derivatives built on it.
+
+Each ladder is charged the bits of its numerators and denominator, 320
+more a coefficient and 8,192 a series (``_stored_bits``), and charged
+again as it grows.  Past the budget of 4 MiB of charged bits the least
+recently used ladders leave first, and a ladder charged more than the
+budget is not kept.  Every stored series is charged at least 8,192 bits,
+so the store holds at most 4,096 series, and a CPython int of b bits
+takes at most 32 + 4b/30 bytes, so the entries take at most 16/15 of
+their charge: about 4.5 MB at worst, keys of literals over 8,192 bits
+apart.  A ladder the store has dropped but a caller still holds, as
+``run_sweep`` holds each ladder it reads until it returns, is found again
+through a weak index and kept again if it fits, so no sweep builds a
+ladder twice however far it passes the budget.  The store is not locked:
+use the package from one thread at a time.
 """
 
 from __future__ import annotations
@@ -427,11 +448,8 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 # split stays because perfbench's traced layers expect to see these calls:
 # on verify-sweep the bases are the only callers of reciprocal, scale and
 # exp_linear, and on sequence-pairs the oracles are the only callers of
-# mul.  The split is also where recip_exp_linear stops reading the store of
-# ladders: below it a (lam, c) is built again only when it is asked for at
-# a longer order than before, and each such build is still the direct one,
-# so the traced layers keep their calls; from it on every request is
-# written down afresh.
+# mul.  It is also where recip_exp_linear stops reading the store of
+# ladders (see the module docstring).
 # Lowering it waits on retargeting those layers (ROADMAP items 6 and 9).
 _EGF_MIN_LENGTH = 104
 
@@ -637,6 +655,23 @@ def _source_reciprocal(alpha: Fraction, lam: Fraction, c: Fraction, order: int) 
     return (source + LaurentSeries.constant(c, order)).reciprocal()
 
 
+def _dilated(r: LaurentSeries, alpha: Fraction) -> LaurentSeries:
+    """r(alpha t) for alpha != 0: coefficient e times alpha**e.  The
+    window is r's, and r itself comes back at alpha = 1."""
+    if alpha == 1:
+        return r
+    # With i = e - offset, top = len - 1 and first = alpha**offset,
+    # r_e alpha**e is nums[i] * first * a**i * b**(top-i) over den * b**top.
+    a, b = alpha.numerator, alpha.denominator
+    first = alpha**r.offset
+    top = len(r.nums) - 1
+    b_powers = accumulate(repeat(b, top), operator.mul, initial=1)
+    a_powers = accumulate(repeat(a, top), operator.mul, initial=first.numerator)
+    nums = map(operator.mul, reversed(r.nums), b_powers)  # from i = top down
+    nums = map(operator.mul, reversed(list(nums)), a_powers)
+    return _canonical(r.offset, list(nums), r.den * first.denominator * b**top)
+
+
 def _stored_bits(r: LaurentSeries) -> int:
     """About the memory r takes in ``_LADDERS``, in bits: the bits of its
     numerators and denominator, 320 more a coefficient (the 40 bytes of a
@@ -680,29 +715,7 @@ class _Ladder:
 
 
 class _Ladders:
-    """The ladder of every base 1/(lam e**(alpha t) + c) read below
-    ``_EGF_MIN_LENGTH`` by ``recip_exp_linear`` or at any order by the
-    identity checks, one per key (alpha, lam, c), at the longest top source
-    order asked for so far.  A longer request builds again and replaces the
-    entry, dropping the powers and derivatives built on it.
-
-    A read at a lower source ``order`` gives what a build at that order
-    gives from the stored entries less their last ``top - order``
-    coefficients: every stored coefficient is exact, and once the valuation
-    is visible each step's precision moves one-for-one with the source
-    order (every base has a nonzero leading coefficient).  Orders 1 and 2,
-    where the valuation can be out of the window, get a ladder that is not
-    stored, so they raise what a fresh build raises.
-
-    Each ladder is charged the ``_stored_bits`` of its entries, and charged
-    again as it grows; the least recently used leave first once the total
-    passes ``budget``, and a ladder charged more than ``budget`` is not
-    kept.  A ladder the store has dropped but a caller still holds, as
-    ``run_sweep`` holds each ladder it reads until it returns, is found
-    again by key and kept again if it fits, so no sweep builds a ladder
-    twice however far it passes the budget.  The store is not locked: use
-    it from one thread at a time.
-    """
+    """The bounded store of ladders, ``_LADDERS``: see the module docstring."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -714,17 +727,19 @@ class _Ladders:
     def ladder(self, key: tuple, order: int) -> _Ladder:
         """The ladder of the base ``key`` built at ``order`` or longer."""
         if order < 3:
-            return _Ladder(recip_exp_linear(*key, order), order)
+            return _Ladder(_source_reciprocal(*key, order), order)
         entry = self._entries.pop(key, None)
         if entry is not None:
             self.bits -= entry[2]
         ladder = entry[0] if entry else self._live.get(key)
         if ladder is None or ladder.top < order:
-            if key[0] == 1 and order < _EGF_MIN_LENGTH:
-                base = _source_reciprocal(*key, order)  # the base recip_exp_linear reads
-            else:
-                base = recip_exp_linear(*key, order)
-            ladder = self._live[key] = _Ladder(base, order, self, key)
+            alpha, lam, c = map(Fraction, key)
+            base = (
+                _source_reciprocal(1, lam, c, order)
+                if order < _EGF_MIN_LENGTH
+                else _pascal_reciprocal(lam, c, order)
+            )
+            ladder = self._live[key] = _Ladder(_dilated(base, alpha), order, self, key)
         self.keep(key, ladder)
         return ladder
 
@@ -749,12 +764,7 @@ class _Ladders:
             self.keep(key, ladder)
 
 
-# The budget of _LADDERS in charged bits, 4 MiB.  Every stored series is
-# charged at least 8,192 bits, so the store holds at most 4,096 series.  A
-# CPython int of b bits takes at most 32 + 4b/30 bytes, so the entries take
-# at most 16/15 of their charge, about 4.5 MB, keys of literals over 8,192
-# bits apart.  sequence-pairs keeps its 16 bases, none longer than order
-# 103, in under a thirtieth of it.
+# The one store of ladders, bounded as the module docstring describes.
 _LADDERS = _Ladders(1 << 25)
 
 
@@ -762,44 +772,16 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     """1/(lam*e**(alpha t) + c) on the window the reciprocal of the source
     series of the given order has.
 
-    Every reciprocal base of the package is built here: 1/(e**t - 1) is
-    (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1) is (1, 1, 1).
-
-    For alpha other than 0 and 1 the window is dilated from the one at
-    alpha = 1: coefficient e of r(alpha t) is alpha**e r_e.  The source
-    series at alpha = 1 has the same valuation, so the window and the
-    errors are the same.
-
-    Below order ``_EGF_MIN_LENGTH`` the base at alpha = 1 is the base of
-    the ladder ``_LADDERS`` keeps under (1, lam, c), truncated to this
-    order: a longer request builds the source series' ``reciprocal`` and
-    replaces the ladder.  From that order on the base is not stored: each
-    request runs ``_pascal_reciprocal``, which writes the factorial-scaled
-    unit down from (lam, c), so a long request costs the same whatever was
-    asked for before it.  Orders 1 and 2, which can leave an empty or
-    all-zero window, and alpha = 0 or lam = 0, where the source is a
-    constant, never touch the store: they build the source series and take
-    its ``reciprocal``, which raises the errors.
+    1/(e**t - 1) is (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1)
+    is (1, 1, 1).  How the base is built, dilated and read off the store is
+    in the module docstring.
     """
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
-    dilate = alpha not in (0, 1)
     if not (alpha and lam and order >= 3):
-        r = _source_reciprocal(Fraction(1) if dilate else alpha, lam, c, order)
-    elif order < _EGF_MIN_LENGTH:
+        return _source_reciprocal(alpha, lam, c, order)
+    if order < _EGF_MIN_LENGTH:
         r = _LADDERS.ladder((1, lam, c), order).base
         r = r.truncated(order + 2 * r.offset - 1)
     else:
         r = _pascal_reciprocal(lam, c, order)
-    if not dilate:
-        return r
-    # With i = e - offset, top = len - 1 and first = alpha**offset,
-    # r_e alpha**e is nums[i] * first * a**i * b**(top-i) over den * b**top.
-    a, b = alpha.numerator, alpha.denominator
-    first = alpha**r.offset
-    top = len(r.nums) - 1
-    b_powers = accumulate(repeat(b, top), operator.mul, initial=1)
-    a_powers = accumulate(repeat(a, top), operator.mul, initial=first.numerator)
-    nums = map(operator.mul, reversed(r.nums), b_powers)  # from i = top down
-    nums = map(operator.mul, reversed(list(nums)), a_powers)
-    return _canonical(r.offset, list(nums), r.den * first.denominator * b**top)
-
+    return _dilated(r, alpha)

@@ -596,17 +596,30 @@ class TestLadderStore:
         assert report == independent_sweep(cold_store, ["I1"], 6, default_order(3), [1], [1])[-1]
 
     def test_a_longer_request_replaces_the_ladder(self, store):
-        # A G ladder at alpha != 1 dilates the base that recip_exp_linear
-        # keeps under (1, lam, -1), so a check keeps both ladders.
+        # A G ladder at alpha != 1 builds its own base, so a check keeps
+        # its own key alone.
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
-        keys = [(1, lam, -1), (alpha, lam, -1)]
+        key = (alpha, lam, -1)
         verify_general_derivative(2, alpha, lam)
-        assert [store._entries[key][1] for key in keys] == [default_order(2)] * 2
+        assert list(store._entries) == [key] and store._entries[key][1] == default_order(2)
         verify_general_derivative(5, alpha, lam)
-        assert list(store._entries) == keys
-        for ladder, top, bits in store._entries.values():
-            assert top == ladder.top == default_order(5) and bits == ladder.bits
-        assert store.bits == sum(bits for _, _, bits in store._entries.values())
+        assert list(store._entries) == [key]
+        ladder, top, bits = store._entries[key]
+        assert top == ladder.top == default_order(5) and bits == ladder.bits == store.bits
+
+    def test_a_dilated_check_leaves_the_ladder_at_alpha_one(self, store):
+        # G1 at alpha = 1 keeps its powers under (1, lam, -1); a longer
+        # check of the same lambda at alpha = -3/2 neither reads nor
+        # replaces that ladder.
+        lam = Fraction(2, 3)
+        key = (1, lam, -1)
+        verify_general_derivative(4, 1, lam)
+        ladder, top, _ = store._entries[key]
+        powers = ladder.powers(5)
+        verify_general_derivative(6, Fraction(-3, 2), lam)
+        kept, kept_top, _ = store._entries[key]
+        assert kept is ladder and kept_top == kept.top == top == default_order(4)
+        assert kept._powers == powers
 
     @pytest.mark.parametrize(
         "targets, keys",
@@ -614,9 +627,8 @@ class TestLadderStore:
     )
     def test_a_sweep_past_the_budget_builds_each_ladder_once(self, monkeypatch, cold_store, targets, keys):
         # The sweep holds what it reads, so a store that keeps nothing
-        # still gives every check the ladder built at the widest order.
-        # Each ladder at alpha != 1 reads its base off a ladder at
-        # alpha = 1 that nothing holds, so that one is built per reader.
+        # still gives every check the ladder built at the widest order,
+        # and each key builds its own base.
         built = []
 
         class Spy(_Ladder):
@@ -628,8 +640,7 @@ class TestLadderStore:
         with cold_store():
             reports = run_sweep(targets, 6, alphas=self.ALPHAS, lambdas=self.LAMBDAS)
         assert all(report.passed for report in reports)
-        read = [*keys, *((1, lam, c) for alpha, lam, c in keys if alpha != 1)]
-        assert sorted(built) == sorted((key, default_order(6)) for key in read)
+        assert sorted(built) == sorted((key, default_order(6)) for key in keys)
 
     def test_oracles_read_the_ladder_of_a_sweep(self, monkeypatch, store, cold_store):
         # The sweep keeps f = 1/(e**t - 1) at order 34 under (1, 1, -1),

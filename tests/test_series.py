@@ -833,6 +833,27 @@ class TestBaseStore:
             assert recip_exp_linear(1, 1, 1, 90) == fresh_build(cold_store, 1, 1, 1, 90)
         assert store._entries == {} and store.bits == 0
 
+    @pytest.mark.parametrize("lam", DEFAULT_LAMBDAS, ids=str)
+    @pytest.mark.parametrize("alpha", [Fraction(-3, 2), Fraction(-1), Fraction(1, 2), 2], ids=str)
+    def test_the_store_builds_the_base_recip_exp_linear_gives(self, cold_store, alpha, lam):
+        # The store builds a dilated key's base itself: the source's
+        # reciprocal at alpha = 1 below the split, the unit written down
+        # from it on.  Orders 103 to 106 take both routes.
+        def store_build(alpha, lam, c, order):
+            return series_module._LADDERS.ladder((alpha, lam, c), order).base
+
+        key = (alpha, lam, -1)
+        for order in (1, 2):
+            with cold_store():
+                assert window_error(store_build, *key, order) == window_error(
+                    recip_exp_linear, *key, order
+                )
+        for order in range(1, 111):
+            with cold_store():
+                built = outcome(store_build, *key, order)
+            with cold_store():
+                assert built == outcome(recip_exp_linear, *key, order), order
+
     @pytest.mark.parametrize(
         "alpha, lam, c, order",
         [
