@@ -41,9 +41,9 @@ The verifier reads both sides off the ladders of their bases, the powers
 and the derivatives of one base series, in the store of bases that
 ``series`` describes.  A check at a lower order than a stored ladder's
 reads it below its own cut only: it combines the weighted sum below the
-cut and compares a stored derivative in place up to it.  ``run_sweep``
-holds every ladder it reads until it returns, so a sweep past the store's
-bound still builds each ladder once.
+cut and compares its left side, a stored derivative or a stored power,
+in place up to it.  ``run_sweep`` holds every ladder it reads until it
+returns, so a sweep past the store's bound still builds each ladder once.
 
 ``verify_target`` is the plan of the ``verify`` command: the sweep of
 one tag or all twelve, then the named checks of ``sequences``.  Tags give
@@ -297,20 +297,19 @@ def _verify(
     # Each side leaves out the last top - order coefficients of its own
     # ladder (see series._Ladders); a linear combination of entries moves
     # one-for-one with the order too.  The weighted sum is combined below
-    # that cut only, and a stored derivative is compared in place below it.
-    # The power is taken of the truncated base: that costs fewer products
-    # of coefficients than truncating the power.
+    # that cut only, and the left side, a stored derivative or a stored
+    # Miller power, is compared in place below it.  Each side keeps its own
+    # route: a power-kind left side never reads the product chain that a
+    # derivative-kind right side sums.
     lhs_trim = lhs_ladder.top - order
     rhs_trim = rhs_ladder.top - order
     if kind == "derivative":
         lhs = lhs_ladder.derivatives(k + 1)[k]
-        lhs_hi = _cut(lhs.offset, lhs.precision, lhs.precision - lhs_trim)
         rhs = linear_combination(rhs_ladder.powers(k + 1), weights, trim=rhs_trim)
     else:
-        base = lhs_ladder.base
-        lhs = base.truncated(base.precision - lhs_trim) ** k
-        lhs_hi = lhs.precision
+        lhs = lhs_ladder.power(k)
         rhs = linear_combination(rhs_ladder.derivatives(k), weights, trim=rhs_trim)
+    lhs_hi = _cut(lhs.offset, lhs.precision, lhs.precision - lhs_trim)
     rhs_hi = rhs.precision
     if constant is not None:
         # A nonzero weighted sum is known no further than its base; the

@@ -61,7 +61,11 @@ factorial-scaled quotient back over one denominator.
 
 One bounded store, ``_LADDERS``, keeps the ladders of the bases: the
 powers and derivatives of 1/(lam e**(alpha t) + c), one per key
-(alpha, lam, c), each at the longest source order asked for so far.  The
+(alpha, lam, c), each at the longest source order asked for so far.  A
+ladder holds two kinds of power: the chain base**1, base**2, ... of
+products, and single powers base**k, each one pass of Miller's
+recurrence, so that a power-kind identity check and a derivative-kind one
+never read the same kernel's output for their power side.  The
 store alone builds the bases it keeps, as above, and every other caller
 only reads them.  The identity checks read their ladders there, and
 ``recip_exp_linear`` reads its base at alpha = 1 there below
@@ -78,7 +82,7 @@ the stored entries less their last top - order coefficients.  Every
 stored coefficient is exact, and once the valuation is visible each
 step's precision moves one-for-one with the source order (every base has
 a nonzero leading coefficient).  A longer request builds again and
-replaces the entry, dropping the powers and derivatives built on it.
+replaces the entry, dropping every power and derivative built on it.
 
 Each ladder is charged the bits of its numerators and denominator, 320
 more a coefficient and 8,192 a series (``_stored_bits``), and charged
@@ -681,10 +685,12 @@ def _stored_bits(r: LaurentSeries) -> int:
 
 
 class _Ladder:
-    """Powers base**1, base**2, ... and derivatives base, base', ... of one
-    base series built at source order ``top``; each entry is computed once,
-    when first asked for.  ``bits`` is the ``_stored_bits`` of its distinct
-    entries; a ladder built by a store is charged there as it grows."""
+    """Powers base**1, base**2, ... as a chain of products, derivatives
+    base, base', ... and single powers base**k by Miller's recurrence, of
+    one base series built at source order ``top``; each entry is computed
+    once, when first asked for.  ``bits`` is the ``_stored_bits`` of its
+    distinct entries; a ladder built by a store is charged there as it
+    grows."""
 
     def __init__(self, base: LaurentSeries, top: int, store: Optional["_Ladders"] = None, key=None):
         self.base = base
@@ -694,24 +700,35 @@ class _Ladder:
         self._key = key
         self._powers = [base]
         self._derivatives = [base]
+        self._miller = {1: base}
 
-    def _add(self, entries: list, entry: LaurentSeries) -> None:
-        entries.append(entry)
+    def _add(self, entry: LaurentSeries) -> LaurentSeries:
+        """entry, charged as a new entry of this ladder."""
         self.bits += _stored_bits(entry)
         if self._store is not None:
             self._store.charge(self._key, self)
+        return entry
 
     def powers(self, count: int) -> list:
-        """[base**1, ..., base**count]"""
+        """[base**1, ..., base**count], each the product of the one before
+        and base"""
         while len(self._powers) < count:
-            self._add(self._powers, self._powers[-1] * self.base)
+            self._powers.append(self._add(self._powers[-1] * self.base))
         return self._powers[:count]
 
     def derivatives(self, count: int) -> list:
         """[base, base', ..., base^(count-1)]"""
         while len(self._derivatives) < count:
-            self._add(self._derivatives, self._derivatives[-1].derivative())
+            self._derivatives.append(self._add(self._derivatives[-1].derivative()))
         return self._derivatives[:count]
+
+    def power(self, k: int) -> LaurentSeries:
+        """base**k for k >= 1 by ``__pow__``, one pass of Miller's
+        recurrence, apart from the product chain of ``powers``."""
+        entry = self._miller.get(k)
+        if entry is None:
+            entry = self._miller[k] = self._add(self.base**k)
+        return entry
 
 
 class _Ladders:

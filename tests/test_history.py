@@ -36,6 +36,15 @@ COMMANDS = [
     f"verify G2 --k-max 4 --alpha=-3/2 {LAMBDA} --format csv",
     f"verify G2 --k-max 6 --alpha 1 {LAMBDA} --format json",
     f"verify G1 --k-max 3 --alpha 2 {LAMBDA} --order 40",
+    # stored powers read below the top they were built at, or dropped
+    # when a longer check replaces their ladder
+    "verify I6 --k-max 20",
+    "verify I6 --k-max 3 --order 5",
+    "verify I6 --k-max 3 --order 12",
+    "verify P2 --k-max 14 --order 40",
+    "verify P2 --k-max 6 --order 22",
+    f"verify G2 --k-max 12 --alpha=-3/2 {LAMBDA}",
+    f"verify G2 --k-max 2 --alpha=-3/2 {LAMBDA}",
     # every tag and named check at the default orders
     "verify all --k-max 4",
     "verify all --k-max 4 --format csv",

@@ -677,3 +677,61 @@ class TestLadderStore:
                     with cold_store():
                         expected = sweep_outcome(check, *args)
                     assert sweep_outcome(check, *args) == expected, (check, order, k)
+
+    # The power-kind tags and the bases of their left sides; G2 at three
+    # points, (1, 1) among them, whose G is f.
+    POWER_CHECKS = [(tag, [1], [1]) for tag in ("I5", "I6", "I7", "I8", "P2")] + [
+        ("G2", [alpha], [lam]) for alpha, lam in ((Fraction(-3, 2), Fraction(2, 3)), (Fraction(1, 2), Fraction(-5, 3)), (1, 1))
+    ]
+
+    @pytest.mark.parametrize("tag, alphas, lambdas", POWER_CHECKS)
+    def test_a_stored_power_is_a_fresh_power_on_every_compared_window(self, store, tag, alphas, lambdas):
+        assert all(report.passed for report in run_sweep([tag], 6, None, alphas, lambdas))
+        key = _SPECS[tag][0] or (alphas[0], lambdas[0], -1)
+        ladder = store._entries[key][0]
+        assert ladder.top == default_order(6) and sorted(ladder._miller) == list(range(1, 7))
+        base = ladder.base
+        for order in range(3, ladder.top + 1):
+            trim = ladder.top - order
+            for k in range(1, 7):
+                stored = ladder.power(k)
+                fresh = base.truncated(base.precision - trim) ** k
+                assert stored.truncated(stored.precision - trim) == fresh, (order, k)
+
+    def test_a_second_power_sweep_runs_no_miller_pass(self, monkeypatch, store):
+        tags = ["I5", "I6", "I7", "I8", "P2"]
+        first = run_sweep(tags, 12)
+        passes = []
+        real = series_module._power
+        monkeypatch.setattr(series_module, "_power", lambda unit, den, k: passes.append(k) or real(unit, den, k))
+        assert run_sweep(tags, 12) == first
+        assert [k for k in passes if k >= 1] == []
+        # f, g and h each hold base**1 .. base**12, and every entry held is charged once
+        assert set(store._entries) == {F_KEY, G_KEY, H_KEY}
+        for ladder, _, bits in store._entries.values():
+            assert sorted(ladder._miller) == list(range(1, 13))
+            entries = [ladder.base, *ladder._powers, *ladder._derivatives, *ladder._miller.values()]
+            distinct = {id(entry): entry for entry in entries}.values()
+            assert bits == ladder.bits == sum(map(series_module._stored_bits, distinct))
+        assert store.bits == sum(bits for _, _, bits in store._entries.values())
+
+    @pytest.mark.parametrize("kernel, corrupted", [("_power", "power"), ("_lcm_product", "derivative")])
+    def test_a_wrong_kernel_fails_only_the_tags_whose_route_runs_it(self, monkeypatch, store, kernel, corrupted):
+        # Miller's recurrence builds the power-kind left sides, and the
+        # chain of products the right sides of the derivative kind: one
+        # wrong leading coefficient out of either fails the kind that reads
+        # it and no other.  base**1 is the base itself, so a power-kind
+        # check at k = 1 runs no Miller pass.
+        real = getattr(series_module, kernel)
+
+        def wrong(*args):
+            nums, den = real(*args)
+            if kernel == "_power" and args[2] < 1:
+                return nums, den
+            return [nums[0] + 1, *nums[1:]], den
+
+        monkeypatch.setattr(series_module, kernel, wrong)
+        for tag, (_, kind, *_) in _SPECS.items():
+            for report in run_sweep([tag], 4, None, [Fraction(-3, 2)], [Fraction(2, 3)]):
+                fails = kind == corrupted and (kind == "derivative" or report.k > 1)
+                assert report.passed != fails, (tag, report.k)
