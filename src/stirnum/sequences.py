@@ -38,8 +38,9 @@ The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler
 and two-parameter Euler polynomial is built as the integer numerators over
 one denominator that ``Polynomial`` stores, ``Polynomial.evaluate`` runs
-Horner on those numerators, the reduction checks compare them
-cross-multiplied, the even-index Euler sum and
+Horner on those numerators, the reduction checks read each (n, lam) as
+one integer row and compare cross-multiplied integers built from it (see
+``two_param_reduction_sweep``), the even-index Euler sum and
 ``stirling_alternating_sum`` are one integer over a power of two, and
 ``bernoulli_formula`` sums integers over the lcm of a row of Pascal's
 triangle.  Each builds one ``Fraction`` per value it returns.
@@ -369,17 +370,54 @@ def two_param_euler_formula(n: int, alpha: Scalar, lam: Scalar) -> Polynomial:
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
-    # With alpha = a/b and the sum g = P/Q, coefficient k is the integer
-    # ratio 2 (-a)**(n-k) C(n, k) P / (b**(n-k) Q).  For lam = c/d,
-    # rho = 1/(lam + 1) = d/(c + d) is already in lowest terms.
-    a, b = alpha.numerator, alpha.denominator
+    return _two_param_poly(n, alpha.numerator, alpha.denominator, _two_param_row(n, lam))
+
+
+def _two_param_row(n: int, lam: Fraction) -> Tuple[Tuple[int, ...], int]:
+    """The row of (n, lam), the part of E_n(x; alpha, lam) that alpha does
+    not touch: integers r_k over one denominator L, the lcm of the sums'
+    denominators, with r_k / L = 2 C(n, k) g(n-k+1) and g the alternating
+    Stirling sum at rho = 1/(lam + 1).  Coefficient k of E_n(x; a/b, lam)
+    is r_k (-a/b)**(n-k) / L.
+    """
+    # For lam = c/d, rho = d/(c + d) is already in lowest terms.
     p, q = lam.denominator, lam.numerator + lam.denominator
     if q < 0:
         p, q = -p, -q
     sums = [_geometric_stirling_sum(n - k + 1, p, q) for k in range(n + 1)]
-    nums = [2 * (-a) ** (n - k) * math.comb(n, k) * g.numerator for k, g in enumerate(sums)]
-    dens = [b ** (n - k) * g.denominator for k, g in enumerate(sums)]
-    return Polynomial(*_over_lcm(nums, dens))
+    den = math.lcm(*[g.denominator for g in sums])
+    nums = tuple(
+        2 * math.comb(n, k) * g.numerator * (den // g.denominator) for k, g in enumerate(sums)
+    )
+    return nums, den
+
+
+def _two_param_poly(n: int, a: int, b: int, row) -> Polynomial:
+    """E_n(x; a/b, lam) from the row of lam: numerator k is
+    r_k (-a)**(n-k) b**k over L b**n."""
+    nums, den = row
+    scaled = list(nums)
+    power = 1  # (-a)**(n-k)
+    for k in range(n, -1, -1):
+        scaled[k] *= power
+        power *= -a
+    power = 1  # b**k
+    for k in range(n + 1):
+        scaled[k] *= power
+        power *= b
+    return Polynomial(scaled, den * b**n)
+
+
+def _two_param_pivot(n: int, a: int, b: int, row) -> Tuple[int, int]:
+    """E_n(1; a/b, lam) from the row of lam, unreduced: Horner on
+    sum_k r_k (-a)**(n-k) b**k over L b**n, with no polynomial built."""
+    nums, den = row
+    acc = nums[0]
+    power = 1  # b**k
+    for r in nums[1:]:
+        power *= b
+        acc = acc * -a + r * power
+    return acc, den * power
 
 
 def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fraction:
@@ -439,8 +477,13 @@ def two_param_reduction_sweep(
     REDUCTION_ALPHAS / REDUCTION_LAMBDAS for None; an empty grid has no
     points), n ascending, then (alpha, lam) ascending.
 
-    Each n builds E_n(x) once and each E_n(x; alpha, lam) it reads once,
-    whether as a grid point, a rescale's unit side or a pointwise pivot.
+    Each n builds E_n(x) once and one row per lambda (``_two_param_row``,
+    the part of the closed form that alpha does not touch).  Each grid
+    point and each rescale's unit side is one polynomial built from its
+    row, the build that ``two_param_euler_formula`` runs too, and each
+    pointwise pivot E_n(1; alpha/x, lam) is one integer Horner sum over
+    the row, with no polynomial built; so a fault in the build shows as
+    a pivot mismatch.
     The grid is checked before any n, point by point in order, so a bad
     point raises the error the first call of
     ``verify_two_param_reductions`` on it would.
@@ -465,26 +508,39 @@ def _reductions_at(
     """Whether the reductions hold at index n, for each (alpha, lam) of
     alphas x lambdas in that order.  A failed E_n(x; 1, 1) == E_n(x)
     fails every point."""
+    rows: dict = {}
     built: dict = {}
+
+    def row(lam: Fraction):
+        """The row of lam at this n, built once."""
+        key = lam.numerator, lam.denominator
+        found = rows.get(key)
+        if found is None:
+            found = rows[key] = _two_param_row(n, lam)
+        return found
 
     def poly(alpha: Fraction, lam: Fraction) -> Polynomial:
         """E_n(x; alpha, lam), built once per (alpha, lam) at this n."""
-        found = built.get((alpha, lam))
+        key = alpha.numerator, alpha.denominator, lam.numerator, lam.denominator
+        found = built.get(key)
         if found is None:
-            found = built[alpha, lam] = two_param_euler_formula(n, alpha, lam)
+            found = built[key] = _two_param_poly(n, key[0], key[1], row(lam))
         return found
 
-    if poly(1, 1) != euler_polynomial_formula(n):
+    one = Fraction(1)
+    if poly(one, one) != euler_polynomial_formula(n):
         return [False] * (len(alphas) * len(lambdas))
-    return [_reduces(n, alpha, lam, poly) for alpha in alphas for lam in lambdas]
+    return [
+        _reduces(n, alpha, poly(alpha, lam), poly(one, lam), row(lam))
+        for alpha in alphas
+        for lam in lambdas
+    ]
 
 
-def _reduces(n: int, alpha: Fraction, lam: Fraction, poly) -> bool:
-    """The rescale and pointwise reductions at one point, with
-    poly(alpha, lam) giving E_n(x; alpha, lam).  Both compare
+def _reduces(n: int, alpha: Fraction, full: Polynomial, unit: Polynomial, row) -> bool:
+    """The rescale and pointwise reductions at one point, given
+    E_n(x; alpha, lam), E_n(x; 1, lam) and the row of lam.  Both compare
     cross-multiplied integers."""
-    full = poly(alpha, lam)
-    unit = poly(1, lam)
     # Coefficient k: full_k / F == unit_k a**(n-k) / (U b**(n-k)) for
     # alpha = a/b.  Both are trimmed and a != 0, so when they are equal
     # their lengths are too.
@@ -499,7 +555,8 @@ def _reduces(n: int, alpha: Fraction, lam: Fraction, poly) -> bool:
         left *= b
         right *= a
     for x in _REDUCTION_NODES:
-        pivot_num, pivot_den = poly(alpha / x, lam)._value(Fraction(1))
+        pivot = alpha / x
+        pivot_num, pivot_den = _two_param_pivot(n, pivot.numerator, pivot.denominator, row)
         value_num, value_den = full._value(x)
         if value_num * x.denominator**n * pivot_den != x.numerator**n * pivot_num * value_den:
             return False

@@ -49,6 +49,12 @@ COMMANDS = [
     "verify all --k-max 4",
     "verify all --k-max 4 --format csv",
     *[f"verify {check} --k-max 4" for check in ("det-relation", "alt-sum", "reductions")],
+    # the reduction sweep and the two-parameter closed form, which share
+    # the process-wide cache of alternating Stirling sums
+    "verify reductions --k-max 12 --format csv",
+    "verify reductions --k-max 3 --alpha=-3/7 --lambda 5/2",
+    "two-param-euler 40 --alpha 2 --lambda 3",
+    "verify reductions --k-max 6 --lambda 3",
     # the oracles, reading f = 1/(e^t - 1) at orders 103 to 109
     *[f"bernoulli {n}" for n in range(100, 107)],
     *[f"apostol-bernoulli {n} --lambda 1" for n in range(100, 107)],

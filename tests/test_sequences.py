@@ -3,12 +3,13 @@
 import itertools
 import math
 import sys
+import types
 from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stirnum import sequences
@@ -316,6 +317,20 @@ class TestIntegerClosedForms:
         assert poly == Polynomial.from_coeffs(reference_two_param_coeffs(n, alpha, lam))
         assert all(type(c) is Fraction for c in poly.coeffs)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), nonzero_rationals, rationals.filter(lambda lam: lam != -1))
+    @example(9, Fraction(-3, 7), Fraction(0))
+    @example(9, Fraction(5, 2), Fraction(-5, 2))
+    def test_row_routes_match_reference(self, n, alpha, lam):
+        # The polynomial and the pivot sum of the reduction sweep, each
+        # read off the one row of (n, lam).
+        row = sequences._two_param_row(n, lam)
+        a, b = alpha.numerator, alpha.denominator
+        reference = reference_two_param_coeffs(n, alpha, lam)
+        assert sequences._two_param_poly(n, a, b, row) == Polynomial.from_coeffs(reference)
+        pivot = Fraction(*sequences._two_param_pivot(n, a, b, row))
+        assert pivot == two_param_euler_formula(n, alpha, lam).evaluate(1) == sum(reference)
+
 
 def assert_canonical_polynomial(poly):
     """Integer numerators over one denominator: den > 0,
@@ -390,18 +405,31 @@ REDUCTION_PERTURBATIONS = [
 
 
 def perturb_two_param(monkeypatch, n_bad, bad):
-    """Make E_{n_bad}(x; *bad) come out with 1/7 added to its x coefficient."""
-    real = sequences.two_param_euler_formula
+    """Make E_{n_bad}(x; *bad) come out with 1/7 added to its x coefficient,
+    both as a built polynomial and as a pivot sum at x = 1."""
+    bad_alpha, bad_lam = bad
+    bad_row = sequences._two_param_row(n_bad, bad_lam)
+    real_poly, real_pivot = sequences._two_param_poly, sequences._two_param_pivot
 
-    def perturbed(n, alpha, lam):
-        poly = real(n, alpha, lam)
-        if n != n_bad or (Fraction(alpha), Fraction(lam)) != bad:
+    def hit(n, a, b, row):
+        return n == n_bad and Fraction(a, b) == bad_alpha and row == bad_row
+
+    def perturbed_poly(n, a, b, row):
+        poly = real_poly(n, a, b, row)
+        if not hit(n, a, b, row):
             return poly
         coeffs = list(poly.coeffs)
         coeffs[1] += Fraction(1, 7)
         return Polynomial.from_coeffs(coeffs)
 
-    monkeypatch.setattr(sequences, "two_param_euler_formula", perturbed)
+    def perturbed_pivot(n, a, b, row):
+        num, den = real_pivot(n, a, b, row)
+        if not hit(n, a, b, row):
+            return num, den
+        return 7 * num + den, 7 * den  # at x = 1 the value gains the 1/7 too
+
+    monkeypatch.setattr(sequences, "_two_param_poly", perturbed_poly)
+    monkeypatch.setattr(sequences, "_two_param_pivot", perturbed_pivot)
 
 
 def per_point_reductions(k_max, alphas, lambdas):
@@ -621,19 +649,22 @@ class TestReductionSweep:
             assert len(failed) == len(alphas) * len(lambdas)
 
     def test_builds_each_polynomial_once_per_index(self, monkeypatch):
-        # Per n on the default grid: the 9 grid points, which hold every
-        # E_n(x; 1, lam), and 6 pivots alpha/x for each of the 3 lambdas.
-        calls = []
-        real = sequences.two_param_euler_formula
+        # Per n on the default grid: one row per lambda, the 9 grid points,
+        # which hold every E_n(x; 1, lam), and one pivot sum per alpha/x
+        # for each of the 3 lambdas.
+        calls = {"_two_param_row": [], "_two_param_poly": [], "_two_param_pivot": []}
+        for name, seen in calls.items():
 
-        def counted(n, alpha, lam):
-            calls.append((n, Fraction(alpha), Fraction(lam)))
-            return real(n, alpha, lam)
+            def counted(n, *args, real=getattr(sequences, name), seen=seen):
+                seen.append((n, *args))
+                return real(n, *args)
 
-        monkeypatch.setattr(sequences, "two_param_euler_formula", counted)
+            monkeypatch.setattr(sequences, name, counted)
         rows = two_param_reduction_sweep(5)
         assert all(passed for *_, passed in rows)
-        assert len(calls) == len(set(calls)) == 6 * 27
+        per_n = {"_two_param_row": 3, "_two_param_poly": 9, "_two_param_pivot": 6 * 3}
+        for name, seen in calls.items():
+            assert len(seen) == len(set(seen)) == 6 * per_n[name], name
 
     def test_named_checks(self):
         assert determinant_relation_checks(4) == [
@@ -790,7 +821,11 @@ class TestRouteIndependence:
     POINTS = {"alpha": (1, Fraction(-3, 2)), "lambda": (1, Fraction(2, 3)), "x": (Fraction(1, 3),)}
 
     def allowed(self):
-        codes = {series_module._normalized.__code__, sequences._check_two_param.__code__}
+        normalized = series_module._normalized.__code__
+        codes = {normalized, sequences._check_two_param.__code__}
+        # Before CPython 3.12 a comprehension runs as a code object of its
+        # own; those inside _normalized are _normalized.
+        codes |= {c for c in normalized.co_consts if isinstance(c, types.CodeType)}
         for _, formula, oracle in sequences._FAMILY_TABLE.values():
             codes |= {formula.__code__, oracle.__code__}
         return codes
