@@ -436,7 +436,7 @@ def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fra
     order = n + 2
     e, r = exp_linear(Fraction(x), order), recip_exp_linear(alpha, lam, 1, order)
     if order < _EGF_MIN_LENGTH:
-        return (e * r).scale(2).coeff(n) * math.factorial(n)
+        return 2 * (e * r).coeff(n) * math.factorial(n)
     dot = sum(map(operator.mul, e.nums[: n + 1], reversed(r.nums[: n + 1])))
     return Fraction(2 * math.factorial(n) * dot, e.den * r.den)
 

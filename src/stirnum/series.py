@@ -44,9 +44,13 @@ on the stored numerators gives the unit's k-th power at every length, on
 exactly the window k - 1 repeated products would give.  The same pass at
 k = -1 is the long division, which ``reciprocal`` runs at every length.
 
-Every reciprocal base of the package is 1/(lam e**(alpha t) + c).  For
-alpha other than 0 and 1 it is the base at alpha = 1 dilated, t -> alpha
-t: ``_dilated`` multiplies coefficient e by alpha**e.  Below order
+Every reciprocal base of the package is 1/(lam e**(alpha t) + c), and
+``_build_base`` is the one place that builds it.  At orders 1 and 2, where
+the valuation can lie outside the window, and at alpha = 0 or lam = 0,
+where the source is a constant, it is the reciprocal of the source series
+at its own alpha, which raises the errors.  Every other base is the base
+at alpha = 1 dilated, t -> alpha t: ``_dilated`` multiplies coefficient e
+by alpha**e (at alpha = 1 it is the base itself).  Below order
 ``_EGF_MIN_LENGTH`` the base at alpha = 1 is the reciprocal of its source
 series.  From that order on it is written down from (lam, c): the
 factorial-scaled unit of lam e**t + c is (lam + c, lam, lam, ...) at
@@ -66,16 +70,14 @@ ladder holds two kinds of power: the chain base**1, base**2, ... of
 products, and single powers base**k, each one pass of Miller's
 recurrence, so that a power-kind identity check and a derivative-kind one
 never read the same kernel's output for their power side.  The
-store alone builds the bases it keeps, as above, and every other caller
-only reads them.  The identity checks read their ladders there, and
+store builds the bases it keeps with ``_build_base``, and every other
+caller only reads them.  The identity checks read their ladders there, and
 ``recip_exp_linear`` reads its base at alpha = 1 there below
 ``_EGF_MIN_LENGTH``, keyed on (1, lam, c), so f, h and G at alpha = 1
-share one entry with the oracles.  From the split on ``recip_exp_linear``
-writes every base down by Pascal's rule and stores nothing, so the cost of
-a long request depends on its own order alone.  Orders 1 and 2, where the
-valuation can lie outside the window, and alpha = 0 or lam = 0, where the
-source is a constant, never touch the store: they take the reciprocal of
-the source series, which raises the errors.
+share one entry with the oracles.  Every other request of
+``recip_exp_linear`` calls ``_build_base`` and stores nothing: from the
+split on, so that the cost of a long request depends on its own order
+alone, and at orders 1 and 2, alpha = 0 or lam = 0.
 
 A read at a lower source order gives what a build at that order gives:
 the stored entries less their last top - order coefficients.  Every
@@ -441,11 +443,11 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 
 
 # The split of two shortcuts, each taken from this order on.
-# recip_exp_linear writes the unit down (_pascal_reciprocal) rather than
+# _build_base writes the unit down (_pascal_reciprocal) rather than
 # long-dividing the source series, and two_param_euler_oracle reads its one
 # coefficient as a dot product: one of the n + 1 that multiplying out the
-# product takes.  The direct build of recip_exp_linear wins at every order
-# in alternating runs on 2-vCPU x86-64 with CPython 3.11.7 (8 Apostol,
+# product takes.  The Pascal-rule build wins at every order in
+# alternating runs on 2-vCPU x86-64 with CPython 3.11.7 (8 Apostol,
 # Euler and two-parameter bases, best of 5): 1.4x at orders 12 and 16,
 # 1.5x at 24 to 64, 1.7x at 80 against the source route, and 2.3x at 104,
 # 2.5x at 150, 7.3x at 300 against Miller's division of the source.  The
@@ -676,6 +678,17 @@ def _dilated(r: LaurentSeries, alpha: Fraction) -> LaurentSeries:
     return _canonical(r.offset, list(nums), r.den * first.denominator * b**top)
 
 
+def _build_base(alpha: Fraction, lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
+    """1/(lam e**(alpha t) + c) on the window of the reciprocal of its
+    source series of the given order: the one builder of every base, by
+    the rule of the module docstring."""
+    if not (alpha and lam and order >= 3):
+        return _source_reciprocal(alpha, lam, c, order)
+    if order < _EGF_MIN_LENGTH:
+        return _dilated(_source_reciprocal(1, lam, c, order), alpha)
+    return _dilated(_pascal_reciprocal(lam, c, order), alpha)
+
+
 def _stored_bits(r: LaurentSeries) -> int:
     """About the memory r takes in ``_LADDERS``, in bits: the bits of its
     numerators and denominator, 320 more a coefficient (the 40 bytes of a
@@ -744,19 +757,14 @@ class _Ladders:
     def ladder(self, key: tuple, order: int) -> _Ladder:
         """The ladder of the base ``key`` built at ``order`` or longer."""
         if order < 3:
-            return _Ladder(_source_reciprocal(*key, order), order)
+            return _Ladder(_build_base(*map(Fraction, key), order), order)
         entry = self._entries.pop(key, None)
         if entry is not None:
             self.bits -= entry[2]
         ladder = entry[0] if entry else self._live.get(key)
         if ladder is None or ladder.top < order:
-            alpha, lam, c = map(Fraction, key)
-            base = (
-                _source_reciprocal(1, lam, c, order)
-                if order < _EGF_MIN_LENGTH
-                else _pascal_reciprocal(lam, c, order)
-            )
-            ladder = self._live[key] = _Ladder(_dilated(base, alpha), order, self, key)
+            base = _build_base(*map(Fraction, key), order)
+            ladder = self._live[key] = _Ladder(base, order, self, key)
         self.keep(key, ladder)
         return ladder
 
@@ -790,15 +798,12 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     series of the given order has.
 
     1/(e**t - 1) is (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1)
-    is (1, 1, 1).  How the base is built, dilated and read off the store is
+    is (1, 1, 1).  The public entry point to every base: how
+    ``_build_base`` builds it and when it is read off the store instead is
     in the module docstring.
     """
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
-    if not (alpha and lam and order >= 3):
-        return _source_reciprocal(alpha, lam, c, order)
-    if order < _EGF_MIN_LENGTH:
-        r = _LADDERS.ladder((1, lam, c), order).base
-        r = r.truncated(order + 2 * r.offset - 1)
-    else:
-        r = _pascal_reciprocal(lam, c, order)
-    return _dilated(r, alpha)
+    if not (alpha and lam and 3 <= order < _EGF_MIN_LENGTH):
+        return _build_base(alpha, lam, c, order)
+    r = _LADDERS.ladder((1, lam, c), order).base
+    return _dilated(r.truncated(order + 2 * r.offset - 1), alpha)

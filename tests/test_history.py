@@ -64,6 +64,9 @@ COMMANDS = [
         for order in (3, 103, 104, 300)
         for which in ("recip-exp-minus-one", f"apostol {LAMBDA}", "recip-exp-plus-one")
     ],
+    # order 2, built at its own alpha without an error
+    "series dump recip-exp-plus-one --order 2",
+    f"series dump apostol {LAMBDA} --order 2",
     # error cases
     "series dump recip-exp-minus-one --order 1",
     "series dump apostol --lambda 1 --order 2",

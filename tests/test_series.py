@@ -1,8 +1,12 @@
 """Truncated Laurent series: exactness, window rules, and ring structure."""
 
+import contextlib
 import functools
+import io
 import math
 import operator
+import shlex
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -10,10 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stirnum import cli
 from stirnum import series as series_module
 from stirnum.errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 from stirnum.identities import DEFAULT_ALPHAS, DEFAULT_LAMBDAS
-from stirnum.sequences import REDUCTION_ALPHAS, REDUCTION_LAMBDAS
+from stirnum.sequences import (
+    REDUCTION_ALPHAS,
+    REDUCTION_LAMBDAS,
+    apostol_bernoulli_oracle,
+    bernoulli_oracle,
+    euler_polynomial_oracle,
+    two_param_euler_oracle,
+)
 from stirnum.series import ZERO, LaurentSeries, exp_linear, linear_combination, recip_exp_linear
 from stirnum.stirling import stirling2
 
@@ -833,6 +845,15 @@ class TestBaseStore:
             assert recip_exp_linear(1, 1, 1, 90) == fresh_build(cold_store, 1, 1, 1, 90)
         assert store._entries == {} and store.bits == 0
 
+    def test_every_stored_series_is_charged_at_least_8192_bits(self):
+        # The documented bound: at most budget // 8192 series are held.
+        store = series_module._Ladders(1 << 17)
+        for lam in range(1, 101):
+            store.ladder((1, lam, -1), 3)
+        held = [ladder.base for ladder, _, _ in store._entries.values()]
+        assert 0 < len(held) <= store.budget // 8192
+        assert store.bits == sum(map(series_module._stored_bits, held))
+
     @pytest.mark.parametrize("lam", DEFAULT_LAMBDAS, ids=str)
     @pytest.mark.parametrize("alpha", [Fraction(-3, 2), Fraction(-1), Fraction(1, 2), 2], ids=str)
     def test_the_store_builds_the_base_recip_exp_linear_gives(self, cold_store, alpha, lam):
@@ -874,6 +895,50 @@ class TestBaseStore:
             outcome(direct_recip_exp_linear, alpha, lam, c, order),
         )
         assert store._entries == {} and store.bits == 0
+
+
+class TestOneBuilder:
+    """``_build_base`` is the one place that builds a base: every call of
+    ``_source_reciprocal`` and ``_pascal_reciprocal`` comes from it, for
+    the store's ladders and for ``recip_exp_linear`` alike."""
+
+    COMMANDS = [
+        *[
+            f"series dump {which} --order {order}"
+            for which in ("recip-exp-minus-one", "recip-exp-plus-one", "apostol --lambda 2/3")
+            for order in (1, 2, 3, 103, 104, 105, 300)
+        ],
+        "verify all --k-max 2",
+        "verify all --k-max 2 --order 104",
+        "verify G1 --k-max 2 --alpha=-3/2 --lambda 2/3",
+        "verify G2 --k-max 2 --alpha=-3/2 --lambda 2/3",
+    ]
+    ORACLES = [
+        (bernoulli_oracle, ()),
+        (apostol_bernoulli_oracle, (Fraction(2, 3),)),
+        (euler_polynomial_oracle, (Fraction(1, 3),)),
+        (two_param_euler_oracle, (Fraction(1, 3), Fraction(-3, 2), Fraction(2, 3))),
+    ]
+
+    def test_every_build_comes_from_build_base(self, monkeypatch):
+        callers = {"_source_reciprocal": [], "_pascal_reciprocal": []}
+        for name, seen in callers.items():
+            real = getattr(series_module, name)
+
+            def spy(*args, real=real, seen=seen):
+                seen.append(sys._getframe(1).f_code.co_name)
+                return real(*args)
+
+            monkeypatch.setattr(series_module, name, spy)
+        monkeypatch.setattr(series_module, "_LADDERS", series_module._Ladders(STORE_BITS))
+        for line in self.COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                cli.main(shlex.split(line))
+        for oracle, params in self.ORACLES:
+            for n in (0, 100, 101, 102, 110):
+                oracle(n, *params)
+        for name, seen in callers.items():
+            assert seen and set(seen) == {"_build_base"}, (name, sorted(set(seen)))
 
 
 @st.composite
