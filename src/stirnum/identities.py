@@ -385,12 +385,16 @@ def run_sweep(
     General identities run over the cartesian grid of alphas x lambdas
     (DEFAULT_ALPHAS / DEFAULT_LAMBDAS for None; an empty grid has no
     points).  Report order is deterministic: targets as given, k
-    ascending, then (alpha, lambda) ascending.
+    ascending, then (alpha, lambda) ascending.  An unknown tag raises
+    before any ladder is built or any check run.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     alpha_grid = sorted(Fraction(a) for a in (DEFAULT_ALPHAS if alphas is None else alphas))
     lambda_grid = sorted(Fraction(v) for v in (DEFAULT_LAMBDAS if lambdas is None else lambdas))
+    for target in targets:
+        if target not in _SPECS:
+            raise DomainError(f"unknown identity tag {target!r}")
     # Each ladder is built at the order of the widest check, which the
     # narrower ones read, and held until the sweep returns.  A point with
     # alpha or lambda 0 reads none, and orders below 3 read none stored.
@@ -398,7 +402,7 @@ def run_sweep(
     grid = [(alpha, lam, -1) for alpha in alpha_grid for lam in lambda_grid if alpha and lam]
     keys = [
         key
-        for lhs_base, _, _, rhs_base, _ in filter(None, map(_SPECS.get, targets))
+        for lhs_base, _, _, rhs_base, _ in map(_SPECS.get, targets)
         for key in ({lhs_base, rhs_base} if lhs_base else grid)
     ]
     held = [series._LADDERS.ladder(key, top) for key in keys] if top >= 3 else []
@@ -410,12 +414,10 @@ def run_sweep(
                 for alpha in alpha_grid:
                     for lam in lambda_grid:
                         reports.append(check(k, alpha, lam, order))
-        elif target in _SPECS:
+        else:
             check = verify_core_identity if target in CORE_IDENTITY_IDS else verify_plus_identity
             for k in range(1, k_max + 1):
                 reports.append(check(target, k, order))
-        else:
-            raise DomainError(f"unknown identity tag {target!r}")
     del held
     return reports
 

@@ -45,23 +45,24 @@ exactly the window k - 1 repeated products would give.  The same pass at
 k = -1 is the long division, which ``reciprocal`` runs at every length.
 
 Every reciprocal base of the package is 1/(lam e**(alpha t) + c), and
-``_build_base`` is the one place that builds it.  At orders 1 and 2, where
-the valuation can lie outside the window, and at alpha = 0 or lam = 0,
-where the source is a constant, it is the reciprocal of the source series
-at its own alpha, which raises the errors.  Every other base is the base
-at alpha = 1 dilated, t -> alpha t: ``_dilated`` multiplies coefficient e
-by alpha**e (at alpha = 1 it is the base itself).  Below order
-``_EGF_MIN_LENGTH`` the base at alpha = 1 is the reciprocal of its source
-series.  From that order on it is written down from (lam, c): the
-factorial-scaled unit of lam e**t + c is (lam + c, lam, lam, ...) at
-valuation s = 0, and (lam, lam, ...) for lam (e**t - 1) / t at s = 1,
-where coefficient i of the unit is W_i / (i+s)!.  On a unit with such a
-constant tail each binomial-weighted sum of the long division is a
-binomial transform, which ``_pascal_recurrence`` keeps as one
-anti-diagonal of its difference table and moves on by Pascal's rule: O(n)
-additions a step instead of O(n) products, as Brent and Harvey compute
-the Bernoulli and tangent numbers.  The exit ``_egf_unscaled`` puts the
-factorial-scaled quotient back over one denominator.
+``_build_base`` is the one place that builds it.  A constant source,
+alpha = 0 or lam = 0, is the constant lam + c, and the base is its
+reciprocal.  Every other base is its alpha = 1 base dilated,
+t -> alpha t: ``_dilated``, the one place where a nonzero alpha enters,
+multiplies coefficient e by alpha**e (at alpha = 1 it is the base
+itself).  Below order ``_EGF_MIN_LENGTH``, and at orders 1 and 2 where
+the valuation can lie outside the window, the base at alpha = 1 is the
+reciprocal of its source series, which raises the window errors.  From
+that order on it is written down from (lam, c): the factorial-scaled unit
+of lam e**t + c is (lam + c, lam, lam, ...) at valuation s = 0, and
+(lam, lam, ...) for lam (e**t - 1) / t at s = 1, where coefficient i of
+the unit is W_i / (i+s)!.  On a unit with such a constant tail each
+binomial-weighted sum of the long division is a binomial transform, which
+``_pascal_recurrence`` keeps as one anti-diagonal of its difference table
+and moves on by Pascal's rule: O(n) additions a step instead of O(n)
+products, as Brent and Harvey compute the Bernoulli and tangent numbers.
+The exit ``_egf_unscaled`` puts the factorial-scaled quotient back over
+one denominator.
 
 One bounded store, ``_LADDERS``, keeps the ladders of the bases: the
 powers and derivatives of 1/(lam e**(alpha t) + c), one per key
@@ -77,7 +78,8 @@ caller only reads them.  The identity checks read their ladders there, and
 share one entry with the oracles.  Every other request of
 ``recip_exp_linear`` calls ``_build_base`` and stores nothing: from the
 split on, so that the cost of a long request depends on its own order
-alone, and at orders 1 and 2, alpha = 0 or lam = 0.
+alone, and at alpha = 0 or lam = 0.  At orders 1 and 2 the store keeps
+nothing: a ladder asked for there is built and handed back unstored.
 
 A read at a lower source order gives what a build at that order gives:
 the stored entries less their last top - order coefficients.  Every
@@ -442,12 +444,13 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
     return nums, den
 
 
-# The split of two shortcuts, each taken from this order on.
-# _build_base writes the unit down (_pascal_reciprocal) rather than
-# long-dividing the source series, and two_param_euler_oracle reads its one
-# coefficient as a dot product: one of the n + 1 that multiplying out the
-# product takes.  The Pascal-rule build wins at every order in
-# alternating runs on 2-vCPU x86-64 with CPython 3.11.7 (8 Apostol,
+# The split of two shortcuts, each taken from this order on.  The first is
+# _build_base's route condition: from the split on, and never below order 3,
+# the alpha = 1 base is written down (_pascal_reciprocal) rather than
+# long-divided from its source series.  The second: two_param_euler_oracle
+# reads its one coefficient as a dot product, one of the n + 1 that
+# multiplying out the product takes.  The Pascal-rule build wins at every
+# order in alternating runs on 2-vCPU x86-64 with CPython 3.11.7 (8 Apostol,
 # Euler and two-parameter bases, best of 5): 1.4x at orders 12 and 16,
 # 1.5x at 24 to 64, 1.7x at 80 against the source route, and 2.3x at 104,
 # 2.5x at 150, 7.3x at 300 against Miller's division of the source.  The
@@ -655,9 +658,9 @@ def exp_linear(alpha: Scalar, order: int) -> LaurentSeries:
     return _canonical(0, nums, den)
 
 
-def _source_reciprocal(alpha: Fraction, lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
-    """1/(lam e**(alpha t) + c) as the reciprocal of its source series."""
-    source = exp_linear(alpha, order).scale(lam)
+def _source_reciprocal(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
+    """1/(lam e**t + c) as the reciprocal of its source series."""
+    source = exp_linear(1, order).scale(lam)
     return (source + LaurentSeries.constant(c, order)).reciprocal()
 
 
@@ -681,11 +684,13 @@ def _dilated(r: LaurentSeries, alpha: Fraction) -> LaurentSeries:
 def _build_base(alpha: Fraction, lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
     """1/(lam e**(alpha t) + c) on the window of the reciprocal of its
     source series of the given order: the one builder of every base, by
-    the rule of the module docstring."""
-    if not (alpha and lam and order >= 3):
-        return _source_reciprocal(alpha, lam, c, order)
-    if order < _EGF_MIN_LENGTH:
-        return _dilated(_source_reciprocal(1, lam, c, order), alpha)
+    the rule of the module docstring.  ``_dilated`` is the one place where
+    a nonzero alpha enters."""
+    if not (alpha and lam):
+        return _source_reciprocal(0, lam + c, order)
+    # Pascal's rule needs order >= 3, whatever the split is set to.
+    if order < 3 or order < _EGF_MIN_LENGTH:
+        return _dilated(_source_reciprocal(lam, c, order), alpha)
     return _dilated(_pascal_reciprocal(lam, c, order), alpha)
 
 
@@ -750,7 +755,7 @@ class _Ladders:
     def __init__(self, budget: int):
         self.budget = budget
         self.bits = 0
-        # key -> (ladder, its top, its charge), least recent first
+        # key -> (ladder, its charge), least recent first
         self._entries: dict = {}
         self._live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -758,9 +763,7 @@ class _Ladders:
         """The ladder of the base ``key`` built at ``order`` or longer."""
         if order < 3:
             return _Ladder(_build_base(*map(Fraction, key), order), order)
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self.bits -= entry[2]
+        entry = self._entries.get(key)
         ladder = entry[0] if entry else self._live.get(key)
         if ladder is None or ladder.top < order:
             base = _build_base(*map(Fraction, key), order)
@@ -769,23 +772,23 @@ class _Ladders:
         return ladder
 
     def keep(self, key: tuple, ladder: _Ladder) -> None:
-        """Store ladder, charged its bits, under a key that holds no entry,
-        if its bits fit in the budget."""
+        """Store ladder under key as the most recent entry, in place of the
+        key's old entry, charged its bits if they fit in the budget."""
         entries = self._entries
+        entry = entries.pop(key, None)
+        if entry is not None:
+            self.bits -= entry[1]
         if ladder.bits <= self.budget:
             while self.bits + ladder.bits > self.budget:
-                self.bits -= entries.pop(next(iter(entries)))[2]
-            entries[key] = (ladder, ladder.top, ladder.bits)
+                self.bits -= entries.pop(next(iter(entries)))[1]
+            entries[key] = (ladder, ladder.bits)
             self.bits += ladder.bits
 
     def charge(self, key: tuple, ladder: _Ladder) -> None:
-        """Charge the entry of ladder, which has grown, its new bits; it is
-        dropped if that takes it over the budget.  A ladder the store no
-        longer holds is not charged."""
+        """Keep ladder, which has grown, charged its new bits, if the store
+        holds it; a ladder the store no longer holds is not charged."""
         entry = self._entries.get(key)
         if entry is not None and entry[0] is ladder:
-            del self._entries[key]
-            self.bits -= entry[2]
             self.keep(key, ladder)
 
 
@@ -803,7 +806,7 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     in the module docstring.
     """
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
-    if not (alpha and lam and 3 <= order < _EGF_MIN_LENGTH):
+    if not (alpha and lam and order < _EGF_MIN_LENGTH):
         return _build_base(alpha, lam, c, order)
     r = _LADDERS.ladder((1, lam, c), order).base
     return _dilated(r.truncated(order + 2 * r.offset - 1), alpha)

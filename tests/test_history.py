@@ -25,7 +25,16 @@ COMMANDS = [
     *[
         f"verify {target} --k-max 2 --order {order}"
         for order in (1, 2, 3)
-        for target in ("I1", "I5", "I7", "P2", f"G1 --alpha=-3/2 {LAMBDA}", f"G2 --alpha 1 {LAMBDA}")
+        for target in (
+            "I1",
+            "I5",
+            "I7",
+            "P2",
+            f"G1 --alpha=-3/2 {LAMBDA}",
+            f"G2 --alpha 1 {LAMBDA}",
+            # a dilated base with lambda + c = 0
+            "G2 --alpha 2 --lambda 1",
+        )
     ],
     # both sides of the split, where bases stop being read off the store
     *[f"verify all --k-max 2 --order {order} --alpha=-3/2 {LAMBDA}" for order in range(103, 107)],
@@ -64,7 +73,7 @@ COMMANDS = [
         for order in (3, 103, 104, 300)
         for which in ("recip-exp-minus-one", f"apostol {LAMBDA}", "recip-exp-plus-one")
     ],
-    # order 2, built at its own alpha without an error
+    # order 2, built without an error and not stored
     "series dump recip-exp-plus-one --order 2",
     f"series dump apostol {LAMBDA} --order 2",
     # error cases
@@ -108,4 +117,4 @@ def test_one_process_prints_what_a_cold_store_prints(cold_results, order, budget
     with mock.patch.object(series, "_LADDERS", store):
         for line in ORDERS[order]:
             assert run(line) == cold_results[line], line
-            assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
+            assert store.bits == sum(bits for _, bits in store._entries.values()) <= budget

@@ -43,7 +43,11 @@ from stirnum.stirling import b_coeff, lambda_coeff, stirling1, stirling2
 
 
 def standalone_checks(targets, k_max, order, alphas, lambdas):
-    """run_sweep's reports in its order, each from a standalone check."""
+    """run_sweep's reports in its order, each from a standalone check, after
+    every target is checked to be a tag."""
+    for target in targets:
+        if target not in ALL_IDENTITY_IDS:
+            raise DomainError(f"unknown identity tag {target!r}")
     reports = []
     for target in targets:
         for k in range(1, k_max + 1):
@@ -51,13 +55,11 @@ def standalone_checks(targets, k_max, order, alphas, lambdas):
                 reports.append(verify_core_identity(target, k, order))
             elif target in PLUS_IDENTITY_IDS:
                 reports.append(verify_plus_identity(target, k, order))
-            elif target in GENERAL_IDENTITY_IDS:
+            else:
                 check = verify_general_derivative if target == "G1" else verify_general_power
                 for alpha in sorted(Fraction(a) for a in alphas):
                     for lam in sorted(Fraction(v) for v in lambdas):
                         reports.append(check(k, alpha, lam, order))
-            else:
-                raise DomainError(f"unknown identity tag {target!r}")
     return reports
 
 
@@ -350,6 +352,14 @@ class TestSweeps:
         with pytest.raises(DomainError):
             verify_plus_identity("I1", 2)
 
+    def test_an_unknown_tag_raises_before_any_work(self, monkeypatch, cold_store):
+        built = []
+        real = series_module._build_base
+        monkeypatch.setattr(series_module, "_build_base", lambda *args: built.append(args) or real(*args))
+        with cold_store(), pytest.raises(DomainError, match="^unknown identity tag 'X'$"):
+            run_sweep(["G1", "X"], 12)
+        assert built == []
+
     def test_all_tags_covered(self):
         assert len(ALL_IDENTITY_IDS) == 12
         # one spec row per tag, and no row without a tag
@@ -422,7 +432,7 @@ class TestLadderStore:
     @pytest.mark.parametrize("tag", ALL_IDENTITY_IDS)
     def test_every_order_after_an_order_106_build_reads_a_cold_outcome(self, store, cold_store, tag):
         assert all(report.passed for report in run_sweep([tag], 4, 106, self.ALPHAS, self.LAMBDAS))
-        built = {key: entry[1] for key, entry in store._entries.items()}
+        built = {key: entry[0].top for key, entry in store._entries.items()}
         assert set(built.values()) == {106}
         for order in [*range(1, 41), None]:
             args = ([tag], 4, order, self.ALPHAS, self.LAMBDAS)
@@ -430,7 +440,7 @@ class TestLadderStore:
             assert sweep_outcome(standalone_checks, *args) == expected, order
             assert sweep_outcome(run_sweep, *args) == expected, order
         # every order read the order-106 ladders; orders 1 and 2 left them as they were
-        assert {key: entry[1] for key, entry in store._entries.items()} == built
+        assert {key: entry[0].top for key, entry in store._entries.items()} == built
 
     @pytest.mark.parametrize("order, error", [(1, ZeroSeriesError), (2, PrecisionExhaustedError)])
     def test_orders_1_and_2_never_touch_the_store(self, store, cold_store, order, error):
@@ -504,7 +514,7 @@ class TestLadderStore:
                 assert sweep_outcome(check, *args) == expected, (order, k)
                 assert isinstance(expected, tuple) or not expected.passed
         # the warm ladders were read, not built again at a check's order
-        assert {store._entries[key][1] for key in warmed} == {106}
+        assert {store._entries[key][0].top for key in warmed} == {106}
 
     # Bases recip_exp_linear reads: f, g, h and G on the grid the sweeps
     # below draw, whose keys the checks' ladders share.
@@ -543,7 +553,7 @@ class TestLadderStore:
 
             def checked(*args, _real=getattr(store, name)):
                 _real(*args)
-                assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
+                assert store.bits == sum(bits for _, bits in store._entries.values()) <= budget
 
             setattr(store, name, checked)
         cold = {run_sweep: standalone_checks, recip_exp_linear: recip_exp_linear}
@@ -552,8 +562,8 @@ class TestLadderStore:
                 read = sweep_outcome(call, *args)
             with cold_store():
                 assert read == sweep_outcome(cold[call], *args)
-            assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
-            assert all(ladder.bits == bits for ladder, _, bits in store._entries.values())
+            assert store.bits == sum(bits for _, bits in store._entries.values()) <= budget
+            assert all(ladder.bits == bits for ladder, bits in store._entries.values())
 
     @staticmethod
     def charges(checks):
@@ -563,7 +573,7 @@ class TestLadderStore:
             store = _Ladders(STORE_BITS)
             with mock.patch.object(series_module, "_LADDERS", store):
                 check()
-            [(_, _, bits)] = store._entries.values()
+            [(_, bits)] = store._entries.values()
             sizes.append(bits)
         return sizes
 
@@ -601,11 +611,11 @@ class TestLadderStore:
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
         key = (alpha, lam, -1)
         verify_general_derivative(2, alpha, lam)
-        assert list(store._entries) == [key] and store._entries[key][1] == default_order(2)
+        assert list(store._entries) == [key] and store._entries[key][0].top == default_order(2)
         verify_general_derivative(5, alpha, lam)
         assert list(store._entries) == [key]
-        ladder, top, bits = store._entries[key]
-        assert top == ladder.top == default_order(5) and bits == ladder.bits == store.bits
+        ladder, bits = store._entries[key]
+        assert ladder.top == default_order(5) and bits == ladder.bits == store.bits
 
     def test_a_dilated_check_leaves_the_ladder_at_alpha_one(self, store):
         # G1 at alpha = 1 keeps its powers under (1, lam, -1); a longer
@@ -614,11 +624,11 @@ class TestLadderStore:
         lam = Fraction(2, 3)
         key = (1, lam, -1)
         verify_general_derivative(4, 1, lam)
-        ladder, top, _ = store._entries[key]
+        ladder, _ = store._entries[key]
         powers = ladder.powers(5)
         verify_general_derivative(6, Fraction(-3, 2), lam)
-        kept, kept_top, _ = store._entries[key]
-        assert kept is ladder and kept_top == kept.top == top == default_order(4)
+        kept, _ = store._entries[key]
+        assert kept is ladder and kept.top == default_order(4)
         assert kept._powers == powers
 
     @pytest.mark.parametrize(
@@ -655,7 +665,7 @@ class TestLadderStore:
         )
         assert [bernoulli_oracle(n) for n in range(32)] == expected
         assert built == []
-        assert list(store._entries) == [F_KEY] and store._entries[F_KEY][1] == default_order(12)
+        assert list(store._entries) == [F_KEY] and store._entries[F_KEY][0].top == default_order(12)
 
     def test_a_longer_base_request_replaces_a_ladder_of_the_checks(self, store, cold_store):
         # G1 at alpha = 1 and lambda = 2 keeps its ladder under (1, 2, -1),
@@ -663,13 +673,13 @@ class TestLadderStore:
         # n + 3: at n = 60 it replaces the ladder and drops its powers.
         verify_general_derivative(4, 1, 2)
         key = (1, 2, -1)
-        ladder, top, _ = store._entries[key]
-        assert top == default_order(4) and len(ladder.powers(5)) == 5
+        ladder, _ = store._entries[key]
+        assert ladder.top == default_order(4) and len(ladder.powers(5)) == 5
         value = apostol_bernoulli_oracle(60, 2)
         with cold_store():
             assert value == apostol_bernoulli_oracle(60, 2)
-        replaced, top, _ = store._entries[key]
-        assert replaced is not ladder and top == 63 and replaced._powers == [replaced.base]
+        replaced, _ = store._entries[key]
+        assert replaced is not ladder and replaced.top == 63 and replaced._powers == [replaced.base]
         for order in (None, 3, 12, 40, 63, 70):
             for k in range(1, 7):
                 for check in (verify_general_derivative, verify_general_power):
@@ -708,12 +718,12 @@ class TestLadderStore:
         assert [k for k in passes if k >= 1] == []
         # f, g and h each hold base**1 .. base**12, and every entry held is charged once
         assert set(store._entries) == {F_KEY, G_KEY, H_KEY}
-        for ladder, _, bits in store._entries.values():
+        for ladder, bits in store._entries.values():
             assert sorted(ladder._miller) == list(range(1, 13))
             entries = [ladder.base, *ladder._powers, *ladder._derivatives, *ladder._miller.values()]
             distinct = {id(entry): entry for entry in entries}.values()
             assert bits == ladder.bits == sum(map(series_module._stored_bits, distinct))
-        assert store.bits == sum(bits for _, _, bits in store._entries.values())
+        assert store.bits == sum(bits for _, bits in store._entries.values())
 
     @pytest.mark.parametrize("kernel, corrupted", [("_power", "power"), ("_lcm_product", "derivative")])
     def test_a_wrong_kernel_fails_only_the_tags_whose_route_runs_it(self, monkeypatch, store, kernel, corrupted):

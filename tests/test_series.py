@@ -448,12 +448,13 @@ class TestRecipExpLinear:
 
     @pytest.mark.parametrize(
         "alpha, built",
-        [(Fraction(3, 2), [1]), (Fraction(-1, 3), [1]), (2, [1]), (-1, [1]), (1, [1]), (0, [0])],
+        [(Fraction(3, 2), [1]), (Fraction(-1, 3), [1]), (2, [1]), (-1, [1]), (1, [1]), (0, [1])],
     )
     @pytest.mark.parametrize("order", [12, 150])
     def test_alpha_other_than_zero_builds_at_alpha_one(self, monkeypatch, cold_store, alpha, built, order):
         # From the split on, every alpha but 0 writes the unit at alpha = 1
-        # down and builds no source series.
+        # down and builds no source series; alpha = 0 builds its constant
+        # source as 0 e**t + (lam + c): one exp_linear call, at 1.
         calls = []
         real = series_module.exp_linear
         monkeypatch.setattr(
@@ -769,7 +770,7 @@ class TestBaseStore:
         for order in self.ORDERS:
             assert recip_exp_linear(*base, order) == fresh_build(cold_store, *base, order), order
         assert list(store._entries) == [(1, base[1], base[2])]
-        assert store._entries[1, base[1], base[2]][1] == split - 1
+        assert store._entries[1, base[1], base[2]][0].top == split - 1
 
     @pytest.mark.parametrize("base", [(1, 1, -1), (-1, -1, 1), (1, 1, 1)])
     def test_every_order_to_300_of_f_g_and_h(self, store, cold_store, base):
@@ -779,16 +780,16 @@ class TestBaseStore:
             assert_canonical(read)
             assert read == fresh_build(cold_store, *base, order), order
         assert list(store._entries) == [(1, base[1], base[2])]
-        assert store._entries[1, base[1], base[2]][1] == series_module._EGF_MIN_LENGTH - 1
+        assert store._entries[1, base[1], base[2]][0].top == series_module._EGF_MIN_LENGTH - 1
 
     def test_a_longer_request_replaces_the_entry(self, store, cold_store):
         alpha, lam, c = Fraction(-3, 2), Fraction(2, 3), 1
         short = recip_exp_linear(alpha, lam, c, 40)
-        assert store._entries[1, lam, c][1] == 40
+        assert store._entries[1, lam, c][0].top == 40
         long = recip_exp_linear(alpha, lam, c, 90)
         assert list(store._entries) == [(1, lam, c)]
-        ladder, order, bits = store._entries[1, lam, c]
-        assert order == ladder.top == 90
+        ladder, bits = store._entries[1, lam, c]
+        assert ladder.top == 90
         assert store.bits == bits == ladder.bits == series_module._stored_bits(ladder.base)
         assert short == fresh_build(cold_store, alpha, lam, c, 40) == recip_exp_linear(alpha, lam, c, 40)
         assert long == fresh_build(cold_store, alpha, lam, c, 90)
@@ -822,7 +823,7 @@ class TestBaseStore:
             with mock.patch.object(series_module, "_LADDERS", store):
                 read = recip_exp_linear(*base, order)
             assert read == fresh_build(cold_store, *base, order)
-            assert store.bits == sum(bits for _, _, bits in store._entries.values()) <= budget
+            assert store.bits == sum(bits for _, bits in store._entries.values()) <= budget
 
     def test_the_least_recently_used_entry_leaves_first(self, cold_store):
         bases = [(1, lam, -1) for lam in (1, 2, 3)]
@@ -850,7 +851,7 @@ class TestBaseStore:
         store = series_module._Ladders(1 << 17)
         for lam in range(1, 101):
             store.ladder((1, lam, -1), 3)
-        held = [ladder.base for ladder, _, _ in store._entries.values()]
+        held = [ladder.base for ladder, _ in store._entries.values()]
         assert 0 < len(held) <= store.budget // 8192
         assert store.bits == sum(map(series_module._stored_bits, held))
 
@@ -939,6 +940,39 @@ class TestOneBuilder:
                 oracle(n, *params)
         for name, seen in callers.items():
             assert seen and set(seen) == {"_build_base"}, (name, sorted(set(seen)))
+
+    def test_every_source_series_is_built_at_alpha_one(self, monkeypatch, cold_store):
+        # A nonzero alpha enters a base only through _dilated: every
+        # exp_linear call of _source_reciprocal is at alpha = 1, at the
+        # short orders where the window can be empty too.
+        alphas, depth = [], []
+        real_exp, real_source = series_module.exp_linear, series_module._source_reciprocal
+
+        def exp_spy(alpha, order):
+            if depth:
+                alphas.append(alpha)
+            return real_exp(alpha, order)
+
+        def source_spy(*args):
+            depth.append(args)
+            try:
+                return real_source(*args)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(series_module, "exp_linear", exp_spy)
+        monkeypatch.setattr(series_module, "_source_reciprocal", source_spy)
+        with cold_store():
+            for alpha in (Fraction(-3, 2), Fraction(1, 2), 2):
+                for order in (1, 2, 3, 12, 103, 104, 105):
+                    for lam, c in ((Fraction(2, 3), 1), (Fraction(2, 3), Fraction(-2, 3)), (1, -1)):
+                        outcome(recip_exp_linear, alpha, lam, c, order)
+            for target in ("G1", "G2"):
+                for order in (" --order 1", " --order 2", " --order 3", ""):
+                    line = f"verify {target} --k-max 2 --alpha=-3/2 --lambda 2/3{order}"
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                        cli.main(shlex.split(line))
+        assert alphas and set(alphas) == {1}
 
 
 @st.composite

@@ -76,10 +76,10 @@ MUTANTS = [
         "range(k + 2 - n, k * n + 2, k + 1)",
     ),
     (
-        "_build_base alpha = 1 build",
+        "_build_base below-split dilation",
         SERIES,
-        "_source_reciprocal(1, lam, c, order)",
-        "_source_reciprocal(alpha, lam, c, order)",
+        "return _dilated(_source_reciprocal(lam, c, order), alpha)",
+        "return _source_reciprocal(lam, c, order)",
     ),
     (
         "recip_exp_linear store-read truncation",
@@ -112,10 +112,22 @@ MUTANTS = [
         "pivot = x / alpha",
     ),
     (
+        "reduction node x = 5/2",
+        SEQUENCES,
+        "_REDUCTION_NODES = (Fraction(-1, 3), Fraction(5, 2))",
+        "_REDUCTION_NODES = (Fraction(-1, 3), Fraction(1))",
+    ),
+    (
         "I8 constant (-1)**k",
         IDENTITIES,
         '"I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k),',
         '"I8": (_f, "power", b_coeff, _g, lambda k: 1),',
+    ),
+    (
+        "P1 weight (-1)**(m - 1)",
+        IDENTITIES,
+        '"P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None),',
+        '"P1": (_h, "derivative", lambda k, m: (-1) ** m * lambda_coeff(k, m), _h, None),',
     ),
     (
         "G1 factor alpha**k",
