@@ -31,8 +31,7 @@ is [0, order - 1)).  The two-parameter oracle reads coefficient n of its
 product, from order ``series._EGF_MIN_LENGTH`` on, as one dot product of
 the two factors' numerators rather than multiplying the product out.
 Every oracle takes its reciprocal base from ``series.recip_exp_linear``,
-which below order ``series._EGF_MIN_LENGTH`` reads it off the store of
-bases that ``series`` describes.
+which reads it off the store of bases that ``series`` describes.
 
 The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler

@@ -73,13 +73,11 @@ recurrence, so that a power-kind identity check and a derivative-kind one
 never read the same kernel's output for their power side.  The
 store builds the bases it keeps with ``_build_base``, and every other
 caller only reads them.  The identity checks read their ladders there, and
-``recip_exp_linear`` reads its base at alpha = 1 there below
-``_EGF_MIN_LENGTH``, keyed on (1, lam, c), so f, h and G at alpha = 1
-share one entry with the oracles.  Every other request of
-``recip_exp_linear`` calls ``_build_base`` and stores nothing: from the
-split on, so that the cost of a long request depends on its own order
-alone, and at alpha = 0 or lam = 0.  At orders 1 and 2 the store keeps
-nothing: a ladder asked for there is built and handed back unstored.
+``recip_exp_linear`` reads its base at alpha = 1 there at every order,
+keyed on (1, lam, c), so f, h and G at alpha = 1 share one entry with the
+oracles; only at alpha = 0 or lam = 0 does it call ``_build_base`` itself
+and store nothing.  At orders 1 and 2 the store keeps nothing: a ladder
+asked for there is built and handed back unstored.
 
 A read at a lower source order gives what a build at that order gives:
 the stored entries less their last top - order coefficients.  Every
@@ -457,9 +455,7 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 # split stays because perfbench's traced layers expect to see these calls:
 # on verify-sweep the bases are the only callers of reciprocal, scale and
 # exp_linear, and on sequence-pairs the oracles are the only callers of
-# mul.  It is also where recip_exp_linear stops reading the store of
-# ladders (see the module docstring).
-# Lowering it waits on retargeting those layers (ROADMAP items 6 and 9).
+# mul.  Lowering it waits on retargeting those layers (ROADMAP items 6 and 9).
 _EGF_MIN_LENGTH = 104
 
 
@@ -802,11 +798,11 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
 
     1/(e**t - 1) is (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1)
     is (1, 1, 1).  The public entry point to every base: how
-    ``_build_base`` builds it and when it is read off the store instead is
-    in the module docstring.
+    ``_build_base`` builds it and how the store keeps it are in the module
+    docstring.
     """
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
-    if not (alpha and lam and order < _EGF_MIN_LENGTH):
+    if not (alpha and lam):
         return _build_base(alpha, lam, c, order)
     r = _LADDERS.ladder((1, lam, c), order).base
     return _dilated(r.truncated(order + 2 * r.offset - 1), alpha)

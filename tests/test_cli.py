@@ -796,6 +796,7 @@ class TestErrorsAndUsage:
 # family commands were built from one table.  From Python 3.13 argparse
 # widens the top-level command column to fit `apostol-bernoulli`, so that
 # text has one pin per layout; the command help texts are the same on both.
+# Every pin below was checked on CPython 3.13.0 and 3.13.13.
 HELP_SHA256 = {
     (): (
         "797ad1c34e24a3547f208339543d0cf9e20270ca069c0f83e46861a917d170b8"

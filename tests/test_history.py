@@ -36,7 +36,7 @@ COMMANDS = [
             "G2 --alpha 2 --lambda 1",
         )
     ],
-    # both sides of the split, where bases stop being read off the store
+    # both sides of the split, where the base build changes route
     *[f"verify all --k-max 2 --order {order} --alpha=-3/2 {LAMBDA}" for order in range(103, 107)],
     *[f"verify G1 --k-max 2 --alpha 1 {LAMBDA} --order {order}" for order in (103, 106)],
     # G1/G2 at one lambda, at alpha = 1 and alpha != 1, shorter and longer
@@ -67,6 +67,11 @@ COMMANDS = [
     # the oracles, reading f = 1/(e^t - 1) at orders 103 to 109
     *[f"bernoulli {n}" for n in range(100, 107)],
     *[f"apostol-bernoulli {n} --lambda 1" for n in range(100, 107)],
+    # long bases read off a longer stored build, or replaced by one
+    "bernoulli 280",
+    "bernoulli 150",
+    f"series dump apostol {LAMBDA} --order 300 --format csv",
+    f"series dump apostol {LAMBDA} --order 150 --format csv",
     # the bases themselves, G at alpha = 1 among them
     *[
         f"series dump {which} --order {order}"

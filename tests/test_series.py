@@ -749,10 +749,9 @@ STORE_BITS = series_module._LADDERS.budget
 
 class TestBaseStore:
     """recip_exp_linear keeps the alpha = 1 base of each (lam, c) as the
-    base of the ladder under (1, lam, c), at the longest order below the
-    split asked for, and reads every shorter order off it; from the split
-    on it builds every request and stores nothing.  Each read equals a
-    build on an empty store."""
+    base of the ladder under (1, lam, c), at the longest order asked for on
+    either side of the split, and reads every shorter order off it.  Each
+    read equals a build on an empty store."""
 
     # Both sides of the split and its edges, and the orders the package reads.
     ORDERS = (3, 4, 5, 12, 34, 40, 102, 103, 104, 105, 150, 283, 299, 300)
@@ -765,12 +764,15 @@ class TestBaseStore:
 
     @pytest.mark.parametrize("base", PACKAGE_BASES, ids=str)
     def test_reads_below_the_longest_stored_build_equal_fresh_builds(self, store, cold_store, base):
-        split = series_module._EGF_MIN_LENGTH
-        recip_exp_linear(*base, split - 1)
-        for order in self.ORDERS:
-            assert recip_exp_linear(*base, order) == fresh_build(cold_store, *base, order), order
-        assert list(store._entries) == [(1, base[1], base[2])]
-        assert store._entries[1, base[1], base[2]][0].top == split - 1
+        # The first pass reads below a build at split - 1 and then replaces
+        # it order by order; the second reads every order below the longest.
+        expected = {order: fresh_build(cold_store, *base, order) for order in self.ORDERS}
+        recip_exp_linear(*base, series_module._EGF_MIN_LENGTH - 1)
+        for _ in range(2):
+            for order in self.ORDERS:
+                assert recip_exp_linear(*base, order) == expected[order], order
+            assert list(store._entries) == [(1, base[1], base[2])]
+            assert store._entries[1, base[1], base[2]][0].top == self.ORDERS[-1]
 
     @pytest.mark.parametrize("base", [(1, 1, -1), (-1, -1, 1), (1, 1, 1)])
     def test_every_order_to_300_of_f_g_and_h(self, store, cold_store, base):
@@ -780,7 +782,7 @@ class TestBaseStore:
             assert_canonical(read)
             assert read == fresh_build(cold_store, *base, order), order
         assert list(store._entries) == [(1, base[1], base[2])]
-        assert store._entries[1, base[1], base[2]][0].top == series_module._EGF_MIN_LENGTH - 1
+        assert store._entries[1, base[1], base[2]][0].top == 300
 
     def test_a_longer_request_replaces_the_entry(self, store, cold_store):
         alpha, lam, c = Fraction(-3, 2), Fraction(2, 3), 1
@@ -795,10 +797,11 @@ class TestBaseStore:
         assert long == fresh_build(cold_store, alpha, lam, c, 90)
 
     @pytest.mark.parametrize("order", [104, 105, 150, 300])
-    def test_requests_from_the_split_on_are_built_and_not_stored(self, monkeypatch, store, cold_store, order):
+    def test_a_second_request_from_the_split_on_reads_the_stored_entry(
+        self, monkeypatch, store, cold_store, order
+    ):
         base = (Fraction(-3, 2), Fraction(2, 3), 1)
         recip_exp_linear(*base, 40)
-        kept = dict(store._entries), store.bits
         expected = fresh_build(cold_store, *base, order)
         built = []
         real = series_module._pascal_reciprocal
@@ -807,13 +810,15 @@ class TestBaseStore:
         )
         for _ in range(2):
             assert recip_exp_linear(*base, order) == expected
-        assert len(built) == 2
-        assert (store._entries, store.bits) == kept
+        assert len(built) == 1
+        assert list(store._entries) == [(1, base[1], base[2])]
+        ladder, bits = store._entries[1, base[1], base[2]]
+        assert ladder.top == order and store.bits == bits == ladder.bits
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.sampled_from(PACKAGE_BASES), st.integers(3, 160)), min_size=1, max_size=8
+            st.tuples(st.sampled_from(PACKAGE_BASES), st.integers(3, 300)), min_size=1, max_size=8
         ),
         st.sampled_from([0, 1 << 16, 1 << 18, STORE_BITS]),
     )

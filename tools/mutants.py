@@ -82,6 +82,12 @@ MUTANTS = [
         "return _source_reciprocal(lam, c, order)",
     ),
     (
+        "store replace-on-longer below the split only",
+        SERIES,
+        "if ladder is None or ladder.top < order:",
+        "if ladder is None or ladder.top < min(order, _EGF_MIN_LENGTH - 1):",
+    ),
+    (
         "recip_exp_linear store-read truncation",
         SERIES,
         "r.truncated(order + 2 * r.offset - 1)",
