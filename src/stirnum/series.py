@@ -26,12 +26,15 @@ whose every weight or term is zero.
 
 Coefficients are stored as integer numerators ``nums`` over one shared
 denominator ``den``, coeffs[i] == nums[i] / den, in the canonical form
-den > 0 and gcd(den, *nums) == 1.  So ``den`` is the lcm of the reduced
-coefficient denominators, and equal series have equal
-(offset, nums, den).  Every kernel computes on these integers and
-normalizes its result once.  ``Fraction`` values appear only where a
-caller reads coefficients: ``coeff(e)``, and ``coeffs``, built on first
-read.
+den > 0 and gcd(den, *nums) == 1, with the exact zero at offset 0.  So
+``den`` is the lcm of the reduced coefficient denominators, and equal
+series have equal (offset, nums, den).  The one constructor,
+``LaurentSeries(offset, nums, den)``, puts its integers in that form and
+rejects den == 0; ``from_coeffs`` takes the coefficients as Fractions.
+Every kernel computes on these integers and builds its result with the
+constructor, which normalizes it once.  ``Fraction`` values appear only
+where a caller reads coefficients: ``coeff(e)``, and ``coeffs``, built on
+first read.
 
 Multiplication runs on the stored numerators at every length: product
 coefficient k is sum_i A_i B_{k-i} over da db, normalized once.  The
@@ -106,6 +109,7 @@ from __future__ import annotations
 import math
 import operator
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
@@ -117,8 +121,13 @@ __all__ = ["LaurentSeries", "ZERO", "exp_linear", "linear_combination", "recip_e
 Scalar = Union[int, Fraction]
 
 
+@dataclass(frozen=True)
 class LaurentSeries:
-    """Immutable window of exact coefficients plus a truncation order."""
+    """Immutable window of exact coefficients plus a truncation order.
+
+    ``LaurentSeries(offset, nums, den)`` is the series sum nums[i]/den
+    t**(offset+i), put in the canonical form of the module docstring.
+    """
 
     __slots__ = ("offset", "nums", "den", "_coeffs")
 
@@ -126,26 +135,15 @@ class LaurentSeries:
     nums: Tuple[int, ...]
     den: int
 
-    def __init__(self, offset: int, coeffs: Sequence[Scalar]):
-        nums, den = _over_lcm([c.numerator for c in coeffs], [c.denominator for c in coeffs])
-        _init(self, offset, tuple(nums), den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LaurentSeries is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"LaurentSeries is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (self.offset, self.den, self.nums) == (other.offset, other.den, other.nums)
-
-    def __hash__(self):
-        return hash((self.offset, self.den, self.nums))
-
-    def __repr__(self) -> str:
-        return f"LaurentSeries(offset={self.offset!r}, coeffs={self.coeffs!r})"
+    def __post_init__(self):
+        if not self.den:
+            raise DomainError("a series needs a nonzero denominator")
+        nums, den = _normalized(self.nums, self.den)
+        if not nums:
+            object.__setattr__(self, "offset", 0)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
 
     # -- construction --------------------------------------------------
 
@@ -155,10 +153,11 @@ class LaurentSeries:
 
         An empty coefficient list yields the exact zero series.
         """
-        coeffs = tuple(Fraction(v) for v in values)
+        coeffs = [Fraction(v) for v in values]
         if not coeffs:
             return ZERO
-        return cls(int(offset), coeffs)
+        nums, den = _over_lcm([c.numerator for c in coeffs], [c.denominator for c in coeffs])
+        return cls(int(offset), nums, den)
 
     @classmethod
     def constant(cls, value: Scalar, precision: int) -> "LaurentSeries":
@@ -180,7 +179,7 @@ class LaurentSeries:
             )
         value = Fraction(value)
         nums = (value.numerator,) + (0,) * (precision - exponent - 1)
-        return _new(int(exponent), nums, value.denominator)
+        return cls(int(exponent), nums, value.denominator)
 
     # -- structure ------------------------------------------------------
 
@@ -191,7 +190,7 @@ class LaurentSeries:
         if coeffs is None:
             den = self.den
             coeffs = tuple(Fraction(x, den) for x in self.nums)
-            _set(self, "_coeffs", coeffs)
+            object.__setattr__(self, "_coeffs", coeffs)
         return coeffs
 
     @property
@@ -248,7 +247,7 @@ class LaurentSeries:
         if self.is_zero or precision == self.precision:
             return self
         end = _cut(self.offset, self.precision, precision)
-        return _canonical(self.offset, self.nums[: end - self.offset], self.den)
+        return LaurentSeries(self.offset, self.nums[: end - self.offset], self.den)
 
     def first_difference(self, other: "LaurentSeries", lo: int, hi: int) -> Optional[int]:
         """The least exponent in [lo, hi) where the two coefficients differ,
@@ -292,7 +291,7 @@ class LaurentSeries:
     def __neg__(self) -> "LaurentSeries":
         if self.is_zero:
             return self
-        return _new(self.offset, tuple(map(operator.neg, self.nums)), self.den)
+        return LaurentSeries(self.offset, tuple(map(operator.neg, self.nums)), self.den)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
@@ -305,13 +304,13 @@ class LaurentSeries:
         if self.is_zero or not factor:
             return ZERO
         nums = map(operator.mul, self.nums, repeat(factor.numerator))
-        return _canonical(self.offset, list(nums), self.den * factor.denominator)
+        return LaurentSeries(self.offset, list(nums), self.den * factor.denominator)
 
     def shift(self, exponent: int) -> "LaurentSeries":
         """Multiply by the exact monomial t**exponent; the window moves rigidly."""
         if self.is_zero or exponent == 0:
             return self
-        return _new(self.offset + exponent, self.nums, self.den)
+        return LaurentSeries(self.offset + exponent, self.nums, self.den)
 
     def __mul__(self, other) -> "LaurentSeries":
         if isinstance(other, (int, Fraction)):
@@ -333,7 +332,7 @@ class LaurentSeries:
         nums, den = _lcm_product(
             self.nums[:length], self.den, other.nums[:length], other.den, length
         )
-        return _canonical(offset, nums, den)
+        return LaurentSeries(offset, nums, den)
 
     def __pow__(self, exponent: int) -> "LaurentSeries":
         if exponent < 0:
@@ -351,17 +350,17 @@ class LaurentSeries:
         offset = exponent * self.offset
         v = self.valuation()
         if v is None:
-            return _new(offset, (0,) * (exponent * len(self.nums)), 1)
+            return LaurentSeries(offset, (0,) * (exponent * len(self.nums)), 1)
         start = v - self.offset
         nums, den = _power(self.nums[start:], self.den, exponent)
-        return _canonical(offset, [0] * (exponent * start) + nums, den)
+        return LaurentSeries(offset, [0] * (exponent * start) + nums, den)
 
     def derivative(self) -> "LaurentSeries":
         """Termwise d/dt; the window slides to [offset-1, precision-1)."""
         if self.is_zero:
             return self
         nums = list(map(operator.mul, self.nums, count(self.offset)))
-        return _canonical(self.offset - 1, nums, self.den)
+        return LaurentSeries(self.offset - 1, nums, self.den)
 
     def reciprocal(self) -> "LaurentSeries":
         """Multiplicative inverse on the window [-v, precision - 2v - 1).
@@ -387,24 +386,7 @@ class LaurentSeries:
             )
         start = v - self.offset
         nums, den = _power(self.nums[start : start + precision - offset], self.den, -1)
-        return _canonical(offset, nums, den)
-
-
-_set = object.__setattr__
-
-
-def _init(series: LaurentSeries, offset: int, nums: Tuple[int, ...], den: int) -> None:
-    _set(series, "offset", offset)
-    _set(series, "nums", nums)
-    _set(series, "den", den)
-    _set(series, "_coeffs", None)
-
-
-def _new(offset: int, nums: Tuple[int, ...], den: int) -> LaurentSeries:
-    """A series from numerators already in canonical form over ``den``."""
-    series = object.__new__(LaurentSeries)
-    _init(series, offset, nums, den)
-    return series
+        return LaurentSeries(offset, nums, den)
 
 
 def _cut(offset: int, end: int, precision: int) -> int:
@@ -415,12 +397,6 @@ def _cut(offset: int, end: int, precision: int) -> int:
             f"cannot truncate window [{offset},{end}) to O(t^{precision})"
         )
     return precision
-
-
-def _canonical(offset: int, nums: list, den: int) -> LaurentSeries:
-    """The series sum nums[i]/den t**(offset+i), put in canonical form."""
-    nums, den = _normalized(nums, den)
-    return _new(offset, tuple(nums), den)
 
 
 def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
@@ -473,7 +449,7 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
     return [x // g * (den // d) for x, g, d in zip(nums, gcds, dens)], den
 
 
-ZERO = LaurentSeries(0, ())
+ZERO = LaurentSeries(0, (), 1)
 
 
 def _egf_unscaled(ints, den) -> Tuple[list, int]:
@@ -557,7 +533,7 @@ def _pascal_reciprocal(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
     nums, den = _pascal_recurrence(ratio.denominator, ratio.numerator, shift, order - 1 - shift)
     scale = 1 / (lead * den)
     nums, den = _egf_unscaled([x * scale.numerator for x in nums], scale.denominator)
-    return _canonical(-shift, nums, den)
+    return LaurentSeries(-shift, nums, den)
 
 
 def _lcm_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
@@ -630,7 +606,7 @@ def linear_combination(
         lo = term.offset - offset
         hi = lo + len(nums)
         out[lo:hi] = map(operator.add, out[lo:hi], map(operator.mul, nums, repeat(factor)))
-    return _canonical(offset, out, den)
+    return LaurentSeries(offset, out, den)
 
 
 def exp_linear(alpha: Scalar, order: int) -> LaurentSeries:
@@ -651,7 +627,7 @@ def exp_linear(alpha: Scalar, order: int) -> LaurentSeries:
     for n in range(1, order):
         power *= a
         nums[n] *= power
-    return _canonical(0, nums, den)
+    return LaurentSeries(0, nums, den)
 
 
 def _source_reciprocal(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
@@ -674,7 +650,7 @@ def _dilated(r: LaurentSeries, alpha: Fraction) -> LaurentSeries:
     a_powers = accumulate(repeat(a, top), operator.mul, initial=first.numerator)
     nums = map(operator.mul, reversed(r.nums), b_powers)  # from i = top down
     nums = map(operator.mul, reversed(list(nums)), a_powers)
-    return _canonical(r.offset, list(nums), r.den * first.denominator * b**top)
+    return LaurentSeries(r.offset, list(nums), r.den * first.denominator * b**top)
 
 
 def _build_base(alpha: Fraction, lam: Fraction, c: Fraction, order: int) -> LaurentSeries:

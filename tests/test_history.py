@@ -4,7 +4,9 @@ The one process-wide store of bases and ladders, ``series._LADDERS``,
 makes every answer depend, in principle, on the calls made before it in
 the process.  These tests run one fixed list of command lines through
 ``cli.main`` in one process, in three orders and under three budgets, and
-check that each command prints what it prints on a cold store.
+check that each command prints what it prints on a cold store.  CI runs
+the same list, ``COMMANDS``, as fresh processes and in one process, and
+checks that both print the same bytes.
 """
 
 import contextlib
@@ -36,9 +38,13 @@ COMMANDS = [
             "G2 --alpha 2 --lambda 1",
         )
     ],
+    "verify I7 --k-max 1 --order 3",
+    f"verify G1 --k-max 2 --alpha=-3/2 {LAMBDA} --order 2",
+    "verify G2 --k-max 2 --alpha 2 --lambda 1 --order 1",
     # both sides of the split, where the base build changes route
     *[f"verify all --k-max 2 --order {order} --alpha=-3/2 {LAMBDA}" for order in range(103, 107)],
     *[f"verify G1 --k-max 2 --alpha 1 {LAMBDA} --order {order}" for order in (103, 106)],
+    "verify I1 --k-max 2 --order 106",
     # G1/G2 at one lambda, at alpha = 1 and alpha != 1, shorter and longer
     f"verify G1 --k-max 4 --alpha 1 {LAMBDA}",
     f"verify G1 --k-max 6 --alpha=-3/2 {LAMBDA}",
@@ -57,6 +63,7 @@ COMMANDS = [
     # every tag and named check at the default orders
     "verify all --k-max 4",
     "verify all --k-max 4 --format csv",
+    "verify all --k-max 4 --format json",
     *[f"verify {check} --k-max 4" for check in ("det-relation", "alt-sum", "reductions")],
     # the reduction sweep and the two-parameter closed form, which share
     # the process-wide cache of alternating Stirling sums
@@ -72,6 +79,8 @@ COMMANDS = [
     "bernoulli 150",
     f"series dump apostol {LAMBDA} --order 300 --format csv",
     f"series dump apostol {LAMBDA} --order 150 --format csv",
+    f"series dump apostol {LAMBDA} --order 104 --format csv",
+    "series dump recip-exp-minus-one --order 300 --format csv",
     # the bases themselves, G at alpha = 1 among them
     *[
         f"series dump {which} --order {order}"
@@ -83,6 +92,7 @@ COMMANDS = [
     f"series dump apostol {LAMBDA} --order 2",
     # error cases
     "series dump recip-exp-minus-one --order 1",
+    "series dump recip-exp-minus-one --order 2",
     "series dump apostol --lambda 1 --order 2",
     "verify all --k-max 2 --lambda=-1",
     f"verify G1 --k-max 2 --alpha 0 {LAMBDA}",

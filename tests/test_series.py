@@ -78,7 +78,7 @@ def reference_mul(a, b):
             e = a.offset + i + b.offset + j
             if e < precision:
                 out[e - offset] += x * y
-    return LaurentSeries(offset, tuple(out))
+    return LaurentSeries.from_coeffs(offset, out)
 
 
 def reference_reciprocal(s):
@@ -94,7 +94,7 @@ def reference_reciprocal(s):
     out = [1 / unit[0]]
     for n in range(1, len(unit)):
         out.append(-sum(unit[i] * out[n - i] for i in range(1, n + 1)) / unit[0])
-    return LaurentSeries(offset, tuple(out))
+    return LaurentSeries.from_coeffs(offset, out)
 
 
 def reference_add(a, b):
@@ -110,14 +110,14 @@ def reference_add(a, b):
         for i, c in enumerate(side.coeffs):
             if side.offset + i < precision:
                 out[side.offset + i - offset] += c
-    return LaurentSeries(offset, tuple(out))
+    return LaurentSeries.from_coeffs(offset, out)
 
 
 def reference_scale(s, factor):
     """One Fraction product per coefficient; 0 gives the exact zero."""
     if s.is_zero or not factor:
         return ZERO
-    return LaurentSeries(s.offset, tuple(c * factor for c in s.coeffs))
+    return LaurentSeries.from_coeffs(s.offset, (c * factor for c in s.coeffs))
 
 
 def reference_linear_combination(terms, weights):
@@ -132,7 +132,8 @@ def reference_derivative(s):
     """Termwise d/dt on Fraction coefficients."""
     if s.is_zero:
         return s
-    return LaurentSeries(s.offset - 1, tuple((s.offset + i) * c for i, c in enumerate(s.coeffs)))
+    coeffs = ((s.offset + i) * c for i, c in enumerate(s.coeffs))
+    return LaurentSeries.from_coeffs(s.offset - 1, coeffs)
 
 
 def reference_exp_linear(alpha, order):
@@ -181,6 +182,7 @@ def assert_canonical(s):
     assert type(s.nums) is tuple and all(type(x) is int for x in s.nums)
     assert type(s.den) is int and s.den > 0
     assert math.gcd(s.den, *s.nums) == 1
+    assert s.nums or (s.offset, s.den) == (0, 1)
 
 
 def assert_same_series(got, want):
@@ -591,7 +593,7 @@ def egf_kernels():
 def assert_unscaled_round_trip(s):
     """The exit gives s back from ints[k] / (k! den) == nums[k] / den."""
     ints = [x * math.factorial(k) for k, x in enumerate(s.nums)]
-    assert series_module._canonical(s.offset, *series_module._egf_unscaled(ints, s.den)) == s
+    assert LaurentSeries(s.offset, *series_module._egf_unscaled(ints, s.den)) == s
 
 
 class TestEgfKernel:
@@ -995,7 +997,7 @@ def comparison_cases(draw):
     elif kind == "tweaked":
         coeffs = list(a.coeffs)
         coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(kernel_fractions)
-        b = LaurentSeries(a.offset, tuple(coeffs))
+        b = LaurentSeries.from_coeffs(a.offset, coeffs)
     else:
         b = LaurentSeries.from_coeffs(draw(st.integers(-6, 6)), [0] * draw(st.integers(1, 5)))
     if draw(st.booleans()):
@@ -1021,14 +1023,35 @@ class TestRepresentation:
             LaurentSeries.from_coeffs(0, [Fraction(4, 6)] * 3),
         ):
             assert_canonical(value)
-            assert value == LaurentSeries(value.offset, value.coeffs)
+            assert value == LaurentSeries.from_coeffs(value.offset, value.coeffs)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(-3, 3),
+        st.one_of(st.lists(st.integers(-50, 50), max_size=8), st.lists(st.just(0), max_size=4)),
+        st.integers(-50, 50).filter(bool),
+        st.integers(1, 10**6),
+    )
+    def test_constructor_puts_integers_in_canonical_form(self, offset, nums, den, common):
+        # A common factor and either sign of den for the constructor to take out.
+        nums, den = [x * common for x in nums], den * common
+        s = LaurentSeries(offset, nums, den)
+        assert_canonical(s)
+        want = LaurentSeries.from_coeffs(offset, [Fraction(x, den) for x in nums])
+        assert s == want and hash(s) == hash(want)
+        assert s.coeffs == want.coeffs
+
+    def test_constructor_rejects_a_zero_denominator(self):
+        for nums in ((1, 2), (0,), ()):
+            with pytest.raises(DomainError):
+                LaurentSeries(0, nums, 0)
 
     @settings(max_examples=200)
     @given(st.one_of(kernel_series(), st.just(ZERO)), st.integers(-3, 3))
     def test_unary_ops_match_reference(self, s, exponent):
         assert_same_series(-s, reference_scale(s, Fraction(-1)))
         assert_same_series(s.derivative(), reference_derivative(s))
-        shifted = s if s.is_zero else LaurentSeries(s.offset + exponent, s.coeffs)
+        shifted = s if s.is_zero else LaurentSeries.from_coeffs(s.offset + exponent, s.coeffs)
         assert_same_series(s.shift(exponent), shifted)
 
     @settings(max_examples=200)
@@ -1043,7 +1066,7 @@ class TestRepresentation:
     @given(kernel_series(), st.data())
     def test_truncated_matches_reference(self, s, data):
         precision = data.draw(st.integers(s.offset + 1, s.precision))
-        want = LaurentSeries(s.offset, s.coeffs[: precision - s.offset])
+        want = LaurentSeries.from_coeffs(s.offset, s.coeffs[: precision - s.offset])
         assert_same_series(s.truncated(precision), want)
 
     def test_truncated_window_rules(self):
@@ -1076,8 +1099,8 @@ class TestRepresentation:
         for name, value in (("offset", 1), ("nums", (1,)), ("den", 2), ("coeffs", ()), ("x", 0)):
             with pytest.raises(AttributeError):
                 setattr(s, name, value)
-        with pytest.raises(AttributeError):
-            del s.den
+            with pytest.raises(AttributeError):
+                delattr(s, name)
         assert s == exp_linear(Fraction(1, 3), 4)
 
     def test_coeffs_are_built_once(self):

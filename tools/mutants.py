@@ -34,6 +34,12 @@ STIRLING = "src/stirnum/stirling.py"
 # (label, file, exact snippet, replacement)
 MUTANTS = [
     (
+        "LaurentSeries construction skips normalization",
+        SERIES,
+        "nums, den = _normalized(self.nums, self.den)",
+        "nums, den = (self.nums, self.den)",
+    ),
+    (
         "_pascal_recurrence s = 0 lead",
         SERIES,
         "diagonal = list(accumulate(diagonal, initial=r))",
