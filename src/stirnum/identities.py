@@ -40,10 +40,14 @@ converts its parameters and calls it.
 The verifier reads both sides off the ladders of their bases, the powers
 and the derivatives of one base series, in the store of bases that
 ``series`` describes.  A check at a lower order than a stored ladder's
-reads it below its own cut only: it combines the weighted sum below the
-cut and compares its left side, a stored derivative or a stored power,
-in place up to it.  ``run_sweep`` holds every ladder it reads until it
-returns, so a sweep past the store's bound still builds each ladder once.
+reads it below its own cut only: it compares its left side, a stored
+derivative or a stored power, in place up to the cut.  The weighted sum
+is combined below the cut once, by the first check of its (tag, k,
+order), and stored with its constant in the ladder of the right base, so
+a repeated check reads it there and only compares; a check with its own
+weights (``coeff_override``) neither reads nor stores one.  ``run_sweep``
+holds every ladder it reads until it returns, so a sweep past the
+store's bound still builds each ladder once.
 
 ``verify_target`` is the plan of the ``verify`` command: the sweep of
 one tag or all twelve, then the named checks of ``sequences``.  Tags give
@@ -288,38 +292,45 @@ def _verify(
     lhs_base, kind, _, rhs_base, constant = _SPECS[identity_id]
     lhs_ladder = series._LADDERS.ladder(lhs_base or (alpha, lam, -1), order)
     rhs_ladder = series._LADDERS.ladder(rhs_base or (alpha, lam, -1), order)
-    if coeff_override is not None:
-        weights = [Fraction(w) for w in coeff_override]
-    elif identity_id in CORE_IDENTITY_IDS:
-        weights = core_identity_coefficients(identity_id, k)
-    else:
-        weights = _weights(identity_id, k, alpha)
     # Each side leaves out the last top - order coefficients of its own
     # ladder (see series._Ladders); a linear combination of entries moves
-    # one-for-one with the order too.  The weighted sum is combined below
-    # that cut only, and the left side, a stored derivative or a stored
-    # Miller power, is compared in place below it.  Each side keeps its own
-    # route: a power-kind left side never reads the product chain that a
-    # derivative-kind right side sums.
+    # one-for-one with the order too.  The left side, a stored derivative
+    # or a stored Miller power, is compared in place below its cut.  The
+    # weighted sum is combined below its cut once, by the first check to
+    # read the right ladder at this (tag, k, order), and stored in that
+    # ladder with the constant added; later checks only compare.  A check
+    # with its own weights neither reads nor stores a sum.  Each side
+    # keeps its own route: a power-kind left side never reads the product
+    # chain that a derivative-kind right side sums.
     lhs_trim = lhs_ladder.top - order
-    rhs_trim = rhs_ladder.top - order
-    if kind == "derivative":
-        lhs = lhs_ladder.derivatives(k + 1)[k]
-        rhs = linear_combination(rhs_ladder.powers(k + 1), weights, trim=rhs_trim)
+    lhs = lhs_ladder.derivatives(k + 1)[k] if kind == "derivative" else lhs_ladder.power(k)
+    key = (identity_id, k, order)
+    stored = rhs_ladder.sums.get(key) if coeff_override is None else None
+    if stored is not None:
+        rhs, rhs_hi = stored
     else:
-        lhs = lhs_ladder.power(k)
-        rhs = linear_combination(rhs_ladder.derivatives(k), weights, trim=rhs_trim)
+        if coeff_override is not None:
+            weights = [Fraction(w) for w in coeff_override]
+        elif identity_id in CORE_IDENTITY_IDS:
+            weights = core_identity_coefficients(identity_id, k)
+        else:
+            weights = _weights(identity_id, k, alpha)
+        rhs_trim = rhs_ladder.top - order
+        terms = rhs_ladder.powers(k + 1) if kind == "derivative" else rhs_ladder.derivatives(k)
+        rhs = linear_combination(terms, weights, trim=rhs_trim)
+        rhs_hi = rhs.precision
+        if constant is not None:
+            # A nonzero weighted sum is known no further than its base; the
+            # exact zero is known to every order, so the base's precision
+            # at this order bounds the constant and the sum stays finite.
+            # Below precision 1 the constant lies past the window, so the
+            # window holds the sum alone and the comparison judges its width.
+            rhs_hi = min(rhs_hi, rhs_ladder.base.precision - rhs_trim)
+            if rhs_hi >= 1:
+                rhs = rhs + LaurentSeries.constant(constant(k), rhs_hi)
+        if coeff_override is None:
+            rhs_ladder.keep_sum(key, rhs, rhs_hi)
     lhs_hi = _cut(lhs.offset, lhs.precision, lhs.precision - lhs_trim)
-    rhs_hi = rhs.precision
-    if constant is not None:
-        # A nonzero weighted sum is known no further than its base; the
-        # exact zero is known to every order, so the base's precision at
-        # this order bounds the constant and the sum stays finite.  Below
-        # precision 1 the constant lies past the window, so the window
-        # holds the sum alone and the comparison judges its width.
-        rhs_hi = min(rhs_hi, rhs_ladder.base.precision - rhs_trim)
-        if rhs_hi >= 1:
-            rhs = rhs + LaurentSeries.constant(constant(k), rhs_hi)
     return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min(lhs_hi, rhs_hi))
 
 

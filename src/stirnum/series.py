@@ -73,7 +73,10 @@ powers and derivatives of 1/(lam e**(alpha t) + c), one per key
 ladder holds two kinds of power: the chain base**1, base**2, ... of
 products, and single powers base**k, each one pass of Miller's
 recurrence, so that a power-kind identity check and a derivative-kind one
-never read the same kernel's output for their power side.  The
+never read the same kernel's output for their power side.  It also holds
+the right side of each identity check that has read it as its right
+base, keyed on (tag, k, order): the weighted sum below the check's cut,
+with its additive constant, so that a repeated check only compares.  The
 store builds the bases it keeps with ``_build_base``, and every other
 caller only reads them.  The identity checks read their ladders there, and
 ``recip_exp_linear`` reads its base at alpha = 1 there at every order,
@@ -87,21 +90,23 @@ the stored entries less their last top - order coefficients.  Every
 stored coefficient is exact, and once the valuation is visible each
 step's precision moves one-for-one with the source order (every base has
 a nonzero leading coefficient).  A longer request builds again and
-replaces the entry, dropping every power and derivative built on it.
+replaces the entry, dropping every power, derivative and right side built
+on it.
 
 Each ladder is charged the bits of its numerators and denominator, 320
 more a coefficient and 8,192 a series (``_stored_bits``), and charged
-again as it grows.  Past the budget of 4 MiB of charged bits the least
-recently used ladders leave first, and a ladder charged more than the
-budget is not kept.  Every stored series is charged at least 8,192 bits,
-so the store holds at most 4,096 series, and a CPython int of b bits
-takes at most 32 + 4b/30 bytes, so the entries take at most 16/15 of
-their charge: about 4.5 MB at worst, keys of literals over 8,192 bits
-apart.  A ladder the store has dropped but a caller still holds, as
-``run_sweep`` holds each ladder it reads until it returns, is found again
-through a weak index and kept again if it fits, so no sweep builds a
-ladder twice however far it passes the budget.  The store is not locked:
-use the package from one thread at a time.
+again as it grows, by a power, a derivative or a right side.  Past the
+budget of 4 MiB of charged bits the least recently used ladders leave
+first, and a ladder charged more than the budget is not kept.  Every
+stored series is charged at least 8,192 bits, so the store holds at most
+4,096 series, and a CPython int of b bits takes at most 32 + 4b/30
+bytes, so the entries take at most 16/15 of their charge: about 4.5 MB
+at worst, keys of literals over 8,192 bits apart.  A ladder the store
+has dropped but a caller still holds, as ``run_sweep`` holds each ladder
+it reads until it returns, is found again through a weak index and kept
+again if it fits, so no sweep builds a ladder twice however far it
+passes the budget.  The store is not locked: use the package from one
+thread at a time.
 """
 
 from __future__ import annotations
@@ -678,9 +683,14 @@ class _Ladder:
     """Powers base**1, base**2, ... as a chain of products, derivatives
     base, base', ... and single powers base**k by Miller's recurrence, of
     one base series built at source order ``top``; each entry is computed
-    once, when first asked for.  ``bits`` is the ``_stored_bits`` of its
-    distinct entries; a ladder built by a store is charged there as it
-    grows."""
+    once, when first asked for.  ``sums`` holds the right side of each
+    identity check that has read this ladder as its right base, keyed on
+    (tag, k, order): the weighted sum below the check's cut, constant
+    included, and the end of its compared window.  ``top`` is fixed, so
+    the order fixes that cut, and a longer build, a new ladder, starts
+    with no sums.  ``bits`` is the ``_stored_bits`` of its distinct
+    entries, sums included; a ladder built by a store is charged there as
+    it grows."""
 
     def __init__(self, base: LaurentSeries, top: int, store: Optional["_Ladders"] = None, key=None):
         self.base = base
@@ -691,6 +701,7 @@ class _Ladder:
         self._powers = [base]
         self._derivatives = [base]
         self._miller = {1: base}
+        self.sums: dict = {}
 
     def _add(self, entry: LaurentSeries) -> LaurentSeries:
         """entry, charged as a new entry of this ladder."""
@@ -719,6 +730,10 @@ class _Ladder:
         if entry is None:
             entry = self._miller[k] = self._add(self.base**k)
         return entry
+
+    def keep_sum(self, key: tuple, rhs: LaurentSeries, hi: int) -> None:
+        """Hold (rhs, hi) in ``sums`` under key, charged as an entry."""
+        self.sums[key] = (self._add(rhs), hi)
 
 
 class _Ladders:

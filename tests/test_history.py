@@ -60,6 +60,17 @@ COMMANDS = [
     "verify P2 --k-max 6 --order 22",
     f"verify G2 --k-max 12 --alpha=-3/2 {LAMBDA}",
     f"verify G2 --k-max 2 --alpha=-3/2 {LAMBDA}",
+    # one check run again after a run at another order: each order reads
+    # the right sides stored at it, on a replaced ladder or on one ladder
+    "verify I7 --k-max 6",
+    "verify I7 --k-max 6 --order 30",
+    "verify I7 --k-max 6",
+    f"verify G2 --k-max 4 --alpha 2 {LAMBDA}",
+    f"verify G2 --k-max 4 --alpha 2 {LAMBDA} --order 20",
+    f"verify G2 --k-max 4 --alpha 2 {LAMBDA}",
+    "verify I8 --k-max 6 --order 40",
+    "verify I8 --k-max 6 --order 24",
+    "verify I8 --k-max 6 --order 40",
     # every tag and named check at the default orders
     "verify all --k-max 4",
     "verify all --k-max 4 --format csv",

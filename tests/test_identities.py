@@ -590,10 +590,13 @@ class TestLadderStore:
         with mock.patch.object(series_module, "_LADDERS", store):
             checks[0]()
             checks[1]()
-            verify_core_identity("I1", 2)  # a read makes it the most recent
+            # a read makes it the most recent, and stores the sum of k = 2
+            verify_core_identity("I1", 2)
             checks[2]()
         assert list(store._entries) == [F_KEY, H_KEY]
-        assert store.bits == sizes[0] + sizes[2] <= store.budget
+        ladder, _ = store._entries[F_KEY]
+        added = series_module._stored_bits(ladder.sums["I1", 2, default_order(2)][0])
+        assert store.bits == sizes[0] + added + sizes[2] <= store.budget
 
     def test_a_ladder_that_grows_over_the_budget_is_not_kept(self, cold_store):
         [kept] = self.charges([lambda: verify_core_identity("I1", 3)])
@@ -716,14 +719,47 @@ class TestLadderStore:
         monkeypatch.setattr(series_module, "_power", lambda unit, den, k: passes.append(k) or real(unit, den, k))
         assert run_sweep(tags, 12) == first
         assert [k for k in passes if k >= 1] == []
-        # f, g and h each hold base**1 .. base**12, and every entry held is charged once
+        # f, g and h each hold base**1 .. base**12 and the right sides read
+        # off them, and every entry held is charged once
         assert set(store._entries) == {F_KEY, G_KEY, H_KEY}
-        for ladder, bits in store._entries.values():
+        right = {F_KEY: ["I6", "I7"], G_KEY: ["I5", "I8"], H_KEY: ["P2"]}
+        for key, (ladder, bits) in store._entries.items():
             assert sorted(ladder._miller) == list(range(1, 13))
-            entries = [ladder.base, *ladder._powers, *ladder._derivatives, *ladder._miller.values()]
+            assert set(ladder.sums) == {(tag, k, default_order(k)) for tag in right[key] for k in range(1, 13)}
+            sums = [rhs for rhs, _ in ladder.sums.values()]
+            entries = [ladder.base, *ladder._powers, *ladder._derivatives, *ladder._miller.values(), *sums]
             distinct = {id(entry): entry for entry in entries}.values()
             assert bits == ladder.bits == sum(map(series_module._stored_bits, distinct))
         assert store.bits == sum(bits for _, bits in store._entries.values())
+
+    def test_a_second_sweep_only_compares(self, monkeypatch, store):
+        # Every check of the first sweep stores its right side in its
+        # ladder, so the same sweep again combines no weighted sum.
+        first = run_sweep(ALL_IDENTITY_IDS, 6, None, self.ALPHAS, self.LAMBDAS)
+        combined = []
+        real = identities_module.linear_combination
+
+        def spy(*args, **kwargs):
+            combined.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(identities_module, "linear_combination", spy)
+        assert run_sweep(ALL_IDENTITY_IDS, 6, None, self.ALPHAS, self.LAMBDAS) == first
+        assert combined == []
+
+    @pytest.mark.parametrize("tag, k, order", [("I3", 5, 20), ("I8", 5, 20), ("I8", 4, None)])
+    def test_a_corrupted_check_between_clean_ones_reads_no_stored_sum(self, store, cold_store, tag, k, order):
+        # A check with its own weights neither reads the stored right side
+        # of its (tag, k, order) nor replaces it.
+        run_sweep([tag], 8)
+        weights = _weights(tag, k, None)
+        corrupted = [*weights[:-1], weights[-1] + 1]
+        with cold_store():
+            expected = verify_core_identity(tag, k, order, corrupted)
+        assert not expected.passed
+        assert verify_core_identity(tag, k, order).passed
+        assert verify_core_identity(tag, k, order, corrupted) == expected
+        assert verify_core_identity(tag, k, order).passed
 
     @pytest.mark.parametrize("kernel, corrupted", [("_power", "power"), ("_lcm_product", "derivative")])
     def test_a_wrong_kernel_fails_only_the_tags_whose_route_runs_it(self, monkeypatch, store, kernel, corrupted):

@@ -154,6 +154,18 @@ MUTANTS = [
         "w * alpha ** (m - 1)",
     ),
     (
+        "stored right side keyed without its order",
+        IDENTITIES,
+        "key = (identity_id, k, order)",
+        "key = (identity_id, k)",
+    ),
+    (
+        "a check with its own weights reads the stored right side",
+        IDENTITIES,
+        "stored = rhs_ladder.sums.get(key) if coeff_override is None else None",
+        "stored = rhs_ladder.sums.get(key)",
+    ),
+    (
         "first-kind Stirling recurrence sign",
         STIRLING,
         "row[k] = prev[k - 1] - (m - 1) * prev[k]",
