@@ -29,10 +29,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -387,9 +387,29 @@ _HANDLERS = {
 }
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the values of a record: dicts
+    with string keys, lists, strings, ints, bools and None.  ``indent`` is
+    the line break and indentation of the line that holds ``value``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    items = [_json_text(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+
 def _emit(out: CommandOutput, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(out.record, indent=2))
+        print(_json_text(out.record))
     elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -39,15 +39,17 @@ converts its parameters and calls it.
 
 The verifier reads both sides off the ladders of their bases, the powers
 and the derivatives of one base series, in the store of bases that
-``series`` describes.  A check at a lower order than a stored ladder's
-reads it below its own cut only: it compares its left side, a stored
-derivative or a stored power, in place up to the cut.  The weighted sum
-is combined below the cut once, by the first check of its (tag, k,
-order), and stored with its constant in the ladder of the right base, so
-a repeated check reads it there and only compares; a check with its own
-weights (``coeff_override``) neither reads nor stores one.  ``run_sweep``
-holds every ladder it reads until it returns, so a sweep past the
-store's bound still builds each ladder once.
+``series`` describes.  Each side is read at the check's own order: an
+entry is built there when first read and grown in place when a longer
+check reads it, and a check reads a longer entry up to its own end at the
+order, comparing its left side, a stored derivative or a stored power, in
+place.  The weighted sum is combined at the order once, by the first
+check of its (tag, k, order), and stored with its constant in the ladder
+of the right base, so a repeated check reads it there and only compares;
+a check with its own weights (``coeff_override``) neither reads nor
+stores one.  ``run_sweep`` builds each base at the widest order of the
+sweep and holds every ladder it reads until it returns, so a sweep past
+the store's bound still builds each ladder once.
 
 ``verify_target`` is the plan of the ``verify`` command: the sweep of
 one tag or all twelve, then the named checks of ``sequences``.  Tags give
@@ -73,7 +75,7 @@ from .sequences import (
     determinant_relation_checks,
     two_param_reduction_sweep,
 )
-from .series import LaurentSeries, _cut, linear_combination
+from .series import LaurentSeries, linear_combination
 from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1
 
 __all__ = [
@@ -292,18 +294,16 @@ def _verify(
     lhs_base, kind, _, rhs_base, constant = _SPECS[identity_id]
     lhs_ladder = series._LADDERS.ladder(lhs_base or (alpha, lam, -1), order)
     rhs_ladder = series._LADDERS.ladder(rhs_base or (alpha, lam, -1), order)
-    # Each side leaves out the last top - order coefficients of its own
-    # ladder (see series._Ladders); a linear combination of entries moves
-    # one-for-one with the order too.  The left side, a stored derivative
-    # or a stored Miller power, is compared in place below its cut.  The
-    # weighted sum is combined below its cut once, by the first check to
-    # read the right ladder at this (tag, k, order), and stored in that
-    # ladder with the constant added; later checks only compare.  A check
-    # with its own weights neither reads nor stores a sum.  Each side
-    # keeps its own route: a power-kind left side never reads the product
-    # chain that a derivative-kind right side sums.
-    lhs_trim = lhs_ladder.top - order
-    lhs = lhs_ladder.derivatives(k + 1)[k] if kind == "derivative" else lhs_ladder.power(k)
+    # Each side reads its ladder at this order (see series._Ladder).  The
+    # left side, a stored derivative or a stored Miller power, is compared
+    # in place up to its end at this order.  The weighted sum is combined
+    # from the right ladder's entries at this order once, by the first
+    # check of this (tag, k, order), and stored in that ladder with the
+    # constant added; later checks only compare.  A check with its own
+    # weights neither reads nor stores a sum.  Each side keeps its own
+    # route: a power-kind left side never reads the product chain that a
+    # derivative-kind right side sums.
+    lhs = lhs_ladder.derivatives(k + 1, order)[k] if kind == "derivative" else lhs_ladder.power(k, order)
     key = (identity_id, k, order)
     stored = rhs_ladder.sums.get(key) if coeff_override is None else None
     if stored is not None:
@@ -315,9 +315,8 @@ def _verify(
             weights = core_identity_coefficients(identity_id, k)
         else:
             weights = _weights(identity_id, k, alpha)
-        rhs_trim = rhs_ladder.top - order
-        terms = rhs_ladder.powers(k + 1) if kind == "derivative" else rhs_ladder.derivatives(k)
-        rhs = linear_combination(terms, weights, trim=rhs_trim)
+        terms = rhs_ladder.powers(k + 1, order) if kind == "derivative" else rhs_ladder.derivatives(k, order)
+        rhs = linear_combination(terms, weights, length=rhs_ladder.length(order))
         rhs_hi = rhs.precision
         if constant is not None:
             # A nonzero weighted sum is known no further than its base; the
@@ -325,12 +324,12 @@ def _verify(
             # at this order bounds the constant and the sum stays finite.
             # Below precision 1 the constant lies past the window, so the
             # window holds the sum alone and the comparison judges its width.
-            rhs_hi = min(rhs_hi, rhs_ladder.base.precision - rhs_trim)
+            rhs_hi = min(rhs_hi, rhs_ladder.base.offset + rhs_ladder.length(order))
             if rhs_hi >= 1:
                 rhs = rhs + LaurentSeries.constant(constant(k), rhs_hi)
         if coeff_override is None:
             rhs_ladder.keep_sum(key, rhs, rhs_hi)
-    lhs_hi = _cut(lhs.offset, lhs.precision, lhs.precision - lhs_trim)
+    lhs_hi = lhs.offset + lhs_ladder.length(order)
     return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min(lhs_hi, rhs_hi))
 
 
@@ -397,20 +396,25 @@ def run_sweep(
     (DEFAULT_ALPHAS / DEFAULT_LAMBDAS for None; an empty grid has no
     points).  Report order is deterministic: targets as given, k
     ascending, then (alpha, lambda) ascending.  An unknown tag raises
-    before any ladder is built or any check run.
+    before any ladder is built or any check run, and the grid is read
+    only when a general tag is swept.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    alpha_grid = sorted(Fraction(a) for a in (DEFAULT_ALPHAS if alphas is None else alphas))
-    lambda_grid = sorted(Fraction(v) for v in (DEFAULT_LAMBDAS if lambdas is None else lambdas))
     for target in targets:
         if target not in _SPECS:
             raise DomainError(f"unknown identity tag {target!r}")
-    # Each ladder is built at the order of the widest check, which the
-    # narrower ones read, and held until the sweep returns.  A point with
-    # alpha or lambda 0 reads none, and orders below 3 read none stored.
+    alpha_grid = lambda_grid = grid = ()
+    if any(target in GENERAL_IDENTITY_IDS for target in targets):
+        alpha_grid = sorted(Fraction(a) for a in (DEFAULT_ALPHAS if alphas is None else alphas))
+        lambda_grid = sorted(Fraction(v) for v in (DEFAULT_LAMBDAS if lambdas is None else lambdas))
+        grid = [(alpha, lam, -1) for alpha in alpha_grid for lam in lambda_grid if alpha and lam]
+    # Each ladder's base is built at the order of the widest check, which
+    # the narrower ones read, and each ladder is held until the sweep
+    # returns; its other entries grow with the checks that read them.  A
+    # point with alpha or lambda 0 reads none, and orders below 3 read none
+    # stored.
     top = default_order(k_max) if order is None else order
-    grid = [(alpha, lam, -1) for alpha in alpha_grid for lam in lambda_grid if alpha and lam]
     keys = [
         key
         for lhs_base, _, _, rhs_base, _ in map(_SPECS.get, targets)

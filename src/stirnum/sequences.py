@@ -463,7 +463,7 @@ def verify_two_param_reductions(n: int, alpha: Scalar, lam: Scalar) -> bool:
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
-    return _reductions_at(n, [alpha], [lam])[0]
+    return _reductions_at(n, [alpha], [lam], _pivots([alpha]))[0]
 
 
 def two_param_reduction_sweep(
@@ -494,19 +494,26 @@ def two_param_reduction_sweep(
         _check_two_param(alpha, lam)
     if not points:
         return []
+    pivots = _pivots(alpha_grid)
     return [
         (n, alpha, lam, passed)
         for n in range(k_max + 1)
-        for (alpha, lam), passed in zip(points, _reductions_at(n, alpha_grid, lambda_grid))
+        for (alpha, lam), passed in zip(points, _reductions_at(n, alpha_grid, lambda_grid, pivots))
     ]
 
 
+def _pivots(alphas: Sequence[Fraction]) -> List[List[Fraction]]:
+    """alpha/x at each node x, for each alpha: the part of the pointwise
+    reduction that no n touches."""
+    return [[alpha / x for x in _REDUCTION_NODES] for alpha in alphas]
+
+
 def _reductions_at(
-    n: int, alphas: Sequence[Fraction], lambdas: Sequence[Fraction]
+    n: int, alphas: Sequence[Fraction], lambdas: Sequence[Fraction], pivots
 ) -> List[bool]:
     """Whether the reductions hold at index n, for each (alpha, lam) of
-    alphas x lambdas in that order.  A failed E_n(x; 1, 1) == E_n(x)
-    fails every point."""
+    alphas x lambdas in that order, given the ``_pivots`` of alphas.  A
+    failed E_n(x; 1, 1) == E_n(x) fails every point."""
     rows: dict = {}
     built: dict = {}
 
@@ -529,17 +536,19 @@ def _reductions_at(
     one = Fraction(1)
     if poly(one, one) != euler_polynomial_formula(n):
         return [False] * (len(alphas) * len(lambdas))
+    powers = [(x.numerator**n, x.denominator**n) for x in _REDUCTION_NODES]
     return [
-        _reduces(n, alpha, poly(alpha, lam), poly(one, lam), row(lam))
-        for alpha in alphas
+        _reduces(n, alpha, poly(alpha, lam), poly(one, lam), row(lam), alpha_pivots, powers)
+        for alpha, alpha_pivots in zip(alphas, pivots)
         for lam in lambdas
     ]
 
 
-def _reduces(n: int, alpha: Fraction, full: Polynomial, unit: Polynomial, row) -> bool:
+def _reduces(n: int, alpha: Fraction, full: Polynomial, unit: Polynomial, row, pivots, powers) -> bool:
     """The rescale and pointwise reductions at one point, given
-    E_n(x; alpha, lam), E_n(x; 1, lam) and the row of lam.  Both compare
-    cross-multiplied integers."""
+    E_n(x; alpha, lam), E_n(x; 1, lam), the row of lam, alpha's
+    ``_pivots`` row and (x.numerator**n, x.denominator**n) at each node.
+    Both compare cross-multiplied integers."""
     # Coefficient k: full_k / F == unit_k a**(n-k) / (U b**(n-k)) for
     # alpha = a/b.  Both are trimmed and a != 0, so when they are equal
     # their lengths are too.
@@ -553,11 +562,10 @@ def _reduces(n: int, alpha: Fraction, full: Polynomial, unit: Polynomial, row) -
             return False
         left *= b
         right *= a
-    for x in _REDUCTION_NODES:
-        pivot = alpha / x
+    for x, pivot, (x_num, x_den) in zip(_REDUCTION_NODES, pivots, powers):
         pivot_num, pivot_den = _two_param_pivot(n, pivot.numerator, pivot.denominator, row)
         value_num, value_den = full._value(x)
-        if value_num * x.denominator**n * pivot_den != x.numerator**n * pivot_num * value_den:
+        if value_num * x_den * pivot_den != x_num * pivot_num * value_den:
             return False
     return True
 

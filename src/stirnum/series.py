@@ -69,33 +69,43 @@ one denominator.
 
 One bounded store, ``_LADDERS``, keeps the ladders of the bases: the
 powers and derivatives of 1/(lam e**(alpha t) + c), one per key
-(alpha, lam, c), each at the longest source order asked for so far.  A
-ladder holds two kinds of power: the chain base**1, base**2, ... of
-products, and single powers base**k, each one pass of Miller's
-recurrence, so that a power-kind identity check and a derivative-kind one
-never read the same kernel's output for their power side.  It also holds
-the right side of each identity check that has read it as its right
-base, keyed on (tag, k, order): the weighted sum below the check's cut,
-with its additive constant, so that a repeated check only compares.  The
-store builds the bases it keeps with ``_build_base``, and every other
-caller only reads them.  The identity checks read their ladders there, and
-``recip_exp_linear`` reads its base at alpha = 1 there at every order,
-keyed on (1, lam, c), so f, h and G at alpha = 1 share one entry with the
-oracles; only at alpha = 0 or lam = 0 does it call ``_build_base`` itself
-and store nothing.  At orders 1 and 2 the store keeps nothing: a ladder
-asked for there is built and handed back unstored.
+(alpha, lam, c).  A ladder holds two kinds of power: the chain base**1,
+base**2, ... of products, and single powers base**k, each one pass of
+Miller's recurrence, so that a power-kind identity check and a
+derivative-kind one never read the same kernel's output for their power
+side.  It also holds the right side of each identity check that has read
+it as its right base, keyed on (tag, k, order): the weighted sum at the
+check's order, with its additive constant, so that a repeated check only
+compares.  The store builds the bases it keeps with ``_build_base``, and
+every other caller only reads them.  The identity checks read their
+ladders there, and ``recip_exp_linear`` reads its base at alpha = 1 there
+at every order, keyed on (1, lam, c), so f, h and G at alpha = 1 share
+one entry with the oracles; only at alpha = 0 or lam = 0 does it call
+``_build_base`` itself and store nothing.  At orders 1 and 2 the store
+keeps nothing: a ladder asked for there is built and handed back
+unstored.
 
-A read at a lower source order gives what a build at that order gives:
-the stored entries less their last top - order coefficients.  Every
-stored coefficient is exact, and once the valuation is visible each
-step's precision moves one-for-one with the source order (every base has
-a nonzero leading coefficient).  A longer request builds again and
-replaces the entry, dropping every power, derivative and right side built
-on it.
+Every kernel a ladder runs is online: Miller's recurrence, the product,
+the derivative and the dilation each compute coefficient n from the
+coefficients <= n of their inputs.  At source order N every entry of a
+ladder holds N + offset - 1 coefficients, offset that of the base, and
+the first that many of a longer entry are those of a build at N; as the
+form is canonical, a read at N gives the (offset, nums, den) of a build
+at N whatever order the entry was built at.  So the entries are the lazy
+power series of M. D. McIlroy ("Power series, power serious",
+J. Funct. Program. 9, 1999).  The base is built at the longest order
+asked for so far, by ``_build_base`` again when a longer order comes.
+Every other entry is built at the order of the first check that reads it,
+and a longer read grows it in place by its new coefficients only: the
+product's, the derivative's, or the rows of Miller's recurrence continued
+from the held coefficients.  It grows to twice its length or more, as far
+as its input holds, so that the rising orders of a sweep grow it a few
+times only.  Nothing is dropped, and a right side stored at an order
+stays valid as the entries under it grow.
 
 Each ladder is charged the bits of its numerators and denominator, 320
 more a coefficient and 8,192 a series (``_stored_bits``), and charged
-again as it grows, by a power, a derivative or a right side.  Past the
+again as it grows, by a new or grown entry or a right side.  Past the
 budget of 4 MiB of charged bits the least recently used ladders leave
 first, and a ladder charged more than the budget is not kept.  Every
 stored series is charged at least 8,192 bits, so the store holds at most
@@ -468,12 +478,12 @@ def _egf_unscaled(ints, den) -> Tuple[list, int]:
     return nums, ratio * den
 
 
-def _recurrence(rows) -> Tuple[list, int]:
-    """r_0 = 1 and divisor_n r_n = sum_i terms_n[i] r_{n-1-i} for each row
-    (terms_n, divisor_n), the sum stopping at r_0: numerators over one
-    running denominator, widened whenever a new quotient does not fit."""
-    den = 1
-    nums = [1]
+def _recurrence(rows, nums: Sequence[int] = (1,), den: int = 1) -> Tuple[list, int]:
+    """divisor_n r_n = sum_i terms_n[i] r_{n-1-i} for each row (terms_n,
+    divisor_n), the sum stopping at r_0, continued from the prefix
+    r_i = nums[i] / den (r_0 = 1 by default): numerators over one running
+    denominator, widened whenever a new quotient does not fit."""
+    nums = list(nums)
     for terms, divisor in rows:
         acc = sum(map(operator.mul, terms, reversed(nums)))
         if acc % divisor:
@@ -541,10 +551,11 @@ def _pascal_reciprocal(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
     return LaurentSeries(-shift, nums, den)
 
 
-def _lcm_product(a, da: int, b, db: int, length: int) -> Tuple[list, int]:
-    """The first ``length`` coefficients of a*b: numerators over da * db."""
+def _lcm_product(a, da: int, b, db: int, length: int, start: int = 0) -> Tuple[list, int]:
+    """Coefficients ``start`` to ``length`` - 1 of a*b: numerators over
+    da * db."""
     out = []
-    for k in range(length):
+    for k in range(start, length):
         # a[i] * b[k - i] over the i for which both factors are stored
         lo = max(0, k - len(b) + 1)
         hi = min(k + 1, len(a))
@@ -561,34 +572,40 @@ def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
     At k = -1 every weight is -n; dividing it out leaves the long division
     u_0 w_n = -sum_{i=1..n} u_i w_{n-i}.
     """
-    # u**k = u_0**k * (U/U_0)**k for the integer series U = unit; row n of
-    # (U/U_0)**k holds u_1..u_n, weighted unless k = -1, and the divisor.
-    lead, tail = unit[0], unit[1:]
-    if k == -1:
-        rows = repeat((tail, -lead), len(tail))
-    else:
-        rows = (
-            (map(operator.mul, range(k + 1 - n, k * n + 1, k + 1), tail), n * lead)
-            for n in range(1, len(unit))
-        )
-    nums, den = _recurrence(rows)
-    scale = Fraction(lead, unit_den) ** k / den
+    # u**k = u_0**k * (U/U_0)**k for the integer series U = unit.
+    nums, den = _recurrence(_miller_rows(unit, k, 1, len(unit)))
+    scale = Fraction(unit[0], unit_den) ** k / den
     return [x * scale.numerator for x in nums], scale.denominator
 
 
+def _miller_rows(unit, k: int, start: int, stop: int):
+    """The rows n = start .. stop - 1 of Miller's recurrence for u**k in
+    the form ``_recurrence`` reads, for the integer series U = unit: row n
+    holds U_1..U_n, weighted unless k = -1, and the divisor.  The rows are
+    those of any multiple of U, as the recurrence reads only U_i / U_0."""
+    lead, tail = unit[0], unit[1:]
+    if k == -1:
+        return repeat((tail, -lead), stop - start)
+    return (
+        (map(operator.mul, range(k + 1 - n, k * n + 1, k + 1), tail), n * lead)
+        for n in range(start, stop)
+    )
+
+
 def linear_combination(
-    terms: Sequence[LaurentSeries], weights: Sequence[Scalar], *, trim: int = 0
+    terms: Sequence[LaurentSeries], weights: Sequence[Scalar], *, length: Optional[int] = None
 ) -> LaurentSeries:
-    """sum(w * s for s, w in zip(terms, weights)) with the add rules, less
-    the last ``trim`` coefficients of its window.
+    """sum(w * s for s, w in zip(terms, weights)) with the add rules, its
+    window cut to ``length`` coefficients when given.
 
     ``terms`` and ``weights`` have the same length.  A zero weight or the
     exact zero term drops out, as ``scale(0)`` gives the exact zero;
-    nothing left gives ZERO, whatever ``trim``.  The window runs from the
-    least offset to the least precision of the terms that stay, less
-    ``trim``; the result is the untrimmed sum's ``truncated(precision -
-    trim)``, error included.  Each term's numerators below that cut are put
-    over one common denominator, summed as integers and normalized once.
+    nothing left gives ZERO, whatever ``length``.  The window runs from the
+    least offset to the least precision of the terms that stay, or to
+    ``length`` coefficients from that offset; the result is the uncut sum's
+    ``truncated(offset + length)``, error included.  Each term's numerators
+    below the cut are put over one common denominator, summed as integers
+    and normalized once.
     """
     if len(terms) != len(weights):
         raise DomainError(f"{len(terms)} terms but {len(weights)} weights")
@@ -602,7 +619,8 @@ def linear_combination(
         return ZERO
     offset = min(term.offset for term, _ in kept)
     precision = min(term.precision for term, _ in kept)
-    precision = _cut(offset, precision, precision - trim)
+    if length is not None:
+        precision = _cut(offset, precision, offset + length)
     den = math.lcm(*[weight.denominator * term.den for term, weight in kept])
     out = [0] * (precision - offset)
     for term, weight in kept:
@@ -680,60 +698,131 @@ def _stored_bits(r: LaurentSeries) -> int:
 
 
 class _Ladder:
-    """Powers base**1, base**2, ... as a chain of products, derivatives
-    base, base', ... and single powers base**k by Miller's recurrence, of
-    one base series built at source order ``top``; each entry is computed
-    once, when first asked for.  ``sums`` holds the right side of each
-    identity check that has read this ladder as its right base, keyed on
-    (tag, k, order): the weighted sum below the check's cut, constant
-    included, and the end of its compared window.  ``top`` is fixed, so
-    the order fixes that cut, and a longer build, a new ladder, starts
-    with no sums.  ``bits`` is the ``_stored_bits`` of its distinct
-    entries, sums included; a ladder built by a store is charged there as
-    it grows."""
+    """The ladder of one base 1/(lam e**(alpha t) + c), ``key`` its
+    (alpha, lam, c): powers base**1, base**2, ... as a chain of products,
+    derivatives base, base', ... and single powers base**k by Miller's
+    recurrence.  The base is built at source order ``order`` or longer;
+    each other entry is built when first read, at the order of that read,
+    and grown in place by a longer one (module docstring).  A read at an
+    order returns each entry as it is held, at that order or longer: its
+    coefficients below ``length(order)`` are those of a build at the
+    order, and ``at`` cuts it there.  ``sums`` holds the right side of
+    each identity check that has read this ladder as its right base, keyed
+    on (tag, k, order): the weighted sum at the check's order, constant
+    included, and the end of its compared window.  ``bits`` is the
+    ``_stored_bits`` of its distinct entries, sums included; a ladder
+    built by a store is charged there as it grows."""
 
-    def __init__(self, base: LaurentSeries, top: int, store: Optional["_Ladders"] = None, key=None):
-        self.base = base
-        self.top = top
-        self.bits = _stored_bits(base)
+    def __init__(self, key: tuple, order: int, store: Optional["_Ladders"] = None):
+        self.key = key
+        self.base = _build_base(*map(Fraction, key), order)
+        self.bits = _stored_bits(self.base)
         self._store = store
-        self._key = key
-        self._powers = [base]
-        self._derivatives = [base]
-        self._miller = {1: base}
+        self._powers = [self.base]
+        self._derivatives = [self.base]
+        self._miller = {1: self.base}
         self.sums: dict = {}
 
-    def _add(self, entry: LaurentSeries) -> LaurentSeries:
-        """entry, charged as a new entry of this ladder."""
-        self.bits += _stored_bits(entry)
-        if self._store is not None:
-            self._store.charge(self._key, self)
+    def length(self, order: int) -> int:
+        """The coefficients every entry holds at source order ``order``."""
+        return order + self.base.offset - 1
+
+    def at(self, entry: LaurentSeries, order: int) -> LaurentSeries:
+        """entry as a build at source order ``order`` gives it."""
+        return entry.truncated(entry.offset + self.length(order))
+
+    def _kept(self, entry: LaurentSeries, old: Optional[LaurentSeries] = None) -> LaurentSeries:
+        """entry, counted in ``bits`` as an entry of this ladder in place
+        of ``old``; ``_charge`` charges the store."""
+        self.bits += _stored_bits(entry) - (0 if old is None else _stored_bits(old))
         return entry
 
-    def powers(self, count: int) -> list:
-        """[base**1, ..., base**count], each the product of the one before
-        and base"""
-        while len(self._powers) < count:
-            self._powers.append(self._add(self._powers[-1] * self.base))
-        return self._powers[:count]
+    def _charge(self, bits: int) -> None:
+        """Charge the store, if it built this ladder, what it has grown by
+        since it held ``bits``."""
+        if self.bits != bits and self._store is not None:
+            self._store.charge(self.key, self)
 
-    def derivatives(self, count: int) -> list:
-        """[base, base', ..., base^(count-1)]"""
-        while len(self._derivatives) < count:
-            self._derivatives.append(self._add(self._derivatives[-1].derivative()))
-        return self._derivatives[:count]
+    def grow(self, order: int) -> None:
+        """Build the base again at ``order`` if a build there is longer."""
+        if len(self.base.nums) < self.length(order):
+            bits = self.bits
+            base = self._kept(_build_base(*map(Fraction, self.key), order), self.base)
+            self.base = self._powers[0] = self._derivatives[0] = self._miller[1] = base
+            self._charge(bits)
 
-    def power(self, k: int) -> LaurentSeries:
-        """base**k for k >= 1 by ``__pow__``, one pass of Miller's
-        recurrence, apart from the product chain of ``powers``."""
+    def _reach(self, entry: LaurentSeries, source: LaurentSeries, length: int) -> int:
+        """The length entry grows to when a read needs ``length``: twice
+        its own or more, as far as ``source``, its input, holds, so that
+        reads at rising orders grow it a few times only."""
+        return min(len(source.nums), max(length, 2 * len(entry.nums)))
+
+    def powers(self, count: int, order: int) -> list:
+        """[base**1, ..., base**count] grown to ``order``, each the product
+        of the one before and base."""
+        length, bits = self.length(order), self.bits
+        entries, base = self._powers, self.base
+        for m in range(1, count):
+            before = entries[m - 1]
+            if m == len(entries):
+                entries.append(self._kept(before * self.at(base, order)))
+            elif len(entries[m].nums) < length:
+                entry = entries[m]
+                reach = self._reach(entry, before, length)
+                tail = _lcm_product(before.nums, before.den, base.nums, base.den, reach, len(entry.nums))
+                entries[m] = self._kept(_grown(entry, *tail), entry)
+        self._charge(bits)
+        return entries[:count]
+
+    def derivatives(self, count: int, order: int) -> list:
+        """[base, base', ..., base^(count-1)] grown to ``order``."""
+        length, bits = self.length(order), self.bits
+        entries = self._derivatives
+        for j in range(1, count):
+            before = entries[j - 1]
+            if j == len(entries):
+                entries.append(self._kept(self.at(before, order).derivative()))
+            elif len(entries[j].nums) < length:
+                # coefficient i of a derivative is before.nums[i] times
+                # the exponent before.offset + i, over before.den
+                entry = entries[j]
+                start, stop = len(entry.nums), self._reach(entry, before, length)
+                exponents = range(before.offset + start, before.offset + stop)
+                tail = list(map(operator.mul, before.nums[start:stop], exponents))
+                entries[j] = self._kept(_grown(entry, tail, before.den), entry)
+        self._charge(bits)
+        return entries[:count]
+
+    def power(self, k: int, order: int) -> LaurentSeries:
+        """base**k for k >= 1 grown to ``order``: one pass of Miller's
+        recurrence by ``__pow__``, apart from the product chain of
+        ``powers``, and continued from the held coefficients."""
+        length, bits = self.length(order), self.bits
         entry = self._miller.get(k)
         if entry is None:
-            entry = self._miller[k] = self._add(self.base**k)
+            entry = self._miller[k] = self._kept(self.at(self.base, order) ** k)
+        elif len(entry.nums) < length:
+            rows = _miller_rows(self.base.nums, k, len(entry.nums), self._reach(entry, self.base, length))
+            grown = LaurentSeries(entry.offset, *_recurrence(rows, entry.nums, entry.den))
+            entry = self._miller[k] = self._kept(grown, entry)
+        self._charge(bits)
         return entry
 
     def keep_sum(self, key: tuple, rhs: LaurentSeries, hi: int) -> None:
         """Hold (rhs, hi) in ``sums`` under key, charged as an entry."""
-        self.sums[key] = (self._add(rhs), hi)
+        bits = self.bits
+        self.sums[key] = (self._kept(rhs), hi)
+        self._charge(bits)
+
+
+def _grown(entry: LaurentSeries, nums: Sequence[int], den: int) -> LaurentSeries:
+    """entry with the values nums[i] / den after its window.  Both parts
+    are canonical before they meet, so the lcm of their denominators is
+    the canonical one."""
+    nums, den = _normalized(nums, den)
+    common = math.lcm(entry.den, den)
+    head = map(operator.mul, entry.nums, repeat(common // entry.den))
+    return LaurentSeries(entry.offset, [*head, *map(operator.mul, nums, repeat(common // den))], common)
 
 
 class _Ladders:
@@ -747,14 +836,16 @@ class _Ladders:
         self._live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def ladder(self, key: tuple, order: int) -> _Ladder:
-        """The ladder of the base ``key`` built at ``order`` or longer."""
+        """The ladder of the base ``key``, its base built at ``order`` or
+        longer."""
         if order < 3:
-            return _Ladder(_build_base(*map(Fraction, key), order), order)
+            return _Ladder(key, order)
         entry = self._entries.get(key)
         ladder = entry[0] if entry else self._live.get(key)
-        if ladder is None or ladder.top < order:
-            base = _build_base(*map(Fraction, key), order)
-            ladder = self._live[key] = _Ladder(base, order, self, key)
+        if ladder is None:
+            ladder = self._live[key] = _Ladder(key, order, self)
+        else:
+            ladder.grow(order)
         self.keep(key, ladder)
         return ladder
 
@@ -795,5 +886,5 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
     if not (alpha and lam):
         return _build_base(alpha, lam, c, order)
-    r = _LADDERS.ladder((1, lam, c), order).base
-    return _dilated(r.truncated(order + 2 * r.offset - 1), alpha)
+    ladder = _LADDERS.ladder((1, lam, c), order)
+    return _dilated(ladder.at(ladder.base, order), alpha)

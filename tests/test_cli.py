@@ -819,6 +819,59 @@ def test_help_text_pinned(capsys, monkeypatch, command):
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 
+# One or more command lines of every command, their error records among
+# them, for the JSON writer.
+JSON_COMMANDS = [
+    "stirling2 7 3",
+    "stirling1 7 3",
+    "mdet 3 5 2",
+    "mdet 0 5 2",
+    "bernoulli 12",
+    "bernoulli 3 --method formula",
+    "bernoulli 12 --method oracle",
+    "apostol-bernoulli 5 --lambda 1",
+    "apostol-bernoulli 4 --lambda=-2/3",
+    "euler-number 8",
+    "euler-poly 4",
+    "euler-poly 4 --at 1/3",
+    "two-param-euler 3 --alpha 2 --lambda 3",
+    "two-param-euler 3 --alpha 2 --lambda=-1",
+    "series dump apostol --lambda 2/3 --order 6",
+    "series dump recip-exp-minus-one --order 5",
+    "series dump recip-exp-minus-one --order 1",
+    "verify all --k-max 2",
+    "verify reductions --k-max 2 --alpha 2",
+    "verify G2 --k-max 2 --alpha=-3/2 --lambda 2/3 --order 14",
+    "verify I1 --k-max 1 --order 9",
+    "verify G1 --k-max 1 --alpha 0 --lambda 1",
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """The command line's JSON writer prints what ``json.dumps(record,
+    indent=2)`` prints, byte for byte."""
+
+    @pytest.mark.parametrize("line", JSON_COMMANDS)
+    def test_every_command_record(self, capsys, monkeypatch, line):
+        records = []
+        real = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda out, fmt: records.append(out.record) or real(out, fmt))
+        _, out, _ = run(capsys, *line.split(), "--format", "json")
+        [record] = records
+        assert out == json.dumps(record, indent=2) + "\n"
+
+    @settings(max_examples=300)
+    @given(json_values)
+    def test_drawn_records(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):
         first = run(capsys, "verify", "all", "--k-max", "1", "--format", "json")

@@ -51,8 +51,8 @@ COMMANDS = [
     f"verify G2 --k-max 4 --alpha=-3/2 {LAMBDA} --format csv",
     f"verify G2 --k-max 6 --alpha 1 {LAMBDA} --format json",
     f"verify G1 --k-max 3 --alpha 2 {LAMBDA} --order 40",
-    # stored powers read below the top they were built at, or dropped
-    # when a longer check replaces their ladder
+    # stored powers read below the order they were built at, or grown
+    # in place when a longer check reads them
     "verify I6 --k-max 20",
     "verify I6 --k-max 3 --order 5",
     "verify I6 --k-max 3 --order 12",
@@ -61,7 +61,7 @@ COMMANDS = [
     f"verify G2 --k-max 12 --alpha=-3/2 {LAMBDA}",
     f"verify G2 --k-max 2 --alpha=-3/2 {LAMBDA}",
     # one check run again after a run at another order: each order reads
-    # the right sides stored at it, on a replaced ladder or on one ladder
+    # the right sides stored at it, on a grown ladder or on one ladder
     "verify I7 --k-max 6",
     "verify I7 --k-max 6 --order 30",
     "verify I7 --k-max 6",
@@ -71,6 +71,13 @@ COMMANDS = [
     "verify I8 --k-max 6 --order 40",
     "verify I8 --k-max 6 --order 24",
     "verify I8 --k-max 6 --order 40",
+    # ladders that grow: one G point and f, each side of each kind, at
+    # k-max 4, then 12, then at an order below the widest and one above it
+    *[
+        f"verify {target} --k-max {k_max}"
+        for target in (f"G1 --alpha 2 {LAMBDA}", f"G2 --alpha 2 {LAMBDA}", "I1", "I6")
+        for k_max in ("4", "12", "6 --order 16", "6 --order 40")
+    ],
     # every tag and named check at the default orders
     "verify all --k-max 4",
     "verify all --k-max 4 --format csv",

@@ -1,7 +1,9 @@
 """Identity verifier: positive sweeps, cross-checks, and fault injection."""
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -126,7 +128,7 @@ class TestCoreIdentities:
             f = recip_exp_linear(1, 1, -1, order)
             g = recip_exp_linear(-1, -1, 1, order)
             lhs = f**k
-            ladder = _Ladder(g, order).derivatives(k)
+            ladder = _Ladder((-1, -1, 1), order).derivatives(k, order)
             rhs_printed = linear_combination(ladder, weights) + LaurentSeries.one(
                 order - 1
             )
@@ -409,10 +411,74 @@ class TestPrecisionGuard:
             verify_general_power(3, 1, 1, order=8)
 
 
-# The fixed bases as store keys, (alpha, lam, c) of 1/(lam e**(alpha t) + c).
-F_KEY, G_KEY, H_KEY = (1, 1, -1), (-1, -1, 1), (1, 1, 1)
 # The bound of the one store of bases and ladders, 4 MiB of charged bits.
 STORE_BITS = series_module._LADDERS.budget
+
+
+def base_order(ladder):
+    """The source order the base of a ladder was built at."""
+    return held_order(ladder, ladder.base)
+
+
+def held_order(ladder, entry):
+    """The source order at which a build gives as many coefficients as
+    the ladder holds of entry."""
+    return len(entry.nums) - ladder.base.offset + 1
+
+
+@functools.lru_cache(maxsize=None)
+def cold_entry(key, kind, index, order):
+    """What a ladder of ``key`` reads at ``order`` when built there: the
+    last of ``derivatives(index)``, base^(index-1); the last of
+    ``powers(index)``, the product of index bases; or ``power(index)``."""
+    base = series_module._build_base(*map(Fraction, key), order)
+    if kind == "derivatives":
+        return functools.reduce(lambda s, _: s.derivative(), range(index - 1), base)
+    if kind == "powers":
+        return functools.reduce(operator.mul, [base] * index)
+    return base**index
+
+
+def cold_sum(key, tag, k, order):
+    """The right side of tag at k that a check at ``order`` stores in the
+    ladder of ``key``, and the end of its compared window, from entries
+    built at that order."""
+    _, kind, _, _, constant = _SPECS[tag]
+    alpha = Fraction(key[0]) if tag in GENERAL_IDENTITY_IDS else None
+    if kind == "derivative":
+        terms = [cold_entry(key, "powers", m, order) for m in range(1, k + 2)]
+    else:
+        terms = [cold_entry(key, "derivatives", j, order) for j in range(1, k + 1)]
+    rhs = linear_combination(terms, _weights(tag, k, alpha))
+    hi = rhs.precision
+    if constant is not None:
+        hi = min(hi, terms[0].precision)
+        if hi >= 1:
+            rhs = rhs + LaurentSeries.constant(constant(k), hi)
+    return rhs, hi
+
+
+def assert_cold_ladders(store):
+    """Every entry each ladder of the store holds, grown or not, is a build
+    at the order of its length, every stored right side is the one a build
+    at its order gives, and each ladder is charged what it holds."""
+    for key, (ladder, bits) in store._entries.items():
+        held = [*ladder._powers, *ladder._derivatives, *ladder._miller.values(), *(rhs for rhs, _ in ladder.sums.values())]
+        distinct = {id(entry): entry for entry in held}.values()
+        assert ladder.bits == bits == sum(map(series_module._stored_bits, distinct))
+        entries = [
+            *(("derivatives", j, entry) for j, entry in enumerate(ladder._derivatives, 1)),
+            *(("powers", m, entry) for m, entry in enumerate(ladder._powers, 1)),
+            *(("power", k, entry) for k, entry in ladder._miller.items()),
+        ]
+        for kind, index, entry in entries:
+            assert entry == cold_entry(key, kind, index, held_order(ladder, entry)), (key, kind, index)
+        for (tag, k, order), stored in ladder.sums.items():
+            assert stored == cold_sum(key, tag, k, order), (key, tag, k, order)
+
+
+# The fixed bases as store keys, (alpha, lam, c) of 1/(lam e**(alpha t) + c).
+F_KEY, G_KEY, H_KEY = (1, 1, -1), (-1, -1, 1), (1, 1, 1)
 
 
 class TestLadderStore:
@@ -432,7 +498,7 @@ class TestLadderStore:
     @pytest.mark.parametrize("tag", ALL_IDENTITY_IDS)
     def test_every_order_after_an_order_106_build_reads_a_cold_outcome(self, store, cold_store, tag):
         assert all(report.passed for report in run_sweep([tag], 4, 106, self.ALPHAS, self.LAMBDAS))
-        built = {key: entry[0].top for key, entry in store._entries.items()}
+        built = {key: base_order(entry[0]) for key, entry in store._entries.items()}
         assert set(built.values()) == {106}
         for order in [*range(1, 41), None]:
             args = ([tag], 4, order, self.ALPHAS, self.LAMBDAS)
@@ -440,7 +506,7 @@ class TestLadderStore:
             assert sweep_outcome(standalone_checks, *args) == expected, order
             assert sweep_outcome(run_sweep, *args) == expected, order
         # every order read the order-106 ladders; orders 1 and 2 left them as they were
-        assert {key: entry[0].top for key, entry in store._entries.items()} == built
+        assert {key: base_order(entry[0]) for key, entry in store._entries.items()} == built
 
     @pytest.mark.parametrize("order, error", [(1, ZeroSeriesError), (2, PrecisionExhaustedError)])
     def test_orders_1_and_2_never_touch_the_store(self, store, cold_store, order, error):
@@ -513,8 +579,8 @@ class TestLadderStore:
                     expected = sweep_outcome(check, *args)
                 assert sweep_outcome(check, *args) == expected, (order, k)
                 assert isinstance(expected, tuple) or not expected.passed
-        # the warm ladders were read, not built again at a check's order
-        assert {store._entries[key][0].top for key in warmed} == {106}
+        # the warm ladders were read, their bases not built again at a check's order
+        assert {base_order(store._entries[key][0]) for key in warmed} == {106}
 
     # Bases recip_exp_linear reads: f, g, h and G on the grid the sweeps
     # below draw, whose keys the checks' ladders share.
@@ -563,7 +629,7 @@ class TestLadderStore:
             with cold_store():
                 assert read == sweep_outcome(cold[call], *args)
             assert store.bits == sum(bits for _, bits in store._entries.values()) <= budget
-            assert all(ladder.bits == bits for ladder, bits in store._entries.values())
+            assert_cold_ladders(store)
 
     @staticmethod
     def charges(checks):
@@ -608,31 +674,37 @@ class TestLadderStore:
         assert store._entries == {} and store.bits == 0
         assert report == independent_sweep(cold_store, ["I1"], 6, default_order(3), [1], [1])[-1]
 
-    def test_a_longer_request_replaces_the_ladder(self, store):
+    def test_a_longer_request_grows_the_ladder(self, store):
         # A G ladder at alpha != 1 builds its own base, so a check keeps
-        # its own key alone.
+        # its own key alone.  The longer check keeps the ladder, its
+        # entries and its right sides, and grows what it reads.
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
         key = (alpha, lam, -1)
         verify_general_derivative(2, alpha, lam)
-        assert list(store._entries) == [key] and store._entries[key][0].top == default_order(2)
+        assert list(store._entries) == [key] and base_order(store._entries[key][0]) == default_order(2)
+        ladder, _ = store._entries[key]
+        sums = dict(ladder.sums)
         verify_general_derivative(5, alpha, lam)
         assert list(store._entries) == [key]
-        ladder, bits = store._entries[key]
-        assert ladder.top == default_order(5) and bits == ladder.bits == store.bits
+        grown, bits = store._entries[key]
+        assert grown is ladder and base_order(ladder) == default_order(5) and bits == ladder.bits == store.bits
+        assert sums.items() <= ladder.sums.items()
+        assert [held_order(ladder, entry) for entry in ladder._powers] == [default_order(5)] * 6
+        assert_cold_ladders(store)
 
     def test_a_dilated_check_leaves_the_ladder_at_alpha_one(self, store):
         # G1 at alpha = 1 keeps its powers under (1, lam, -1); a longer
         # check of the same lambda at alpha = -3/2 neither reads nor
-        # replaces that ladder.
+        # grows that ladder.
         lam = Fraction(2, 3)
         key = (1, lam, -1)
         verify_general_derivative(4, 1, lam)
         ladder, _ = store._entries[key]
-        powers = ladder.powers(5)
+        powers = list(ladder._powers)
         verify_general_derivative(6, Fraction(-3, 2), lam)
         kept, _ = store._entries[key]
-        assert kept is ladder and kept.top == default_order(4)
-        assert kept._powers == powers
+        assert kept is ladder and base_order(kept) == default_order(4)
+        assert kept._powers == powers and len(powers) == 5
 
     @pytest.mark.parametrize(
         "targets, keys",
@@ -645,9 +717,9 @@ class TestLadderStore:
         built = []
 
         class Spy(_Ladder):
-            def __init__(self, base, top, store=None, key=None):
-                built.append((key, top))
-                super().__init__(base, top, store, key)
+            def __init__(self, key, order, store=None):
+                built.append((key, order))
+                super().__init__(key, order, store)
 
         monkeypatch.setattr(series_module, "_Ladder", Spy)
         with cold_store():
@@ -668,21 +740,23 @@ class TestLadderStore:
         )
         assert [bernoulli_oracle(n) for n in range(32)] == expected
         assert built == []
-        assert list(store._entries) == [F_KEY] and store._entries[F_KEY][0].top == default_order(12)
+        assert list(store._entries) == [F_KEY] and base_order(store._entries[F_KEY][0]) == default_order(12)
 
-    def test_a_longer_base_request_replaces_a_ladder_of_the_checks(self, store, cold_store):
+    def test_a_longer_base_request_grows_a_ladder_of_the_checks(self, store, cold_store):
         # G1 at alpha = 1 and lambda = 2 keeps its ladder under (1, 2, -1),
         # the key of apostol_bernoulli_oracle(n, 2), which asks for order
-        # n + 3: at n = 60 it replaces the ladder and drops its powers.
+        # n + 3: at n = 60 it builds the base again and keeps the powers,
+        # which grow only when a check reads them longer.
         verify_general_derivative(4, 1, 2)
         key = (1, 2, -1)
         ladder, _ = store._entries[key]
-        assert ladder.top == default_order(4) and len(ladder.powers(5)) == 5
+        assert base_order(ladder) == default_order(4) and len(ladder._powers) == 5
+        powers = ladder._powers[1:]
         value = apostol_bernoulli_oracle(60, 2)
         with cold_store():
             assert value == apostol_bernoulli_oracle(60, 2)
-        replaced, _ = store._entries[key]
-        assert replaced is not ladder and replaced.top == 63 and replaced._powers == [replaced.base]
+        grown, _ = store._entries[key]
+        assert grown is ladder and base_order(ladder) == 63 and ladder._powers[1:] == powers
         for order in (None, 3, 12, 40, 63, 70):
             for k in range(1, 7):
                 for check in (verify_general_derivative, verify_general_power):
@@ -690,6 +764,7 @@ class TestLadderStore:
                     with cold_store():
                         expected = sweep_outcome(check, *args)
                     assert sweep_outcome(check, *args) == expected, (check, order, k)
+        assert_cold_ladders(store)
 
     # The power-kind tags and the bases of their left sides; G2 at three
     # points, (1, 1) among them, whose G is f.
@@ -699,17 +774,17 @@ class TestLadderStore:
 
     @pytest.mark.parametrize("tag, alphas, lambdas", POWER_CHECKS)
     def test_a_stored_power_is_a_fresh_power_on_every_compared_window(self, store, tag, alphas, lambdas):
+        # Each power is built at its check's order and grows as the
+        # orders rise; every read is a power of a fresh base.
         assert all(report.passed for report in run_sweep([tag], 6, None, alphas, lambdas))
         key = _SPECS[tag][0] or (alphas[0], lambdas[0], -1)
         ladder = store._entries[key][0]
-        assert ladder.top == default_order(6) and sorted(ladder._miller) == list(range(1, 7))
-        base = ladder.base
-        for order in range(3, ladder.top + 1):
-            trim = ladder.top - order
+        assert base_order(ladder) == default_order(6) and sorted(ladder._miller) == list(range(1, 7))
+        assert [held_order(ladder, ladder._miller[k]) for k in range(2, 7)] == list(map(default_order, range(2, 7)))
+        for order in range(3, default_order(6) + 1):
             for k in range(1, 7):
-                stored = ladder.power(k)
-                fresh = base.truncated(base.precision - trim) ** k
-                assert stored.truncated(stored.precision - trim) == fresh, (order, k)
+                fresh = series_module._build_base(*map(Fraction, key), order) ** k
+                assert ladder.at(ladder.power(k, order), order) == fresh, (order, k)
 
     def test_a_second_power_sweep_runs_no_miller_pass(self, monkeypatch, store):
         tags = ["I5", "I6", "I7", "I8", "P2"]

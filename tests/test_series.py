@@ -528,32 +528,32 @@ class TestIntegerKernel:
             ),
             max_size=6,
         ),
-        st.integers(0, 24),
+        st.integers(-2, 24),
     )
-    def test_trim_gives_the_truncated_combination(self, pairs, trim):
-        # Offsets run from -6 to 6 and windows up to 17 long, so trim runs
-        # from none of the window to past all of it.
+    def test_length_gives_the_truncated_combination(self, pairs, length):
+        # Offsets run from -6 to 6 and windows up to 17 long, so length
+        # runs from below an empty window to past the whole of it.
         terms = [term for term, _ in pairs]
         weights = [weight for _, weight in pairs]
         full = linear_combination(terms, weights)
-        want = result_or_error(full.truncated, full.precision - trim)
-        got = result_or_error(lambda: linear_combination(terms, weights, trim=trim))
+        want = result_or_error(full.truncated, full.offset + length)
+        got = result_or_error(lambda: linear_combination(terms, weights, length=length))
         if isinstance(want, tuple):
             assert got == want
         else:
             assert_same_series(got, want)
 
-    @pytest.mark.parametrize("trim", [0, 1, 4, 5, 9])
-    def test_trim_keeps_a_nonempty_window(self, trim):
-        # The sum's window is [-1, 4): trimming 5 or more leaves none.
+    @pytest.mark.parametrize("length", [5, 4, 1, 0, 6])
+    def test_length_keeps_a_nonempty_window(self, length):
+        # The sum's window is [-1, 4): lengths 1 to 5 cut it, and no other.
         terms, weights = [LaurentSeries.from_coeffs(-1, [1, 2, 3, 4, 5]), exp_linear(2, 6)], [Fraction(1, 2), 3]
-        if trim < 5:
-            want = linear_combination(terms, weights).truncated(4 - trim)
-            assert_same_series(linear_combination(terms, weights, trim=trim), want)
+        if 0 < length <= 5:
+            want = linear_combination(terms, weights).truncated(length - 1)
+            assert_same_series(linear_combination(terms, weights, length=length), want)
         else:
-            message = rf"cannot truncate window \[-1,4\) to O\(t\^{4 - trim}\)"
+            message = rf"cannot truncate window \[-1,4\) to O\(t\^{length - 1}\)"
             with pytest.raises(PrecisionExhaustedError, match=message):
-                linear_combination(terms, weights, trim=trim)
+                linear_combination(terms, weights, length=length)
 
     def test_linear_combination_needs_one_weight_per_term(self):
         a, b = exp_linear(1, 5), LaurentSeries.one(5)
@@ -749,6 +749,40 @@ def window_error(op, *args):
 STORE_BITS = series_module._LADDERS.budget
 
 
+def base_order(ladder):
+    """The source order the base of a ladder was built at."""
+    return held_order(ladder, ladder.base)
+
+
+def held_order(ladder, entry):
+    """The source order at which a build gives as many coefficients as
+    the ladder holds of entry."""
+    return len(entry.nums) - ladder.base.offset + 1
+
+
+def held_entries(ladder):
+    """(kind, [(index, entry), ...]) for the three kinds of entry a ladder
+    holds, indexed as ``cold_entry`` reads them."""
+    return [
+        ("derivatives", list(enumerate(ladder._derivatives, 1))),
+        ("powers", list(enumerate(ladder._powers, 1))),
+        ("power", list(ladder._miller.items())),
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def cold_entry(key, kind, index, order):
+    """What a ladder of ``key`` reads at ``order`` when built there: the
+    last of ``derivatives(index)``, base^(index-1); the last of
+    ``powers(index)``, the product of index bases; or ``power(index)``."""
+    base = series_module._build_base(*map(Fraction, key), order)
+    if kind == "derivatives":
+        return functools.reduce(lambda s, _: s.derivative(), range(index - 1), base)
+    if kind == "powers":
+        return functools.reduce(operator.mul, [base] * index)
+    return base**index
+
+
 class TestBaseStore:
     """recip_exp_linear keeps the alpha = 1 base of each (lam, c) as the
     base of the ladder under (1, lam, c), at the longest order asked for on
@@ -766,15 +800,16 @@ class TestBaseStore:
 
     @pytest.mark.parametrize("base", PACKAGE_BASES, ids=str)
     def test_reads_below_the_longest_stored_build_equal_fresh_builds(self, store, cold_store, base):
-        # The first pass reads below a build at split - 1 and then replaces
-        # it order by order; the second reads every order below the longest.
+        # The first pass reads below a build at split - 1 and then builds
+        # the base again order by order; the second reads every order below
+        # the longest.
         expected = {order: fresh_build(cold_store, *base, order) for order in self.ORDERS}
         recip_exp_linear(*base, series_module._EGF_MIN_LENGTH - 1)
         for _ in range(2):
             for order in self.ORDERS:
                 assert recip_exp_linear(*base, order) == expected[order], order
             assert list(store._entries) == [(1, base[1], base[2])]
-            assert store._entries[1, base[1], base[2]][0].top == self.ORDERS[-1]
+            assert base_order(store._entries[1, base[1], base[2]][0]) == self.ORDERS[-1]
 
     @pytest.mark.parametrize("base", [(1, 1, -1), (-1, -1, 1), (1, 1, 1)])
     def test_every_order_to_300_of_f_g_and_h(self, store, cold_store, base):
@@ -784,16 +819,18 @@ class TestBaseStore:
             assert_canonical(read)
             assert read == fresh_build(cold_store, *base, order), order
         assert list(store._entries) == [(1, base[1], base[2])]
-        assert store._entries[1, base[1], base[2]][0].top == 300
+        assert base_order(store._entries[1, base[1], base[2]][0]) == 300
 
-    def test_a_longer_request_replaces_the_entry(self, store, cold_store):
+    def test_a_longer_request_grows_the_entry(self, store, cold_store):
+        # The ladder stays; only its base is built again, at the longer order.
         alpha, lam, c = Fraction(-3, 2), Fraction(2, 3), 1
         short = recip_exp_linear(alpha, lam, c, 40)
-        assert store._entries[1, lam, c][0].top == 40
+        ladder, _ = store._entries[1, lam, c]
+        assert base_order(ladder) == 40
         long = recip_exp_linear(alpha, lam, c, 90)
         assert list(store._entries) == [(1, lam, c)]
-        ladder, bits = store._entries[1, lam, c]
-        assert ladder.top == 90
+        grown, bits = store._entries[1, lam, c]
+        assert grown is ladder and base_order(ladder) == 90
         assert store.bits == bits == ladder.bits == series_module._stored_bits(ladder.base)
         assert short == fresh_build(cold_store, alpha, lam, c, 40) == recip_exp_linear(alpha, lam, c, 40)
         assert long == fresh_build(cold_store, alpha, lam, c, 90)
@@ -815,22 +852,56 @@ class TestBaseStore:
         assert len(built) == 1
         assert list(store._entries) == [(1, base[1], base[2])]
         ladder, bits = store._entries[1, base[1], base[2]]
-        assert ladder.top == order and store.bits == bits == ladder.bits
+        assert base_order(ladder) == order and store.bits == bits == ladder.bits
+
+    # Keys whose ladders the entry reads below grow: f, g, h, two G points
+    # (lambda = 1 among them) and a dilated base with c = 1.
+    GROWN = [(1, 1, -1), (-1, -1, 1), (1, 1, 1), (Fraction(-3, 2), Fraction(2, 3), -1), (2, 1, -1), (Fraction(1, 2), 3, 1)]
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.sampled_from(PACKAGE_BASES), st.integers(3, 300)), min_size=1, max_size=8
+            st.one_of(
+                st.tuples(st.sampled_from(PACKAGE_BASES), st.integers(3, 300), st.none(), st.just(0)),
+                st.tuples(
+                    st.sampled_from(GROWN),
+                    st.integers(3, 60),
+                    st.sampled_from(["derivatives", "powers", "power"]),
+                    st.integers(1, 6),
+                ),
+            ),
+            min_size=1,
+            max_size=10,
         ),
         st.sampled_from([0, 1 << 16, 1 << 18, STORE_BITS]),
     )
     def test_any_sequence_of_requests_reads_fresh_builds(self, cold_store, requests, budget):
+        # Base reads and entry reads at any orders share the store: each
+        # read is a build at its order on an empty store, and every entry a
+        # ladder holds, grown or not, is a build at the order of its length.
         store = series_module._Ladders(budget)
-        for base, order in requests:
+        for key, order, kind, index in requests:
             with mock.patch.object(series_module, "_LADDERS", store):
-                read = recip_exp_linear(*base, order)
-            assert read == fresh_build(cold_store, *base, order)
+                if kind is None:
+                    read = recip_exp_linear(*key, order)
+                else:
+                    ladder = store.ladder(key, order)
+                    if kind == "power":
+                        entry = ladder.power(index, order)
+                    else:
+                        entry = getattr(ladder, kind)(index, order)[-1]
+                    read = ladder.at(entry, order)
+            if kind is None:
+                assert read == fresh_build(cold_store, *key, order)
+            else:
+                assert read == cold_entry(key, kind, index, order)
             assert store.bits == sum(bits for _, bits in store._entries.values()) <= budget
+            for key, (ladder, bits) in store._entries.items():
+                held = {id(entry): entry for _, entries in held_entries(ladder) for _, entry in entries}
+                assert ladder.bits == bits == sum(map(series_module._stored_bits, held.values()))
+                for kind, entries in held_entries(ladder):
+                    for index, entry in entries:
+                        assert entry == cold_entry(key, kind, index, held_order(ladder, entry))
 
     def test_the_least_recently_used_entry_leaves_first(self, cold_store):
         bases = [(1, lam, -1) for lam in (1, 2, 3)]

@@ -88,16 +88,40 @@ MUTANTS = [
         "return _source_reciprocal(lam, c, order)",
     ),
     (
-        "store replace-on-longer below the split only",
+        "chain growth starts one coefficient late",
         SERIES,
-        "if ladder is None or ladder.top < order:",
-        "if ladder is None or ladder.top < min(order, _EGF_MIN_LENGTH - 1):",
+        "base.nums, base.den, reach, len(entry.nums))",
+        "base.nums, base.den, reach, len(entry.nums) + 1)",
     ),
     (
-        "recip_exp_linear store-read truncation",
+        "Miller growth starts one row late",
         SERIES,
-        "r.truncated(order + 2 * r.offset - 1)",
-        "r.truncated(order + 2 * r.offset)",
+        "_miller_rows(self.base.nums, k, len(entry.nums),",
+        "_miller_rows(self.base.nums, k, len(entry.nums) + 1,",
+    ),
+    (
+        "derivative growth exponents",
+        SERIES,
+        "range(before.offset + start, before.offset + stop)",
+        "range(before.offset + start + 1, before.offset + stop + 1)",
+    ),
+    (
+        "growth never charged",
+        SERIES,
+        "(0 if old is None else _stored_bits(old))",
+        "(0 if old is None else _stored_bits(entry))",
+    ),
+    (
+        "a longer base leaves the entries on the old one",
+        SERIES,
+        "self.base = self._powers[0] = self._derivatives[0] = self._miller[1] = base",
+        "self.base = base",
+    ),
+    (
+        "ladder read length per order",
+        SERIES,
+        "return order + self.base.offset - 1",
+        "return order + self.base.offset",
     ),
     (
         "_stored_bits per-series charge",
@@ -120,8 +144,8 @@ MUTANTS = [
     (
         "reduction pivot",
         SEQUENCES,
-        "pivot = alpha / x",
-        "pivot = x / alpha",
+        "[alpha / x for x in _REDUCTION_NODES]",
+        "[x / alpha for x in _REDUCTION_NODES]",
     ),
     (
         "reduction node x = 5/2",
