@@ -176,29 +176,38 @@ class Polynomial:
 def _geometric_stirling_sum(j: int, p: int, q: int) -> Fraction:
     """sum_{m=1..j} (-1)**(m-1) (m-1)! S(j, m) rho**m at rho = p/q.
 
-    Every term (-1)**(m-1) (m-1)! S(j, m) p**m q**(j-m) is an integer, so
-    the sum runs on ints and is divided by q**j once.  The cache is bounded
-    and keyed on ints, which hash far faster than a ``Fraction``; callers
-    pass rho in lowest terms with q > 0.  It holds a few rhos times every
-    j up to ~300.  Row j of the Stirling table is read once, not looked up
-    term by term.
+    The sum is evaluated as a nested Horner scheme from m = j down,
+    g = rho (S(j,1) - 1 rho (S(j,2) - 2 rho (... - (j-1) rho S(j,j)))),
+    so each factor (m-1)! enters as one multiplier m at a time and no
+    weight (m-1)! p**m is ever built.  On integers the accumulator
+    at m is acc_m = S(j, m) q**(j-m) - m p acc_(m+1), starting from
+    acc_j = S(j, j), and g = p acc_1 / q**j: each step is one product of
+    S(j, m) with a running power of q plus one small multiply, and the sum
+    is divided by q**j once.  j = 0 is the empty sum.  The cache is
+    bounded and keyed on ints, which hash far faster than a ``Fraction``;
+    callers pass rho in lowest terms with q > 0.  It holds a few rhos
+    times every j up to ~300.  Row j of the Stirling table is read once,
+    not looked up term by term.
 
-    The cache holds 4,096 entries.  The value at (j, p, q) has the
-    denominator q**j and a numerator of at most j * log2(j * max(|p|, q))
-    bits, since the sum of (m-1)! S(j, m) is at most j**j.  At j <= 300
-    and the rhos of the package a value has under 2,600 bits and 450 bytes,
-    so with the cache's own links about 2.5 MB in all.  A long literal p
-    or q (a two-parameter lambda) is held j times over in that value, and
-    once in the key.
+    The cache holds 4,096 entries.  The value, the same whatever the
+    evaluation order, has the denominator q**j and a numerator of at most
+    j * log2(j * max(|p|, q)) bits, since the sum of (m-1)! S(j, m) is at
+    most j**j.  Each acc_m is the signed sum over i >= m of
+    (i-1)!/(m-1)! S(j, i) p**(i-m) q**(j-i), so it stays inside the same
+    bound.  At j <= 300 and the rhos of the package a value has under
+    2,600 bits and 450 bytes, so with the cache's own links about 2.5 MB
+    in all.  A long literal p or q (a two-parameter lambda) is held j
+    times over in that value, and once in the key.
     """
+    if not j:
+        return Fraction(0)
     row = _SECOND.row(j)
-    total = 0
-    weight = 1  # (-1)**(m-1) (m-1)! p**m once multiplied by p
-    for m in range(1, j + 1):
-        weight *= p
-        total = total * q + weight * row[m]
-        weight *= -m
-    return Fraction(total, q**j)
+    acc = row[j]
+    q_power = 1  # q**(j-m) at term m
+    for m in range(j - 1, 0, -1):
+        q_power *= q
+        acc = row[m] * q_power - m * p * acc
+    return Fraction(p * acc, q**j)
 
 
 def _half_weight_sum(m: int) -> Fraction:

@@ -376,6 +376,42 @@ class TestCanonicalPolynomials:
         assert Polynomial(poly.nums, poly.den) == poly
 
 
+class TestGeometricSum:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(-(10**6), 10**6),
+        st.one_of(st.just(1), st.integers(1, 10**6), st.just(10**299 + 7)),
+    )
+    @example(60, -1, 1)
+    @example(60, 3, 10**299 + 7)
+    @example(1, -(10**300), 10**299 + 7)
+    def test_matches_the_term_by_term_sum(self, j, p, q):
+        assert _geometric_stirling_sum(j, p, q) == reference_geometric_sum(j, Fraction(p, q))
+
+    def test_the_empty_sum_is_zero(self):
+        assert _geometric_stirling_sum.__wrapped__(0, 3, 5) == 0
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_reads_every_entry_of_the_shared_row(self, m):
+        """Raising S(7, m) by one in the shared table moves g(7) by exactly
+        its term's weight (-1)**(m-1) (m-1)! rho**m."""
+        j, rho = 7, Fraction(2, 3)
+        table = sequences._SECOND
+        row = table.row(j)
+        rows = list(table._rows)
+        rows[j] = row[:m] + (row[m] + 1,) + row[m + 1 :]
+        _geometric_stirling_sum.cache_clear()
+        try:
+            clean = _geometric_stirling_sum(j, 2, 3)
+            with mock.patch.object(table, "_rows", rows):
+                _geometric_stirling_sum.cache_clear()
+                patched = _geometric_stirling_sum(j, 2, 3)
+        finally:
+            _geometric_stirling_sum.cache_clear()
+        assert patched - clean == (-1) ** (m - 1) * math.factorial(m - 1) * rho**m
+
+
 class TestGeometricSumCache:
     def test_cache_is_bounded(self):
         bound = _geometric_stirling_sum.cache_info().maxsize

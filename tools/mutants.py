@@ -1,11 +1,17 @@
 """Mutation harness: every mutant of the cross-checked routes must be killed.
 
-Each mutant is one exact snippet of one source file and its replacement.
-For each, the tree is copied to a temporary directory, the snippet is
-replaced there, and the test suite runs on the copy with ``pytest -x``:
-the library test files first, then the rest of ``tests/``.  A mutant the
-suite fails on is killed; one it passes on survives.  The unmutated copy
-must pass first, or no kill would mean anything.
+Each mutant is one exact snippet of one source file, its replacement,
+and the library test file expected to kill it.  For each, the tree is
+copied to a temporary directory, the snippet is replaced there, and the
+test suite runs on the copy with ``pytest -x``, one group of files per
+process: the mutant's own test file first, then the other library test
+files one at a time, then the rest of ``tests/`` together, stopping at
+the first group that fails.  A mutant the suite fails on is killed; one
+it passes on survives.  So the test file named for a mutant only sets the
+order the suite runs in, never what counts as a kill, and a killed mutant
+usually costs one file rather than the suite.  The unmutated copy must
+pass every group first, each in a process of its own as the mutants run
+it, or no kill would mean anything.
 
 A snippet that does not occur exactly once in its file is an error, so
 the list cannot rot silently as the code changes.
@@ -31,223 +37,272 @@ SEQUENCES = "src/stirnum/sequences.py"
 IDENTITIES = "src/stirnum/identities.py"
 STIRLING = "src/stirnum/stirling.py"
 
-# (label, file, exact snippet, replacement)
+STIRLING_TESTS = "tests/test_stirling.py"
+SERIES_TESTS = "tests/test_series.py"
+SEQUENCES_TESTS = "tests/test_sequences.py"
+IDENTITIES_TESTS = "tests/test_identities.py"
+
+# (label, file, exact snippet, replacement, test file expected to kill it)
 MUTANTS = [
     (
         "LaurentSeries construction skips normalization",
         SERIES,
         "nums, den = _normalized(self.nums, self.den)",
         "nums, den = (self.nums, self.den)",
+        SERIES_TESTS,
     ),
     (
         "_pascal_recurrence s = 0 lead",
         SERIES,
         "diagonal = list(accumulate(diagonal, initial=r))",
         "diagonal = list(accumulate(diagonal, initial=-r))",
+        SERIES_TESTS,
     ),
     (
         "_pascal_recurrence s = 1 fold",
         SERIES,
         "accumulate(map(operator.add, diagonal, repeat(r)), initial=0)",
         "accumulate(map(operator.add, diagonal, repeat(-r)), initial=0)",
+        SERIES_TESTS,
     ),
     (
         "_pascal_reciprocal ratio",
         SERIES,
         "ratio = lam / lead",
         "ratio = lead / lam",
+        SERIES_TESTS,
     ),
     (
         "_egf_unscaled factorial step",
         SERIES,
         "ratio *= k or 1",
         "ratio *= k + 1",
+        SERIES_TESTS,
     ),
     (
         "_dilated first factor",
         SERIES,
         "first = alpha**r.offset",
         "first = alpha**-r.offset",
+        IDENTITIES_TESTS,
     ),
     (
         "_lcm_product lower bound",
         SERIES,
         "lo = max(0, k - len(b) + 1)",
         "lo = max(0, k - len(b) + 2)",
+        SERIES_TESTS,
     ),
     (
         "_power Miller weights",
         SERIES,
         "range(k + 1 - n, k * n + 1, k + 1)",
         "range(k + 2 - n, k * n + 2, k + 1)",
+        STIRLING_TESTS,
     ),
     (
         "_build_base below-split dilation",
         SERIES,
         "return _dilated(_source_reciprocal(lam, c, order), alpha)",
         "return _source_reciprocal(lam, c, order)",
+        IDENTITIES_TESTS,
     ),
     (
         "chain growth starts one coefficient late",
         SERIES,
         "base.nums, base.den, reach, len(entry.nums))",
         "base.nums, base.den, reach, len(entry.nums) + 1)",
+        IDENTITIES_TESTS,
     ),
     (
         "Miller growth starts one row late",
         SERIES,
         "_miller_rows(self.base.nums, k, len(entry.nums),",
         "_miller_rows(self.base.nums, k, len(entry.nums) + 1,",
+        IDENTITIES_TESTS,
     ),
     (
         "derivative growth exponents",
         SERIES,
         "range(before.offset + start, before.offset + stop)",
         "range(before.offset + start + 1, before.offset + stop + 1)",
+        IDENTITIES_TESTS,
     ),
     (
         "growth never charged",
         SERIES,
         "(0 if old is None else _stored_bits(old))",
         "(0 if old is None else _stored_bits(entry))",
+        IDENTITIES_TESTS,
     ),
     (
         "a longer base leaves the entries on the old one",
         SERIES,
         "self.base = self._powers[0] = self._derivatives[0] = self._miller[1] = base",
         "self.base = base",
+        IDENTITIES_TESTS,
     ),
     (
         "ladder read length per order",
         SERIES,
         "return order + self.base.offset - 1",
         "return order + self.base.offset",
+        IDENTITIES_TESTS,
     ),
     (
         "_stored_bits per-series charge",
         SERIES,
         " + 320 * len(r.nums) + 8192",
         " + 320 * len(r.nums)",
+        SERIES_TESTS,
     ),
     (
         "two_param_euler_oracle dot-product offset",
         SEQUENCES,
         "reversed(r.nums[: n + 1])",
         "reversed(r.nums[1 : n + 2])",
+        SEQUENCES_TESTS,
     ),
     (
-        "_geometric_stirling_sum step",
+        "_geometric_stirling_sum Horner step sign",
         SEQUENCES,
-        "weight *= -m",
-        "weight *= m",
+        "acc = row[m] * q_power - m * p * acc",
+        "acc = row[m] * q_power + m * p * acc",
+        SEQUENCES_TESTS,
+    ),
+    (
+        "_geometric_stirling_sum running power of q",
+        SEQUENCES,
+        "q_power *= q",
+        "q_power = q",
+        SEQUENCES_TESTS,
     ),
     (
         "reduction pivot",
         SEQUENCES,
         "[alpha / x for x in _REDUCTION_NODES]",
         "[x / alpha for x in _REDUCTION_NODES]",
+        IDENTITIES_TESTS,
     ),
     (
         "reduction node x = 5/2",
         SEQUENCES,
         "_REDUCTION_NODES = (Fraction(-1, 3), Fraction(5, 2))",
         "_REDUCTION_NODES = (Fraction(-1, 3), Fraction(1))",
+        SEQUENCES_TESTS,
     ),
     (
         "I8 constant (-1)**k",
         IDENTITIES,
         '"I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k),',
         '"I8": (_f, "power", b_coeff, _g, lambda k: 1),',
+        IDENTITIES_TESTS,
     ),
     (
         "P1 weight (-1)**(m - 1)",
         IDENTITIES,
         '"P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None),',
         '"P1": (_h, "derivative", lambda k, m: (-1) ** m * lambda_coeff(k, m), _h, None),',
+        IDENTITIES_TESTS,
     ),
     (
         "G1 factor alpha**k",
         IDENTITIES,
         "scale = alpha**k",
         "scale = alpha ** (k + 1)",
+        IDENTITIES_TESTS,
     ),
     (
         "G2 factor alpha**(1 - m)",
         IDENTITIES,
         "w * alpha ** (1 - m)",
         "w * alpha ** (m - 1)",
+        IDENTITIES_TESTS,
     ),
     (
         "stored right side keyed without its order",
         IDENTITIES,
         "key = (identity_id, k, order)",
         "key = (identity_id, k)",
+        IDENTITIES_TESTS,
     ),
     (
         "a check with its own weights reads the stored right side",
         IDENTITIES,
         "stored = rhs_ladder.sums.get(key) if coeff_override is None else None",
         "stored = rhs_ladder.sums.get(key)",
+        IDENTITIES_TESTS,
     ),
     (
         "first-kind Stirling recurrence sign",
         STIRLING,
         "row[k] = prev[k - 1] - (m - 1) * prev[k]",
         "row[k] = prev[k - 1] + (m - 1) * prev[k]",
+        STIRLING_TESTS,
     ),
     (
         "m_determinant sign",
         STIRLING,
         "minors.append(-sum(",
         "minors.append(sum(",
+        STIRLING_TESTS,
     ),
 ]
 
-LIBRARY_TESTS = [
-    "tests/test_stirling.py",
-    "tests/test_series.py",
-    "tests/test_sequences.py",
-    "tests/test_identities.py",
-]
+LIBRARY_TESTS = [STIRLING_TESTS, SERIES_TESTS, SEQUENCES_TESTS, IDENTITIES_TESTS]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
 
 
-def suite_files():
-    """The library test files, then every other test file of ``tests/``."""
+def suite_groups():
+    """Each library test file alone, then every other test file of ``tests/``."""
     rest = sorted(
         path.relative_to(ROOT).as_posix()
         for path in (ROOT / "tests").glob("test_*.py")
         if path.relative_to(ROOT).as_posix() not in LIBRARY_TESTS
     )
-    return LIBRARY_TESTS + rest
+    return [[path] for path in LIBRARY_TESTS] + [rest]
 
 
 def check_snippets():
-    """Every snippet occurs exactly once in its file; else the errors."""
+    """Every snippet occurs exactly once in its file and every mutant names
+    a library test file; else the errors."""
     errors = []
-    for label, path, snippet, _ in MUTANTS:
+    for label, path, snippet, _, tests in MUTANTS:
         found = (ROOT / path).read_text().count(snippet)
         if found != 1:
             errors.append(f"{label}: snippet occurs {found} times in {path}: {snippet!r}")
+        if tests not in LIBRARY_TESTS:
+            errors.append(f"{label}: {tests} is not a library test file")
     return errors
 
 
-def run_suite(tree, files):
-    """(pytest's exit code, seconds) of the suite on ``tree``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+def tree_env(tree):
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
+def check_import(tree):
+    """Exit 2 unless ``stirnum`` imports from ``tree``."""
     where = subprocess.run(
         [sys.executable, "-c", "import stirnum; print(stirnum.__file__)"],
-        cwd=tree, env=env, capture_output=True, text=True,
+        cwd=tree, env=tree_env(tree), capture_output=True, text=True,
     )
     if not Path(where.stdout.strip()).resolve().is_relative_to(tree.resolve()):
         print(f"stirnum is not imported from the copy: {where.stdout or where.stderr}", file=sys.stderr)
         sys.exit(2)
+
+
+def run_suite(tree, groups):
+    """(exit code of the first group pytest fails, else 0; seconds) of the
+    groups on ``tree``, one pytest process each, stopping at a failure."""
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files],
-        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
+    for files in groups:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files],
+            cwd=tree, env=tree_env(tree), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        if done.returncode != 0:
+            break
     return done.returncode, time.perf_counter() - start
 
 
@@ -256,21 +311,23 @@ def main():
     if errors:
         print("\n".join(errors), file=sys.stderr)
         return 2
-    files = suite_files()
+    groups = suite_groups()
+    total = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="stirnum-mutants-") as scratch:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
-        code, seconds = run_suite(tree, files)
+        check_import(tree)
+        code, seconds = run_suite(tree, groups)
         if code != 0:
             print(f"the unmutated tree fails its tests (pytest exit {code})", file=sys.stderr)
             return 2
         print(f"unmutated tree passes in {seconds:.0f} s", flush=True)
         survivors = []
-        for label, path, snippet, replacement in MUTANTS:
+        for label, path, snippet, replacement, tests in MUTANTS:
             source = (ROOT / path).read_text()
             (tree / path).write_text(source.replace(snippet, replacement))
             try:
-                code, seconds = run_suite(tree, files)
+                code, seconds = run_suite(tree, sorted(groups, key=lambda files: files != [tests]))
             finally:
                 (tree / path).write_text(source)
             # pytest exits 1 on a failed test and 2 on a collection error;
@@ -282,7 +339,8 @@ def main():
             print(f"{verdict:8}  {seconds:5.0f} s  {label}", flush=True)
             if code == 0:
                 survivors.append(label)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed"
+          f" in {time.perf_counter() - total:.0f} s")
     return 1 if survivors else 0
 
 
