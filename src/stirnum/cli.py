@@ -13,9 +13,19 @@ e.g. 3, -1/2, 7/3.  With option=value syntax (--lambda=-3/2) negative
 values never collide with option parsing.
 
 Each call parses its arguments once.  When the first argument names a
-command, ``main`` hands the rest straight to that command's subparser,
-which is what the top-level parser would do after scanning the whole
-argument list; anything the subparser leaves over is reported by the
+command other than ``series``, ``main`` first tries the direct parse,
+``_parse_direct``: it reads the rest of the list from the actions the
+command's subparser was built with, and fills the namespace that subparser
+would fill.  It accepts one shape only: the command's positionals, none
+starting with ``-``, then each option at most once under its exact name,
+as ``--name value`` (a value not starting with ``-``) or ``--name=value``,
+every value taken through its action's type and choices and every
+required option given.  Any other list, and any value its type or choices
+reject, goes to argparse exactly as if there were no direct parse, so
+every help text, usage line and error is argparse's own.  There, an
+argument list that names a command goes straight to that command's
+subparser, which is what the top-level parser would do after scanning the
+whole list; anything the subparser leaves over is reported by the
 top-level parser, as a two-level parse reports it.  Every other argument
 list (empty, ``--help``, an unknown command, an option or ``--`` before
 the command) goes through the top-level parser, the only one that prints
@@ -33,7 +43,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -108,14 +118,42 @@ class CommandOutput:
     exit_code: int = 0
 
 
+class _Spec(NamedTuple):
+    """What the direct parse reads of one command: its positional actions
+    in order, each option action by its full name, the namespace a parse
+    starts from (every action's default and the subparser's own defaults)
+    and the required option actions."""
+
+    positionals: Tuple[argparse.Action, ...]
+    options: Mapping[str, argparse.Action]
+    defaults: Mapping[str, object]
+    required: FrozenSet[argparse.Action]
+
+
+def _spec(p: argparse.ArgumentParser, actions, **defaults) -> _Spec:
+    """The spec of the subparser p from the actions its add_argument calls
+    returned, the shared --format included; ``defaults`` are set on p too."""
+    p.set_defaults(**defaults)
+    return _Spec(
+        tuple(action for action in actions if not action.option_strings),
+        {name: action for action in actions for name in action.option_strings},
+        {**{action.dest: action.default for action in actions}, **defaults},
+        frozenset(action for action in actions if action.option_strings and action.required),
+    )
+
+
+# Command -> (its subparser, its direct-parse spec or, for series, None).
+_Commands = Mapping[str, Tuple[argparse.ArgumentParser, Optional[_Spec]]]
+
+
 def build_parser() -> argparse.ArgumentParser:
     return _build()[0]
 
 
-def _build() -> Tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
-    """The top-level parser and its command -> subparser mapping."""
+def _build() -> Tuple[argparse.ArgumentParser, _Commands]:
+    """The top-level parser and each command's subparser and spec."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    fmt = common.add_argument(
         "--format",
         choices=("plain", "json", "csv"),
         default="plain",
@@ -130,27 +168,30 @@ def _build() -> Tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentPar
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    commands = {}
 
     for command, (_, names, help_line) in _VALUE_COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=help_line)
-        for name in names:
-            p.add_argument(name, type=int)
+        commands[command] = p, _spec(p, [fmt, *(p.add_argument(name, type=int) for name in names)])
 
     for command, (family, help_line) in _FAMILY_COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=help_line)
-        p.add_argument("n", type=int)
+        actions = [fmt, p.add_argument("n", type=int)]
         if command == "bernoulli":
-            p.add_argument(
+            actions.append(p.add_argument(
                 "--method",
                 choices=("formula", "oracle"),
                 default="oracle",
                 help="closed Stirling form (even n >= 2 only) or generating series (default)",
-            )
+            ))
         for name in FAMILIES[family]:
             option, keyword, settings = _PARAMETER_OPTIONS[name]
-            p.add_argument(option, dest=keyword, type=_rational, **settings)
+            actions.append(p.add_argument(option, dest=keyword, type=_rational, **settings))
+        commands[command] = p, _spec(p, actions)
 
+    # series names a nested command, which only argparse parses.
     p_series = sub.add_parser("series", help="inspect the underlying generating series")
+    commands["series"] = p_series, None
     series_sub = p_series.add_subparsers(dest="series_command", required=True, metavar="action")
     p = series_sub.add_parser("dump", parents=[common], help="print a coefficient table")
     p.add_argument(
@@ -166,27 +207,69 @@ def _build() -> Tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentPar
     p.set_defaults(parser=p)
 
     p = sub.add_parser("verify", parents=[common], help="run identity verification sweeps")
-    p.add_argument(
-        "target",
-        choices=tuple(VERIFY_OPTIONS),
-        help="identity tag, named check, or 'all'",
-    )
-    p.add_argument("--k-max", dest="k_max", type=int, default=8)
-    p.add_argument("--alpha", type=_rational, default=None, help="restrict the parameter grid")
-    p.add_argument("--lambda", dest="lam", type=_rational, default=None, help="restrict the parameter grid")
-    p.add_argument("--order", type=int, default=None, help="override the truncation order")
-    p.set_defaults(parser=p)
+    actions = [
+        fmt,
+        p.add_argument(
+            "target",
+            choices=tuple(VERIFY_OPTIONS),
+            help="identity tag, named check, or 'all'",
+        ),
+        p.add_argument("--k-max", dest="k_max", type=int, default=8),
+        p.add_argument("--alpha", type=_rational, default=None, help="restrict the parameter grid"),
+        p.add_argument("--lambda", dest="lam", type=_rational, default=None, help="restrict the parameter grid"),
+        p.add_argument("--order", type=int, default=None, help="override the truncation order"),
+    ]
+    commands["verify"] = p, _spec(p, actions, parser=p)
 
-    return parser, sub.choices
+    return parser, commands
 
 
 @functools.cache
-def _parser() -> Tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
-    """The parser main() shares across calls and its command -> subparser
-    mapping, built on the first call and not at import.  argparse keeps no
+def _parser() -> Tuple[argparse.ArgumentParser, _Commands]:
+    """The parser main() shares across calls and each command's subparser
+    and spec, built on the first call and not at import.  argparse keeps no
     per-parse state on a parser.  main() looks the first argument up in
-    the mapping to parse a command's arguments with its subparser alone."""
+    the mapping to parse a command's arguments directly or with its
+    subparser alone."""
     return _build()
+
+
+def _parse_direct(spec: _Spec, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace the subparser of the command argv[0] fills from the
+    rest of argv, if argv has the one shape this reads (module docstring)
+    and every value passes its action's type and choices; else None."""
+    count = len(spec.positionals) + 1
+    if len(argv) < count or any(text.startswith("-") for text in argv[1:count]):
+        return None
+    given = dict(zip(spec.positionals, argv[1:count]))
+    tokens = iter(argv[count:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        action = spec.options.get(name)
+        if action is None:
+            return None
+        if not eq:
+            # A missing value reads as one that starts with "-".
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+        if action in given:
+            return None
+        given[action] = text
+    if not spec.required.issubset(given):
+        return None
+    values = dict(spec.defaults, command=argv[0])
+    # argparse's own conversion: the type, whose TypeError, ValueError or
+    # ArgumentTypeError is a usage error, then the choices.
+    try:
+        for action, text in given.items():
+            value = action.type(text) if action.type else text
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _post_validate(args: argparse.Namespace) -> None:
@@ -428,9 +511,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if command is None:
             args = parser.parse_args(argv)
         else:
-            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            subparser, spec = command
+            args = _parse_direct(spec, argv) if spec else None
+            if args is None:
+                args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                if extras:
+                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
         _post_validate(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -825,8 +825,22 @@ def _grown(entry: LaurentSeries, nums: Sequence[int], den: int) -> LaurentSeries
     return LaurentSeries(entry.offset, [*head, *map(operator.mul, nums, repeat(common // den))], common)
 
 
+class _Key(tuple):
+    """A ladder's key (alpha, lam, c), hashed once: a Fraction computes its
+    hash, a modular inverse, on every call.  It equals, and hashes as, the
+    plain tuple."""
+
+    def __init__(self, key: tuple):
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 class _Ladders:
-    """The bounded store of ladders, ``_LADDERS``: see the module docstring."""
+    """The bounded store of ladders, ``_LADDERS``: see the module docstring.
+    Each read hashes its key once: the store keeps and charges a ladder
+    under ``ladder.key``, a ``_Key``."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -840,13 +854,14 @@ class _Ladders:
         longer."""
         if order < 3:
             return _Ladder(key, order)
+        key = _Key(key)
         entry = self._entries.get(key)
         ladder = entry[0] if entry else self._live.get(key)
         if ladder is None:
             ladder = self._live[key] = _Ladder(key, order, self)
         else:
             ladder.grow(order)
-        self.keep(key, ladder)
+        self.keep(ladder.key, ladder)
         return ladder
 
     def keep(self, key: tuple, ladder: _Ladder) -> None:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, and record shapes."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -8,9 +9,10 @@ import json
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stirnum.cli as cli
@@ -951,8 +953,161 @@ class TestParserReuse:
             run(capsys, *argv)
         assert calls == [argv for argv in self.SEQUENCE if not argv or argv[0] not in commands]
 
+    # The lines of SEQUENCE that name a command but not in the one shape
+    # the direct parse reads: a value its type rejects, help, "--", a
+    # stray word, a negative-looking token, and every series line.
+    FALLBACKS = [
+        ["apostol-bernoulli", "2", "--lambda", "1.5"],
+        ["verify", "--help"],
+        ["stirling2", "-4", "2"],
+        ["stirling2", "5", "3", "extra"],
+        ["mdet", "--", "3", "4", "2"],
+        ["stirling2", "5", "3", "-h"],
+        *(argv for argv in SEQUENCE if argv[:1] == ["series"]),
+    ]
+
+    def test_only_other_shapes_reach_a_subparser(self, capsys, monkeypatch):
+        # Each well-formed command line is parsed without argparse; each
+        # line that falls back calls its command's subparser exactly once.
+        _, commands = cli._parser()
+        calls = []
+        for subparser, _ in commands.values():
+            parse = subparser.parse_known_args
+            monkeypatch.setattr(
+                subparser, "parse_known_args", lambda *a, parse=parse: calls.append(a) or parse(*a)
+            )
+        counts = {}
+        for argv in self.SEQUENCE:
+            calls.clear()
+            run(capsys, *argv)
+            counts[tuple(argv)] = len(calls)
+        assert counts == {
+            tuple(argv): int(argv in self.FALLBACKS) for argv in self.SEQUENCE
+        }
+
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+# -- the direct parse against argparse ----------------------------------------
+
+# The values each kind of argument meets: (valid ones, malformed ones).
+# Among them are values that start with "-" and values that int() reads
+# though they are no plain decimal (" 4", "+3", "1_0", an Arabic-Indic 3).
+DIRECT_VALUES = {
+    "int": (["0", "1", "2", "3", "5", "+3", " 4", "1_0", "\u0663", "-1"], ["-4", "x", "", "1.5", "--7"]),
+    "rational": (["0", "1", "2", "1/2", "2/3", "+1", " 1", "-1", "-3/2"], ["1/0", "x", "", "--"]),
+    "format": (["plain", "json", "csv"], ["xml", "JSON", ""]),
+    "method": (["formula", "oracle"], ["other"]),
+    "target": (["I1", "I8", "alt-sum", "det-relation", "reductions", "G1", "all"], ["bogus"]),
+    "k_max": (["1", "2", "+2"], ["0", "-1", "x"]),
+    "order": (["16", "9"], ["1", "0", "-2", "x"]),
+    "action": (["dump"], ["bogus"]),
+    "which": (["apostol", "recip-exp-minus-one", "recip-exp-plus-one"], ["other"]),
+}
+# Command -> (the kinds of its positionals, its options besides --format
+# and the kind each reads).
+DIRECT_COMMANDS = {
+    "stirling2": (["int", "int"], {}),
+    "stirling1": (["int", "int"], {}),
+    "mdet": (["int", "int", "int"], {}),
+    "bernoulli": (["int"], {"--method": "method"}),
+    "apostol-bernoulli": (["int"], {"--lambda": "rational"}),
+    "euler-number": (["int"], {}),
+    "euler-poly": (["int"], {"--at": "rational"}),
+    "two-param-euler": (["int"], {"--alpha": "rational", "--lambda": "rational", "--at": "rational"}),
+    "series": (["action", "which"], {"--lambda": "rational", "--order": "order"}),
+    "verify": (
+        ["target"],
+        {"--k-max": "k_max", "--alpha": "rational", "--lambda": "rational", "--order": "order"},
+    ),
+}
+# Tokens put anywhere in a list: "--", help, abbreviations, options with
+# an empty value, negative-looking tokens, and stray words.
+STRAY_TOKENS = ["--", "-h", "--help", "--form", "--k", "--format=", "--lambda=", "-4", "-", "+7", " 8", "1_0", "", "extra"]
+
+
+@st.composite
+def direct_argvs(draw):
+    """An argument list for one command: its positionals, then each of its
+    options or not, in any order, under its full name or a prefix of it,
+    as "--name value" or "--name=value", with repeats; some lists have a
+    token dropped or stray tokens put in."""
+    command = draw(st.sampled_from(sorted(DIRECT_COMMANDS)))
+    positionals, options = DIRECT_COMMANDS[command]
+    options = {"--format": "format", **options}
+
+    def drawn(kind):
+        valid, malformed = DIRECT_VALUES[kind]
+        return draw(st.sampled_from(malformed if draw(st.integers(0, 4)) == 4 else valid))
+
+    argv = [command, *map(drawn, positionals)]
+    names = [name for name in draw(st.permutations(sorted(options))) if draw(st.integers(0, 2))]
+    names += draw(st.lists(st.sampled_from(sorted(options)), max_size=2))
+    for name in names:
+        text = drawn(options[name])
+        if draw(st.integers(0, 4)) == 4:
+            name = name[: draw(st.integers(3, len(name) - 1))]
+        argv += [f"{name}={text}"] if draw(st.booleans()) else [name, text]
+    if len(argv) > 1 and draw(st.integers(0, 5)) == 5:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(STRAY_TOKENS)))
+    return argv
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), with the exception it
+    raised, if any, in place of the exit code: the direct parse must leave
+    even a crash as argparse alone gives it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = repr(exc)
+    return code, out.getvalue(), err.getvalue()
+
+
+def subparser_namespace(argv):
+    """(vars of the namespace, leftover arguments) of argv[1:] parsed by the
+    subparser of the command argv[0], as main() calls it; None on a usage
+    error."""
+    subparser, _ = cli._parser()[1][argv[0]]
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    except SystemExit:
+        return None
+    return vars(args), extras
+
+
+class TestDirectParse:
+    def test_the_drawn_commands_are_the_parser_commands(self):
+        _, commands = cli._parser()
+        assert set(DIRECT_COMMANDS) == set(commands)
+        for command, (_, spec) in commands.items():
+            if spec is not None:
+                assert set(spec.options) == {"--format", *DIRECT_COMMANDS[command][1]}
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=direct_argvs())
+    @example(argv=["stirling2", "5", "3", "--format", "xml"])
+    @example(argv=["verify", "bogus", "--k-max", "1"])
+    @example(argv=["stirling2", "5", "3", "--format", "json", "--format", "csv"])
+    @example(argv=["verify", "I1", "--k-max=1", "--k-max", "2"])
+    @example(argv=["two-param-euler", "2", "--alpha", "2", "--lambda=-3/2", "--at=1/2"])
+    def test_the_direct_parse_is_argparse(self, argv):
+        # A list the direct parse reads gets the namespace the subparser
+        # gives it, with nothing left over; and every list, read or not,
+        # prints and exits as it does with argparse alone.
+        _, spec = cli._parser()[1][argv[0]]
+        direct = spec and cli._parse_direct(spec, argv)
+        if direct is not None:
+            assert subparser_namespace(argv) == (vars(direct), [])
+        got = outcome(argv)
+        with mock.patch.object(cli, "_parse_direct", lambda spec, argv: None):
+            assert outcome(argv) == got
 
 
 

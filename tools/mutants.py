@@ -36,11 +36,13 @@ SERIES = "src/stirnum/series.py"
 SEQUENCES = "src/stirnum/sequences.py"
 IDENTITIES = "src/stirnum/identities.py"
 STIRLING = "src/stirnum/stirling.py"
+CLI = "src/stirnum/cli.py"
 
 STIRLING_TESTS = "tests/test_stirling.py"
 SERIES_TESTS = "tests/test_series.py"
 SEQUENCES_TESTS = "tests/test_sequences.py"
 IDENTITIES_TESTS = "tests/test_identities.py"
+CLI_TESTS = "tests/test_cli.py"
 
 # (label, file, exact snippet, replacement, test file expected to kill it)
 MUTANTS = [
@@ -247,9 +249,23 @@ MUTANTS = [
         "minors.append(sum(",
         STIRLING_TESTS,
     ),
+    (
+        "direct parse skips the choices check",
+        CLI,
+        "if action.choices is not None and value not in action.choices:",
+        "if False:",
+        CLI_TESTS,
+    ),
+    (
+        "direct parse keeps the first of a repeated option",
+        CLI,
+        "if action in given:\n            return None",
+        "if action in given:\n            continue",
+        CLI_TESTS,
+    ),
 ]
 
-LIBRARY_TESTS = [STIRLING_TESTS, SERIES_TESTS, SEQUENCES_TESTS, IDENTITIES_TESTS]
+LIBRARY_TESTS = [STIRLING_TESTS, SERIES_TESTS, SEQUENCES_TESTS, IDENTITIES_TESTS, CLI_TESTS]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
 
