@@ -12,25 +12,21 @@ Rationals on the command line use the literal form -?digits(/digits)?,
 e.g. 3, -1/2, 7/3.  With option=value syntax (--lambda=-3/2) negative
 values never collide with option parsing.
 
-Each call parses its arguments once.  When the first argument names a
-command other than ``series``, ``main`` first tries the direct parse,
-``_parse_direct``: it reads the rest of the list from the actions the
-command's subparser was built with, and fills the namespace that subparser
-would fill.  It accepts one shape only: the command's positionals, none
-starting with ``-``, then each option at most once under its exact name,
-as ``--name value`` (a value not starting with ``-``) or ``--name=value``,
-every value taken through its action's type and choices and every
-required option given.  Any other list, and any value its type or choices
-reject, goes to argparse exactly as if there were no direct parse, so
-every help text, usage line and error is argparse's own.  There, an
-argument list that names a command goes straight to that command's
-subparser, which is what the top-level parser would do after scanning the
-whole list; anything the subparser leaves over is reported by the
-top-level parser, as a two-level parse reports it.  Every other argument
-list (empty, ``--help``, an unknown command, an option or ``--`` before
-the command) goes through the top-level parser, the only one that prints
-the top-level help and errors.  Any other usage error, the checks made
-after parsing included, prints the usage line of the command it names.
+Each call parses its arguments once, one of two ways.  When the first
+argument names a command other than ``series``, ``main`` tries the direct
+parse, ``_parse_direct``: it reads the rest of the list from the actions
+the command's subparser was built with, and fills the namespace that
+subparser would fill.  It accepts one shape only: the command's
+positionals, none starting with ``-``, then each option at most once under
+its exact name, as ``--name value`` (a value not starting with ``-``) or
+``--name=value``, every value taken through its action's type and choices
+and every required option given.  Every other list, and any value its type
+or choices reject, goes to the top-level argparse parser exactly as if
+there were no direct parse, so every help text, usage line and error is
+argparse's own.  Every command's namespace holds that command's parser,
+which reports, with its usage line, the usage errors argparse does not:
+``--`` read as a value (some argparse versions read ``--name=--`` as an
+empty list) and the checks made after parsing.
 """
 
 from __future__ import annotations
@@ -121,7 +117,7 @@ class CommandOutput:
 class _Spec(NamedTuple):
     """What the direct parse reads of one command: its positional actions
     in order, each option action by its full name, the namespace a parse
-    starts from (every action's default and the subparser's own defaults)
+    starts from (every action's default, and the subparser as ``parser``)
     and the required option actions."""
 
     positionals: Tuple[argparse.Action, ...]
@@ -130,28 +126,25 @@ class _Spec(NamedTuple):
     required: FrozenSet[argparse.Action]
 
 
-def _spec(p: argparse.ArgumentParser, actions, **defaults) -> _Spec:
+def _spec(p: argparse.ArgumentParser, actions) -> _Spec:
     """The spec of the subparser p from the actions its add_argument calls
-    returned, the shared --format included; ``defaults`` are set on p too."""
-    p.set_defaults(**defaults)
+    returned, the shared --format included; p is set as its own default
+    ``parser``."""
+    p.set_defaults(parser=p)
     return _Spec(
         tuple(action for action in actions if not action.option_strings),
         {name: action for action in actions for name in action.option_strings},
-        {**{action.dest: action.default for action in actions}, **defaults},
+        {**{action.dest: action.default for action in actions}, "parser": p},
         frozenset(action for action in actions if action.option_strings and action.required),
     )
-
-
-# Command -> (its subparser, its direct-parse spec or, for series, None).
-_Commands = Mapping[str, Tuple[argparse.ArgumentParser, Optional[_Spec]]]
 
 
 def build_parser() -> argparse.ArgumentParser:
     return _build()[0]
 
 
-def _build() -> Tuple[argparse.ArgumentParser, _Commands]:
-    """The top-level parser and each command's subparser and spec."""
+def _build() -> Tuple[argparse.ArgumentParser, Dict[str, _Spec]]:
+    """The top-level parser and the spec of each command but series."""
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_argument(
         "--format",
@@ -168,11 +161,11 @@ def _build() -> Tuple[argparse.ArgumentParser, _Commands]:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    commands = {}
+    specs = {}
 
     for command, (_, names, help_line) in _VALUE_COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=help_line)
-        commands[command] = p, _spec(p, [fmt, *(p.add_argument(name, type=int) for name in names)])
+        specs[command] = _spec(p, [fmt, *(p.add_argument(name, type=int) for name in names)])
 
     for command, (family, help_line) in _FAMILY_COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=help_line)
@@ -187,12 +180,11 @@ def _build() -> Tuple[argparse.ArgumentParser, _Commands]:
         for name in FAMILIES[family]:
             option, keyword, settings = _PARAMETER_OPTIONS[name]
             actions.append(p.add_argument(option, dest=keyword, type=_rational, **settings))
-        commands[command] = p, _spec(p, actions)
+        specs[command] = _spec(p, actions)
 
     # series names a nested command, which only argparse parses.
-    p_series = sub.add_parser("series", help="inspect the underlying generating series")
-    commands["series"] = p_series, None
-    series_sub = p_series.add_subparsers(dest="series_command", required=True, metavar="action")
+    p = sub.add_parser("series", help="inspect the underlying generating series")
+    series_sub = p.add_subparsers(dest="series_command", required=True, metavar="action")
     p = series_sub.add_parser("dump", parents=[common], help="print a coefficient table")
     p.add_argument(
         "which",
@@ -219,19 +211,15 @@ def _build() -> Tuple[argparse.ArgumentParser, _Commands]:
         p.add_argument("--lambda", dest="lam", type=_rational, default=None, help="restrict the parameter grid"),
         p.add_argument("--order", type=int, default=None, help="override the truncation order"),
     ]
-    commands["verify"] = p, _spec(p, actions, parser=p)
+    specs["verify"] = _spec(p, actions)
 
-    return parser, commands
+    return parser, specs
 
 
-@functools.cache
-def _parser() -> Tuple[argparse.ArgumentParser, _Commands]:
-    """The parser main() shares across calls and each command's subparser
-    and spec, built on the first call and not at import.  argparse keeps no
-    per-parse state on a parser.  main() looks the first argument up in
-    the mapping to parse a command's arguments directly or with its
-    subparser alone."""
-    return _build()
+# The parser main() shares across calls and each command's spec, built on
+# the first call and not at import.  argparse keeps no per-parse state on a
+# parser.
+_parser = functools.cache(_build)
 
 
 def _parse_direct(spec: _Spec, argv: Sequence[str]) -> Optional[argparse.Namespace]:
@@ -505,18 +493,15 @@ def _emit(out: CommandOutput, fmt: str) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
+    parser, specs = _parser()
+    spec = specs.get(argv[0]) if argv else None
     try:
-        if command is None:
+        args = _parse_direct(spec, argv) if spec else None
+        if args is None:
             args = parser.parse_args(argv)
-        else:
-            subparser, spec = command
-            args = _parse_direct(spec, argv) if spec else None
-            if args is None:
-                args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-                if extras:
-                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            # No argument takes a list: one is "--" read as a value.
+            if any(type(value) is list for value in vars(args).values()):
+                args.parser.error("'--' cannot be a value")
         _post_validate(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -1,6 +1,5 @@
 """Command-line interface: formats, exit codes, and record shapes."""
 
-import argparse
 import contextlib
 import csv
 import hashlib
@@ -943,16 +942,6 @@ class TestParserReuse:
             assert got == want, argv
         assert {code for code, _, _ in reference} == {0, 1, 2}
 
-    def test_commands_skip_the_top_level_parse(self, capsys, monkeypatch):
-        parser, commands = cli._parser()
-        assert set(commands) == set(cli._HANDLERS)
-        calls = []
-        top_level = parser.parse_args
-        monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or top_level(argv))
-        for argv in self.SEQUENCE:
-            run(capsys, *argv)
-        assert calls == [argv for argv in self.SEQUENCE if not argv or argv[0] not in commands]
-
     # The lines of SEQUENCE that name a command but not in the one shape
     # the direct parse reads: a value its type rejects, help, "--", a
     # stray word, a negative-looking token, and every series line.
@@ -966,23 +955,22 @@ class TestParserReuse:
         *(argv for argv in SEQUENCE if argv[:1] == ["series"]),
     ]
 
-    def test_only_other_shapes_reach_a_subparser(self, capsys, monkeypatch):
+    def test_only_other_shapes_reach_the_top_level_parse(self, capsys, monkeypatch):
         # Each well-formed command line is parsed without argparse; each
-        # line that falls back calls its command's subparser exactly once.
-        _, commands = cli._parser()
+        # line that falls back, and each line that names no command, calls
+        # the top-level parse_args exactly once.
+        parser, _ = cli._parser()
         calls = []
-        for subparser, _ in commands.values():
-            parse = subparser.parse_known_args
-            monkeypatch.setattr(
-                subparser, "parse_known_args", lambda *a, parse=parse: calls.append(a) or parse(*a)
-            )
+        top_level = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or top_level(argv))
         counts = {}
         for argv in self.SEQUENCE:
             calls.clear()
             run(capsys, *argv)
             counts[tuple(argv)] = len(calls)
         assert counts == {
-            tuple(argv): int(argv in self.FALLBACKS) for argv in self.SEQUENCE
+            tuple(argv): int(argv in self.FALLBACKS or not argv or argv[0] not in cli._HANDLERS)
+            for argv in self.SEQUENCE
         }
 
     def test_build_parser_returns_a_new_parser(self):
@@ -1069,14 +1057,13 @@ def outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def subparser_namespace(argv):
-    """(vars of the namespace, leftover arguments) of argv[1:] parsed by the
-    subparser of the command argv[0], as main() calls it; None on a usage
-    error."""
-    subparser, _ = cli._parser()[1][argv[0]]
+def argparse_namespace(argv):
+    """(vars of the namespace, leftover arguments) of argv parsed by the
+    top-level parser main() shares; None on a usage error."""
+    parser, _ = cli._parser()
     try:
         with contextlib.redirect_stderr(io.StringIO()):
-            args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            args, extras = parser.parse_known_args(argv)
     except SystemExit:
         return None
     return vars(args), extras
@@ -1084,11 +1071,10 @@ def subparser_namespace(argv):
 
 class TestDirectParse:
     def test_the_drawn_commands_are_the_parser_commands(self):
-        _, commands = cli._parser()
-        assert set(DIRECT_COMMANDS) == set(commands)
-        for command, (_, spec) in commands.items():
-            if spec is not None:
-                assert set(spec.options) == {"--format", *DIRECT_COMMANDS[command][1]}
+        _, specs = cli._parser()
+        assert set(specs) == set(DIRECT_COMMANDS) - {"series"}
+        for command, spec in specs.items():
+            assert set(spec.options) == {"--format", *DIRECT_COMMANDS[command][1]}
 
     @settings(max_examples=400, deadline=None)
     @given(argv=direct_argvs())
@@ -1098,17 +1084,41 @@ class TestDirectParse:
     @example(argv=["verify", "I1", "--k-max=1", "--k-max", "2"])
     @example(argv=["two-param-euler", "2", "--alpha", "2", "--lambda=-3/2", "--at=1/2"])
     def test_the_direct_parse_is_argparse(self, argv):
-        # A list the direct parse reads gets the namespace the subparser
-        # gives it, with nothing left over; and every list, read or not,
+        # A list the direct parse reads gets the namespace the top-level
+        # parser gives it, with nothing left over; and every list, read or not,
         # prints and exits as it does with argparse alone.
-        _, spec = cli._parser()[1][argv[0]]
+        spec = cli._parser()[1].get(argv[0])
         direct = spec and cli._parse_direct(spec, argv)
         if direct is not None:
-            assert subparser_namespace(argv) == (vars(direct), [])
+            assert argparse_namespace(argv) == (vars(direct), [])
         got = outcome(argv)
         with mock.patch.object(cli, "_parse_direct", lambda spec, argv: None):
             assert outcome(argv) == got
 
+
+# Command -> a line it accepts, to which an option is appended.
+ACCEPTED_ARGV = {
+    "stirling2": ["stirling2", "5", "3"],
+    "stirling1": ["stirling1", "5", "3"],
+    "mdet": ["mdet", "3", "4", "2"],
+    **{argv[0]: argv for argv in FAMILY_ARGV.values()},
+    "series": ["series", "dump", "apostol", "--lambda", "2", "--order", "6"],
+    "verify": ["verify", "I1", "--k-max", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command, (_, options) in DIRECT_COMMANDS.items() for name in ["--format", *options]],
+)
+def test_dashes_as_an_option_value_is_a_usage_error(capsys, command, name):
+    # Some argparse versions, 3.11's among them, read --name=-- as an empty
+    # list; every version must end in the command's usage error.
+    assert run(capsys, *ACCEPTED_ARGV[command])[0] == 0
+    code, out, err = run(capsys, *ACCEPTED_ARGV[command], f"{name}=--")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: stirnum {command} ")
+    assert "Traceback" not in err
 
 
 def json_result(*argv):
@@ -1392,7 +1402,8 @@ FAMILY_OPTIONS = {
 def command_argvs(draw):
     """An argument list from one command's grammar, each option kept or
     left out, with at most one fault put in: a token dropped, a token that
-    is no integer, or an unknown or unread option.  Integers stay small:
+    is no integer, an unknown or unread option, or one of the command's
+    options given "--" as its value.  Integers stay small:
     n and k in -3..30, --k-max in 0..3 and --order in -1..40."""
     command = draw(
         st.sampled_from(["stirling2", "stirling1", "mdet", "series", "verify", *FAMILY_OPTIONS])
@@ -1424,7 +1435,7 @@ def command_argvs(draw):
             if draw(st.integers(0, 3)):
                 args.append(option.format(**values))
     argv = [command, *args]
-    fault = draw(st.sampled_from(["none", "none", "drop", "no integer", "unknown"]))
+    fault = draw(st.sampled_from(["none", "none", "drop", "no integer", "unknown", "dashes"]))
     if fault == "drop":
         del argv[draw(st.integers(0, len(argv) - 1))]
     elif fault == "no integer":
@@ -1433,6 +1444,13 @@ def command_argvs(draw):
     elif fault == "unknown":
         unknown = draw(st.sampled_from(["--bogus", "--bogus=1", "-q", "--k-max=2", "--at=1"]))
         argv.insert(draw(st.integers(0, len(argv))), unknown)
+    elif fault == "dashes":
+        # Put after the option's last use, so that argparse keeps it; the
+        # --format the test appends still overrides a --format put here.
+        name = draw(st.sampled_from(["--format", *DIRECT_COMMANDS[command][1]]))
+        last = max((i for i, token in enumerate(argv) if token.split("=")[0] == name), default=0)
+        at = draw(st.integers(last + 1, len(argv)))
+        argv[at:at] = [f"{name}=--"] if draw(st.booleans()) else [name, "--"]
     return argv
 
 

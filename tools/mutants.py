@@ -263,6 +263,13 @@ MUTANTS = [
         "if action in given:\n            continue",
         CLI_TESTS,
     ),
+    (
+        "argparse route lets '--' through as an option value",
+        CLI,
+        "if any(type(value) is list for value in vars(args).values()):",
+        "if False:",
+        CLI_TESTS,
+    ),
 ]
 
 LIBRARY_TESTS = [STIRLING_TESTS, SERIES_TESTS, SEQUENCES_TESTS, IDENTITIES_TESTS, CLI_TESTS]
