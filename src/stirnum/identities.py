@@ -48,8 +48,10 @@ check of its (tag, k, order), and stored with its constant in the ladder
 of the right base, so a repeated check reads it there and only compares;
 a check with its own weights (``coeff_override``) neither reads nor
 stores one.  ``run_sweep`` builds each base at the widest order of the
-sweep and holds every ladder it reads until it returns, so a sweep past
-the store's bound still builds each ladder once.
+sweep and holds every ladder it reads until it returns, with the ladder
+at alpha = 1 that each ladder at alpha != 1 reads its entries off, so a
+sweep past the store's bound still builds each ladder once and the G
+grid builds one ladder of kernel work per lambda.
 
 ``verify_target`` is the plan of the ``verify`` command: the sweep of
 one tag or all twelve, then the named checks of ``sequences``.  Tags give
@@ -412,14 +414,16 @@ def run_sweep(
     # Each ladder's base is built at the order of the widest check, which
     # the narrower ones read, and each ladder is held until the sweep
     # returns; its other entries grow with the checks that read them.  A
-    # point with alpha or lambda 0 reads none, and orders below 3 read none
-    # stored.
+    # ladder at alpha != 1 reads its entries off the ladder at alpha = 1
+    # (series._View), which is held too, and built first.  A point with
+    # alpha or lambda 0 reads none, and orders below 3 read none stored.
     top = default_order(k_max) if order is None else order
     keys = [
         key
         for lhs_base, _, _, rhs_base, _ in map(_SPECS.get, targets)
         for key in ({lhs_base, rhs_base} if lhs_base else grid)
     ]
+    keys = [(1, lam, c) for alpha, lam, c in keys if alpha != 1] + keys
     held = [series._LADDERS.ladder(key, top) for key in keys] if top >= 3 else []
     reports: List[VerificationReport] = []
     for target in targets:

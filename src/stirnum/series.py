@@ -85,6 +85,23 @@ one entry with the oracles; only at alpha = 0 or lam = 0 does it call
 keeps nothing: a ladder asked for there is built and handed back
 unstored.
 
+From order 3 on, the ladder the store builds for a key with alpha != 1,
+alpha and lam nonzero, is a view (``_View``): it computes none of its
+entries, but reads each off the ladder of (1, lam, c), its source, and
+dilates it.  With H = 1/(lam e**t + c) the base is H(alpha t), so its
+j-th derivative is alpha**j H^(j)(alpha t) and its m-th power H**m at
+alpha t: the view's base, product powers and Miller powers are the
+``_dilated`` source entries, and its derivative j the ``_dilated`` H^(j)
+with alpha**j folded into the first factor, so each entry is normalized
+once.  The rule holds for every alpha != 1, G off alpha = 1 and g =
+(-1, -1, 1) alike.  A source entry is dilated at the full length it
+holds, so a view entry grows only when its source entry grows.  The view
+looks its source up in the store each time it reads an entry longer than
+it holds and keeps no reference to it, so the bound below counts every
+series held; a source the store has dropped is built again there.  So
+the alphas of a G grid share one ladder of kernel work per lambda, and
+only the dilations and the right sides are theirs alone.
+
 Every kernel a ladder runs is online: Miller's recurrence, the product,
 the derivative and the dilation each compute coefficient n from the
 coefficients <= n of their inputs.  At source order N every entry of a
@@ -113,9 +130,9 @@ stored series is charged at least 8,192 bits, so the store holds at most
 bytes, so the entries take at most 16/15 of their charge: about 4.5 MB
 at worst, keys of literals over 8,192 bits apart.  A ladder the store
 has dropped but a caller still holds, as ``run_sweep`` holds each ladder
-it reads until it returns, is found again through a weak index and kept
-again if it fits, so no sweep builds a ladder twice however far it
-passes the budget.  The store is not locked: use the package from one
+it reads and the source of each view until it returns, is found again
+through a weak index and kept again if it fits, so no sweep builds a
+ladder twice however far it passes the budget.  The store is not locked: use the package from one
 thread at a time.
 """
 
@@ -659,15 +676,17 @@ def _source_reciprocal(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
     return (source + LaurentSeries.constant(c, order)).reciprocal()
 
 
-def _dilated(r: LaurentSeries, alpha: Fraction) -> LaurentSeries:
-    """r(alpha t) for alpha != 0: coefficient e times alpha**e.  The
-    window is r's, and r itself comes back at alpha = 1."""
+def _dilated(r: LaurentSeries, alpha: Fraction, j: int = 0) -> LaurentSeries:
+    """alpha**j r(alpha t) for alpha != 0: coefficient e times
+    alpha**(e + j), so that the j-th derivative of s(alpha t) is the
+    ``_dilated`` of s^(j) at j.  The window is r's, and r itself comes back
+    at alpha = 1."""
     if alpha == 1:
         return r
-    # With i = e - offset, top = len - 1 and first = alpha**offset,
-    # r_e alpha**e is nums[i] * first * a**i * b**(top-i) over den * b**top.
+    # With i = e - offset, top = len - 1 and first = alpha**(offset + j),
+    # r_e alpha**(e + j) is nums[i] * first * a**i * b**(top-i) over den * b**top.
     a, b = alpha.numerator, alpha.denominator
-    first = alpha**r.offset
+    first = alpha ** (r.offset + j)
     top = len(r.nums) - 1
     b_powers = accumulate(repeat(b, top), operator.mul, initial=1)
     a_powers = accumulate(repeat(a, top), operator.mul, initial=first.numerator)
@@ -711,17 +730,25 @@ class _Ladder:
     on (tag, k, order): the weighted sum at the check's order, constant
     included, and the end of its compared window.  ``bits`` is the
     ``_stored_bits`` of its distinct entries, sums included; a ladder
-    built by a store is charged there as it grows."""
+    built by a store is charged there as it grows.  A store builds the
+    ladder of a key with alpha != 1 from order 3 on as a ``_View``, whose
+    every entry is the same entry of the ladder of (1, lam, c) dilated,
+    derivative j times alpha**j; the view looks that ladder up in the
+    store whenever it reads an entry longer than it holds."""
 
     def __init__(self, key: tuple, order: int, store: Optional["_Ladders"] = None):
         self.key = key
-        self.base = _build_base(*map(Fraction, key), order)
-        self.bits = _stored_bits(self.base)
         self._store = store
+        self.base = self._built(order)
+        self.bits = _stored_bits(self.base)
         self._powers = [self.base]
         self._derivatives = [self.base]
         self._miller = {1: self.base}
         self.sums: dict = {}
+
+    def _built(self, order: int) -> LaurentSeries:
+        """The base as a build at source order ``order`` gives it."""
+        return _build_base(*map(Fraction, self.key), order)
 
     def length(self, order: int) -> int:
         """The coefficients every entry holds at source order ``order``."""
@@ -747,7 +774,7 @@ class _Ladder:
         """Build the base again at ``order`` if a build there is longer."""
         if len(self.base.nums) < self.length(order):
             bits = self.bits
-            base = self._kept(_build_base(*map(Fraction, self.key), order), self.base)
+            base = self._kept(self._built(order), self.base)
             self.base = self._powers[0] = self._derivatives[0] = self._miller[1] = base
             self._charge(bits)
 
@@ -815,6 +842,52 @@ class _Ladder:
         self._charge(bits)
 
 
+class _View(_Ladder):
+    """The ladder of a key (alpha, lam, c) with alpha != 1 that a store
+    builds, its entries dilated from the ladder of (1, lam, c), its source
+    (``_Ladder``)."""
+
+    def __init__(self, key: tuple, order: int, store: "_Ladders"):
+        self.alpha = Fraction(key[0])
+        super().__init__(key, order, store)
+
+    def _source(self, order: int) -> _Ladder:
+        return self._store.ladder((1, *self.key[1:]), order)
+
+    def _built(self, order: int) -> LaurentSeries:
+        return _dilated(self._source(order).base, self.alpha)
+
+    def powers(self, count: int, order: int) -> list:
+        return self._dilate(self._powers, count, order, lambda source: source.powers(count, order), 0)
+
+    def derivatives(self, count: int, order: int) -> list:
+        return self._dilate(self._derivatives, count, order, lambda source: source.derivatives(count, order), 1)
+
+    def _dilate(self, entries: list, count: int, order: int, read, step: int) -> list:
+        """entries[:count], each held shorter than ``order`` needs replaced
+        by the dilation of the source's entry at its full length, entry i
+        times alpha**(step * i)."""
+        length, bits = self.length(order), self.bits
+        stale = [i for i in range(1, count) if i >= len(entries) or len(entries[i].nums) < length]
+        if stale:
+            source = read(self._source(order))
+            for i in stale:
+                old = entries[i] if i < len(entries) else None
+                # at i == len(entries) the slice assignment appends
+                entries[i : i + 1] = [self._kept(_dilated(source[i], self.alpha, step * i), old)]
+        self._charge(bits)
+        return entries[:count]
+
+    def power(self, k: int, order: int) -> LaurentSeries:
+        length, bits = self.length(order), self.bits
+        entry = self._miller.get(k)
+        if entry is None or len(entry.nums) < length:
+            source = self._source(order).power(k, order)
+            entry = self._miller[k] = self._kept(_dilated(source, self.alpha), entry)
+        self._charge(bits)
+        return entry
+
+
 def _grown(entry: LaurentSeries, nums: Sequence[int], den: int) -> LaurentSeries:
     """entry with the values nums[i] / den after its window.  Both parts
     are canonical before they meet, so the lcm of their denominators is
@@ -858,7 +931,9 @@ class _Ladders:
         entry = self._entries.get(key)
         ladder = entry[0] if entry else self._live.get(key)
         if ladder is None:
-            ladder = self._live[key] = _Ladder(key, order, self)
+            alpha, lam, _ = key
+            kind = _View if alpha != 1 and alpha and lam else _Ladder
+            ladder = self._live[key] = kind(key, order, self)
         else:
             ladder.grow(order)
         self.keep(ladder.key, ladder)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import operator
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -477,6 +478,20 @@ def assert_cold_ladders(store):
             assert stored == cold_sum(key, tag, k, order), (key, tag, k, order)
 
 
+def recorded_builds(monkeypatch):
+    """The list to which every ladder built from now on, views included,
+    appends its (key, order) once built."""
+    built = []
+    real = _Ladder.__init__
+
+    def spy(ladder, key, order, store=None):
+        real(ladder, key, order, store)
+        built.append((tuple(key), order))
+
+    monkeypatch.setattr(_Ladder, "__init__", spy)
+    return built
+
+
 # The fixed bases as store keys, (alpha, lam, c) of 1/(lam e**(alpha t) + c).
 F_KEY, G_KEY, H_KEY = (1, 1, -1), (-1, -1, 1), (1, 1, 1)
 
@@ -633,14 +648,13 @@ class TestLadderStore:
 
     @staticmethod
     def charges(checks):
-        """The charge of the one ladder each check keeps when it runs alone."""
+        """The charge of the ladders each check keeps when it runs alone."""
         sizes = []
         for check in checks:
             store = _Ladders(STORE_BITS)
             with mock.patch.object(series_module, "_LADDERS", store):
                 check()
-            [(_, bits)] = store._entries.values()
-            sizes.append(bits)
+            sizes.append(store.bits)
         return sizes
 
     def test_the_least_recently_used_ladder_leaves_first(self):
@@ -675,57 +689,94 @@ class TestLadderStore:
         assert report == independent_sweep(cold_store, ["I1"], 6, default_order(3), [1], [1])[-1]
 
     def test_a_longer_request_grows_the_ladder(self, store):
-        # A G ladder at alpha != 1 builds its own base, so a check keeps
-        # its own key alone.  The longer check keeps the ladder, its
-        # entries and its right sides, and grows what it reads.
+        # A G ladder at alpha != 1 reads its entries off the ladder at
+        # alpha = 1, so a check keeps its own key and that one.  The longer
+        # check keeps both ladders, their entries and the right sides, and
+        # grows what it reads.
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
-        key = (alpha, lam, -1)
+        keys = [(1, lam, -1), (alpha, lam, -1)]
         verify_general_derivative(2, alpha, lam)
-        assert list(store._entries) == [key] and base_order(store._entries[key][0]) == default_order(2)
-        ladder, _ = store._entries[key]
-        sums = dict(ladder.sums)
+        assert list(store._entries) == keys
+        ladders = [store._entries[key][0] for key in keys]
+        assert [base_order(ladder) for ladder in ladders] == [default_order(2)] * 2
+        sums = dict(ladders[1].sums)
         verify_general_derivative(5, alpha, lam)
-        assert list(store._entries) == [key]
-        grown, bits = store._entries[key]
-        assert grown is ladder and base_order(ladder) == default_order(5) and bits == ladder.bits == store.bits
-        assert sums.items() <= ladder.sums.items()
-        assert [held_order(ladder, entry) for entry in ladder._powers] == [default_order(5)] * 6
+        assert list(store._entries) == keys
+        assert [store._entries[key][0] for key in keys] == ladders
+        assert store.bits == sum(ladder.bits for ladder in ladders)
+        assert sums.items() <= ladders[1].sums.items() and ladders[0].sums == {}
+        for ladder in ladders:
+            assert base_order(ladder) == default_order(5)
+            assert [held_order(ladder, entry) for entry in ladder._powers] == [default_order(5)] * 6
         assert_cold_ladders(store)
 
-    def test_a_dilated_check_leaves_the_ladder_at_alpha_one(self, store):
+    def test_a_dilated_check_grows_the_ladder_at_alpha_one(self, store):
         # G1 at alpha = 1 keeps its powers under (1, lam, -1); a longer
-        # check of the same lambda at alpha = -3/2 neither reads nor
-        # grows that ladder.
+        # check of the same lambda at alpha = -3/2 reads that ladder and
+        # grows it in place, building no ladder of the key again.
         lam = Fraction(2, 3)
         key = (1, lam, -1)
         verify_general_derivative(4, 1, lam)
         ladder, _ = store._entries[key]
         powers = list(ladder._powers)
+        assert len(powers) == 5
         verify_general_derivative(6, Fraction(-3, 2), lam)
         kept, _ = store._entries[key]
-        assert kept is ladder and base_order(kept) == default_order(4)
-        assert kept._powers == powers and len(powers) == 5
+        assert kept is ladder and base_order(kept) == default_order(6)
+        assert len(kept._powers) == 7 and kept._powers[0] is kept.base
+        # each product the shorter check built is a prefix of the grown one
+        for short, grown in zip(powers[1:], kept._powers[1:]):
+            assert kept.at(grown, held_order(kept, short)) == short
+        view, _ = store._entries[Fraction(-3, 2), lam, -1]
+        assert type(view) is series_module._View and len(view._powers) == 7
+        assert_cold_ladders(store)
 
+    @pytest.mark.parametrize("budget", [0, 1 << 17])
     @pytest.mark.parametrize(
         "targets, keys",
-        [(["I1", "I8"], [F_KEY, G_KEY]), (["G1", "G2"], list(itertools.product(ALPHAS, LAMBDAS, [-1])))],
+        [
+            # g = 1/(1 - e**(-t)) is the view at alpha = -1 of 1/(1 - e**t)
+            (["I1", "I8"], [F_KEY, G_KEY, (1, -1, 1)]),
+            (["G1", "G2"], [*itertools.product(ALPHAS, LAMBDAS, [-1]), *itertools.product([1], LAMBDAS, [-1])]),
+        ],
     )
-    def test_a_sweep_past_the_budget_builds_each_ladder_once(self, monkeypatch, cold_store, targets, keys):
-        # The sweep holds what it reads, so a store that keeps nothing
-        # still gives every check the ladder built at the widest order,
-        # and each key builds its own base.
-        built = []
-
-        class Spy(_Ladder):
-            def __init__(self, key, order, store=None):
-                built.append((key, order))
-                super().__init__(key, order, store)
-
-        monkeypatch.setattr(series_module, "_Ladder", Spy)
-        with cold_store():
-            reports = run_sweep(targets, 6, alphas=self.ALPHAS, lambdas=self.LAMBDAS)
+    def test_a_sweep_past_the_budget_builds_each_ladder_once(self, monkeypatch, targets, keys, budget):
+        # The sweep holds what it reads, the ladders at alpha = 1 that the
+        # others read their entries off included, so a store that keeps
+        # nothing or little still gives every check the ladder built at
+        # the widest order, and each key, each (1, lam, c) among them, is
+        # built once.
+        built = recorded_builds(monkeypatch)
+        monkeypatch.setattr(series_module, "_LADDERS", _Ladders(budget))
+        reports = run_sweep(targets, 6, alphas=self.ALPHAS, lambdas=self.LAMBDAS)
         assert all(report.passed for report in reports)
         assert sorted(built) == sorted((key, default_order(6)) for key in keys)
+
+    def test_a_view_whose_source_left_the_store_builds_it_again(self, monkeypatch, cold_store):
+        # A view keeps no reference to its source: once the store drops
+        # the ladder at alpha = 1, the view's next longer read builds it
+        # again through the store, and reads what a cold store reads.
+        alpha, lam = Fraction(-3, 2), Fraction(2, 3)
+        key, source_key = (alpha, lam, -1), (1, lam, -1)
+        sizes = self.charges([lambda: verify_general_derivative(2, alpha, lam), lambda: verify_core_identity("I1", 2)])
+        store = _Ladders(sum(sizes) - 1)
+        with cold_store():
+            expected = [verify_general_derivative(k, alpha, lam) for k in range(3, 7)]
+        built = recorded_builds(monkeypatch)
+        with mock.patch.object(series_module, "_LADDERS", store):
+            verify_general_derivative(2, alpha, lam)
+            assert list(store._entries) == [source_key, key]
+            assert [key for key, _ in built] == [source_key, key]
+            view, _ = store._entries[key]
+            source = weakref.ref(store._entries[source_key][0])
+            verify_core_identity("I1", 2)
+            assert list(store._entries) == [key, F_KEY] and source() is None
+            assert [verify_general_derivative(k, alpha, lam) for k in range(3, 7)] == expected
+        keys = [key for key, _ in built]
+        assert keys.count(key) == 1 and keys.count(source_key) >= 2
+        for kind, entries in [("derivatives", view._derivatives), ("powers", view._powers)]:
+            for index, entry in enumerate(entries, 1):
+                assert entry == cold_entry(key, kind, index, held_order(view, entry)), (kind, index)
 
     def test_oracles_read_the_ladder_of_a_sweep(self, monkeypatch, store, cold_store):
         # The sweep keeps f = 1/(e**t - 1) at order 34 under (1, 1, -1),
@@ -795,9 +846,10 @@ class TestLadderStore:
         assert run_sweep(tags, 12) == first
         assert [k for k in passes if k >= 1] == []
         # f, g and h each hold base**1 .. base**12 and the right sides read
-        # off them, and every entry held is charged once
-        assert set(store._entries) == {F_KEY, G_KEY, H_KEY}
-        right = {F_KEY: ["I6", "I7"], G_KEY: ["I5", "I8"], H_KEY: ["P2"]}
+        # off them, the ladder of 1/(1 - e**t) that g reads its entries off
+        # holds the powers alone, and every entry held is charged once
+        assert set(store._entries) == {F_KEY, G_KEY, H_KEY, (1, -1, 1)}
+        right = {F_KEY: ["I6", "I7"], G_KEY: ["I5", "I8"], H_KEY: ["P2"], (1, -1, 1): []}
         for key, (ladder, bits) in store._entries.items():
             assert sorted(ladder._miller) == list(range(1, 13))
             assert set(ladder.sums) == {(tag, k, default_order(k)) for tag in right[key] for k in range(1, 13)}

@@ -903,6 +903,39 @@ class TestBaseStore:
                     for index, entry in entries:
                         assert entry == cold_entry(key, kind, index, held_order(ladder, entry))
 
+    # Views: every alpha but 1, a 300-digit literal among them.
+    VIEW_ALPHAS = [Fraction(-3, 2), -1, Fraction(1, 2), 2, Fraction(5, 7), int("1" + "3" * 299)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(VIEW_ALPHAS),
+        st.sampled_from(DEFAULT_LAMBDAS),
+        st.sampled_from([1, -1]),
+        st.lists(
+            st.tuples(st.integers(3, 40), st.sampled_from(["derivatives", "powers", "power"]), st.integers(1, 12)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_a_view_entry_is_the_kernel_on_the_built_base(self, alpha, lam, c, reads):
+        # A ladder at alpha != 1 dilates the entries of the ladder at
+        # alpha = 1, each at the length that ladder holds: as read at an
+        # order, each is the kernel (derivative, product or Miller power)
+        # run on the base built at that order and alpha.
+        store = series_module._Ladders(STORE_BITS)
+        key = (alpha, lam, c)
+        for order, kind, index in reads:
+            with mock.patch.object(series_module, "_LADDERS", store):
+                ladder = store.ladder(key, order)
+                if kind == "power":
+                    entry = ladder.power(index, order)
+                else:
+                    entry = getattr(ladder, kind)(index, order)[-1]
+            assert type(ladder) is series_module._View
+            read, expected = ladder.at(entry, order), cold_entry(key, kind, index, order)
+            assert (read.offset, read.nums, read.den) == (expected.offset, expected.nums, expected.den)
+            assert ladder.at(ladder.base, order) == series_module._build_base(*map(Fraction, key), order)
+
     def test_the_least_recently_used_entry_leaves_first(self, cold_store):
         bases = [(1, lam, -1) for lam in (1, 2, 3)]
         sizes = [series_module._stored_bits(fresh_build(cold_store, *base, 60)) for base in bases]

@@ -84,8 +84,8 @@ MUTANTS = [
     (
         "_dilated first factor",
         SERIES,
-        "first = alpha**r.offset",
-        "first = alpha**-r.offset",
+        "first = alpha ** (r.offset + j)",
+        "first = alpha ** (-r.offset + j)",
         IDENTITIES_TESTS,
     ),
     (
@@ -269,6 +269,20 @@ MUTANTS = [
         "if any(type(value) is list for value in vars(args).values()):",
         "if False:",
         CLI_TESTS,
+    ),
+    (
+        "view derivative j times alpha**(j+1)",
+        SERIES,
+        "_dilated(source[i], self.alpha, step * i)",
+        "_dilated(source[i], self.alpha, step * (i + 1))",
+        SERIES_TESTS,
+    ),
+    (
+        "view Miller power skips the dilation",
+        SERIES,
+        "self._kept(_dilated(source, self.alpha), entry)",
+        "self._kept(source, entry)",
+        SERIES_TESTS,
     ),
 ]
 
