@@ -36,10 +36,10 @@ import csv
 import functools
 import io
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -105,25 +105,32 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-@dataclass
 class CommandOutput:
-    record: dict
-    plain: str
-    csv_header: Sequence[str]
-    csv_rows: Sequence[Sequence[str]]
-    exit_code: int = 0
+    """What one command prints: its JSON record, plain text and CSV table,
+    and the exit code."""
+
+    __slots__ = ("record", "plain", "csv_header", "csv_rows", "exit_code")
+
+    def __init__(
+        self,
+        record: dict,
+        plain: str,
+        csv_header: Sequence[str],
+        csv_rows: Sequence[Sequence[str]],
+        exit_code: int = 0,
+    ):
+        self.record = record
+        self.plain = plain
+        self.csv_header = csv_header
+        self.csv_rows = csv_rows
+        self.exit_code = exit_code
 
 
-class _Spec(NamedTuple):
-    """What the direct parse reads of one command: its positional actions
-    in order, each option action by its full name, the namespace a parse
-    starts from (every action's default, and the subparser as ``parser``)
-    and the required option actions."""
-
-    positionals: Tuple[argparse.Action, ...]
-    options: Mapping[str, argparse.Action]
-    defaults: Mapping[str, object]
-    required: FrozenSet[argparse.Action]
+# What the direct parse reads of one command: its positional actions in
+# order (a tuple), each option action by its full name (a dict), the
+# namespace a parse starts from (every action's default, and the subparser
+# as ``parser``) and the required option actions (a frozenset).
+_Spec = namedtuple("_Spec", ("positionals", "options", "defaults", "required"))
 
 
 def _spec(p: argparse.ArgumentParser, actions) -> _Spec:
@@ -143,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     return _build()[0]
 
 
-def _build() -> Tuple[argparse.ArgumentParser, Dict[str, _Spec]]:
+def _build() -> tuple[argparse.ArgumentParser, dict[str, _Spec]]:
     """The top-level parser and the spec of each command but series."""
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_argument(
@@ -222,7 +229,7 @@ def _build() -> Tuple[argparse.ArgumentParser, Dict[str, _Spec]]:
 _parser = functools.cache(_build)
 
 
-def _parse_direct(spec: _Spec, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+def _parse_direct(spec: _Spec, argv: Sequence[str]) -> argparse.Namespace | None:
     """The namespace the subparser of the command argv[0] fills from the
     rest of argv, if argv has the one shape this reads (module docstring)
     and every value passes its action's type and choices; else None."""
@@ -278,7 +285,7 @@ def _post_validate(args: argparse.Namespace) -> None:
                 args.parser.error(f"verify {args.target} does not read --{name}")
 
 
-def _verify_options(args: argparse.Namespace) -> Dict[str, object]:
+def _verify_options(args: argparse.Namespace) -> dict[str, object]:
     """The verify options given, by the names VERIFY_OPTIONS uses."""
     given = {"alpha": args.alpha, "lambda": args.lam, "order": args.order}
     return {name: value for name, value in given.items() if value is not None}
@@ -407,7 +414,7 @@ def _handle_family(args, argv):
     family = _FAMILY_COMMANDS[args.command][0]
     # Only bernoulli has --method; every other command prints the closed form.
     provenance = getattr(args, "method", "formula")
-    notes: Tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
     if family == "apostol_bernoulli" and (args.n == 0 or args.lam == 1):
         # The closed form covers n >= 1 and has a pole at lambda = 1,
         # where B_n(1) = B_n is read from the generating series instead.
@@ -491,7 +498,7 @@ def _emit(out: CommandOutput, fmt: str) -> None:
         print(out.plain)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, specs = _parser()
     spec = specs.get(argv[0]) if argv else None

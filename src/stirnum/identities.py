@@ -65,10 +65,9 @@ target reads, is built from it and the spec table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import series
 from .errors import DomainError, PrecisionExhaustedError
@@ -77,7 +76,7 @@ from .sequences import (
     determinant_relation_checks,
     two_param_reduction_sweep,
 )
-from .series import LaurentSeries, linear_combination
+from .series import LaurentSeries, _Value, linear_combination
 from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1
 
 __all__ = [
@@ -101,7 +100,7 @@ __all__ = [
     "verify_target",
 ]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 CORE_IDENTITY_IDS = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8")
 PLUS_IDENTITY_IDS = ("P1", "P2")
@@ -132,28 +131,43 @@ def default_order(k: int) -> int:
     return 2 * k + 10
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of one identity check at one parameter point."""
 
-    identity_id: str
-    k: int
-    alpha: Optional[Fraction]
-    lam: Optional[Fraction]
-    order: int
-    window: Tuple[int, int]
-    passed: bool
-    first_discrepancy: Optional[Tuple[int, Fraction, Fraction]]
+    __slots__ = ("identity_id", "k", "alpha", "lam", "order", "window", "passed", "first_discrepancy")
+
+    def __init__(
+        self,
+        identity_id: str,
+        k: int,
+        alpha: Fraction | None,
+        lam: Fraction | None,
+        order: int,
+        window: tuple[int, int],
+        passed: bool,
+        first_discrepancy: tuple[int, Fraction, Fraction] | None,
+    ):
+        object.__setattr__(self, "identity_id", identity_id)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "first_discrepancy", first_discrepancy)
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(_Value):
     """Outcome of one named check; fields holds its point, e.g. n and k,
-    in print order, with rationals as ``Fraction`` values."""
+    in print order, with rationals as ``Fraction`` values.  Its dict makes
+    it unhashable."""
 
-    check: str
-    fields: Dict[str, object]
-    passed: bool
+    __slots__ = ("check", "fields", "passed")
+
+    def __init__(self, check: str, fields: dict[str, object], passed: bool):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "passed", passed)
 
 
 # -- the spec table -----------------------------------------------------------
@@ -175,7 +189,7 @@ def _first_kind_weight(k: int, m: int) -> Fraction:
 # A G1 point scales every weight by alpha**k, so G1 reads I1's
 # lambda_{k,m}; a G2 point scales term m by alpha**(1-m).  G2 keeps its
 # own s(k, m)/(k-1)!, independent of I6's determinant weights b_{k,m-1}.
-_SPECS: Dict[str, tuple] = {
+_SPECS: dict[str, tuple] = {
     "I1": (_f, "derivative", lambda_coeff, _f, None),
     "I2": (_g, "derivative", mu_coeff, _g, None),
     "I3": (_g, "derivative", lambda_coeff, _f, None),
@@ -193,14 +207,14 @@ _SPECS: Dict[str, tuple] = {
 # Named check: (options it reads, row field names, sweep).  A sweep takes
 # (k_max, alphas, lambdas), looks its function up by module name when called,
 # so a rebinding of that name reaches it, and returns (*fields, passed) tuples.
-_NAMED_CHECKS: Dict[str, tuple] = {
+_NAMED_CHECKS: dict[str, tuple] = {
     "det-relation": ((), ("n", "k"), lambda k_max, *grid: determinant_relation_checks(k_max)),
     "alt-sum": ((), ("n",), lambda k_max, *grid: alternating_sum_checks(k_max)),
     "reductions": (("alpha", "lambda"), ("n", "alpha", "lambda"), lambda *a: two_param_reduction_sweep(*a)),
 }
 
 # verify target -> the options it reads; the command line rejects any other.
-VERIFY_OPTIONS: Dict[str, Tuple[str, ...]] = {
+VERIFY_OPTIONS: dict[str, tuple[str, ...]] = {
     "all": ("alpha", "lambda", "order"),
     **{tag: ("order",) if base else ("alpha", "lambda", "order") for tag, (base, *_) in _SPECS.items()},
     **{name: check[0] for name, check in _NAMED_CHECKS.items()},
@@ -212,14 +226,14 @@ VERIFY_OPTIONS: Dict[str, Tuple[str, ...]] = {
 # CPython 3.11.  An entry at index k holds k + 1 Fractions, of at most 303
 # bits each up to k = 48.
 @lru_cache(maxsize=len(_SPECS) * 48)
-def _unit_weights(identity_id: str, k: int) -> Tuple[Fraction, ...]:
+def _unit_weights(identity_id: str, k: int) -> tuple[Fraction, ...]:
     """The weights of the spec row at alpha = 1, for m = 1 .. (k+1 or k)."""
     _, kind, weight, _, _ = _SPECS[identity_id]
     count = k + 1 if kind == "derivative" else k
     return tuple(Fraction(weight(k, m)) for m in range(1, count + 1))
 
 
-def _weights(identity_id: str, k: int, alpha: Optional[Fraction]) -> List[Fraction]:
+def _weights(identity_id: str, k: int, alpha: Fraction | None) -> list[Fraction]:
     weights = _unit_weights(identity_id, k)
     if identity_id == "G1":
         scale = alpha**k
@@ -229,7 +243,7 @@ def _weights(identity_id: str, k: int, alpha: Optional[Fraction]) -> List[Fracti
     return list(weights)
 
 
-def core_identity_coefficients(identity_id: str, k: int) -> List[Fraction]:
+def core_identity_coefficients(identity_id: str, k: int) -> list[Fraction]:
     """The weight list applied to the power or derivative ladder of the
     given core identity, for m = 1 .. (k+1 or k)."""
     if identity_id not in CORE_IDENTITY_IDS:
@@ -242,8 +256,8 @@ def core_identity_coefficients(identity_id: str, k: int) -> List[Fraction]:
 def _compare(
     identity_id: str,
     k: int,
-    alpha: Optional[Fraction],
-    lam: Optional[Fraction],
+    alpha: Fraction | None,
+    lam: Fraction | None,
     order: int,
     lhs: LaurentSeries,
     rhs: LaurentSeries,
@@ -276,10 +290,10 @@ def _compare(
 def _verify(
     identity_id: str,
     k: int,
-    alpha: Optional[Fraction],
-    lam: Optional[Fraction],
-    order: Optional[int],
-    coeff_override: Optional[Sequence[Scalar]],
+    alpha: Fraction | None,
+    lam: Fraction | None,
+    order: int | None,
+    coeff_override: Sequence[Scalar] | None,
 ) -> VerificationReport:
     """Build both sides of one identity from its spec row and compare them.
 
@@ -338,8 +352,8 @@ def _verify(
 def verify_core_identity(
     identity_id: str,
     k: int,
-    order: Optional[int] = None,
-    coeff_override: Optional[Sequence[Scalar]] = None,
+    order: int | None = None,
+    coeff_override: Sequence[Scalar] | None = None,
 ) -> VerificationReport:
     """Check one of I1..I8 at index k by exact series comparison.
 
@@ -354,8 +368,8 @@ def verify_core_identity(
 def verify_plus_identity(
     identity_id: str,
     k: int,
-    order: Optional[int] = None,
-    coeff_override: Optional[Sequence[Scalar]] = None,
+    order: int | None = None,
+    coeff_override: Sequence[Scalar] | None = None,
 ) -> VerificationReport:
     """Check P1 or P2, the derivative/power pair for h = 1/(e**t + 1)."""
     if identity_id not in PLUS_IDENTITY_IDS:
@@ -367,7 +381,7 @@ def verify_general_derivative(
     k: int,
     alpha: Scalar,
     lam: Scalar,
-    order: Optional[int] = None,
+    order: int | None = None,
 ) -> VerificationReport:
     """Check G1: the k-th derivative of 1/(lam e**(alpha t) - 1) as a
     power sum with weights (-1)**k alpha**k (m-1)! S(k+1, m)."""
@@ -378,7 +392,7 @@ def verify_general_power(
     k: int,
     alpha: Scalar,
     lam: Scalar,
-    order: Optional[int] = None,
+    order: int | None = None,
 ) -> VerificationReport:
     """Check G2: the k-th power of 1/(lam e**(alpha t) - 1) as a
     derivative sum with weights (-1)**(m-1) alpha**(1-m) s(k, m)/(k-1)!."""
@@ -388,10 +402,10 @@ def verify_general_power(
 def run_sweep(
     targets: Sequence[str],
     k_max: int,
-    order: Optional[int] = None,
-    alphas: Optional[Sequence[Scalar]] = None,
-    lambdas: Optional[Sequence[Scalar]] = None,
-) -> List[VerificationReport]:
+    order: int | None = None,
+    alphas: Sequence[Scalar] | None = None,
+    lambdas: Sequence[Scalar] | None = None,
+) -> list[VerificationReport]:
     """Verify the given identity tags for k = 1..k_max.
 
     General identities run over the cartesian grid of alphas x lambdas
@@ -425,7 +439,7 @@ def run_sweep(
     ]
     keys = [(1, lam, c) for alpha, lam, c in keys if alpha != 1] + keys
     held = [series._LADDERS.ladder(key, top) for key in keys] if top >= 3 else []
-    reports: List[VerificationReport] = []
+    reports: list[VerificationReport] = []
     for target in targets:
         if target in GENERAL_IDENTITY_IDS:
             check = verify_general_derivative if target == "G1" else verify_general_power
@@ -444,10 +458,10 @@ def run_sweep(
 def verify_target(
     target: str,
     k_max: int,
-    alpha: Optional[Scalar] = None,
-    lam: Optional[Scalar] = None,
-    order: Optional[int] = None,
-) -> List[Union[VerificationReport, CheckRow]]:
+    alpha: Scalar | None = None,
+    lam: Scalar | None = None,
+    order: int | None = None,
+) -> list[VerificationReport | CheckRow]:
     """Every row of ``verify`` on one target, in order: the ``run_sweep``
     reports of its tags (all twelve for "all"), then its named checks' rows
     in table order.  alpha and lam narrow the G1/G2 and reductions grids to

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
 
 from .errors import RationalParseError
 
@@ -47,7 +46,7 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(Decimal(numerator)), int(Decimal(denominator or 1)))
 
 
-def format_rational(value: Union[int, Fraction]) -> str:
+def format_rational(value: int | Fraction) -> str:
     """Canonical text for a rational: '-?digits' or '-?digits/digits'.
 
     The denominator is omitted exactly when the value is an integer; the

@@ -60,10 +60,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConsistencyError, DomainError, PoleError
 from .rationals import format_rational
@@ -72,6 +71,7 @@ from .series import (
     LaurentSeries,
     _normalized,
     _over_lcm,
+    _Value,
     exp_linear,
     recip_exp_linear,
 )
@@ -101,11 +101,10 @@ __all__ = [
     "alternating_sum_checks",
 ]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Value):
     """Univariate polynomial over exact rationals; coeffs[i] multiplies x**i.
 
     Stored as integer numerators over one denominator, coeffs[i] ==
@@ -116,21 +115,18 @@ class Polynomial:
     ``coeffs``, the tuple of reduced Fractions, is built on first read.
     """
 
-    nums: Tuple[int, ...]
-    den: int = 1
-    _coeffs: Optional[Tuple[Fraction, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("nums", "den", "_coeffs")
 
-    def __post_init__(self):
-        if not self.den:
+    def __init__(self, nums: Sequence[int], den: int = 1):
+        if not den:
             raise DomainError("a polynomial needs a nonzero denominator")
-        nums = list(self.nums)
+        nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
-        nums, den = _normalized(nums, self.den)
+        nums, den = _normalized(nums, den)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
 
     @classmethod
     def from_coeffs(cls, values: Iterable[Scalar]) -> "Polynomial":
@@ -144,7 +140,7 @@ class Polynomial:
         return poly
 
     @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as reduced Fractions, built on first read."""
         if self._coeffs is None:
             object.__setattr__(self, "_coeffs", tuple(Fraction(x, self.den) for x in self.nums))
@@ -158,7 +154,7 @@ class Polynomial:
         """The value at ``point``, reduced once."""
         return Fraction(*self._value(Fraction(point)))
 
-    def _value(self, point: Fraction) -> Tuple[int, int]:
+    def _value(self, point: Fraction) -> tuple[int, int]:
         """Horner on the numerators: with point = u/v and degree d, the value
         is sum_i nums[i] u**i v**(d-i) over den * v**d, unreduced."""
         if not self.nums:
@@ -381,7 +377,7 @@ def two_param_euler_formula(n: int, alpha: Scalar, lam: Scalar) -> Polynomial:
     return _two_param_poly(n, alpha.numerator, alpha.denominator, _two_param_row(n, lam))
 
 
-def _two_param_row(n: int, lam: Fraction) -> Tuple[Tuple[int, ...], int]:
+def _two_param_row(n: int, lam: Fraction) -> tuple[tuple[int, ...], int]:
     """The row of (n, lam), the part of E_n(x; alpha, lam) that alpha does
     not touch: integers r_k over one denominator L, the lcm of the sums'
     denominators, with r_k / L = 2 C(n, k) g(n-k+1) and g the alternating
@@ -416,7 +412,7 @@ def _two_param_poly(n: int, a: int, b: int, row) -> Polynomial:
     return Polynomial(scaled, den * b**n)
 
 
-def _two_param_pivot(n: int, a: int, b: int, row) -> Tuple[int, int]:
+def _two_param_pivot(n: int, a: int, b: int, row) -> tuple[int, int]:
     """E_n(1; a/b, lam) from the row of lam, unreduced: Horner on
     sum_k r_k (-a)**(n-k) b**k over L b**n, with no polynomial built."""
     nums, den = row
@@ -477,9 +473,9 @@ def verify_two_param_reductions(n: int, alpha: Scalar, lam: Scalar) -> bool:
 
 def two_param_reduction_sweep(
     k_max: int,
-    alphas: Optional[Sequence[Scalar]] = None,
-    lambdas: Optional[Sequence[Scalar]] = None,
-) -> List[Tuple[int, Fraction, Fraction, bool]]:
+    alphas: Sequence[Scalar] | None = None,
+    lambdas: Sequence[Scalar] | None = None,
+) -> list[tuple[int, Fraction, Fraction, bool]]:
     """(n, alpha, lam, passed) of ``verify_two_param_reductions`` for
     n = 0..k_max over the grid of alphas x lambdas (defaults
     REDUCTION_ALPHAS / REDUCTION_LAMBDAS for None; an empty grid has no
@@ -511,7 +507,7 @@ def two_param_reduction_sweep(
     ]
 
 
-def _pivots(alphas: Sequence[Fraction]) -> List[List[Fraction]]:
+def _pivots(alphas: Sequence[Fraction]) -> list[list[Fraction]]:
     """alpha/x at each node x, for each alpha: the part of the pointwise
     reduction that no n touches."""
     return [[alpha / x for x in _REDUCTION_NODES] for alpha in alphas]
@@ -519,7 +515,7 @@ def _pivots(alphas: Sequence[Fraction]) -> List[List[Fraction]]:
 
 def _reductions_at(
     n: int, alphas: Sequence[Fraction], lambdas: Sequence[Fraction], pivots
-) -> List[bool]:
+) -> list[bool]:
     """Whether the reductions hold at index n, for each (alpha, lam) of
     alphas x lambdas in that order, given the ``_pivots`` of alphas.  A
     failed E_n(x; 1, 1) == E_n(x) fails every point."""
@@ -579,7 +575,7 @@ def _reduces(n: int, alpha: Fraction, full: Polynomial, unit: Polynomial, row, p
     return True
 
 
-def determinant_relation_checks(k_max: int) -> List[Tuple[int, int, bool]]:
+def determinant_relation_checks(k_max: int) -> list[tuple[int, int, bool]]:
     """(n, k, passed) of ``verify_first_kind_determinant_relation`` for
     1 <= k <= n <= k_max, n ascending, then k."""
     return [
@@ -589,7 +585,7 @@ def determinant_relation_checks(k_max: int) -> List[Tuple[int, int, bool]]:
     ]
 
 
-def alternating_sum_checks(k_max: int) -> List[Tuple[int, bool]]:
+def alternating_sum_checks(k_max: int) -> list[tuple[int, bool]]:
     """(n, passed) for n = 1..k_max, passed when ``stirling_alternating_sum(n)``
     vanishes."""
     return [(n, stirling_alternating_sum(n) == 0) for n in range(1, k_max + 1)]
@@ -639,8 +635,7 @@ _FAMILY_TABLE = {
 FAMILIES = {family: entry[0] for family, entry in _FAMILY_TABLE.items()}
 
 
-@dataclass(frozen=True)
-class SequenceValue:
+class SequenceValue(_Value):
     """One computed family member, tagged with how it was produced.
 
     parameters holds (name, value) pairs in a fixed order; value is a
@@ -649,12 +644,23 @@ class SequenceValue:
     parameter ranges outside the family's stated domain.
     """
 
-    family: str
-    index: int
-    parameters: Tuple[Tuple[str, Fraction], ...]
-    value: Union[Fraction, Polynomial]
-    provenance: str
-    notes: Tuple[str, ...] = field(default=())
+    __slots__ = ("family", "index", "parameters", "value", "provenance", "notes")
+
+    def __init__(
+        self,
+        family: str,
+        index: int,
+        parameters: tuple[tuple[str, Fraction], ...],
+        value: Fraction | Polynomial,
+        provenance: str,
+        notes: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "notes", notes)
 
 
 def sequence_value(
@@ -662,9 +668,9 @@ def sequence_value(
     index: int,
     provenance: str = "formula",
     *,
-    lam: Optional[Scalar] = None,
-    alpha: Optional[Scalar] = None,
-    x: Optional[Scalar] = None,
+    lam: Scalar | None = None,
+    alpha: Scalar | None = None,
+    x: Scalar | None = None,
 ) -> SequenceValue:
     """Compute one family member through the requested route.
 
@@ -695,7 +701,7 @@ def sequence_value(
     value = (formula if provenance == "formula" else oracle)(index, params)
     if isinstance(value, Polynomial) and "x" in params:
         value = value.evaluate(params["x"])
-    notes: Tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
     if family == "two_param_euler" and params["lambda"] <= 0:
         notes = (
             f"lambda = {format_rational(params['lambda'])} lies outside the positive range "

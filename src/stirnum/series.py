@@ -141,20 +141,59 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 
 __all__ = ["LaurentSeries", "ZERO", "exp_linear", "linear_combination", "recip_exp_linear"]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class _Value:
+    """Value semantics for an immutable slotted class, shared by the value
+    classes of the package.
+
+    A subclass lists its two or more fields in ``__slots__``, in
+    constructor order, and any private slot, such as a cache, after them.
+    Its ``__init__`` sets each slot with ``object.__setattr__``; after that
+    assigning or deleting an attribute raises AttributeError.  Equality
+    and hashing read the field tuple of two instances of the same class,
+    ``repr`` is ``Name(field=value, ...)``, and copy, deepcopy and pickle
+    call the constructor on the fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._names = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._fields = operator.attrgetter(*cls._names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._names, self._fields(self))
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+
+class LaurentSeries(_Value):
     """Immutable window of exact coefficients plus a truncation order.
 
     ``LaurentSeries(offset, nums, den)`` is the series sum nums[i]/den
@@ -163,16 +202,11 @@ class LaurentSeries:
 
     __slots__ = ("offset", "nums", "den", "_coeffs")
 
-    offset: int
-    nums: Tuple[int, ...]
-    den: int
-
-    def __post_init__(self):
-        if not self.den:
+    def __init__(self, offset: int, nums: Sequence[int], den: int):
+        if not den:
             raise DomainError("a series needs a nonzero denominator")
-        nums, den = _normalized(self.nums, self.den)
-        if not nums:
-            object.__setattr__(self, "offset", 0)
+        nums, den = _normalized(nums, den)
+        object.__setattr__(self, "offset", offset if nums else 0)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_coeffs", None)
@@ -216,7 +250,7 @@ class LaurentSeries:
     # -- structure ------------------------------------------------------
 
     @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Fraction, ...]:
         """The stored coefficients as reduced Fractions, built on first read."""
         coeffs = self._coeffs
         if coeffs is None:
@@ -265,7 +299,7 @@ class LaurentSeries:
             return Fraction(0)
         return Fraction(self.nums[exponent - self.offset], self.den)
 
-    def coefficients(self) -> Iterator[Tuple[int, Fraction]]:
+    def coefficients(self) -> Iterator[tuple[int, Fraction]]:
         """Yield (exponent, coefficient) over the stored window, ascending."""
         return zip(count(self.offset), self.coeffs)
 
@@ -281,7 +315,7 @@ class LaurentSeries:
         end = _cut(self.offset, self.precision, precision)
         return LaurentSeries(self.offset, self.nums[: end - self.offset], self.den)
 
-    def first_difference(self, other: "LaurentSeries", lo: int, hi: int) -> Optional[int]:
+    def first_difference(self, other: "LaurentSeries", lo: int, hi: int) -> int | None:
         """The least exponent in [lo, hi) where the two coefficients differ,
         or None.
 
@@ -431,7 +465,7 @@ def _cut(offset: int, end: int, precision: int) -> int:
     return precision
 
 
-def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
+def _normalized(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
     """The canonical form of the values nums[i]/den: both divided by
     gcd(den, *nums), signed so that den > 0.
 
@@ -467,7 +501,7 @@ def _normalized(nums: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
 _EGF_MIN_LENGTH = 104
 
 
-def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
+def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple[list, int]:
     """The canonical form of the values nums[i]/dens[i], dens > 0.
 
     Each ratio is reduced and put over the lcm of the reduced
@@ -484,7 +518,7 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Tuple[list, int]:
 ZERO = LaurentSeries(0, (), 1)
 
 
-def _egf_unscaled(ints, den) -> Tuple[list, int]:
+def _egf_unscaled(ints, den) -> tuple[list, int]:
     """Numerators over one denominator of the values ints[k] / (k! * den)."""
     # With F = (L-1)!, ints[k] / (k! den) == ints[k] * (F / k!) / (F den).
     nums = [0] * len(ints)
@@ -495,7 +529,7 @@ def _egf_unscaled(ints, den) -> Tuple[list, int]:
     return nums, ratio * den
 
 
-def _recurrence(rows, nums: Sequence[int] = (1,), den: int = 1) -> Tuple[list, int]:
+def _recurrence(rows, nums: Sequence[int] = (1,), den: int = 1) -> tuple[list, int]:
     """divisor_n r_n = sum_i terms_n[i] r_{n-1-i} for each row (terms_n,
     divisor_n), the sum stopping at r_0, continued from the prefix
     r_i = nums[i] / den (r_0 = 1 by default): numerators over one running
@@ -512,7 +546,7 @@ def _recurrence(rows, nums: Sequence[int] = (1,), den: int = 1) -> Tuple[list, i
     return nums, den
 
 
-def _pascal_recurrence(lead: int, weight: int, shift: int, length: int) -> Tuple[list, int]:
+def _pascal_recurrence(lead: int, weight: int, shift: int, length: int) -> tuple[list, int]:
     """r_0 = 1 and C(n+s, s) lead r_n = -weight sum_{j<n} C(n+s, j) r_j for
     n < ``length`` and s = ``shift`` in {0, 1}: numerators over one running
     denominator, widened the way ``_recurrence`` widens them.
@@ -568,7 +602,7 @@ def _pascal_reciprocal(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
     return LaurentSeries(-shift, nums, den)
 
 
-def _lcm_product(a, da: int, b, db: int, length: int, start: int = 0) -> Tuple[list, int]:
+def _lcm_product(a, da: int, b, db: int, length: int, start: int = 0) -> tuple[list, int]:
     """Coefficients ``start`` to ``length`` - 1 of a*b: numerators over
     da * db."""
     out = []
@@ -580,7 +614,7 @@ def _lcm_product(a, da: int, b, db: int, length: int, start: int = 0) -> Tuple[l
     return out, da * db
 
 
-def _power(unit, unit_den: int, k: int) -> Tuple[list, int]:
+def _power(unit, unit_den: int, k: int) -> tuple[list, int]:
     """u**k for the unit power series u_i = unit[i] / unit_den, k >= 1 or
     k = -1.
 
@@ -610,7 +644,7 @@ def _miller_rows(unit, k: int, start: int, stop: int):
 
 
 def linear_combination(
-    terms: Sequence[LaurentSeries], weights: Sequence[Scalar], *, length: Optional[int] = None
+    terms: Sequence[LaurentSeries], weights: Sequence[Scalar], *, length: int | None = None
 ) -> LaurentSeries:
     """sum(w * s for s, w in zip(terms, weights)) with the add rules, its
     window cut to ``length`` coefficients when given.
@@ -736,7 +770,7 @@ class _Ladder:
     derivative j times alpha**j; the view looks that ladder up in the
     store whenever it reads an entry longer than it holds."""
 
-    def __init__(self, key: tuple, order: int, store: Optional["_Ladders"] = None):
+    def __init__(self, key: tuple, order: int, store: _Ladders | None = None):
         self.key = key
         self._store = store
         self.base = self._built(order)
@@ -758,7 +792,7 @@ class _Ladder:
         """entry as a build at source order ``order`` gives it."""
         return entry.truncated(entry.offset + self.length(order))
 
-    def _kept(self, entry: LaurentSeries, old: Optional[LaurentSeries] = None) -> LaurentSeries:
+    def _kept(self, entry: LaurentSeries, old: LaurentSeries | None = None) -> LaurentSeries:
         """entry, counted in ``bits`` as an entry of this ladder in place
         of ``old``; ``_charge`` charges the store."""
         self.bits += _stored_bits(entry) - (0 if old is None else _stored_bits(old))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import List, Tuple
 
 from .errors import ConsistencyError, DomainError
 
@@ -50,7 +49,7 @@ class StirlingTable:
         if kind not in ("second", "first"):
             raise ValueError(f"kind must be 'second' or 'first', got {kind!r}")
         self.kind = kind
-        self._rows: List[Tuple[int, ...]] = [(1,)]
+        self._rows: list[tuple[int, ...]] = [(1,)]
 
     def value(self, n: int, k: int) -> int:
         if n < 0:
@@ -61,7 +60,7 @@ class StirlingTable:
             self._grow(n)
         return self._rows[n][k]
 
-    def row(self, n: int) -> Tuple[int, ...]:
+    def row(self, n: int) -> tuple[int, ...]:
         """The stored row n, entries k = 0..n, grown to if needed."""
         if n < 0:
             raise DomainError(f"Stirling numbers need n >= 0, got n={n}")

@@ -1,7 +1,11 @@
-"""Every exported name resolves, no export list repeats a name, and the
-package exports exactly its modules' export lists."""
+"""Every exported name resolves, no export list repeats a name, the
+package exports exactly its modules' export lists, and running it imports
+no module that only annotations or class decorators would need."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +48,34 @@ def test_star_import_binds_no_private_helper():
     bound = set(namespace) - {"__builtins__"}
     assert bound == set(stirnum.__all__)
     assert [name for name in bound if name.startswith("_") and name != "__version__"] == []
+
+
+# One command line per handler of cli.main.
+HANDLER_LINES = [
+    ["stirling2", "5", "3"],
+    ["mdet", "3", "4", "2"],
+    ["euler-poly", "4", "--at", "1/3", "--format", "json"],
+    ["two-param-euler", "3", "--alpha", "2", "--lambda", "3", "--format", "csv"],
+    ["series", "dump", "recip-exp-plus-one", "--order", "8"],
+    ["verify", "I1", "--k-max", "2"],
+    ["verify", "reductions", "--k-max", "1"],
+]
+UNNEEDED = ("dataclasses", "inspect", "typing")
+
+
+def test_running_every_handler_imports_no_typing_inspect_or_dataclasses():
+    # -S keeps site and its .pth hooks, which may import typing, out of the
+    # interpreter, so every module loaded is the package's own doing.
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / 'src')!r})\n"
+        "import stirnum\n"
+        "from stirnum import cli\n"
+        f"codes = [cli.main(argv) for argv in {HANDLER_LINES!r}]\n"
+        f"print(codes, sorted(set({UNNEEDED!r}) & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(HANDLER_LINES)} []"

@@ -43,14 +43,15 @@ SERIES_TESTS = "tests/test_series.py"
 SEQUENCES_TESTS = "tests/test_sequences.py"
 IDENTITIES_TESTS = "tests/test_identities.py"
 CLI_TESTS = "tests/test_cli.py"
+VALUES_TESTS = "tests/test_values.py"
 
 # (label, file, exact snippet, replacement, test file expected to kill it)
 MUTANTS = [
     (
         "LaurentSeries construction skips normalization",
         SERIES,
-        "nums, den = _normalized(self.nums, self.den)",
-        "nums, den = (self.nums, self.den)",
+        'raise DomainError("a series needs a nonzero denominator")\n        nums, den = _normalized(nums, den)',
+        'raise DomainError("a series needs a nonzero denominator")\n        nums, den = (nums, den)',
         SERIES_TESTS,
     ),
     (
@@ -284,9 +285,32 @@ MUTANTS = [
         "self._kept(source, entry)",
         SERIES_TESTS,
     ),
+    (
+        "Polynomial.__eq__ compares nums only",
+        SEQUENCES,
+        '__slots__ = ("nums", "den", "_coeffs")',
+        '__slots__ = ("nums", "den", "_coeffs")\n'
+        "    __hash__ = _Value.__hash__\n"
+        "    def __eq__(self, other):\n"
+        "        return self.nums == other.nums if other.__class__ is self.__class__ else NotImplemented",
+        VALUES_TESTS,
+    ),
+    (
+        "LaurentSeries equality and hash leave out offset",
+        SERIES,
+        '__slots__ = ("offset", "nums", "den", "_coeffs")',
+        '__slots__ = ("offset", "nums", "den", "_coeffs")\n'
+        "    def __hash__(self):\n"
+        "        return hash((self.nums, self.den))\n"
+        "    def __eq__(self, other):\n"
+        "        if other.__class__ is not self.__class__:\n"
+        "            return NotImplemented\n"
+        "        return (self.nums, self.den) == (other.nums, other.den)",
+        VALUES_TESTS,
+    ),
 ]
 
-LIBRARY_TESTS = [STIRLING_TESTS, SERIES_TESTS, SEQUENCES_TESTS, IDENTITIES_TESTS, CLI_TESTS]
+LIBRARY_TESTS = [STIRLING_TESTS, SERIES_TESTS, SEQUENCES_TESTS, IDENTITIES_TESTS, CLI_TESTS, VALUES_TESTS]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
 
