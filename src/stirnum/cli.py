@@ -7,6 +7,8 @@ format (plain, json, or csv) and exits with:
     1  domain error: pole, empty series window, or similar
     2  usage or literal-parse error
     3  a verification ran to completion and reported a failure
+    4  two independent routes to one value disagreed (error[consistency]),
+       which signals a bug in the package
 
 Rationals on the command line use the literal form -?digits(/digits)?,
 e.g. 3, -1/2, 7/3.  With option=value syntax (--lambda=-3/2) negative
@@ -42,6 +44,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import (
+    ConsistencyError,
     DomainError,
     PoleError,
     PrecisionExhaustedError,
@@ -390,7 +393,7 @@ def _verify_row(row, fmt: str):
     return line + (" ok" if row.passed else f" FAIL at t^{e}: lhs={lhs} rhs={rhs}")
 
 
-def _error_output(argv, kind: str, message: str) -> CommandOutput:
+def _error_output(argv, kind: str, message: str, exit_code: int = 1) -> CommandOutput:
     record = {
         "command": list(argv),
         "status": "error",
@@ -398,7 +401,7 @@ def _error_output(argv, kind: str, message: str) -> CommandOutput:
         "message": message,
     }
     plain = f"error[{kind}]: {message}"
-    return CommandOutput(record, plain, ["status", "error_kind", "message"], [["error", kind, message]], 1)
+    return CommandOutput(record, plain, ["status", "error_kind", "message"], [["error", kind, message]], exit_code)
 
 
 # -- handlers ----------------------------------------------------------------
@@ -523,6 +526,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = _error_output(argv, "precision", str(exc))
     except ZeroSeriesError as exc:
         out = _error_output(argv, "zero-series", str(exc))
+    except ConsistencyError as exc:
+        out = _error_output(argv, "consistency", str(exc), 4)
     _emit(out, args.format)
     return out.exit_code
 

@@ -31,27 +31,47 @@ One spec table drives all twelve tags.  A row names the left base, the
 left kind (the k-th derivative, compared with a weighted sum of the powers
 of the right base, or the k-th power, compared with a weighted sum of its
 derivatives), the weight of term m, the right base and the additive
-constant.  Every base is 1/(lam e**(alpha t) + c), built by
-``series.recip_exp_linear``: f = (1, 1, -1), g = (-1, -1, 1),
-h = (1, 1, 1) and G = (alpha, lam, -1).  One private verifier builds both
-sides from a row; each public ``verify_*`` function checks its tag or
-converts its parameters and calls it.
+constant.  Every base is 1/(lam e**(alpha t) + c), as (alpha, lam, c)
+f = (1, 1, -1), g = (-1, -1, 1), h = (1, 1, 1) and G = (alpha, lam, -1),
+and a row holds it as its alpha and the key (1, lam, c) of the ladder it
+is read off.  One private verifier builds both sides from a row; each
+public ``verify_*`` function checks its tag or converts its parameters
+and calls it.
 
-The verifier reads both sides off the ladders of their bases, the powers
-and the derivatives of one base series, in the store of bases that
-``series`` describes.  Each side is read at the check's own order: an
-entry is built there when first read and grown in place when a longer
-check reads it, and a check reads a longer entry up to its own end at the
-order, comparing its left side, a stored derivative or a stored power, in
-place.  The weighted sum is combined at the order once, by the first
-check of its (tag, k, order), and stored with its constant in the ladder
-of the right base, so a repeated check reads it there and only compares;
-a check with its own weights (``coeff_override``) neither reads nor
-stores one.  ``run_sweep`` builds each base at the widest order of the
-sweep and holds every ladder it reads until it returns, with the ladder
-at alpha = 1 that each ladder at alpha != 1 reads its entries off, so a
-sweep past the store's bound still builds each ladder once and the G
-grid builds one ladder of kernel work per lambda.
+The verifier reads both sides off the ladders of their bases at alpha =
+1, the powers and the derivatives of one base series, in the store of
+bases that ``series`` describes.  A base at alpha is its base H at
+alpha = 1 dilated, t -> alpha t, and the dilation D_alpha, coefficient e
+times alpha**e, is linear: the j-th derivative of H(alpha t) is
+alpha**j D_alpha H^(j), and its m-th power is D_alpha H**m.  So a check
+with sides at alpha_l and alpha_r compares its left side at alpha = 1,
+H_l^(k) or H_l**k, with a right side whose weights carry the chain rule,
+w / alpha_l**k on the derivative kind and w * alpha_r**j on derivative
+term j of the power kind, and whose sum is dilated once, by
+alpha_r / alpha_l.  That is 1 but on the cross tags I3, I4, I7 and I8,
+which set g = (-1, -1, 1) against f, where it is -1.  The two sides at
+alpha are the two compared ones times alpha_l**j_l and dilated by
+alpha_l, j_l = k on the derivative kind and 0 on the power kind, so they
+agree exactly when the compared ones do; a first discrepancy at exponent
+e is reported times alpha_l**(e + j_l), as the sides at alpha hold it.
+The weights are the spec's at alpha, so a check still proves the spec's
+alpha scaling against the chain rule at every point: G1's folded weights
+are its weights at alpha = 1 only if it scales by alpha**k, and G2's
+only if term m is scaled by alpha**(1-m).
+
+Each side is read at the check's own order: an entry is built there when
+first read and grown in place when a longer check reads it, and a check
+reads a longer entry up to its own end at the order, comparing its left
+side, a stored derivative or a stored power, in place.  The weighted sum
+is combined at the order once, by the first check of its (tag, k, order,
+alpha), and stored with its constant in the ladder of the right base, so
+a repeated check reads it there and only compares; a check with its own
+weights (``coeff_override``) neither reads nor stores one.  The key holds
+alpha because the folded sums of G1, and of G2, are equal at every
+alpha: a key without it would check the weights of one alpha only.
+``run_sweep`` builds each base at the widest order of the sweep and holds
+every ladder it reads until it returns, so a sweep past the store's
+bound still builds each ladder once, and a G grid one ladder per lambda.
 
 ``verify_target`` is the plan of the ``verify`` command: the sweep of
 one tag or all twelve, then the named checks of ``sequences``.  Tags give
@@ -76,7 +96,7 @@ from .sequences import (
     determinant_relation_checks,
     two_param_reduction_sweep,
 )
-from .series import LaurentSeries, _Value, linear_combination
+from .series import LaurentSeries, _dilated, _Value, linear_combination
 from .stirling import a_coeff, b_coeff, lambda_coeff, mu_coeff, stirling1
 
 __all__ = [
@@ -172,9 +192,9 @@ class CheckRow(_Value):
 
 # -- the spec table -----------------------------------------------------------
 
-# Bases as the (alpha, lam, c) of 1/(lam e**(alpha t) + c).  None stands for
-# G, whose (alpha, lam, -1) are the parameters of the check.
-_f, _g, _h = (1, 1, -1), (-1, -1, 1), (1, 1, 1)
+# Bases 1/(lam e**(alpha t) + c) as (alpha, (1, lam, c)).  None stands for G,
+# whose alpha and lam are the parameters of the check.
+_f, _g, _h = (Fraction(1), (1, 1, -1)), (Fraction(-1), (1, -1, 1)), (Fraction(1), (1, 1, 1))
 
 
 def _first_kind_weight(k: int, m: int) -> Fraction:
@@ -262,10 +282,14 @@ def _compare(
     lhs: LaurentSeries,
     rhs: LaurentSeries,
     hi: int,
+    lhs_alpha: Fraction,
+    lhs_j: int,
 ) -> VerificationReport:
     """Compare the two sides on [least offset, hi); ``hi`` is at most
     either side's precision, and below it a side holds the exact values of
-    a build at ``order``."""
+    a build at ``order``.  A discrepancy at e is reported times
+    lhs_alpha**(e + lhs_j), as the sides at the check's alpha hold it
+    (module docstring)."""
     lo = min(lhs.offset, rhs.offset)
     overlap = hi - max(lhs.offset, rhs.offset)
     if hi <= lo or overlap < DEFAULT_MIN_WINDOW:
@@ -274,7 +298,10 @@ def _compare(
             f"coefficients, need {DEFAULT_MIN_WINDOW}; raise the order"
         )
     e = lhs.first_difference(rhs, lo, hi)
-    first_discrepancy = None if e is None else (e, lhs.coeff(e), rhs.coeff(e))
+    first_discrepancy = None
+    if e is not None:
+        scale = lhs_alpha ** (e + lhs_j)
+        first_discrepancy = (e, lhs.coeff(e) * scale, rhs.coeff(e) * scale)
     return VerificationReport(
         identity_id=identity_id,
         k=k,
@@ -308,19 +335,25 @@ def _verify(
     if order is None:
         order = default_order(k)
     lhs_base, kind, _, rhs_base, constant = _SPECS[identity_id]
-    lhs_ladder = series._LADDERS.ladder(lhs_base or (alpha, lam, -1), order)
-    rhs_ladder = series._LADDERS.ladder(rhs_base or (alpha, lam, -1), order)
-    # Each side reads its ladder at this order (see series._Ladder).  The
-    # left side, a stored derivative or a stored Miller power, is compared
-    # in place up to its end at this order.  The weighted sum is combined
-    # from the right ladder's entries at this order once, by the first
-    # check of this (tag, k, order), and stored in that ladder with the
-    # constant added; later checks only compare.  A check with its own
-    # weights neither reads nor stores a sum.  Each side keeps its own
+    if lhs_base is None:
+        lhs_base = rhs_base = (alpha, (1, lam, -1))
+    lhs_alpha, lhs_key = lhs_base
+    rhs_alpha, rhs_key = rhs_base
+    lhs_ladder = series._LADDERS.ladder(lhs_key, order)
+    rhs_ladder = series._LADDERS.ladder(rhs_key, order)
+    # Each side reads its ladder at alpha = 1 and at this order (see
+    # series._Ladder).  The left side, a stored derivative or a stored
+    # Miller power, is compared in place up to its end at this order.  The
+    # weighted sum carries the chain rule (module docstring).  It is
+    # combined from the right ladder's entries at this order once, by the
+    # first check of this (tag, k, order, alpha), and stored in that ladder
+    # with the constant added; later checks only compare.  A check with its
+    # own weights neither reads nor stores a sum.  Each side keeps its own
     # route: a power-kind left side never reads the product chain that a
     # derivative-kind right side sums.
-    lhs = lhs_ladder.derivatives(k + 1, order)[k] if kind == "derivative" else lhs_ladder.power(k, order)
-    key = (identity_id, k, order)
+    lhs_j = k if kind == "derivative" else 0
+    lhs = lhs_ladder.derivatives(k + 1, order)[k] if lhs_j else lhs_ladder.power(k, order)
+    key = (identity_id, k, order, alpha)
     stored = rhs_ladder.sums.get(key) if coeff_override is None else None
     if stored is not None:
         rhs, rhs_hi = stored
@@ -331,8 +364,15 @@ def _verify(
             weights = core_identity_coefficients(identity_id, k)
         else:
             weights = _weights(identity_id, k, alpha)
-        terms = rhs_ladder.powers(k + 1, order) if kind == "derivative" else rhs_ladder.derivatives(k, order)
+        if lhs_j:
+            terms = rhs_ladder.powers(k + 1, order)
+            weights = [w / lhs_alpha**k for w in weights]
+        else:
+            terms = rhs_ladder.derivatives(k, order)
+            weights = [w * rhs_alpha**j for j, w in enumerate(weights)]
         rhs = linear_combination(terms, weights, length=rhs_ladder.length(order))
+        if not rhs.is_zero:
+            rhs = _dilated(rhs, rhs_alpha / lhs_alpha)
         rhs_hi = rhs.precision
         if constant is not None:
             # A nonzero weighted sum is known no further than its base; the
@@ -346,7 +386,7 @@ def _verify(
         if coeff_override is None:
             rhs_ladder.keep_sum(key, rhs, rhs_hi)
     lhs_hi = lhs.offset + lhs_ladder.length(order)
-    return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min(lhs_hi, rhs_hi))
+    return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min(lhs_hi, rhs_hi), lhs_alpha, lhs_j)
 
 
 def verify_core_identity(
@@ -424,20 +464,19 @@ def run_sweep(
     if any(target in GENERAL_IDENTITY_IDS for target in targets):
         alpha_grid = sorted(Fraction(a) for a in (DEFAULT_ALPHAS if alphas is None else alphas))
         lambda_grid = sorted(Fraction(v) for v in (DEFAULT_LAMBDAS if lambdas is None else lambdas))
-        grid = [(alpha, lam, -1) for alpha in alpha_grid for lam in lambda_grid if alpha and lam]
+        grid = [(1, lam, -1) for lam in lambda_grid if lam] if any(alpha_grid) else []
     # Each ladder's base is built at the order of the widest check, which
     # the narrower ones read, and each ladder is held until the sweep
-    # returns; its other entries grow with the checks that read them.  A
-    # ladder at alpha != 1 reads its entries off the ladder at alpha = 1
-    # (series._View), which is held too, and built first.  A point with
-    # alpha or lambda 0 reads none, and orders below 3 read none stored.
+    # returns; its other entries grow with the checks that read them.
+    # Every check reads the ladders at alpha = 1, so the alphas of a grid
+    # share one per lambda.  A point with alpha or lambda 0 reads none, and
+    # orders below 3 read none stored.
     top = default_order(k_max) if order is None else order
     keys = [
         key
         for lhs_base, _, _, rhs_base, _ in map(_SPECS.get, targets)
-        for key in ({lhs_base, rhs_base} if lhs_base else grid)
+        for key in ({lhs_base[1], rhs_base[1]} if lhs_base else grid)
     ]
-    keys = [(1, lam, c) for alpha, lam, c in keys if alpha != 1] + keys
     held = [series._LADDERS.ladder(key, top) for key in keys] if top >= 3 else []
     reports: list[VerificationReport] = []
     for target in targets:

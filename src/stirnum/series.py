@@ -67,45 +67,29 @@ products, as Brent and Harvey compute the Bernoulli and tangent numbers.
 The exit ``_egf_unscaled`` puts the factorial-scaled quotient back over
 one denominator.
 
-One bounded store, ``_LADDERS``, keeps the ladders of the bases: the
-powers and derivatives of 1/(lam e**(alpha t) + c), one per key
-(alpha, lam, c).  A ladder holds two kinds of power: the chain base**1,
+One bounded store, ``_LADDERS``, keeps the ladders of the bases at
+alpha = 1: the powers and derivatives of 1/(lam e**t + c), one per key
+(1, lam, c).  A ladder holds two kinds of power: the chain base**1,
 base**2, ... of products, and single powers base**k, each one pass of
 Miller's recurrence, so that a power-kind identity check and a
 derivative-kind one never read the same kernel's output for their power
 side.  It also holds the right side of each identity check that has read
-it as its right base, keyed on (tag, k, order): the weighted sum at the
-check's order, with its additive constant, so that a repeated check only
-compares.  The store builds the bases it keeps with ``_build_base``, and
-every other caller only reads them.  The identity checks read their
-ladders there, and ``recip_exp_linear`` reads its base at alpha = 1 there
-at every order, keyed on (1, lam, c), so f, h and G at alpha = 1 share
-one entry with the oracles; only at alpha = 0 or lam = 0 does it call
-``_build_base`` itself and store nothing.  At orders 1 and 2 the store
-keeps nothing: a ladder asked for there is built and handed back
-unstored.
+it as its right base, keyed on (tag, k, order, alpha): the weighted sum
+at the check's order, with its additive constant, so that a repeated
+check only compares.  The store builds the bases it keeps with
+``_build_base``, and every other caller only reads them.  The identity
+checks read both their sides there, at alpha = 1, whatever their alpha
+(``identities`` says how the chain rule carries it), and
+``recip_exp_linear`` reads its base at alpha = 1 there at every order,
+so f, h and G share one entry with the oracles; only at alpha = 0 or
+lam = 0 does it call ``_build_base`` itself and store nothing.  At
+orders 1 and 2 the store keeps nothing: a ladder asked for there is
+built and handed back unstored.
 
-From order 3 on, the ladder the store builds for a key with alpha != 1,
-alpha and lam nonzero, is a view (``_View``): it computes none of its
-entries, but reads each off the ladder of (1, lam, c), its source, and
-dilates it.  With H = 1/(lam e**t + c) the base is H(alpha t), so its
-j-th derivative is alpha**j H^(j)(alpha t) and its m-th power H**m at
-alpha t: the view's base, product powers and Miller powers are the
-``_dilated`` source entries, and its derivative j the ``_dilated`` H^(j)
-with alpha**j folded into the first factor, so each entry is normalized
-once.  The rule holds for every alpha != 1, G off alpha = 1 and g =
-(-1, -1, 1) alike.  A source entry is dilated at the full length it
-holds, so a view entry grows only when its source entry grows.  The view
-looks its source up in the store each time it reads an entry longer than
-it holds and keeps no reference to it, so the bound below counts every
-series held; a source the store has dropped is built again there.  So
-the alphas of a G grid share one ladder of kernel work per lambda, and
-only the dilations and the right sides are theirs alone.
-
-Every kernel a ladder runs is online: Miller's recurrence, the product,
-the derivative and the dilation each compute coefficient n from the
-coefficients <= n of their inputs.  At source order N every entry of a
-ladder holds N + offset - 1 coefficients, offset that of the base, and
+Every kernel a ladder runs is online: Miller's recurrence, the product
+and the derivative each compute coefficient n from the coefficients <= n
+of their inputs.  At source order N every entry of a ladder holds
+N + offset - 1 coefficients, offset that of the base, and
 the first that many of a longer entry are those of a build at N; as the
 form is canonical, a read at N gives the (offset, nums, den) of a build
 at N whatever order the entry was built at.  So the entries are the lazy
@@ -130,9 +114,9 @@ stored series is charged at least 8,192 bits, so the store holds at most
 bytes, so the entries take at most 16/15 of their charge: about 4.5 MB
 at worst, keys of literals over 8,192 bits apart.  A ladder the store
 has dropped but a caller still holds, as ``run_sweep`` holds each ladder
-it reads and the source of each view until it returns, is found again
-through a weak index and kept again if it fits, so no sweep builds a
-ladder twice however far it passes the budget.  The store is not locked: use the package from one
+it reads until it returns, is found again through a weak index and kept
+again if it fits, so no sweep builds a ladder twice however far it
+passes the budget.  The store is not locked: use the package from one
 thread at a time.
 """
 
@@ -497,7 +481,7 @@ def _normalized(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
 # split stays because perfbench's traced layers expect to see these calls:
 # on verify-sweep the bases are the only callers of reciprocal, scale and
 # exp_linear, and on sequence-pairs the oracles are the only callers of
-# mul.  Lowering it waits on retargeting those layers (ROADMAP items 6 and 9).
+# mul.  Lowering it waits on retargeting those layers (ROADMAP items 6 and 16).
 _EGF_MIN_LENGTH = 104
 
 
@@ -752,37 +736,30 @@ def _stored_bits(r: LaurentSeries) -> int:
 
 class _Ladder:
     """The ladder of one base 1/(lam e**(alpha t) + c), ``key`` its
-    (alpha, lam, c): powers base**1, base**2, ... as a chain of products,
-    derivatives base, base', ... and single powers base**k by Miller's
-    recurrence.  The base is built at source order ``order`` or longer;
-    each other entry is built when first read, at the order of that read,
-    and grown in place by a longer one (module docstring).  A read at an
-    order returns each entry as it is held, at that order or longer: its
-    coefficients below ``length(order)`` are those of a build at the
-    order, and ``at`` cuts it there.  ``sums`` holds the right side of
-    each identity check that has read this ladder as its right base, keyed
-    on (tag, k, order): the weighted sum at the check's order, constant
-    included, and the end of its compared window.  ``bits`` is the
-    ``_stored_bits`` of its distinct entries, sums included; a ladder
-    built by a store is charged there as it grows.  A store builds the
-    ladder of a key with alpha != 1 from order 3 on as a ``_View``, whose
-    every entry is the same entry of the ladder of (1, lam, c) dilated,
-    derivative j times alpha**j; the view looks that ladder up in the
-    store whenever it reads an entry longer than it holds."""
+    (alpha, lam, c), alpha = 1 in every ladder the package reads: powers
+    base**1, base**2, ... as a chain of products, derivatives base, base',
+    ... and single powers base**k by Miller's recurrence.  The base is
+    built at source order ``order`` or longer; each other entry is built
+    when first read, at the order of that read, and grown in place by a
+    longer one (module docstring).  A read at an order returns each entry
+    as it is held, at that order or longer: its coefficients below
+    ``length(order)`` are those of a build at the order, and ``at`` cuts
+    it there.  ``sums`` holds the right side of each identity check that
+    has read this ladder as its right base, keyed on (tag, k, order,
+    alpha): the weighted sum at the check's order, constant included, and
+    the end of its compared window.  ``bits`` is the ``_stored_bits`` of
+    its distinct entries, sums included; a ladder built by a store is
+    charged there as it grows."""
 
     def __init__(self, key: tuple, order: int, store: _Ladders | None = None):
         self.key = key
         self._store = store
-        self.base = self._built(order)
+        self.base = _build_base(*map(Fraction, key), order)
         self.bits = _stored_bits(self.base)
         self._powers = [self.base]
         self._derivatives = [self.base]
         self._miller = {1: self.base}
         self.sums: dict = {}
-
-    def _built(self, order: int) -> LaurentSeries:
-        """The base as a build at source order ``order`` gives it."""
-        return _build_base(*map(Fraction, self.key), order)
 
     def length(self, order: int) -> int:
         """The coefficients every entry holds at source order ``order``."""
@@ -808,7 +785,7 @@ class _Ladder:
         """Build the base again at ``order`` if a build there is longer."""
         if len(self.base.nums) < self.length(order):
             bits = self.bits
-            base = self._kept(self._built(order), self.base)
+            base = self._kept(_build_base(*map(Fraction, self.key), order), self.base)
             self.base = self._powers[0] = self._derivatives[0] = self._miller[1] = base
             self._charge(bits)
 
@@ -876,52 +853,6 @@ class _Ladder:
         self._charge(bits)
 
 
-class _View(_Ladder):
-    """The ladder of a key (alpha, lam, c) with alpha != 1 that a store
-    builds, its entries dilated from the ladder of (1, lam, c), its source
-    (``_Ladder``)."""
-
-    def __init__(self, key: tuple, order: int, store: "_Ladders"):
-        self.alpha = Fraction(key[0])
-        super().__init__(key, order, store)
-
-    def _source(self, order: int) -> _Ladder:
-        return self._store.ladder((1, *self.key[1:]), order)
-
-    def _built(self, order: int) -> LaurentSeries:
-        return _dilated(self._source(order).base, self.alpha)
-
-    def powers(self, count: int, order: int) -> list:
-        return self._dilate(self._powers, count, order, lambda source: source.powers(count, order), 0)
-
-    def derivatives(self, count: int, order: int) -> list:
-        return self._dilate(self._derivatives, count, order, lambda source: source.derivatives(count, order), 1)
-
-    def _dilate(self, entries: list, count: int, order: int, read, step: int) -> list:
-        """entries[:count], each held shorter than ``order`` needs replaced
-        by the dilation of the source's entry at its full length, entry i
-        times alpha**(step * i)."""
-        length, bits = self.length(order), self.bits
-        stale = [i for i in range(1, count) if i >= len(entries) or len(entries[i].nums) < length]
-        if stale:
-            source = read(self._source(order))
-            for i in stale:
-                old = entries[i] if i < len(entries) else None
-                # at i == len(entries) the slice assignment appends
-                entries[i : i + 1] = [self._kept(_dilated(source[i], self.alpha, step * i), old)]
-        self._charge(bits)
-        return entries[:count]
-
-    def power(self, k: int, order: int) -> LaurentSeries:
-        length, bits = self.length(order), self.bits
-        entry = self._miller.get(k)
-        if entry is None or len(entry.nums) < length:
-            source = self._source(order).power(k, order)
-            entry = self._miller[k] = self._kept(_dilated(source, self.alpha), entry)
-        self._charge(bits)
-        return entry
-
-
 def _grown(entry: LaurentSeries, nums: Sequence[int], den: int) -> LaurentSeries:
     """entry with the values nums[i] / den after its window.  Both parts
     are canonical before they meet, so the lcm of their denominators is
@@ -965,9 +896,7 @@ class _Ladders:
         entry = self._entries.get(key)
         ladder = entry[0] if entry else self._live.get(key)
         if ladder is None:
-            alpha, lam, _ = key
-            kind = _View if alpha != 1 and alpha and lam else _Ladder
-            ladder = self._live[key] = kind(key, order, self)
+            ladder = self._live[key] = _Ladder(key, order, self)
         else:
             ladder.grow(order)
         self.keep(ladder.key, ladder)

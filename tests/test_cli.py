@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stirnum.cli as cli
+import stirnum.sequences as sequences_module
 from stirnum.cli import VERIFY_CSV_HEADER
 from stirnum.identities import (
     VERIFY_OPTIONS,
@@ -700,6 +702,43 @@ class TestErrorsAndUsage:
             assert parse_csv(out) == [
                 ["status", "error_kind", "message"],
                 ["error", "domain", message],
+            ]
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize(
+        "n, name, fault, message",
+        [
+            # the even-index route disagrees with the half-point route
+            ("4", "_euler_even_direct", lambda real: lambda n: Fraction(7), "euler_number(4): half-point route 5 != even-index route 7"),
+            # E_n(1/2) off by 2**-(n+1): a non-integral value at odd n
+            (
+                "3",
+                "euler_polynomial_formula",
+                lambda real: lambda n: types.SimpleNamespace(evaluate=lambda x: real(n).evaluate(x) + Fraction(1, 2 ** (n + 1))),
+                "euler_number(3) came out non-integral: 1/2",
+            ),
+        ],
+    )
+    def test_routes_that_disagree_exit_four(self, capsys, monkeypatch, n, name, fault, message, fmt):
+        # Fault injection at each ConsistencyError of euler_number: the
+        # command prints an error[consistency] record and exits 4.
+        monkeypatch.setattr(sequences_module, name, fault(getattr(sequences_module, name)))
+        argv = ["euler-number", n, "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and err == ""
+        if fmt == "plain":
+            assert out == f"error[consistency]: {message}\n"
+        elif fmt == "json":
+            assert json.loads(out) == {
+                "command": argv,
+                "status": "error",
+                "error_kind": "consistency",
+                "message": message,
+            }
+        else:
+            assert parse_csv(out) == [
+                ["status", "error_kind", "message"],
+                ["error", "consistency", message],
             ]
 
     @pytest.mark.parametrize(

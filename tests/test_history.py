@@ -51,9 +51,9 @@ COMMANDS = [
     f"verify G2 --k-max 4 --alpha=-3/2 {LAMBDA} --format csv",
     f"verify G2 --k-max 6 --alpha 1 {LAMBDA} --format json",
     f"verify G1 --k-max 3 --alpha 2 {LAMBDA} --order 40",
-    # G1/G2 at three alphas over one lambda each: every ladder at alpha != 1
-    # reads its entries off the one at alpha = 1, which G1 reads first and
-    # G2 last, so that each order of the list has both
+    # G1/G2 at four alphas over one lambda each: every check reads the one
+    # ladder at alpha = 1, which G1 reads first at alpha = 1 and G2 last,
+    # so that each order of the list has both
     *[
         f"verify G1 --k-max {k_max} --alpha={alpha} --lambda 5/2"
         for alpha, k_max in (("1", "3"), ("-3/2", "6"), ("1/2", "4 --order 30"), ("2", "5 --format csv"))
@@ -62,6 +62,14 @@ COMMANDS = [
         f"verify G2 --k-max {k_max} --alpha={alpha} --lambda=-3/7"
         for alpha, k_max in (("2", "5"), ("-1", "3 --order 40"), ("5/7", "6 --format json"), ("1", "4"))
     ],
+    # one (k, order) at two alphas of one lambda: each alpha stores its own
+    # right side in the one ladder at alpha = 1, and a cross tag dilates
+    # its sum by alpha_r / alpha_l = -1
+    f"verify G1 --k-max 5 --alpha 2 {LAMBDA} --order 20",
+    f"verify G1 --k-max 5 --alpha=-1/2 {LAMBDA} --order 20",
+    f"verify G2 --k-max 5 --alpha 2 {LAMBDA} --order 20",
+    f"verify G2 --k-max 5 --alpha=-1/2 {LAMBDA} --order 20",
+    "verify I3 --k-max 5 --order 20",
     # stored powers read below the order they were built at, or grown
     # in place when a longer check reads them
     "verify I6 --k-max 20",

@@ -440,22 +440,30 @@ def cold_entry(key, kind, index, order):
     return base**index
 
 
-def cold_sum(key, tag, k, order):
-    """The right side of tag at k that a check at ``order`` stores in the
-    ladder of ``key``, and the end of its compared window, from entries
-    built at that order."""
-    _, kind, _, _, constant = _SPECS[tag]
-    alpha = Fraction(key[0]) if tag in GENERAL_IDENTITY_IDS else None
+def cold_sum(key, tag, k, order, alpha):
+    """The right side of tag at k and alpha that a check at ``order``
+    stores in the ladder of ``key``, at alpha = 1, and the end of its
+    compared window: the right side from entries built at that order on
+    the bases at alpha, its coefficient e over alpha_l**(e + j), alpha_l
+    the left base's alpha and j = k on the derivative kind, 0 on the
+    power kind."""
+    lhs_base, kind, _, rhs_base, constant = _SPECS[tag]
+    point = (alpha, key)
+    (lhs_alpha, _), (rhs_alpha, rhs_key) = lhs_base or point, rhs_base or point
+    assert rhs_key == key
+    base = (rhs_alpha, *key[1:])
     if kind == "derivative":
-        terms = [cold_entry(key, "powers", m, order) for m in range(1, k + 2)]
+        terms = [cold_entry(base, "powers", m, order) for m in range(1, k + 2)]
     else:
-        terms = [cold_entry(key, "derivatives", j, order) for j in range(1, k + 1)]
+        terms = [cold_entry(base, "derivatives", j, order) for j in range(1, k + 1)]
     rhs = linear_combination(terms, _weights(tag, k, alpha))
     hi = rhs.precision
     if constant is not None:
         hi = min(hi, terms[0].precision)
         if hi >= 1:
             rhs = rhs + LaurentSeries.constant(constant(k), hi)
+    if not rhs.is_zero:
+        rhs = series_module._dilated(rhs, 1 / lhs_alpha, k if kind == "derivative" else 0)
     return rhs, hi
 
 
@@ -474,13 +482,13 @@ def assert_cold_ladders(store):
         ]
         for kind, index, entry in entries:
             assert entry == cold_entry(key, kind, index, held_order(ladder, entry)), (key, kind, index)
-        for (tag, k, order), stored in ladder.sums.items():
-            assert stored == cold_sum(key, tag, k, order), (key, tag, k, order)
+        for (tag, k, order, alpha), stored in ladder.sums.items():
+            assert stored == cold_sum(key, tag, k, order, alpha), (key, tag, k, order, alpha)
 
 
 def recorded_builds(monkeypatch):
-    """The list to which every ladder built from now on, views included,
-    appends its (key, order) once built."""
+    """The list to which every ladder built from now on appends its
+    (key, order) once built."""
     built = []
     real = _Ladder.__init__
 
@@ -492,8 +500,9 @@ def recorded_builds(monkeypatch):
     return built
 
 
-# The fixed bases as store keys, (alpha, lam, c) of 1/(lam e**(alpha t) + c).
-F_KEY, G_KEY, H_KEY = (1, 1, -1), (-1, -1, 1), (1, 1, 1)
+# The store keys of the fixed bases, (alpha, lam, c) of 1/(lam e**(alpha t) + c)
+# at alpha = 1: g = 1/(1 - e**(-t)) is read off the ladder of 1/(1 - e**t).
+F_KEY, G_KEY, H_KEY = (1, 1, -1), (1, -1, 1), (1, 1, 1)
 
 
 class TestLadderStore:
@@ -599,7 +608,7 @@ class TestLadderStore:
 
     # Bases recip_exp_linear reads: f, g, h and G on the grid the sweeps
     # below draw, whose keys the checks' ladders share.
-    BASES = [G_KEY, H_KEY] + [
+    BASES = [(-1, -1, 1), H_KEY] + [
         (alpha, lam, -1) for alpha in (Fraction(-3, 2), 1, 2) for lam in (Fraction(-5, 3), Fraction(2, 3), 1)
     ]
 
@@ -659,7 +668,7 @@ class TestLadderStore:
 
     def test_the_least_recently_used_ladder_leaves_first(self):
         # I1 reads only f, G1 at alpha = 1 only 1/(2 e**t - 1) and P1 only
-        # h: none dilates a base, so each keeps one ladder.
+        # h, so each keeps one ladder.
         checks = [
             lambda: verify_core_identity("I1", 3),
             lambda: verify_general_derivative(3, 1, 2),
@@ -675,7 +684,7 @@ class TestLadderStore:
             checks[2]()
         assert list(store._entries) == [F_KEY, H_KEY]
         ladder, _ = store._entries[F_KEY]
-        added = series_module._stored_bits(ladder.sums["I1", 2, default_order(2)][0])
+        added = series_module._stored_bits(ladder.sums["I1", 2, default_order(2), None][0])
         assert store.bits == sizes[0] + added + sizes[2] <= store.budget
 
     def test_a_ladder_that_grows_over_the_budget_is_not_kept(self, cold_store):
@@ -689,25 +698,24 @@ class TestLadderStore:
         assert report == independent_sweep(cold_store, ["I1"], 6, default_order(3), [1], [1])[-1]
 
     def test_a_longer_request_grows_the_ladder(self, store):
-        # A G ladder at alpha != 1 reads its entries off the ladder at
-        # alpha = 1, so a check keeps its own key and that one.  The longer
-        # check keeps both ladders, their entries and the right sides, and
-        # grows what it reads.
+        # A G check at alpha != 1 reads both its sides off the ladder at
+        # alpha = 1 and keeps that one alone, its right side stored there
+        # under its alpha.  The longer check keeps the ladder, its entries
+        # and the right sides, and grows what it reads.
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
-        keys = [(1, lam, -1), (alpha, lam, -1)]
+        key = (1, lam, -1)
         verify_general_derivative(2, alpha, lam)
-        assert list(store._entries) == keys
-        ladders = [store._entries[key][0] for key in keys]
-        assert [base_order(ladder) for ladder in ladders] == [default_order(2)] * 2
-        sums = dict(ladders[1].sums)
+        assert list(store._entries) == [key]
+        ladder, _ = store._entries[key]
+        assert base_order(ladder) == default_order(2)
+        sums = dict(ladder.sums)
+        assert list(sums) == [("G1", 2, default_order(2), alpha)]
         verify_general_derivative(5, alpha, lam)
-        assert list(store._entries) == keys
-        assert [store._entries[key][0] for key in keys] == ladders
-        assert store.bits == sum(ladder.bits for ladder in ladders)
-        assert sums.items() <= ladders[1].sums.items() and ladders[0].sums == {}
-        for ladder in ladders:
-            assert base_order(ladder) == default_order(5)
-            assert [held_order(ladder, entry) for entry in ladder._powers] == [default_order(5)] * 6
+        assert list(store._entries) == [key] and store._entries[key][0] is ladder
+        assert store.bits == ladder.bits
+        assert sums.items() <= ladder.sums.items()
+        assert base_order(ladder) == default_order(5)
+        assert [held_order(ladder, entry) for entry in ladder._powers] == [default_order(5)] * 6
         assert_cold_ladders(store)
 
     def test_a_dilated_check_grows_the_ladder_at_alpha_one(self, store):
@@ -727,37 +735,37 @@ class TestLadderStore:
         # each product the shorter check built is a prefix of the grown one
         for short, grown in zip(powers[1:], kept._powers[1:]):
             assert kept.at(grown, held_order(kept, short)) == short
-        view, _ = store._entries[Fraction(-3, 2), lam, -1]
-        assert type(view) is series_module._View and len(view._powers) == 7
+        # the one ladder holds the right side of each alpha
+        assert list(store._entries) == [key]
+        assert set(kept.sums) == {("G1", 4, default_order(4), 1), ("G1", 6, default_order(6), Fraction(-3, 2))}
         assert_cold_ladders(store)
 
     @pytest.mark.parametrize("budget", [0, 1 << 17])
     @pytest.mark.parametrize(
         "targets, keys",
         [
-            # g = 1/(1 - e**(-t)) is the view at alpha = -1 of 1/(1 - e**t)
-            (["I1", "I8"], [F_KEY, G_KEY, (1, -1, 1)]),
-            (["G1", "G2"], [*itertools.product(ALPHAS, LAMBDAS, [-1]), *itertools.product([1], LAMBDAS, [-1])]),
+            # g = 1/(1 - e**(-t)) is read off the ladder of 1/(1 - e**t)
+            (["I1", "I8"], [F_KEY, G_KEY]),
+            (["G1", "G2"], list(itertools.product([1], LAMBDAS, [-1]))),
         ],
     )
     def test_a_sweep_past_the_budget_builds_each_ladder_once(self, monkeypatch, targets, keys, budget):
-        # The sweep holds what it reads, the ladders at alpha = 1 that the
-        # others read their entries off included, so a store that keeps
-        # nothing or little still gives every check the ladder built at
-        # the widest order, and each key, each (1, lam, c) among them, is
-        # built once.
+        # The sweep holds what it reads, so a store that keeps nothing or
+        # little still gives every check the ladder built at the widest
+        # order, and each key, one (1, lam, c) for all the alphas of a
+        # lambda, is built once.
         built = recorded_builds(monkeypatch)
         monkeypatch.setattr(series_module, "_LADDERS", _Ladders(budget))
         reports = run_sweep(targets, 6, alphas=self.ALPHAS, lambdas=self.LAMBDAS)
         assert all(report.passed for report in reports)
         assert sorted(built) == sorted((key, default_order(6)) for key in keys)
 
-    def test_a_view_whose_source_left_the_store_builds_it_again(self, monkeypatch, cold_store):
-        # A view keeps no reference to its source: once the store drops
-        # the ladder at alpha = 1, the view's next longer read builds it
-        # again through the store, and reads what a cold store reads.
+    def test_a_ladder_that_left_the_store_is_built_again(self, monkeypatch, cold_store):
+        # A check at alpha != 1 keeps no ladder of its own: once the store
+        # drops the ladder at alpha = 1, the next check builds it again
+        # through the store, and reads what a cold store reads.
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
-        key, source_key = (alpha, lam, -1), (1, lam, -1)
+        key = (1, lam, -1)
         sizes = self.charges([lambda: verify_general_derivative(2, alpha, lam), lambda: verify_core_identity("I1", 2)])
         store = _Ladders(sum(sizes) - 1)
         with cold_store():
@@ -765,18 +773,63 @@ class TestLadderStore:
         built = recorded_builds(monkeypatch)
         with mock.patch.object(series_module, "_LADDERS", store):
             verify_general_derivative(2, alpha, lam)
-            assert list(store._entries) == [source_key, key]
-            assert [key for key, _ in built] == [source_key, key]
-            view, _ = store._entries[key]
-            source = weakref.ref(store._entries[source_key][0])
+            assert list(store._entries) == [key] and built == [(key, default_order(2))]
+            ladder = weakref.ref(store._entries[key][0])
             verify_core_identity("I1", 2)
-            assert list(store._entries) == [key, F_KEY] and source() is None
+            assert list(store._entries) == [F_KEY] and ladder() is None
             assert [verify_general_derivative(k, alpha, lam) for k in range(3, 7)] == expected
-        keys = [key for key, _ in built]
-        assert keys.count(key) == 1 and keys.count(source_key) >= 2
-        for kind, entries in [("derivatives", view._derivatives), ("powers", view._powers)]:
-            for index, entry in enumerate(entries, 1):
-                assert entry == cold_entry(key, kind, index, held_order(view, entry)), (kind, index)
+        assert [key for key, _ in built].count(key) >= 2
+        assert_cold_ladders(store)
+
+    @pytest.mark.parametrize(
+        "targets, alphas",
+        [(["G1", "G2"], None), (["I2", "I3", "I4", "I5", "I7", "I8"], None), (["G1", "G2"], [-1, Fraction(1, 3)])],
+    )
+    def test_every_ladder_a_sweep_reads_is_at_alpha_one(self, monkeypatch, store, targets, alphas):
+        # A G grid and the tags on g read the ladders at alpha = 1 alone:
+        # no ladder at alpha != 1 is built, stored or held.
+        built = recorded_builds(monkeypatch)
+        assert all(report.passed for report in run_sweep(targets, 6, None, alphas))
+        assert {key[0] for key in store._entries} == {key[0] for key, _ in built} == {1}
+
+    @pytest.mark.parametrize("tag", ["G1", "G2"])
+    def test_a_wrong_weight_at_one_alpha_fails_after_a_right_one(self, monkeypatch, store, tag):
+        # With the chain rule folded in, the right weights give one right
+        # side for every alpha of a (tag, k, order), so the stored sum is
+        # keyed on alpha too: weights wrong at one alpha only fail there,
+        # even after a right alpha stored its sum first.
+        lam, wrong = Fraction(2, 3), Fraction(-3, 2)
+        real = identities_module._weights
+
+        def weights(identity_id, k, alpha):
+            right = real(identity_id, k, alpha)
+            return [right[0] + 1, *right[1:]] if alpha == wrong else right
+
+        monkeypatch.setattr(identities_module, "_weights", weights)
+        check = verify_general_derivative if tag == "G1" else verify_general_power
+        for k, order in [(2, None), (5, 20)]:
+            assert check(k, 2, lam, order).passed
+            assert not check(k, wrong, lam, order).passed
+            assert check(k, 2, lam, order).passed
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("tag", ["I2", "I3"])
+    def test_a_discrepancy_on_g_reports_the_coefficients_at_alpha(self, store, tag, k):
+        # The left side g^(k) is compared at alpha = 1, as the k-th
+        # derivative of 1/(1 - e**t); at odd k each of its coefficients
+        # there has the other sign.  A failed check still reports those of
+        # g^(k) built directly and of the corrupted weighted sum.
+        order = default_order(k)
+        weights = core_identity_coefficients(tag, k)
+        corrupted = [*weights[:-1], weights[-1] + 1]
+        report = verify_core_identity(tag, k, order, corrupted)
+        g = recip_exp_linear(-1, -1, 1, order)
+        lhs = functools.reduce(lambda s, _: s.derivative(), range(k), g)
+        base = g if tag == "I2" else recip_exp_linear(1, 1, -1, order)
+        rhs = linear_combination([base**m for m in range(1, k + 2)], corrupted)
+        e = lhs.first_difference(rhs, *report.window)
+        assert not report.passed and e is not None
+        assert report.first_discrepancy == (e, lhs.coeff(e), rhs.coeff(e))
 
     def test_oracles_read_the_ladder_of_a_sweep(self, monkeypatch, store, cold_store):
         # The sweep keeps f = 1/(e**t - 1) at order 34 under (1, 1, -1),
@@ -828,7 +881,7 @@ class TestLadderStore:
         # Each power is built at its check's order and grows as the
         # orders rise; every read is a power of a fresh base.
         assert all(report.passed for report in run_sweep([tag], 6, None, alphas, lambdas))
-        key = _SPECS[tag][0] or (alphas[0], lambdas[0], -1)
+        key = (_SPECS[tag][0] or (None, (1, lambdas[0], -1)))[1]
         ladder = store._entries[key][0]
         assert base_order(ladder) == default_order(6) and sorted(ladder._miller) == list(range(1, 7))
         assert [held_order(ladder, ladder._miller[k]) for k in range(2, 7)] == list(map(default_order, range(2, 7)))
@@ -845,14 +898,13 @@ class TestLadderStore:
         monkeypatch.setattr(series_module, "_power", lambda unit, den, k: passes.append(k) or real(unit, den, k))
         assert run_sweep(tags, 12) == first
         assert [k for k in passes if k >= 1] == []
-        # f, g and h each hold base**1 .. base**12 and the right sides read
-        # off them, the ladder of 1/(1 - e**t) that g reads its entries off
-        # holds the powers alone, and every entry held is charged once
-        assert set(store._entries) == {F_KEY, G_KEY, H_KEY, (1, -1, 1)}
-        right = {F_KEY: ["I6", "I7"], G_KEY: ["I5", "I8"], H_KEY: ["P2"], (1, -1, 1): []}
+        # the ladders of f, g and h each hold base**1 .. base**12 and the
+        # right sides read off them, and every entry held is charged once
+        assert set(store._entries) == {F_KEY, G_KEY, H_KEY}
+        right = {F_KEY: ["I6", "I7"], G_KEY: ["I5", "I8"], H_KEY: ["P2"]}
         for key, (ladder, bits) in store._entries.items():
             assert sorted(ladder._miller) == list(range(1, 13))
-            assert set(ladder.sums) == {(tag, k, default_order(k)) for tag in right[key] for k in range(1, 13)}
+            assert set(ladder.sums) == {(tag, k, default_order(k), None) for tag in right[key] for k in range(1, 13)}
             sums = [rhs for rhs, _ in ladder.sums.values()]
             entries = [ladder.base, *ladder._powers, *ladder._derivatives, *ladder._miller.values(), *sums]
             distinct = {id(entry): entry for entry in entries}.values()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from stirnum import sequences
 from stirnum import series as series_module
-from stirnum.errors import DomainError, PoleError, PrecisionExhaustedError
+from stirnum.errors import ConsistencyError, DomainError, PoleError, PrecisionExhaustedError
 from stirnum.sequences import (
     FAMILIES,
     REDUCTION_ALPHAS,
@@ -276,6 +276,26 @@ class TestEulerNumbers:
     def test_domain(self):
         with pytest.raises(DomainError):
             euler_number(-1)
+
+    def test_an_even_index_route_that_disagrees_raises(self, monkeypatch):
+        # Fault injection: the single-sum route of even n is off, so the
+        # two routes disagree and neither value is returned.
+        monkeypatch.setattr(sequences, "_euler_even_direct", lambda n: Fraction(7))
+        with pytest.raises(ConsistencyError, match=r"^euler_number\(4\): half-point route 5 != even-index route 7$"):
+            euler_number(4)
+        assert euler_number(3) == 0
+
+    def test_a_non_integral_value_raises(self, monkeypatch):
+        # Fault injection: E_n(1/2) is off by 2**-(n+1), so at odd n, where
+        # no second route runs, the value comes out non-integral.
+        real = sequences.euler_polynomial_formula
+
+        def shifted(n):
+            return types.SimpleNamespace(evaluate=lambda x: real(n).evaluate(x) + Fraction(1, 2 ** (n + 1)))
+
+        monkeypatch.setattr(sequences, "euler_polynomial_formula", shifted)
+        with pytest.raises(ConsistencyError, match=r"^euler_number\(3\) came out non-integral: 1/2$"):
+            euler_number(3)
 
 
 class TestAlternatingSum:

@@ -903,12 +903,12 @@ class TestBaseStore:
                     for index, entry in entries:
                         assert entry == cold_entry(key, kind, index, held_order(ladder, entry))
 
-    # Views: every alpha but 1, a 300-digit literal among them.
-    VIEW_ALPHAS = [Fraction(-3, 2), -1, Fraction(1, 2), 2, Fraction(5, 7), int("1" + "3" * 299)]
+    # Dilations: every alpha but 1, a 300-digit literal among them.
+    DILATIONS = [Fraction(-3, 2), -1, Fraction(1, 2), 2, Fraction(5, 7), int("1" + "3" * 299)]
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from(VIEW_ALPHAS),
+        st.sampled_from(DILATIONS),
         st.sampled_from(DEFAULT_LAMBDAS),
         st.sampled_from([1, -1]),
         st.lists(
@@ -917,24 +917,26 @@ class TestBaseStore:
             max_size=6,
         ),
     )
-    def test_a_view_entry_is_the_kernel_on_the_built_base(self, alpha, lam, c, reads):
-        # A ladder at alpha != 1 dilates the entries of the ladder at
-        # alpha = 1, each at the length that ladder holds: as read at an
-        # order, each is the kernel (derivative, product or Miller power)
-        # run on the base built at that order and alpha.
+    def test_a_dilated_entry_is_the_kernel_on_the_built_base(self, alpha, lam, c, reads):
+        # An identity check at alpha != 1 reads the ladder at alpha = 1 and
+        # carries alpha by the chain rule: each entry as read at an order,
+        # dilated, derivative j times alpha**j, is the kernel (derivative,
+        # product or Miller power) run on the base built at that order and
+        # alpha.  The store keeps the ladder at alpha = 1 alone.
         store = series_module._Ladders(STORE_BITS)
         key = (alpha, lam, c)
         for order, kind, index in reads:
             with mock.patch.object(series_module, "_LADDERS", store):
-                ladder = store.ladder(key, order)
+                ladder = store.ladder((1, lam, c), order)
                 if kind == "power":
                     entry = ladder.power(index, order)
                 else:
                     entry = getattr(ladder, kind)(index, order)[-1]
-            assert type(ladder) is series_module._View
-            read, expected = ladder.at(entry, order), cold_entry(key, kind, index, order)
+            j = index - 1 if kind == "derivatives" else 0
+            read = series_module._dilated(ladder.at(entry, order), Fraction(alpha), j)
+            expected = cold_entry(key, kind, index, order)
             assert (read.offset, read.nums, read.den) == (expected.offset, expected.nums, expected.den)
-            assert ladder.at(ladder.base, order) == series_module._build_base(*map(Fraction, key), order)
+        assert list(store._entries) == [(1, lam, c)]
 
     def test_the_least_recently_used_entry_leaves_first(self, cold_store):
         bases = [(1, lam, -1) for lam in (1, 2, 3)]

@@ -7,13 +7,15 @@ bordered determinant is checked against plain Gaussian elimination.
 """
 
 import math
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stirnum.errors import DomainError
+from stirnum import stirling as stirling_module
+from stirnum.errors import ConsistencyError, DomainError
 from stirnum.series import LaurentSeries, exp_linear
 from stirnum.stirling import (
     StirlingTable,
@@ -130,6 +132,14 @@ class TestSecondKind:
             stirling2_explicit(3, 0)
         with pytest.raises(DomainError):
             stirling2_explicit(3, 4)
+
+    def test_explicit_sum_off_by_one_term_raises(self, monkeypatch):
+        # Fault injection: C(k, 1) one too large changes the alternating
+        # sum by 1, which k! >= 2 does not divide.
+        fake_math = types.SimpleNamespace(comb=lambda k, l: math.comb(k, l) + (l == 1), factorial=math.factorial)
+        monkeypatch.setattr(stirling_module, "math", fake_math)
+        with pytest.raises(ConsistencyError, match=r"^alternating sum for S\(5,3\) not divisible by 3!$"):
+            stirling2_explicit(5, 3)
 
     def test_exponential_generating_series(self):
         # (e^x - 1)**k / k! carries S(n, k)/n! at x^n, checked for k <= 10

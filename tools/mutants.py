@@ -167,6 +167,13 @@ MUTANTS = [
         SEQUENCES_TESTS,
     ),
     (
+        "euler_number even-index guard turns the cross-check off",
+        SEQUENCES,
+        "if n % 2 == 0:\n        direct = _euler_even_direct(n)",
+        "if n % 2 != 0:\n        direct = _euler_even_direct(n)",
+        SEQUENCES_TESTS,
+    ),
+    (
         "_geometric_stirling_sum Horner step sign",
         SEQUENCES,
         "acc = row[m] * q_power - m * p * acc",
@@ -225,8 +232,36 @@ MUTANTS = [
     (
         "stored right side keyed without its order",
         IDENTITIES,
+        "key = (identity_id, k, order, alpha)",
+        "key = (identity_id, k, alpha)",
+        IDENTITIES_TESTS,
+    ),
+    (
+        "stored right side keyed without its alpha",
+        IDENTITIES,
+        "key = (identity_id, k, order, alpha)",
         "key = (identity_id, k, order)",
-        "key = (identity_id, k)",
+        IDENTITIES_TESTS,
+    ),
+    (
+        "power-kind weight of derivative j times alpha_r**(j+1)",
+        IDENTITIES,
+        "w * rhs_alpha**j for j, w in enumerate(weights)",
+        "w * rhs_alpha ** (j + 1) for j, w in enumerate(weights)",
+        IDENTITIES_TESTS,
+    ),
+    (
+        "derivative-kind weights not divided by alpha_l**k",
+        IDENTITIES,
+        "weights = [w / lhs_alpha**k for w in weights]",
+        "weights = list(weights)",
+        IDENTITIES_TESTS,
+    ),
+    (
+        "discrepancy reported times alpha_l**e, not alpha_l**(e + j)",
+        IDENTITIES,
+        "scale = lhs_alpha ** (e + lhs_j)",
+        "scale = lhs_alpha**e",
         IDENTITIES_TESTS,
     ),
     (
@@ -270,20 +305,6 @@ MUTANTS = [
         "if any(type(value) is list for value in vars(args).values()):",
         "if False:",
         CLI_TESTS,
-    ),
-    (
-        "view derivative j times alpha**(j+1)",
-        SERIES,
-        "_dilated(source[i], self.alpha, step * i)",
-        "_dilated(source[i], self.alpha, step * (i + 1))",
-        SERIES_TESTS,
-    ),
-    (
-        "view Miller power skips the dilation",
-        SERIES,
-        "self._kept(_dilated(source, self.alpha), entry)",
-        "self._kept(source, entry)",
-        SERIES_TESTS,
     ),
     (
         "Polynomial.__eq__ compares nums only",
