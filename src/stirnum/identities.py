@@ -30,45 +30,47 @@ the two sides differ by 2 in the t**0 coefficient for every odd k.
 One spec table drives all twelve tags.  A row names the left base, the
 left kind (the k-th derivative, compared with a weighted sum of the powers
 of the right base, or the k-th power, compared with a weighted sum of its
-derivatives), the weight of term m, the right base and the additive
-constant.  Every base is 1/(lam e**(alpha t) + c), as (alpha, lam, c)
-f = (1, 1, -1), g = (-1, -1, 1), h = (1, 1, 1) and G = (alpha, lam, -1),
-and a row holds it as its alpha and the key (1, lam, c) of the ladder it
-is read off.  One private verifier builds both sides from a row; each
-public ``verify_*`` function checks its tag or converts its parameters
-and calls it.
+derivatives), the weight of term m, the right base, the additive constant
+and, on G1 and G2, the power of alpha on term m as an integer function of
+(k, m): k on G1 and 1 - m on G2.  Every base is 1/(lam e**(alpha t) + c),
+as (alpha, lam, c) f = (1, 1, -1), g = (-1, -1, 1), h = (1, 1, 1) and
+G = (alpha, lam, -1), and a row holds it as its alpha and the key
+(1, lam, c) of the ladder it is read off.  One private verifier builds both sides from
+a row; each public ``verify_*`` function checks its tag or converts its
+parameters and calls it.
 
-The verifier reads both sides off the ladders of their bases at alpha =
-1, the powers and the derivatives of one base series, in the store of
-bases that ``series`` describes.  A base at alpha is its base H at
-alpha = 1 dilated, t -> alpha t, and the dilation D_alpha, coefficient e
-times alpha**e, is linear: the j-th derivative of H(alpha t) is
+The verifier reads both sides off the ladders of their bases at alpha = 1,
+the powers and the derivatives of one base series, in the store of bases
+that ``series`` describes.  A base at alpha is its base H at alpha = 1
+dilated, t -> alpha t, and the dilation D_alpha, coefficient e times
+alpha**e, is linear: the j-th derivative of H(alpha t) is
 alpha**j D_alpha H^(j), and its m-th power is D_alpha H**m.  So a check
-with sides at alpha_l and alpha_r compares its left side at alpha = 1,
-H_l^(k) or H_l**k, with a right side whose weights carry the chain rule,
-w / alpha_l**k on the derivative kind and w * alpha_r**j on derivative
-term j of the power kind, and whose sum is dilated once, by
+with sides at alpha_l and alpha_r compares its left side at alpha = 1, H_l^(k) or
+H_l**k, with a right side whose weights carry the chain rule, alpha_l**-k
+on each term of the derivative kind and alpha_r**(m-1) on term m,
+derivative m - 1, of the power kind, and whose sum is dilated once, by
 alpha_r / alpha_l.  That is 1 but on the cross tags I3, I4, I7 and I8,
 which set g = (-1, -1, 1) against f, where it is -1.  The two sides at
-alpha are the two compared ones times alpha_l**j_l and dilated by
-alpha_l, j_l = k on the derivative kind and 0 on the power kind, so they
-agree exactly when the compared ones do; a first discrepancy at exponent
-e is reported times alpha_l**(e + j_l), as the sides at alpha hold it.
-The weights are the spec's at alpha, so a check still proves the spec's
-alpha scaling against the chain rule at every point: G1's folded weights
-are its weights at alpha = 1 only if it scales by alpha**k, and G2's
-only if term m is scaled by alpha**(1-m).
+alpha are the two compared ones times alpha_l**j_l and dilated by alpha_l,
+j_l = k on the derivative kind and 0 on the power kind, so they agree
+exactly when the compared ones do; a first discrepancy at exponent e is
+reported times alpha_l**(e + j_l), as the sides at alpha hold it.  Both
+sides of a G check are at its alpha, so term m's weight is its weight at
+alpha = 1 times alpha to the spec's power plus the chain rule's, added as
+integers: k - k on G1, (1 - m) + (m - 1) on G2.  Each is 0, so every
+alpha has the sum at alpha = 1 and does no arithmetic on alpha; a wrong
+spec's nonzero power scales the weights at alpha = 1 by alpha to it.
 
 Each side is read at the check's own order: an entry is built there when
 first read and grown in place when a longer check reads it, and a check
 reads a longer entry up to its own end at the order, comparing its left
 side, a stored derivative or a stored power, in place.  The weighted sum
-is combined at the order once, by the first check of its (tag, k, order,
-alpha), and stored with its constant in the ladder of the right base, so
-a repeated check reads it there and only compares; a check with its own
-weights (``coeff_override``) neither reads nor stores one.  The key holds
-alpha because the folded sums of G1, and of G2, are equal at every
-alpha: a key without it would check the weights of one alpha only.
+is combined at the order once, by the first check of its (tag, k, order),
+and stored with its constant in the ladder of the right base, so a
+repeated check reads it there and only compares, and the alphas of a G
+grid share one sum per (tag, k, order, lambda); a check with its own
+weights (``coeff_override``) neither reads nor stores one.  A sum with a
+nonzero power of alpha is keyed on alpha too, so no other alpha reads it.
 ``run_sweep`` builds each base at the widest order of the sweep and holds
 every ladder it reads until it returns, so a sweep past the store's
 bound still builds each ladder once, and a G grid one ladder per lambda.
@@ -202,26 +204,28 @@ def _first_kind_weight(k: int, m: int) -> Fraction:
     return Fraction((-1) ** (m - 1) * stirling1(k, m), math.factorial(k - 1))
 
 
-# id: (lhs base, lhs kind, weight of term m, rhs base, additive constant).
+# id: (lhs base, lhs kind, weight of term m, rhs base, additive constant,
+# power of alpha on term m).
 # Kind "derivative" sets lhs = base^(k) against the powers rhs**1..rhs**(k+1);
 # "power" sets lhs = base**k against the derivatives rhs^(0)..rhs^(k-1).
 # A weight is a function of (k, m), its value at alpha = 1; a constant, of k.
-# A G1 point scales every weight by alpha**k, so G1 reads I1's
+# The power of alpha, an integer function of (k, m), is None on the fixed
+# bases: a G1 point scales every weight by alpha**k, so G1 reads I1's
 # lambda_{k,m}; a G2 point scales term m by alpha**(1-m).  G2 keeps its
 # own s(k, m)/(k-1)!, independent of I6's determinant weights b_{k,m-1}.
 _SPECS: dict[str, tuple] = {
-    "I1": (_f, "derivative", lambda_coeff, _f, None),
-    "I2": (_g, "derivative", mu_coeff, _g, None),
-    "I3": (_g, "derivative", lambda_coeff, _f, None),
-    "I4": (_f, "derivative", mu_coeff, _g, None),
-    "I5": (_g, "power", a_coeff, _g, None),
-    "I6": (_f, "power", b_coeff, _f, None),
-    "I7": (_g, "power", a_coeff, _f, lambda k: 1),
-    "I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k),
-    "P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None),
-    "P2": (_h, "power", lambda k, m: (-1) ** (k - 1) * b_coeff(k, m), _h, None),
-    "G1": (None, "derivative", lambda_coeff, None, None),
-    "G2": (None, "power", _first_kind_weight, None, None),
+    "I1": (_f, "derivative", lambda_coeff, _f, None, None),
+    "I2": (_g, "derivative", mu_coeff, _g, None, None),
+    "I3": (_g, "derivative", lambda_coeff, _f, None, None),
+    "I4": (_f, "derivative", mu_coeff, _g, None, None),
+    "I5": (_g, "power", a_coeff, _g, None, None),
+    "I6": (_f, "power", b_coeff, _f, None, None),
+    "I7": (_g, "power", a_coeff, _f, lambda k: 1, None),
+    "I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k, None),
+    "P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None, None),
+    "P2": (_h, "power", lambda k, m: (-1) ** (k - 1) * b_coeff(k, m), _h, None, None),
+    "G1": (None, "derivative", lambda_coeff, None, None, lambda k, m: k),
+    "G2": (None, "power", _first_kind_weight, None, None, lambda k, m: 1 - m),
 }
 
 # Named check: (options it reads, row field names, sweep).  A sweep takes
@@ -248,19 +252,37 @@ VERIFY_OPTIONS: dict[str, tuple[str, ...]] = {
 @lru_cache(maxsize=len(_SPECS) * 48)
 def _unit_weights(identity_id: str, k: int) -> tuple[Fraction, ...]:
     """The weights of the spec row at alpha = 1, for m = 1 .. (k+1 or k)."""
-    _, kind, weight, _, _ = _SPECS[identity_id]
+    _, kind, weight, *_ = _SPECS[identity_id]
     count = k + 1 if kind == "derivative" else k
     return tuple(Fraction(weight(k, m)) for m in range(1, count + 1))
 
 
 def _weights(identity_id: str, k: int, alpha: Fraction | None) -> list[Fraction]:
+    """The weights of the spec row at alpha: term m of a G row times
+    alpha to the row's power of alpha on it."""
     weights = _unit_weights(identity_id, k)
-    if identity_id == "G1":
-        scale = alpha**k
-        return [w * scale for w in weights]
-    if identity_id == "G2":
-        return [w * alpha ** (1 - m) for m, w in enumerate(weights, 1)]
-    return list(weights)
+    exponent = _SPECS[identity_id][5]
+    if exponent is None:
+        return list(weights)
+    return [w * alpha ** exponent(k, m) for m, w in enumerate(weights, 1)]
+
+
+def _chain_exponent(kind: str, k: int, m: int) -> int:
+    """The power of alpha that the chain rule puts on term m of a check
+    read at alpha = 1: -k on every power of the derivative kind, at the
+    left side's alpha, and m - 1 on derivative m - 1 of the power kind, at
+    the right side's alpha (module docstring)."""
+    return -k if kind == "derivative" else m - 1
+
+
+# Keyed on the row's power function, so a row given another one reads its
+# own entry.  Both G rows at every k up to 48 fit.
+@lru_cache(maxsize=128)
+def _folded_powers(exponent, kind: str, k: int) -> tuple[int, ...]:
+    """The power of alpha on each term of a G check read at alpha = 1:
+    the spec row's plus the chain rule's, for m = 1 .. (k+1 or k)."""
+    count = k + 1 if kind == "derivative" else k
+    return tuple(exponent(k, m) + _chain_exponent(kind, k, m) for m in range(1, count + 1))
 
 
 def core_identity_coefficients(identity_id: str, k: int) -> list[Fraction]:
@@ -334,7 +356,7 @@ def _verify(
         raise DomainError("lambda must be nonzero")
     if order is None:
         order = default_order(k)
-    lhs_base, kind, _, rhs_base, constant = _SPECS[identity_id]
+    lhs_base, kind, _, rhs_base, constant, exponent = _SPECS[identity_id]
     if lhs_base is None:
         lhs_base = rhs_base = (alpha, (1, lam, -1))
     lhs_alpha, lhs_key = lhs_base
@@ -346,14 +368,21 @@ def _verify(
     # Miller power, is compared in place up to its end at this order.  The
     # weighted sum carries the chain rule (module docstring).  It is
     # combined from the right ladder's entries at this order once, by the
-    # first check of this (tag, k, order, alpha), and stored in that ladder
-    # with the constant added; later checks only compare.  A check with its
-    # own weights neither reads nor stores a sum.  Each side keeps its own
-    # route: a power-kind left side never reads the product chain that a
+    # first check of its key, and stored in that ladder with the constant
+    # added; later checks only compare.  A check with its own weights
+    # neither reads nor stores a sum.  Each side keeps its own route: a
+    # power-kind left side never reads the product chain that a
     # derivative-kind right side sums.
     lhs_j = k if kind == "derivative" else 0
     lhs = lhs_ladder.derivatives(k + 1, order)[k] if lhs_j else lhs_ladder.power(k, order)
-    key = (identity_id, k, order, alpha)
+    key = (identity_id, k, order)
+    fold = None
+    if exponent is not None:
+        # Every power is 0 on a correct spec (module docstring), so all
+        # alphas share one sum; a wrong power keys its sum on alpha.
+        fold = _folded_powers(exponent, kind, k)
+        if any(fold):
+            key += (alpha,)
     stored = rhs_ladder.sums.get(key) if coeff_override is None else None
     if stored is not None:
         rhs, rhs_hi = stored
@@ -363,15 +392,17 @@ def _verify(
         elif identity_id in CORE_IDENTITY_IDS:
             weights = core_identity_coefficients(identity_id, k)
         else:
-            weights = _weights(identity_id, k, alpha)
-        if lhs_j:
-            terms = rhs_ladder.powers(k + 1, order)
-            weights = [w / lhs_alpha**k for w in weights]
-        else:
-            terms = rhs_ladder.derivatives(k, order)
-            weights = [w * rhs_alpha**j for j, w in enumerate(weights)]
+            weights = _unit_weights(identity_id, k)
+        if fold is None:
+            # a fixed base: its alpha is 1 or -1
+            side_alpha = lhs_alpha if lhs_j else rhs_alpha
+            if side_alpha != 1:
+                weights = [w * side_alpha ** _chain_exponent(kind, k, m) for m, w in enumerate(weights, 1)]
+        elif any(fold):
+            weights = [w * alpha**e for w, e in zip(weights, fold)]
+        terms = rhs_ladder.powers(k + 1, order) if lhs_j else rhs_ladder.derivatives(k, order)
         rhs = linear_combination(terms, weights, length=rhs_ladder.length(order))
-        if not rhs.is_zero:
+        if rhs_alpha != lhs_alpha and not rhs.is_zero:
             rhs = _dilated(rhs, rhs_alpha / lhs_alpha)
         rhs_hi = rhs.precision
         if constant is not None:
@@ -469,12 +500,13 @@ def run_sweep(
     # the narrower ones read, and each ladder is held until the sweep
     # returns; its other entries grow with the checks that read them.
     # Every check reads the ladders at alpha = 1, so the alphas of a grid
-    # share one per lambda.  A point with alpha or lambda 0 reads none, and
-    # orders below 3 read none stored.
+    # share one per lambda, and one right side per (tag, k, order) in it.
+    # A point with alpha or lambda 0 reads none, and orders below 3 read
+    # none stored.
     top = default_order(k_max) if order is None else order
     keys = [
         key
-        for lhs_base, _, _, rhs_base, _ in map(_SPECS.get, targets)
+        for lhs_base, _, _, rhs_base, *_ in map(_SPECS.get, targets)
         for key in ({lhs_base[1], rhs_base[1]} if lhs_base else grid)
     ]
     held = [series._LADDERS.ladder(key, top) for key in keys] if top >= 3 else []

@@ -48,11 +48,12 @@ exactly the window k - 1 repeated products would give.  The same pass at
 k = -1 is the long division, which ``reciprocal`` runs at every length.
 
 Every reciprocal base of the package is 1/(lam e**(alpha t) + c), and
-``_build_base`` is the one place that builds it.  A constant source,
-alpha = 0 or lam = 0, is the constant lam + c, and the base is its
-reciprocal.  Every other base is its alpha = 1 base dilated,
-t -> alpha t: ``_dilated``, the one place where a nonzero alpha enters,
-multiplies coefficient e by alpha**e (at alpha = 1 it is the base
+``_build_base`` is the one place that builds one: the base at alpha = 1,
+1/(lam e**t + c), from (lam, c).  A constant source, alpha = 0 or
+lam = 0, is the constant lam + c, and the base is its reciprocal, the
+build at lam = 0 and c = lam + c.  Every other base is its alpha = 1 base
+dilated, t -> alpha t: ``_dilated``, the one place where a nonzero alpha
+enters, multiplies coefficient e by alpha**e (at alpha = 1 it is the base
 itself).  Below order ``_EGF_MIN_LENGTH``, and at orders 1 and 2 where
 the valuation can lie outside the window, the base at alpha = 1 is the
 reciprocal of its source series, which raises the window errors.  From
@@ -74,9 +75,11 @@ base**2, ... of products, and single powers base**k, each one pass of
 Miller's recurrence, so that a power-kind identity check and a
 derivative-kind one never read the same kernel's output for their power
 side.  It also holds the right side of each identity check that has read
-it as its right base, keyed on (tag, k, order, alpha): the weighted sum
-at the check's order, with its additive constant, so that a repeated
-check only compares.  The store builds the bases it keeps with
+it as its right base, keyed on (tag, k, order): the weighted sum at the
+check's order, with its additive constant, so that a repeated check only
+compares.  The G checks of every alpha share that sum; a spec whose
+powers of alpha do not cancel the chain rule's keys its sum on alpha too
+(``identities``).  The store builds the bases it keeps with
 ``_build_base``, and every other caller only reads them.  The identity
 checks read both their sides there, at alpha = 1, whatever their alpha
 (``identities`` says how the chain rule carries it), and
@@ -713,17 +716,15 @@ def _dilated(r: LaurentSeries, alpha: Fraction, j: int = 0) -> LaurentSeries:
     return LaurentSeries(r.offset, list(nums), r.den * first.denominator * b**top)
 
 
-def _build_base(alpha: Fraction, lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
-    """1/(lam e**(alpha t) + c) on the window of the reciprocal of its
-    source series of the given order: the one builder of every base, by
-    the rule of the module docstring.  ``_dilated`` is the one place where
-    a nonzero alpha enters."""
-    if not (alpha and lam):
-        return _source_reciprocal(0, lam + c, order)
+def _build_base(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
+    """1/(lam e**t + c) on the window of the reciprocal of its source
+    series of the given order: the one builder of every base at alpha = 1,
+    by the rule of the module docstring.  At lam = 0 the source is the
+    constant c."""
     # Pascal's rule needs order >= 3, whatever the split is set to.
-    if order < 3 or order < _EGF_MIN_LENGTH:
-        return _dilated(_source_reciprocal(lam, c, order), alpha)
-    return _dilated(_pascal_reciprocal(lam, c, order), alpha)
+    if not lam or order < 3 or order < _EGF_MIN_LENGTH:
+        return _source_reciprocal(lam, c, order)
+    return _pascal_reciprocal(lam, c, order)
 
 
 def _stored_bits(r: LaurentSeries) -> int:
@@ -735,26 +736,29 @@ def _stored_bits(r: LaurentSeries) -> int:
 
 
 class _Ladder:
-    """The ladder of one base 1/(lam e**(alpha t) + c), ``key`` its
-    (alpha, lam, c), alpha = 1 in every ladder the package reads: powers
-    base**1, base**2, ... as a chain of products, derivatives base, base',
-    ... and single powers base**k by Miller's recurrence.  The base is
+    """The ladder of one base 1/(lam e**t + c), ``key`` its (1, lam, c);
+    a key at any other alpha raises.  It holds powers base**1, base**2,
+    ... as a chain of products, derivatives base, base', ... and single
+    powers base**k by Miller's recurrence.  The base is
     built at source order ``order`` or longer; each other entry is built
     when first read, at the order of that read, and grown in place by a
     longer one (module docstring).  A read at an order returns each entry
     as it is held, at that order or longer: its coefficients below
     ``length(order)`` are those of a build at the order, and ``at`` cuts
     it there.  ``sums`` holds the right side of each identity check that
-    has read this ladder as its right base, keyed on (tag, k, order,
-    alpha): the weighted sum at the check's order, constant included, and
-    the end of its compared window.  ``bits`` is the ``_stored_bits`` of
+    has read this ladder as its right base, keyed on (tag, k, order), with
+    alpha after them only where the spec's powers of alpha and the chain
+    rule's do not cancel (``identities``): the weighted sum at the check's
+    order, constant included, and the end of its compared window.  ``bits`` is the ``_stored_bits`` of
     its distinct entries, sums included; a ladder built by a store is
     charged there as it grows."""
 
     def __init__(self, key: tuple, order: int, store: _Ladders | None = None):
+        if key[0] != 1:
+            raise DomainError(f"a ladder is kept at alpha = 1, not at alpha = {key[0]}")
         self.key = key
         self._store = store
-        self.base = _build_base(*map(Fraction, key), order)
+        self.base = _build_base(*map(Fraction, key[1:]), order)
         self.bits = _stored_bits(self.base)
         self._powers = [self.base]
         self._derivatives = [self.base]
@@ -785,7 +789,7 @@ class _Ladder:
         """Build the base again at ``order`` if a build there is longer."""
         if len(self.base.nums) < self.length(order):
             bits = self.bits
-            base = self._kept(_build_base(*map(Fraction, self.key), order), self.base)
+            base = self._kept(_build_base(*map(Fraction, self.key[1:]), order), self.base)
             self.base = self._powers[0] = self._derivatives[0] = self._miller[1] = base
             self._charge(bits)
 
@@ -938,6 +942,6 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     """
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
     if not (alpha and lam):
-        return _build_base(alpha, lam, c, order)
+        return _build_base(0, lam + c, order)
     ladder = _LADDERS.ladder((1, lam, c), order)
     return _dilated(ladder.at(ladder.base, order), alpha)

@@ -473,6 +473,24 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of sweeps over G grids, pinned before the alphas of each
+    # (tag, k, order, lambda) shared one stored right side.
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("verify all --k-max 40 --format csv", "ac4a520c6cab4a975d27fed77b177cc9547cfbaa2ef53fe30aa3eb4a8b880379"),
+            (
+                "verify G1 --k-max 12 --alpha=-3/2 --lambda=2/3 --format json",
+                "af8262def2f96d96bc49c28d5d2de94dd1e5263c37b2cf782ac1a8edc43600dd",
+            ),
+            ("verify G2 --k-max 12 --format plain", "af0fb7b156f34e20c903c2c63a609635e4301e37414873769b93eb8ef7490b8b"),
+        ],
+    )
+    def test_g_grid_output_is_pinned(self, capsys, command, digest):
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # sha256 of `verify reductions --k-max 12`, pinned before the closed
     # forms and Polynomial.evaluate moved to integer numerators.
     @pytest.mark.parametrize(

@@ -62,13 +62,17 @@ COMMANDS = [
         f"verify G2 --k-max {k_max} --alpha={alpha} --lambda=-3/7"
         for alpha, k_max in (("2", "5"), ("-1", "3 --order 40"), ("5/7", "6 --format json"), ("1", "4"))
     ],
-    # one (k, order) at two alphas of one lambda: each alpha stores its own
-    # right side in the one ladder at alpha = 1, and a cross tag dilates
-    # its sum by alpha_r / alpha_l = -1
+    # one (k, order) at four alphas of one lambda: every alpha reads the one
+    # right side the first stored in the one ladder at alpha = 1, and a
+    # cross tag dilates its sum by alpha_r / alpha_l = -1
     f"verify G1 --k-max 5 --alpha 2 {LAMBDA} --order 20",
     f"verify G1 --k-max 5 --alpha=-1/2 {LAMBDA} --order 20",
+    f"verify G1 --k-max 5 --alpha 1 {LAMBDA} --order 20",
+    f"verify G1 --k-max 5 --alpha=-1 {LAMBDA} --order 20",
     f"verify G2 --k-max 5 --alpha 2 {LAMBDA} --order 20",
     f"verify G2 --k-max 5 --alpha=-1/2 {LAMBDA} --order 20",
+    f"verify G2 --k-max 5 --alpha 1 {LAMBDA} --order 20",
+    f"verify G2 --k-max 5 --alpha=-1 {LAMBDA} --order 20",
     "verify I3 --k-max 5 --order 20",
     # stored powers read below the order they were built at, or grown
     # in place when a longer check reads them

@@ -18,6 +18,7 @@ from stirnum.errors import DomainError, PrecisionExhaustedError, ZeroSeriesError
 from stirnum.identities import (
     ALL_IDENTITY_IDS,
     CORE_IDENTITY_IDS,
+    DEFAULT_LAMBDAS,
     DEFAULT_MIN_WINDOW,
     GENERAL_IDENTITY_IDS,
     PLUS_IDENTITY_IDS,
@@ -129,8 +130,8 @@ class TestCoreIdentities:
             f = recip_exp_linear(1, 1, -1, order)
             g = recip_exp_linear(-1, -1, 1, order)
             lhs = f**k
-            ladder = _Ladder((-1, -1, 1), order).derivatives(k, order)
-            rhs_printed = linear_combination(ladder, weights) + LaurentSeries.one(
+            derivatives = itertools.accumulate(range(k - 1), lambda s, _: s.derivative(), initial=g)
+            rhs_printed = linear_combination(list(derivatives), weights) + LaurentSeries.one(
                 order - 1
             )
             # the printed variant misses lhs by the constant 2 at t^0
@@ -431,8 +432,10 @@ def held_order(ladder, entry):
 def cold_entry(key, kind, index, order):
     """What a ladder of ``key`` reads at ``order`` when built there: the
     last of ``derivatives(index)``, base^(index-1); the last of
-    ``powers(index)``, the product of index bases; or ``power(index)``."""
-    base = series_module._build_base(*map(Fraction, key), order)
+    ``powers(index)``, the product of index bases; or ``power(index)``.
+    A key at alpha != 1 reads the base built at alpha = 1 and dilated."""
+    alpha, *source = map(Fraction, key)
+    base = series_module._dilated(series_module._build_base(*source, order), alpha)
     if kind == "derivatives":
         return functools.reduce(lambda s, _: s.derivative(), range(index - 1), base)
     if kind == "powers":
@@ -440,14 +443,14 @@ def cold_entry(key, kind, index, order):
     return base**index
 
 
-def cold_sum(key, tag, k, order, alpha):
+def cold_sum(key, tag, k, order, alpha=Fraction(1)):
     """The right side of tag at k and alpha that a check at ``order``
     stores in the ladder of ``key``, at alpha = 1, and the end of its
     compared window: the right side from entries built at that order on
     the bases at alpha, its coefficient e over alpha_l**(e + j), alpha_l
     the left base's alpha and j = k on the derivative kind, 0 on the
-    power kind."""
-    lhs_base, kind, _, rhs_base, constant = _SPECS[tag]
+    power kind.  A G sum stored without its alpha is the one at alpha = 1."""
+    lhs_base, kind, _, rhs_base, constant, _ = _SPECS[tag]
     point = (alpha, key)
     (lhs_alpha, _), (rhs_alpha, rhs_key) = lhs_base or point, rhs_base or point
     assert rhs_key == key
@@ -482,8 +485,8 @@ def assert_cold_ladders(store):
         ]
         for kind, index, entry in entries:
             assert entry == cold_entry(key, kind, index, held_order(ladder, entry)), (key, kind, index)
-        for (tag, k, order, alpha), stored in ladder.sums.items():
-            assert stored == cold_sum(key, tag, k, order, alpha), (key, tag, k, order, alpha)
+        for (tag, k, order, *alpha), stored in ladder.sums.items():
+            assert stored == cold_sum(key, tag, k, order, *alpha), (key, tag, k, order, *alpha)
 
 
 def recorded_builds(monkeypatch):
@@ -498,6 +501,20 @@ def recorded_builds(monkeypatch):
 
     monkeypatch.setattr(_Ladder, "__init__", spy)
     return built
+
+
+def recorded_combinations(monkeypatch):
+    """The list to which every weighted sum a check combines from now on
+    appends its arguments."""
+    combined = []
+    real = identities_module.linear_combination
+
+    def spy(*args, **kwargs):
+        combined.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identities_module, "linear_combination", spy)
+    return combined
 
 
 # The store keys of the fixed bases, (alpha, lam, c) of 1/(lam e**(alpha t) + c)
@@ -684,7 +701,7 @@ class TestLadderStore:
             checks[2]()
         assert list(store._entries) == [F_KEY, H_KEY]
         ladder, _ = store._entries[F_KEY]
-        added = series_module._stored_bits(ladder.sums["I1", 2, default_order(2), None][0])
+        added = series_module._stored_bits(ladder.sums["I1", 2, default_order(2)][0])
         assert store.bits == sizes[0] + added + sizes[2] <= store.budget
 
     def test_a_ladder_that_grows_over_the_budget_is_not_kept(self, cold_store):
@@ -700,7 +717,7 @@ class TestLadderStore:
     def test_a_longer_request_grows_the_ladder(self, store):
         # A G check at alpha != 1 reads both its sides off the ladder at
         # alpha = 1 and keeps that one alone, its right side stored there
-        # under its alpha.  The longer check keeps the ladder, its entries
+        # without its alpha.  The longer check keeps the ladder, its entries
         # and the right sides, and grows what it reads.
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
         key = (1, lam, -1)
@@ -709,7 +726,7 @@ class TestLadderStore:
         ladder, _ = store._entries[key]
         assert base_order(ladder) == default_order(2)
         sums = dict(ladder.sums)
-        assert list(sums) == [("G1", 2, default_order(2), alpha)]
+        assert list(sums) == [("G1", 2, default_order(2))]
         verify_general_derivative(5, alpha, lam)
         assert list(store._entries) == [key] and store._entries[key][0] is ladder
         assert store.bits == ladder.bits
@@ -735,9 +752,9 @@ class TestLadderStore:
         # each product the shorter check built is a prefix of the grown one
         for short, grown in zip(powers[1:], kept._powers[1:]):
             assert kept.at(grown, held_order(kept, short)) == short
-        # the one ladder holds the right side of each alpha
+        # the one ladder holds one right side per (tag, k, order), for every alpha
         assert list(store._entries) == [key]
-        assert set(kept.sums) == {("G1", 4, default_order(4), 1), ("G1", 6, default_order(6), Fraction(-3, 2))}
+        assert set(kept.sums) == {("G1", 4, default_order(4)), ("G1", 6, default_order(6))}
         assert_cold_ladders(store)
 
     @pytest.mark.parametrize("budget", [0, 1 << 17])
@@ -792,25 +809,68 @@ class TestLadderStore:
         assert all(report.passed for report in run_sweep(targets, 6, None, alphas))
         assert {key[0] for key in store._entries} == {key[0] for key, _ in built} == {1}
 
+    def test_a_g_grid_combines_one_sum_per_lambda(self, monkeypatch, store):
+        # A correct spec's powers of alpha cancel the chain rule's, so the
+        # five alphas of a (tag, k, order, lambda) share one right side:
+        # the default 5 x 5 grid combines one sum per (tag, k, lambda).
+        combined = recorded_combinations(monkeypatch)
+        reports = run_sweep(["G1", "G2"], 6)
+        assert len(reports) == 2 * 6 * 25 and all(report.passed for report in reports)
+        assert len(combined) == 2 * 6 * 5
+        assert set(store._entries) == {(1, lam, -1) for lam in DEFAULT_LAMBDAS}
+        for ladder, _ in store._entries.values():
+            assert set(ladder.sums) == {(tag, k, default_order(k)) for tag in ("G1", "G2") for k in range(1, 7)}
+        assert_cold_ladders(store)
+
+    @pytest.mark.parametrize("check", [verify_general_derivative, verify_general_power])
+    def test_a_new_alpha_on_a_stored_sum_combines_nothing(self, monkeypatch, store, check):
+        lam = Fraction(2, 3)
+        points = [(3, None), (5, 20)]
+        for k, order in points:
+            assert check(k, 1, lam, order).passed
+        combined = recorded_combinations(monkeypatch)
+        for alpha in (Fraction(-3, 2), -1, Fraction(1, 2), 2):
+            for k, order in points:
+                assert check(k, alpha, lam, order).passed
+        assert combined == []
+
     @pytest.mark.parametrize("tag", ["G1", "G2"])
-    def test_a_wrong_weight_at_one_alpha_fails_after_a_right_one(self, monkeypatch, store, tag):
-        # With the chain rule folded in, the right weights give one right
-        # side for every alpha of a (tag, k, order), so the stored sum is
-        # keyed on alpha too: weights wrong at one alpha only fail there,
-        # even after a right alpha stored its sum first.
-        lam, wrong = Fraction(2, 3), Fraction(-3, 2)
-        real = identities_module._weights
+    def test_a_correct_g_check_does_no_arithmetic_on_alpha(self, store, tag):
+        # Every power of alpha on a correct spec adds to 0 as an integer,
+        # so a check that combines its sum still never computes with alpha.
+        class Inert(Fraction):
+            def refuse(self, *args):
+                raise AssertionError("arithmetic on alpha")
 
-        def weights(identity_id, k, alpha):
-            right = real(identity_id, k, alpha)
-            return [right[0] + 1, *right[1:]] if alpha == wrong else right
+            __add__ = __radd__ = __sub__ = __rsub__ = __neg__ = refuse
+            __mul__ = __rmul__ = __truediv__ = __rtruediv__ = __pow__ = __rpow__ = refuse
 
-        monkeypatch.setattr(identities_module, "_weights", weights)
+        for k in range(1, 7):
+            assert identities_module._verify(tag, k, Inert(-3, 2), Fraction(2, 3), None, None).passed
+
+    # A power of alpha one off on every term: k + 1 on G1, -m on G2.
+    WRONG_POWERS = {"G1": lambda k, m: k + 1, "G2": lambda k, m: -m}
+
+    @pytest.mark.parametrize("first", ["correct", "wrong"])
+    @pytest.mark.parametrize("tag", ["G1", "G2"])
+    def test_a_wrong_power_of_alpha_fails_at_every_alpha_it_shows_at(self, monkeypatch, store, tag, first):
+        # A wrong power keys its sum on alpha, so it fails at every alpha
+        # whose power of it is not 1: after a correct check stored the
+        # shared sum, and after the wrong check stored its own at alpha = 1.
+        lam = Fraction(2, 3)
         check = verify_general_derivative if tag == "G1" else verify_general_power
+        right = _SPECS[tag]
+        wrong = (*right[:5], self.WRONG_POWERS[tag])
         for k, order in [(2, None), (5, 20)]:
-            assert check(k, 2, lam, order).passed
-            assert not check(k, wrong, lam, order).passed
-            assert check(k, 2, lam, order).passed
+            if first == "correct":
+                assert check(k, 2, lam, order).passed
+            monkeypatch.setitem(_SPECS, tag, wrong)
+            for alpha in (1, 2, Fraction(-3, 2), -1, Fraction(1, 2)):
+                assert check(k, alpha, lam, order).passed == (alpha == 1), alpha
+            assert_cold_ladders(store)
+            monkeypatch.setitem(_SPECS, tag, right)
+            for alpha in (2, 1, Fraction(-3, 2)):
+                assert check(k, alpha, lam, order).passed, alpha
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     @pytest.mark.parametrize("tag", ["I2", "I3"])
@@ -887,7 +947,7 @@ class TestLadderStore:
         assert [held_order(ladder, ladder._miller[k]) for k in range(2, 7)] == list(map(default_order, range(2, 7)))
         for order in range(3, default_order(6) + 1):
             for k in range(1, 7):
-                fresh = series_module._build_base(*map(Fraction, key), order) ** k
+                fresh = series_module._build_base(*map(Fraction, key[1:]), order) ** k
                 assert ladder.at(ladder.power(k, order), order) == fresh, (order, k)
 
     def test_a_second_power_sweep_runs_no_miller_pass(self, monkeypatch, store):
@@ -904,7 +964,7 @@ class TestLadderStore:
         right = {F_KEY: ["I6", "I7"], G_KEY: ["I5", "I8"], H_KEY: ["P2"]}
         for key, (ladder, bits) in store._entries.items():
             assert sorted(ladder._miller) == list(range(1, 13))
-            assert set(ladder.sums) == {(tag, k, default_order(k), None) for tag in right[key] for k in range(1, 13)}
+            assert set(ladder.sums) == {(tag, k, default_order(k)) for tag in right[key] for k in range(1, 13)}
             sums = [rhs for rhs, _ in ladder.sums.values()]
             entries = [ladder.base, *ladder._powers, *ladder._derivatives, *ladder._miller.values(), *sums]
             distinct = {id(entry): entry for entry in entries}.values()
@@ -915,14 +975,7 @@ class TestLadderStore:
         # Every check of the first sweep stores its right side in its
         # ladder, so the same sweep again combines no weighted sum.
         first = run_sweep(ALL_IDENTITY_IDS, 6, None, self.ALPHAS, self.LAMBDAS)
-        combined = []
-        real = identities_module.linear_combination
-
-        def spy(*args, **kwargs):
-            combined.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(identities_module, "linear_combination", spy)
+        combined = recorded_combinations(monkeypatch)
         assert run_sweep(ALL_IDENTITY_IDS, 6, None, self.ALPHAS, self.LAMBDAS) == first
         assert combined == []
 

@@ -774,8 +774,10 @@ def held_entries(ladder):
 def cold_entry(key, kind, index, order):
     """What a ladder of ``key`` reads at ``order`` when built there: the
     last of ``derivatives(index)``, base^(index-1); the last of
-    ``powers(index)``, the product of index bases; or ``power(index)``."""
-    base = series_module._build_base(*map(Fraction, key), order)
+    ``powers(index)``, the product of index bases; or ``power(index)``.
+    A key at alpha != 1 reads the base built at alpha = 1 and dilated."""
+    alpha, *source = map(Fraction, key)
+    base = series_module._dilated(series_module._build_base(*source, order), alpha)
     if kind == "derivatives":
         return functools.reduce(lambda s, _: s.derivative(), range(index - 1), base)
     if kind == "powers":
@@ -854,9 +856,9 @@ class TestBaseStore:
         ladder, bits = store._entries[1, base[1], base[2]]
         assert base_order(ladder) == order and store.bits == bits == ladder.bits
 
-    # Keys whose ladders the entry reads below grow: f, g, h, two G points
-    # (lambda = 1 among them) and a dilated base with c = 1.
-    GROWN = [(1, 1, -1), (-1, -1, 1), (1, 1, 1), (Fraction(-3, 2), Fraction(2, 3), -1), (2, 1, -1), (Fraction(1, 2), 3, 1)]
+    # Keys whose ladders the entry reads below grow, every ladder at
+    # alpha = 1: f, the ladder g reads, h, a G point and a base with c = 1.
+    GROWN = [(1, 1, -1), (1, -1, 1), (1, 1, 1), (1, Fraction(2, 3), -1), (1, 3, 1)]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -959,6 +961,14 @@ class TestBaseStore:
             assert recip_exp_linear(1, 1, 1, 90) == fresh_build(cold_store, 1, 1, 1, 90)
         assert store._entries == {} and store.bits == 0
 
+    @pytest.mark.parametrize("alpha", [Fraction(-3, 2), -1, 0, 2], ids=str)
+    def test_a_ladder_at_another_alpha_raises(self, store, alpha):
+        # Every ladder is kept at alpha = 1; a base at alpha is its dilation.
+        for order in (2, 12):
+            with pytest.raises(DomainError, match="^a ladder is kept at alpha = 1"):
+                store.ladder((alpha, Fraction(2, 3), -1), order)
+        assert store._entries == {} and store.bits == 0
+
     def test_every_stored_series_is_charged_at_least_8192_bits(self):
         # The documented bound: at most budget // 8192 series are held.
         store = series_module._Ladders(1 << 17)
@@ -971,11 +981,13 @@ class TestBaseStore:
     @pytest.mark.parametrize("lam", DEFAULT_LAMBDAS, ids=str)
     @pytest.mark.parametrize("alpha", [Fraction(-3, 2), Fraction(-1), Fraction(1, 2), 2], ids=str)
     def test_the_store_builds_the_base_recip_exp_linear_gives(self, cold_store, alpha, lam):
-        # The store builds a dilated key's base itself: the source's
-        # reciprocal at alpha = 1 below the split, the unit written down
-        # from it on.  Orders 103 to 106 take both routes.
+        # The store builds the base at alpha = 1, the source's reciprocal
+        # below the split and the unit written down from it on, and the
+        # dilation of that build is the base at alpha.  Orders 103 to 106
+        # take both routes.
         def store_build(alpha, lam, c, order):
-            return series_module._LADDERS.ladder((alpha, lam, c), order).base
+            base = series_module._LADDERS.ladder((1, lam, c), order).base
+            return series_module._dilated(base, Fraction(alpha))
 
         key = (alpha, lam, -1)
         for order in (1, 2):

@@ -104,13 +104,6 @@ MUTANTS = [
         STIRLING_TESTS,
     ),
     (
-        "_build_base below-split dilation",
-        SERIES,
-        "return _dilated(_source_reciprocal(lam, c, order), alpha)",
-        "return _source_reciprocal(lam, c, order)",
-        IDENTITIES_TESTS,
-    ),
-    (
         "chain growth starts one coefficient late",
         SERIES,
         "base.nums, base.den, reach, len(entry.nums))",
@@ -204,57 +197,50 @@ MUTANTS = [
     (
         "I8 constant (-1)**k",
         IDENTITIES,
-        '"I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k),',
-        '"I8": (_f, "power", b_coeff, _g, lambda k: 1),',
+        '"I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k, None),',
+        '"I8": (_f, "power", b_coeff, _g, lambda k: 1, None),',
         IDENTITIES_TESTS,
     ),
     (
         "P1 weight (-1)**(m - 1)",
         IDENTITIES,
-        '"P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None),',
-        '"P1": (_h, "derivative", lambda k, m: (-1) ** m * lambda_coeff(k, m), _h, None),',
+        '"P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None, None),',
+        '"P1": (_h, "derivative", lambda k, m: (-1) ** m * lambda_coeff(k, m), _h, None, None),',
         IDENTITIES_TESTS,
     ),
     (
-        "G1 factor alpha**k",
+        "G1 power of alpha k, not k + 1",
         IDENTITIES,
-        "scale = alpha**k",
-        "scale = alpha ** (k + 1)",
+        '"G1": (None, "derivative", lambda_coeff, None, None, lambda k, m: k),',
+        '"G1": (None, "derivative", lambda_coeff, None, None, lambda k, m: k + 1),',
         IDENTITIES_TESTS,
     ),
     (
-        "G2 factor alpha**(1 - m)",
+        "G2 power of alpha 1 - m, not -m",
         IDENTITIES,
-        "w * alpha ** (1 - m)",
-        "w * alpha ** (m - 1)",
+        '"G2": (None, "power", _first_kind_weight, None, None, lambda k, m: 1 - m),',
+        '"G2": (None, "power", _first_kind_weight, None, None, lambda k, m: -m),',
+        IDENTITIES_TESTS,
+    ),
+    (
+        "power-kind chain-rule power m - 1, not m",
+        IDENTITIES,
+        'return -k if kind == "derivative" else m - 1',
+        'return -k if kind == "derivative" else m',
         IDENTITIES_TESTS,
     ),
     (
         "stored right side keyed without its order",
         IDENTITIES,
-        "key = (identity_id, k, order, alpha)",
-        "key = (identity_id, k, alpha)",
-        IDENTITIES_TESTS,
-    ),
-    (
-        "stored right side keyed without its alpha",
-        IDENTITIES,
-        "key = (identity_id, k, order, alpha)",
         "key = (identity_id, k, order)",
+        "key = (identity_id, k)",
         IDENTITIES_TESTS,
     ),
     (
-        "power-kind weight of derivative j times alpha_r**(j+1)",
+        "a nonzero power of alpha reads the shared sum",
         IDENTITIES,
-        "w * rhs_alpha**j for j, w in enumerate(weights)",
-        "w * rhs_alpha ** (j + 1) for j, w in enumerate(weights)",
-        IDENTITIES_TESTS,
-    ),
-    (
-        "derivative-kind weights not divided by alpha_l**k",
-        IDENTITIES,
-        "weights = [w / lhs_alpha**k for w in weights]",
-        "weights = list(weights)",
+        "            key += (alpha,)",
+        "            pass",
         IDENTITIES_TESTS,
     ),
     (
