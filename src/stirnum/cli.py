@@ -1,7 +1,11 @@
 """Command-line interface.
 
-Every invocation writes one output record to stdout in the requested
-format (plain, json, or csv) and exits with:
+Every invocation builds one output record in the requested format
+(plain, json, or csv) alone and writes it to stdout in one write.  A CSV
+table is its cells joined by commas, unless a cell holds a comma, a double
+quote, a carriage return or a line feed, or a row is one empty cell; then
+``csv.writer`` writes it with the running interpreter's own quoting (3.13
+quotes a carriage return, 3.10-3.12 do not).  Each call exits with:
 
     0  success
     1  domain error: pole, empty series window, or similar
@@ -41,6 +45,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import (
@@ -54,7 +59,7 @@ from .errors import (
 from .identities import VERIFY_OPTIONS, CheckRow, verify_target
 from .rationals import format_rational, parse_rational
 from .sequences import FAMILIES, Polynomial, apostol_bernoulli_series, sequence_value
-from .series import LaurentSeries, recip_exp_linear
+from .series import recip_exp_linear
 from .stirling import m_determinant, stirling1, stirling2
 
 __all__ = ["VERIFY_CSV_HEADER", "build_parser", "main"]
@@ -106,27 +111,6 @@ def _rational(text: str) -> Fraction:
         return parse_rational(text)
     except RationalParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-class CommandOutput:
-    """What one command prints: its JSON record, plain text and CSV table,
-    and the exit code."""
-
-    __slots__ = ("record", "plain", "csv_header", "csv_rows", "exit_code")
-
-    def __init__(
-        self,
-        record: dict,
-        plain: str,
-        csv_header: Sequence[str],
-        csv_rows: Sequence[Sequence[str]],
-        exit_code: int = 0,
-    ):
-        self.record = record
-        self.plain = plain
-        self.csv_header = csv_header
-        self.csv_rows = csv_rows
-        self.exit_code = exit_code
 
 
 # What the direct parse reads of one command: its positional actions in
@@ -256,7 +240,9 @@ def _parse_direct(spec: _Spec, argv: Sequence[str]) -> argparse.Namespace | None
         given[action] = text
     if not spec.required.issubset(given):
         return None
-    values = dict(spec.defaults, command=argv[0])
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(spec.defaults, command=argv[0])
     # argparse's own conversion: the type, whose TypeError, ValueError or
     # ArgumentTypeError is a usage error, then the choices.
     try:
@@ -267,7 +253,7 @@ def _parse_direct(spec: _Spec, argv: Sequence[str]) -> argparse.Namespace | None
             values[action.dest] = value
     except (TypeError, ValueError, argparse.ArgumentTypeError):
         return None
-    return argparse.Namespace(**values)
+    return args
 
 
 def _post_validate(args: argparse.Namespace) -> None:
@@ -314,47 +300,37 @@ def _json_value(value):
     return format_rational(value) if type(value) is Fraction else value
 
 
-def _ok_output(
-    argv, params, result, plain, csv_header, csv_rows, notes=(), exit_code=0
-) -> CommandOutput:
-    """The success record of every command; notes follow the result."""
-    record = {
-        "command": list(argv),
-        "parameters": {name: _json_value(v) for name, v in params.items()},
-        "result": result,
-        "status": "ok",
-    }
-    if notes:
-        record["notes"] = list(notes)
-        plain += "".join(f"\nnote: {note}" for note in notes)
-    return CommandOutput(record, plain, csv_header, csv_rows, exit_code)
+def _ok_output(fmt, argv, params, result, notes=(), exit_code=0) -> tuple[str, int]:
+    """A command's success text in the format fmt, and its exit code;
+    result is the JSON result, the CSV header and rows, or the plain text
+    that the notes follow."""
+    if fmt == "json":
+        params = {name: _json_value(v) for name, v in params.items()}
+        record = {"command": list(argv), "parameters": params, "result": result, "status": "ok"}
+        if notes:
+            record["notes"] = list(notes)
+        return _json_text(record) + "\n", exit_code
+    if fmt == "csv":
+        return _csv_text(*result), exit_code
+    return result + "".join(f"\nnote: {note}" for note in notes) + "\n", exit_code
 
 
-def _value_output(argv, params, value, notes=()) -> CommandOutput:
+def _value_output(fmt, argv, params, value, notes=()) -> tuple[str, int]:
     """A rational, or a polynomial as its coefficient table."""
     if isinstance(value, Polynomial):
         texts = [format_rational(c) for c in value.coeffs]
-        powers = ["", "*x", *(f"*x^{i}" for i in range(2, len(texts)))]
-        plain = " + ".join(text + power for text, power in zip(texts, powers)) or "0"
-        rows = [[str(i), text] for i, text in enumerate(texts)]
-        return _ok_output(
-            argv, params, {"coefficients": texts}, plain, ["degree", "coefficient"], rows, notes
-        )
-    text = format_rational(value)
-    row = [_cell(v) for v in params.values()] + [text]
-    return _ok_output(argv, params, text, text, [*params, "result"], [row], notes)
-
-
-def _series_output(argv, params, series: LaurentSeries) -> CommandOutput:
-    pairs = [(e, format_rational(c)) for e, c in series.coefficients()]
-    result = {
-        "offset": series.offset,
-        "precision": series.precision,
-        "coefficients": [[e, text] for e, text in pairs],
-    }
-    plain = "\n".join(f"t^{e}: {text}" for e, text in pairs)
-    rows = [[str(e), text] for e, text in pairs]
-    return _ok_output(argv, params, result, plain, ["exponent", "coefficient"], rows)
+        if fmt == "json":
+            result = {"coefficients": texts}
+        elif fmt == "csv":
+            result = (("degree", "coefficient"), [[str(i), text] for i, text in enumerate(texts)])
+        else:
+            powers = ["", "*x", *(f"*x^{i}" for i in range(2, len(texts)))]
+            result = " + ".join(text + power for text, power in zip(texts, powers)) or "0"
+    else:
+        result = format_rational(value)
+        if fmt == "csv":
+            result = ((*params, "result"), [[*map(_cell, params.values()), result]])
+    return _ok_output(fmt, argv, params, result, notes)
 
 
 def _verify_row(row, fmt: str):
@@ -393,15 +369,13 @@ def _verify_row(row, fmt: str):
     return line + (" ok" if row.passed else f" FAIL at t^{e}: lhs={lhs} rhs={rhs}")
 
 
-def _error_output(argv, kind: str, message: str, exit_code: int = 1) -> CommandOutput:
-    record = {
-        "command": list(argv),
-        "status": "error",
-        "error_kind": kind,
-        "message": message,
-    }
-    plain = f"error[{kind}]: {message}"
-    return CommandOutput(record, plain, ["status", "error_kind", "message"], [["error", kind, message]], exit_code)
+def _error_output(fmt, argv, kind: str, message: str, exit_code: int = 1) -> tuple[str, int]:
+    if fmt == "json":
+        record = {"command": list(argv), "status": "error", "error_kind": kind, "message": message}
+        return _json_text(record) + "\n", exit_code
+    if fmt == "csv":
+        return _csv_text(("status", "error_kind", "message"), [("error", kind, message)]), exit_code
+    return f"error[{kind}]: {message}\n", exit_code
 
 
 # -- handlers ----------------------------------------------------------------
@@ -410,7 +384,7 @@ def _error_output(argv, kind: str, message: str, exit_code: int = 1) -> CommandO
 def _handle_value(args, argv):
     function, names, _ = _VALUE_COMMANDS[args.command]
     params = {name: getattr(args, name) for name in names}
-    return _value_output(argv, params, function(*params.values()))
+    return _value_output(args.format, argv, params, function(*params.values()))
 
 
 def _handle_family(args, argv):
@@ -430,7 +404,7 @@ def _handle_family(args, argv):
     params = {"n": args.n, **dict(result.parameters)}
     if "method" in args:
         params["method"] = args.method
-    return _value_output(argv, params, result.value, result.notes + notes)
+    return _value_output(args.format, argv, params, result.value, result.notes + notes)
 
 
 def _handle_series_dump(args, argv):
@@ -442,7 +416,15 @@ def _handle_series_dump(args, argv):
         c = -1 if args.which == "recip-exp-minus-one" else 1
         series = recip_exp_linear(1, 1, c, order)
         params = {"which": args.which, "order": order}
-    return _series_output(argv, params, series)
+    pairs = [(e, format_rational(c)) for e, c in series.coefficients()]
+    if args.format == "json":
+        coefficients = [[e, text] for e, text in pairs]
+        result = {"offset": series.offset, "precision": series.precision, "coefficients": coefficients}
+    elif args.format == "csv":
+        result = (("exponent", "coefficient"), [[str(e), text] for e, text in pairs])
+    else:
+        result = "\n".join(f"t^{e}: {text}" for e, text in pairs)
+    return _ok_output(args.format, argv, params, result)
 
 
 def _handle_verify(args, argv):
@@ -450,14 +432,14 @@ def _handle_verify(args, argv):
     passed = sum(row.passed for row in rows)
     all_ok = passed == len(rows)
     params = {"target": args.target, "k_max": args.k_max, **_verify_options(args)}
-    # Only the format that is printed is built; the other two stay empty.
     rendered = [_verify_row(row, args.format) for row in rows]
-    checks = rendered if args.format == "json" else []
-    result = {"passed": all_ok, "total": len(rows), "ok": passed, "checks": checks}
-    plain = "\n".join([*rendered, f"{passed}/{len(rows)} ok"]) if args.format == "plain" else ""
-    csv_rows = rendered if args.format == "csv" else []
-    exit_code = 0 if all_ok else 3
-    return _ok_output(argv, params, result, plain, VERIFY_CSV_HEADER, csv_rows, exit_code=exit_code)
+    if args.format == "json":
+        result = {"passed": all_ok, "total": len(rows), "ok": passed, "checks": rendered}
+    elif args.format == "csv":
+        result = (VERIFY_CSV_HEADER, rendered)
+    else:
+        result = "\n".join([*rendered, f"{passed}/{len(rows)} ok"])
+    return _ok_output(args.format, argv, params, result, exit_code=0 if all_ok else 3)
 
 
 _HANDLERS = {
@@ -468,37 +450,54 @@ _HANDLERS = {
 }
 
 
+# The JSON text of each scalar a record holds, by exact type, so that a
+# bool is never read as an int.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` for the values of a record: dicts
     with string keys, lists, strings, ints, bools and None.  ``indent`` is
     the line break and indentation of the line that holds ``value``."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+    if type(value) is dict:
+        items = [
+            encode_basestring_ascii(key) + ": "
+            + (scalar(item) if (scalar := _JSON_SCALARS.get(type(item))) else _json_text(item, inner))
+            for key, item in value.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    items = [_json_text(item, inner) for item in value]
+    items = [
+        scalar(item) if (scalar := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
+        for item in value
+    ]
     return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
 
 
-def _emit(out: CommandOutput, fmt: str) -> None:
-    if fmt == "json":
-        print(_json_text(out.record))
-    elif fmt == "csv":
+# A cell holding one of these, or a row of one empty cell, takes the csv
+# module's quoting; every other table is its cells joined by commas.
+_CSV_QUOTED = (",", '"', "\r", "\n")
+
+
+def _csv_text(header, rows) -> str:
+    """header and rows, each a sequence of strings, as the running
+    interpreter's ``csv.writer`` writes them with a line feed after each."""
+    table = [header, *rows]
+    lines = [",".join(row) for row in table]
+    cells = "".join(chain.from_iterable(table))
+    if "" in lines or any(char in cells for char in _CSV_QUOTED):
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(out.csv_header)
-        writer.writerows(out.csv_rows)
-        sys.stdout.write(buffer.getvalue())
-    else:
-        print(out.plain)
+        csv.writer(buffer, lineterminator="\n").writerows(table)
+        return buffer.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -517,19 +516,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        out = _HANDLERS[args.command](args, argv)
+        text, code = _HANDLERS[args.command](args, argv)
     except PoleError as exc:
-        out = _error_output(argv, "pole", str(exc))
+        text, code = _error_output(args.format, argv, "pole", str(exc))
     except DomainError as exc:
-        out = _error_output(argv, "domain", str(exc))
+        text, code = _error_output(args.format, argv, "domain", str(exc))
     except PrecisionExhaustedError as exc:
-        out = _error_output(argv, "precision", str(exc))
+        text, code = _error_output(args.format, argv, "precision", str(exc))
     except ZeroSeriesError as exc:
-        out = _error_output(argv, "zero-series", str(exc))
+        text, code = _error_output(args.format, argv, "zero-series", str(exc))
     except ConsistencyError as exc:
-        out = _error_output(argv, "consistency", str(exc), 4)
-    _emit(out, args.format)
-    return out.exit_code
+        text, code = _error_output(args.format, argv, "consistency", str(exc), 4)
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -53,7 +53,8 @@ def format_rational(value: int | Fraction) -> str:
     sign, if any, sits on the numerator.  parse_rational(format_rational(q))
     returns q for every q, however many digits its parts have.
     """
-    if type(value) is not Fraction:
+    # An int prints as it is; a bool, like any other value, as a Fraction.
+    if type(value) is not int and type(value) is not Fraction:
         value = Fraction(value)
     try:
         return str(value)

@@ -917,17 +917,72 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("line", JSON_COMMANDS)
     def test_every_command_record(self, capsys, monkeypatch, line):
-        records = []
-        real = cli._emit
-        monkeypatch.setattr(cli, "_emit", lambda out, fmt: records.append(out.record) or real(out, fmt))
+        # The writer's first value is the record; the lists and dicts in it
+        # come through the same name after it.
+        values = []
+        real = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda value, *rest: values.append(value) or real(value, *rest))
         _, out, _ = run(capsys, *line.split(), "--format", "json")
-        [record] = records
+        record = values[0]
+        assert record["command"] == line.split() + ["--format", "json"]
         assert out == json.dumps(record, indent=2) + "\n"
 
     @settings(max_examples=300)
     @given(json_values)
     def test_drawn_records(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+# Cells from the characters the csv module quotes or not, non-ASCII text
+# among them; a row may be empty or one empty cell.
+csv_cells = st.text(st.sampled_from(',"\r\n ab1-/\u00e9\u20ac\u2028'), max_size=5) | st.text(max_size=3)
+csv_rows = st.lists(csv_cells, max_size=4)
+
+
+class TestCsvWriter:
+    """The command line's CSV writer prints what ``csv.writer`` of the
+    running interpreter prints with line feeds ending its rows."""
+
+    @settings(max_examples=300)
+    @given(csv_rows, st.lists(csv_rows, max_size=5))
+    @example(["a", "b"], [["1", '"']])
+    @example(["a"], [["x,y"]])
+    @example(["a"], [["x\ry"]])
+    @example(["a"], [["x\ny"]])
+    @example(["a"], [[""], ["", ""], []])
+    @example(["status", "error_kind", "message"], [["error", "domain", "n >= 0, got n=-1"]])
+    def test_drawn_tables(self, header, rows):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        assert cli._csv_text(header, rows) == buffer.getvalue()
+
+    def test_a_message_with_a_comma_is_quoted(self, capsys):
+        code, out, _ = run(capsys, "stirling2", "-1", "2", "--format", "csv")
+        assert code == 1
+        assert out == 'status,error_kind,message\nerror,domain,"Stirling numbers need n >= 0, got n=-1"\n'
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("argv", [["stirling2", "10", "5"], ["stirling2", "-1", "2"], ["euler-poly", "3"]])
+def test_one_write_per_command(argv, fmt):
+    writes = []
+    with mock.patch.object(sys, "stdout", types.SimpleNamespace(write=writes.append)):
+        cli.main([*argv, "--format", fmt])
+    assert len(writes) == 1 and writes[0].endswith("\n")
+
+
+# 7...7 with 5,000 digits, past the interpreter's 4,300-digit int/str cap.
+SEVENS = 7 * (10**5000 - 1) // 9
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(0, "0"), (-1, "-1"), (-(10**30), "-1" + "0" * 30), (True, "1"), (False, "0"), (SEVENS, "7" * 5000),
+     (-SEVENS, "-" + "7" * 5000)],
+    ids=["0", "-1", "-10**30", "True", "False", "sevens", "-sevens"],
+)
+def test_format_rational_of_an_int(value, text):
+    assert format_rational(value) == text
 
 
 class TestDeterminism:

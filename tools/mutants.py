@@ -293,6 +293,20 @@ MUTANTS = [
         CLI_TESTS,
     ),
     (
+        "CSV fast path ignores '\"'",
+        CLI,
+        '_CSV_QUOTED = (",", \'"\', "\\r", "\\n")',
+        '_CSV_QUOTED = (",", "\\r", "\\n")',
+        CLI_TESTS,
+    ),
+    (
+        "JSON writer prints a bool as an int",
+        CLI,
+        'bool: {True: "true", False: "false"}.__getitem__,',
+        "bool: int.__repr__,",
+        CLI_TESTS,
+    ),
+    (
         "Polynomial.__eq__ compares nums only",
         SEQUENCES,
         '__slots__ = ("nums", "den", "_coeffs")',
