@@ -31,13 +31,13 @@ One spec table drives all twelve tags.  A row names the left base, the
 left kind (the k-th derivative, compared with a weighted sum of the powers
 of the right base, or the k-th power, compared with a weighted sum of its
 derivatives), the weight of term m, the right base, the additive constant
-and, on G1 and G2, the power of alpha on term m as an integer function of
-(k, m): k on G1 and 1 - m on G2.  Every base is 1/(lam e**(alpha t) + c),
-as (alpha, lam, c) f = (1, 1, -1), g = (-1, -1, 1), h = (1, 1, 1) and
-G = (alpha, lam, -1), and a row holds it as its alpha and the key
-(1, lam, c) of the ladder it is read off.  One private verifier builds both sides from
-a row; each public ``verify_*`` function checks its tag or converts its
-parameters and calls it.
+and the power of alpha on term m as an integer function of (k, m): k on
+G1, 1 - m on G2 and 0 on the fixed bases.  Every base is
+1/(lam e**(alpha t) + c), and a row holds it as the triple (alpha, lam, c):
+f = (1, 1, -1), g = (-1, -1, 1), h = (1, 1, 1) and G = (alpha, lam, -1),
+each read off the ladder of its (lam, c).  One private verifier builds
+both sides from a row; each public ``verify_*`` function checks its tag
+or converts its parameters and calls it.
 
 The verifier reads both sides off the ladders of their bases at alpha = 1,
 the powers and the derivatives of one base series, in the store of bases
@@ -54,12 +54,18 @@ which set g = (-1, -1, 1) against f, where it is -1.  The two sides at
 alpha are the two compared ones times alpha_l**j_l and dilated by alpha_l,
 j_l = k on the derivative kind and 0 on the power kind, so they agree
 exactly when the compared ones do; a first discrepancy at exponent e is
-reported times alpha_l**(e + j_l), as the sides at alpha hold it.  Both
-sides of a G check are at its alpha, so term m's weight is its weight at
-alpha = 1 times alpha to the spec's power plus the chain rule's, added as
-integers: k - k on G1, (1 - m) + (m - 1) on G2.  Each is 0, so every
-alpha has the sum at alpha = 1 and does no arithmetic on alpha; a wrong
-spec's nonzero power scales the weights at alpha = 1 by alpha to it.
+reported times alpha_l**(e + j_l), as the sides at alpha hold it.
+
+One rule carries alpha on every row: term m's weight at alpha = 1 is
+multiplied by the side's alpha, alpha_l on the derivative kind and alpha_r
+on the power kind, to the spec's power plus the chain rule's, added as
+integers.  On the fixed bases the spec's power is 0 and the side's alpha
+is 1 or, on g, -1.  Both sides of a G check are at its alpha, and the
+powers add to k - k on G1 and (1 - m) + (m - 1) on G2.  Each is 0, so
+every alpha has the sum at alpha = 1 and does no arithmetic on alpha; a
+wrong spec's nonzero power scales the weights at alpha = 1 by alpha to it.
+A side's alpha of 1, or powers that are all 0, leave the weights as they
+are.
 
 Each side is read at the check's own order: an entry is built there when
 first read and grown in place when a longer check reads it, and a check
@@ -69,8 +75,9 @@ is combined at the order once, by the first check of its (tag, k, order),
 and stored with its constant in the ladder of the right base, so a
 repeated check reads it there and only compares, and the alphas of a G
 grid share one sum per (tag, k, order, lambda); a check with its own
-weights (``coeff_override``) neither reads nor stores one.  A sum with a
-nonzero power of alpha is keyed on alpha too, so no other alpha reads it.
+weights (``coeff_override``) neither reads nor stores one.  A G sum with a
+nonzero power of alpha is keyed on alpha too, so no other alpha reads it;
+a fixed tag's alphas are those of its bases.
 ``run_sweep`` builds each base at the widest order of the sweep and holds
 every ladder it reads until it returns, so a sweep past the store's
 bound still builds each ladder once, and a G grid one ladder per lambda.
@@ -194,9 +201,9 @@ class CheckRow(_Value):
 
 # -- the spec table -----------------------------------------------------------
 
-# Bases 1/(lam e**(alpha t) + c) as (alpha, (1, lam, c)).  None stands for G,
+# Bases 1/(lam e**(alpha t) + c) as (alpha, lam, c).  None stands for G,
 # whose alpha and lam are the parameters of the check.
-_f, _g, _h = (Fraction(1), (1, 1, -1)), (Fraction(-1), (1, -1, 1)), (Fraction(1), (1, 1, 1))
+_f, _g, _h = (tuple(map(Fraction, base)) for base in [(1, 1, -1), (-1, -1, 1), (1, 1, 1)])
 
 
 def _first_kind_weight(k: int, m: int) -> Fraction:
@@ -209,21 +216,21 @@ def _first_kind_weight(k: int, m: int) -> Fraction:
 # Kind "derivative" sets lhs = base^(k) against the powers rhs**1..rhs**(k+1);
 # "power" sets lhs = base**k against the derivatives rhs^(0)..rhs^(k-1).
 # A weight is a function of (k, m), its value at alpha = 1; a constant, of k.
-# The power of alpha, an integer function of (k, m), is None on the fixed
+# The power of alpha is an integer function of (k, m), 0 on the fixed
 # bases: a G1 point scales every weight by alpha**k, so G1 reads I1's
 # lambda_{k,m}; a G2 point scales term m by alpha**(1-m).  G2 keeps its
 # own s(k, m)/(k-1)!, independent of I6's determinant weights b_{k,m-1}.
 _SPECS: dict[str, tuple] = {
-    "I1": (_f, "derivative", lambda_coeff, _f, None, None),
-    "I2": (_g, "derivative", mu_coeff, _g, None, None),
-    "I3": (_g, "derivative", lambda_coeff, _f, None, None),
-    "I4": (_f, "derivative", mu_coeff, _g, None, None),
-    "I5": (_g, "power", a_coeff, _g, None, None),
-    "I6": (_f, "power", b_coeff, _f, None, None),
-    "I7": (_g, "power", a_coeff, _f, lambda k: 1, None),
-    "I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k, None),
-    "P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None, None),
-    "P2": (_h, "power", lambda k, m: (-1) ** (k - 1) * b_coeff(k, m), _h, None, None),
+    "I1": (_f, "derivative", lambda_coeff, _f, None, lambda k, m: 0),
+    "I2": (_g, "derivative", mu_coeff, _g, None, lambda k, m: 0),
+    "I3": (_g, "derivative", lambda_coeff, _f, None, lambda k, m: 0),
+    "I4": (_f, "derivative", mu_coeff, _g, None, lambda k, m: 0),
+    "I5": (_g, "power", a_coeff, _g, None, lambda k, m: 0),
+    "I6": (_f, "power", b_coeff, _f, None, lambda k, m: 0),
+    "I7": (_g, "power", a_coeff, _f, lambda k: 1, lambda k, m: 0),
+    "I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k, lambda k, m: 0),
+    "P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None, lambda k, m: 0),
+    "P2": (_h, "power", lambda k, m: (-1) ** (k - 1) * b_coeff(k, m), _h, None, lambda k, m: 0),
     "G1": (None, "derivative", lambda_coeff, None, None, lambda k, m: k),
     "G2": (None, "power", _first_kind_weight, None, None, lambda k, m: 1 - m),
 }
@@ -261,28 +268,24 @@ def _weights(identity_id: str, k: int, alpha: Fraction | None) -> list[Fraction]
     """The weights of the spec row at alpha: term m of a G row times
     alpha to the row's power of alpha on it."""
     weights = _unit_weights(identity_id, k)
-    exponent = _SPECS[identity_id][5]
-    if exponent is None:
+    if alpha is None:
         return list(weights)
+    exponent = _SPECS[identity_id][5]
     return [w * alpha ** exponent(k, m) for m, w in enumerate(weights, 1)]
 
 
-def _chain_exponent(kind: str, k: int, m: int) -> int:
-    """The power of alpha that the chain rule puts on term m of a check
-    read at alpha = 1: -k on every power of the derivative kind, at the
-    left side's alpha, and m - 1 on derivative m - 1 of the power kind, at
-    the right side's alpha (module docstring)."""
-    return -k if kind == "derivative" else m - 1
-
-
 # Keyed on the row's power function, so a row given another one reads its
-# own entry.  Both G rows at every k up to 48 fit.
-@lru_cache(maxsize=128)
+# own entry.  Every row at every k up to 48 fits, as in _unit_weights.
+@lru_cache(maxsize=len(_SPECS) * 48)
 def _folded_powers(exponent, kind: str, k: int) -> tuple[int, ...]:
-    """The power of alpha on each term of a G check read at alpha = 1:
-    the spec row's plus the chain rule's, for m = 1 .. (k+1 or k)."""
-    count = k + 1 if kind == "derivative" else k
-    return tuple(exponent(k, m) + _chain_exponent(kind, k, m) for m in range(1, count + 1))
+    """The power of alpha on each term of a check read at alpha = 1: the
+    spec row's plus the chain rule's, -k on every power of the derivative
+    kind, at the left side's alpha, and m - 1 on derivative m - 1 of the
+    power kind, at the right side's alpha (module docstring), for
+    m = 1 .. (k+1 or k)."""
+    if kind == "derivative":
+        return tuple(exponent(k, m) - k for m in range(1, k + 2))
+    return tuple(exponent(k, m) + m - 1 for m in range(1, k + 1))
 
 
 def core_identity_coefficients(identity_id: str, k: int) -> list[Fraction]:
@@ -358,11 +361,11 @@ def _verify(
         order = default_order(k)
     lhs_base, kind, _, rhs_base, constant, exponent = _SPECS[identity_id]
     if lhs_base is None:
-        lhs_base = rhs_base = (alpha, (1, lam, -1))
-    lhs_alpha, lhs_key = lhs_base
-    rhs_alpha, rhs_key = rhs_base
-    lhs_ladder = series._LADDERS.ladder(lhs_key, order)
-    rhs_ladder = series._LADDERS.ladder(rhs_key, order)
+        lhs_base = rhs_base = (alpha, lam, -1)
+    lhs_alpha, lhs_lam, lhs_c = lhs_base
+    rhs_alpha, rhs_lam, rhs_c = rhs_base
+    lhs_ladder = series._LADDERS.ladder(lhs_lam, lhs_c, order)
+    rhs_ladder = series._LADDERS.ladder(rhs_lam, rhs_c, order)
     # Each side reads its ladder at alpha = 1 and at this order (see
     # series._Ladder).  The left side, a stored derivative or a stored
     # Miller power, is compared in place up to its end at this order.  The
@@ -376,13 +379,10 @@ def _verify(
     lhs_j = k if kind == "derivative" else 0
     lhs = lhs_ladder.derivatives(k + 1, order)[k] if lhs_j else lhs_ladder.power(k, order)
     key = (identity_id, k, order)
-    fold = None
-    if exponent is not None:
-        # Every power is 0 on a correct spec (module docstring), so all
-        # alphas share one sum; a wrong power keys its sum on alpha.
-        fold = _folded_powers(exponent, kind, k)
-        if any(fold):
-            key += (alpha,)
+    # Every power of a G check is 0 on a correct spec (module docstring),
+    # so all alphas share one sum; a wrong power keys its sum on alpha.
+    if alpha is not None and any(_folded_powers(exponent, kind, k)):
+        key += (alpha,)
     stored = rhs_ladder.sums.get(key) if coeff_override is None else None
     if stored is not None:
         rhs, rhs_hi = stored
@@ -393,13 +393,10 @@ def _verify(
             weights = core_identity_coefficients(identity_id, k)
         else:
             weights = _unit_weights(identity_id, k)
-        if fold is None:
-            # a fixed base: its alpha is 1 or -1
-            side_alpha = lhs_alpha if lhs_j else rhs_alpha
-            if side_alpha != 1:
-                weights = [w * side_alpha ** _chain_exponent(kind, k, m) for m, w in enumerate(weights, 1)]
-        elif any(fold):
-            weights = [w * alpha**e for w, e in zip(weights, fold)]
+        side_alpha = lhs_alpha if lhs_j else rhs_alpha
+        fold = _folded_powers(exponent, kind, k)
+        if side_alpha != 1 and any(fold):
+            weights = [w * side_alpha**e for w, e in zip(weights, fold)]
         terms = rhs_ladder.powers(k + 1, order) if lhs_j else rhs_ladder.derivatives(k, order)
         rhs = linear_combination(terms, weights, length=rhs_ladder.length(order))
         if rhs_alpha != lhs_alpha and not rhs.is_zero:
@@ -495,7 +492,7 @@ def run_sweep(
     if any(target in GENERAL_IDENTITY_IDS for target in targets):
         alpha_grid = sorted(Fraction(a) for a in (DEFAULT_ALPHAS if alphas is None else alphas))
         lambda_grid = sorted(Fraction(v) for v in (DEFAULT_LAMBDAS if lambdas is None else lambdas))
-        grid = [(1, lam, -1) for lam in lambda_grid if lam] if any(alpha_grid) else []
+        grid = [(lam, -1) for lam in lambda_grid if lam] if any(alpha_grid) else []
     # Each ladder's base is built at the order of the widest check, which
     # the narrower ones read, and each ladder is held until the sweep
     # returns; its other entries grow with the checks that read them.
@@ -504,12 +501,12 @@ def run_sweep(
     # A point with alpha or lambda 0 reads none, and orders below 3 read
     # none stored.
     top = default_order(k_max) if order is None else order
-    keys = [
-        key
+    held = [
+        series._LADDERS.ladder(lam, c, top)
         for lhs_base, _, _, rhs_base, *_ in map(_SPECS.get, targets)
-        for key in ({lhs_base[1], rhs_base[1]} if lhs_base else grid)
+        for lam, c in ({lhs_base[1:], rhs_base[1:]} if lhs_base else grid)
+        if top >= 3
     ]
-    held = [series._LADDERS.ladder(key, top) for key in keys] if top >= 3 else []
     reports: list[VerificationReport] = []
     for target in targets:
         if target in GENERAL_IDENTITY_IDS:

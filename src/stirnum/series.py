@@ -69,20 +69,23 @@ The exit ``_egf_unscaled`` puts the factorial-scaled quotient back over
 one denominator.
 
 One bounded store, ``_LADDERS``, keeps the ladders of the bases at
-alpha = 1: the powers and derivatives of 1/(lam e**t + c), one per key
-(1, lam, c).  A ladder holds two kinds of power: the chain base**1,
-base**2, ... of products, and single powers base**k, each one pass of
-Miller's recurrence, so that a power-kind identity check and a
-derivative-kind one never read the same kernel's output for their power
-side.  It also holds the right side of each identity check that has read
-it as its right base, keyed on (tag, k, order): the weighted sum at the
-check's order, with its additive constant, so that a repeated check only
-compares.  The G checks of every alpha share that sum; a spec whose
-powers of alpha do not cancel the chain rule's keys its sum on alpha too
-(``identities``).  The store builds the bases it keeps with
-``_build_base``, and every other caller only reads them.  The identity
-checks read both their sides there, at alpha = 1, whatever their alpha
-(``identities`` says how the chain rule carries it), and
+alpha = 1: the powers and derivatives of 1/(lam e**t + c), one per
+(lam, c), keyed on its four integers (lam.numerator, lam.denominator,
+c.numerator, c.denominator), ``_key``: a tuple of ints hashes fast, where
+a Fraction computes its hash, a modular inverse, on every call.  A ladder
+holds two kinds of power: the chain base**1, base**2, ... of products,
+and single powers base**k, each one pass of Miller's recurrence, so that
+a power-kind identity check and a derivative-kind one never read the same
+kernel's output for their power side.  It also holds the right side of
+each identity check that has read it as its right base, keyed on
+(tag, k, order): the weighted sum at the check's order, with its additive
+constant, so that a repeated check only compares.  The G checks of every
+alpha share that sum; a G spec whose powers of alpha do not cancel the
+chain rule's keys its sum on alpha too (``identities``).  The store
+builds the bases it keeps with ``_build_base``, and every other caller
+only reads them.  The identity checks read both their sides there, at
+alpha = 1, whatever their alpha (``identities`` says how the chain rule
+carries it), and
 ``recip_exp_linear`` reads its base at alpha = 1 there at every order,
 so f, h and G share one entry with the oracles; only at alpha = 0 or
 lam = 0 does it call ``_build_base`` itself and store nothing.  At
@@ -697,17 +700,15 @@ def _source_reciprocal(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
     return (source + LaurentSeries.constant(c, order)).reciprocal()
 
 
-def _dilated(r: LaurentSeries, alpha: Fraction, j: int = 0) -> LaurentSeries:
-    """alpha**j r(alpha t) for alpha != 0: coefficient e times
-    alpha**(e + j), so that the j-th derivative of s(alpha t) is the
-    ``_dilated`` of s^(j) at j.  The window is r's, and r itself comes back
-    at alpha = 1."""
+def _dilated(r: LaurentSeries, alpha: Fraction) -> LaurentSeries:
+    """r(alpha t) for alpha != 0: coefficient e times alpha**e.  The window
+    is r's, and r itself comes back at alpha = 1."""
     if alpha == 1:
         return r
-    # With i = e - offset, top = len - 1 and first = alpha**(offset + j),
-    # r_e alpha**(e + j) is nums[i] * first * a**i * b**(top-i) over den * b**top.
+    # With i = e - offset, top = len - 1 and first = alpha**offset,
+    # r_e alpha**e is nums[i] * first * a**i * b**(top-i) over den * b**top.
     a, b = alpha.numerator, alpha.denominator
-    first = alpha ** (r.offset + j)
+    first = alpha**r.offset
     top = len(r.nums) - 1
     b_powers = accumulate(repeat(b, top), operator.mul, initial=1)
     a_powers = accumulate(repeat(a, top), operator.mul, initial=first.numerator)
@@ -736,29 +737,27 @@ def _stored_bits(r: LaurentSeries) -> int:
 
 
 class _Ladder:
-    """The ladder of one base 1/(lam e**t + c), ``key`` its (1, lam, c);
-    a key at any other alpha raises.  It holds powers base**1, base**2,
-    ... as a chain of products, derivatives base, base', ... and single
-    powers base**k by Miller's recurrence.  The base is
-    built at source order ``order`` or longer; each other entry is built
+    """The ladder of one base 1/(lam e**t + c), built from ``lam`` and
+    ``c``, both Fractions, and kept under the ``_key`` of the two.  It holds
+    powers base**1, base**2, ... as a chain of products, derivatives base,
+    base', ... and single powers base**k by Miller's recurrence.  The base
+    is built at source order ``order`` or longer; each other entry is built
     when first read, at the order of that read, and grown in place by a
     longer one (module docstring).  A read at an order returns each entry
     as it is held, at that order or longer: its coefficients below
     ``length(order)`` are those of a build at the order, and ``at`` cuts
     it there.  ``sums`` holds the right side of each identity check that
     has read this ladder as its right base, keyed on (tag, k, order), with
-    alpha after them only where the spec's powers of alpha and the chain
-    rule's do not cancel (``identities``): the weighted sum at the check's
-    order, constant included, and the end of its compared window.  ``bits`` is the ``_stored_bits`` of
-    its distinct entries, sums included; a ladder built by a store is
-    charged there as it grows."""
+    alpha after them only on a G check whose spec's powers of alpha and
+    the chain rule's do not cancel (``identities``): the weighted sum at
+    the check's order, constant included, and the end of its compared
+    window.  ``bits`` is the ``_stored_bits`` of its distinct entries, sums
+    included; a ladder built by a store is charged there as it grows."""
 
-    def __init__(self, key: tuple, order: int, store: _Ladders | None = None):
-        if key[0] != 1:
-            raise DomainError(f"a ladder is kept at alpha = 1, not at alpha = {key[0]}")
-        self.key = key
+    def __init__(self, lam: Scalar, c: Scalar, order: int, store: _Ladders | None = None):
+        self.lam, self.c = Fraction(lam), Fraction(c)
         self._store = store
-        self.base = _build_base(*map(Fraction, key[1:]), order)
+        self.base = _build_base(self.lam, self.c, order)
         self.bits = _stored_bits(self.base)
         self._powers = [self.base]
         self._derivatives = [self.base]
@@ -783,13 +782,13 @@ class _Ladder:
         """Charge the store, if it built this ladder, what it has grown by
         since it held ``bits``."""
         if self.bits != bits and self._store is not None:
-            self._store.charge(self.key, self)
+            self._store.charge(_key(self.lam, self.c), self)
 
     def grow(self, order: int) -> None:
         """Build the base again at ``order`` if a build there is longer."""
         if len(self.base.nums) < self.length(order):
             bits = self.bits
-            base = self._kept(_build_base(*map(Fraction, self.key[1:]), order), self.base)
+            base = self._kept(_build_base(self.lam, self.c, order), self.base)
             self.base = self._powers[0] = self._derivatives[0] = self._miller[1] = base
             self._charge(bits)
 
@@ -867,22 +866,15 @@ def _grown(entry: LaurentSeries, nums: Sequence[int], den: int) -> LaurentSeries
     return LaurentSeries(entry.offset, [*head, *map(operator.mul, nums, repeat(common // den))], common)
 
 
-class _Key(tuple):
-    """A ladder's key (alpha, lam, c), hashed once: a Fraction computes its
-    hash, a modular inverse, on every call.  It equals, and hashes as, the
-    plain tuple."""
-
-    def __init__(self, key: tuple):
-        self._hash = tuple.__hash__(self)
-
-    def __hash__(self) -> int:
-        return self._hash
+def _key(lam: Scalar, c: Scalar) -> tuple[int, int, int, int]:
+    """The store key of the ladder of 1/(lam e**t + c): the integers of
+    lam and c, an int or a Fraction each."""
+    return lam.numerator, lam.denominator, c.numerator, c.denominator
 
 
 class _Ladders:
     """The bounded store of ladders, ``_LADDERS``: see the module docstring.
-    Each read hashes its key once: the store keeps and charges a ladder
-    under ``ladder.key``, a ``_Key``."""
+    It keeps and charges each ladder under the ``_key`` of its (lam, c)."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -891,19 +883,19 @@ class _Ladders:
         self._entries: dict = {}
         self._live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def ladder(self, key: tuple, order: int) -> _Ladder:
-        """The ladder of the base ``key``, its base built at ``order`` or
-        longer."""
+    def ladder(self, lam: Scalar, c: Scalar, order: int) -> _Ladder:
+        """The ladder of the base 1/(lam e**t + c), its base built at
+        ``order`` or longer."""
         if order < 3:
-            return _Ladder(key, order)
-        key = _Key(key)
+            return _Ladder(lam, c, order)
+        key = _key(lam, c)
         entry = self._entries.get(key)
         ladder = entry[0] if entry else self._live.get(key)
         if ladder is None:
-            ladder = self._live[key] = _Ladder(key, order, self)
+            ladder = self._live[key] = _Ladder(lam, c, order, self)
         else:
             ladder.grow(order)
-        self.keep(ladder.key, ladder)
+        self.keep(key, ladder)
         return ladder
 
     def keep(self, key: tuple, ladder: _Ladder) -> None:
@@ -943,5 +935,5 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
     if not (alpha and lam):
         return _build_base(0, lam + c, order)
-    ladder = _LADDERS.ladder((1, lam, c), order)
+    ladder = _LADDERS.ladder(lam, c, order)
     return _dilated(ladder.at(ladder.base, order), alpha)

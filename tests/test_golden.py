@@ -1,12 +1,14 @@
 """Golden corpus: every command line of ``tests/golden/commands.txt``, run
 in order through ``cli.main`` in one process, prints the bytes and exits
-with the code recorded in ``tests/golden/digests.txt``.
+with the code recorded in ``tests/golden/digests.txt``, on the process
+store of ladders as the earlier tests left it, on a fresh store of the same
+budget and on a store that keeps nothing.
 
 The digests pin the exit code and the sha256 of stdout and of stderr of
 each line.  A usage error (exit 2) pins stdout and the exit code only:
 argparse's usage and error text differ across Python versions.  The whole
-corpus runs in about 2 s on a 2-vCPU x86-64 host with CPython 3.11; keep
-new lines within a 15 s budget there.
+corpus runs in about 2 s on each store on a 2-vCPU x86-64 host with
+CPython 3.11; keep new lines within a 15 s budget a pass there.
 
 ``python tools/golden.py`` rewrites the digests from the tree it sits in.
 Regenerate them only for a change of output that is meant, and name it in
@@ -18,8 +20,11 @@ import hashlib
 import io
 import shlex
 from pathlib import Path
+from unittest import mock
 
-from stirnum import cli
+import pytest
+
+from stirnum import cli, series
 from test_history import COMMANDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -52,8 +57,15 @@ def test_the_corpus_holds_every_history_command():
     assert set(COMMANDS) <= set(corpus_lines())
 
 
-def test_every_line_prints_its_recorded_bytes():
+# The budget of the store each pass runs on; None is the process store.
+STORES = {"process": None, "fresh": series._LADDERS.budget, "keeps-nothing": 0}
+
+
+@pytest.mark.parametrize("budget", STORES.values(), ids=STORES)
+def test_every_line_prints_its_recorded_bytes(budget):
     lines, recorded = corpus_lines(), recorded_digests()
     assert len(recorded) == len(lines)
-    changed = [line[:120] for line, want in zip(lines, recorded) if digest(line) != want]
+    store = series._LADDERS if budget is None else series._Ladders(budget)
+    with mock.patch.object(series, "_LADDERS", store):
+        changed = [line[:120] for line, want in zip(lines, recorded) if digest(line) != want]
     assert not changed, f"{len(changed)} of {len(lines)} lines changed: {changed}"

@@ -428,13 +428,21 @@ def held_order(ladder, entry):
     return len(entry.nums) - ladder.base.offset + 1
 
 
+def ladder_key(lam, c):
+    """The store key of the ladder of 1/(lam e**t + c): the integers of
+    lam and c."""
+    lam, c = Fraction(lam), Fraction(c)
+    return lam.numerator, lam.denominator, c.numerator, c.denominator
+
+
 @functools.lru_cache(maxsize=None)
-def cold_entry(key, kind, index, order):
-    """What a ladder of ``key`` reads at ``order`` when built there: the
-    last of ``derivatives(index)``, base^(index-1); the last of
-    ``powers(index)``, the product of index bases; or ``power(index)``.
-    A key at alpha != 1 reads the base built at alpha = 1 and dilated."""
-    alpha, *source = map(Fraction, key)
+def cold_entry(base, kind, index, order):
+    """What the ladder of the base (alpha, lam, c) reads at ``order`` when
+    built there: the last of ``derivatives(index)``, base^(index-1); the
+    last of ``powers(index)``, the product of index bases; or
+    ``power(index)``.  At alpha != 1 it reads the base built at alpha = 1
+    and dilated."""
+    alpha, *source = map(Fraction, base)
     base = series_module._dilated(series_module._build_base(*source, order), alpha)
     if kind == "derivatives":
         return functools.reduce(lambda s, _: s.derivative(), range(index - 1), base)
@@ -443,18 +451,17 @@ def cold_entry(key, kind, index, order):
     return base**index
 
 
-def cold_sum(key, tag, k, order, alpha=Fraction(1)):
+def cold_sum(ladder, tag, k, order, alpha=Fraction(1)):
     """The right side of tag at k and alpha that a check at ``order``
-    stores in the ladder of ``key``, at alpha = 1, and the end of its
-    compared window: the right side from entries built at that order on
-    the bases at alpha, its coefficient e over alpha_l**(e + j), alpha_l
-    the left base's alpha and j = k on the derivative kind, 0 on the
-    power kind.  A G sum stored without its alpha is the one at alpha = 1."""
+    stores in ``ladder``, at alpha = 1, and the end of its compared window:
+    the right side from entries built at that order on the bases at alpha,
+    its coefficient e over alpha_l**(e + j), alpha_l the left base's alpha
+    and j = k on the derivative kind, 0 on the power kind.  A G sum stored
+    without its alpha is the one at alpha = 1."""
     lhs_base, kind, _, rhs_base, constant, _ = _SPECS[tag]
-    point = (alpha, key)
-    (lhs_alpha, _), (rhs_alpha, rhs_key) = lhs_base or point, rhs_base or point
-    assert rhs_key == key
-    base = (rhs_alpha, *key[1:])
+    point = (alpha, ladder.lam, -1)
+    lhs_alpha, base = (lhs_base or point)[0], rhs_base or point
+    assert base[1:] == (ladder.lam, ladder.c)
     if kind == "derivative":
         terms = [cold_entry(base, "powers", m, order) for m in range(1, k + 2)]
     else:
@@ -466,7 +473,8 @@ def cold_sum(key, tag, k, order, alpha=Fraction(1)):
         if hi >= 1:
             rhs = rhs + LaurentSeries.constant(constant(k), hi)
     if not rhs.is_zero:
-        rhs = series_module._dilated(rhs, 1 / lhs_alpha, k if kind == "derivative" else 0)
+        j = k if kind == "derivative" else 0
+        rhs = series_module._dilated(rhs, 1 / lhs_alpha).scale(lhs_alpha**-j)
     return rhs, hi
 
 
@@ -475,6 +483,7 @@ def assert_cold_ladders(store):
     at the order of its length, every stored right side is the one a build
     at its order gives, and each ladder is charged what it holds."""
     for key, (ladder, bits) in store._entries.items():
+        assert key == ladder_key(ladder.lam, ladder.c)
         held = [*ladder._powers, *ladder._derivatives, *ladder._miller.values(), *(rhs for rhs, _ in ladder.sums.values())]
         distinct = {id(entry): entry for entry in held}.values()
         assert ladder.bits == bits == sum(map(series_module._stored_bits, distinct))
@@ -483,21 +492,22 @@ def assert_cold_ladders(store):
             *(("powers", m, entry) for m, entry in enumerate(ladder._powers, 1)),
             *(("power", k, entry) for k, entry in ladder._miller.items()),
         ]
+        base = (1, ladder.lam, ladder.c)
         for kind, index, entry in entries:
-            assert entry == cold_entry(key, kind, index, held_order(ladder, entry)), (key, kind, index)
+            assert entry == cold_entry(base, kind, index, held_order(ladder, entry)), (key, kind, index)
         for (tag, k, order, *alpha), stored in ladder.sums.items():
-            assert stored == cold_sum(key, tag, k, order, *alpha), (key, tag, k, order, *alpha)
+            assert stored == cold_sum(ladder, tag, k, order, *alpha), (key, tag, k, order, *alpha)
 
 
 def recorded_builds(monkeypatch):
     """The list to which every ladder built from now on appends its
-    (key, order) once built."""
+    (store key, order) once built."""
     built = []
     real = _Ladder.__init__
 
-    def spy(ladder, key, order, store=None):
-        real(ladder, key, order, store)
-        built.append((tuple(key), order))
+    def spy(ladder, lam, c, order, store=None):
+        real(ladder, lam, c, order, store)
+        built.append((ladder_key(lam, c), order))
 
     monkeypatch.setattr(_Ladder, "__init__", spy)
     return built
@@ -517,9 +527,9 @@ def recorded_combinations(monkeypatch):
     return combined
 
 
-# The store keys of the fixed bases, (alpha, lam, c) of 1/(lam e**(alpha t) + c)
-# at alpha = 1: g = 1/(1 - e**(-t)) is read off the ladder of 1/(1 - e**t).
-F_KEY, G_KEY, H_KEY = (1, 1, -1), (1, -1, 1), (1, 1, 1)
+# The store keys of the ladders of the fixed bases, the (lam, c) of
+# 1/(lam e**t + c): g = 1/(1 - e**(-t)) is read off the ladder of 1/(1 - e**t).
+F_KEY, G_KEY, H_KEY = ladder_key(1, -1), ladder_key(-1, 1), ladder_key(1, 1)
 
 
 class TestLadderStore:
@@ -625,7 +635,7 @@ class TestLadderStore:
 
     # Bases recip_exp_linear reads: f, g, h and G on the grid the sweeps
     # below draw, whose keys the checks' ladders share.
-    BASES = [(-1, -1, 1), H_KEY] + [
+    BASES = [(-1, -1, 1), (1, 1, 1)] + [
         (alpha, lam, -1) for alpha in (Fraction(-3, 2), 1, 2) for lam in (Fraction(-5, 3), Fraction(2, 3), 1)
     ]
 
@@ -720,7 +730,7 @@ class TestLadderStore:
         # without its alpha.  The longer check keeps the ladder, its entries
         # and the right sides, and grows what it reads.
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
-        key = (1, lam, -1)
+        key = ladder_key(lam, -1)
         verify_general_derivative(2, alpha, lam)
         assert list(store._entries) == [key]
         ladder, _ = store._entries[key]
@@ -736,11 +746,11 @@ class TestLadderStore:
         assert_cold_ladders(store)
 
     def test_a_dilated_check_grows_the_ladder_at_alpha_one(self, store):
-        # G1 at alpha = 1 keeps its powers under (1, lam, -1); a longer
-        # check of the same lambda at alpha = -3/2 reads that ladder and
-        # grows it in place, building no ladder of the key again.
+        # G1 at alpha = 1 keeps its powers under the key of (lam, -1); a
+        # longer check of the same lambda at alpha = -3/2 reads that ladder
+        # and grows it in place, building no ladder of the key again.
         lam = Fraction(2, 3)
-        key = (1, lam, -1)
+        key = ladder_key(lam, -1)
         verify_general_derivative(4, 1, lam)
         ladder, _ = store._entries[key]
         powers = list(ladder._powers)
@@ -763,13 +773,13 @@ class TestLadderStore:
         [
             # g = 1/(1 - e**(-t)) is read off the ladder of 1/(1 - e**t)
             (["I1", "I8"], [F_KEY, G_KEY]),
-            (["G1", "G2"], list(itertools.product([1], LAMBDAS, [-1]))),
+            (["G1", "G2"], [ladder_key(lam, -1) for lam in LAMBDAS]),
         ],
     )
     def test_a_sweep_past_the_budget_builds_each_ladder_once(self, monkeypatch, targets, keys, budget):
         # The sweep holds what it reads, so a store that keeps nothing or
         # little still gives every check the ladder built at the widest
-        # order, and each key, one (1, lam, c) for all the alphas of a
+        # order, and each key, one (lam, c) for all the alphas of a
         # lambda, is built once.
         built = recorded_builds(monkeypatch)
         monkeypatch.setattr(series_module, "_LADDERS", _Ladders(budget))
@@ -782,7 +792,7 @@ class TestLadderStore:
         # drops the ladder at alpha = 1, the next check builds it again
         # through the store, and reads what a cold store reads.
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
-        key = (1, lam, -1)
+        key = ladder_key(lam, -1)
         sizes = self.charges([lambda: verify_general_derivative(2, alpha, lam), lambda: verify_core_identity("I1", 2)])
         store = _Ladders(sum(sizes) - 1)
         with cold_store():
@@ -798,16 +808,23 @@ class TestLadderStore:
         assert [key for key, _ in built].count(key) >= 2
         assert_cold_ladders(store)
 
+    G_GRID_KEYS = [ladder_key(lam, -1) for lam in DEFAULT_LAMBDAS]
+
     @pytest.mark.parametrize(
-        "targets, alphas",
-        [(["G1", "G2"], None), (["I2", "I3", "I4", "I5", "I7", "I8"], None), (["G1", "G2"], [-1, Fraction(1, 3)])],
+        "targets, alphas, keys",
+        [
+            (["G1", "G2"], None, G_GRID_KEYS),
+            (["I2", "I3", "I4", "I5", "I7", "I8"], None, [F_KEY, G_KEY]),
+            (["G1", "G2"], [-1, Fraction(1, 3)], G_GRID_KEYS),
+        ],
     )
-    def test_every_ladder_a_sweep_reads_is_at_alpha_one(self, monkeypatch, store, targets, alphas):
+    def test_every_ladder_a_sweep_reads_is_at_alpha_one(self, monkeypatch, store, targets, alphas, keys):
         # A G grid and the tags on g read the ladders at alpha = 1 alone:
-        # no ladder at alpha != 1 is built, stored or held.
+        # the ladders built and stored are one per (lam, c), whatever the
+        # alphas.
         built = recorded_builds(monkeypatch)
         assert all(report.passed for report in run_sweep(targets, 6, None, alphas))
-        assert {key[0] for key in store._entries} == {key[0] for key, _ in built} == {1}
+        assert sorted(store._entries) == sorted(key for key, _ in built) == sorted(keys)
 
     def test_a_g_grid_combines_one_sum_per_lambda(self, monkeypatch, store):
         # A correct spec's powers of alpha cancel the chain rule's, so the
@@ -817,7 +834,7 @@ class TestLadderStore:
         reports = run_sweep(["G1", "G2"], 6)
         assert len(reports) == 2 * 6 * 25 and all(report.passed for report in reports)
         assert len(combined) == 2 * 6 * 5
-        assert set(store._entries) == {(1, lam, -1) for lam in DEFAULT_LAMBDAS}
+        assert set(store._entries) == {ladder_key(lam, -1) for lam in DEFAULT_LAMBDAS}
         for ladder, _ in store._entries.values():
             assert set(ladder.sums) == {(tag, k, default_order(k)) for tag in ("G1", "G2") for k in range(1, 7)}
         assert_cold_ladders(store)
@@ -892,8 +909,8 @@ class TestLadderStore:
         assert report.first_discrepancy == (e, lhs.coeff(e), rhs.coeff(e))
 
     def test_oracles_read_the_ladder_of_a_sweep(self, monkeypatch, store, cold_store):
-        # The sweep keeps f = 1/(e**t - 1) at order 34 under (1, 1, -1),
-        # the key bernoulli_oracle(n) reads at order n + 3.
+        # The sweep keeps f = 1/(e**t - 1) at order 34 under the key of
+        # (1, -1), which bernoulli_oracle(n) reads at order n + 3.
         run_sweep(["I1"], 12)
         with cold_store():
             expected = [bernoulli_oracle(n) for n in range(32)]
@@ -907,12 +924,12 @@ class TestLadderStore:
         assert list(store._entries) == [F_KEY] and base_order(store._entries[F_KEY][0]) == default_order(12)
 
     def test_a_longer_base_request_grows_a_ladder_of_the_checks(self, store, cold_store):
-        # G1 at alpha = 1 and lambda = 2 keeps its ladder under (1, 2, -1),
-        # the key of apostol_bernoulli_oracle(n, 2), which asks for order
+        # G1 at alpha = 1 and lambda = 2 keeps its ladder under the key of
+        # (2, -1), which apostol_bernoulli_oracle(n, 2) reads at order
         # n + 3: at n = 60 it builds the base again and keeps the powers,
         # which grow only when a check reads them longer.
         verify_general_derivative(4, 1, 2)
-        key = (1, 2, -1)
+        key = ladder_key(2, -1)
         ladder, _ = store._entries[key]
         assert base_order(ladder) == default_order(4) and len(ladder._powers) == 5
         powers = ladder._powers[1:]
@@ -941,13 +958,13 @@ class TestLadderStore:
         # Each power is built at its check's order and grows as the
         # orders rise; every read is a power of a fresh base.
         assert all(report.passed for report in run_sweep([tag], 6, None, alphas, lambdas))
-        key = (_SPECS[tag][0] or (None, (1, lambdas[0], -1)))[1]
-        ladder = store._entries[key][0]
+        _, lam, c = _SPECS[tag][0] or (None, lambdas[0], -1)
+        ladder = store._entries[ladder_key(lam, c)][0]
         assert base_order(ladder) == default_order(6) and sorted(ladder._miller) == list(range(1, 7))
         assert [held_order(ladder, ladder._miller[k]) for k in range(2, 7)] == list(map(default_order, range(2, 7)))
         for order in range(3, default_order(6) + 1):
             for k in range(1, 7):
-                fresh = series_module._build_base(*map(Fraction, key[1:]), order) ** k
+                fresh = series_module._build_base(Fraction(lam), Fraction(c), order) ** k
                 assert ladder.at(ladder.power(k, order), order) == fresh, (order, k)
 
     def test_a_second_power_sweep_runs_no_miller_pass(self, monkeypatch, store):

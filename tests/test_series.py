@@ -760,6 +760,13 @@ def held_order(ladder, entry):
     return len(entry.nums) - ladder.base.offset + 1
 
 
+def ladder_key(lam, c):
+    """The store key of the ladder of 1/(lam e**t + c): the integers of
+    lam and c."""
+    lam, c = Fraction(lam), Fraction(c)
+    return lam.numerator, lam.denominator, c.numerator, c.denominator
+
+
 def held_entries(ladder):
     """(kind, [(index, entry), ...]) for the three kinds of entry a ladder
     holds, indexed as ``cold_entry`` reads them."""
@@ -771,12 +778,13 @@ def held_entries(ladder):
 
 
 @functools.lru_cache(maxsize=None)
-def cold_entry(key, kind, index, order):
-    """What a ladder of ``key`` reads at ``order`` when built there: the
-    last of ``derivatives(index)``, base^(index-1); the last of
-    ``powers(index)``, the product of index bases; or ``power(index)``.
-    A key at alpha != 1 reads the base built at alpha = 1 and dilated."""
-    alpha, *source = map(Fraction, key)
+def cold_entry(base, kind, index, order):
+    """What the ladder of the base (alpha, lam, c) reads at ``order`` when
+    built there: the last of ``derivatives(index)``, base^(index-1); the
+    last of ``powers(index)``, the product of index bases; or
+    ``power(index)``.  At alpha != 1 it reads the base built at alpha = 1
+    and dilated."""
+    alpha, *source = map(Fraction, base)
     base = series_module._dilated(series_module._build_base(*source, order), alpha)
     if kind == "derivatives":
         return functools.reduce(lambda s, _: s.derivative(), range(index - 1), base)
@@ -787,9 +795,9 @@ def cold_entry(key, kind, index, order):
 
 class TestBaseStore:
     """recip_exp_linear keeps the alpha = 1 base of each (lam, c) as the
-    base of the ladder under (1, lam, c), at the longest order asked for on
-    either side of the split, and reads every shorter order off it.  Each
-    read equals a build on an empty store."""
+    base of the ladder under the integers of (lam, c), at the longest order
+    asked for on either side of the split, and reads every shorter order
+    off it.  Each read equals a build on an empty store."""
 
     # Both sides of the split and its edges, and the orders the package reads.
     ORDERS = (3, 4, 5, 12, 34, 40, 102, 103, 104, 105, 150, 283, 299, 300)
@@ -810,8 +818,8 @@ class TestBaseStore:
         for _ in range(2):
             for order in self.ORDERS:
                 assert recip_exp_linear(*base, order) == expected[order], order
-            assert list(store._entries) == [(1, base[1], base[2])]
-            assert base_order(store._entries[1, base[1], base[2]][0]) == self.ORDERS[-1]
+            assert list(store._entries) == [ladder_key(*base[1:])]
+            assert base_order(store._entries[ladder_key(*base[1:])][0]) == self.ORDERS[-1]
 
     @pytest.mark.parametrize("base", [(1, 1, -1), (-1, -1, 1), (1, 1, 1)])
     def test_every_order_to_300_of_f_g_and_h(self, store, cold_store, base):
@@ -820,18 +828,18 @@ class TestBaseStore:
             read = recip_exp_linear(*base, order)
             assert_canonical(read)
             assert read == fresh_build(cold_store, *base, order), order
-        assert list(store._entries) == [(1, base[1], base[2])]
-        assert base_order(store._entries[1, base[1], base[2]][0]) == 300
+        assert list(store._entries) == [ladder_key(*base[1:])]
+        assert base_order(store._entries[ladder_key(*base[1:])][0]) == 300
 
     def test_a_longer_request_grows_the_entry(self, store, cold_store):
         # The ladder stays; only its base is built again, at the longer order.
         alpha, lam, c = Fraction(-3, 2), Fraction(2, 3), 1
         short = recip_exp_linear(alpha, lam, c, 40)
-        ladder, _ = store._entries[1, lam, c]
+        ladder, _ = store._entries[ladder_key(lam, c)]
         assert base_order(ladder) == 40
         long = recip_exp_linear(alpha, lam, c, 90)
-        assert list(store._entries) == [(1, lam, c)]
-        grown, bits = store._entries[1, lam, c]
+        assert list(store._entries) == [ladder_key(lam, c)]
+        grown, bits = store._entries[ladder_key(lam, c)]
         assert grown is ladder and base_order(ladder) == 90
         assert store.bits == bits == ladder.bits == series_module._stored_bits(ladder.base)
         assert short == fresh_build(cold_store, alpha, lam, c, 40) == recip_exp_linear(alpha, lam, c, 40)
@@ -852,13 +860,13 @@ class TestBaseStore:
         for _ in range(2):
             assert recip_exp_linear(*base, order) == expected
         assert len(built) == 1
-        assert list(store._entries) == [(1, base[1], base[2])]
-        ladder, bits = store._entries[1, base[1], base[2]]
+        assert list(store._entries) == [ladder_key(*base[1:])]
+        ladder, bits = store._entries[ladder_key(*base[1:])]
         assert base_order(ladder) == order and store.bits == bits == ladder.bits
 
-    # Keys whose ladders the entry reads below grow, every ladder at
+    # The (lam, c) whose ladders the entry reads below grow, every ladder at
     # alpha = 1: f, the ladder g reads, h, a G point and a base with c = 1.
-    GROWN = [(1, 1, -1), (1, -1, 1), (1, 1, 1), (1, Fraction(2, 3), -1), (1, 3, 1)]
+    GROWN = [(1, -1), (-1, 1), (1, 1), (Fraction(2, 3), -1), (3, 1)]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -882,28 +890,30 @@ class TestBaseStore:
         # read is a build at its order on an empty store, and every entry a
         # ladder holds, grown or not, is a build at the order of its length.
         store = series_module._Ladders(budget)
-        for key, order, kind, index in requests:
+        for params, order, kind, index in requests:
             with mock.patch.object(series_module, "_LADDERS", store):
                 if kind is None:
-                    read = recip_exp_linear(*key, order)
+                    read = recip_exp_linear(*params, order)
                 else:
-                    ladder = store.ladder(key, order)
+                    ladder = store.ladder(*params, order)
                     if kind == "power":
                         entry = ladder.power(index, order)
                     else:
                         entry = getattr(ladder, kind)(index, order)[-1]
                     read = ladder.at(entry, order)
             if kind is None:
-                assert read == fresh_build(cold_store, *key, order)
+                assert read == fresh_build(cold_store, *params, order)
             else:
-                assert read == cold_entry(key, kind, index, order)
+                assert read == cold_entry((1, *params), kind, index, order)
             assert store.bits == sum(bits for _, bits in store._entries.values()) <= budget
             for key, (ladder, bits) in store._entries.items():
+                assert key == ladder_key(ladder.lam, ladder.c)
                 held = {id(entry): entry for _, entries in held_entries(ladder) for _, entry in entries}
                 assert ladder.bits == bits == sum(map(series_module._stored_bits, held.values()))
                 for kind, entries in held_entries(ladder):
                     for index, entry in entries:
-                        assert entry == cold_entry(key, kind, index, held_order(ladder, entry))
+                        base = (1, ladder.lam, ladder.c)
+                        assert entry == cold_entry(base, kind, index, held_order(ladder, entry))
 
     # Dilations: every alpha but 1, a 300-digit literal among them.
     DILATIONS = [Fraction(-3, 2), -1, Fraction(1, 2), 2, Fraction(5, 7), int("1" + "3" * 299)]
@@ -926,19 +936,18 @@ class TestBaseStore:
         # product or Miller power) run on the base built at that order and
         # alpha.  The store keeps the ladder at alpha = 1 alone.
         store = series_module._Ladders(STORE_BITS)
-        key = (alpha, lam, c)
         for order, kind, index in reads:
             with mock.patch.object(series_module, "_LADDERS", store):
-                ladder = store.ladder((1, lam, c), order)
+                ladder = store.ladder(lam, c, order)
                 if kind == "power":
                     entry = ladder.power(index, order)
                 else:
                     entry = getattr(ladder, kind)(index, order)[-1]
             j = index - 1 if kind == "derivatives" else 0
-            read = series_module._dilated(ladder.at(entry, order), Fraction(alpha), j)
-            expected = cold_entry(key, kind, index, order)
+            read = series_module._dilated(ladder.at(entry, order), Fraction(alpha)).scale(Fraction(alpha) ** j)
+            expected = cold_entry((alpha, lam, c), kind, index, order)
             assert (read.offset, read.nums, read.den) == (expected.offset, expected.nums, expected.den)
-        assert list(store._entries) == [(1, lam, c)]
+        assert list(store._entries) == [ladder_key(lam, c)]
 
     def test_the_least_recently_used_entry_leaves_first(self, cold_store):
         bases = [(1, lam, -1) for lam in (1, 2, 3)]
@@ -949,7 +958,7 @@ class TestBaseStore:
             recip_exp_linear(*bases[1], 60)
             recip_exp_linear(*bases[0], 30)  # a read makes it the most recent
             recip_exp_linear(*bases[2], 60)
-        assert list(store._entries) == [(1, 1, -1), (1, 3, -1)]
+        assert list(store._entries) == [ladder_key(1, -1), ladder_key(3, -1)]
         assert store.bits == sizes[0] + sizes[2] <= store.budget
 
     def test_an_entry_over_the_budget_is_not_kept(self, cold_store):
@@ -957,39 +966,53 @@ class TestBaseStore:
         store = series_module._Ladders(kept)
         with mock.patch.object(series_module, "_LADDERS", store):
             recip_exp_linear(1, 1, 1, 40)
-            assert list(store._entries) == [(1, 1, 1)] and store.bits == kept
+            assert list(store._entries) == [ladder_key(1, 1)] and store.bits == kept
             assert recip_exp_linear(1, 1, 1, 90) == fresh_build(cold_store, 1, 1, 1, 90)
         assert store._entries == {} and store.bits == 0
 
-    @pytest.mark.parametrize("alpha", [Fraction(-3, 2), -1, 0, 2], ids=str)
-    def test_a_ladder_at_another_alpha_raises(self, store, alpha):
-        # Every ladder is kept at alpha = 1; a base at alpha is its dilation.
-        for order in (2, 12):
-            with pytest.raises(DomainError, match="^a ladder is kept at alpha = 1"):
-                store.ladder((alpha, Fraction(2, 3), -1), order)
-        assert store._entries == {} and store.bits == 0
+    def test_a_ladder_is_keyed_on_the_integers_of_lam_and_c(self, monkeypatch, store, cold_store):
+        # 2, 4/2 and a G1 sweep at lambda 2 (order 12) read one ladder of
+        # one build; f (c = -1) and h (c = 1) at lambda 1 read two; a
+        # 1,500-digit lambda keys and reads back.
+        built = []
+        real = series_module._build_base
+        monkeypatch.setattr(series_module, "_build_base", lambda *args: built.append(args) or real(*args))
+        ladder = store.ladder(2, -1, 12)
+        assert store.ladder(Fraction(4, 2), -1, 12) is ladder
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "G1", "--k-max", "1", "--lambda", "2"]) == 0
+        assert built == [(2, -1, 12)]
+        assert list(store._entries) == [ladder_key(2, -1)] and store._entries[2, 1, -1, 1][0] is ladder
+        f, h = store.ladder(1, -1, 12), store.ladder(1, 1, 12)
+        assert f is not h and list(store._entries) == [ladder_key(2, -1), ladder_key(1, -1), ladder_key(1, 1)]
+        assert (f.base, h.base) == (fresh_build(cold_store, 1, 1, -1, 12), fresh_build(cold_store, 1, 1, 1, 12))
+        lam = Fraction(int("1" + "3" * 1499), 7)
+        long = store.ladder(lam, -1, 3)
+        assert store.ladder(Fraction(lam.numerator, lam.denominator), -1, 3) is long
+        assert store._entries[ladder_key(lam, -1)][0] is long and long.lam == lam
+        assert long.base == fresh_build(cold_store, 1, lam, -1, 3)
 
     def test_every_stored_series_is_charged_at_least_8192_bits(self):
         # The documented bound: at most budget // 8192 series are held.
         store = series_module._Ladders(1 << 17)
         for lam in range(1, 101):
-            store.ladder((1, lam, -1), 3)
+            store.ladder(lam, -1, 3)
         held = [ladder.base for ladder, _ in store._entries.values()]
         assert 0 < len(held) <= store.budget // 8192
         assert store.bits == sum(map(series_module._stored_bits, held))
 
     @pytest.mark.parametrize("lam", DEFAULT_LAMBDAS, ids=str)
-    @pytest.mark.parametrize("alpha", [Fraction(-3, 2), Fraction(-1), Fraction(1, 2), 2], ids=str)
-    def test_the_store_builds_the_base_recip_exp_linear_gives(self, cold_store, alpha, lam):
+    def test_the_store_builds_the_base_recip_exp_linear_gives(self, cold_store, lam):
         # The store builds the base at alpha = 1, the source's reciprocal
         # below the split and the unit written down from it on, and the
         # dilation of that build is the base at alpha.  Orders 103 to 106
-        # take both routes.
+        # take both routes.  The build never reads alpha, so one alpha
+        # other than 1 covers it.
         def store_build(alpha, lam, c, order):
-            base = series_module._LADDERS.ladder((1, lam, c), order).base
+            base = series_module._LADDERS.ladder(lam, c, order).base
             return series_module._dilated(base, Fraction(alpha))
 
-        key = (alpha, lam, -1)
+        key = (Fraction(-3, 2), lam, -1)
         for order in (1, 2):
             with cold_store():
                 assert window_error(store_build, *key, order) == window_error(

@@ -85,9 +85,9 @@ MUTANTS = [
     (
         "_dilated first factor",
         SERIES,
-        "first = alpha ** (r.offset + j)",
-        "first = alpha ** (-r.offset + j)",
-        IDENTITIES_TESTS,
+        "first = alpha**r.offset",
+        "first = alpha**-r.offset",
+        SERIES_TESTS,
     ),
     (
         "_lcm_product lower bound",
@@ -146,6 +146,13 @@ MUTANTS = [
         IDENTITIES_TESTS,
     ),
     (
+        "ladder key drops c's numerator",
+        SERIES,
+        "return lam.numerator, lam.denominator, c.numerator, c.denominator",
+        "return lam.numerator, lam.denominator, c.denominator",
+        SERIES_TESTS,
+    ),
+    (
         "_stored_bits per-series charge",
         SERIES,
         " + 320 * len(r.nums) + 8192",
@@ -197,15 +204,15 @@ MUTANTS = [
     (
         "I8 constant (-1)**k",
         IDENTITIES,
-        '"I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k, None),',
-        '"I8": (_f, "power", b_coeff, _g, lambda k: 1, None),',
+        '"I8": (_f, "power", b_coeff, _g, lambda k: (-1) ** k, lambda k, m: 0),',
+        '"I8": (_f, "power", b_coeff, _g, lambda k: 1, lambda k, m: 0),',
         IDENTITIES_TESTS,
     ),
     (
         "P1 weight (-1)**(m - 1)",
         IDENTITIES,
-        '"P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None, None),',
-        '"P1": (_h, "derivative", lambda k, m: (-1) ** m * lambda_coeff(k, m), _h, None, None),',
+        '"P1": (_h, "derivative", lambda k, m: (-1) ** (m - 1) * lambda_coeff(k, m), _h, None, lambda k, m: 0),',
+        '"P1": (_h, "derivative", lambda k, m: (-1) ** m * lambda_coeff(k, m), _h, None, lambda k, m: 0),',
         IDENTITIES_TESTS,
     ),
     (
@@ -225,8 +232,15 @@ MUTANTS = [
     (
         "power-kind chain-rule power m - 1, not m",
         IDENTITIES,
-        'return -k if kind == "derivative" else m - 1',
-        'return -k if kind == "derivative" else m',
+        "return tuple(exponent(k, m) + m - 1 for m in range(1, k + 1))",
+        "return tuple(exponent(k, m) + m for m in range(1, k + 1))",
+        IDENTITIES_TESTS,
+    ),
+    (
+        "chain rule reads the alpha of the other side",
+        IDENTITIES,
+        "side_alpha = lhs_alpha if lhs_j else rhs_alpha",
+        "side_alpha = rhs_alpha if lhs_j else lhs_alpha",
         IDENTITIES_TESTS,
     ),
     (
@@ -239,8 +253,8 @@ MUTANTS = [
     (
         "a nonzero power of alpha reads the shared sum",
         IDENTITIES,
-        "            key += (alpha,)",
-        "            pass",
+        "        key += (alpha,)",
+        "        pass",
         IDENTITIES_TESTS,
     ),
     (
