@@ -1024,6 +1024,32 @@ class TestBaseStore:
             with cold_store():
                 assert built == outcome(recip_exp_linear, *key, order), order
 
+    @pytest.mark.parametrize("lam", DEFAULT_LAMBDAS, ids=str)
+    @pytest.mark.parametrize("alpha", [Fraction(-3, 2), Fraction(-1), Fraction(1, 2), 2], ids=str)
+    def test_the_dilated_store_build_is_the_base_long_divided_at_alpha(self, cold_store, alpha, lam):
+        # The alpha = 1 build of each default lambda, dilated, against the
+        # base long-divided at alpha itself: orders 103 and 104 straddle
+        # the split, and 110 reads past it.
+        for order in (3, 12, 103, 104, 110):
+            with cold_store():
+                base = series_module._LADDERS.ladder(lam, -1, order).base
+            assert_same_series(
+                series_module._dilated(base, Fraction(alpha)),
+                direct_recip_exp_linear(alpha, lam, -1, order),
+            )
+
+    def test_bases_at_every_alpha_read_one_ladder(self, monkeypatch, store, cold_store):
+        # The key names no alpha: a base at any alpha != 0 reads the one
+        # ladder of (lam, c), built once, and dilates it.
+        built = []
+        real = series_module._build_base
+        monkeypatch.setattr(series_module, "_build_base", lambda *args: built.append(args) or real(*args))
+        alphas = [Fraction(-3, 2), -1, 1, Fraction(1, 2), 2]
+        got = [recip_exp_linear(alpha, Fraction(2, 3), -1, 12) for alpha in alphas]
+        assert built == [(Fraction(2, 3), -1, 12)]
+        assert list(store._entries) == [ladder_key(Fraction(2, 3), -1)]
+        assert got == [fresh_build(cold_store, alpha, Fraction(2, 3), -1, 12) for alpha in alphas]
+
     @pytest.mark.parametrize(
         "alpha, lam, c, order",
         [
