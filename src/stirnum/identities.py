@@ -68,16 +68,16 @@ A side's alpha of 1, or powers that are all 0, leave the weights as they
 are.
 
 Each side is read at the check's own order: an entry is built there when
-first read and grown in place when a longer check reads it, and a check
-reads a longer entry up to its own end at the order, comparing its left
-side, a stored derivative or a stored power, in place.  The weighted sum
-is combined at the order once, by the first check of its (tag, k, order),
-and stored with its constant in the ladder of the right base, so a
-repeated check reads it there and only compares, and the alphas of a G
-grid share one sum per (tag, k, order, lambda); a check with its own
-weights (``coeff_override``) neither reads nor stores one.  A G sum with a
-nonzero power of alpha is keyed on alpha too, so no other alpha reads it;
-a fixed tag's alphas are those of its bases.
+first read, a longer check grows it or builds it again (``series`` says
+which), and a check reads a longer entry up to its own end at the order,
+comparing its left side, a stored derivative or a stored power, in
+place.  The weighted sum is combined at the order once, by the first
+check of its (tag, k, order), and stored with its constant in the ladder
+of the right base, so a repeated check reads it there and only compares,
+and the alphas of a G grid share one sum per (tag, k, order, lambda); a
+check with its own weights (``coeff_override``) neither reads nor stores
+one.  A G sum with a nonzero power of alpha is keyed on alpha too, so no
+other alpha reads it; a fixed tag's alphas are those of its bases.
 ``run_sweep`` builds each base at the widest order of the sweep and holds
 every ladder it reads until it returns, so a sweep past the store's
 bound still builds each ladder once, and a G grid one ladder per lambda.

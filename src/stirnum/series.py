@@ -102,17 +102,20 @@ at N whatever order the entry was built at.  So the entries are the lazy
 power series of M. D. McIlroy ("Power series, power serious",
 J. Funct. Program. 9, 1999).  The base is built at the longest order
 asked for so far, by ``_build_base`` again when a longer order comes.
-Every other entry is built at the order of the first check that reads it,
-and a longer read grows it in place by its new coefficients only: the
-product's, the derivative's, or the rows of Miller's recurrence continued
-from the held coefficients.  It grows to twice its length or more, as far
-as its input holds, so that the rising orders of a sweep grow it a few
-times only.  Nothing is dropped, and a right side stored at an order
-stays valid as the entries under it grow.
+Every other entry is built at the order of the first check that reads it.
+Only the product chain, O(L**2) an entry of length L, continues in place
+when a longer read comes, by its new coefficients only.  A derivative,
+linear in its length, is built again by ``derivative`` from the entry
+before it.  Both grow to twice their length or more, as far as their
+input holds, so that the rising orders of a sweep grow them a few times
+only.  A Miller power is built again by ``__pow__`` at the longer order:
+only an explicit order read again at a longer one needs that.  Nothing
+is dropped, and a right side stored at an order stays valid as the
+entries under it grow.
 
 Each ladder is charged the bits of its numerators and denominator, 320
 more a coefficient and 8,192 a series (``_stored_bits``), and charged
-again as it grows, by a new or grown entry or a right side.  Past the
+again by every new, grown or rebuilt entry or right side.  Past the
 budget of 4 MiB of charged bits the least recently used ladders leave
 first, and a ladder charged more than the budget is not kept.  Every
 stored series is charged at least 8,192 bits, so the store holds at most
@@ -519,12 +522,12 @@ def _egf_unscaled(ints, den) -> tuple[list, int]:
     return nums, ratio * den
 
 
-def _recurrence(rows, nums: Sequence[int] = (1,), den: int = 1) -> tuple[list, int]:
-    """divisor_n r_n = sum_i terms_n[i] r_{n-1-i} for each row (terms_n,
-    divisor_n), the sum stopping at r_0, continued from the prefix
-    r_i = nums[i] / den (r_0 = 1 by default): numerators over one running
-    denominator, widened whenever a new quotient does not fit."""
-    nums = list(nums)
+def _recurrence(rows) -> tuple[list, int]:
+    """r_0 = 1 and divisor_n r_n = sum_i terms_n[i] r_{n-1-i} for each row
+    (terms_n, divisor_n) in turn, n = 1, 2, ..., the sum stopping at r_0:
+    numerators over one running denominator, widened whenever a new
+    quotient does not fit."""
+    nums, den = [1], 1
     for terms, divisor in rows:
         acc = sum(map(operator.mul, terms, reversed(nums)))
         if acc % divisor:
@@ -614,22 +617,22 @@ def _power(unit, unit_den: int, k: int) -> tuple[list, int]:
     u_0 w_n = -sum_{i=1..n} u_i w_{n-i}.
     """
     # u**k = u_0**k * (U/U_0)**k for the integer series U = unit.
-    nums, den = _recurrence(_miller_rows(unit, k, 1, len(unit)))
+    nums, den = _recurrence(_miller_rows(unit, k))
     scale = Fraction(unit[0], unit_den) ** k / den
     return [x * scale.numerator for x in nums], scale.denominator
 
 
-def _miller_rows(unit, k: int, start: int, stop: int):
-    """The rows n = start .. stop - 1 of Miller's recurrence for u**k in
+def _miller_rows(unit, k: int):
+    """The rows n = 1 .. len(unit) - 1 of Miller's recurrence for u**k in
     the form ``_recurrence`` reads, for the integer series U = unit: row n
     holds U_1..U_n, weighted unless k = -1, and the divisor.  The rows are
     those of any multiple of U, as the recurrence reads only U_i / U_0."""
     lead, tail = unit[0], unit[1:]
     if k == -1:
-        return repeat((tail, -lead), stop - start)
+        return repeat((tail, -lead), len(tail))
     return (
         (map(operator.mul, range(k + 1 - n, k * n + 1, k + 1), tail), n * lead)
-        for n in range(start, stop)
+        for n in range(1, len(unit))
     )
 
 
@@ -742,9 +745,11 @@ class _Ladder:
     powers base**1, base**2, ... as a chain of products, derivatives base,
     base', ... and single powers base**k by Miller's recurrence.  The base
     is built at source order ``order`` or longer; each other entry is built
-    when first read, at the order of that read, and grown in place by a
-    longer one (module docstring).  A read at an order returns each entry
-    as it is held, at that order or longer: its coefficients below
+    when first read, at the order of that read.  A longer read grows a
+    product in place and builds a derivative again, each to the
+    ``_reach`` of the entry, and builds a Miller power again at the
+    read's order (module docstring).  A read at an order returns each
+    entry as it is held, at that order or longer: its coefficients below
     ``length(order)`` are those of a build at the order, and ``at`` cuts
     it there.  ``sums`` holds the right side of each identity check that
     has read this ladder as its right base, keyed on (tag, k, order), with
@@ -752,7 +757,8 @@ class _Ladder:
     the chain rule's do not cancel (``identities``): the weighted sum at
     the check's order, constant included, and the end of its compared
     window.  ``bits`` is the ``_stored_bits`` of its distinct entries, sums
-    included; a ladder built by a store is charged there as it grows."""
+    included; ``_kept`` counts each entry there and charges the store that
+    built the ladder, if one did."""
 
     def __init__(self, lam: Scalar, c: Scalar, order: int, store: _Ladders | None = None):
         self.lam, self.c = Fraction(lam), Fraction(c)
@@ -774,23 +780,18 @@ class _Ladder:
 
     def _kept(self, entry: LaurentSeries, old: LaurentSeries | None = None) -> LaurentSeries:
         """entry, counted in ``bits`` as an entry of this ladder in place
-        of ``old``; ``_charge`` charges the store."""
+        of ``old``, with the store that built the ladder, if one did,
+        charged the new count."""
         self.bits += _stored_bits(entry) - (0 if old is None else _stored_bits(old))
-        return entry
-
-    def _charge(self, bits: int) -> None:
-        """Charge the store, if it built this ladder, what it has grown by
-        since it held ``bits``."""
-        if self.bits != bits and self._store is not None:
+        if self._store is not None:
             self._store.charge(_key(self.lam, self.c), self)
+        return entry
 
     def grow(self, order: int) -> None:
         """Build the base again at ``order`` if a build there is longer."""
         if len(self.base.nums) < self.length(order):
-            bits = self.bits
             base = self._kept(_build_base(self.lam, self.c, order), self.base)
             self.base = self._powers[0] = self._derivatives[0] = self._miller[1] = base
-            self._charge(bits)
 
     def _reach(self, entry: LaurentSeries, source: LaurentSeries, length: int) -> int:
         """The length entry grows to when a read needs ``length``: twice
@@ -800,8 +801,8 @@ class _Ladder:
 
     def powers(self, count: int, order: int) -> list:
         """[base**1, ..., base**count] grown to ``order``, each the product
-        of the one before and base."""
-        length, bits = self.length(order), self.bits
+        of the one before and base, continued in place."""
+        length = self.length(order)
         entries, base = self._powers, self.base
         for m in range(1, count):
             before = entries[m - 1]
@@ -812,48 +813,34 @@ class _Ladder:
                 reach = self._reach(entry, before, length)
                 tail = _lcm_product(before.nums, before.den, base.nums, base.den, reach, len(entry.nums))
                 entries[m] = self._kept(_grown(entry, *tail), entry)
-        self._charge(bits)
         return entries[:count]
 
     def derivatives(self, count: int, order: int) -> list:
-        """[base, base', ..., base^(count-1)] grown to ``order``."""
-        length, bits = self.length(order), self.bits
+        """[base, base', ..., base^(count-1)] grown to ``order``, a short
+        one built again from the one before, to its ``_reach``."""
+        length = self.length(order)
         entries = self._derivatives
         for j in range(1, count):
             before = entries[j - 1]
             if j == len(entries):
                 entries.append(self._kept(self.at(before, order).derivative()))
             elif len(entries[j].nums) < length:
-                # coefficient i of a derivative is before.nums[i] times
-                # the exponent before.offset + i, over before.den
-                entry = entries[j]
-                start, stop = len(entry.nums), self._reach(entry, before, length)
-                exponents = range(before.offset + start, before.offset + stop)
-                tail = list(map(operator.mul, before.nums[start:stop], exponents))
-                entries[j] = self._kept(_grown(entry, tail, before.den), entry)
-        self._charge(bits)
+                stop = self._reach(entries[j], before, length)
+                entries[j] = self._kept(before.truncated(before.offset + stop).derivative(), entries[j])
         return entries[:count]
 
     def power(self, k: int, order: int) -> LaurentSeries:
-        """base**k for k >= 1 grown to ``order``: one pass of Miller's
+        """base**k for k >= 1 at ``order`` or longer: one pass of Miller's
         recurrence by ``__pow__``, apart from the product chain of
-        ``powers``, and continued from the held coefficients."""
-        length, bits = self.length(order), self.bits
+        ``powers``, built again when a longer read comes."""
         entry = self._miller.get(k)
-        if entry is None:
-            entry = self._miller[k] = self._kept(self.at(self.base, order) ** k)
-        elif len(entry.nums) < length:
-            rows = _miller_rows(self.base.nums, k, len(entry.nums), self._reach(entry, self.base, length))
-            grown = LaurentSeries(entry.offset, *_recurrence(rows, entry.nums, entry.den))
-            entry = self._miller[k] = self._kept(grown, entry)
-        self._charge(bits)
+        if entry is None or len(entry.nums) < self.length(order):
+            entry = self._miller[k] = self._kept(self.at(self.base, order) ** k, entry)
         return entry
 
     def keep_sum(self, key: tuple, rhs: LaurentSeries, hi: int) -> None:
         """Hold (rhs, hi) in ``sums`` under key, charged as an entry."""
-        bits = self.bits
         self.sums[key] = (self._kept(rhs), hi)
-        self._charge(bits)
 
 
 def _grown(entry: LaurentSeries, nums: Sequence[int], den: int) -> LaurentSeries:

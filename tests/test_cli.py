@@ -19,6 +19,7 @@ import stirnum.cli as cli
 import stirnum.sequences as sequences_module
 from stirnum.cli import VERIFY_CSV_HEADER
 from stirnum.identities import (
+    _NAMED_CHECKS,
     VERIFY_OPTIONS,
     CheckRow,
     VerificationReport,
@@ -1384,10 +1385,15 @@ class TestDifferential:
             assert cli.main(argv + ["--format", "csv"]) == 0
         table = parse_csv(buffer.getvalue())
         assert table[0] == list(VERIFY_CSV_HEADER)
+        # CSV writes a named check's fields by header name, so a field
+        # outside the header would drop out of CSV and of the cells below
+        # without notice, while plain and JSON still print it.
+        assert all(set(fields) <= set(VERIFY_CSV_HEADER) for _, fields, _ in _NAMED_CHECKS.values())
         assert len(checks) == len(table) - 1 == len(rows)
         for row, record, cells in zip(rows, checks, table[1:]):
             assert row.passed and record["passed"] is True and cells[8] == "true"
             if isinstance(row, CheckRow):
+                assert set(row.fields) <= set(VERIFY_CSV_HEADER)
                 texts = {
                     name: format_rational(v) if isinstance(v, Fraction) else v
                     for name, v in row.fields.items()

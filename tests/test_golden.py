@@ -12,7 +12,8 @@ CPython 3.11; keep new lines within a 15 s budget a pass there.
 
 ``python tools/golden.py`` rewrites the digests from the tree it sits in.
 Regenerate them only for a change of output that is meant, and name it in
-CHANGES.md.
+CHANGES.md.  CI also runs every line as a fresh process of the installed
+``stirnum`` and checks it against the same digests with ``digest_of``.
 """
 
 import contextlib
@@ -25,36 +26,39 @@ from unittest import mock
 import pytest
 
 from stirnum import cli, series
-from test_history import COMMANDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 USAGE_ERROR = 2
 
 
+def command_lines(lines: list[str]) -> list[str]:
+    """The command lines among ``lines`` of the corpus, in order: every
+    line that is not blank and not a comment."""
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def corpus_lines() -> list[str]:
-    """The command lines of the corpus, in order: every line that is not
-    blank and not a comment."""
-    text = (GOLDEN / "commands.txt").read_text()
-    return [line for line in text.splitlines() if line and not line.startswith("#")]
+    """The command lines of the whole corpus, in order."""
+    return command_lines((GOLDEN / "commands.txt").read_text().splitlines())
+
+
+def digest_of(code: int, stdout: bytes, stderr: bytes) -> str:
+    """'exit stdout-sha256 stderr-sha256' of one line's exit code and
+    output; a usage error's stderr reads '-'."""
+    err = "-" if code == USAGE_ERROR else hashlib.sha256(stderr).hexdigest()
+    return f"{code} {hashlib.sha256(stdout).hexdigest()} {err}"
 
 
 def digest(line: str) -> str:
-    """'exit stdout-sha256 stderr-sha256' of one line run through
-    ``cli.main``; a usage error's stderr reads '-'."""
+    """The ``digest_of`` one line run through ``cli.main``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(shlex.split(line))
-    stdout = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    stderr = "-" if code == USAGE_ERROR else hashlib.sha256(err.getvalue().encode()).hexdigest()
-    return f"{code} {stdout} {stderr}"
+    return digest_of(code, out.getvalue().encode(), err.getvalue().encode())
 
 
 def recorded_digests() -> list[str]:
     return (GOLDEN / "digests.txt").read_text().splitlines()
-
-
-def test_the_corpus_holds_every_history_command():
-    assert set(COMMANDS) <= set(corpus_lines())
 
 
 # The budget of the store each pass runs on; None is the process store.

@@ -111,17 +111,24 @@ MUTANTS = [
         IDENTITIES_TESTS,
     ),
     (
-        "Miller growth starts one row late",
+        "derivative rebuild cut one coefficient short",
         SERIES,
-        "_miller_rows(self.base.nums, k, len(entry.nums),",
-        "_miller_rows(self.base.nums, k, len(entry.nums) + 1,",
+        "before.truncated(before.offset + stop)",
+        "before.truncated(before.offset + stop - 1)",
         IDENTITIES_TESTS,
     ),
     (
-        "derivative growth exponents",
+        "a short Miller power read as held",
         SERIES,
-        "range(before.offset + start, before.offset + stop)",
-        "range(before.offset + start + 1, before.offset + stop + 1)",
+        "if entry is None or len(entry.nums) < self.length(order):",
+        "if entry is None:",
+        IDENTITIES_TESTS,
+    ),
+    (
+        "a kept entry never charged",
+        SERIES,
+        "if self._store is not None:\n            self._store.charge(",
+        "if self._store is None:\n            self._store.charge(",
         IDENTITIES_TESTS,
     ),
     (
