@@ -20,18 +20,24 @@ Families and their exponential generating functions:
     euler_number         2**n * E_n(1/2)
     two_param_euler      2 e**(x t) / (lam * e**(alpha t) + 1)
 
-Each generating series is built in one place.  The Bernoulli oracle reads
-``apostol_bernoulli_series`` at lam = 1, and the Euler-polynomial oracle is
-the two-parameter oracle at alpha = lam = 1.  Each oracle truncates its
-source series at the least order whose window holds t**n: n + 3 for the
-readers of ``apostol_bernoulli_series`` (at lam = 1 the reciprocal has
+Each generating series is built in one place.  The Bernoulli oracle is
+the Apostol-Bernoulli oracle at lam = 1, and the Euler-polynomial oracle
+is the two-parameter oracle at alpha = lam = 1.  Each oracle asks for its
+base at the least order whose window holds t**n: n + 3 for the
+Apostol-Bernoulli series t/(lam e**t - 1) (at lam = 1 the reciprocal has
 valuation 1, so the window after the shift by t is [0, order - 2)) and
 n + 2 for the two-parameter oracle (at lam != -1 the reciprocal's window
-is [0, order - 1)).  The two-parameter oracle reads coefficient n of its
-product, from order ``series._EGF_MIN_LENGTH`` on, as one dot product of
-the two factors' numerators rather than multiplying the product out.
-Every oracle takes its reciprocal base from ``series.recip_exp_linear``,
-which reads it off the store of bases that ``series`` describes.
+is [0, order - 1)).  Every oracle reads its base at alpha = 1 off the
+store of bases that ``series`` describes, through ``series._stored_base``,
+built at that order or longer, and no oracle dilates it.  The
+Apostol-Bernoulli oracle reads the one coefficient it needs in place.
+The two-parameter oracle folds alpha into the exponential,
+e**(x t) B(alpha t) = e**((x/alpha) s) B(s) at s = alpha t, so that
+coefficient n is alpha**n times that of the undilated product.  From
+order ``series._EGF_MIN_LENGTH`` on it reads that coefficient as one dot
+product of the exponential's numerators and the stored ones, in place;
+below that order it multiplies the product out, the base cut to its
+order.
 
 The closed forms run on integers where the series kernel does: the
 alternating Stirling sum at rho = p/q is one integer over q**j, each Euler
@@ -71,6 +77,7 @@ from .series import (
     LaurentSeries,
     _normalized,
     _over_lcm,
+    _stored_base,
     _Value,
     exp_linear,
     recip_exp_linear,
@@ -227,10 +234,11 @@ def _half_weight_sum(m: int) -> Fraction:
 
 
 def bernoulli_oracle(n: int) -> Fraction:
-    """B_n as n! times the t**n coefficient of t/(e**t - 1), order n + 3."""
+    """B_n as n! times the t**n coefficient of t/(e**t - 1), order n + 3:
+    the Apostol-Bernoulli oracle at lam = 1."""
     if n < 0:
         raise DomainError(f"Bernoulli numbers need n >= 0, got {n}")
-    return apostol_bernoulli_series(1, n + 3).coeff(n) * math.factorial(n)
+    return apostol_bernoulli_oracle(n, 1)
 
 
 def bernoulli_formula(k: int) -> Fraction:
@@ -289,10 +297,23 @@ def apostol_bernoulli_series(lam: Scalar, order: int) -> LaurentSeries:
 
 
 def apostol_bernoulli_oracle(n: int, lam: Scalar) -> Fraction:
-    """B_n(lam) as n! times the t**n coefficient of t/(lam*e**t - 1), order n + 3."""
+    """B_n(lam) as n! times the t**n coefficient of t/(lam*e**t - 1), order n + 3.
+
+    That coefficient is coefficient n - 1 of the base 1/(lam e**t - 1),
+    read in place off the stored base, built at order n + 3 or longer: no
+    series is truncated or shifted for it.  It is 0 below the base's
+    window, as at n = 0 with lam != 1, where the window starts at 0.
+    """
     if n < 0:
         raise DomainError(f"Apostol-Bernoulli numbers need n >= 0, got {n}")
-    return apostol_bernoulli_series(lam, n + 3).coeff(n) * math.factorial(n)
+    lam = Fraction(lam)
+    if lam == 0:
+        raise DomainError("lambda must be nonzero")
+    base = _stored_base(lam, Fraction(-1), n + 3)
+    i = n - 1 - base.offset
+    if i < 0:
+        return Fraction(0)
+    return Fraction(base.nums[i] * math.factorial(n), base.den)
 
 
 # -- Euler polynomials and numbers ----------------------------------------
@@ -428,21 +449,28 @@ def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fra
     """E_n(x; alpha, lam) as n! times the t**n coefficient of
     2 e**(x t) / (lam e**(alpha t) + 1), order n + 2.
 
-    At lam != -1 both factors' windows start at 0, so the coefficient is
-    sum_{i<=n} e_i r_{n-i}.  Below order ``_EGF_MIN_LENGTH`` it is read out
-    of the multiplied-out product; from that order on it is one dot
-    product of the two numerator lists over e.den * r.den.
+    alpha is folded into the exponential, [t**n] e**(x t) B(alpha t) =
+    alpha**n [s**n] e**((x/alpha) s) B(s), so the oracle reads the stored
+    base r = B at alpha = 1, built at order n + 2 or longer, undilated,
+    with e the exponential of x/alpha.  At lam != -1 both windows start at
+    0, so the coefficient is sum_{i<=n} e_i r_{n-i}.  Below order
+    ``_EGF_MIN_LENGTH`` it is read out of the multiplied-out product of e
+    and r cut to order n + 2, whose integers are those of a build there,
+    not the longer ones a longer stored base holds; from that order on it
+    is one dot product of e's numerators and the stored ones, read in
+    place, over e.den * r.den.
     """
     alpha, lam = Fraction(alpha), Fraction(lam)
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
     order = n + 2
-    e, r = exp_linear(Fraction(x), order), recip_exp_linear(alpha, lam, 1, order)
+    e, r = exp_linear(Fraction(x) / alpha, order), _stored_base(lam, Fraction(1), order)
+    power = alpha**n
     if order < _EGF_MIN_LENGTH:
-        return 2 * (e * r).coeff(n) * math.factorial(n)
+        return 2 * (e * r.truncated(order - 1)).coeff(n) * math.factorial(n) * power
     dot = sum(map(operator.mul, e.nums[: n + 1], reversed(r.nums[: n + 1])))
-    return Fraction(2 * math.factorial(n) * dot, e.den * r.den)
+    return Fraction(2 * math.factorial(n) * dot * power.numerator, e.den * r.den * power.denominator)
 
 
 REDUCTION_ALPHAS = (Fraction(1), Fraction(2), Fraction(-1, 2))

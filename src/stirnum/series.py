@@ -52,9 +52,11 @@ Every reciprocal base of the package is 1/(lam e**(alpha t) + c), and
 1/(lam e**t + c), from (lam, c).  A constant source, alpha = 0 or
 lam = 0, is the constant lam + c, and the base is its reciprocal, the
 build at lam = 0 and c = lam + c.  Every other base is its alpha = 1 base
-dilated, t -> alpha t: ``_dilated``, the one place where a nonzero alpha
-enters, multiplies coefficient e by alpha**e (at alpha = 1 it is the base
-itself).  Below order ``_EGF_MIN_LENGTH``, and at orders 1 and 2 where
+dilated, t -> alpha t: ``_dilated``, the one place of this module where
+a nonzero alpha enters, multiplies coefficient e by alpha**e (at
+alpha = 1 it is the base itself).  The two-parameter oracle of
+``sequences`` reads no dilated base: it folds alpha into its
+exponential.  Below order ``_EGF_MIN_LENGTH``, and at orders 1 and 2 where
 the valuation can lie outside the window, the base at alpha = 1 is the
 reciprocal of its source series, which raises the window errors.  From
 that order on it is written down from (lam, c): the factorial-scaled unit
@@ -85,11 +87,15 @@ chain rule's keys its sum on alpha too (``identities``).  The store
 builds the bases it keeps with ``_build_base``, and every other caller
 only reads them.  The identity checks read both their sides there, at
 alpha = 1, whatever their alpha (``identities`` says how the chain rule
-carries it), and
-``recip_exp_linear`` reads its base at alpha = 1 there at every order,
-so f, h and G share one entry with the oracles; only at alpha = 0 or
-lam = 0 does it call ``_build_base`` itself and store nothing.  At
-orders 1 and 2 the store keeps nothing: a ladder asked for there is
+carries it).  ``_stored_base`` hands out the stored base at alpha = 1
+itself, built at the order asked for or longer, and every reader of a
+base outside the ladders goes through it: the oracles of ``sequences``
+read the coefficients they need in place off it, and
+``recip_exp_linear`` truncates and dilates what it returns, at every
+order, so f, h and G share one entry with the oracles.
+At lam = 0, and in ``recip_exp_linear`` at alpha = 0, where the base is
+the constant one, it calls ``_build_base`` itself and stores nothing.
+At orders 1 and 2 the store keeps nothing: a ladder asked for there is
 built and handed back unstored.
 
 Every kernel a ladder runs is online: Miller's recurrence, the product
@@ -98,10 +104,12 @@ of their inputs.  At source order N every entry of a ladder holds
 N + offset - 1 coefficients, offset that of the base, and
 the first that many of a longer entry are those of a build at N; as the
 form is canonical, a read at N gives the (offset, nums, den) of a build
-at N whatever order the entry was built at.  So the entries are the lazy
-power series of M. D. McIlroy ("Power series, power serious",
-J. Funct. Program. 9, 1999).  The base is built at the longest order
-asked for so far, by ``_build_base`` again when a longer order comes.
+at N whatever order the entry was built at, and a reader that needs
+only coefficient values, as the oracles do, reads them in place.  So the
+entries are the lazy power series of M. D. McIlroy ("Power series,
+power serious", J. Funct. Program. 9, 1999).  The base is built at the
+longest order asked for so far, by ``_build_base`` again when a longer
+order comes.
 Every other entry is built at the order of the first check that reads it.
 Only the product chain, O(L**2) an entry of length L, continues in place
 when a longer read comes, by its new coefficients only.  A derivative,
@@ -482,15 +490,18 @@ def _normalized(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
 # the alpha = 1 base is written down (_pascal_reciprocal) rather than
 # long-divided from its source series.  The second: two_param_euler_oracle
 # reads its one coefficient as a dot product, one of the n + 1 that
-# multiplying out the product takes.  The Pascal-rule build wins at every
-# order in alternating runs on 2-vCPU x86-64 with CPython 3.11.7 (8 Apostol,
-# Euler and two-parameter bases, best of 5): 1.4x at orders 12 and 16,
-# 1.5x at 24 to 64, 1.7x at 80 against the source route, and 2.3x at 104,
-# 2.5x at 150, 7.3x at 300 against Miller's division of the source.  The
-# split stays because perfbench's traced layers expect to see these calls:
-# on verify-sweep the bases are the only callers of reciprocal, scale and
-# exp_linear, and on sequence-pairs the oracles are the only callers of
-# mul.  Lowering it waits on retargeting those layers (ROADMAP items 6 and 16).
+# multiplying out the product takes, of the exponential of x/alpha and the
+# stored base at alpha = 1 read in place; below the split it multiplies out
+# the same two factors, neither dilated.  The Pascal-rule build wins at
+# every order in alternating runs on 2-vCPU x86-64 with CPython 3.11.7 (8
+# Apostol, Euler and two-parameter bases, best of 5): 1.4x at orders 12 and
+# 16, 1.5x at 24 to 64, 1.7x at 80 against the source route, and 2.3x at
+# 104, 2.5x at 150, 7.3x at 300 against Miller's division of the source.
+# The split stays because perfbench's traced layers expect to see these
+# calls: on verify-sweep the bases are the only callers of reciprocal,
+# scale and exp_linear, and on sequence-pairs the oracles are the only
+# callers of mul.  Lowering it waits on retargeting those layers (ROADMAP
+# items 6 and 16).
 _EGF_MIN_LENGTH = 104
 
 
@@ -542,7 +553,14 @@ def _recurrence(rows) -> tuple[list, int]:
 def _pascal_recurrence(lead: int, weight: int, shift: int, length: int) -> tuple[list, int]:
     """r_0 = 1 and C(n+s, s) lead r_n = -weight sum_{j<n} C(n+s, j) r_j for
     n < ``length`` and s = ``shift`` in {0, 1}: numerators over one running
-    denominator, widened the way ``_recurrence`` widens them.
+    denominator.  When a quotient does not fit, the denominator widens by
+    the factor the quotient needs times |lead|**32, so that nums and the
+    diagonal are rescaled at most once per 32 steps for the powers of lead
+    a quotient's denominator gathers, where ``_recurrence`` rescales on
+    nearly every step.  At s = 0 the divisor is -lead, so the factor needed
+    divides |lead| and the denominator holds at most 32 log2|lead| bits
+    more than it needs; ``_pascal_reciprocal`` passes lead = 1 at s = 1,
+    where the batch is 1.
 
     The sum is the binomial transform at N = n + s of r_0..r_{n-1}, zeros
     after, kept as one anti-diagonal of its difference table:
@@ -556,11 +574,12 @@ def _pascal_recurrence(lead: int, weight: int, shift: int, length: int) -> tuple
     den = 1
     nums = [1]
     diagonal = [0] * shift + [1]  # N = s, holding r_0
+    batch = abs(lead) ** 32
     for n in range(1, length):
         acc = weight * sum(diagonal)
         divisor = -math.comb(n + shift, shift) * lead
         if acc % divisor:
-            widen = abs(divisor) // math.gcd(acc, divisor)
+            widen = abs(divisor) // math.gcd(acc, divisor) * batch
             nums = [x * widen for x in nums]
             diagonal = [x * widen for x in diagonal]
             den *= widen
@@ -921,6 +940,17 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     """
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
     if not (alpha and lam):
-        return _build_base(0, lam + c, order)
-    ladder = _LADDERS.ladder(lam, c, order)
-    return _dilated(ladder.at(ladder.base, order), alpha)
+        alpha, lam, c = Fraction(1), Fraction(0), lam + c
+    base = _stored_base(lam, c, order)
+    # A build at ``order`` holds order + offset - 1 coefficients.
+    return _dilated(base.truncated(2 * base.offset + order - 1), alpha)
+
+
+def _stored_base(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
+    """1/(lam e**t + c), the base at alpha = 1, built at source order
+    ``order`` or longer: the store's own series, which a caller reads in
+    place and never changes.  At lam = 0 and at orders 1 and 2 it is
+    built at ``order`` and not stored (module docstring)."""
+    if not lam:
+        return _build_base(lam, c, order)
+    return _LADDERS.ladder(lam, c, order).base

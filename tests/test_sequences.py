@@ -560,15 +560,16 @@ class TestTwoParamEuler:
 
 
 def spy_oracle_orders(monkeypatch):
-    """The orders of the reciprocals the oracles build, in call order."""
+    """The orders at which the oracles read their stored bases, in call
+    order."""
     orders = []
-    real = sequences.recip_exp_linear
+    real = sequences._stored_base
 
-    def spy(alpha, lam, c, order):
+    def spy(lam, c, order):
         orders.append(order)
-        return real(alpha, lam, c, order)
+        return real(lam, c, order)
 
-    monkeypatch.setattr(sequences, "recip_exp_linear", spy)
+    monkeypatch.setattr(sequences, "_stored_base", spy)
     return orders
 
 
@@ -586,7 +587,7 @@ FAMILY_POINTS = {
 
 
 class TestOracleOrders:
-    """Each oracle truncates at the least order whose window holds t**n."""
+    """Each oracle reads its base at the least order whose window holds t**n."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 280])
     def test_bernoulli_reads_the_last_coefficient(self, monkeypatch, n):
@@ -646,6 +647,73 @@ class TestOracleOrders:
             if covered(n):
                 formula = sequence_value(family, n, "formula", **params).value
                 assert formula == sequence_value(family, n, "oracle", **params).value, n
+
+
+class TestInPlaceReads:
+    """The oracles read the stored base at alpha = 1 in place, built at
+    their order or longer, and return what the truncated, dilated copy of
+    ``recip_exp_linear`` gives: on a cold store, and on a store that built
+    the base at order 300 first."""
+
+    LONG = 300
+
+    @staticmethod
+    def read(lam, c, warm, oracle):
+        """oracle() on a fresh store of the default budget that holds the
+        base of (lam, c) at order ``LONG`` first if warm, and the order the
+        store holds that base at afterwards (None if it holds none, as at
+        lam = 0)."""
+        store = series_module._Ladders(series_module._LADDERS.budget)
+        with mock.patch.object(series_module, "_LADDERS", store):
+            if warm and lam:
+                store.ladder(lam, c, TestInPlaceReads.LONG)
+            value = oracle()
+        entry = store._entries.get(series_module._key(lam, c))
+        if entry is None:
+            return value, None
+        base = entry[0].base
+        return value, len(base.nums) - base.offset + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 120),
+        st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(-5, 3), Fraction(3)]),
+        st.booleans(),
+    )
+    @example(0, Fraction(1), False)
+    @example(0, Fraction(1), True)
+    @example(0, Fraction(2, 3), True)
+    @example(120, Fraction(1), True)
+    def test_apostol_bernoulli_matches_the_copy(self, cold_store, n, lam, warm):
+        with cold_store():
+            want = apostol_bernoulli_series(lam, n + 3).coeff(n) * math.factorial(n)
+        value, held = self.read(lam, Fraction(-1), warm, lambda: apostol_bernoulli_oracle(n, lam))
+        assert value == want
+        assert held == (self.LONG if warm else n + 3)
+        if lam == 1:
+            assert self.read(lam, Fraction(-1), warm, lambda: bernoulli_oracle(n))[0] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 120),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        st.sampled_from([Fraction(1), Fraction(-3, 2), Fraction(2), Fraction(-1, 3)]),
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-5, 3), Fraction(3)]),
+        st.booleans(),
+    )
+    @example(0, Fraction(1, 3), Fraction(-3, 2), Fraction(0), False)
+    @example(110, Fraction(1, 3), Fraction(-3, 2), Fraction(0), True)
+    @example(110, Fraction(1, 3), Fraction(-3, 2), Fraction(2, 3), True)
+    @example(101, Fraction(0), Fraction(2), Fraction(3), True)
+    def test_two_param_euler_matches_the_copy(self, cold_store, n, x, alpha, lam, warm):
+        with cold_store():
+            product = exp_linear(x, n + 2) * recip_exp_linear(alpha, lam, 1, n + 2)
+            want = 2 * math.factorial(n) * product.coeff(n)
+        value, held = self.read(lam, Fraction(1), warm, lambda: two_param_euler_oracle(n, x, alpha, lam))
+        assert value == want
+        # At order 2 (n = 0) the oracle reads a base the store does not keep.
+        cold = n + 2 if n + 2 >= 3 else None
+        assert held == (None if not lam else self.LONG if warm else cold)
 
 
 class TestReductionSweep:

@@ -69,6 +69,13 @@ MUTANTS = [
         SERIES_TESTS,
     ),
     (
+        "_pascal_recurrence batch rescales nums but not the diagonal",
+        SERIES,
+        "diagonal = [x * widen for x in diagonal]",
+        "diagonal = [x * (widen // batch) for x in diagonal]",
+        SERIES_TESTS,
+    ),
+    (
         "_pascal_reciprocal ratio",
         SERIES,
         "ratio = lam / lead",
@@ -171,6 +178,20 @@ MUTANTS = [
         SEQUENCES,
         "reversed(r.nums[: n + 1])",
         "reversed(r.nums[1 : n + 2])",
+        SEQUENCES_TESTS,
+    ),
+    (
+        "two_param_euler_oracle alpha fold power n - 1",
+        SEQUENCES,
+        "power = alpha**n",
+        "power = alpha ** (n - 1)",
+        SEQUENCES_TESTS,
+    ),
+    (
+        "apostol_bernoulli_oracle in-place index off by one",
+        SEQUENCES,
+        "i = n - 1 - base.offset",
+        "i = n - base.offset",
         SEQUENCES_TESTS,
     ),
     (
