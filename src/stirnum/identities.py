@@ -32,17 +32,19 @@ left kind (the k-th derivative, compared with a weighted sum of the powers
 of the right base, or the k-th power, compared with a weighted sum of its
 derivatives), the weight of term m, the right base, the additive constant
 and the power of alpha on term m as an integer function of (k, m): k on
-G1, 1 - m on G2 and 0 on the fixed bases.  Every base is
-1/(lam e**(alpha t) + c), and a row holds it as the triple (alpha, lam, c):
-f = (1, 1, -1), g = (-1, -1, 1), h = (1, 1, 1) and G = (alpha, lam, -1),
-each read off the ladder of its (lam, c).  One private verifier builds
-both sides from a row; each public ``verify_*`` function checks its tag
-or converts its parameters and calls it.
+G1, 1 - m on G2 and 0 on the fixed bases.  Every base is a sign times
+B_mu(alpha t), B_mu = 1/(mu e**t - 1) the one family of ``series``, and a
+row holds it as the triple (alpha, mu, sign): f = (1, 1, 1),
+g = (-1, 1, -1), as g(t) = -f(-t), h = (1, -1, -1) and G = (alpha, lam, 1),
+each read off the ladder of its mu.  So f and g read one ladder, and h
+that of G at lam = -1.  One private verifier builds both sides from a
+row; each public ``verify_*`` function checks its tag or converts its
+parameters and calls it.
 
-The verifier reads both sides off the ladders of their bases at alpha = 1,
-the powers and the derivatives of one base series, in the store of bases
-that ``series`` describes.  A base at alpha is its base H at alpha = 1
-dilated, t -> alpha t, and the dilation D_alpha, coefficient e times
+The verifier reads both sides off the ladders of their bases at alpha = 1
+and sign 1, the powers and the derivatives of one B_mu, in the store of
+bases that ``series`` describes.  A base at alpha is its base H at
+alpha = 1 dilated, t -> alpha t, and the dilation D_alpha, coefficient e times
 alpha**e, is linear: the j-th derivative of H(alpha t) is
 alpha**j D_alpha H^(j), and its m-th power is D_alpha H**m.  So a check
 with sides at alpha_l and alpha_r compares its left side at alpha = 1, H_l^(k) or
@@ -50,7 +52,7 @@ H_l**k, with a right side whose weights carry the chain rule, alpha_l**-k
 on each term of the derivative kind and alpha_r**(m-1) on term m,
 derivative m - 1, of the power kind, and whose sum is dilated once, by
 alpha_r / alpha_l.  That is 1 but on the cross tags I3, I4, I7 and I8,
-which set g = (-1, -1, 1) against f, where it is -1.  The two sides at
+which set g = (-1, 1, -1) against f, where it is -1.  The two sides at
 alpha are the two compared ones times alpha_l**j_l and dilated by alpha_l,
 j_l = k on the derivative kind and 0 on the power kind, so they agree
 exactly when the compared ones do; a first discrepancy at exponent e is
@@ -66,6 +68,17 @@ every alpha has the sum at alpha = 1 and does no arithmetic on alpha; a
 wrong spec's nonzero power scales the weights at alpha = 1 by alpha to it.
 A side's alpha of 1, or powers that are all 0, leave the weights as they
 are.
+
+One rule carries the sign the same way.  With H = sign B, the left side
+H_l^(k) is sign_l B_l^(k) and H_l**k is sign_l**k B_l**k, and term m of
+the right side, H_r**m or H_r^(m-1), is sign_r**m B_r**m or
+sign_r B_r^(m-1).  The check compares the left side on B_l with the
+right side on B_r times the left side's sign, sign_l on the derivative
+kind and sign_l**k on the power kind: term m's weight is multiplied by
+that sign and by sign_r**m on the derivative kind, sign_r on the power
+kind, and the additive constant by the left side's sign.  The compared
+sides are the sides at the check's base times the left side's sign, so a
+first discrepancy is reported times it too, at the check's own base.
 
 Each side is read at the check's own order: an entry is built there when
 first read, a longer check grows it or builds it again (``series`` says
@@ -201,9 +214,9 @@ class CheckRow(_Value):
 
 # -- the spec table -----------------------------------------------------------
 
-# Bases 1/(lam e**(alpha t) + c) as (alpha, lam, c).  None stands for G,
-# whose alpha and lam are the parameters of the check.
-_f, _g, _h = (tuple(map(Fraction, base)) for base in [(1, 1, -1), (-1, -1, 1), (1, 1, 1)])
+# Bases sign / (mu e**(alpha t) - 1) as (alpha, mu, sign).  None stands
+# for G, (alpha, lam, 1) at the parameters of the check.
+_f, _g, _h = ((Fraction(alpha), Fraction(mu), sign) for alpha, mu, sign in [(1, 1, 1), (-1, 1, -1), (1, -1, -1)])
 
 
 def _first_kind_weight(k: int, m: int) -> Fraction:
@@ -309,12 +322,13 @@ def _compare(
     hi: int,
     lhs_alpha: Fraction,
     lhs_j: int,
+    lhs_sign: int,
 ) -> VerificationReport:
     """Compare the two sides on [least offset, hi); ``hi`` is at most
     either side's precision, and below it a side holds the exact values of
     a build at ``order``.  A discrepancy at e is reported times
-    lhs_alpha**(e + lhs_j), as the sides at the check's alpha hold it
-    (module docstring)."""
+    lhs_sign * lhs_alpha**(e + lhs_j), as the sides at the check's base
+    hold it (module docstring)."""
     lo = min(lhs.offset, rhs.offset)
     overlap = hi - max(lhs.offset, rhs.offset)
     if hi <= lo or overlap < DEFAULT_MIN_WINDOW:
@@ -325,7 +339,7 @@ def _compare(
     e = lhs.first_difference(rhs, lo, hi)
     first_discrepancy = None
     if e is not None:
-        scale = lhs_alpha ** (e + lhs_j)
+        scale = lhs_sign * lhs_alpha ** (e + lhs_j)
         first_discrepancy = (e, lhs.coeff(e) * scale, rhs.coeff(e) * scale)
     return VerificationReport(
         identity_id=identity_id,
@@ -361,23 +375,24 @@ def _verify(
         order = default_order(k)
     lhs_base, kind, _, rhs_base, constant, exponent = _SPECS[identity_id]
     if lhs_base is None:
-        lhs_base = rhs_base = (alpha, lam, -1)
-    lhs_alpha, lhs_lam, lhs_c = lhs_base
-    rhs_alpha, rhs_lam, rhs_c = rhs_base
-    lhs_ladder = series._LADDERS.ladder(lhs_lam, lhs_c, order)
-    rhs_ladder = series._LADDERS.ladder(rhs_lam, rhs_c, order)
-    # Each side reads its ladder at alpha = 1 and at this order (see
+        lhs_base = rhs_base = (alpha, lam, 1)
+    lhs_alpha, lhs_mu, lhs_sign = lhs_base
+    rhs_alpha, rhs_mu, rhs_sign = rhs_base
+    lhs_ladder = series._LADDERS.ladder(lhs_mu, order)
+    rhs_ladder = series._LADDERS.ladder(rhs_mu, order)
+    # Each side reads its ladder at alpha = 1, sign 1 and this order (see
     # series._Ladder).  The left side, a stored derivative or a stored
     # Miller power, is compared in place up to its end at this order.  The
-    # weighted sum carries the chain rule (module docstring).  It is
-    # combined from the right ladder's entries at this order once, by the
-    # first check of its key, and stored in that ladder with the constant
-    # added; later checks only compare.  A check with its own weights
-    # neither reads nor stores a sum.  Each side keeps its own route: a
-    # power-kind left side never reads the product chain that a
-    # derivative-kind right side sums.
+    # weighted sum carries the chain rule and the signs (module
+    # docstring).  It is combined from the right ladder's entries at this
+    # order once, by the first check of its key, and stored in that ladder
+    # with the constant added; later checks only compare.  A check with
+    # its own weights neither reads nor stores a sum.  Each side keeps its
+    # own route: a power-kind left side never reads the product chain that
+    # a derivative-kind right side sums.
     lhs_j = k if kind == "derivative" else 0
     lhs = lhs_ladder.derivatives(k + 1, order)[k] if lhs_j else lhs_ladder.power(k, order)
+    lhs_sign = lhs_sign if lhs_j else lhs_sign**k
     key = (identity_id, k, order)
     # Every power of a G check is 0 on a correct spec (module docstring),
     # so all alphas share one sum; a wrong power keys its sum on alpha.
@@ -397,6 +412,8 @@ def _verify(
         fold = _folded_powers(exponent, kind, k)
         if side_alpha != 1 and any(fold):
             weights = [w * side_alpha**e for w, e in zip(weights, fold)]
+        if -1 in (lhs_sign, rhs_sign):
+            weights = [w * (lhs_sign * rhs_sign ** (m if lhs_j else 1)) for m, w in enumerate(weights, 1)]
         terms = rhs_ladder.powers(k + 1, order) if lhs_j else rhs_ladder.derivatives(k, order)
         rhs = linear_combination(terms, weights, length=rhs_ladder.length(order))
         if rhs_alpha != lhs_alpha and not rhs.is_zero:
@@ -410,11 +427,11 @@ def _verify(
             # window holds the sum alone and the comparison judges its width.
             rhs_hi = min(rhs_hi, rhs_ladder.base.offset + rhs_ladder.length(order))
             if rhs_hi >= 1:
-                rhs = rhs + LaurentSeries.constant(constant(k), rhs_hi)
+                rhs = rhs + LaurentSeries.constant(lhs_sign * constant(k), rhs_hi)
         if coeff_override is None:
             rhs_ladder.keep_sum(key, rhs, rhs_hi)
     lhs_hi = lhs.offset + lhs_ladder.length(order)
-    return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min(lhs_hi, rhs_hi), lhs_alpha, lhs_j)
+    return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min(lhs_hi, rhs_hi), lhs_alpha, lhs_j, lhs_sign)
 
 
 def verify_core_identity(
@@ -492,19 +509,20 @@ def run_sweep(
     if any(target in GENERAL_IDENTITY_IDS for target in targets):
         alpha_grid = sorted(Fraction(a) for a in (DEFAULT_ALPHAS if alphas is None else alphas))
         lambda_grid = sorted(Fraction(v) for v in (DEFAULT_LAMBDAS if lambdas is None else lambdas))
-        grid = [(lam, -1) for lam in lambda_grid if lam] if any(alpha_grid) else []
+        grid = [lam for lam in lambda_grid if lam] if any(alpha_grid) else []
     # Each ladder's base is built at the order of the widest check, which
     # the narrower ones read, and each ladder is held until the sweep
     # returns; its other entries grow with the checks that read them.
-    # Every check reads the ladders at alpha = 1, so the alphas of a grid
-    # share one per lambda, and one right side per (tag, k, order) in it.
+    # Every check reads the ladders of B_mu, so the alphas of a grid share
+    # one per lambda, and one right side per (tag, k, order) in it, and f
+    # and g share one, as do h and G at lambda = -1.
     # A point with alpha or lambda 0 reads none, and orders below 3 read
     # none stored.
     top = default_order(k_max) if order is None else order
     held = [
-        series._LADDERS.ladder(lam, c, top)
+        series._LADDERS.ladder(mu, top)
         for lhs_base, _, _, rhs_base, *_ in map(_SPECS.get, targets)
-        for lam, c in ({lhs_base[1:], rhs_base[1:]} if lhs_base else grid)
+        for mu in ({lhs_base[1], rhs_base[1]} if lhs_base else grid)
         if top >= 3
     ]
     reports: list[VerificationReport] = []

@@ -29,11 +29,14 @@ valuation 1, so the window after the shift by t is [0, order - 2)) and
 n + 2 for the two-parameter oracle (at lam != -1 the reciprocal's window
 is [0, order - 1)).  Every oracle reads its base at alpha = 1 off the
 store of bases that ``series`` describes, through ``series._stored_base``,
-built at that order or longer, and no oracle dilates it.  The
-Apostol-Bernoulli oracle reads the one coefficient it needs in place.
-The two-parameter oracle folds alpha into the exponential,
-e**(x t) B(alpha t) = e**((x/alpha) s) B(s) at s = alpha t, so that
-coefficient n is alpha**n times that of the undilated product.  From
+built at that order or longer, as a member of its one family
+B_mu = 1/(mu e**t - 1), and no oracle dilates or scales it.  The
+Apostol-Bernoulli oracle reads B_lam, and the one coefficient it needs
+in place.  The two-parameter oracle reads B_(-lam), as
+1/(lam e**t + 1) = -B_(-lam), and folds alpha and the sign -1 into its
+scalar: e**(x t) B(alpha t) = e**((x/alpha) s) B(s) at s = alpha t, so
+that coefficient n is -alpha**n times that of the product with
+B_(-lam).  From
 order ``series._EGF_MIN_LENGTH`` on it reads that coefficient as one dot
 product of the exponential's numerators and the stored ones, in place;
 below that order it multiplies the product out, the base cut to its
@@ -300,16 +303,16 @@ def apostol_bernoulli_oracle(n: int, lam: Scalar) -> Fraction:
     """B_n(lam) as n! times the t**n coefficient of t/(lam*e**t - 1), order n + 3.
 
     That coefficient is coefficient n - 1 of the base 1/(lam e**t - 1),
-    read in place off the stored base, built at order n + 3 or longer: no
-    series is truncated or shifted for it.  It is 0 below the base's
-    window, as at n = 0 with lam != 1, where the window starts at 0.
+    B_lam, read in place off the stored base, built at order n + 3 or
+    longer: no series is truncated or shifted for it.  It is 0 below the
+    base's window, as at n = 0 with lam != 1, where the window starts at 0.
     """
     if n < 0:
         raise DomainError(f"Apostol-Bernoulli numbers need n >= 0, got {n}")
     lam = Fraction(lam)
     if lam == 0:
         raise DomainError("lambda must be nonzero")
-    base = _stored_base(lam, Fraction(-1), n + 3)
+    base = _stored_base(lam, n + 3)
     i = n - 1 - base.offset
     if i < 0:
         return Fraction(0)
@@ -450,10 +453,12 @@ def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fra
     2 e**(x t) / (lam e**(alpha t) + 1), order n + 2.
 
     alpha is folded into the exponential, [t**n] e**(x t) B(alpha t) =
-    alpha**n [s**n] e**((x/alpha) s) B(s), so the oracle reads the stored
-    base r = B at alpha = 1, built at order n + 2 or longer, undilated,
-    with e the exponential of x/alpha.  At lam != -1 both windows start at
-    0, so the coefficient is sum_{i<=n} e_i r_{n-i}.  Below order
+    alpha**n [s**n] e**((x/alpha) s) B(s), and B = 1/(lam e**t + 1) is
+    -B_(-lam), so the oracle reads the stored base r = B_(-lam) at
+    alpha = 1, built at order n + 2 or longer, undilated and unscaled,
+    with e the exponential of x/alpha, and takes -alpha**n as its scalar.
+    At lam != -1 both windows start at 0, so the coefficient is
+    sum_{i<=n} e_i r_{n-i}.  Below order
     ``_EGF_MIN_LENGTH`` it is read out of the multiplied-out product of e
     and r cut to order n + 2, whose integers are those of a build there,
     not the longer ones a longer stored base holds; from that order on it
@@ -465,8 +470,8 @@ def two_param_euler_oracle(n: int, x: Scalar, alpha: Scalar, lam: Scalar) -> Fra
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
     order = n + 2
-    e, r = exp_linear(Fraction(x) / alpha, order), _stored_base(lam, Fraction(1), order)
-    power = alpha**n
+    e, r = exp_linear(Fraction(x) / alpha, order), _stored_base(-lam, order)
+    power = -alpha**n
     if order < _EGF_MIN_LENGTH:
         return 2 * (e * r.truncated(order - 1)).coeff(n) * math.factorial(n) * power
     dot = sum(map(operator.mul, e.nums[: n + 1], reversed(r.nums[: n + 1])))

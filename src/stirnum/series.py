@@ -48,33 +48,41 @@ exactly the window k - 1 repeated products would give.  The same pass at
 k = -1 is the long division, which ``reciprocal`` runs at every length.
 
 Every reciprocal base of the package is 1/(lam e**(alpha t) + c), and
-``_build_base`` is the one place that builds one: the base at alpha = 1,
-1/(lam e**t + c), from (lam, c).  A constant source, alpha = 0 or
-lam = 0, is the constant lam + c, and the base is its reciprocal, the
-build at lam = 0 and c = lam + c.  Every other base is its alpha = 1 base
-dilated, t -> alpha t: ``_dilated``, the one place of this module where
-a nonzero alpha enters, multiplies coefficient e by alpha**e (at
-alpha = 1 it is the base itself).  The two-parameter oracle of
-``sequences`` reads no dilated base: it folds alpha into its
-exponential.  Below order ``_EGF_MIN_LENGTH``, and at orders 1 and 2 where
-the valuation can lie outside the window, the base at alpha = 1 is the
-reciprocal of its source series, which raises the window errors.  From
-that order on it is written down from (lam, c): the factorial-scaled unit
-of lam e**t + c is (lam + c, lam, lam, ...) at valuation s = 0, and
-(lam, lam, ...) for lam (e**t - 1) / t at s = 1, where coefficient i of
-the unit is W_i / (i+s)!.  On a unit with such a constant tail each
-binomial-weighted sum of the long division is a binomial transform, which
-``_pascal_recurrence`` keeps as one anti-diagonal of its difference table
-and moves on by Pascal's rule: O(n) additions a step instead of O(n)
-products, as Brent and Harvey compute the Bernoulli and tangent numbers.
-The exit ``_egf_unscaled`` puts the factorial-scaled quotient back over
-one denominator.
+every one with c != 0 is a member of one family up to a sign and a
+dilation: 1/(lam e**t + c) = (-1/c) B_mu with B_mu = 1/(mu e**t - 1)
+and mu = -lam/c.  ``_build_base`` is the one place that builds a base:
+B_mu at alpha = 1, from mu alone.  At mu = 0 the source is the constant
+-1 and B_0 the constant -1.  Every other base is a B_mu scaled by -1/c
+and dilated, t -> alpha t: ``_dilated``, the one place of this module
+where a nonzero alpha enters, multiplies coefficient e by alpha**e (at
+alpha = 1 it is the base itself).  A constant source, alpha = 0 or
+lam = 0, is the constant lam + c, the source at lam = 0 and c = lam + c,
+whose mu is 0.  Two sources have no mu: c = 0, whose reciprocal
+1/(lam e**t) is no B_mu, and the constant 0; ``recip_exp_linear`` builds
+their reciprocals itself, unstored, with the window errors of the build.
+The two-parameter oracle of ``sequences`` reads no dilated base: it
+folds alpha into its exponential.  Below order ``_EGF_MIN_LENGTH``, and
+at orders 1 and 2 where the valuation can lie outside the window, B_mu
+is the reciprocal of its source series, which raises the window errors.
+From that order on it is written down from mu: the factorial-scaled unit
+of mu e**t - 1 is (mu - 1, mu, mu, ...) at valuation s = 0, and
+(1, 1, ...) for (e**t - 1) / t at s = 1, mu = 1, where coefficient i of
+the unit is W_i / (i+s)!.  The source of 1/(lam e**t + c) is -c times
+that of B_mu, so both have one valuation and one window, and the same
+window errors at orders 1 and 2.  On a unit with such a constant tail
+each binomial-weighted sum of the long division is a binomial transform,
+which ``_pascal_recurrence`` keeps as one anti-diagonal of its difference
+table and moves on by Pascal's rule: O(n) additions a step instead of
+O(n) products, as Brent and Harvey compute the Bernoulli and tangent
+numbers.  The exit ``_egf_unscaled`` puts the factorial-scaled quotient
+back over one denominator.
 
-One bounded store, ``_LADDERS``, keeps the ladders of the bases at
-alpha = 1: the powers and derivatives of 1/(lam e**t + c), one per
-(lam, c), keyed on its four integers (lam.numerator, lam.denominator,
-c.numerator, c.denominator), ``_key``: a tuple of ints hashes fast, where
-a Fraction computes its hash, a modular inverse, on every call.  A ladder
+One bounded store, ``_LADDERS``, keeps the ladders of the bases B_mu:
+the powers and derivatives of 1/(mu e**t - 1), one per mu, keyed on its
+two integers (mu.numerator, mu.denominator), ``_key``: a tuple of ints
+hashes fast, where a Fraction computes its hash, a modular inverse, on
+every call.  So f = B_1 and g(t) = -B_1(-t) read one ladder, and
+h = -B_(-1) reads the ladder of G at lam = -1.  A ladder
 holds two kinds of power: the chain base**1, base**2, ... of products,
 and single powers base**k, each one pass of Miller's recurrence, so that
 a power-kind identity check and a derivative-kind one never read the same
@@ -86,17 +94,17 @@ alpha share that sum; a G spec whose powers of alpha do not cancel the
 chain rule's keys its sum on alpha too (``identities``).  The store
 builds the bases it keeps with ``_build_base``, and every other caller
 only reads them.  The identity checks read both their sides there, at
-alpha = 1, whatever their alpha (``identities`` says how the chain rule
-carries it).  ``_stored_base`` hands out the stored base at alpha = 1
-itself, built at the order asked for or longer, and every reader of a
-base outside the ladders goes through it: the oracles of ``sequences``
-read the coefficients they need in place off it, and
-``recip_exp_linear`` truncates and dilates what it returns, at every
-order, so f, h and G share one entry with the oracles.
-At lam = 0, and in ``recip_exp_linear`` at alpha = 0, where the base is
-the constant one, it calls ``_build_base`` itself and stores nothing.
-At orders 1 and 2 the store keeps nothing: a ladder asked for there is
-built and handed back unstored.
+alpha = 1 and without their signs, whatever their alpha and sign
+(``identities`` says how the chain rule and the sign carry them).
+``_stored_base`` hands out the stored B_mu itself, built at the order
+asked for or longer, and every reader of a base outside the ladders goes
+through it: the oracles of ``sequences`` read the coefficients they need
+in place off it, and ``recip_exp_linear`` truncates, scales and dilates
+what it returns, at every order, so f, g, h and G share their entries
+with the oracles.  At mu = 0, where the base is the constant -1, it calls
+``_build_base`` itself and stores nothing.  At orders 1 and 2 the store
+keeps nothing: a ladder asked for there is built and handed back
+unstored.
 
 Every kernel a ladder runs is online: Miller's recurrence, the product
 and the derivative each compute coefficient n from the coefficients <= n
@@ -593,21 +601,21 @@ def _pascal_recurrence(lead: int, weight: int, shift: int, length: int) -> tuple
     return nums, den
 
 
-def _pascal_reciprocal(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
-    """1/(lam e**t + c), lam != 0, on the window of the reciprocal of its
-    source series of the given order, order >= 3.
+def _pascal_reciprocal(mu: Fraction, order: int) -> LaurentSeries:
+    """B_mu = 1/(mu e**t - 1), mu != 0, on the window of the reciprocal of
+    its source series of the given order, order >= 3.
 
-    The source has valuation s = [lam + c == 0].  Its unit u, the source
-    over t**s, has u_i = W_i / (i+s)! with W_0 = lead and W_i = lam for
-    i >= 1, where lead = lam + c at s = 0 and lam at s = 1: lam e**t + c
-    at s = 0, lam (e**t - 1) / t at s = 1.  With 1/u = sum T_n t**n / n!,
+    The source has valuation s = [mu == 1].  Its unit u, the source over
+    t**s, has u_i = W_i / (i+s)! with W_0 = lead and W_i = mu for i >= 1,
+    where lead = mu - 1 at s = 0 and mu = 1 at s = 1: mu e**t - 1 at
+    s = 0, (e**t - 1) / t at s = 1.  With 1/u = sum T_n t**n / n!,
     sum_i C(n+s, i+s) W_i T_{n-i} = [n == 0] gives T_0 = 1 / lead and the
-    long division of ``_pascal_recurrence`` at the ratio lam / lead for
+    long division of ``_pascal_recurrence`` at the ratio mu / lead for
     T_n / T_0.
     """
-    shift = 0 if lam + c else 1
-    lead = lam + c if shift == 0 else lam
-    ratio = lam / lead
+    shift = int(mu == 1)
+    lead = mu - 1 or mu
+    ratio = mu / lead
     nums, den = _pascal_recurrence(ratio.denominator, ratio.numerator, shift, order - 1 - shift)
     scale = 1 / (lead * den)
     nums, den = _egf_unscaled([x * scale.numerator for x in nums], scale.denominator)
@@ -739,15 +747,15 @@ def _dilated(r: LaurentSeries, alpha: Fraction) -> LaurentSeries:
     return LaurentSeries(r.offset, list(nums), r.den * first.denominator * b**top)
 
 
-def _build_base(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
-    """1/(lam e**t + c) on the window of the reciprocal of its source
+def _build_base(mu: Fraction, order: int) -> LaurentSeries:
+    """B_mu = 1/(mu e**t - 1) on the window of the reciprocal of its source
     series of the given order: the one builder of every base at alpha = 1,
-    by the rule of the module docstring.  At lam = 0 the source is the
-    constant c."""
+    by the rule of the module docstring.  At mu = 0 the source is the
+    constant -1."""
     # Pascal's rule needs order >= 3, whatever the split is set to.
-    if not lam or order < 3 or order < _EGF_MIN_LENGTH:
-        return _source_reciprocal(lam, c, order)
-    return _pascal_reciprocal(lam, c, order)
+    if not mu or order < 3 or order < _EGF_MIN_LENGTH:
+        return _source_reciprocal(mu, -1, order)
+    return _pascal_reciprocal(mu, order)
 
 
 def _stored_bits(r: LaurentSeries) -> int:
@@ -759,8 +767,8 @@ def _stored_bits(r: LaurentSeries) -> int:
 
 
 class _Ladder:
-    """The ladder of one base 1/(lam e**t + c), built from ``lam`` and
-    ``c``, both Fractions, and kept under the ``_key`` of the two.  It holds
+    """The ladder of one base B_mu = 1/(mu e**t - 1), built from ``mu``, a
+    Fraction, and kept under the ``_key`` of mu.  It holds
     powers base**1, base**2, ... as a chain of products, derivatives base,
     base', ... and single powers base**k by Miller's recurrence.  The base
     is built at source order ``order`` or longer; each other entry is built
@@ -779,10 +787,10 @@ class _Ladder:
     included; ``_kept`` counts each entry there and charges the store that
     built the ladder, if one did."""
 
-    def __init__(self, lam: Scalar, c: Scalar, order: int, store: _Ladders | None = None):
-        self.lam, self.c = Fraction(lam), Fraction(c)
+    def __init__(self, mu: Scalar, order: int, store: _Ladders | None = None):
+        self.mu = Fraction(mu)
         self._store = store
-        self.base = _build_base(self.lam, self.c, order)
+        self.base = _build_base(self.mu, order)
         self.bits = _stored_bits(self.base)
         self._powers = [self.base]
         self._derivatives = [self.base]
@@ -803,13 +811,13 @@ class _Ladder:
         charged the new count."""
         self.bits += _stored_bits(entry) - (0 if old is None else _stored_bits(old))
         if self._store is not None:
-            self._store.charge(_key(self.lam, self.c), self)
+            self._store.charge(_key(self.mu), self)
         return entry
 
     def grow(self, order: int) -> None:
         """Build the base again at ``order`` if a build there is longer."""
         if len(self.base.nums) < self.length(order):
-            base = self._kept(_build_base(self.lam, self.c, order), self.base)
+            base = self._kept(_build_base(self.mu, order), self.base)
             self.base = self._powers[0] = self._derivatives[0] = self._miller[1] = base
 
     def _reach(self, entry: LaurentSeries, source: LaurentSeries, length: int) -> int:
@@ -872,15 +880,15 @@ def _grown(entry: LaurentSeries, nums: Sequence[int], den: int) -> LaurentSeries
     return LaurentSeries(entry.offset, [*head, *map(operator.mul, nums, repeat(common // den))], common)
 
 
-def _key(lam: Scalar, c: Scalar) -> tuple[int, int, int, int]:
-    """The store key of the ladder of 1/(lam e**t + c): the integers of
-    lam and c, an int or a Fraction each."""
-    return lam.numerator, lam.denominator, c.numerator, c.denominator
+def _key(mu: Scalar) -> tuple[int, int]:
+    """The store key of the ladder of B_mu = 1/(mu e**t - 1): the two
+    integers of mu, an int or a Fraction."""
+    return mu.numerator, mu.denominator
 
 
 class _Ladders:
     """The bounded store of ladders, ``_LADDERS``: see the module docstring.
-    It keeps and charges each ladder under the ``_key`` of its (lam, c)."""
+    It keeps and charges each ladder under the ``_key`` of its mu."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -889,16 +897,16 @@ class _Ladders:
         self._entries: dict = {}
         self._live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def ladder(self, lam: Scalar, c: Scalar, order: int) -> _Ladder:
-        """The ladder of the base 1/(lam e**t + c), its base built at
+    def ladder(self, mu: Scalar, order: int) -> _Ladder:
+        """The ladder of the base B_mu = 1/(mu e**t - 1), its base built at
         ``order`` or longer."""
         if order < 3:
-            return _Ladder(lam, c, order)
-        key = _key(lam, c)
+            return _Ladder(mu, order)
+        key = _key(mu)
         entry = self._entries.get(key)
         ladder = entry[0] if entry else self._live.get(key)
         if ladder is None:
-            ladder = self._live[key] = _Ladder(lam, c, order, self)
+            ladder = self._live[key] = _Ladder(mu, order, self)
         else:
             ladder.grow(order)
         self.keep(key, ladder)
@@ -934,23 +942,29 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     series of the given order has.
 
     1/(e**t - 1) is (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1)
-    is (1, 1, 1).  The public entry point to every base: how
-    ``_build_base`` builds it and how the store keeps it are in the module
-    docstring.
+    is (1, 1, 1).  The public entry point to every base: for c != 0 it is
+    the stored B_mu, mu = -lam/c, cut to the order, scaled by -1/c unless
+    c = -1 and dilated by alpha.  At c = 0, and at a constant source whose
+    lam + c is 0, it is its source's reciprocal, built unstored.  How
+    ``_build_base`` builds B_mu and how the store keeps it are in the
+    module docstring.
     """
     alpha, lam, c = Fraction(alpha), Fraction(lam), Fraction(c)
     if not (alpha and lam):
         alpha, lam, c = Fraction(1), Fraction(0), lam + c
-    base = _stored_base(lam, c, order)
+    if not c:
+        return _dilated(_source_reciprocal(lam, c, order), alpha)
+    base = _stored_base(-lam / c, order)
     # A build at ``order`` holds order + offset - 1 coefficients.
-    return _dilated(base.truncated(2 * base.offset + order - 1), alpha)
+    base = base.truncated(2 * base.offset + order - 1)
+    return _dilated(base if c == -1 else base.scale(-1 / c), alpha)
 
 
-def _stored_base(lam: Fraction, c: Fraction, order: int) -> LaurentSeries:
-    """1/(lam e**t + c), the base at alpha = 1, built at source order
+def _stored_base(mu: Fraction, order: int) -> LaurentSeries:
+    """B_mu = 1/(mu e**t - 1), the base at alpha = 1, built at source order
     ``order`` or longer: the store's own series, which a caller reads in
-    place and never changes.  At lam = 0 and at orders 1 and 2 it is
-    built at ``order`` and not stored (module docstring)."""
-    if not lam:
-        return _build_base(lam, c, order)
-    return _LADDERS.ladder(lam, c, order).base
+    place and never changes.  At mu = 0 and at orders 1 and 2 it is built
+    at ``order`` and not stored (module docstring)."""
+    if not mu:
+        return _build_base(mu, order)
+    return _LADDERS.ladder(mu, order).base

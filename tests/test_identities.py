@@ -3,7 +3,6 @@
 import functools
 import itertools
 import math
-import operator
 import weakref
 from fractions import Fraction
 from unittest import mock
@@ -44,6 +43,7 @@ from stirnum.series import (
     recip_exp_linear,
 )
 from stirnum.stirling import b_coeff, lambda_coeff, stirling1, stirling2
+from store_helpers import STORE_BITS, base_order, cold_entry, held_order, ladder_key
 
 
 def standalone_checks(targets, k_max, order, alphas, lambdas):
@@ -413,55 +413,19 @@ class TestPrecisionGuard:
             verify_general_power(3, 1, 1, order=8)
 
 
-# The bound of the one store of bases and ladders, 4 MiB of charged bits.
-STORE_BITS = series_module._LADDERS.budget
-
-
-def base_order(ladder):
-    """The source order the base of a ladder was built at."""
-    return held_order(ladder, ladder.base)
-
-
-def held_order(ladder, entry):
-    """The source order at which a build gives as many coefficients as
-    the ladder holds of entry."""
-    return len(entry.nums) - ladder.base.offset + 1
-
-
-def ladder_key(lam, c):
-    """The store key of the ladder of 1/(lam e**t + c): the integers of
-    lam and c."""
-    lam, c = Fraction(lam), Fraction(c)
-    return lam.numerator, lam.denominator, c.numerator, c.denominator
-
-
-@functools.lru_cache(maxsize=None)
-def cold_entry(base, kind, index, order):
-    """What the ladder of the base (alpha, lam, c) reads at ``order`` when
-    built there: the last of ``derivatives(index)``, base^(index-1); the
-    last of ``powers(index)``, the product of index bases; or
-    ``power(index)``.  At alpha != 1 it reads the base built at alpha = 1
-    and dilated."""
-    alpha, *source = map(Fraction, base)
-    base = series_module._dilated(series_module._build_base(*source, order), alpha)
-    if kind == "derivatives":
-        return functools.reduce(lambda s, _: s.derivative(), range(index - 1), base)
-    if kind == "powers":
-        return functools.reduce(operator.mul, [base] * index)
-    return base**index
-
-
 def cold_sum(ladder, tag, k, order, alpha=Fraction(1)):
     """The right side of tag at k and alpha that a check at ``order``
-    stores in ``ladder``, at alpha = 1, and the end of its compared window:
-    the right side from entries built at that order on the bases at alpha,
-    its coefficient e over alpha_l**(e + j), alpha_l the left base's alpha
-    and j = k on the derivative kind, 0 on the power kind.  A G sum stored
-    without its alpha is the one at alpha = 1."""
+    stores in ``ladder``, at alpha = 1 and sign 1, and the end of its
+    compared window: the right side from entries built at that order on the
+    bases at alpha and sign, its coefficient e over
+    sign_l * alpha_l**(e + j), alpha_l the left base's alpha, sign_l its
+    sign, to the power k on the power kind, and j = k on the derivative
+    kind, 0 on the power kind.  A G sum stored without its alpha is the one
+    at alpha = 1."""
     lhs_base, kind, _, rhs_base, constant, _ = _SPECS[tag]
-    point = (alpha, ladder.lam, -1)
-    lhs_alpha, base = (lhs_base or point)[0], rhs_base or point
-    assert base[1:] == (ladder.lam, ladder.c)
+    point = (alpha, ladder.mu, 1)
+    (lhs_alpha, _, lhs_sign), base = lhs_base or point, rhs_base or point
+    assert base[1] == ladder.mu
     if kind == "derivative":
         terms = [cold_entry(base, "powers", m, order) for m in range(1, k + 2)]
     else:
@@ -474,7 +438,8 @@ def cold_sum(ladder, tag, k, order, alpha=Fraction(1)):
             rhs = rhs + LaurentSeries.constant(constant(k), hi)
     if not rhs.is_zero:
         j = k if kind == "derivative" else 0
-        rhs = series_module._dilated(rhs, 1 / lhs_alpha).scale(lhs_alpha**-j)
+        sign = lhs_sign if j else lhs_sign**k
+        rhs = series_module._dilated(rhs, 1 / lhs_alpha).scale(sign * lhs_alpha**-j)
     return rhs, hi
 
 
@@ -483,7 +448,7 @@ def assert_cold_ladders(store):
     at the order of its length, every stored right side is the one a build
     at its order gives, and each ladder is charged what it holds."""
     for key, (ladder, bits) in store._entries.items():
-        assert key == ladder_key(ladder.lam, ladder.c)
+        assert key == ladder_key(ladder.mu)
         held = [*ladder._powers, *ladder._derivatives, *ladder._miller.values(), *(rhs for rhs, _ in ladder.sums.values())]
         distinct = {id(entry): entry for entry in held}.values()
         assert ladder.bits == bits == sum(map(series_module._stored_bits, distinct))
@@ -492,7 +457,7 @@ def assert_cold_ladders(store):
             *(("powers", m, entry) for m, entry in enumerate(ladder._powers, 1)),
             *(("power", k, entry) for k, entry in ladder._miller.items()),
         ]
-        base = (1, ladder.lam, ladder.c)
+        base = (1, ladder.mu, 1)
         for kind, index, entry in entries:
             assert entry == cold_entry(base, kind, index, held_order(ladder, entry)), (key, kind, index)
         for (tag, k, order, *alpha), stored in ladder.sums.items():
@@ -505,9 +470,9 @@ def recorded_builds(monkeypatch):
     built = []
     real = _Ladder.__init__
 
-    def spy(ladder, lam, c, order, store=None):
-        real(ladder, lam, c, order, store)
-        built.append((ladder_key(lam, c), order))
+    def spy(ladder, mu, order, store=None):
+        real(ladder, mu, order, store)
+        built.append((ladder_key(mu), order))
 
     monkeypatch.setattr(_Ladder, "__init__", spy)
     return built
@@ -527,9 +492,10 @@ def recorded_combinations(monkeypatch):
     return combined
 
 
-# The store keys of the ladders of the fixed bases, the (lam, c) of
-# 1/(lam e**t + c): g = 1/(1 - e**(-t)) is read off the ladder of 1/(1 - e**t).
-F_KEY, G_KEY, H_KEY = ladder_key(1, -1), ladder_key(-1, 1), ladder_key(1, 1)
+# The store keys of the ladders of the fixed bases, the mu of
+# B_mu = 1/(mu e**t - 1): f = B_1, and g(t) = -B_1(-t) is read off the
+# ladder of f; h = -B_(-1), and G at lambda = -1 is B_(-1) dilated.
+F_KEY, H_KEY = ladder_key(1), ladder_key(-1)
 
 
 class TestLadderStore:
@@ -730,7 +696,7 @@ class TestLadderStore:
         # without its alpha.  The longer check keeps the ladder, its entries
         # and the right sides, and grows what it reads.
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
-        key = ladder_key(lam, -1)
+        key = ladder_key(lam)
         verify_general_derivative(2, alpha, lam)
         assert list(store._entries) == [key]
         ladder, _ = store._entries[key]
@@ -746,11 +712,11 @@ class TestLadderStore:
         assert_cold_ladders(store)
 
     def test_a_dilated_check_grows_the_ladder_at_alpha_one(self, store):
-        # G1 at alpha = 1 keeps its powers under the key of (lam, -1); a
+        # G1 at alpha = 1 keeps its powers under the key of mu = lam; a
         # longer check of the same lambda at alpha = -3/2 reads that ladder
         # and grows it in place, building no ladder of the key again.
         lam = Fraction(2, 3)
-        key = ladder_key(lam, -1)
+        key = ladder_key(lam)
         verify_general_derivative(4, 1, lam)
         ladder, _ = store._entries[key]
         powers = list(ladder._powers)
@@ -771,16 +737,16 @@ class TestLadderStore:
     @pytest.mark.parametrize(
         "targets, keys",
         [
-            # g = 1/(1 - e**(-t)) is read off the ladder of 1/(1 - e**t)
-            (["I1", "I8"], [F_KEY, G_KEY]),
-            (["G1", "G2"], [ladder_key(lam, -1) for lam in LAMBDAS]),
+            # g(t) = -f(-t) is read off the ladder of f
+            (["I1", "I8"], [F_KEY]),
+            (["G1", "G2"], [ladder_key(lam) for lam in LAMBDAS]),
         ],
     )
     def test_a_sweep_past_the_budget_builds_each_ladder_once(self, monkeypatch, targets, keys, budget):
         # The sweep holds what it reads, so a store that keeps nothing or
         # little still gives every check the ladder built at the widest
-        # order, and each key, one (lam, c) for all the alphas of a
-        # lambda, is built once.
+        # order, and each key, one mu for all the alphas of a lambda, is
+        # built once.
         built = recorded_builds(monkeypatch)
         monkeypatch.setattr(series_module, "_LADDERS", _Ladders(budget))
         reports = run_sweep(targets, 6, alphas=self.ALPHAS, lambdas=self.LAMBDAS)
@@ -792,7 +758,7 @@ class TestLadderStore:
         # drops the ladder at alpha = 1, the next check builds it again
         # through the store, and reads what a cold store reads.
         alpha, lam = Fraction(-3, 2), Fraction(2, 3)
-        key = ladder_key(lam, -1)
+        key = ladder_key(lam)
         sizes = self.charges([lambda: verify_general_derivative(2, alpha, lam), lambda: verify_core_identity("I1", 2)])
         store = _Ladders(sum(sizes) - 1)
         with cold_store():
@@ -808,23 +774,44 @@ class TestLadderStore:
         assert [key for key, _ in built].count(key) >= 2
         assert_cold_ladders(store)
 
-    G_GRID_KEYS = [ladder_key(lam, -1) for lam in DEFAULT_LAMBDAS]
+    G_GRID_KEYS = [ladder_key(lam) for lam in DEFAULT_LAMBDAS]
 
     @pytest.mark.parametrize(
         "targets, alphas, keys",
         [
             (["G1", "G2"], None, G_GRID_KEYS),
-            (["I2", "I3", "I4", "I5", "I7", "I8"], None, [F_KEY, G_KEY]),
+            (["I2", "I3", "I4", "I5", "I7", "I8"], None, [F_KEY]),
             (["G1", "G2"], [-1, Fraction(1, 3)], G_GRID_KEYS),
         ],
     )
     def test_every_ladder_a_sweep_reads_is_at_alpha_one(self, monkeypatch, store, targets, alphas, keys):
         # A G grid and the tags on g read the ladders at alpha = 1 alone:
-        # the ladders built and stored are one per (lam, c), whatever the
-        # alphas.
+        # the ladders built and stored are one per mu, whatever the alphas
+        # and signs.
         built = recorded_builds(monkeypatch)
         assert all(report.passed for report in run_sweep(targets, 6, None, alphas))
         assert sorted(store._entries) == sorted(key for key, _ in built) == sorted(keys)
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [lambda: run_sweep(ALL_IDENTITY_IDS, 6), lambda: verify_target("all", 6)],
+        ids=["run_sweep", "verify all"],
+    )
+    def test_every_tag_on_the_default_grid_builds_five_ladders(self, monkeypatch, store, sweep):
+        # The bases are f = B_1, g(t) = -B_1(-t), h = -B_(-1) and
+        # G = B_lam(alpha t) at the five default lambdas: five mu, each
+        # built once.  f and g share the ladder of B_1, which G at
+        # lambda = 1 reads too, and h and G at lambda = -1 that of B_(-1).
+        built = recorded_builds(monkeypatch)
+        rows = sweep()
+        assert rows and all(row.passed for row in rows)
+        keys = [ladder_key(mu) for mu in (1, -1, Fraction(-5, 3), Fraction(1, 2), 2)]
+        assert sorted(built) == sorted((key, default_order(6)) for key in keys)
+        assert sorted(store._entries) == sorted(keys)
+        right = {key: {tag for tag, *_ in store._entries[key][0].sums} for key in keys}
+        assert right[F_KEY] == {*CORE_IDENTITY_IDS, *GENERAL_IDENTITY_IDS}
+        assert right[H_KEY] == {*PLUS_IDENTITY_IDS, *GENERAL_IDENTITY_IDS}
+        assert all(right[key] == set(GENERAL_IDENTITY_IDS) for key in keys[2:])
 
     def test_a_g_grid_combines_one_sum_per_lambda(self, monkeypatch, store):
         # A correct spec's powers of alpha cancel the chain rule's, so the
@@ -834,7 +821,7 @@ class TestLadderStore:
         reports = run_sweep(["G1", "G2"], 6)
         assert len(reports) == 2 * 6 * 25 and all(report.passed for report in reports)
         assert len(combined) == 2 * 6 * 5
-        assert set(store._entries) == {ladder_key(lam, -1) for lam in DEFAULT_LAMBDAS}
+        assert set(store._entries) == {ladder_key(lam) for lam in DEFAULT_LAMBDAS}
         for ladder, _ in store._entries.values():
             assert set(ladder.sums) == {(tag, k, default_order(k)) for tag in ("G1", "G2") for k in range(1, 7)}
         assert_cold_ladders(store)
@@ -892,10 +879,10 @@ class TestLadderStore:
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     @pytest.mark.parametrize("tag", ["I2", "I3"])
     def test_a_discrepancy_on_g_reports_the_coefficients_at_alpha(self, store, tag, k):
-        # The left side g^(k) is compared at alpha = 1, as the k-th
-        # derivative of 1/(1 - e**t); at odd k each of its coefficients
-        # there has the other sign.  A failed check still reports those of
-        # g^(k) built directly and of the corrupted weighted sum.
+        # The left side g^(k) is compared at alpha = 1 and sign 1, as f^(k):
+        # g^(k)(t) = (-1)**(k+1) f^(k)(-t), so coefficient e of g^(k) is
+        # (-1)**(k+e+1) times that of f^(k).  A failed check still reports
+        # those of g^(k) built directly and of the corrupted weighted sum.
         order = default_order(k)
         weights = core_identity_coefficients(tag, k)
         corrupted = [*weights[:-1], weights[-1] + 1]
@@ -910,7 +897,7 @@ class TestLadderStore:
 
     def test_oracles_read_the_ladder_of_a_sweep(self, monkeypatch, store, cold_store):
         # The sweep keeps f = 1/(e**t - 1) at order 34 under the key of
-        # (1, -1), which bernoulli_oracle(n) reads at order n + 3.
+        # mu = 1, which bernoulli_oracle(n) reads at order n + 3.
         run_sweep(["I1"], 12)
         with cold_store():
             expected = [bernoulli_oracle(n) for n in range(32)]
@@ -925,11 +912,11 @@ class TestLadderStore:
 
     def test_a_longer_base_request_grows_a_ladder_of_the_checks(self, store, cold_store):
         # G1 at alpha = 1 and lambda = 2 keeps its ladder under the key of
-        # (2, -1), which apostol_bernoulli_oracle(n, 2) reads at order
+        # mu = 2, which apostol_bernoulli_oracle(n, 2) reads at order
         # n + 3: at n = 60 it builds the base again and keeps the powers,
         # which grow only when a check reads them longer.
         verify_general_derivative(4, 1, 2)
-        key = ladder_key(2, -1)
+        key = ladder_key(2)
         ladder, _ = store._entries[key]
         assert base_order(ladder) == default_order(4) and len(ladder._powers) == 5
         powers = ladder._powers[1:]
@@ -958,13 +945,13 @@ class TestLadderStore:
         # Each power is built at its check's order and grows as the
         # orders rise; every read is a power of a fresh base.
         assert all(report.passed for report in run_sweep([tag], 6, None, alphas, lambdas))
-        _, lam, c = _SPECS[tag][0] or (None, lambdas[0], -1)
-        ladder = store._entries[ladder_key(lam, c)][0]
+        _, mu, _ = _SPECS[tag][0] or (None, lambdas[0], 1)
+        ladder = store._entries[ladder_key(mu)][0]
         assert base_order(ladder) == default_order(6) and sorted(ladder._miller) == list(range(1, 7))
         assert [held_order(ladder, ladder._miller[k]) for k in range(2, 7)] == list(map(default_order, range(2, 7)))
         for order in range(3, default_order(6) + 1):
             for k in range(1, 7):
-                fresh = series_module._build_base(Fraction(lam), Fraction(c), order) ** k
+                fresh = series_module._build_base(Fraction(mu), order) ** k
                 assert ladder.at(ladder.power(k, order), order) == fresh, (order, k)
 
     def test_a_second_power_sweep_runs_no_miller_pass(self, monkeypatch, store):
@@ -975,10 +962,11 @@ class TestLadderStore:
         monkeypatch.setattr(series_module, "_power", lambda unit, den, k: passes.append(k) or real(unit, den, k))
         assert run_sweep(tags, 12) == first
         assert [k for k in passes if k >= 1] == []
-        # the ladders of f, g and h each hold base**1 .. base**12 and the
-        # right sides read off them, and every entry held is charged once
-        assert set(store._entries) == {F_KEY, G_KEY, H_KEY}
-        right = {F_KEY: ["I6", "I7"], G_KEY: ["I5", "I8"], H_KEY: ["P2"]}
+        # the ladders of f, which g reads too, and h each hold base**1 ..
+        # base**12 and the right sides read off them, and every entry held
+        # is charged once
+        assert set(store._entries) == {F_KEY, H_KEY}
+        right = {F_KEY: ["I5", "I6", "I7", "I8"], H_KEY: ["P2"]}
         for key, (ladder, bits) in store._entries.items():
             assert sorted(ladder._miller) == list(range(1, 13))
             assert set(ladder.sums) == {(tag, k, default_order(k)) for tag in right[key] for k in range(1, 13)}

@@ -565,9 +565,9 @@ def spy_oracle_orders(monkeypatch):
     orders = []
     real = sequences._stored_base
 
-    def spy(lam, c, order):
+    def spy(mu, order):
         orders.append(order)
-        return real(lam, c, order)
+        return real(mu, order)
 
     monkeypatch.setattr(sequences, "_stored_base", spy)
     return orders
@@ -650,25 +650,24 @@ class TestOracleOrders:
 
 
 class TestInPlaceReads:
-    """The oracles read the stored base at alpha = 1 in place, built at
-    their order or longer, and return what the truncated, dilated copy of
-    ``recip_exp_linear`` gives: on a cold store, and on a store that built
-    the base at order 300 first."""
+    """The oracles read the stored base B_mu = 1/(mu e**t - 1) in place,
+    built at their order or longer, and return what the truncated, scaled
+    and dilated copy of ``recip_exp_linear`` gives: on a cold store, and on
+    a store that built the base at order 300 first."""
 
     LONG = 300
 
     @staticmethod
-    def read(lam, c, warm, oracle):
-        """oracle() on a fresh store of the default budget that holds the
-        base of (lam, c) at order ``LONG`` first if warm, and the order the
-        store holds that base at afterwards (None if it holds none, as at
-        lam = 0)."""
+    def read(mu, warm, oracle):
+        """oracle() on a fresh store of the default budget that holds B_mu
+        at order ``LONG`` first if warm, and the order the store holds that
+        base at afterwards (None if it holds none, as at mu = 0)."""
         store = series_module._Ladders(series_module._LADDERS.budget)
         with mock.patch.object(series_module, "_LADDERS", store):
-            if warm and lam:
-                store.ladder(lam, c, TestInPlaceReads.LONG)
+            if warm and mu:
+                store.ladder(mu, TestInPlaceReads.LONG)
             value = oracle()
-        entry = store._entries.get(series_module._key(lam, c))
+        entry = store._entries.get(series_module._key(mu))
         if entry is None:
             return value, None
         base = entry[0].base
@@ -687,11 +686,11 @@ class TestInPlaceReads:
     def test_apostol_bernoulli_matches_the_copy(self, cold_store, n, lam, warm):
         with cold_store():
             want = apostol_bernoulli_series(lam, n + 3).coeff(n) * math.factorial(n)
-        value, held = self.read(lam, Fraction(-1), warm, lambda: apostol_bernoulli_oracle(n, lam))
+        value, held = self.read(lam, warm, lambda: apostol_bernoulli_oracle(n, lam))
         assert value == want
         assert held == (self.LONG if warm else n + 3)
         if lam == 1:
-            assert self.read(lam, Fraction(-1), warm, lambda: bernoulli_oracle(n))[0] == want
+            assert self.read(lam, warm, lambda: bernoulli_oracle(n))[0] == want
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -709,7 +708,8 @@ class TestInPlaceReads:
         with cold_store():
             product = exp_linear(x, n + 2) * recip_exp_linear(alpha, lam, 1, n + 2)
             want = 2 * math.factorial(n) * product.coeff(n)
-        value, held = self.read(lam, Fraction(1), warm, lambda: two_param_euler_oracle(n, x, alpha, lam))
+        # 1/(lam e**t + 1) is -B_(-lam).
+        value, held = self.read(-lam, warm, lambda: two_param_euler_oracle(n, x, alpha, lam))
         assert value == want
         # At order 2 (n = 0) the oracle reads a base the store does not keep.
         cold = n + 2 if n + 2 >= 3 else None

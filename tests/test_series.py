@@ -28,6 +28,7 @@ from stirnum.sequences import (
 )
 from stirnum.series import ZERO, LaurentSeries, exp_linear, linear_combination, recip_exp_linear
 from stirnum.stirling import stirling2
+from store_helpers import STORE_BITS, base_order, cold_entry, held_order, ladder_key, mu_of
 
 small_fractions = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -488,6 +489,39 @@ class TestRecipExpLinear:
         )
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([0, 1, -1, 2, Fraction(-3, 2), Fraction(1, 3)]),
+        st.sampled_from([0, 1, -1, 3, Fraction(2, 3), Fraction(-5, 3)]),
+        st.sampled_from([0, 1, -1, 2, -2, Fraction(1, 3), "-lam"]),
+        st.one_of(st.integers(1, 3), st.integers(4, 40), st.sampled_from([103, 104, 120])),
+        st.booleans(),
+    )
+    def test_every_source_reads_a_cold_direct_build(self, cold_store, alpha, lam, c, order, warm):
+        # A base with c != 0 reads B_mu, mu = -lam/c, off the store, and
+        # scales it by -1/c unless c = -1; c = 0 and a constant source of
+        # value 0 build their reciprocals unstored.  Each gives the series,
+        # or the error type and message, of the base long-divided at alpha
+        # on an empty store, whether or not the store holds B_mu at order
+        # 150 first; a cold read stores B_mu alone, and an unstored one
+        # nothing.
+        c = -lam if c == "-lam" else c
+        store = series_module._Ladders(STORE_BITS)
+        with mock.patch.object(series_module, "_LADDERS", store):
+            if warm and c and lam:
+                store.ladder(mu_of(lam, c), 150)
+            got = result_or_error(recip_exp_linear, alpha, lam, c, order)
+        with cold_store():
+            want = result_or_error(direct_recip_exp_linear, alpha, lam, c, order)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_series(got, want)
+        if not warm:
+            stored = bool(c and alpha and lam) and order >= 3
+            assert list(store._entries) == ([ladder_key(mu_of(lam, c))] if stored else [])
+
+
 class TestIntegerKernel:
     """mul, reciprocal and linear combinations run on integer numerators;
     the Fraction loops they replaced are the reference."""
@@ -748,28 +782,6 @@ def window_error(op, *args):
     return None
 
 
-# The bound of the one store of bases and ladders, 4 MiB of charged bits.
-STORE_BITS = series_module._LADDERS.budget
-
-
-def base_order(ladder):
-    """The source order the base of a ladder was built at."""
-    return held_order(ladder, ladder.base)
-
-
-def held_order(ladder, entry):
-    """The source order at which a build gives as many coefficients as
-    the ladder holds of entry."""
-    return len(entry.nums) - ladder.base.offset + 1
-
-
-def ladder_key(lam, c):
-    """The store key of the ladder of 1/(lam e**t + c): the integers of
-    lam and c."""
-    lam, c = Fraction(lam), Fraction(c)
-    return lam.numerator, lam.denominator, c.numerator, c.denominator
-
-
 def held_entries(ladder):
     """(kind, [(index, entry), ...]) for the three kinds of entry a ladder
     holds, indexed as ``cold_entry`` reads them."""
@@ -780,27 +792,12 @@ def held_entries(ladder):
     ]
 
 
-@functools.lru_cache(maxsize=None)
-def cold_entry(base, kind, index, order):
-    """What the ladder of the base (alpha, lam, c) reads at ``order`` when
-    built there: the last of ``derivatives(index)``, base^(index-1); the
-    last of ``powers(index)``, the product of index bases; or
-    ``power(index)``.  At alpha != 1 it reads the base built at alpha = 1
-    and dilated."""
-    alpha, *source = map(Fraction, base)
-    base = series_module._dilated(series_module._build_base(*source, order), alpha)
-    if kind == "derivatives":
-        return functools.reduce(lambda s, _: s.derivative(), range(index - 1), base)
-    if kind == "powers":
-        return functools.reduce(operator.mul, [base] * index)
-    return base**index
-
-
 class TestBaseStore:
-    """recip_exp_linear keeps the alpha = 1 base of each (lam, c) as the
-    base of the ladder under the integers of (lam, c), at the longest order
-    asked for on either side of the split, and reads every shorter order
-    off it.  Each read equals a build on an empty store."""
+    """recip_exp_linear keeps B_mu, the alpha = 1 base of each (lam, c) up
+    to the factor -1/c, as the base of the ladder under the integers of
+    mu = -lam/c, at the longest order asked for on either side of the
+    split, and reads every shorter order off it.  Each read equals a build
+    on an empty store."""
 
     # Both sides of the split and its edges, and the orders the package reads.
     ORDERS = (3, 4, 5, 12, 34, 40, 102, 103, 104, 105, 150, 283, 299, 300)
@@ -821,8 +818,8 @@ class TestBaseStore:
         for _ in range(2):
             for order in self.ORDERS:
                 assert recip_exp_linear(*base, order) == expected[order], order
-            assert list(store._entries) == [ladder_key(*base[1:])]
-            assert base_order(store._entries[ladder_key(*base[1:])][0]) == self.ORDERS[-1]
+            assert list(store._entries) == [ladder_key(mu_of(*base[1:]))]
+            assert base_order(store._entries[ladder_key(mu_of(*base[1:]))][0]) == self.ORDERS[-1]
 
     @pytest.mark.parametrize("base", [(1, 1, -1), (-1, -1, 1), (1, 1, 1)])
     def test_every_order_to_300_of_f_g_and_h(self, store, cold_store, base):
@@ -831,18 +828,19 @@ class TestBaseStore:
             read = recip_exp_linear(*base, order)
             assert_canonical(read)
             assert read == fresh_build(cold_store, *base, order), order
-        assert list(store._entries) == [ladder_key(*base[1:])]
-        assert base_order(store._entries[ladder_key(*base[1:])][0]) == 300
+        assert list(store._entries) == [ladder_key(mu_of(*base[1:]))]
+        assert base_order(store._entries[ladder_key(mu_of(*base[1:]))][0]) == 300
 
     def test_a_longer_request_grows_the_entry(self, store, cold_store):
         # The ladder stays; only its base is built again, at the longer order.
         alpha, lam, c = Fraction(-3, 2), Fraction(2, 3), 1
         short = recip_exp_linear(alpha, lam, c, 40)
-        ladder, _ = store._entries[ladder_key(lam, c)]
+        key = ladder_key(mu_of(lam, c))
+        ladder, _ = store._entries[key]
         assert base_order(ladder) == 40
         long = recip_exp_linear(alpha, lam, c, 90)
-        assert list(store._entries) == [ladder_key(lam, c)]
-        grown, bits = store._entries[ladder_key(lam, c)]
+        assert list(store._entries) == [key]
+        grown, bits = store._entries[key]
         assert grown is ladder and base_order(ladder) == 90
         assert store.bits == bits == ladder.bits == series_module._stored_bits(ladder.base)
         assert short == fresh_build(cold_store, alpha, lam, c, 40) == recip_exp_linear(alpha, lam, c, 40)
@@ -863,13 +861,14 @@ class TestBaseStore:
         for _ in range(2):
             assert recip_exp_linear(*base, order) == expected
         assert len(built) == 1
-        assert list(store._entries) == [ladder_key(*base[1:])]
-        ladder, bits = store._entries[ladder_key(*base[1:])]
+        assert list(store._entries) == [ladder_key(mu_of(*base[1:]))]
+        ladder, bits = store._entries[ladder_key(mu_of(*base[1:]))]
         assert base_order(ladder) == order and store.bits == bits == ladder.bits
 
-    # The (lam, c) whose ladders the entry reads below grow, every ladder at
-    # alpha = 1: f, the ladder g reads, h, a G point and a base with c = 1.
-    GROWN = [(1, -1), (-1, 1), (1, 1), (Fraction(2, 3), -1), (3, 1)]
+    # The mu whose ladders the entry reads below grow, every ladder at
+    # alpha = 1: f, which g reads too, -h, a G point and -1 times
+    # 1/(3 e**t + 1), a base with c = 1.
+    GROWN = [1, -1, Fraction(2, 3), -3]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -898,7 +897,7 @@ class TestBaseStore:
                 if kind is None:
                     read = recip_exp_linear(*params, order)
                 else:
-                    ladder = store.ladder(*params, order)
+                    ladder = store.ladder(params, order)
                     if kind == "power":
                         entry = ladder.power(index, order)
                     else:
@@ -907,15 +906,15 @@ class TestBaseStore:
             if kind is None:
                 assert read == fresh_build(cold_store, *params, order)
             else:
-                assert read == cold_entry((1, *params), kind, index, order)
+                assert read == cold_entry((1, params, 1), kind, index, order)
             assert store.bits == sum(bits for _, bits in store._entries.values()) <= budget
             for key, (ladder, bits) in store._entries.items():
-                assert key == ladder_key(ladder.lam, ladder.c)
+                assert key == ladder_key(ladder.mu)
                 held = {id(entry): entry for _, entries in held_entries(ladder) for _, entry in entries}
                 assert ladder.bits == bits == sum(map(series_module._stored_bits, held.values()))
                 for kind, entries in held_entries(ladder):
                     for index, entry in entries:
-                        base = (1, ladder.lam, ladder.c)
+                        base = (1, ladder.mu, 1)
                         assert entry == cold_entry(base, kind, index, held_order(ladder, entry))
 
     # Dilations: every alpha but 1, a 300-digit literal among them.
@@ -937,20 +936,22 @@ class TestBaseStore:
         # carries alpha by the chain rule: each entry as read at an order,
         # dilated, derivative j times alpha**j, is the kernel (derivative,
         # product or Miller power) run on the base built at that order and
-        # alpha.  The store keeps the ladder at alpha = 1 alone.
+        # alpha.  The store keeps the ladder of mu = -lam/c at alpha = 1
+        # alone.
         store = series_module._Ladders(STORE_BITS)
+        mu = mu_of(lam, c)
         for order, kind, index in reads:
             with mock.patch.object(series_module, "_LADDERS", store):
-                ladder = store.ladder(lam, c, order)
+                ladder = store.ladder(mu, order)
                 if kind == "power":
                     entry = ladder.power(index, order)
                 else:
                     entry = getattr(ladder, kind)(index, order)[-1]
             j = index - 1 if kind == "derivatives" else 0
             read = series_module._dilated(ladder.at(entry, order), Fraction(alpha)).scale(Fraction(alpha) ** j)
-            expected = cold_entry((alpha, lam, c), kind, index, order)
+            expected = cold_entry((alpha, mu, 1), kind, index, order)
             assert (read.offset, read.nums, read.den) == (expected.offset, expected.nums, expected.den)
-        assert list(store._entries) == [ladder_key(lam, c)]
+        assert list(store._entries) == [ladder_key(mu)]
 
     def test_the_least_recently_used_entry_leaves_first(self, cold_store):
         bases = [(1, lam, -1) for lam in (1, 2, 3)]
@@ -961,7 +962,7 @@ class TestBaseStore:
             recip_exp_linear(*bases[1], 60)
             recip_exp_linear(*bases[0], 30)  # a read makes it the most recent
             recip_exp_linear(*bases[2], 60)
-        assert list(store._entries) == [ladder_key(1, -1), ladder_key(3, -1)]
+        assert list(store._entries) == [ladder_key(1), ladder_key(3)]
         assert store.bits == sizes[0] + sizes[2] <= store.budget
 
     def test_an_entry_over_the_budget_is_not_kept(self, cold_store):
@@ -969,51 +970,53 @@ class TestBaseStore:
         store = series_module._Ladders(kept)
         with mock.patch.object(series_module, "_LADDERS", store):
             recip_exp_linear(1, 1, 1, 40)
-            assert list(store._entries) == [ladder_key(1, 1)] and store.bits == kept
+            assert list(store._entries) == [ladder_key(-1)] and store.bits == kept
             assert recip_exp_linear(1, 1, 1, 90) == fresh_build(cold_store, 1, 1, 1, 90)
         assert store._entries == {} and store.bits == 0
 
-    def test_a_ladder_is_keyed_on_the_integers_of_lam_and_c(self, monkeypatch, store, cold_store):
+    def test_a_ladder_is_keyed_on_the_integers_of_mu(self, monkeypatch, store, cold_store):
         # 2, 4/2 and a G1 sweep at lambda 2 (order 12) read one ladder of
-        # one build; f (c = -1) and h (c = 1) at lambda 1 read two; a
-        # 1,500-digit lambda keys and reads back.
+        # one build; f (mu = 1) and -h (mu = -1) read two, and g reads
+        # f's; a 1,500-digit mu keys and reads back.
         built = []
         real = series_module._build_base
         monkeypatch.setattr(series_module, "_build_base", lambda *args: built.append(args) or real(*args))
-        ladder = store.ladder(2, -1, 12)
-        assert store.ladder(Fraction(4, 2), -1, 12) is ladder
+        ladder = store.ladder(2, 12)
+        assert store.ladder(Fraction(4, 2), 12) is ladder
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "G1", "--k-max", "1", "--lambda", "2"]) == 0
-        assert built == [(2, -1, 12)]
-        assert list(store._entries) == [ladder_key(2, -1)] and store._entries[2, 1, -1, 1][0] is ladder
-        f, h = store.ladder(1, -1, 12), store.ladder(1, 1, 12)
-        assert f is not h and list(store._entries) == [ladder_key(2, -1), ladder_key(1, -1), ladder_key(1, 1)]
-        assert (f.base, h.base) == (fresh_build(cold_store, 1, 1, -1, 12), fresh_build(cold_store, 1, 1, 1, 12))
-        lam = Fraction(int("1" + "3" * 1499), 7)
-        long = store.ladder(lam, -1, 3)
-        assert store.ladder(Fraction(lam.numerator, lam.denominator), -1, 3) is long
-        assert store._entries[ladder_key(lam, -1)][0] is long and long.lam == lam
-        assert long.base == fresh_build(cold_store, 1, lam, -1, 3)
+        assert built == [(2, 12)]
+        assert list(store._entries) == [ladder_key(2)] and store._entries[2, 1][0] is ladder
+        f, h = store.ladder(1, 12), store.ladder(-1, 12)
+        assert f is not h and list(store._entries) == [ladder_key(2), ladder_key(1), ladder_key(-1)]
+        assert (f.base, h.base) == (fresh_build(cold_store, 1, 1, -1, 12), fresh_build(cold_store, 1, -1, -1, 12))
+        assert recip_exp_linear(-1, -1, 1, 12) == fresh_build(cold_store, -1, -1, 1, 12)
+        assert list(store._entries) == [ladder_key(2), ladder_key(-1), ladder_key(1)] and store._entries[1, 1][0] is f
+        mu = Fraction(int("1" + "3" * 1499), 7)
+        long = store.ladder(mu, 3)
+        assert store.ladder(Fraction(mu.numerator, mu.denominator), 3) is long
+        assert store._entries[ladder_key(mu)][0] is long and long.mu == mu
+        assert long.base == fresh_build(cold_store, 1, mu, -1, 3)
 
     def test_every_stored_series_is_charged_at_least_8192_bits(self):
         # The documented bound: at most budget // 8192 series are held.
         store = series_module._Ladders(1 << 17)
-        for lam in range(1, 101):
-            store.ladder(lam, -1, 3)
+        for mu in range(1, 101):
+            store.ladder(mu, 3)
         held = [ladder.base for ladder, _ in store._entries.values()]
         assert 0 < len(held) <= store.budget // 8192
         assert store.bits == sum(map(series_module._stored_bits, held))
 
     @pytest.mark.parametrize("lam", DEFAULT_LAMBDAS, ids=str)
     def test_the_store_builds_the_base_recip_exp_linear_gives(self, cold_store, lam):
-        # The store builds the base at alpha = 1, the source's reciprocal
-        # below the split and the unit written down from it on, and the
-        # dilation of that build is the base at alpha.  Orders 103 to 106
+        # The store builds B_mu at alpha = 1, the source's reciprocal below
+        # the split and the unit written down from it on, and that build
+        # times -1/c and dilated is the base at alpha.  Orders 103 to 106
         # take both routes.  The build never reads alpha, so one alpha
         # other than 1 covers it.
         def store_build(alpha, lam, c, order):
-            base = series_module._LADDERS.ladder(lam, c, order).base
-            return series_module._dilated(base, Fraction(alpha))
+            base = series_module._LADDERS.ladder(mu_of(lam, c), order).base
+            return series_module._dilated(base.scale(-1 / Fraction(c)), Fraction(alpha))
 
         key = (Fraction(-3, 2), lam, -1)
         for order in (1, 2):
@@ -1035,7 +1038,7 @@ class TestBaseStore:
         # the split, and 110 reads past it.
         for order in (3, 12, 103, 104, 110):
             with cold_store():
-                base = series_module._LADDERS.ladder(lam, -1, order).base
+                base = series_module._LADDERS.ladder(lam, order).base
             assert_same_series(
                 series_module._dilated(base, Fraction(alpha)),
                 direct_recip_exp_linear(alpha, lam, -1, order),
@@ -1043,14 +1046,14 @@ class TestBaseStore:
 
     def test_bases_at_every_alpha_read_one_ladder(self, monkeypatch, store, cold_store):
         # The key names no alpha: a base at any alpha != 0 reads the one
-        # ladder of (lam, c), built once, and dilates it.
+        # ladder of mu = -lam/c, built once, and dilates it.
         built = []
         real = series_module._build_base
         monkeypatch.setattr(series_module, "_build_base", lambda *args: built.append(args) or real(*args))
         alphas = [Fraction(-3, 2), -1, 1, Fraction(1, 2), 2]
         got = [recip_exp_linear(alpha, Fraction(2, 3), -1, 12) for alpha in alphas]
-        assert built == [(Fraction(2, 3), -1, 12)]
-        assert list(store._entries) == [ladder_key(Fraction(2, 3), -1)]
+        assert built == [(Fraction(2, 3), 12)]
+        assert list(store._entries) == [ladder_key(Fraction(2, 3))]
         assert got == [fresh_build(cold_store, alpha, Fraction(2, 3), -1, 12) for alpha in alphas]
 
     @pytest.mark.parametrize(

@@ -78,8 +78,8 @@ MUTANTS = [
     (
         "_pascal_reciprocal ratio",
         SERIES,
-        "ratio = lam / lead",
-        "ratio = lead / lam",
+        "ratio = mu / lead",
+        "ratio = lead / mu",
         SERIES_TESTS,
     ),
     (
@@ -160,10 +160,17 @@ MUTANTS = [
         IDENTITIES_TESTS,
     ),
     (
-        "ladder key drops c's numerator",
+        "ladder key drops mu's sign",
         SERIES,
-        "return lam.numerator, lam.denominator, c.numerator, c.denominator",
-        "return lam.numerator, lam.denominator, c.denominator",
+        "return mu.numerator, mu.denominator",
+        "return abs(mu.numerator), mu.denominator",
+        SERIES_TESTS,
+    ),
+    (
+        "recip_exp_linear scales by 1/c, not -1/c",
+        SERIES,
+        "base.scale(-1 / c)",
+        "base.scale(1 / c)",
         SERIES_TESTS,
     ),
     (
@@ -183,8 +190,15 @@ MUTANTS = [
     (
         "two_param_euler_oracle alpha fold power n - 1",
         SEQUENCES,
+        "power = -alpha**n",
+        "power = -alpha ** (n - 1)",
+        SEQUENCES_TESTS,
+    ),
+    (
+        "two_param_euler_oracle drops the sign of -B_(-lam)",
+        SEQUENCES,
+        "power = -alpha**n",
         "power = alpha**n",
-        "power = alpha ** (n - 1)",
         SEQUENCES_TESTS,
     ),
     (
@@ -288,8 +302,36 @@ MUTANTS = [
     (
         "discrepancy reported times alpha_l**e, not alpha_l**(e + j)",
         IDENTITIES,
-        "scale = lhs_alpha ** (e + lhs_j)",
-        "scale = lhs_alpha**e",
+        "scale = lhs_sign * lhs_alpha ** (e + lhs_j)",
+        "scale = lhs_sign * lhs_alpha**e",
+        IDENTITIES_TESTS,
+    ),
+    (
+        "discrepancy reported without the left side's sign",
+        IDENTITIES,
+        "scale = lhs_sign * lhs_alpha",
+        "scale = lhs_alpha",
+        IDENTITIES_TESTS,
+    ),
+    (
+        "rhs sign not raised to m on the derivative kind",
+        IDENTITIES,
+        "rhs_sign ** (m if lhs_j else 1)",
+        "rhs_sign",
+        IDENTITIES_TESTS,
+    ),
+    (
+        "lhs sign not raised to k on the power kind",
+        IDENTITIES,
+        "lhs_sign = lhs_sign if lhs_j else lhs_sign**k",
+        "lhs_sign = lhs_sign",
+        IDENTITIES_TESTS,
+    ),
+    (
+        "additive constant not times the left side's sign",
+        IDENTITIES,
+        "LaurentSeries.constant(lhs_sign * constant(k), rhs_hi)",
+        "LaurentSeries.constant(constant(k), rhs_hi)",
         IDENTITIES_TESTS,
     ),
     (
