@@ -404,6 +404,9 @@ def _verify(
     else:
         if coeff_override is not None:
             weights = [Fraction(w) for w in coeff_override]
+            terms = k + 1 if lhs_j else k
+            if len(weights) != terms:
+                raise DomainError(f"{terms} terms but {len(weights)} weights")
         elif identity_id in CORE_IDENTITY_IDS:
             weights = core_identity_coefficients(identity_id, k)
         else:

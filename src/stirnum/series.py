@@ -58,8 +58,10 @@ where a nonzero alpha enters, multiplies coefficient e by alpha**e (at
 alpha = 1 it is the base itself).  A constant source, alpha = 0 or
 lam = 0, is the constant lam + c, the source at lam = 0 and c = lam + c,
 whose mu is 0.  Two sources have no mu: c = 0, whose reciprocal
-1/(lam e**t) is no B_mu, and the constant 0; ``recip_exp_linear`` builds
-their reciprocals itself, unstored, with the window errors of the build.
+1/(lam e**t) = (1/lam) e**(-t) is no B_mu, and the constant 0;
+``recip_exp_linear`` writes the first down with ``exp_linear``, unstored,
+and builds the reciprocal of the second, as it does that of c = 0 at
+orders <= 1, for the window errors of the build.
 The two-parameter oracle of ``sequences`` reads no dilated base: it
 folds alpha into its exponential.  Below order ``_EGF_MIN_LENGTH``, and
 at orders 1 and 2 where the valuation can lie outside the window, B_mu
@@ -116,33 +118,42 @@ at N whatever order the entry was built at, and a reader that needs
 only coefficient values, as the oracles do, reads them in place.  So the
 entries are the lazy power series of M. D. McIlroy ("Power series,
 power serious", J. Funct. Program. 9, 1999).  The base is built at the
-longest order asked for so far, by ``_build_base`` again when a longer
-order comes.
+longest order asked for so far.  A base built from order
+``_EGF_MIN_LENGTH`` on leaves the Pascal-rule division that wrote it
+down on its ladder, a ``_PascalRun``: the anti-diagonal, its running
+denominator and the step count, and no copy of the quotients.  When a
+longer order comes, the ladder continues that run by the new steps only,
+takes the new coefficients out of factorial scale and appends them to
+the stored base with ``_grown``; the base stays canonical, so it is the
+(offset, nums, den) of a fresh build at the longer order.  A base built
+below the split is built again by ``_build_base``, which starts the run
+at the first order from the split on.
 Every other entry is built at the order of the first check that reads it.
-Only the product chain, O(L**2) an entry of length L, continues in place
-when a longer read comes, by its new coefficients only.  A derivative,
-linear in its length, is built again by ``derivative`` from the entry
-before it.  Both grow to twice their length or more, as far as their
-input holds, so that the rising orders of a sweep grow them a few times
-only.  A Miller power is built again by ``__pow__`` at the longer order:
-only an explicit order read again at a longer one needs that.  Nothing
-is dropped, and a right side stored at an order stays valid as the
-entries under it grow.
+Of those, only the product chain, O(L**2) an entry of length L,
+continues in place when a longer read comes, by its new coefficients
+only.  A derivative, linear in its length, is built again by
+``derivative`` from the entry before it.  Both grow to twice their
+length or more, as far as their input holds, so that the rising orders
+of a sweep grow them a few times only.  A Miller power is built again by
+``__pow__`` at the longer order: only an explicit order read again at a
+longer one needs that.  Nothing is dropped, and a right side stored at
+an order stays valid as the entries under it grow.
 
 Each ladder is charged the bits of its numerators and denominator, 320
 more a coefficient and 8,192 a series (``_stored_bits``), and charged
-again by every new, grown or rebuilt entry or right side.  Past the
+again by every new, grown or rebuilt entry or right side; a held Pascal
+run is charged the same way, its diagonal as the numerators.  Past the
 budget of 4 MiB of charged bits the least recently used ladders leave
 first, and a ladder charged more than the budget is not kept.  Every
-stored series is charged at least 8,192 bits, so the store holds at most
-4,096 series, and a CPython int of b bits takes at most 32 + 4b/30
-bytes, so the entries take at most 16/15 of their charge: about 4.5 MB
-at worst, keys of literals over 8,192 bits apart.  A ladder the store
-has dropped but a caller still holds, as ``run_sweep`` holds each ladder
-it reads until it returns, is found again through a weak index and kept
-again if it fits, so no sweep builds a ladder twice however far it
-passes the budget.  The store is not locked: use the package from one
-thread at a time.
+stored series or run is charged at least 8,192 bits, so the store
+holds at most 4,096 of them, and a CPython int of b bits takes at most
+32 + 4b/30 bytes, so the entries take at most 16/15 of their charge:
+about 4.5 MB at worst, keys of literals over 8,192 bits apart.  A ladder
+the store has dropped but a caller still holds, as ``run_sweep`` holds
+each ladder it reads until it returns, is found again through a weak
+index and kept again if it fits, its run with it, so no sweep builds a
+ladder twice however far it passes the budget.  The store is not
+locked: use the package from one thread at a time.
 """
 
 from __future__ import annotations
@@ -530,15 +541,15 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple[list, int]:
 ZERO = LaurentSeries(0, (), 1)
 
 
-def _egf_unscaled(ints, den) -> tuple[list, int]:
-    """Numerators over one denominator of the values ints[k] / (k! * den)."""
-    # With F = (L-1)!, ints[k] / (k! den) == ints[k] * (F / k!) / (F den).
-    nums = [0] * len(ints)
-    ratio = 1  # F / k!
-    for k in range(len(ints) - 1, -1, -1):
-        nums[k] = ints[k] * ratio
-        ratio *= k or 1
-    return nums, ratio * den
+def _egf_unscaled(ints, den, start: int = 0) -> tuple[list, int]:
+    """Numerators over one denominator of the values ints[i] / (k! * den)
+    for k = start + i."""
+    # With F = (start + L - 1)!, ints[i] / (k! den) == ints[i] * (F / k!) / (F den);
+    # ratios holds F / k! from the top k down to k = start.
+    top = start + len(ints) - 1
+    ratios = list(accumulate(range(top, start, -1), operator.mul, initial=1))
+    nums = list(map(operator.mul, ints, reversed(ratios)))
+    return nums, ratios[-1] * math.factorial(start) * den
 
 
 def _recurrence(rows) -> tuple[list, int]:
@@ -558,7 +569,26 @@ def _recurrence(rows) -> tuple[list, int]:
     return nums, den
 
 
-def _pascal_recurrence(lead: int, weight: int, shift: int, length: int) -> tuple[list, int]:
+class _PascalRun:
+    """A Pascal-rule division of ``_pascal_recurrence`` held between
+    calls: the anti-diagonal after its last step, over the running
+    denominator ``den``, and ``step``, the number of quotients r_n it has
+    given, 0 before it starts.  It holds no quotient."""
+
+    __slots__ = ("diagonal", "den", "step")
+
+    def __init__(self):
+        self.diagonal, self.den, self.step = [], 1, 0
+
+    def bits(self) -> int:
+        """The ``_charged_bits`` of the diagonal and ``den``, 0 before the
+        run starts."""
+        return _charged_bits(self.diagonal, self.den) if self.step else 0
+
+
+def _pascal_recurrence(
+    lead: int, weight: int, shift: int, length: int, run: _PascalRun | None = None
+) -> tuple[list, int]:
     """r_0 = 1 and C(n+s, s) lead r_n = -weight sum_{j<n} C(n+s, j) r_j for
     n < ``length`` and s = ``shift`` in {0, 1}: numerators over one running
     denominator.  When a quotient does not fit, the denominator widens by
@@ -578,12 +608,22 @@ def _pascal_recurrence(lead: int, weight: int, shift: int, length: int) -> tuple
     with it folded in, which adds C(m, s) r_n to entry m: r_n as the front
     entry at s = 0, r_n added to every entry before the running sums at
     s = 1.  A step is O(n) additions and one product by the weight.
+
+    The diagonal and the denominator are all the division needs to go on,
+    so ``run`` holds them between calls: a call starts a run that has not
+    started, continues one that has from its step, and returns only the
+    r_n it computes, from its step to ``length``, over the run's new
+    denominator.  Without ``run`` it starts a run of its own and returns
+    every r_n.
     """
-    den = 1
-    nums = [1]
-    diagonal = [0] * shift + [1]  # N = s, holding r_0
+    if run is None:
+        run = _PascalRun()
+    nums = []
+    if not run.step:
+        nums, run.diagonal, run.step = [1], [0] * shift + [1], 1  # N = s, holding r_0
+    diagonal, den, first = run.diagonal, run.den, run.step
     batch = abs(lead) ** 32
-    for n in range(1, length):
+    for n in range(first, length):
         acc = weight * sum(diagonal)
         divisor = -math.comb(n + shift, shift) * lead
         if acc % divisor:
@@ -598,10 +638,11 @@ def _pascal_recurrence(lead: int, weight: int, shift: int, length: int) -> tuple
             diagonal = list(accumulate(map(operator.add, diagonal, repeat(r)), initial=0))
         else:
             diagonal = list(accumulate(diagonal, initial=r))
+    run.diagonal, run.den, run.step = diagonal, den, max(first, length)
     return nums, den
 
 
-def _pascal_reciprocal(mu: Fraction, order: int) -> LaurentSeries:
+def _pascal_reciprocal(mu: Fraction, order: int, run: _PascalRun | None = None) -> LaurentSeries:
     """B_mu = 1/(mu e**t - 1), mu != 0, on the window of the reciprocal of
     its source series of the given order, order >= 3.
 
@@ -612,14 +653,21 @@ def _pascal_reciprocal(mu: Fraction, order: int) -> LaurentSeries:
     sum_i C(n+s, i+s) W_i T_{n-i} = [n == 0] gives T_0 = 1 / lead and the
     long division of ``_pascal_recurrence`` at the ratio mu / lead for
     T_n / T_0.
+
+    A started ``run`` of B_mu is continued to the order, and the series
+    returned holds only its new coefficients, the window after those of
+    the build it continues: coefficient k is T_k / k! from the k the run
+    stood at.
     """
     shift = int(mu == 1)
     lead = mu - 1 or mu
     ratio = mu / lead
-    nums, den = _pascal_recurrence(ratio.denominator, ratio.numerator, shift, order - 1 - shift)
+    start = run.step if run is not None else 0
+    length = order - 1 - shift
+    nums, den = _pascal_recurrence(ratio.denominator, ratio.numerator, shift, length, run)
     scale = 1 / (lead * den)
-    nums, den = _egf_unscaled([x * scale.numerator for x in nums], scale.denominator)
-    return LaurentSeries(-shift, nums, den)
+    nums, den = _egf_unscaled([x * scale.numerator for x in nums], scale.denominator, start)
+    return LaurentSeries(start - shift, nums, den)
 
 
 def _lcm_product(a, da: int, b, db: int, length: int, start: int = 0) -> tuple[list, int]:
@@ -747,23 +795,34 @@ def _dilated(r: LaurentSeries, alpha: Fraction) -> LaurentSeries:
     return LaurentSeries(r.offset, list(nums), r.den * first.denominator * b**top)
 
 
-def _build_base(mu: Fraction, order: int) -> LaurentSeries:
+def _build_base(mu: Fraction, order: int, run: _PascalRun | None = None) -> LaurentSeries:
     """B_mu = 1/(mu e**t - 1) on the window of the reciprocal of its source
     series of the given order: the one builder of every base at alpha = 1,
     by the rule of the module docstring.  At mu = 0 the source is the
-    constant -1."""
+    constant -1.
+
+    ``run`` is the Pascal run a ladder holds for B_mu.  A Pascal-rule build
+    starts it; once started it is continued to ``order``, and the build is
+    then only the coefficients after those the run gave before."""
+    if run is not None and run.step:
+        return _pascal_reciprocal(mu, order, run)
     # Pascal's rule needs order >= 3, whatever the split is set to.
     if not mu or order < 3 or order < _EGF_MIN_LENGTH:
         return _source_reciprocal(mu, -1, order)
-    return _pascal_reciprocal(mu, order)
+    return _pascal_reciprocal(mu, order, run)
+
+
+def _charged_bits(ints: Sequence[int], den: int) -> int:
+    """About the memory a list of ints and a denominator take in
+    ``_LADDERS``, in bits: their bits, 320 more an int (the 40 bytes of a
+    small int and its list or tuple slot) and 8,192 for the key, the
+    object and the slots that hold them."""
+    return sum(map(int.bit_length, ints)) + den.bit_length() + 320 * len(ints) + 8192
 
 
 def _stored_bits(r: LaurentSeries) -> int:
-    """About the memory r takes in ``_LADDERS``, in bits: the bits of its
-    numerators and denominator, 320 more a coefficient (the 40 bytes of a
-    small int and its tuple slot) and 8,192 for the key, the series and
-    the slots that hold them."""
-    return sum(map(int.bit_length, r.nums)) + r.den.bit_length() + 320 * len(r.nums) + 8192
+    """The ``_charged_bits`` of the numerators and denominator of r."""
+    return _charged_bits(r.nums, r.den)
 
 
 class _Ladder:
@@ -772,7 +831,10 @@ class _Ladder:
     powers base**1, base**2, ... as a chain of products, derivatives base,
     base', ... and single powers base**k by Miller's recurrence.  The base
     is built at source order ``order`` or longer; each other entry is built
-    when first read, at the order of that read.  A longer read grows a
+    when first read, at the order of that read.  ``_run`` is the Pascal
+    run of the base, started by its first build from the split on; a
+    longer order grows the base by continuing it, where a base with no
+    run started is built again (``grow``).  A longer read grows a
     product in place and builds a derivative again, each to the
     ``_reach`` of the entry, and builds a Miller power again at the
     read's order (module docstring).  A read at an order returns each
@@ -784,14 +846,15 @@ class _Ladder:
     the chain rule's do not cancel (``identities``): the weighted sum at
     the check's order, constant included, and the end of its compared
     window.  ``bits`` is the ``_stored_bits`` of its distinct entries, sums
-    included; ``_kept`` counts each entry there and charges the store that
-    built the ladder, if one did."""
+    included, plus the ``bits`` of the run; ``_kept`` counts each entry
+    there and charges the store that built the ladder, if one did."""
 
     def __init__(self, mu: Scalar, order: int, store: _Ladders | None = None):
         self.mu = Fraction(mu)
         self._store = store
-        self.base = _build_base(self.mu, order)
-        self.bits = _stored_bits(self.base)
+        self._run = _PascalRun()
+        self.base = _build_base(self.mu, order, self._run)
+        self.bits = _stored_bits(self.base) + self._run.bits()
         self._powers = [self.base]
         self._derivatives = [self.base]
         self._miller = {1: self.base}
@@ -815,9 +878,17 @@ class _Ladder:
         return entry
 
     def grow(self, order: int) -> None:
-        """Build the base again at ``order`` if a build there is longer."""
+        """Grow the base to ``order`` if a build there is longer: by the new
+        coefficients of its Pascal run once the ladder holds one, else by
+        ``_build_base`` again, which starts the run from the split on."""
         if len(self.base.nums) < self.length(order):
-            base = self._kept(_build_base(self.mu, order), self.base)
+            run = self._run
+            held, bits = run.step, run.bits()
+            base = _build_base(self.mu, order, run)
+            if held:
+                base = _grown(self.base, base.nums, base.den)
+            self.bits += run.bits() - bits
+            base = self._kept(base, self.base)
             self.base = self._powers[0] = self._derivatives[0] = self._miller[1] = base
 
     def _reach(self, entry: LaurentSeries, source: LaurentSeries, length: int) -> int:
@@ -944,8 +1015,10 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     1/(e**t - 1) is (1, 1, -1), 1/(1 - e**(-t)) is (-1, -1, 1), 1/(e**t + 1)
     is (1, 1, 1).  The public entry point to every base: for c != 0 it is
     the stored B_mu, mu = -lam/c, cut to the order, scaled by -1/c unless
-    c = -1 and dilated by alpha.  At c = 0, and at a constant source whose
-    lam + c is 0, it is its source's reciprocal, built unstored.  How
+    c = -1 and dilated by alpha.  At c = 0 it is (1/lam) e**(-alpha t),
+    written down by ``exp_linear`` and dilated, unstored; at orders 1 and
+    below, and at a constant source whose lam + c is 0, it is its source's
+    reciprocal, built unstored, which raises the build's error.  How
     ``_build_base`` builds B_mu and how the store keeps it are in the
     module docstring.
     """
@@ -953,7 +1026,12 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
     if not (alpha and lam):
         alpha, lam, c = Fraction(1), Fraction(0), lam + c
     if not c:
-        return _dilated(_source_reciprocal(lam, c, order), alpha)
+        # 1/(lam e**t) is (1/lam) e**(-t) on the reciprocal's window
+        # [0, order - 1).  Where that window is empty, and for the constant
+        # source 0, the source's reciprocal raises the build's error.
+        if not lam or order < 2:
+            return _source_reciprocal(lam, c, order)
+        return _dilated(exp_linear(-1, order - 1).scale(1 / lam), alpha)
     base = _stored_base(-lam / c, order)
     # A build at ``order`` holds order + offset - 1 coefficients.
     base = base.truncated(2 * base.offset + order - 1)

@@ -247,15 +247,19 @@ class TestFaultInjection:
         assert not report.passed
 
     @pytest.mark.parametrize(
-        "verify, identity_id", [(verify_core_identity, "I1"), (verify_plus_identity, "P1")]
+        "verify, identity_id",
+        [(verify_core_identity, tag) for tag in CORE_IDENTITY_IDS]
+        + [(verify_plus_identity, tag) for tag in PLUS_IDENTITY_IDS],
     )
     def test_override_of_wrong_length_rejected(self, verify, identity_id):
         # Summed pairwise, an extra weight would drop out and a missing
-        # one would read as zero.
+        # one would read as zero.  The count is checked before the chain
+        # rule's powers of alpha or the signs are folded in, on every tag.
         weights = _weights(identity_id, 3, None)
         assert verify(identity_id, 3, coeff_override=weights).passed
         for wrong in (weights + [999], weights[:-1]):
-            with pytest.raises(DomainError):
+            message = f"^{len(weights)} terms but {len(wrong)} weights$"
+            with pytest.raises(DomainError, match=message):
                 verify(identity_id, 3, coeff_override=wrong)
 
     @pytest.mark.parametrize("identity_id, k", [("I1", 2), ("I7", 2), ("I7", 5), ("I8", 3), ("I8", 4)])
@@ -446,12 +450,13 @@ def cold_sum(ladder, tag, k, order, alpha=Fraction(1)):
 def assert_cold_ladders(store):
     """Every entry each ladder of the store holds, grown or not, is a build
     at the order of its length, every stored right side is the one a build
-    at its order gives, and each ladder is charged what it holds."""
+    at its order gives, and each ladder is charged what it holds, its
+    Pascal run included."""
     for key, (ladder, bits) in store._entries.items():
         assert key == ladder_key(ladder.mu)
         held = [*ladder._powers, *ladder._derivatives, *ladder._miller.values(), *(rhs for rhs, _ in ladder.sums.values())]
         distinct = {id(entry): entry for entry in held}.values()
-        assert ladder.bits == bits == sum(map(series_module._stored_bits, distinct))
+        assert ladder.bits == bits == sum(map(series_module._stored_bits, distinct)) + ladder._run.bits()
         entries = [
             *(("derivatives", j, entry) for j, entry in enumerate(ladder._derivatives, 1)),
             *(("powers", m, entry) for m, entry in enumerate(ladder._powers, 1)),

@@ -521,6 +521,31 @@ class TestRecipExpLinear:
             stored = bool(c and alpha and lam) and order >= 3
             assert list(store._entries) == ([ladder_key(mu_of(lam, c))] if stored else [])
 
+    @pytest.mark.parametrize(
+        "alpha, lam",
+        [(1, 2), (Fraction(-3, 2), Fraction(2, 3)), (2, -1), (Fraction(1, 3), Fraction(-5, 3)), (-1, 0)],
+    )
+    def test_c_zero_is_the_long_division_at_every_order(self, alpha, lam):
+        # 1/(lam e^(alpha t)) is (1/lam) e^(-alpha t), written down by
+        # exp_linear and dilated: the series of the source long-divided at
+        # alpha at orders 0 to 150, and the same error type and message at
+        # orders 0 and 1 and on the constant source 0.  Nothing is stored.
+        def build(op, order):
+            try:
+                return op(alpha, lam, 0, order)
+            except (DomainError, PrecisionExhaustedError, ZeroSeriesError) as exc:
+                return type(exc), str(exc)
+
+        store = series_module._Ladders(STORE_BITS)
+        with mock.patch.object(series_module, "_LADDERS", store):
+            for order in range(151):
+                got, want = build(recip_exp_linear, order), build(direct_recip_exp_linear, order)
+                if isinstance(want, tuple):
+                    assert got == want, order
+                else:
+                    assert_same_series(got, want)
+        assert store._entries == {} and store.bits == 0
+
 
 class TestIntegerKernel:
     """mul, reciprocal and linear combinations run on integer numerators;
@@ -891,6 +916,7 @@ class TestBaseStore:
         # Base reads and entry reads at any orders share the store: each
         # read is a build at its order on an empty store, and every entry a
         # ladder holds, grown or not, is a build at the order of its length.
+        # A ladder is charged its entries and its held Pascal run.
         store = series_module._Ladders(budget)
         for params, order, kind, index in requests:
             with mock.patch.object(series_module, "_LADDERS", store):
@@ -911,7 +937,8 @@ class TestBaseStore:
             for key, (ladder, bits) in store._entries.items():
                 assert key == ladder_key(ladder.mu)
                 held = {id(entry): entry for _, entries in held_entries(ladder) for _, entry in entries}
-                assert ladder.bits == bits == sum(map(series_module._stored_bits, held.values()))
+                charged = sum(map(series_module._stored_bits, held.values())) + ladder._run.bits()
+                assert ladder.bits == bits == charged
                 for kind, entries in held_entries(ladder):
                     for index, entry in entries:
                         base = (1, ladder.mu, 1)
@@ -980,7 +1007,7 @@ class TestBaseStore:
         # f's; a 1,500-digit mu keys and reads back.
         built = []
         real = series_module._build_base
-        monkeypatch.setattr(series_module, "_build_base", lambda *args: built.append(args) or real(*args))
+        monkeypatch.setattr(series_module, "_build_base", lambda *args: built.append(args[:2]) or real(*args))
         ladder = store.ladder(2, 12)
         assert store.ladder(Fraction(4, 2), 12) is ladder
         with contextlib.redirect_stdout(io.StringIO()):
@@ -1049,7 +1076,7 @@ class TestBaseStore:
         # ladder of mu = -lam/c, built once, and dilates it.
         built = []
         real = series_module._build_base
-        monkeypatch.setattr(series_module, "_build_base", lambda *args: built.append(args) or real(*args))
+        monkeypatch.setattr(series_module, "_build_base", lambda *args: built.append(args[:2]) or real(*args))
         alphas = [Fraction(-3, 2), -1, 1, Fraction(1, 2), 2]
         got = [recip_exp_linear(alpha, Fraction(2, 3), -1, 12) for alpha in alphas]
         assert built == [(Fraction(2, 3), 12)]
@@ -1076,6 +1103,88 @@ class TestBaseStore:
             outcome(direct_recip_exp_linear, alpha, lam, c, order),
         )
         assert store._entries == {} and store.bits == 0
+
+
+@functools.lru_cache(maxsize=None)
+def fresh_base(mu, order):
+    """B_mu built at ``order`` by ``_build_base`` alone, with no run."""
+    return series_module._build_base(Fraction(mu), order)
+
+
+class TestPascalGrowth:
+    """A base built from the split on keeps its Pascal run on its ladder,
+    and a longer request continues the run by its new steps only: the
+    grown base is a fresh build at the longer order, and the run is
+    charged to the store with the ladder's entries."""
+
+    SPLIT = series_module._EGF_MIN_LENGTH
+
+    def test_a_longer_request_continues_the_run(self, monkeypatch):
+        steps = []
+        real = series_module._pascal_recurrence
+
+        def spy(lead, weight, shift, length, run=None):
+            if run is not None:  # a ladder's run, not a fresh build's
+                steps.append((run.step, length))
+            return real(lead, weight, shift, length, run)
+
+        monkeypatch.setattr(series_module, "_pascal_recurrence", spy)
+        store = series_module._Ladders(STORE_BITS)
+        # Below the split the base is built again; the first order from the
+        # split on starts the run, and every longer one continues it.
+        for mu, shift in ((1, 1), (Fraction(2, 3), 0)):
+            steps.clear()
+            for order in (40, 90, 150, 120, 290, 291, 150):
+                ladder = store.ladder(mu, order)
+                assert ladder.base == fresh_base(mu, base_order(ladder)), (mu, order)
+            assert steps == [(0, 149 - shift), (149 - shift, 289 - shift), (289 - shift, 290 - shift)]
+            assert ladder._run.step == len(ladder.base.nums) == 290 - shift
+
+    def test_a_ladder_whose_base_and_run_pass_the_budget_is_not_kept(self):
+        # The base alone fits; with its run it does not, so it is not kept,
+        # and nothing else is dropped for it.
+        base = fresh_base(-1, 150)
+        store = series_module._Ladders(series_module._stored_bits(base) + 9000)
+        short = store.ladder(2, 60)
+        assert list(store._entries) == [ladder_key(2)] and short._run.bits() == 0
+        long = store.ladder(-1, 150)
+        assert long.base == base
+        assert series_module._stored_bits(base) < store.budget < long.bits
+        assert long.bits == series_module._stored_bits(base) + long._run.bits()
+        assert list(store._entries) == [ladder_key(2)]
+        assert store.bits == short.bits <= store.budget
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([1, -1, Fraction(2, 3), Fraction(-5, 3), 2]),
+                st.one_of(st.integers(3, 103), st.integers(104, 220), st.sampled_from([103, 104, 105])),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([1 << 17, 1 << 19, 1 << 20, STORE_BITS]),
+    )
+    def test_every_stored_base_is_a_fresh_build(self, requests, budget):
+        # Orders rise and fall across the split on a store small enough to
+        # drop ladders; a ladder the test still holds is found again
+        # through the weak index and kept again if it fits, run and all.
+        store = series_module._Ladders(budget)
+        held = []
+        for mu, order, hold in requests:
+            ladder = store.ladder(mu, order)
+            if hold:
+                held.append(ladder)
+            assert base_order(ladder) >= order
+            assert store.bits == sum(bits for _, bits in store._entries.values()) <= budget
+            for key, (ladder, bits) in store._entries.items():
+                run, built = ladder._run, base_order(ladder)
+                assert ladder.base == fresh_base(ladder.mu, built), (ladder.mu, built)
+                assert run.step == (len(ladder.base.nums) if built >= self.SPLIT else 0)
+                assert (run.bits() > 0) == (built >= self.SPLIT)
+                assert bits == ladder.bits == series_module._stored_bits(ladder.base) + run.bits()
 
 
 class TestOneBuilder:

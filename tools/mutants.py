@@ -85,8 +85,22 @@ MUTANTS = [
     (
         "_egf_unscaled factorial step",
         SERIES,
-        "ratio *= k or 1",
-        "ratio *= k + 1",
+        "accumulate(range(top, start, -1), operator.mul, initial=1)",
+        "accumulate(range(top + 1, start + 1, -1), operator.mul, initial=1)",
+        SERIES_TESTS,
+    ),
+    (
+        "grown tail's factorial ratio off by one",
+        SERIES,
+        "ratios[-1] * math.factorial(start) * den",
+        "ratios[-1] * math.factorial(start + 1) * den",
+        SERIES_TESTS,
+    ),
+    (
+        "a continued Pascal run leaves its held diagonal unscaled on widening",
+        SERIES,
+        "diagonal = [x * widen for x in diagonal]",
+        "diagonal = [x * widen for x in diagonal] if first == 1 else diagonal",
         SERIES_TESTS,
     ),
     (
@@ -174,10 +188,10 @@ MUTANTS = [
         SERIES_TESTS,
     ),
     (
-        "_stored_bits per-series charge",
+        "_charged_bits per-series charge",
         SERIES,
-        " + 320 * len(r.nums) + 8192",
-        " + 320 * len(r.nums)",
+        " + 320 * len(ints) + 8192",
+        " + 320 * len(ints)",
         SERIES_TESTS,
     ),
     (
