@@ -62,7 +62,11 @@ the command line read it.
 The named checks of ``verify`` run here too: the two-parameter reductions
 over an (alpha, lambda) grid, the first-kind determinant relation and the
 vanishing alternating sum, each returning (*fields, passed) tuples that
-the check table of ``identities`` turns into ``verify`` rows.
+the check table of ``identities`` turns into ``verify`` rows.  The
+reductions keep what they build in the store of ladders,
+``series._LADDERS``, one entry per (n, lambda), as the identity checks
+keep both their sides there: a repeated sweep builds nothing and only
+compares (``two_param_reduction_sweep``).
 """
 
 from __future__ import annotations
@@ -73,11 +77,13 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
+from . import series
 from .errors import ConsistencyError, DomainError, PoleError
 from .rationals import format_rational
 from .series import (
     _EGF_MIN_LENGTH,
     LaurentSeries,
+    _charged_bits,
     _normalized,
     _over_lcm,
     _stored_base,
@@ -429,10 +435,11 @@ def _two_param_poly(n: int, a: int, b: int, row) -> Polynomial:
     for k in range(n, -1, -1):
         scaled[k] *= power
         power *= -a
-    power = 1  # b**k
-    for k in range(n + 1):
-        scaled[k] *= power
-        power *= b
+    if b != 1:
+        power = 1  # b**k
+        for k in range(n + 1):
+            scaled[k] *= power
+            power *= b
     return Polynomial(scaled, den * b**n)
 
 
@@ -501,7 +508,7 @@ def verify_two_param_reductions(n: int, alpha: Scalar, lam: Scalar) -> bool:
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
-    return _reductions_at(n, [alpha], [lam], _pivots([alpha]))[0]
+    return _reductions_at(n, [lam], _pivots([alpha]))[0]
 
 
 def two_param_reduction_sweep(
@@ -524,6 +531,18 @@ def two_param_reduction_sweep(
     The grid is checked before any n, point by point in order, so a bad
     point raises the error the first call of
     ``verify_two_param_reductions`` on it would.
+
+    What is built is kept in the store of ladders, ``series._LADDERS``,
+    one ``_Builds`` entry per (n, lambda): the row, the polynomial of
+    each alpha read, the pivot sums of each alpha read at a grid point
+    and, at lambda = 1, E_n(x).  Each call reads the entries of its
+    (n, lambda), builds only what they lack and runs every comparison
+    again: E_n(x; 1, 1) == E_n(x), the rescale loop, the value of the
+    grid point's polynomial at each node and the cross-multiplied
+    equalities.  No verdict is kept, so a repeated sweep only compares.
+    Entries are charged by ``series._charged_bits`` and leave the store
+    as ladders do, least recent first; on a store that keeps nothing a
+    call still builds each item once per n.
     """
     alpha_grid = sorted(Fraction(a) for a in (REDUCTION_ALPHAS if alphas is None else alphas))
     lambda_grid = sorted(Fraction(v) for v in (REDUCTION_LAMBDAS if lambdas is None else lambdas))
@@ -536,63 +555,120 @@ def two_param_reduction_sweep(
     return [
         (n, alpha, lam, passed)
         for n in range(k_max + 1)
-        for (alpha, lam), passed in zip(points, _reductions_at(n, alpha_grid, lambda_grid, pivots))
+        for (alpha, lam), passed in zip(points, _reductions_at(n, lambda_grid, pivots))
     ]
 
 
-def _pivots(alphas: Sequence[Fraction]) -> list[list[Fraction]]:
-    """alpha/x at each node x, for each alpha: the part of the pointwise
-    reduction that no n touches."""
-    return [[alpha / x for x in _REDUCTION_NODES] for alpha in alphas]
+def _pivots(alphas: Sequence[Fraction]) -> list:
+    """For each alpha = a/b, ((a, b), the two integers of alpha/x at each
+    node x): the part of the reductions that no n touches."""
+    pivots = [[alpha / x for x in _REDUCTION_NODES] for alpha in alphas]
+    return [
+        ((alpha.numerator, alpha.denominator), [(p.numerator, p.denominator) for p in row])
+        for alpha, row in zip(alphas, pivots)
+    ]
 
 
-def _reductions_at(
-    n: int, alphas: Sequence[Fraction], lambdas: Sequence[Fraction], pivots
-) -> list[bool]:
+class _Builds:
+    """What the reduction checks build at one (n, lam), kept in the store
+    of ladders, ``series._LADDERS``: the row of (n, lam); E_n(x; a/b, lam)
+    for each alpha = a/b read; the pivot sums E_n(1; alpha/x, lam) at the
+    nodes x for each alpha read at a grid point; and, at lam = 1, E_n(x).
+    Each is built on its first read and counted then in ``bits``, by the
+    ``_charged_bits`` of its integers.  No verdict is kept."""
+
+    __slots__ = ("n", "lam", "bits", "_row", "_euler", "_polys", "_pivot_sums")
+
+    def __init__(self, n: int, lam: Fraction):
+        self.n, self.lam, self.bits = n, lam, 0
+        self._row = self._euler = None
+        self._polys: dict = {}
+        self._pivot_sums: dict = {}
+
+    def row(self) -> tuple[tuple[int, ...], int]:
+        if self._row is None:
+            self._row = _two_param_row(self.n, self.lam)
+            self.bits += _charged_bits(*self._row)
+        return self._row
+
+    def poly(self, a: int, b: int) -> Polynomial:
+        """E_n(x; a/b, lam)."""
+        found = self._polys.get((a, b))
+        if found is None:
+            found = self._polys[a, b] = _two_param_poly(self.n, a, b, self.row())
+            self.bits += _charged_bits(found.nums, found.den)
+        return found
+
+    def pivot_sums(self, a: int, b: int, pivots) -> list[tuple[int, int]]:
+        """The pivot sum E_n(1; p/q, lam), unreduced, at each (p, q) of
+        ``pivots``, the ``_pivots`` of alpha = a/b."""
+        key = a, b
+        found = self._pivot_sums.get(key)
+        if found is None:
+            row = self.row()
+            found = self._pivot_sums[key] = [_two_param_pivot(self.n, p, q, row) for p, q in pivots]
+            self.bits += sum(_charged_bits([num], den) for num, den in found)
+        return found
+
+    def euler(self) -> Polynomial:
+        if self._euler is None:
+            # By its module name, so a rebinding of it (a tracer) sees the call.
+            self._euler = euler_polynomial_formula(self.n)
+            self.bits += _charged_bits(self._euler.nums, self._euler.den)
+        return self._euler
+
+
+def _reductions_at(n: int, lambdas: Sequence[Fraction], pivots) -> list[bool]:
     """Whether the reductions hold at index n, for each (alpha, lam) of
     alphas x lambdas in that order, given the ``_pivots`` of alphas.  A
-    failed E_n(x; 1, 1) == E_n(x) fails every point."""
-    rows: dict = {}
-    built: dict = {}
+    failed E_n(x; 1, 1) == E_n(x) fails every point.
 
-    def row(lam: Fraction):
-        """The row of lam at this n, built once."""
-        key = lam.numerator, lam.denominator
-        found = rows.get(key)
-        if found is None:
-            found = rows[key] = _two_param_row(n, lam)
-        return found
+    The builds come from the ``_Builds`` entry of each (n, lam), and of
+    (n, 1), which holds E_n(x): each entry is read off the store once a
+    call, which makes it the most recent, and kept again as the call
+    ends, charged its new bits, only if it built something.  The
+    comparisons run on every call."""
+    store = series._LADDERS
+    held: dict = {}  # store key -> (its _Builds, their bits when read)
 
-    def poly(alpha: Fraction, lam: Fraction) -> Polynomial:
-        """E_n(x; alpha, lam), built once per (alpha, lam) at this n."""
-        key = alpha.numerator, alpha.denominator, lam.numerator, lam.denominator
-        found = built.get(key)
-        if found is None:
-            found = built[key] = _two_param_poly(n, key[0], key[1], row(lam))
-        return found
+    def builds(lam: Fraction) -> _Builds:
+        """The builds of (n, lam), read off the store once a call.  The key
+        starts with a string, so no ``_key`` of a mu equals it."""
+        key = "reductions", n, lam.numerator, lam.denominator
+        if key not in held:
+            found = store.get(key) or _Builds(n, lam)
+            held[key] = found, found.bits
+        return held[key][0]
 
-    one = Fraction(1)
-    if poly(one, one) != euler_polynomial_formula(n):
-        return [False] * (len(alphas) * len(lambdas))
-    powers = [(x.numerator**n, x.denominator**n) for x in _REDUCTION_NODES]
-    return [
-        _reduces(n, alpha, poly(alpha, lam), poly(one, lam), row(lam), alpha_pivots, powers)
-        for alpha, alpha_pivots in zip(alphas, pivots)
-        for lam in lambdas
-    ]
+    try:
+        at_one = builds(Fraction(1))
+        if at_one.poly(1, 1) != at_one.euler():
+            return [False] * (len(pivots) * len(lambdas))
+        grid = [(found, found.poly(1, 1)) for found in map(builds, lambdas)]
+        powers = [(x.numerator**n, x.denominator**n) for x in _REDUCTION_NODES]
+        return [
+            _reduces(n, a, b, found.poly(a, b), unit, found.pivot_sums(a, b, alpha_pivots), powers)
+            for (a, b), alpha_pivots in pivots
+            for found, unit in grid
+        ]
+    finally:
+        # Charged here, not per build, so that the store is touched once
+        # per (n, lam), and also when a build is interrupted.
+        for key, (found, bits) in held.items():
+            if found.bits != bits:
+                store.keep(key, found)
 
 
-def _reduces(n: int, alpha: Fraction, full: Polynomial, unit: Polynomial, row, pivots, powers) -> bool:
-    """The rescale and pointwise reductions at one point, given
-    E_n(x; alpha, lam), E_n(x; 1, lam), the row of lam, alpha's
-    ``_pivots`` row and (x.numerator**n, x.denominator**n) at each node.
-    Both compare cross-multiplied integers."""
+def _reduces(n: int, a: int, b: int, full: Polynomial, unit: Polynomial, pivot_sums, powers) -> bool:
+    """The rescale and pointwise reductions at one point alpha = a/b,
+    given E_n(x; alpha, lam), E_n(x; 1, lam), the pivot sum (num, den) of
+    E_n(1; alpha/x, lam) at each node x and (x.numerator**n,
+    x.denominator**n) there.  Both compare cross-multiplied integers."""
     # Coefficient k: full_k / F == unit_k a**(n-k) / (U b**(n-k)) for
     # alpha = a/b.  Both are trimmed and a != 0, so when they are equal
     # their lengths are too.
     if len(full.nums) != len(unit.nums):
         return False
-    a, b = alpha.numerator, alpha.denominator
     top = n - full.degree
     left, right = unit.den * b**top, full.den * a**top
     for x, y in zip(reversed(full.nums), reversed(unit.nums)):
@@ -600,8 +676,7 @@ def _reduces(n: int, alpha: Fraction, full: Polynomial, unit: Polynomial, row, p
             return False
         left *= b
         right *= a
-    for x, pivot, (x_num, x_den) in zip(_REDUCTION_NODES, pivots, powers):
-        pivot_num, pivot_den = _two_param_pivot(n, pivot.numerator, pivot.denominator, row)
+    for x, (pivot_num, pivot_den), (x_num, x_den) in zip(_REDUCTION_NODES, pivot_sums, powers):
         value_num, value_den = full._value(x)
         if value_num * x_den * pivot_den != x_num * pivot_num * value_den:
             return False

@@ -139,13 +139,22 @@ of a sweep grow them a few times only.  A Miller power is built again by
 longer one needs that.  Nothing is dropped, and a right side stored at
 an order stays valid as the entries under it grow.
 
+The same store keeps the builds of the reduction checks of
+``sequences``, one entry per (n, lam): the row, polynomials and pivot
+sums that ``two_param_reduction_sweep`` describes, under a key that
+starts with a string, so that no key of a mu equals it.  A sweep reads
+each entry once a call and keeps it again only if it built something;
+it keeps no verdict.
+
 Each ladder is charged the bits of its numerators and denominator, 320
 more a coefficient and 8,192 a series (``_stored_bits``), and charged
 again by every new, grown or rebuilt entry or right side; a held Pascal
-run is charged the same way, its diagonal as the numerators.  Past the
-budget of 4 MiB of charged bits the least recently used ladders leave
-first, and a ladder charged more than the budget is not kept.  Every
-stored series or run is charged at least 8,192 bits, so the store
+run is charged the same way, its diagonal as the numerators, and each
+build of the reduction checks the same way too.  Past the
+budget of 4 MiB of charged bits the least recently used entries leave
+first, ladders and builds alike, and an entry charged more than the
+budget is not kept.  Every
+stored series, run or build is charged at least 8,192 bits, so the store
 holds at most 4,096 of them, and a CPython int of b bits takes at most
 32 + 4b/30 bytes, so the entries take at most 16/15 of their charge:
 about 4.5 MB at worst, keys of literals over 8,192 bits apart.  A ladder
@@ -959,7 +968,8 @@ def _key(mu: Scalar) -> tuple[int, int]:
 
 class _Ladders:
     """The bounded store of ladders, ``_LADDERS``: see the module docstring.
-    It keeps and charges each ladder under the ``_key`` of its mu."""
+    It keeps and charges each ladder under the ``_key`` of its mu, and
+    each entry of the reduction checks under its own key."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -983,9 +993,18 @@ class _Ladders:
         self.keep(key, ladder)
         return ladder
 
-    def keep(self, key: tuple, ladder: _Ladder) -> None:
-        """Store ladder under key as the most recent entry, in place of the
-        key's old entry, charged its bits if they fit in the budget."""
+    def get(self, key: tuple):
+        """The entry kept under key, made the most recent, else None."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return None
+        self._entries[key] = entry
+        return entry[0]
+
+    def keep(self, key: tuple, ladder) -> None:
+        """Store ladder, or any entry with ``bits``, under key as the most
+        recent entry, in place of the key's old entry, charged its bits if
+        they fit in the budget."""
         entries = self._entries
         entry = entries.pop(key, None)
         if entry is not None:

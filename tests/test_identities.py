@@ -33,7 +33,7 @@ from stirnum.identities import (
     verify_target,
 )
 from stirnum.identities import _NAMED_CHECKS, _SPECS, _weights
-from stirnum.sequences import apostol_bernoulli_oracle, bernoulli_oracle
+from stirnum.sequences import REDUCTION_LAMBDAS, apostol_bernoulli_oracle, bernoulli_oracle
 from stirnum.series import (
     _EGF_MIN_LENGTH,
     LaurentSeries,
@@ -798,21 +798,28 @@ class TestLadderStore:
         assert sorted(store._entries) == sorted(key for key, _ in built) == sorted(keys)
 
     @pytest.mark.parametrize(
-        "sweep",
-        [lambda: run_sweep(ALL_IDENTITY_IDS, 6), lambda: verify_target("all", 6)],
+        "sweep, reductions",
+        [(lambda: run_sweep(ALL_IDENTITY_IDS, 6), ()), (lambda: verify_target("all", 6), REDUCTION_LAMBDAS)],
         ids=["run_sweep", "verify all"],
     )
-    def test_every_tag_on_the_default_grid_builds_five_ladders(self, monkeypatch, store, sweep):
+    def test_every_tag_on_the_default_grid_builds_five_ladders(self, monkeypatch, store, sweep, reductions):
         # The bases are f = B_1, g(t) = -B_1(-t), h = -B_(-1) and
         # G = B_lam(alpha t) at the five default lambdas: five mu, each
         # built once.  f and g share the ladder of B_1, which G at
         # lambda = 1 reads too, and h and G at lambda = -1 that of B_(-1).
+        # Beside them the store keeps the builds of the reduction checks,
+        # one entry per (n, lambda) of their grid, under keys that start
+        # with a string.
         built = recorded_builds(monkeypatch)
         rows = sweep()
         assert rows and all(row.passed for row in rows)
         keys = [ladder_key(mu) for mu in (1, -1, Fraction(-5, 3), Fraction(1, 2), 2)]
         assert sorted(built) == sorted((key, default_order(6)) for key in keys)
-        assert sorted(store._entries) == sorted(keys)
+        ladders = [key for key in store._entries if not isinstance(key[0], str)]
+        assert sorted(ladders) == sorted(keys)
+        assert set(store._entries) - set(ladders) == {
+            ("reductions", n, lam.numerator, lam.denominator) for n in range(7) for lam in reductions
+        }
         right = {key: {tag for tag, *_ in store._entries[key][0].sums} for key in keys}
         assert right[F_KEY] == {*CORE_IDENTITY_IDS, *GENERAL_IDENTITY_IDS}
         assert right[H_KEY] == {*PLUS_IDENTITY_IDS, *GENERAL_IDENTITY_IDS}

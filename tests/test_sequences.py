@@ -506,6 +506,29 @@ def outcome(check, *args):
         return type(exc), str(exc)
 
 
+def fresh_charge(key, builds):
+    """The charge of what the store's entry under ``key``, the builds of
+    the reduction checks at one (n, lambda), holds, each item asserted to
+    be what a fresh build of that (n, lambda) gives."""
+    tag, n, p, q = key
+    lam = Fraction(p, q)
+    assert tag == "reductions" and (builds.n, builds.lam) == (n, lam)
+    row = sequences._two_param_row(n, lam)
+    assert builds._row == row
+    charged = series_module._charged_bits(*row)
+    for (a, b), poly in builds._polys.items():
+        assert poly == sequences._two_param_poly(n, a, b, row), (key, a, b)
+        charged += series_module._charged_bits(poly.nums, poly.den)
+    for (a, b), sums in builds._pivot_sums.items():
+        pivots = [Fraction(a, b) / x for x in sequences._REDUCTION_NODES]
+        assert sums == [sequences._two_param_pivot(n, p.numerator, p.denominator, row) for p in pivots], (key, a, b)
+        charged += sum(series_module._charged_bits([num], den) for num, den in sums)
+    if builds._euler is not None:
+        assert lam == 1 and builds._euler == euler_polynomial_formula(n)
+        charged += series_module._charged_bits(builds._euler.nums, builds._euler.den)
+    return charged
+
+
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
@@ -540,9 +563,12 @@ class TestTwoParamEuler:
             assert verify_two_param_reductions(n, Fraction(-1, 2), Fraction(1, 4))
 
     @pytest.mark.parametrize("bad", REDUCTION_PERTURBATIONS)
-    def test_reductions_detect_each_mismatch(self, monkeypatch, bad):
+    def test_reductions_detect_each_mismatch(self, monkeypatch, cold_store, bad):
+        # On a cold store: a warm one holds the builds made before the
+        # perturbation.
         perturb_two_param(monkeypatch, 4, bad)
-        assert not verify_two_param_reductions(4, Fraction(2), Fraction(3))
+        with cold_store():
+            assert not verify_two_param_reductions(4, Fraction(2), Fraction(3))
 
     def test_pole(self):
         with pytest.raises(PoleError):
@@ -761,22 +787,27 @@ class TestReductionSweep:
         assert isinstance(got, tuple) and got == want
 
     @pytest.mark.parametrize("bad", REDUCTION_PERTURBATIONS)
-    def test_detects_each_mismatch_as_per_point(self, monkeypatch, bad):
+    def test_detects_each_mismatch_as_per_point(self, monkeypatch, cold_store, bad):
         perturb_two_param(monkeypatch, 4, bad)
         alphas, lambdas = [Fraction(-1, 2), Fraction(2)], [Fraction(1), Fraction(3)]
-        rows = two_param_reduction_sweep(6, alphas, lambdas)
-        assert rows == per_point_reductions(6, alphas, lambdas)
+        with cold_store():
+            rows = two_param_reduction_sweep(6, alphas, lambdas)
+        with cold_store():
+            assert rows == per_point_reductions(6, alphas, lambdas)
         failed = {(n, alpha, lam) for n, alpha, lam, passed in rows if not passed}
         assert (4, Fraction(2), Fraction(3)) in failed
         assert all(n == 4 for n, _, _ in failed)
         if bad == (1, 1):
             assert len(failed) == len(alphas) * len(lambdas)
 
-    def test_builds_each_polynomial_once_per_index(self, monkeypatch):
-        # Per n on the default grid: one row per lambda, the 9 grid points,
-        # which hold every E_n(x; 1, lam), and one pivot sum per alpha/x
-        # for each of the 3 lambdas.
-        calls = {"_two_param_row": [], "_two_param_poly": [], "_two_param_pivot": []}
+    # Builds per n on the default grid: one row per lambda, the 9 grid
+    # points, which hold every E_n(x; 1, lam), one pivot sum per alpha/x
+    # for each of the 3 lambdas, and E_n(x).
+    PER_N = {"_two_param_row": 3, "_two_param_poly": 9, "_two_param_pivot": 6 * 3, "euler_polynomial_formula": 1}
+
+    def counted_builds(self, monkeypatch):
+        """name -> the arguments of every call of that build from now on."""
+        calls = {name: [] for name in self.PER_N}
         for name, seen in calls.items():
 
             def counted(n, *args, real=getattr(sequences, name), seen=seen):
@@ -784,11 +815,92 @@ class TestReductionSweep:
                 return real(n, *args)
 
             monkeypatch.setattr(sequences, name, counted)
-        rows = two_param_reduction_sweep(5)
+        return calls
+
+    def test_builds_each_polynomial_once_per_index(self, monkeypatch, cold_store):
+        calls = self.counted_builds(monkeypatch)
+        with cold_store():
+            rows = two_param_reduction_sweep(5)
         assert all(passed for *_, passed in rows)
-        per_n = {"_two_param_row": 3, "_two_param_poly": 9, "_two_param_pivot": 6 * 3}
         for name, seen in calls.items():
-            assert len(seen) == len(set(seen)) == 6 * per_n[name], name
+            assert len(seen) == len(set(seen)) == 6 * self.PER_N[name], name
+
+    def test_a_second_sweep_on_a_fresh_store_builds_nothing(self, monkeypatch):
+        store = series_module._Ladders(series_module._LADDERS.budget)
+        monkeypatch.setattr(series_module, "_LADDERS", store)
+        rows = two_param_reduction_sweep(5)
+        calls = self.counted_builds(monkeypatch)
+        assert two_param_reduction_sweep(5) == rows
+        assert calls == {name: [] for name in self.PER_N}
+        assert len(store._entries) == 6 * len(REDUCTION_LAMBDAS)
+
+    def test_a_second_sweep_on_a_store_that_keeps_nothing_builds_everything_again(self, monkeypatch):
+        monkeypatch.setattr(series_module, "_LADDERS", series_module._Ladders(0))
+        rows = two_param_reduction_sweep(5)
+        calls = self.counted_builds(monkeypatch)
+        assert two_param_reduction_sweep(5) == rows
+        for name, seen in calls.items():
+            assert len(seen) == len(set(seen)) == 6 * self.PER_N[name], name
+
+    # The grids of the interleaved sweeps: the default one, None, and
+    # grids narrowed to one point each, as --alpha and --lambda narrow it.
+    # 2 and 2/3 have pivots 4/5 and 4/15, 3 and 3/4 one numerator, and one
+    # lambda is a 400-digit literal.
+    LONG_LAMBDA = Fraction(int("7" * 400), 3)
+    NARROWED_ALPHAS = (Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 7))
+    NARROWED_LAMBDAS = (Fraction(1), Fraction(3), Fraction(1, 4), Fraction(3, 4), Fraction(5, 2), LONG_LAMBDA)
+    SMALL_BITS = 1 << 12
+
+    @settings(max_examples=30, deadline=None)
+    @example(
+        # Rising, then falling: a (n, 3/4) entry and, at lambda = 1/4, the
+        # pivot 4/15 of alpha = 2/3 read after the pivot 4/5 of alpha = 2.
+        sweeps=[
+            (3, (None, None)),
+            (5, ([Fraction(2, 3)], [Fraction(3, 4)])),
+            (2, ([Fraction(2, 3)], [Fraction(1, 4)])),
+        ],
+        budget=series_module._LADDERS.budget,
+    )
+    @given(
+        sweeps=st.lists(
+            st.tuples(
+                st.integers(0, 8),
+                st.one_of(
+                    st.just((None, None)),
+                    st.tuples(
+                        st.sampled_from(NARROWED_ALPHAS).map(lambda a: [a]),
+                        st.sampled_from(NARROWED_LAMBDAS).map(lambda v: [v]),
+                    ),
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        budget=st.sampled_from([0, SMALL_BITS, series_module._LADDERS.budget]),
+    )
+    def test_interleaved_sweeps_read_what_a_cold_store_gives(self, cold_store, sweeps, budget):
+        # Sweeps at rising and falling k_max over changing grids share one
+        # store: each gives the per-point checks' rows on a cold store,
+        # every entry kept holds the builds of the (n, lambda) its key
+        # names and is charged them, and the store stays in its budget.
+        store = series_module._Ladders(budget)
+        for k_max, (alphas, lambdas) in sweeps:
+            with mock.patch.object(series_module, "_LADDERS", store):
+                rows = two_param_reduction_sweep(k_max, alphas, lambdas)
+            with cold_store():
+                assert rows == per_point_reductions(
+                    k_max, alphas or REDUCTION_ALPHAS, lambdas or REDUCTION_LAMBDAS
+                )
+            assert all(passed for *_, passed in rows)
+            assert store.bits == sum(bits for _, bits in store._entries.values()) <= budget
+            for key, (builds, bits) in store._entries.items():
+                assert builds.bits == bits == fresh_charge(key, builds), key
+            if budget <= self.SMALL_BITS:
+                # Every build is charged at least 8,192 bits, so a small
+                # store keeps none, a 400-digit row least of all.
+                long = (self.LONG_LAMBDA.numerator, self.LONG_LAMBDA.denominator)
+                assert not any(key[2:] == long for key in store._entries)
 
     def test_named_checks(self):
         assert determinant_relation_checks(4) == [

@@ -251,6 +251,27 @@ MUTANTS = [
         IDENTITIES_TESTS,
     ),
     (
+        "reduction builds of lambda kept under lambda's numerator alone",
+        SEQUENCES,
+        'key = "reductions", n, lam.numerator, lam.denominator',
+        'key = "reductions", n, lam.numerator, 1',
+        SEQUENCES_TESTS,
+    ),
+    (
+        "reduction pivot sums of alpha kept under alpha's numerator alone",
+        SEQUENCES,
+        "key = a, b",
+        "key = a",
+        SEQUENCES_TESTS,
+    ),
+    (
+        "a grown reduction entry is not charged again",
+        SEQUENCES,
+        "if found.bits != bits:\n                store.keep(key, found)",
+        "if not bits:\n                store.keep(key, found)",
+        SEQUENCES_TESTS,
+    ),
+    (
         "reduction node x = 5/2",
         SEQUENCES,
         "_REDUCTION_NODES = (Fraction(-1, 3), Fraction(5, 2))",
