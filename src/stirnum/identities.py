@@ -189,14 +189,7 @@ class VerificationReport(_Value):
         passed: bool,
         first_discrepancy: tuple[int, Fraction, Fraction] | None,
     ):
-        object.__setattr__(self, "identity_id", identity_id)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "first_discrepancy", first_discrepancy)
+        self._set(identity_id, k, alpha, lam, order, window, passed, first_discrepancy)
 
 
 class CheckRow(_Value):
@@ -207,9 +200,7 @@ class CheckRow(_Value):
     __slots__ = ("check", "fields", "passed")
 
     def __init__(self, check: str, fields: dict[str, object], passed: bool):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "passed", passed)
+        self._set(check, fields, passed)
 
 
 # -- the spec table -----------------------------------------------------------

@@ -763,12 +763,7 @@ class SequenceValue(_Value):
         provenance: str,
         notes: tuple[str, ...] = (),
     ):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "notes", notes)
+        self._set(family, index, parameters, value, provenance, notes)
 
 
 def sequence_value(

@@ -103,10 +103,9 @@ asked for or longer, and every reader of a base outside the ladders goes
 through it: the oracles of ``sequences`` read the coefficients they need
 in place off it, and ``recip_exp_linear`` truncates, scales and dilates
 what it returns, at every order, so f, g, h and G share their entries
-with the oracles.  At mu = 0, where the base is the constant -1, it calls
-``_build_base`` itself and stores nothing.  At orders 1 and 2 the store
-keeps nothing: a ladder asked for there is built and handed back
-unstored.
+with the oracles.  At mu = 0, where the base is the constant -1, and at
+orders 1 and 2 the store keeps nothing: a ladder asked for there is built
+and handed back unstored.
 
 Every kernel a ladder runs is online: Miller's recurrence, the product
 and the derivative each compute coefficient n from the coefficients <= n
@@ -187,8 +186,9 @@ class _Value:
 
     A subclass lists its two or more fields in ``__slots__``, in
     constructor order, and any private slot, such as a cache, after them.
-    Its ``__init__`` sets each slot with ``object.__setattr__``; after that
-    assigning or deleting an attribute raises AttributeError.  Equality
+    Its ``__init__`` sets each slot with ``object.__setattr__``, or all
+    the fields at once, in that order, with ``_set``; after that assigning
+    or deleting an attribute raises AttributeError.  Equality
     and hashing read the field tuple of two instances of the same class,
     ``repr`` is ``Name(field=value, ...)``, and copy, deepcopy and pickle
     call the constructor on the fields.
@@ -199,6 +199,13 @@ class _Value:
     def __init_subclass__(cls):
         cls._names = tuple(name for name in cls.__slots__ if name[0] != "_")
         cls._fields = operator.attrgetter(*cls._names)
+        # Each slot's own setter, which bypasses the __setattr__ below.
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._names)
+
+    def _set(self, *values):
+        """Set the fields, in ``__slots__`` order, to values."""
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -980,8 +987,9 @@ class _Ladders:
 
     def ladder(self, mu: Scalar, order: int) -> _Ladder:
         """The ladder of the base B_mu = 1/(mu e**t - 1), its base built at
-        ``order`` or longer."""
-        if order < 3:
+        ``order`` or longer; at mu = 0 and at orders 1 and 2 it is built at
+        ``order`` and not stored (module docstring)."""
+        if order < 3 or not mu:
             return _Ladder(mu, order)
         key = _key(mu)
         entry = self._entries.get(key)
@@ -1060,8 +1068,6 @@ def recip_exp_linear(alpha: Scalar, lam: Scalar, c: Scalar, order: int) -> Laure
 def _stored_base(mu: Fraction, order: int) -> LaurentSeries:
     """B_mu = 1/(mu e**t - 1), the base at alpha = 1, built at source order
     ``order`` or longer: the store's own series, which a caller reads in
-    place and never changes.  At mu = 0 and at orders 1 and 2 it is built
-    at ``order`` and not stored (module docstring)."""
-    if not mu:
-        return _build_base(mu, order)
+    place and never changes, or an unstored build where ``_Ladders.ladder``
+    stores none."""
     return _LADDERS.ladder(mu, order).base

@@ -1,25 +1,36 @@
 """Golden corpus: every command line of ``tests/golden/commands.txt``, run
-in order through ``cli.main`` in one process, prints the bytes and exits
-with the code recorded in ``tests/golden/digests.txt``, on the process
-store of ladders as the earlier tests left it, on a fresh store of the same
-budget and on a store that keeps nothing.
+through ``cli.main`` in one process, prints the bytes and exits with the
+code recorded in ``tests/golden/digests.txt``, in three orders (forward,
+reversed and one fixed shuffle) on four stores of ladders: the process
+store as the earlier tests left it, a fresh store of the same budget, a
+store of 2**17 bits and a store that keeps nothing.
+
+The one process-wide store, ``series._LADDERS``, makes every answer
+depend, in principle, on the lines run before it in the process.  A store
+that keeps nothing runs each line as on a cold store, so one set of
+digests pins that every line prints, after any other lines and on any
+store, what it prints cold.  After every line the store's charged bits
+must equal the sum of its entries' charges and stay within its budget.
+The comments of the corpus say what each group of lines exercises.
 
 The digests pin the exit code and the sha256 of stdout and of stderr of
 each line.  A usage error (exit 2) pins stdout and the exit code only:
 argparse's usage and error text differ across Python versions.  The whole
-corpus runs in about 2 s on each store on a 2-vCPU x86-64 host with
+corpus runs in about 1.5 s a pass on a 2-vCPU x86-64 host with
 CPython 3.11; keep new lines within a 15 s budget a pass there.
 
 ``python tools/golden.py`` rewrites the digests from the tree it sits in.
 Regenerate them only for a change of output that is meant, and name it in
 CHANGES.md.  CI also runs every line as a fresh process of the installed
-``stirnum`` and checks it against the same digests with ``digest_of``.
+``stirnum`` against the same digests, with ``check_fresh_processes``.
 """
 
 import contextlib
 import hashlib
 import io
+import random
 import shlex
+import subprocess
 from pathlib import Path
 from unittest import mock
 
@@ -31,15 +42,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 USAGE_ERROR = 2
 
 
-def command_lines(lines: list[str]) -> list[str]:
-    """The command lines among ``lines`` of the corpus, in order: every
-    line that is not blank and not a comment."""
+def corpus_lines() -> list[str]:
+    """The command lines of the corpus, in order: every line that is not
+    blank and not a comment."""
+    lines = (GOLDEN / "commands.txt").read_text().splitlines()
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def corpus_lines() -> list[str]:
-    """The command lines of the whole corpus, in order."""
-    return command_lines((GOLDEN / "commands.txt").read_text().splitlines())
+def recorded_digests() -> list[str]:
+    return (GOLDEN / "digests.txt").read_text().splitlines()
 
 
 def digest_of(code: int, stdout: bytes, stderr: bytes) -> str:
@@ -57,19 +68,49 @@ def digest(line: str) -> str:
     return digest_of(code, out.getvalue().encode(), err.getvalue().encode())
 
 
-def recorded_digests() -> list[str]:
-    return (GOLDEN / "digests.txt").read_text().splitlines()
+def process_digest(line: str) -> str | None:
+    """The ``digest_of`` one line run as a fresh process of the installed
+    ``stirnum``; None for a usage error whose stderr is not argparse's
+    usage text or holds a traceback."""
+    done = subprocess.run(["stirnum", *shlex.split(line)], capture_output=True)
+    if done.returncode == USAGE_ERROR and (
+        not done.stderr.startswith(b"usage: ") or b"Traceback" in done.stderr
+    ):
+        return None
+    return digest_of(done.returncode, done.stdout, done.stderr)
 
 
+def check_fresh_processes() -> None:
+    """Every corpus line, run as a fresh process of the installed
+    ``stirnum``, prints what its recorded digest pins."""
+    lines = zip(corpus_lines(), recorded_digests(), strict=True)
+    changed = [line for line, want in lines if process_digest(line) != want]
+    assert not changed, f"{len(changed)} lines changed: {changed}"
+
+
+LINES = list(zip(corpus_lines(), recorded_digests()))
+# The recorded shuffle: a fixed seed gives the same order on every run.
+ORDERS = {
+    "forward": LINES,
+    "reversed": LINES[::-1],
+    "shuffled": random.Random(31).sample(LINES, len(LINES)),
+}
 # The budget of the store each pass runs on; None is the process store.
-STORES = {"process": None, "fresh": series._LADDERS.budget, "keeps-nothing": 0}
+STORES = {"process": None, "fresh": series._LADDERS.budget, "2**17": 1 << 17, "keeps-nothing": 0}
 
 
+def test_every_line_has_one_recorded_digest():
+    assert len(recorded_digests()) == len(corpus_lines())
+
+
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("budget", STORES.values(), ids=STORES)
-def test_every_line_prints_its_recorded_bytes(budget):
-    lines, recorded = corpus_lines(), recorded_digests()
-    assert len(recorded) == len(lines)
+def test_every_line_prints_its_recorded_bytes(budget, order):
     store = series._LADDERS if budget is None else series._Ladders(budget)
+    changed = []
     with mock.patch.object(series, "_LADDERS", store):
-        changed = [line[:120] for line, want in zip(lines, recorded) if digest(line) != want]
-    assert not changed, f"{len(changed)} of {len(lines)} lines changed: {changed}"
+        for line, want in ORDERS[order]:
+            if digest(line) != want:
+                changed.append(line[:120])
+            assert store.bits == sum(bits for _, bits in store._entries.values()) <= store.budget, line
+    assert not changed, f"{len(changed)} of {len(LINES)} lines changed: {changed}"

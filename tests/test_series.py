@@ -24,6 +24,7 @@ from stirnum.sequences import (
     apostol_bernoulli_oracle,
     bernoulli_oracle,
     euler_polynomial_oracle,
+    two_param_euler_formula,
     two_param_euler_oracle,
 )
 from stirnum.series import ZERO, LaurentSeries, exp_linear, linear_combination, recip_exp_linear
@@ -393,6 +394,11 @@ EXPLICIT_DENOMINATORS = {
 def direct_recip_exp_linear(alpha, lam, c, order):
     """1/(lam e^(alpha t) + c) long-divided at alpha itself, never dilated."""
     return (exp_linear(alpha, order).scale(lam) + LaurentSeries.constant(c, order)).reciprocal()
+
+
+def two_param_euler_value(n, x, alpha, lam):
+    """E_n(x; alpha, lam) by the closed form, which reads no base."""
+    return two_param_euler_formula(n, alpha, lam).evaluate(x)
 
 
 def fresh_build(cold_store, alpha, lam, c, order):
@@ -1084,24 +1090,34 @@ class TestBaseStore:
         assert got == [fresh_build(cold_store, alpha, Fraction(2, 3), -1, 12) for alpha in alphas]
 
     @pytest.mark.parametrize(
-        "alpha, lam, c, order",
+        "op, reference, args",
         [
-            (alpha, lam, c, order)
+            (recip_exp_linear, direct_recip_exp_linear, (alpha, lam, c, order))
             for alpha in (1, Fraction(-3, 2))
             for lam, c in ((1, -1), (Fraction(2, 3), Fraction(-2, 3)), (Fraction(2, 3), 1))
             for order in (1, 2)
         ]
-        + [(0, Fraction(2, 3), c, order) for c in (Fraction(-2, 3), 1) for order in (12, 150)]
-        + [(alpha, 0, c, 12) for alpha in (1, 2) for c in (0, 1)],
+        # constant sources, of mu = 0 at lam + c = 5/3 and of no mu at 0
+        + [
+            (recip_exp_linear, direct_recip_exp_linear, (0, Fraction(2, 3), c, order))
+            for c in (Fraction(-2, 3), 1)
+            for order in (12, 150)
+        ]
+        + [(recip_exp_linear, direct_recip_exp_linear, (alpha, 0, c, 12)) for alpha in (1, 2) for c in (0, 1)]
+        # the two-parameter oracle at lambda = 0 reads B_0 at orders n + 2,
+        # on both sides of the split, against the closed form
+        + [
+            (two_param_euler_oracle, two_param_euler_value, (n, Fraction(1, 3), alpha, 0))
+            for alpha in (1, Fraction(-3, 2))
+            for n in (1, 10, 120)
+        ],
     )
-    def test_short_orders_and_constant_sources_bypass_the_store(self, store, alpha, lam, c, order):
-        assert window_error(recip_exp_linear, alpha, lam, c, order) == window_error(
-            direct_recip_exp_linear, alpha, lam, c, order
-        )
-        assert_same_series(
-            outcome(recip_exp_linear, alpha, lam, c, order),
-            outcome(direct_recip_exp_linear, alpha, lam, c, order),
-        )
+    def test_short_orders_and_constant_sources_bypass_the_store(self, store, op, reference, args):
+        assert window_error(op, *args) == window_error(reference, *args)
+        got, want = outcome(op, *args), outcome(reference, *args)
+        if isinstance(want, LaurentSeries):
+            assert_same_series(got, want)
+        assert got == want
         assert store._entries == {} and store.bits == 0
 
 

@@ -1,8 +1,8 @@
 """Rewrite ``tests/golden/digests.txt`` from the code of this tree.
 
 Runs every line of ``tests/golden/commands.txt`` through ``stirnum.cli.main``
-in one process, as ``tests/test_golden.py`` does, and writes one digest
-line per command line.  Regenerate only for a change of output that is
+in order in one process, with the helpers of ``tests/test_golden.py``, and
+writes one digest line per command line.  Regenerate only for a change of output that is
 meant, never to make the test pass on a change that is not.
 
     python tools/golden.py
