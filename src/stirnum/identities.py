@@ -37,9 +37,9 @@ B_mu(alpha t), B_mu = 1/(mu e**t - 1) the one family of ``series``, and a
 row holds it as the triple (alpha, mu, sign): f = (1, 1, 1),
 g = (-1, 1, -1), as g(t) = -f(-t), h = (1, -1, -1) and G = (alpha, lam, 1),
 each read off the ladder of its mu.  So f and g read one ladder, and h
-that of G at lam = -1.  One private verifier builds both sides from a
-row; each public ``verify_*`` function checks its tag or converts its
-parameters and calls it.
+that of G at lam = -1.  One private verifier, ``_verify``, builds both
+sides from a row, compares them and reports; each public ``verify_*``
+function checks its tag or converts its parameters and calls it.
 
 The verifier reads both sides off the ladders of their bases at alpha = 1
 and sign 1, the powers and the derivatives of one B_mu, in the store of
@@ -302,48 +302,6 @@ def core_identity_coefficients(identity_id: str, k: int) -> list[Fraction]:
     return _weights(identity_id, k, None)
 
 
-def _compare(
-    identity_id: str,
-    k: int,
-    alpha: Fraction | None,
-    lam: Fraction | None,
-    order: int,
-    lhs: LaurentSeries,
-    rhs: LaurentSeries,
-    hi: int,
-    lhs_alpha: Fraction,
-    lhs_j: int,
-    lhs_sign: int,
-) -> VerificationReport:
-    """Compare the two sides on [least offset, hi); ``hi`` is at most
-    either side's precision, and below it a side holds the exact values of
-    a build at ``order``.  A discrepancy at e is reported times
-    lhs_sign * lhs_alpha**(e + lhs_j), as the sides at the check's base
-    hold it (module docstring)."""
-    lo = min(lhs.offset, rhs.offset)
-    overlap = hi - max(lhs.offset, rhs.offset)
-    if hi <= lo or overlap < DEFAULT_MIN_WINDOW:
-        raise PrecisionExhaustedError(
-            f"{identity_id} k={k}: window [{lo},{hi}) holds {max(overlap, 0)} shared "
-            f"coefficients, need {DEFAULT_MIN_WINDOW}; raise the order"
-        )
-    e = lhs.first_difference(rhs, lo, hi)
-    first_discrepancy = None
-    if e is not None:
-        scale = lhs_sign * lhs_alpha ** (e + lhs_j)
-        first_discrepancy = (e, lhs.coeff(e) * scale, rhs.coeff(e) * scale)
-    return VerificationReport(
-        identity_id=identity_id,
-        k=k,
-        alpha=alpha,
-        lam=lam,
-        order=order,
-        window=(lo, hi),
-        passed=first_discrepancy is None,
-        first_discrepancy=first_discrepancy,
-    )
-
-
 def _verify(
     identity_id: str,
     k: int,
@@ -352,7 +310,8 @@ def _verify(
     order: int | None,
     coeff_override: Sequence[Scalar] | None,
 ) -> VerificationReport:
-    """Build both sides of one identity from its spec row and compare them.
+    """Build both sides of one identity from its spec row, compare them
+    and report.
 
     alpha and lam are None for the tags on the fixed bases f, g and h.
     """
@@ -424,8 +383,26 @@ def _verify(
                 rhs = rhs + LaurentSeries.constant(lhs_sign * constant(k), rhs_hi)
         if coeff_override is None:
             rhs_ladder.keep_sum(key, rhs, rhs_hi)
-    lhs_hi = lhs.offset + lhs_ladder.length(order)
-    return _compare(identity_id, k, alpha, lam, order, lhs, rhs, min(lhs_hi, rhs_hi), lhs_alpha, lhs_j, lhs_sign)
+    # Compare on [least offset, hi): below hi each side holds the exact
+    # values of a build at this order.  A discrepancy at e is reported
+    # times lhs_sign * lhs_alpha**(e + lhs_j), as the sides at the check's
+    # base hold it (module docstring).
+    hi = min(lhs.offset + lhs_ladder.length(order), rhs_hi)
+    lo = min(lhs.offset, rhs.offset)
+    overlap = hi - max(lhs.offset, rhs.offset)
+    if hi <= lo or overlap < DEFAULT_MIN_WINDOW:
+        raise PrecisionExhaustedError(
+            f"{identity_id} k={k}: window [{lo},{hi}) holds {max(overlap, 0)} shared "
+            f"coefficients, need {DEFAULT_MIN_WINDOW}; raise the order"
+        )
+    e = lhs.first_difference(rhs, lo, hi)
+    first_discrepancy = None
+    if e is not None:
+        scale = lhs_sign * lhs_alpha ** (e + lhs_j)
+        first_discrepancy = (e, lhs.coeff(e) * scale, rhs.coeff(e) * scale)
+    return VerificationReport(
+        identity_id, k, alpha, lam, order, (lo, hi), first_discrepancy is None, first_discrepancy
+    )
 
 
 def verify_core_identity(

@@ -508,7 +508,7 @@ def verify_two_param_reductions(n: int, alpha: Scalar, lam: Scalar) -> bool:
     if n < 0:
         raise DomainError(f"the two-parameter family needs n >= 0, got {n}")
     _check_two_param(alpha, lam)
-    return _reductions_at(n, [lam], _pivots([alpha]))[0]
+    return _reductions_at(n, [alpha], [lam])[0]
 
 
 def two_param_reduction_sweep(
@@ -537,9 +537,10 @@ def two_param_reduction_sweep(
     each alpha read, the pivot sums of each alpha read at a grid point
     and, at lambda = 1, E_n(x).  Each call reads the entries of its
     (n, lambda), builds only what they lack and runs every comparison
-    again: E_n(x; 1, 1) == E_n(x), the rescale loop, the value of the
-    grid point's polynomial at each node and the cross-multiplied
-    equalities.  No verdict is kept, so a repeated sweep only compares.
+    again: E_n(x; 1, 1) == E_n(x), the rescale loop at alpha != 1, the
+    value of the grid point's polynomial at each node and the
+    cross-multiplied equalities.  No verdict is kept, so a repeated sweep
+    only compares.
     Entries are charged by ``series._charged_bits`` and leave the store
     as ladders do, least recent first; on a store that keeps nothing a
     call still builds each item once per n.
@@ -551,21 +552,10 @@ def two_param_reduction_sweep(
         _check_two_param(alpha, lam)
     if not points:
         return []
-    pivots = _pivots(alpha_grid)
     return [
         (n, alpha, lam, passed)
         for n in range(k_max + 1)
-        for (alpha, lam), passed in zip(points, _reductions_at(n, lambda_grid, pivots))
-    ]
-
-
-def _pivots(alphas: Sequence[Fraction]) -> list:
-    """For each alpha = a/b, ((a, b), the two integers of alpha/x at each
-    node x): the part of the reductions that no n touches."""
-    pivots = [[alpha / x for x in _REDUCTION_NODES] for alpha in alphas]
-    return [
-        ((alpha.numerator, alpha.denominator), [(p.numerator, p.denominator) for p in row])
-        for alpha, row in zip(alphas, pivots)
+        for (alpha, lam), passed in zip(points, _reductions_at(n, alpha_grid, lambda_grid))
     ]
 
 
@@ -599,14 +589,16 @@ class _Builds:
             self.bits += _charged_bits(found.nums, found.den)
         return found
 
-    def pivot_sums(self, a: int, b: int, pivots) -> list[tuple[int, int]]:
-        """The pivot sum E_n(1; p/q, lam), unreduced, at each (p, q) of
-        ``pivots``, the ``_pivots`` of alpha = a/b."""
+    def pivot_sums(self, a: int, b: int) -> list[tuple[int, int]]:
+        """The pivot sum E_n(1; alpha/x, lam), unreduced, at each node x,
+        for alpha = a/b."""
         key = a, b
         found = self._pivot_sums.get(key)
         if found is None:
-            row = self.row()
-            found = self._pivot_sums[key] = [_two_param_pivot(self.n, p, q, row) for p, q in pivots]
+            points = [Fraction(a, b) / x for x in _REDUCTION_NODES]
+            found = self._pivot_sums[key] = [
+                _two_param_pivot(self.n, p.numerator, p.denominator, self.row()) for p in points
+            ]
             self.bits += sum(_charged_bits([num], den) for num, den in found)
         return found
 
@@ -618,10 +610,10 @@ class _Builds:
         return self._euler
 
 
-def _reductions_at(n: int, lambdas: Sequence[Fraction], pivots) -> list[bool]:
+def _reductions_at(n: int, alphas: Sequence[Fraction], lambdas: Sequence[Fraction]) -> list[bool]:
     """Whether the reductions hold at index n, for each (alpha, lam) of
-    alphas x lambdas in that order, given the ``_pivots`` of alphas.  A
-    failed E_n(x; 1, 1) == E_n(x) fails every point.
+    alphas x lambdas in that order.  A failed E_n(x; 1, 1) == E_n(x) fails
+    every point.
 
     The builds come from the ``_Builds`` entry of each (n, lam), and of
     (n, 1), which holds E_n(x): each entry is read off the store once a
@@ -643,12 +635,12 @@ def _reductions_at(n: int, lambdas: Sequence[Fraction], pivots) -> list[bool]:
     try:
         at_one = builds(Fraction(1))
         if at_one.poly(1, 1) != at_one.euler():
-            return [False] * (len(pivots) * len(lambdas))
+            return [False] * (len(alphas) * len(lambdas))
         grid = [(found, found.poly(1, 1)) for found in map(builds, lambdas)]
         powers = [(x.numerator**n, x.denominator**n) for x in _REDUCTION_NODES]
         return [
-            _reduces(n, a, b, found.poly(a, b), unit, found.pivot_sums(a, b, alpha_pivots), powers)
-            for (a, b), alpha_pivots in pivots
+            _reduces(n, a, b, found.poly(a, b), unit, found.pivot_sums(a, b), powers)
+            for a, b in ((alpha.numerator, alpha.denominator) for alpha in alphas)
             for found, unit in grid
         ]
     finally:
@@ -666,16 +658,18 @@ def _reduces(n: int, a: int, b: int, full: Polynomial, unit: Polynomial, pivot_s
     x.denominator**n) there.  Both compare cross-multiplied integers."""
     # Coefficient k: full_k / F == unit_k a**(n-k) / (U b**(n-k)) for
     # alpha = a/b.  Both are trimmed and a != 0, so when they are equal
-    # their lengths are too.
-    if len(full.nums) != len(unit.nums):
-        return False
-    top = n - full.degree
-    left, right = unit.den * b**top, full.den * a**top
-    for x, y in zip(reversed(full.nums), reversed(unit.nums)):
-        if x * left != y * right:
+    # their lengths are too.  At alpha = 1 both are one build, which the
+    # rescale would compare with itself.
+    if full is not unit:
+        if len(full.nums) != len(unit.nums):
             return False
-        left *= b
-        right *= a
+        top = n - full.degree
+        left, right = unit.den * b**top, full.den * a**top
+        for x, y in zip(reversed(full.nums), reversed(unit.nums)):
+            if x * left != y * right:
+                return False
+            left *= b
+            right *= a
     for x, (pivot_num, pivot_den), (x_num, x_den) in zip(_REDUCTION_NODES, pivot_sums, powers):
         value_num, value_den = full._value(x)
         if value_num * x_den * pivot_den != x_num * pivot_num * value_den:

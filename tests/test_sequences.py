@@ -562,13 +562,15 @@ class TestTwoParamEuler:
             assert verify_two_param_reductions(n, Fraction(2), Fraction(3))
             assert verify_two_param_reductions(n, Fraction(-1, 2), Fraction(1, 4))
 
-    @pytest.mark.parametrize("bad", REDUCTION_PERTURBATIONS)
+    @pytest.mark.parametrize("bad", [*REDUCTION_PERTURBATIONS, (Fraction(2, 5), Fraction(3))])
     def test_reductions_detect_each_mismatch(self, monkeypatch, cold_store, bad):
         # On a cold store: a warm one holds the builds made before the
-        # perturbation.
+        # perturbation.  The last input is the pivot of 1/x at x = 5/2, so
+        # it checks alpha = 1, where only the pointwise reduction runs.
         perturb_two_param(monkeypatch, 4, bad)
+        alpha = Fraction(1) if bad[0] == Fraction(2, 5) else Fraction(2)
         with cold_store():
-            assert not verify_two_param_reductions(4, Fraction(2), Fraction(3))
+            assert not verify_two_param_reductions(4, alpha, Fraction(3))
 
     def test_pole(self):
         with pytest.raises(PoleError):

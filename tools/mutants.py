@@ -246,9 +246,16 @@ MUTANTS = [
     (
         "reduction pivot",
         SEQUENCES,
-        "[alpha / x for x in _REDUCTION_NODES]",
-        "[x / alpha for x in _REDUCTION_NODES]",
+        "[Fraction(a, b) / x for x in _REDUCTION_NODES]",
+        "[x / Fraction(a, b) for x in _REDUCTION_NODES]",
         IDENTITIES_TESTS,
+    ),
+    (
+        "the rescale skipped at every alpha",
+        SEQUENCES,
+        "    if full is not unit:\n",
+        "    if False:\n",
+        SEQUENCES_TESTS,
     ),
     (
         "reduction builds of lambda kept under lambda's numerator alone",
