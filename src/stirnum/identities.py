@@ -384,9 +384,8 @@ def _verify(
         if coeff_override is None:
             rhs_ladder.keep_sum(key, rhs, rhs_hi)
     # Compare on [least offset, hi): below hi each side holds the exact
-    # values of a build at this order.  A discrepancy at e is reported
-    # times lhs_sign * lhs_alpha**(e + lhs_j), as the sides at the check's
-    # base hold it (module docstring).
+    # values of a build at this order.  A discrepancy is reported as the
+    # sides at the check's base hold it (module docstring).
     hi = min(lhs.offset + lhs_ladder.length(order), rhs_hi)
     lo = min(lhs.offset, rhs.offset)
     overlap = hi - max(lhs.offset, rhs.offset)
